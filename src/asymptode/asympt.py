@@ -181,7 +181,7 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6), spread_tol=1e-
     cannot support the requested constant, and returning a number then
     would be misleading.
 
-    This route never touches the quadrature definition of c, so it is
+    This route never touches the integral definition of c, so it is
     an independent check on it.
     """
     n = int(n)
@@ -440,7 +440,10 @@ def lambert_compare(n_max, x_grid, cfg=None):
             x = mp.mpf(x_raw)
             y = lambert_wm1_numeric(x, cfg)
             y_values[x_raw] = y
-            residuals[x_raw] = abs(y - mp.log(y) - x) / x
+            # guard digits, so the rounding of y shows in the residual
+            # instead of cancelling to zero at the working precision
+            with mp.workdps(cfg.effective_dps + 20):
+                residuals[x_raw] = abs(y - mp.log(y) - x) / x
         approx = {}
         remainders = {}
         for n in range(n_max + 1):

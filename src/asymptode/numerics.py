@@ -34,22 +34,24 @@ positive (an absorbing property here) the order of the equation drops: along
 such a stretch g = h^3 h' is a function of z = 4/h^4 and h^4 is recovered by
 inverting the strictly increasing time map G.  Trajectories switch to that
 exact reduction after a configurable direct span; evaluations beyond the
-switch cost one cached incremental quadrature each, with no step-count
-growth in t at all.
+switch cost a few evaluations of G each, with no step-count growth in t.
 
-The function G(x) = int_{h0^4}^x ds / g(4/s) is evaluated by adaptive
-quadrature below a split point S and exactly (termwise integration of the
-reciprocal series) above it, where 4/s sits below the series crossover of g.
-Evaluations are cached per problem and extended incrementally, so the
-ascending sequences produced by the fixed-point inversion cost one short
-quadrature each.
+G and c.  The g integrator carries one extra Taylor component,
+the running integral I(z) = int_z^{z0} r of the regular integrand
+r(z) = (1/g(z) - 1 + 3z/4) 4/z^2, whose Taylor coefficients follow in O(P)
+from the 1/g series each step already builds (augmented quadrature in the
+sense of Jorba & Zou, Exp. Math. 14, 2005).  Its truncation is checked in
+the same step-acceptance test as g's.  With s = 4/z,
+G(x) = int_{h0^4}^x ds / g(4/s) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x),
+which is dense output on [h0^4, S] (S = 4/z_c); above S the reciprocal
+series sum beta_k (4/s)^k is integrated exactly term by term.  The head of
+c is I(z_c), and its tail is the same series integrated from z_c to 0.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -84,6 +86,12 @@ __all__ = [
 _SERIES_ORDER = 24  # truncation used for g and 1/g below the crossover
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not mp.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and caps for the numerical layer.
@@ -91,31 +99,33 @@ class SolverConfig:
     ``rel_tol``/``abs_tol`` bound the local error per integrator step.
     ``direct_span`` is the stretch integrated by direct Taylor steps before
     a trajectory is allowed to hand off to the first-order reduction.
-    ``tail_split`` optionally overrides the point S where improper integrals
-    switch to the series tail (it is never taken below the series-validity
-    bound).  ``fp_tol``/``fp_max_iter`` control root finding (G inversion and
-    the Lambert root).  ``dps`` pins the working decimal precision; left
-    unset, it is derived from the tolerances with guard digits.
+    ``fp_tol`` is the residual tolerance of the G inversion; ``fp_max_iter``
+    caps the iterations of every root finder (G inversion and the Lambert
+    root).  ``dps`` pins the working decimal precision; left unset, it is
+    derived from the tolerances with guard digits.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 100_000
     direct_span: float = 128.0
-    tail_split: float | None = None
     fp_tol: float = 1e-12
     fp_max_iter: int = 200
     dps: int | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(
+            rel_tol=self.rel_tol,
+            abs_tol=self.abs_tol,
+            direct_span=self.direct_span,
+            fp_tol=self.fp_tol,
+        )
         if not (self.rel_tol > 0 and self.abs_tol > 0 and self.fp_tol > 0):
             raise DomainError("tolerances must be positive")
         if self.max_steps < 1 or self.fp_max_iter < 1:
             raise DomainError("step and iteration caps must be >= 1")
         if self.direct_span < 0:
             raise DomainError("direct_span must be nonnegative")
-        if self.tail_split is not None and self.tail_split <= 0:
-            raise DomainError("tail_split must be positive")
         if self.dps is not None and self.dps < 15:
             raise DomainError("dps below 15 defeats the purpose of this layer")
 
@@ -140,6 +150,7 @@ class InitialData:
     h1: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(t0=self.t0, h0=self.h0, h1=self.h1)
         if not self.h0 > 0:
             raise DomainError("h0 must be positive")
 
@@ -218,15 +229,38 @@ def _g_equation_coeffs(z_s, g_s, order):
         C.append(rhs / (zs2 * (j + 1)))
         m = j + 1
         R.append(-inv_g0 * mp.fsum(C[i] * R[m - i] for i in range(1, m + 1)))
-    return C
+    return C, R
+
+
+def _running_integral_coeffs(z_s, R, base):
+    """Taylor coefficients at z_s of I(z) = base + int_z^{z_s} r.
+
+    r(z) = (1/g - 1 + 3z/4) 4/z^2 is the regular integrand of G and c, and
+    R holds the coefficients of 1/g at z_s.  With z = z_s + u, the identity
+    r (z_s + u)^2 = 4 (R - 1 + 3 (z_s + u)/4) gives r's coefficients F_k in
+    O(order); I' = -r integrates them termwise.
+    """
+    zs2 = z_s * z_s
+    D = list(R)
+    D[0] += 3 * z_s / 4 - 1
+    D[1] += mp.mpf(3) / 4
+    F = []
+    for k, d_k in enumerate(D):
+        acc = 4 * d_k
+        if k >= 1:
+            acc -= 2 * z_s * F[k - 1]
+        if k >= 2:
+            acc -= F[k - 2]
+        F.append(acc / zs2)
+    return [base] + [-f / (k + 1) for k, f in enumerate(F)]
 
 
 @dataclass
 class _Step:
     t_start: object  # mpf
     length: object   # mpf, signed offset of the step end from t_start
-    x_coeffs: list
-    y_coeffs: list | None
+    x_coeffs: list   # h for trajectory steps, g for g steps
+    y_coeffs: list   # h' for trajectory steps, the running integral I for g
     err_cum: object  # cumulative error bound at the step end
 
 
@@ -238,8 +272,8 @@ class Trajectory:
     configured direct span is covered, the solution continues through the
     exact reduction of order: with g = h^3 h' as a function of z = 4/h^4,
     the time map G is strictly increasing and h(t)^4 is its inverse at
-    4 (t - t_switch), evaluated by the cached quadrature + fixed-point
-    machinery below.  The reduction is an identity along any stretch with
+    4 (t - t_switch), evaluated by the dense G + fixed-point machinery
+    below.  The reduction is an identity along any stretch with
     h' > 0 (an absorbing condition), not an approximation; the switch point
     supplies its data.
 
@@ -269,7 +303,6 @@ class Trajectory:
             )
         self._h4_cache = {}
         self._sample_cache = None
-        self._lock = threading.Lock()
 
     @property
     def g_problem(self):
@@ -297,14 +330,12 @@ class Trajectory:
     def _reduced_h4(self, t):
         """h(t)^4 past the switch, inverting the time map; memoized."""
         problem, t_sw, _, _ = self._reduction
-        with self._lock:
-            hit = self._h4_cache.get(t)
+        hit = self._h4_cache.get(t)
         if hit is not None:
             return hit
         val = invert_G(4 * (t - t_sw), problem, self._inv_cfg)
-        with self._lock:
-            if len(self._h4_cache) < 8192:
-                self._h4_cache[t] = val
+        if len(self._h4_cache) < 8192:
+            self._h4_cache[t] = val
         return val
 
     def eval_h(self, t):
@@ -339,8 +370,8 @@ class Trajectory:
             cum1 = self._steps[-1].err_cum
             s_t = self._reduced_h4(t)
             # error in the time-map argument: anchor shift from the direct
-            # phase, integrand noise over the covered span, quadrature
-            # resolution, inversion tolerance
+            # phase, integrand noise over the covered span, precision
+            # floor, inversion tolerance
             noise = problem.ode_err + mp.mpf(self.cfg.abs_tol) + mp.mpf(
                 self.cfg.rel_tol
             )
@@ -356,9 +387,8 @@ class Trajectory:
     def samples(self):
         """(t, h, h') at the direct step points and, past the switch, on a
         geometric grid refining toward the switch; endpoints included."""
-        with self._lock:
-            if self._sample_cache is not None:
-                return list(self._sample_cache)
+        if self._sample_cache is not None:
+            return list(self._sample_cache)
         with mp.workdps(self._dps):
             out = [
                 (s.t_start, s.x_coeffs[0], s.y_coeffs[0]) for s in self._steps
@@ -386,8 +416,7 @@ class Trajectory:
                 for off in reversed(offsets):
                     t = t_sw + off
                     out.append((t, self.eval_h(t), self.eval_hprime(t)))
-        with self._lock:
-            self._sample_cache = out
+        self._sample_cache = out
         return list(out)
 
     @property
@@ -421,6 +450,7 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
     with mp.workdps(dps):
         t0 = mp.mpf(data.t0)
         t_max = mp.mpf(t_max)
+        _require_finite(t_max=t_max)
         if not t_max > t0:
             raise DomainError("t_max must exceed t0")
         span_direct = mp.mpf(cfg.direct_span)
@@ -473,7 +503,7 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
                 break
         traj = Trajectory(data, cfg, steps, t_max, rejected, dps, reduction)
         if reduction is not None:
-            traj.eval_h(t_max)  # fail fast and seed the quadrature cache
+            traj.eval_h(t_max)  # fail fast and seed the h^4 memo
         return traj
 
 
@@ -504,11 +534,11 @@ class GProblem:
 
     Below the crossover ``z_c`` the solution is represented by the truncated
     series sum alpha_k z^k (all solutions collapse onto it at z -> 0 faster
-    than any power); above, by the integrator's Taylor pieces.  The two
-    representations are required to agree at z_c when the problem is built.
-
-    Instances are logically read-only; the caches (the constant c, quadrature
-    checkpoints for G) are internally synchronized.
+    than any power); above, by the integrator's Taylor pieces, each carrying
+    g and the running integral I(z) = int_z^{z0} r of the regular integrand
+    r = (1/g - 1 + 3z/4) 4/z^2.  The two representations of g are required
+    to agree at z_c when the problem is built.  G on [anchor, S] and the
+    head of c are read off I; the only cache is the memoized constant c.
     """
 
     def __init__(self, z0, g0, z_c, steps, cfg, dps, ode_err):
@@ -527,11 +557,7 @@ class GProblem:
             ]
             betas = gen_beta(_SERIES_ORDER).values
             self._beta_mpf = [mp.mpf(b.numerator) / b.denominator for b in betas]
-        self._lock = threading.Lock()
         self._c = None
-        # quadrature checkpoints for G on [anchor, S]: parallel sorted lists
-        self._g_pts = []
-        self._g_vals = []
 
     @property
     def anchor(self):
@@ -541,12 +567,21 @@ class GProblem:
 
     @property
     def split(self):
-        """Point S beyond which G uses the series tail (s > S <=> 4/s < z_c)."""
+        """Point S = 4/z_c beyond which G uses the series tail."""
         with mp.workdps(self.dps):
-            s_min = 4 / self.z_c
-            if self.cfg.tail_split is not None:
-                return max(mp.mpf(self.cfg.tail_split), s_min)
-            return s_min
+            return 4 / self.z_c
+
+    def _step_at(self, z):
+        """The Taylor piece covering z, for z_c < z <= z0."""
+        # steps are stored with descending start; step i covers
+        # [start_{i+1}, start_i], so locate the first start <= z and
+        # back up one piece when z lies strictly between two starts
+        idx = bisect.bisect_left(self._neg_starts, -z)
+        idx = min(max(idx, 0), len(self._steps) - 1)
+        step = self._steps[idx]
+        if z > step.t_start and idx > 0:
+            step = self._steps[idx - 1]
+        return step
 
     def eval_g(self, z):
         """g(z) for z in (0, z0]."""
@@ -558,15 +593,15 @@ class GProblem:
                 raise DomainError(f"z={z} beyond the initial point z0={self.z0}")
             if z <= self.z_c or not self._steps:
                 return _horner(self._alpha_mpf, z)
-            # steps are stored with descending start; step i covers
-            # [start_{i+1}, start_i], so locate the first start <= z and
-            # back up one piece when z lies strictly between two starts
-            idx = bisect.bisect_left(self._neg_starts, -z)
-            idx = min(max(idx, 0), len(self._steps) - 1)
-            step = self._steps[idx]
-            if z > step.t_start and idx > 0:
-                step = self._steps[idx - 1]
+            step = self._step_at(z)
             return _horner(step.x_coeffs, z - step.t_start)
+
+    def _integral(self, z):
+        """I(z) = int_z^{z0} r for z in [z_c, z0]; 0 without Taylor pieces."""
+        if not self._steps:
+            return mp.zero
+        step = self._step_at(z)
+        return _horner(step.y_coeffs, z - step.t_start)
 
 
 def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
@@ -581,12 +616,18 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
     1/z_c), while the series truncation error falls like the 25th power of
     z.  The crossover therefore goes at the largest z where the series' own
     last retained term is below 0.01 (abs_tol + rel_tol) z; the extra factor
-    of z keeps the integrated impact of the series region (the quadratures
-    divide by z^2) below the noise the dense region already carries.  The
-    handoff is validated by comparing the integrated value with the series
-    value at z_c.  ``seed_tol`` widens the data-consistency gate of the
-    z0 <= z_c branch when (z0, g0) are themselves numerical (a trajectory
-    handing off its switch point).
+    of z keeps the integrated impact of the series region (the integrands
+    of G and c divide by z^2) below the noise the dense region already
+    carries.  The handoff is validated by comparing the integrated value
+    with the series value at z_c.
+
+    Each step also carries the running integral I of the regular integrand
+    (see GProblem); a step is accepted only when the truncation estimates
+    of both g and I are within the local tolerance.
+
+    ``seed_tol`` widens the data-consistency gate of the z0 <= z_c branch
+    when (z0, g0) are themselves numerical (a trajectory handing off its
+    switch point).
     """
     cfg = cfg or SolverConfig()
     dps = cfg.effective_dps
@@ -634,6 +675,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
             return GProblem(z0, g0, min(z0, z_c), [], cfg, dps, mp.zero)
 
         z, g = z0, g0
+        i_cum = mp.zero  # I(z) = int_z^{z0} r
         cum_err = mp.zero
         steps: list[_Step] = []
         rejected = 0
@@ -642,7 +684,8 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
                 raise IntegrationError(
                     f"step budget {cfg.max_steps} exhausted at z={z}"
                 )
-            C = _g_equation_coeffs(z, g, order)
+            C, R = _g_equation_coeffs(z, g, order)
+            I = _running_integral_coeffs(z, R, i_cum)
             eps_loc = mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * abs(g)
             h = _step_guess((C,), eps_loc, order)
             h = min(h, mp.mpf("0.45") * z)  # stay clear of the z = 0 singularity
@@ -652,7 +695,11 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
             while True:
                 est = _tail_estimate(C, h)
                 g_new = _horner(C, -h)
-                if est <= eps_loc and g_new > 0:
+                if (
+                    est <= eps_loc
+                    and g_new > 0
+                    and _tail_estimate(I, h) <= eps_loc
+                ):
                     break
                 h = h / 2
                 halvings += 1
@@ -662,9 +709,10 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
                         f"g appears to vanish near z={z}; positivity violated"
                     )
             cum_err += est
-            steps.append(_Step(z, -h, C, None, cum_err))
+            steps.append(_Step(z, -h, C, I, cum_err))
             z = z - h
             g = g_new
+            i_cum = _horner(I, -h)
 
         problem = GProblem(z0, g0, z_c, steps, cfg, dps, cum_err)
         series_at_zc = _horner(problem._alpha_mpf, z_c)
@@ -710,40 +758,6 @@ def g_problem_for_data(
         return solve_g(z0, g0, cfg), mp.mpf(data.t0)
 
 
-def _geometric_points(a, b):
-    """Break [a, b] at powers of two of a, to pace the quadrature."""
-    pts = [a]
-    p = a * 2
-    while p < b:
-        pts.append(p)
-        p *= 2
-    pts.append(b)
-    return pts
-
-
-def _quad_g_reciprocal(problem: GProblem, a, b):
-    """Integral of 1/g(4/s) over [a, b] inside the quadrature region.
-
-    The integrand carries the dense solution's own noise (step-boundary
-    mismatches of the order of the local ODE tolerance), so the reported
-    quadrature error cannot be driven to working precision; the gate checks
-    it against the integrand-noise model, not against dps.
-    """
-    if b == a:
-        return mp.zero
-    f = lambda s: 1 / problem.eval_g(4 / s)
-    val, err = mp.quad(f, _geometric_points(a, b), error=True, maxdegree=7)
-    noise = (mp.mpf(problem.cfg.abs_tol) + mp.mpf(problem.cfg.rel_tol)) * (
-        b - a
-    )
-    floor = mp.mpf(10) ** (-(problem.dps - 10)) * max(mp.one, abs(val))
-    if err > 200 * noise + floor:
-        raise AccuracyError(
-            f"quadrature for G on [{a}, {b}] reported error {err}"
-        )
-    return val
-
-
 def _series_tail_G(problem: GProblem, a, b):
     """Exact integral of the reciprocal series sum beta_k (4/s)^k over [a, b].
 
@@ -771,12 +785,11 @@ def _series_tail_G(problem: GProblem, a, b):
 def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
     """G(x) = int_{h0^4}^{x} ds / g(4/s), for x >= h0^4.
 
-    Below the split S the integrand is evaluated from the dense g and
-    integrated adaptively; beyond S the reciprocal series is integrated
-    exactly term by term.  Quadrature checkpoints accumulate on the problem,
-    so ascending evaluation sequences only ever integrate short gaps.
+    Up to the split S this is dense output of the integrator's running
+    integral, G(x) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x): a bisection for
+    the step and one Horner evaluation.  Beyond S the reciprocal series is
+    integrated exactly term by term from S.
     """
-    cfg = cfg or problem.cfg
     with mp.workdps(problem.dps):
         x = mp.mpf(x)
         anchor = problem.anchor
@@ -784,77 +797,36 @@ def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
             raise DomainError(f"G is defined for x >= h0^4 = {anchor}")
         x = max(x, anchor)
         S = problem.split
-        if x <= S:
-            return _G_quad_region(problem, x)
-        base = _G_quad_region(problem, S)
-        return base + _series_tail_G(problem, S, x)
+        if x > S:
+            return _G_dense(problem, S) + _series_tail_G(problem, S, x)
+        return _G_dense(problem, x)
 
 
-def _G_quad_region(problem: GProblem, x):
-    """G(x) for x in [anchor, S], using and extending cached checkpoints."""
+def _G_dense(problem: GProblem, x):
+    """G(x) for x in [anchor, S] from the running integral I."""
     anchor = problem.anchor
-    with problem._lock:
-        if not problem._g_pts:
-            problem._g_pts.append(anchor)
-            problem._g_vals.append(mp.zero)
-        idx = bisect.bisect_right(problem._g_pts, x) - 1
-        base_pt = problem._g_pts[idx]
-        base_val = problem._g_vals[idx]
-        if base_pt == x:
-            return base_val
-        val = base_val + _quad_g_reciprocal(problem, base_pt, x)
-        if len(problem._g_pts) < 4096:
-            pos = bisect.bisect_left(problem._g_pts, x)
-            problem._g_pts.insert(pos, x)
-            problem._g_vals.insert(pos, val)
-        return val
+    return (x - anchor) - 3 * mp.log(x / anchor) + problem._integral(4 / x)
 
 
 def compute_c(problem: GProblem, cfg: SolverConfig | None = None):
     """The constant c = int_{h0^4}^inf (1/g(4/s) - 1 + 3/s) ds - h0^4 + 3 ln h0^4.
 
-    The head of the integral is transformed to the radial variable
-    (s = 4/z), where the integrand (1/g(z) - 1 + (3/4) z) * 4/z^2 extends
-    continuously to z = 0 with value 4 beta_2; the tail beyond the split is
-    the exact termwise integral of the series
+    In the radial variable (s = 4/z) the integrand becomes the regular
+    r(z) = (1/g(z) - 1 + (3/4) z) * 4/z^2, which extends continuously to
+    z = 0 with value 4 beta_2.  The head, over [z_c, z0], is the running
+    integral I(z_c) that the integrator accumulated step by step; the tail
+    below z_c (or below z0 when the data already sit there) is the exact
+    termwise integral of the series
     1/g(4/s) - 1 + 3/s = sum_{k>=2} beta_k (4/s)^k.
 
     Memoized on the problem.  The result is the c of a problem based at
     t0 = 0; see compute_c_for_data for general base points.
     """
-    with problem._lock:
-        if problem._c is not None:
-            return problem._c
+    if problem._c is not None:
+        return problem._c
     with mp.workdps(problem.dps):
-        z0 = problem.z0
-        z_split = 4 / problem.split  # <= z_c by construction of split
-        # substituting s = 4/z maps [h0^4, S] to [z_split, z0] with a 4/z^2
-        # Jacobian; if the anchor already sits below the split, the whole
-        # integral is the series tail started at z0 instead
-        z_tail = min(z0, z_split)
-        head = mp.zero
-        if z0 > z_split:
-
-            def head_integrand(z):
-                return (1 / problem.eval_g(z) - 1 + 3 * z / 4) * 4 / z**2
-
-            head, err = mp.quad(
-                head_integrand,
-                _geometric_points(z_split, z0),
-                error=True,
-                maxdegree=7,
-            )
-            # same noise model as the G quadrature: the 4/z^2 Jacobian turns
-            # integrand noise of size tol into ~ tol * 4/z_split overall
-            noise = (
-                mp.mpf(problem.cfg.abs_tol) + mp.mpf(problem.cfg.rel_tol)
-            ) * (4 / z_split)
-            floor = mp.mpf(10) ** (-(problem.dps - 10)) * max(
-                mp.one, abs(head)
-            )
-            if err > 200 * noise + floor:
-                raise AccuracyError(f"quadrature for c reported error {err}")
-
+        z_tail = problem.z_c  # equal to z0 when the data sit below z_c
+        head = problem._integral(z_tail)
         betas = problem._beta_mpf
         tail = 4 * mp.fsum(
             betas[j + 1] * z_tail**j / j for j in range(1, len(betas) - 1)
@@ -871,10 +843,7 @@ def compute_c(problem: GProblem, cfg: SolverConfig | None = None):
             )
 
         h04 = problem.anchor
-        c_val = head + tail - h04 + 3 * mp.log(h04)
-    with problem._lock:
-        if problem._c is None:
-            problem._c = c_val
+        problem._c = head + tail - h04 + 3 * mp.log(h04)
     return problem._c
 
 
@@ -969,7 +938,9 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
     """The larger root y > 1 of y - ln y = x, i.e. -W_{-1}(-e^{-x}).
 
     Newton from y = x + ln x (the function is convex with positive slope on
-    y > 1, so the iteration is safe; a bracket guards the first steps).
+    y > 1, so the iteration is safe; a bracket guards the first steps).  It
+    stops when the residual is within a few units of the working precision
+    relative to x, so the root is as accurate as the precision allows.
     """
     cfg = cfg or SolverConfig()
     dps = max(30, cfg.effective_dps)
@@ -977,7 +948,7 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
         x = mp.mpf(x)
         if x <= 1:
             raise DomainError("the branch point is at x = 1; need x > 1")
-        tol = min(mp.mpf(cfg.fp_tol), mp.mpf("1e-13"))
+        tol = mp.mpf(10) ** (-(dps - 5)) * x
         lo = mp.one
         hi = x + 2 * mp.log(x) + 2
         while hi - mp.log(hi) < x:

@@ -136,7 +136,7 @@ class TestEvalG:
 
     def test_matches_quadrature_G(self):
         # the expansion with the computed constant must land on the
-        # quadrature antiderivative to the order of the neglected term
+        # numerical antiderivative to the order of the neglected term
         prob, _ = g_problem_for_data(DATA)
         c = compute_c_for_data(DATA)
         m = AsymptoticModel.build(c, order=6, dps=30)

@@ -72,6 +72,23 @@ class TestIntegrate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("integrate", "--h0", "inf"),
+            ("integrate", "--h1", "nan"),
+            ("integrate", "--t0", "inf"),
+            ("integrate", "--t-max", "inf"),
+            ("integrate", "--rel-tol", "inf"),
+            ("constant", "--abs-tol", "inf"),
+        ],
+    )
+    def test_non_finite_input_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestConstant:
     def test_known_constant(self, capsys):
@@ -148,6 +165,16 @@ class TestLambert:
         lines = out.strip().splitlines()
         assert lines[0] == "n,x,y_num,Y_n,ratio"
         assert len(lines) == 1 + 2 * 2
+
+    def test_high_precision_run_passes(self, capsys):
+        # the numeric root must be resolved to the working precision, or
+        # the remainders above n = 3 are root error and grow
+        code, out, _ = run(
+            capsys, "lambert", "--n-max", "6",
+            "--rel-tol", "1e-30", "--abs-tol", "1e-32",
+        )
+        assert code == 0
+        assert out.strip().endswith("PASS")
 
     def test_impossible_residual_exits_1(self, capsys):
         code, out, _ = run(capsys, "lambert", "--x-grid", "10,100", "--residual-tol", "1e-60")

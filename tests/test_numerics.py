@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp
 
 from asymptode.errors import AccuracyError, ConvergenceError, DomainError
+from asymptode.families import gen_beta
 from asymptode.numerics import (
     GProblem,
     InitialData,
@@ -65,9 +66,10 @@ class TestSolverConfig:
             {"fp_tol": 0.0},
             {"max_steps": 0},
             {"fp_max_iter": 0},
-            {"tail_split": -1.0},
             {"dps": 10},
             {"direct_span": -1.0},
+            {"fp_tol": float("inf")},
+            {"direct_span": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -312,6 +314,53 @@ class TestComputeC:
         assert prob.g0 > 0
 
 
+class TestQuadratureOracle:
+    """G and c against adaptive quadrature over the dense g.
+
+    The package accumulates both integrals inside the Taylor steps of g;
+    here they are recomputed by mpmath's Gauss-Legendre quadrature, which
+    shares only g itself with the package.
+    """
+
+    CFG = SolverConfig(rel_tol=1e-18, abs_tol=1e-20)
+
+    @staticmethod
+    def _quad(f, a, b):
+        # break [a, b] geometrically: the integrands vary on the scale of z
+        pts = [a]
+        while pts[-1] * 2 < b:
+            pts.append(pts[-1] * 2)
+        return mp.quad(f, pts + [b], maxdegree=7)
+
+    @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5), (0.5, 2)])
+    def test_c_and_G_match_quadrature(self, h0, h1):
+        prob, t_base = g_problem_for_data(InitialData(0, h0, h1), self.CFG)
+        assert t_base == 0 and prob._steps
+        tol = 100 * (self.CFG.abs_tol + self.CFG.rel_tol)
+        with mp.workdps(prob.dps):
+            z_c, anchor, S = prob.z_c, prob.anchor, prob.split
+
+            def head_integrand(z):
+                return (1 / prob.eval_g(z) - 1 + 3 * z / 4) * 4 / z**2
+
+            head = self._quad(head_integrand, z_c, prob.z0)
+            betas = [mp.mpf(b.numerator) / b.denominator for b in gen_beta(24).values]
+            tail = 4 * mp.fsum(
+                betas[j + 1] * z_c**j / j for j in range(1, len(betas) - 1)
+            )
+            c_quad = head + tail - anchor + 3 * mp.log(anchor)
+            assert abs(compute_c(prob) - c_quad) < tol
+
+            def G_integrand(s):
+                return 1 / prob.eval_g(4 / s)
+
+            x_mid = (anchor + S) / 2
+            G_mid = self._quad(G_integrand, anchor, x_mid)
+            G_S = G_mid + self._quad(G_integrand, x_mid, S)
+            assert abs(compute_G(x_mid, prob) - G_mid) < tol
+            assert abs(compute_G(S, prob) - G_S) < tol
+
+
 class TestLambertRoot:
     def test_solves_the_equation(self):
         with mp.workdps(30):
@@ -342,6 +391,16 @@ class TestLambertRoot:
     def test_rejects_branch_point(self):
         with pytest.raises(DomainError):
             lambert_wm1_numeric(1.0)
+
+    def test_root_tracks_working_precision(self):
+        # the Newton stop scales with the working precision, so a tight
+        # configuration gets a root accurate far beyond fp_tol
+        cfg = SolverConfig(rel_tol=1e-30, abs_tol=1e-32)
+        with mp.workdps(cfg.effective_dps + 20):
+            for x in (10, 1e5):
+                expected = -mp.lambertw(-mp.e ** (-mp.mpf(x)), -1)
+                err = abs(lambert_wm1_numeric(x, cfg) - expected)
+                assert err < mp.mpf(10) ** (-(cfg.effective_dps - 8)) * x
 
 
 class TestExports:
