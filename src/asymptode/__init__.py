@@ -2,22 +2,9 @@
 plus high-accuracy numerical verification."""
 
 from .errors import AccuracyError, ConvergenceError, DomainError, IntegrationError
-from .series import (
-    BivariatePoly,
-    Rational,
-    TruncatedSeries,
-    poly_eval,
-    rational_binomial,
-    series_compose_coeffs,
-    series_mul,
-    series_pow,
-    series_reciprocal,
-    sigma0,
-    sigma_m,
-)
+from .series import BivariatePoly, Rational, poly_eval, rational_binomial
 from .families import (
     clear_caches,
-    g_series,
     gen_alpha,
     gen_beta,
     gen_lambert_p,

@@ -25,6 +25,9 @@ y - ln y = x, whose root shares the polynomial structure with c = 0;
 
 Everything here evaluates exact rational polynomials with mpmath at a
 configurable working precision; no floating-point coefficients enter.
+Each p_k and q_k is a polynomial in the single variable w = 3z - c, and is
+evaluated by Horner on its dense w-coefficients; the c-derivative needed
+by the fit is -d/dw of the same coefficients.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from mpmath import mp
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .families import gen_beta, gen_lambert_p, gen_p, gen_q
-from .series import poly_eval
 from .numerics import SolverConfig, lambert_wm1_numeric
 
 __all__ = [
@@ -89,29 +91,46 @@ class AsymptoticModel:
             return AsymptoticModel(c=self.c - 4 * mp.mpf(s), order=self.order, dps=self.dps)
 
 
+def _horner(coeffs, u):
+    """sum_j coeffs[j] u**j for exact rational coefficients, in mpmath."""
+    acc = mp.zero
+    for f in reversed(coeffs):
+        acc = acc * u + mp.mpf(f.numerator) / f.denominator
+    return acc
+
+
+def _horner_deriv(coeffs, u):
+    """d/du of sum_j coeffs[j] u**j, from the same coefficients."""
+    acc = mp.zero
+    for j in range(len(coeffs) - 1, 0, -1):
+        f = coeffs[j]
+        acc = acc * u + mp.mpf(j * f.numerator) / f.denominator
+    return acc
+
+
 def _a_value(c, t, n):
     # caller supplies the mp context; t, c already mpf
     acc = mp.one
     if n >= 1:
-        z = mp.log(4 * t)
+        w = 3 * mp.log(4 * t) - c
         tk = mp.one
         q = gen_q(n)
         for k in range(1, n + 1):
             tk *= t
-            acc += poly_eval(q[k], c, z) / tk
+            acc += _horner(q.coeffs(k), w) / tk
     return (4 * t) ** (mp.mpf(1) / 4) * acc
 
 
 def _a_slope_c(c, t, n):
-    # d A_n / d c at fixed t, via exact derivatives of the q_k
+    # d A_n / d c at fixed t: with w = 3 ln 4t - c, d/dc = -d/dw
     acc = mp.zero
     if n >= 1:
-        z = mp.log(4 * t)
+        w = 3 * mp.log(4 * t) - c
         tk = mp.one
         q = gen_q(n)
         for k in range(1, n + 1):
             tk *= t
-            acc += poly_eval(q[k].deriv("c"), c, z) / tk
+            acc -= _horner_deriv(q.coeffs(k), w) / tk
     return (4 * t) ** (mp.mpf(1) / 4) * acc
 
 
@@ -140,13 +159,12 @@ def eval_Ginv_asympt(model, x, n=None):
         x = mp.mpf(x)
         if x <= 1:
             raise DomainError("inverse expansion needs x > 1")
-        c = mp.mpf(model.c)
-        w = mp.log(x)
+        w = 3 * mp.log(x) - mp.mpf(model.c)
         p = gen_p(n)
         acc = x
         xk = mp.one
         for k in range(0, n + 1):
-            acc += poly_eval(p[k], c, w) / xk
+            acc += _horner(p.coeffs(k), w) / xk
             xk *= x
         return acc
 
@@ -449,14 +467,14 @@ def lambert_compare(n_max, x_grid, cfg=None):
         for n in range(n_max + 1):
             for x_raw in xs:
                 x = mp.mpf(x_raw)
-                w = mp.log(x)
+                z = mp.log(x)
                 acc = x
                 xk = mp.one
                 for k in range(0, n + 1):
-                    acc += poly_eval(lam[k], mp.zero, w) / xk
+                    acc += _horner(lam.coeffs(k), z) / xk
                     xk *= x
                 approx[(n, x_raw)] = acc
-                remainders[(n, x_raw)] = abs(y_values[x_raw] - acc) / (w / x) ** (n + 1)
+                remainders[(n, x_raw)] = abs(y_values[x_raw] - acc) / (z / x) ** (n + 1)
     return LambertReport(
         n_values=tuple(range(n_max + 1)),
         x_values=tuple(xs),

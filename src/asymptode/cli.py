@@ -22,6 +22,7 @@ import argparse
 import csv as _csv
 import io
 import json
+import math
 import sys
 
 from mpmath import mp
@@ -61,6 +62,8 @@ def _grid(text):
         )
     if not vals:
         raise argparse.ArgumentTypeError("empty grid")
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError("grid points must be finite")
     return vals
 
 

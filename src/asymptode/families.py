@@ -30,23 +30,25 @@ Internal representation.  ``p_0 = 3z - c`` and every recursion step combines
 earlier members with rational coefficients, so each ``p_n`` and ``q_k`` is a
 rational polynomial in the single variable ``w := 3z - c``.  The generators
 work on dense ``w``-coefficient lists and expand ``w^j`` into ``(c, z)`` terms
-only when building the public :class:`BivariatePoly` objects.  This keeps the
+only when building the :class:`BivariatePoly` display forms.  This keeps the
 shared table of composition sums ``s_{j,m}`` univariate, which is what makes
-order 20 cheap.
+order 20 cheap.  Each family object carries both forms: the display forms
+(``family[n]``) for printing, JSON and exact comparison, and the dense
+coefficients (``family.coeffs(n)``: in ``w`` for p and q, in ``z`` for
+ptilde) for numeric evaluation.
 
-All generation is incremental and memoized behind one lock; a family asked
-for twice is computed once.  Returned objects are immutable.
+All generation is incremental and memoized; a family asked for twice is
+computed once.  Returned objects are immutable.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .series import BivariatePoly, TruncatedSeries, rational_binomial
+from .series import BivariatePoly, rational_binomial
 
 __all__ = [
     "AlphaSequence",
@@ -59,7 +61,6 @@ __all__ = [
     "gen_p",
     "gen_q",
     "gen_lambert_p",
-    "g_series",
     "ode_residual_order",
     "clear_caches",
 ]
@@ -92,7 +93,7 @@ def _pscale(a: list[Fraction], f: Fraction) -> list[Fraction]:
     return [f * v for v in a]
 
 
-def _wpoly_to_bivariate(coeffs: list[Fraction]) -> BivariatePoly:
+def _wpoly_to_bivariate(coeffs: tuple[Fraction, ...]) -> BivariatePoly:
     """Expand sum_j u_j w^j with w = 3z - c into (c, z) terms."""
     terms: dict[tuple[int, int], Fraction] = {}
     for j, u in enumerate(coeffs):
@@ -109,22 +110,21 @@ def _wpoly_to_bivariate(coeffs: list[Fraction]) -> BivariatePoly:
 
 
 class _State:
-    """All memoized family data, guarded by one reentrant lock."""
+    """All memoized family data."""
 
     def __init__(self) -> None:
-        self.lock = threading.RLock()
         self.reset()
 
     def reset(self) -> None:
         self.alphas: list[Fraction] = [Fraction(1)]
         self.betas: list[Fraction] = [Fraction(1)]
         # p_n as dense w-polynomials; the s table is over a_j := p_{j-1}.
-        self.p_w: list[list[Fraction]] = []
+        self.p_w: list[tuple[Fraction, ...]] = []
         self.s: dict[tuple[int, int], list[Fraction]] = {}
         self.s_max = 0
-        self.q_w: dict[int, list[Fraction]] = {}
+        self.q_w: dict[int, tuple[Fraction, ...]] = {}
         # Lambert analogue: ptilde_k as dense z-polynomials, own s table.
-        self.lam: list[list[Fraction]] = []
+        self.lam: list[tuple[Fraction, ...]] = []
         self.s_t: dict[tuple[int, int], list[Fraction]] = {}
         self.s_t_max = 0
         # converted public polynomials
@@ -138,8 +138,7 @@ _STATE = _State()
 
 def clear_caches() -> None:
     """Drop every memoized sequence and polynomial (mainly for timing tests)."""
-    with _STATE.lock:
-        _STATE.reset()
+    _STATE.reset()
 
 
 def _ensure_alpha(n: int) -> None:
@@ -172,7 +171,7 @@ def _extend_s_table(
     table: dict[tuple[int, int], list[Fraction]],
     filled: int,
     m_max: int,
-    a: list[list[Fraction]],
+    a: list[tuple[Fraction, ...]],
 ) -> int:
     """Fill rows filled+1 .. m_max of a composition-sum table.
 
@@ -208,7 +207,7 @@ def _ensure_p(n: int) -> None:
     while len(st.p_w) <= n:
         nn = len(st.p_w)
         if nn == 0:
-            st.p_w.append([_ZERO, Fraction(1)])  # p_0 = w
+            st.p_w.append((_ZERO, Fraction(1)))  # p_0 = w
             continue
         _ensure_beta(nn + 1)
         # arguments a_j = p_{j-1} are known up to j = nn, enough for row nn
@@ -223,7 +222,7 @@ def _ensure_p(n: int) -> None:
                 )
             poly = _padd(poly, _pscale(sig, outer))
         poly = _padd(poly, [Fraction(4) ** (nn + 1) * st.betas[nn + 1] / nn])
-        st.p_w.append(poly)
+        st.p_w.append(tuple(poly))
 
 
 def _ensure_q(k: int) -> None:
@@ -239,7 +238,7 @@ def _ensure_q(k: int) -> None:
                 acc,
                 _pscale(st.s[(m, kk)], rational_binomial(Fraction(1, 4), m)),
             )
-        st.q_w[kk] = _pscale(acc, Fraction(1, 4**kk))
+        st.q_w[kk] = tuple(_pscale(acc, Fraction(1, 4**kk)))
 
 
 def _ensure_lambert(n: int) -> None:
@@ -247,10 +246,10 @@ def _ensure_lambert(n: int) -> None:
     while len(st.lam) <= n:
         kk = len(st.lam)
         if kk == 0:
-            st.lam.append([_ZERO, Fraction(1)])  # ptilde_0 = z
+            st.lam.append((_ZERO, Fraction(1)))  # ptilde_0 = z
             continue
         st.s_t_max = _extend_s_table(st.s_t, st.s_t_max, kk, st.lam)
-        st.lam.append(_sigma0_from_table(st.s_t, kk))
+        st.lam.append(tuple(_sigma0_from_table(st.s_t, kk)))
 
 
 # -- public family containers --------------------------------------------------
@@ -292,12 +291,17 @@ class BetaSequence:
 
 @dataclass(frozen=True)
 class PPolyFamily:
-    """p_0..p_N in (c, z); ``family[n]`` is p_n."""
+    """p_0..p_N; ``family[n]`` is p_n in (c, z), ``family.coeffs(n)`` its
+    dense coefficients in w = 3z - c, lowest power first."""
 
     polys: tuple[BivariatePoly, ...]
+    dense: tuple[tuple[Fraction, ...], ...]
 
     def __getitem__(self, n: int) -> BivariatePoly:
         return self.polys[n]
+
+    def coeffs(self, n: int) -> tuple[Fraction, ...]:
+        return self.dense[n]
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -309,14 +313,21 @@ class PPolyFamily:
 
 @dataclass(frozen=True)
 class QPolyFamily:
-    """q_1..q_N in (c, z); ``family[k]`` uses the mathematical index k >= 1."""
+    """q_1..q_N; ``family[k]`` is q_k in (c, z), ``family.coeffs(k)`` its
+    dense coefficients in w = 3z - c.  Both use the mathematical index k >= 1."""
 
     polys: tuple[BivariatePoly, ...]
+    dense: tuple[tuple[Fraction, ...], ...]
 
     def __getitem__(self, k: int) -> BivariatePoly:
         if k < 1:
             raise DomainError("q polynomials start at index 1")
         return self.polys[k - 1]
+
+    def coeffs(self, k: int) -> tuple[Fraction, ...]:
+        if k < 1:
+            raise DomainError("q polynomials start at index 1")
+        return self.dense[k - 1]
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -328,12 +339,17 @@ class QPolyFamily:
 
 @dataclass(frozen=True)
 class LambertPolyFamily:
-    """ptilde_0..ptilde_N (univariate in z); ``family[k]`` is ptilde_k."""
+    """ptilde_0..ptilde_N (univariate in z); ``family[k]`` is ptilde_k,
+    ``family.coeffs(k)`` its dense z-coefficients."""
 
     polys: tuple[BivariatePoly, ...]
+    dense: tuple[tuple[Fraction, ...], ...]
 
     def __getitem__(self, k: int) -> BivariatePoly:
         return self.polys[k]
+
+    def coeffs(self, k: int) -> tuple[Fraction, ...]:
+        return self.dense[k]
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -350,61 +366,56 @@ def gen_alpha(N: int) -> AlphaSequence:
     """alpha_0..alpha_N, exactly."""
     if N < 0:
         raise DomainError("gen_alpha needs N >= 0")
-    with _STATE.lock:
-        _ensure_alpha(N)
-        return AlphaSequence(tuple(_STATE.alphas[: N + 1]))
+    _ensure_alpha(N)
+    return AlphaSequence(tuple(_STATE.alphas[: N + 1]))
 
 
 def gen_beta(N: int) -> BetaSequence:
     """beta_0..beta_N, exactly."""
     if N < 0:
         raise DomainError("gen_beta needs N >= 0")
-    with _STATE.lock:
-        _ensure_beta(N)
-        return BetaSequence(tuple(_STATE.betas[: N + 1]))
+    _ensure_beta(N)
+    return BetaSequence(tuple(_STATE.betas[: N + 1]))
 
 
 def gen_p(N: int) -> PPolyFamily:
-    """p_0..p_N as exact polynomials in (c, z)."""
+    """p_0..p_N, as exact polynomials in (c, z) and dense in w."""
     if N < 0:
         raise DomainError("gen_p needs N >= 0")
-    with _STATE.lock:
-        _ensure_p(N)
-        for n in range(N + 1):
-            if n not in _STATE.p_cz:
-                _STATE.p_cz[n] = _wpoly_to_bivariate(_STATE.p_w[n])
-        return PPolyFamily(tuple(_STATE.p_cz[n] for n in range(N + 1)))
+    _ensure_p(N)
+    for n in range(N + 1):
+        if n not in _STATE.p_cz:
+            _STATE.p_cz[n] = _wpoly_to_bivariate(_STATE.p_w[n])
+    return PPolyFamily(
+        tuple(_STATE.p_cz[n] for n in range(N + 1)), tuple(_STATE.p_w[: N + 1])
+    )
 
 
 def gen_q(N: int) -> QPolyFamily:
-    """q_1..q_N as exact polynomials in (c, z)."""
+    """q_1..q_N, as exact polynomials in (c, z) and dense in w."""
     if N < 1:
         raise DomainError("gen_q needs N >= 1")
-    with _STATE.lock:
-        _ensure_q(N)
-        for k in range(1, N + 1):
-            if k not in _STATE.q_cz:
-                _STATE.q_cz[k] = _wpoly_to_bivariate(_STATE.q_w[k])
-        return QPolyFamily(tuple(_STATE.q_cz[k] for k in range(1, N + 1)))
+    _ensure_q(N)
+    for k in range(1, N + 1):
+        if k not in _STATE.q_cz:
+            _STATE.q_cz[k] = _wpoly_to_bivariate(_STATE.q_w[k])
+    ks = range(1, N + 1)
+    return QPolyFamily(
+        tuple(_STATE.q_cz[k] for k in ks), tuple(_STATE.q_w[k] for k in ks)
+    )
 
 
 def gen_lambert_p(N: int) -> LambertPolyFamily:
     """ptilde_0..ptilde_N as exact polynomials (univariate in z)."""
     if N < 0:
         raise DomainError("gen_lambert_p needs N >= 0")
-    with _STATE.lock:
-        _ensure_lambert(N)
-        for k in range(N + 1):
-            if k not in _STATE.lam_cz:
-                _STATE.lam_cz[k] = BivariatePoly.z_poly(_STATE.lam[k])
-        return LambertPolyFamily(tuple(_STATE.lam_cz[k] for k in range(N + 1)))
-
-
-def g_series(N: int) -> TruncatedSeries:
-    """The formal series sum alpha_k z^k truncated at order N."""
-    if N < 0:
-        raise DomainError("g_series needs N >= 0")
-    return TruncatedSeries(gen_alpha(N).values)
+    _ensure_lambert(N)
+    for k in range(N + 1):
+        if k not in _STATE.lam_cz:
+            _STATE.lam_cz[k] = BivariatePoly.z_poly(_STATE.lam[k])
+    return LambertPolyFamily(
+        tuple(_STATE.lam_cz[k] for k in range(N + 1)), tuple(_STATE.lam[: N + 1])
+    )
 
 
 def ode_residual_order(N: int) -> int:

@@ -538,7 +538,8 @@ class GProblem:
     g and the running integral I(z) = int_z^{z0} r of the regular integrand
     r = (1/g - 1 + 3z/4) 4/z^2.  The two representations of g are required
     to agree at z_c when the problem is built.  G on [anchor, S] and the
-    head of c are read off I; the only cache is the memoized constant c.
+    head of c are read off I; the caches are the memoized constant c and
+    G(S), the base of every G evaluation above the split.
     """
 
     def __init__(self, z0, g0, z_c, steps, cfg, dps, ode_err):
@@ -558,6 +559,7 @@ class GProblem:
             betas = gen_beta(_SERIES_ORDER).values
             self._beta_mpf = [mp.mpf(b.numerator) / b.denominator for b in betas]
         self._c = None
+        self._G_split = None
 
     @property
     def anchor(self):
@@ -788,7 +790,8 @@ def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
     Up to the split S this is dense output of the integrator's running
     integral, G(x) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x): a bisection for
     the step and one Horner evaluation.  Beyond S the reciprocal series is
-    integrated exactly term by term from S.
+    integrated exactly term by term from S and added to G(S), which is
+    computed once per problem.
     """
     with mp.workdps(problem.dps):
         x = mp.mpf(x)
@@ -798,7 +801,9 @@ def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
         x = max(x, anchor)
         S = problem.split
         if x > S:
-            return _G_dense(problem, S) + _series_tail_G(problem, S, x)
+            if problem._G_split is None:
+                problem._G_split = _G_dense(problem, S)
+            return problem._G_split + _series_tail_G(problem, S, x)
         return _G_dense(problem, x)
 
 

@@ -1,55 +1,32 @@
-"""Exact rational arithmetic for truncated power series and (c, z) polynomials.
-
-This module is the algebra substrate for every recursion in the package.
-Three kinds of values live here:
+"""Exact rational values and the (c, z) display form of the polynomial families.
 
 * ``Rational`` -- an exact fraction.  This is stdlib :class:`fractions.Fraction`:
   always reduced, positive denominator, arbitrary-precision integers.  No
   floating point ever enters a coefficient computation.
 
-* :class:`TruncatedSeries` -- a formal power series in one variable kept to a
-  fixed truncation order ``N`` (coefficients ``0..N``).  There are no
-  convergence semantics; a series is just its coefficient list.  Binary
-  operations truncate to the smaller of the two orders.
-
 * :class:`BivariatePoly` -- an exact polynomial in two variables ``(c, z)``
-  stored as a sparse term map.
+  stored as a sparse term map.  It is the form in which the families of
+  :mod:`.families` are printed, serialized to JSON and compared exactly.
+  The families are generated, and evaluated on numeric paths, as dense
+  coefficient lists in one variable; this class is only their public face.
 
-The named operations implement the standard composition calculus on series
-with zero constant term.  Writing ``a = a_1 x + a_2 x^2 + ...``:
-
-* ``series_pow(a, m)`` is ``a^m``; its ``k``-th coefficient is the sum of
-  ``a_{i_1}*...*a_{i_m}`` over all compositions ``i_1 + ... + i_m = k``.
-* ``series_compose_coeffs(f, a)`` is ``sum_m f_m a^m``, i.e. ``f`` composed
-  with ``a``.
-* ``sigma0(a)`` is ``log(1 + a)``.
-* ``sigma_m(a, m)`` is ``(1 + a)^(-m)`` for integer ``m >= 1``.
-
-All values are immutable after construction and all operations are pure
-functions, so everything here can be shared freely between threads.
+:func:`poly_eval` evaluates a :class:`BivariatePoly` in any numeric type, for
+callers that hold only the display form.  All values are immutable after
+construction and all operations are pure functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import DomainError
 
 __all__ = [
     "Rational",
-    "TruncatedSeries",
     "BivariatePoly",
     "rational_binomial",
-    "series_pow",
-    "series_compose_coeffs",
-    "sigma0",
-    "sigma_m",
-    "series_mul",
-    "series_reciprocal",
     "poly_eval",
-    "series_to_json",
-    "series_from_json",
     "poly_to_json",
     "poly_from_json",
 ]
@@ -91,243 +68,6 @@ def rational_binomial(top: RationalLike, j: int) -> Fraction:
     return result
 
 
-class TruncatedSeries:
-    """Formal power series truncated at a fixed order, exact coefficients.
-
-    ``TruncatedSeries([1, 2, 3])`` is ``1 + 2x + 3x^2`` with order 2.
-    Passing ``order=`` pads with zeros (it must not be smaller than the
-    coefficients provided).
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[RationalLike], order: int | None = None):
-        values = [_as_rational(v) for v in coeffs]
-        if order is not None:
-            if order < 0:
-                raise DomainError("series order must be >= 0")
-            if len(values) > order + 1:
-                raise DomainError(
-                    f"{len(values)} coefficients exceed order {order}"
-                )
-            values.extend([Fraction(0)] * (order + 1 - len(values)))
-        if not values:
-            raise DomainError("a series needs at least its constant term")
-        self._coeffs = tuple(values)
-
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def __getitem__(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient index {k} outside 0..{self.order}")
-        return self._coeffs[k]
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:6])
-        if self.order > 5:
-            shown += ", ..."
-        return f"TruncatedSeries(order={self.order}, [{shown}])"
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0], order=order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order=order)
-
-    @classmethod
-    def identity(cls, order: int) -> "TruncatedSeries":
-        """The series ``x`` (requires order >= 1)."""
-        if order < 1:
-            raise DomainError("the identity series needs order >= 1")
-        return cls([0, 1], order=order)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order < 0:
-            raise DomainError("series order must be >= 0")
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self._coeffs[: order + 1])
-
-    # -- ring operations (truncating to the smaller order) ------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self._coeffs[k] + other._coeffs[k] for k in range(n + 1)]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self._coeffs[k] - other._coeffs[k] for k in range(n + 1)]
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self._coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other._coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
-
-    def scale(self, factor: RationalLike) -> "TruncatedSeries":
-        f = _as_rational(factor)
-        return TruncatedSeries([f * c for c in self._coeffs])
-
-    def shift(self, constant: RationalLike) -> "TruncatedSeries":
-        """Add a constant to the series (only the order-0 coefficient moves)."""
-        out = list(self._coeffs)
-        out[0] += _as_rational(constant)
-        return TruncatedSeries(out)
-
-    def derivative(self) -> "TruncatedSeries":
-        """Coefficient-wise derivative; the order drops by one.
-
-        The derivative of an order-0 series is the zero series of order 0.
-        """
-        if self.order == 0:
-            return TruncatedSeries([0])
-        return TruncatedSeries(
-            [k * self._coeffs[k] for k in range(1, self.order + 1)]
-        )
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
-
-    def lowest_nonzero_index(self) -> int | None:
-        """Index of the first nonzero coefficient, or None if all vanish."""
-        for k, c in enumerate(self._coeffs):
-            if c:
-                return k
-        return None
-
-
-def _require_zero_constant(a: TruncatedSeries, op: str) -> None:
-    if a[0] != 0:
-        raise DomainError(
-            f"{op} requires a series with zero constant term, got {a[0]}"
-        )
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact product, truncated to the smaller of the two orders."""
-    return a * b
-
-
-def series_pow(a: TruncatedSeries, m: int) -> TruncatedSeries:
-    """``a^m`` for a series with zero constant term and integer ``m >= 0``.
-
-    Coefficient ``k`` of the result is the composition sum
-    ``sum a_{i_1}...a_{i_m}`` over ``i_1 + ... + i_m = k``; in particular
-    coefficients below index ``m`` vanish and ``m = 0`` gives the series 1.
-    """
-    if m < 0:
-        raise DomainError("series_pow exponent must be >= 0")
-    _require_zero_constant(a, "series_pow")
-    result = TruncatedSeries.one(a.order)
-    for _ in range(m):
-        result = result * a
-    return result
-
-
-def series_compose_coeffs(
-    f: TruncatedSeries, a: TruncatedSeries
-) -> TruncatedSeries:
-    """Composition ``sum_m f_m a^m`` for ``a`` with zero constant term.
-
-    Evaluated by a Horner scheme over the outer coefficients, truncating at
-    ``min(f.order, a.order)`` throughout, so the cost is one truncated
-    multiplication per outer coefficient.
-    """
-    _require_zero_constant(a, "series_compose_coeffs")
-    n = min(f.order, a.order)
-    a_t = a.truncate(n)
-    result = TruncatedSeries([f[n]], order=n)
-    for m in range(n - 1, -1, -1):
-        result = (result * a_t).shift(f[m])
-    return result
-
-
-def sigma0(a: TruncatedSeries) -> TruncatedSeries:
-    """``log(1 + a)`` for a series ``a`` with zero constant term.
-
-    Coefficient ``k >= 1`` equals ``sum_{j=1..k} (-1)^(j+1)/j * s_{j,k}``
-    where ``s_{j,k}`` are the composition sums of :func:`series_pow`.
-
-    >>> sigma0(TruncatedSeries.identity(3)).coeffs
-    (Fraction(0, 1), Fraction(1, 1), Fraction(-1, 2), Fraction(1, 3))
-    """
-    _require_zero_constant(a, "sigma0")
-    log_coeffs = [Fraction(0)] + [
-        Fraction((-1) ** (j + 1), j) for j in range(1, a.order + 1)
-    ]
-    return series_compose_coeffs(TruncatedSeries(log_coeffs), a)
-
-
-def sigma_m(a: TruncatedSeries, m: int) -> TruncatedSeries:
-    """``(1 + a)^(-m)`` for ``a`` with zero constant term and integer ``m >= 1``.
-
-    Coefficient ``k >= 1`` equals ``sum_{j=0..k} binom(-m, j) s_{j,k}``; the
-    constant coefficient is 1.  ``m = 0`` is rejected: the exponent-zero case
-    is the constant series, and the logarithmic analogue is :func:`sigma0`.
-    """
-    if m < 1:
-        raise DomainError("sigma_m requires m >= 1 (use sigma0 for the log form)")
-    _require_zero_constant(a, "sigma_m")
-    binom_coeffs = [rational_binomial(-m, j) for j in range(a.order + 1)]
-    return series_compose_coeffs(TruncatedSeries(binom_coeffs), a)
-
-
-def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse: ``a * series_reciprocal(a) = 1`` to order N.
-
-    Requires a nonzero constant term.  Solved coefficient-by-coefficient from
-    the convolution ``sum_i a_i r_{k-i} = [k = 0]``.
-    """
-    if a[0] == 0:
-        raise DomainError("series_reciprocal requires a nonzero constant term")
-    inv0 = 1 / a[0]
-    out = [inv0]
-    for k in range(1, a.order + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            if a[i]:
-                acc += a[i] * out[k - i]
-        out.append(-inv0 * acc)
-    return TruncatedSeries(out)
-
-
 # ---------------------------------------------------------------------------
 # Bivariate polynomials in (c, z)
 # ---------------------------------------------------------------------------
@@ -361,10 +101,6 @@ class BivariatePoly:
         return cls()
 
     @classmethod
-    def constant(cls, value: RationalLike) -> "BivariatePoly":
-        return cls({(0, 0): value})
-
-    @classmethod
     def z_poly(cls, coeffs: Sequence[RationalLike]) -> "BivariatePoly":
         """Univariate polynomial in z: coeffs[j] is the coefficient of z^j."""
         return cls({(0, j): c for j, c in enumerate(coeffs)})
@@ -390,10 +126,6 @@ class BivariatePoly:
     def degree_c(self) -> int:
         return max((i for (i, _) in self._terms), default=-1)
 
-    @property
-    def total_degree(self) -> int:
-        return max((i + j for (i, j) in self._terms), default=-1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
@@ -404,49 +136,6 @@ class BivariatePoly:
 
     def __repr__(self) -> str:
         return f"BivariatePoly({self.format_descending()})"
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self._terms)
-        for key, value in other._terms.items():
-            out[key] = out.get(key, Fraction(0)) + value
-        return BivariatePoly(out)
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self._terms)
-        for key, value in other._terms.items():
-            out[key] = out.get(key, Fraction(0)) - value
-        return BivariatePoly(out)
-
-    def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly({k: -v for k, v in self._terms.items()})
-
-    def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out: dict[TermKey, Fraction] = {}
-        for (i1, j1), v1 in self._terms.items():
-            for (i2, j2), v2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return BivariatePoly(out)
-
-    def scale(self, factor: RationalLike) -> "BivariatePoly":
-        f = _as_rational(factor)
-        if not f:
-            return BivariatePoly()
-        return BivariatePoly({k: f * v for k, v in self._terms.items()})
-
-    def deriv(self, var: str) -> "BivariatePoly":
-        """Partial derivative with respect to ``"c"`` or ``"z"``."""
-        if var == "c":
-            return BivariatePoly(
-                {(i - 1, j): i * v for (i, j), v in self._terms.items() if i > 0}
-            )
-        if var == "z":
-            return BivariatePoly(
-                {(i, j - 1): j * v for (i, j), v in self._terms.items() if j > 0}
-            )
-        raise DomainError(f"unknown variable {var!r}; expected 'c' or 'z'")
 
     # -- display ---------------------------------------------------------------
 
@@ -523,23 +212,6 @@ def poly_eval(p: BivariatePoly, c, z):
 # JSON serialization: integers as decimal strings so arbitrary precision
 # survives a round trip through any JSON implementation.
 # ---------------------------------------------------------------------------
-
-
-def series_to_json(s: TruncatedSeries) -> dict:
-    return {
-        "order": s.order,
-        "coeffs": [[str(c.numerator), str(c.denominator)] for c in s.coeffs],
-    }
-
-
-def series_from_json(data: Mapping) -> TruncatedSeries:
-    order = int(data["order"])
-    coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
-    if len(coeffs) != order + 1:
-        raise DomainError(
-            f"series JSON claims order {order} but has {len(coeffs)} coefficients"
-        )
-    return TruncatedSeries(coeffs)
 
 
 def poly_to_json(p: BivariatePoly) -> dict:

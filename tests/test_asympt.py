@@ -28,6 +28,8 @@ from asymptode import (
     fit_c_from_trajectory,
     g_problem_for_data,
     gen_beta,
+    gen_lambert_p,
+    gen_p,
     gen_q,
     integrate_h,
     lambert_compare,
@@ -38,6 +40,7 @@ from asymptode import (
     remainder_study,
     shift_invariance_check,
 )
+from asymptode.asympt import _a_slope_c, _a_value
 from asymptode.series import poly_eval
 
 DATA = InitialData(0, 1, 1)
@@ -117,6 +120,63 @@ class TestEvalA:
             eval_A_n(model, 100, -1)
         with pytest.raises(DomainError):
             eval_Ginv_asympt(model, 0.5)
+
+
+class TestDenseEvaluation:
+    """The numeric paths evaluate each family by Horner on its dense
+    coefficients.  The reference sums the (c, z) display forms with
+    poly_eval at 20 guard digits; agreement is required to 10^(10 - dps)."""
+
+    DPS = 30
+    GUARD = 20
+    C_VALUES = (C_011, "7.5")
+    POINTS = (1e2, 1e4, 1e6)
+
+    def _close(self, got, ref):
+        return abs(got - ref) <= mp.mpf(10) ** (10 - self.DPS) * abs(ref)
+
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    def test_a_value_and_slope(self, n):
+        q = gen_q(n)
+        for c_raw in self.C_VALUES:
+            for t_raw in self.POINTS:
+                with mp.workdps(self.DPS):
+                    value = _a_value(mp.mpf(c_raw), mp.mpf(t_raw), n)
+                    slope = _a_slope_c(mp.mpf(c_raw), mp.mpf(t_raw), n)
+                with mp.workdps(self.DPS + self.GUARD):
+                    c, t = mp.mpf(c_raw), mp.mpf(t_raw)
+                    z = mp.log(4 * t)
+                    ref = (4 * t) ** (mp.mpf(1) / 4) * (
+                        1 + mp.fsum(poly_eval(q[k], c, z) / t**k for k in range(1, n + 1))
+                    )
+                    h = mp.mpf(10) ** -12
+                    central = (_a_value(c + h, t, n) - _a_value(c - h, t, n)) / (2 * h)
+                    assert self._close(value, ref), (c_raw, t_raw)
+                    assert self._close(slope, central), (c_raw, t_raw)
+
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    def test_inverse_expansion(self, n):
+        p = gen_p(n)
+        for c_raw in self.C_VALUES:
+            m = AsymptoticModel.build(c_raw, order=n, dps=self.DPS)
+            for x_raw in self.POINTS:
+                got = eval_Ginv_asympt(m, x_raw)
+                with mp.workdps(self.DPS + self.GUARD):
+                    c, x = mp.mpf(c_raw), mp.mpf(x_raw)
+                    z = mp.log(x)
+                    ref = x + mp.fsum(poly_eval(p[k], c, z) / x**k for k in range(n + 1))
+                    assert self._close(got, ref), (c_raw, x_raw)
+
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    def test_lambert_expansion(self, n):
+        lam = gen_lambert_p(n)
+        rep = lambert_compare(n, self.POINTS, SolverConfig(dps=self.DPS))
+        for x_raw in self.POINTS:
+            with mp.workdps(self.DPS + self.GUARD):
+                x = mp.mpf(x_raw)
+                z = mp.log(x)
+                ref = x + mp.fsum(poly_eval(lam[k], 0, z) / x**k for k in range(n + 1))
+                assert self._close(rep.approx[(n, x_raw)], ref), x_raw
 
 
 class TestEvalG:

@@ -195,6 +195,19 @@ class TestContract:
     def test_bad_grid_is_usage_error(self, capsys):
         assert run(capsys, "verify", "--t-grid", "1e2,banana")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lambert", "--x-grid", "10,inf"),
+            ("verify", "--t-grid", "1e2,nan"),
+        ],
+    )
+    def test_non_finite_grid_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "grid points must be finite" in err
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "verify", "--synthetic", "4", "--n-max", "2",
                           "--t-grid", "1e2,1e3", "--format", "json")

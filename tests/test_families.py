@@ -9,6 +9,9 @@ Oracle layout:
   term-by-term; ptilde_4 is a frozen hand derivation.
 * The reciprocity identity alpha * beta = 1 is the structural cross-check
   between the two independent recursions.
+* p_n, q_k and ptilde_k are recomputed at rational points (c, z) by the
+  generic series calculus of ``series_oracle``, one point at a time, which
+  shares no code with the generators' w-polynomial composition table.
 """
 
 from fractions import Fraction
@@ -18,7 +21,6 @@ import pytest
 from asymptode.errors import DomainError
 from asymptode.families import (
     clear_caches,
-    g_series,
     gen_alpha,
     gen_beta,
     gen_lambert_p,
@@ -26,10 +28,13 @@ from asymptode.families import (
     gen_q,
     ode_residual_order,
 )
-from asymptode.series import (
-    BivariatePoly,
+from asymptode.series import BivariatePoly, poly_eval, rational_binomial
+from series_oracle import (
     TruncatedSeries,
+    series_compose_coeffs,
     series_reciprocal,
+    sigma0,
+    sigma_m,
 )
 
 F = Fraction
@@ -89,10 +94,6 @@ class TestBeta:
 
 
 class TestGSeries:
-    def test_matches_alpha(self):
-        s = g_series(3)
-        assert s.coeffs == (F(1), F(3, 4), F(15, 8), F(483, 64))
-
     def test_squared_series_identity(self):
         # coeff_k(g^2) = 2 alpha_{k+1} / (k + 3/2) for k <= N-1
         N = 18
@@ -162,8 +163,8 @@ class TestQPolys:
 
     def test_q1_from_p0_directly(self):
         # q_1 = (1/4) binom(1/4, 1) p_0 = p_0 / 16
-        p0 = gen_p(0)[0]
-        assert gen_q(1)[1] == p0.scale(F(1, 16))
+        assert gen_q(1).coeffs(1) == tuple(u / 16 for u in gen_p(0).coeffs(0))
+        assert gen_q(1)[1] == BivariatePoly({(0, 1): F(3, 16), (1, 0): F(-1, 16)})
 
     def test_q2(self):
         expected = BivariatePoly(
@@ -236,6 +237,70 @@ class TestLambertPolys:
             assert fam[k].coefficient(0, 0) == 0
 
 
+def _dense_value(coeffs, u):
+    return sum(f * u**j for j, f in enumerate(coeffs))
+
+
+def _oracle_p_values(c, z, N):
+    """p_0..p_N at the point (c, z), from the defining composition formula
+
+        p_n = 3 log(1 + a)_n + sum_{k=1}^{n-1} (4^{k+1} beta_{k+1} / k) ((1 + a)^{-k})_{n-k}
+              + 4^{n+1} beta_{n+1} / n,   a = sum_j p_{j-1} x^j,
+
+    evaluated with generic series arithmetic on rational numbers."""
+    betas = gen_beta(N + 1)
+    values = [3 * z - c]
+    for n in range(1, N + 1):
+        a = TruncatedSeries([0] + values)
+        value = 3 * sigma0(a)[n] + F(4) ** (n + 1) * betas[n + 1] / n
+        for k in range(1, n):
+            value += F(4) ** (k + 1) * betas[k + 1] / k * sigma_m(a, k)[n - k]
+        values.append(value)
+    return values
+
+
+class TestCompositionOracle:
+    """Each family, evaluated at rational points from both of its forms,
+    against the composition formulas evaluated there directly."""
+
+    POINTS = [(F(0), F(1)), (F(-7, 3), F(5, 2)), (F(11, 2), F(-4, 9))]
+    N = 10
+
+    @pytest.mark.parametrize("c, z", POINTS)
+    def test_p(self, c, z):
+        expected = _oracle_p_values(c, z, self.N)
+        fam = gen_p(self.N)
+        w = 3 * z - c
+        for n in range(self.N + 1):
+            assert poly_eval(fam[n], c, z) == expected[n], n
+            assert _dense_value(fam.coeffs(n), w) == expected[n], n
+
+    @pytest.mark.parametrize("c, z", POINTS)
+    def test_q(self, c, z):
+        # q_k = 4^{-k} [x^k] (1 + a)^{1/4}
+        a = TruncatedSeries([0] + _oracle_p_values(c, z, self.N - 1))
+        root = series_compose_coeffs(
+            TruncatedSeries([rational_binomial(F(1, 4), m) for m in range(self.N + 1)]), a
+        )
+        fam = gen_q(self.N)
+        w = 3 * z - c
+        for k in range(1, self.N + 1):
+            expected = root[k] / 4**k
+            assert poly_eval(fam[k], c, z) == expected, k
+            assert _dense_value(fam.coeffs(k), w) == expected, k
+
+    @pytest.mark.parametrize("z", [F(1), F(-5, 3), F(7, 2)])
+    def test_ptilde(self, z):
+        # ptilde_0 = z, ptilde_k = [x^k] log(1 + sum_j ptilde_{j-1} x^j)
+        values = [z]
+        for k in range(1, self.N + 1):
+            values.append(sigma0(TruncatedSeries([0] + values))[k])
+        fam = gen_lambert_p(self.N)
+        for k in range(self.N + 1):
+            assert poly_eval(fam[k], F(0), z) == values[k], k
+            assert _dense_value(fam.coeffs(k), z) == values[k], k
+
+
 class TestOdeResidual:
     def test_hand_check_n1(self):
         # residual for N=1 is -(30/16) z^2 - (63/64) z^3: order exactly 2
@@ -274,4 +339,4 @@ class TestMemoization:
         clear_caches()
         gen_p(10)
         fam = gen_q(10)  # must not recompute p; just extends the s table
-        assert fam[1] == gen_p(0)[0].scale(F(1, 16))
+        assert fam[1] == BivariatePoly({(0, 1): F(3, 16), (1, 0): F(-1, 16)})
