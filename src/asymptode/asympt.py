@@ -39,7 +39,7 @@ from mpmath import mp
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .families import gen_beta, gen_lambert_p, gen_p, gen_q
-from .numerics import SolverConfig, lambert_wm1_numeric
+from .numerics import SolverConfig, lambert_root_tol, lambert_wm1_numeric
 
 __all__ = [
     "AsymptoticModel",
@@ -427,6 +427,18 @@ class LambertReport:
         return out
 
 
+def _lambert_value(x, n):
+    # caller supplies the mp context; x already mpf
+    z = mp.log(x)
+    lam = gen_lambert_p(n)
+    acc = x
+    xk = mp.one
+    for k in range(0, n + 1):
+        acc += _horner(lam.coeffs(k), z) / xk
+        xk *= x
+    return acc
+
+
 def lambert_compare(n_max, x_grid, cfg=None):
     """Solve y - ln y = x numerically and compare with the expansion.
 
@@ -439,7 +451,9 @@ def lambert_compare(n_max, x_grid, cfg=None):
 
     (the k = 0 term is ln x itself).  Residuals |y - ln y - x| / x of
     the numeric root and normalised remainders |y - Y_n| / (ln x / x)**(n+1)
-    are both recorded.
+    are both recorded.  Before forming each remainder the root's
+    resolution (its Newton stop over the slope 1 - 1/y) is required to sit
+    below 0.01 of the normalisation scale, as in remainder_study.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -450,14 +464,15 @@ def lambert_compare(n_max, x_grid, cfg=None):
     if xs[0] <= 1:
         raise DomainError("the growing branch needs x > 1")
     cfg = cfg if cfg is not None else SolverConfig()
-    lam = gen_lambert_p(n_max)
     with mp.workdps(cfg.effective_dps):
         y_values = {}
         residuals = {}
+        resolution = {}
         for x_raw in xs:
             x = mp.mpf(x_raw)
             y = lambert_wm1_numeric(x, cfg)
             y_values[x_raw] = y
+            resolution[x_raw] = lambert_root_tol(x, cfg) / (1 - 1 / y)
             # guard digits, so the rounding of y shows in the residual
             # instead of cancelling to zero at the working precision
             with mp.workdps(cfg.effective_dps + 20):
@@ -467,14 +482,15 @@ def lambert_compare(n_max, x_grid, cfg=None):
         for n in range(n_max + 1):
             for x_raw in xs:
                 x = mp.mpf(x_raw)
-                z = mp.log(x)
-                acc = x
-                xk = mp.one
-                for k in range(0, n + 1):
-                    acc += _horner(lam.coeffs(k), z) / xk
-                    xk *= x
-                approx[(n, x_raw)] = acc
-                remainders[(n, x_raw)] = abs(y_values[x_raw] - acc) / (z / x) ** (n + 1)
+                scale = (mp.log(x) / x) ** (n + 1)
+                if resolution[x_raw] > mp.mpf("0.01") * scale:
+                    raise AccuracyError(
+                        "Lambert root resolution %s exceeds 0.01 of the remainder scale %s "
+                        "at n = %d, x = %s; raise the working precision"
+                        % (mp.nstr(resolution[x_raw], 4), mp.nstr(scale, 4), n, x_raw)
+                    )
+                approx[(n, x_raw)] = _lambert_value(x, n)
+                remainders[(n, x_raw)] = abs(y_values[x_raw] - approx[(n, x_raw)]) / scale
     return LambertReport(
         n_values=tuple(range(n_max + 1)),
         x_values=tuple(xs),

@@ -29,13 +29,19 @@ Everything the asymptotic expansion needs is generated here, exactly:
 Internal representation.  ``p_0 = 3z - c`` and every recursion step combines
 earlier members with rational coefficients, so each ``p_n`` and ``q_k`` is a
 rational polynomial in the single variable ``w := 3z - c``.  The generators
-work on dense ``w``-coefficient lists and expand ``w^j`` into ``(c, z)`` terms
-only when building the :class:`BivariatePoly` display forms.  This keeps the
-shared table of composition sums ``s_{j,m}`` univariate, which is what makes
-order 20 cheap.  Each family object carries both forms: the display forms
-(``family[n]``) for printing, JSON and exact comparison, and the dense
-coefficients (``family.coeffs(n)``: in ``w`` for p and q, in ``z`` for
-ptilde) for numeric evaluation.
+work on dense ``w``-coefficients and expand ``w^j`` into ``(c, z)`` terms only
+when building the :class:`BivariatePoly` display forms.  This keeps the shared
+table of composition sums ``s_{j,m}`` univariate.  Every polynomial of the
+exact layer (table entries and family members alike) is an integer
+polynomial over one denominator, ``(numerators, denominator)``: each entry is
+one integer accumulation over the common denominator of its terms, reduced
+by a single gcd pass when finished, and each member is one integer linear
+combination of table entries.  Python ints carry it, with no per-operation
+normalisation, which is what makes order 40 cheap.  Each family object
+carries two public forms, built once per member from the integer one: the
+display forms (``family[n]``) for printing, JSON and exact comparison, and
+the ``Fraction`` coefficients (``family.coeffs(n)``: in ``w`` for p and q,
+in ``z`` for ptilde) for numeric evaluation.
 
 All generation is incremental and memoized; a family asked for twice is
 computed once.  Returned objects are immutable.
@@ -46,9 +52,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import DomainError
-from .series import BivariatePoly, rational_binomial
+from .series import BivariatePoly
 
 __all__ = [
     "AlphaSequence",
@@ -65,44 +72,60 @@ __all__ = [
     "clear_caches",
 ]
 
-_ZERO = Fraction(0)
+# -- dense univariate polynomials over one denominator ------------------------
+#
+# A polynomial is a pair (numerators, denominator): the coefficient of the
+# j-th power is numerators[j] / denominator, lowest power first.  Integer
+# arithmetic needs no gcd per operation; each finished entry is reduced once.
 
-# -- dense univariate polynomials as plain coefficient lists -----------------
-
-
-def _padd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
+IntPoly = tuple[tuple[int, ...], int]
 
 
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                if v:
-                    out[i + j] += u * v
-    return out
+def _const(num: int, den: int = 1) -> IntPoly:
+    return (num,), den
 
 
-def _pscale(a: list[Fraction], f: Fraction) -> list[Fraction]:
-    return [f * v for v in a]
+_ONE = _const(1)
 
 
-def _wpoly_to_bivariate(coeffs: tuple[Fraction, ...]) -> BivariatePoly:
-    """Expand sum_j u_j w^j with w = 3z - c into (c, z) terms."""
+def _sum_of_products(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
+    """sum A * B over the pairs, accumulated over one common denominator.
+
+    A constant B makes this an integer linear combination.  The result has
+    the length of the longest product (at least 1), whatever cancels.
+    """
+    den = math.lcm(*(ad * bd for (_, ad), (_, bd) in pairs))
+    size = max((len(an) + len(bn) - 1 for (an, _), (bn, _) in pairs), default=1)
+    acc = [0] * size
+    for (an, ad), (bn, bd) in pairs:
+        scale = den // (ad * bd)
+        scaled = [scale * v for v in bn]
+        for i, u in enumerate(an):
+            if u:
+                for j, v in enumerate(scaled):
+                    acc[i + j] += u * v
+    g = math.gcd(den, *acc)
+    return tuple(v // g for v in acc), den // g
+
+
+def _fractions(poly: IntPoly) -> tuple[Fraction, ...]:
+    nums, den = poly
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def _wpoly_to_bivariate(poly: IntPoly) -> BivariatePoly:
+    """Expand sum_j u_j w^j with w = 3z - c into (c, z) terms.
+
+    The term c^(j-i) z^i comes from w^j alone, so each gets one Fraction.
+    """
+    nums, den = poly
     terms: dict[tuple[int, int], Fraction] = {}
-    for j, u in enumerate(coeffs):
-        if not u:
-            continue
-        for i in range(j + 1):
-            key = (j - i, i)
-            value = u * math.comb(j, i) * Fraction(3) ** i * (-1) ** (j - i)
-            terms[key] = terms.get(key, _ZERO) + value
+    for j, u in enumerate(nums):
+        if u:
+            for i in range(j + 1):
+                terms[(j - i, i)] = Fraction(
+                    u * math.comb(j, i) * 3**i * (-1) ** (j - i), den
+                )
     return BivariatePoly(terms)
 
 
@@ -118,19 +141,20 @@ class _State:
     def reset(self) -> None:
         self.alphas: list[Fraction] = [Fraction(1)]
         self.betas: list[Fraction] = [Fraction(1)]
+        self.beta_squares: list[Fraction] = [Fraction(1)]  # of sum beta_n z^n
         # p_n as dense w-polynomials; the s table is over a_j := p_{j-1}.
-        self.p_w: list[tuple[Fraction, ...]] = []
-        self.s: dict[tuple[int, int], list[Fraction]] = {}
+        self.p_w: list[IntPoly] = []
+        self.s: dict[tuple[int, int], IntPoly] = {}
         self.s_max = 0
-        self.q_w: dict[int, tuple[Fraction, ...]] = {}
+        self.q_w: dict[int, IntPoly] = {}
         # Lambert analogue: ptilde_k as dense z-polynomials, own s table.
-        self.lam: list[tuple[Fraction, ...]] = []
-        self.s_t: dict[tuple[int, int], list[Fraction]] = {}
+        self.lam: list[IntPoly] = []
+        self.s_t: dict[tuple[int, int], IntPoly] = {}
         self.s_t_max = 0
-        # converted public polynomials
-        self.p_cz: dict[int, BivariatePoly] = {}
-        self.q_cz: dict[int, BivariatePoly] = {}
-        self.lam_cz: dict[int, BivariatePoly] = {}
+        # public members: (BivariatePoly, Fraction coefficients) per index
+        self.p_pub: dict[int, tuple[BivariatePoly, tuple[Fraction, ...]]] = {}
+        self.q_pub: dict[int, tuple[BivariatePoly, tuple[Fraction, ...]]] = {}
+        self.lam_pub: dict[int, tuple[BivariatePoly, tuple[Fraction, ...]]] = {}
 
 
 _STATE = _State()
@@ -150,28 +174,22 @@ def _ensure_alpha(n: int) -> None:
 
 
 def _ensure_beta(n: int) -> None:
-    betas = _STATE.betas
+    """beta_{m+1} = (m - 3/4) beta_m + D - T, D the double and T the triple
+    product sum of index m + 1 over indices <= m.  T's j = 0 part is D, and
+    its j >= 1 parts are beta_j times the square series' sq_{m+1-j}."""
+    betas, squares = _STATE.betas, _STATE.beta_squares
     while len(betas) <= n:
         m = len(betas) - 1
-        target = m + 1
-        double = sum(
-            betas[j] * betas[target - j]
-            for j in range(max(0, target - m), min(m, target) + 1)
-        )
-        triple = _ZERO
-        for j in range(m + 1):
-            for k in range(m + 1):
-                ell = target - j - k
-                if 0 <= ell <= m:
-                    triple += betas[j] * betas[k] * betas[ell]
-        betas.append((m - Fraction(3, 4)) * betas[m] + double - triple)
+        triple = sum(betas[j] * squares[m + 1 - j] for j in range(1, m + 1))
+        betas.append((m - Fraction(3, 4)) * betas[m] - triple)
+        squares.append(sum(betas[j] * betas[m + 1 - j] for j in range(m + 2)))
 
 
 def _extend_s_table(
-    table: dict[tuple[int, int], list[Fraction]],
+    table: dict[tuple[int, int], IntPoly],
     filled: int,
     m_max: int,
-    a: list[tuple[Fraction, ...]],
+    a: list[IntPoly],
 ) -> int:
     """Fill rows filled+1 .. m_max of a composition-sum table.
 
@@ -185,21 +203,20 @@ def _extend_s_table(
     for m in range(filled + 1, m_max + 1):
         table[(1, m)] = a[m - 1]
         for j in range(2, m + 1):
-            acc: list[Fraction] = [_ZERO]
-            for i in range(j - 1, m):
-                acc = _padd(acc, _pmul(table[(j - 1, i)], a[m - i - 1]))
-            table[(j, m)] = acc
+            table[(j, m)] = _sum_of_products(
+                [(table[(j - 1, i)], a[m - i - 1]) for i in range(j - 1, m)]
+            )
     return max(filled, m_max)
 
 
-def _sigma0_from_table(
-    table: dict[tuple[int, int], list[Fraction]], n: int
-) -> list[Fraction]:
-    """sum_{j=1}^{n} (-1)^(j+1)/j * s_{j,n} as a dense polynomial."""
-    acc: list[Fraction] = [_ZERO]
-    for j in range(1, n + 1):
-        acc = _padd(acc, _pscale(table[(j, n)], Fraction((-1) ** (j + 1), j)))
-    return acc
+def _sigma0_terms(
+    table: dict[tuple[int, int], IntPoly], n: int, weight: int
+) -> list[tuple[IntPoly, IntPoly]]:
+    """weight * sigma0_n = weight * sum_{j=1}^{n} (-1)^(j+1)/j * s_{j,n}, as
+    terms for _sum_of_products."""
+    return [
+        (table[(j, n)], _const(weight * (-1) ** (j + 1), j)) for j in range(1, n + 1)
+    ]
 
 
 def _ensure_p(n: int) -> None:
@@ -207,38 +224,43 @@ def _ensure_p(n: int) -> None:
     while len(st.p_w) <= n:
         nn = len(st.p_w)
         if nn == 0:
-            st.p_w.append((_ZERO, Fraction(1)))  # p_0 = w
+            st.p_w.append(((0, 1), 1))  # p_0 = w
             continue
         _ensure_beta(nn + 1)
         # arguments a_j = p_{j-1} are known up to j = nn, enough for row nn
         st.s_max = _extend_s_table(st.s, st.s_max, nn, st.p_w)
-        poly = _pscale(_sigma0_from_table(st.s, nn), Fraction(3))
+        terms = _sigma0_terms(st.s, nn, 3)
         for k in range(1, nn):
-            outer = Fraction(4) ** (k + 1) * st.betas[k + 1] / k
-            sig: list[Fraction] = [_ZERO]
+            # (4^{k+1} beta_{k+1} / k) sigma^k_{nn-k}, binom(-k, j) an integer
+            outer = Fraction(4 ** (k + 1), k) * st.betas[k + 1]
             for j in range(1, nn - k + 1):
-                sig = _padd(
-                    sig, _pscale(st.s[(j, nn - k)], rational_binomial(-k, j))
+                binom = (-1) ** j * math.comb(k + j - 1, j)
+                terms.append(
+                    (st.s[(j, nn - k)], _const(outer.numerator * binom, outer.denominator))
                 )
-            poly = _padd(poly, _pscale(sig, outer))
-        poly = _padd(poly, [Fraction(4) ** (nn + 1) * st.betas[nn + 1] / nn])
-        st.p_w.append(tuple(poly))
+        last = Fraction(4 ** (nn + 1), nn) * st.betas[nn + 1]
+        terms.append((_const(last.numerator, last.denominator), _ONE))
+        st.p_w.append(_sum_of_products(terms))
 
 
 def _ensure_q(k: int) -> None:
     st = _STATE
     _ensure_p(k - 1)
     st.s_max = _extend_s_table(st.s, st.s_max, k, st.p_w)
+    # binom(1/4, m) = prod_{i<m} (1 - 4i) / (4^m m!), as (numerator, denominator)
+    binoms = [(1, 1)]
+    for m in range(1, k + 1):
+        num, den = binoms[-1]
+        binoms.append((num * (5 - 4 * m), den * 4 * m))
     for kk in range(1, k + 1):
         if kk in st.q_w:
             continue
-        acc: list[Fraction] = [_ZERO]
-        for m in range(1, kk + 1):
-            acc = _padd(
-                acc,
-                _pscale(st.s[(m, kk)], rational_binomial(Fraction(1, 4), m)),
-            )
-        st.q_w[kk] = tuple(_pscale(acc, Fraction(1, 4**kk)))
+        st.q_w[kk] = _sum_of_products(
+            [
+                (st.s[(m, kk)], _const(binoms[m][0], binoms[m][1] * 4**kk))
+                for m in range(1, kk + 1)
+            ]
+        )
 
 
 def _ensure_lambert(n: int) -> None:
@@ -246,36 +268,26 @@ def _ensure_lambert(n: int) -> None:
     while len(st.lam) <= n:
         kk = len(st.lam)
         if kk == 0:
-            st.lam.append((_ZERO, Fraction(1)))  # ptilde_0 = z
+            st.lam.append(((0, 1), 1))  # ptilde_0 = z
             continue
         st.s_t_max = _extend_s_table(st.s_t, st.s_t_max, kk, st.lam)
-        st.lam.append(tuple(_sigma0_from_table(st.s_t, kk)))
+        st.lam.append(_sum_of_products(_sigma0_terms(st.s_t, kk, 1)))
+
+
+def _family(cls, cache, polys, keys, display):
+    """cls over the members at keys, each built once from its integer form:
+    its display form and its Fraction coefficients."""
+    for key in keys:
+        if key not in cache:
+            cache[key] = display(polys[key]), _fractions(polys[key])
+    return cls(*zip(*(cache[key] for key in keys)))
 
 
 # -- public family containers --------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AlphaSequence:
-    """alpha_0..alpha_N of the formal radial series; index by subscript."""
-
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-
-@dataclass(frozen=True)
-class BetaSequence:
-    """beta_0..beta_N, the reciprocal-series coefficients; index by subscript."""
-
+class _Sequence:
     values: tuple[Fraction, ...]
 
     def __getitem__(self, n: int) -> Fraction:
@@ -289,74 +301,55 @@ class BetaSequence:
         return len(self.values) - 1
 
 
+class AlphaSequence(_Sequence):
+    """alpha_0..alpha_N of the formal radial series; index by subscript."""
+
+
+class BetaSequence(_Sequence):
+    """beta_0..beta_N, the reciprocal-series coefficients; index by subscript."""
+
+
 @dataclass(frozen=True)
-class PPolyFamily:
-    """p_0..p_N; ``family[n]`` is p_n in (c, z), ``family.coeffs(n)`` its
-    dense coefficients in w = 3z - c, lowest power first."""
+class _PolyFamily:
+    """Members by their mathematical index n >= ``first``: ``family[n]`` is
+    the display form, ``family.coeffs(n)`` the dense coefficients, lowest
+    power first."""
 
     polys: tuple[BivariatePoly, ...]
     dense: tuple[tuple[Fraction, ...], ...]
+    first: ClassVar[int] = 0
+
+    def _position(self, n: int) -> int:
+        if n < self.first:
+            raise DomainError(f"{type(self).__name__} starts at index {self.first}")
+        return n - self.first
 
     def __getitem__(self, n: int) -> BivariatePoly:
-        return self.polys[n]
+        return self.polys[self._position(n)]
 
     def coeffs(self, n: int) -> tuple[Fraction, ...]:
-        return self.dense[n]
+        return self.dense[self._position(n)]
 
     def __len__(self) -> int:
         return len(self.polys)
 
     @property
     def order(self) -> int:
-        return len(self.polys) - 1
+        return self.first + len(self.polys) - 1
 
 
-@dataclass(frozen=True)
-class QPolyFamily:
-    """q_1..q_N; ``family[k]`` is q_k in (c, z), ``family.coeffs(k)`` its
-    dense coefficients in w = 3z - c.  Both use the mathematical index k >= 1."""
-
-    polys: tuple[BivariatePoly, ...]
-    dense: tuple[tuple[Fraction, ...], ...]
-
-    def __getitem__(self, k: int) -> BivariatePoly:
-        if k < 1:
-            raise DomainError("q polynomials start at index 1")
-        return self.polys[k - 1]
-
-    def coeffs(self, k: int) -> tuple[Fraction, ...]:
-        if k < 1:
-            raise DomainError("q polynomials start at index 1")
-        return self.dense[k - 1]
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    @property
-    def order(self) -> int:
-        return len(self.polys)
+class PPolyFamily(_PolyFamily):
+    """p_0..p_N in (c, z), dense in w = 3z - c."""
 
 
-@dataclass(frozen=True)
-class LambertPolyFamily:
-    """ptilde_0..ptilde_N (univariate in z); ``family[k]`` is ptilde_k,
-    ``family.coeffs(k)`` its dense z-coefficients."""
+class QPolyFamily(_PolyFamily):
+    """q_1..q_N in (c, z), dense in w = 3z - c."""
 
-    polys: tuple[BivariatePoly, ...]
-    dense: tuple[tuple[Fraction, ...], ...]
+    first = 1
 
-    def __getitem__(self, k: int) -> BivariatePoly:
-        return self.polys[k]
 
-    def coeffs(self, k: int) -> tuple[Fraction, ...]:
-        return self.dense[k]
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    @property
-    def order(self) -> int:
-        return len(self.polys) - 1
+class LambertPolyFamily(_PolyFamily):
+    """ptilde_0..ptilde_N, univariate in z and dense in z."""
 
 
 # -- public generators -----------------------------------------------------------
@@ -383,12 +376,7 @@ def gen_p(N: int) -> PPolyFamily:
     if N < 0:
         raise DomainError("gen_p needs N >= 0")
     _ensure_p(N)
-    for n in range(N + 1):
-        if n not in _STATE.p_cz:
-            _STATE.p_cz[n] = _wpoly_to_bivariate(_STATE.p_w[n])
-    return PPolyFamily(
-        tuple(_STATE.p_cz[n] for n in range(N + 1)), tuple(_STATE.p_w[: N + 1])
-    )
+    return _family(PPolyFamily, _STATE.p_pub, _STATE.p_w, range(N + 1), _wpoly_to_bivariate)
 
 
 def gen_q(N: int) -> QPolyFamily:
@@ -396,13 +384,7 @@ def gen_q(N: int) -> QPolyFamily:
     if N < 1:
         raise DomainError("gen_q needs N >= 1")
     _ensure_q(N)
-    for k in range(1, N + 1):
-        if k not in _STATE.q_cz:
-            _STATE.q_cz[k] = _wpoly_to_bivariate(_STATE.q_w[k])
-    ks = range(1, N + 1)
-    return QPolyFamily(
-        tuple(_STATE.q_cz[k] for k in ks), tuple(_STATE.q_w[k] for k in ks)
-    )
+    return _family(QPolyFamily, _STATE.q_pub, _STATE.q_w, range(1, N + 1), _wpoly_to_bivariate)
 
 
 def gen_lambert_p(N: int) -> LambertPolyFamily:
@@ -410,11 +392,9 @@ def gen_lambert_p(N: int) -> LambertPolyFamily:
     if N < 0:
         raise DomainError("gen_lambert_p needs N >= 0")
     _ensure_lambert(N)
-    for k in range(N + 1):
-        if k not in _STATE.lam_cz:
-            _STATE.lam_cz[k] = BivariatePoly.z_poly(_STATE.lam[k])
-    return LambertPolyFamily(
-        tuple(_STATE.lam_cz[k] for k in range(N + 1)), tuple(_STATE.lam[: N + 1])
+    return _family(
+        LambertPolyFamily, _STATE.lam_pub, _STATE.lam, range(N + 1),
+        lambda poly: BivariatePoly.z_poly(_fractions(poly)),
     )
 
 
@@ -429,13 +409,16 @@ def ode_residual_order(N: int) -> int:
     """
     if N < 1:
         raise DomainError("ode_residual_order needs N >= 1")
-    alphas = list(gen_alpha(N).values)
-    g = list(alphas)
-    g_prime = [k * alphas[k] for k in range(1, N + 1)]
-    inner = [Fraction(1)]
-    inner = _padd(inner, _pscale([_ZERO] + g, Fraction(-3, 4)))       # -(3/4) z g
-    inner = _padd(inner, _pscale([_ZERO, _ZERO] + g_prime, Fraction(-1)))  # -z^2 g'
-    residual = _padd(_pmul(inner, g), [Fraction(-1)])
+    alphas = gen_alpha(N).values
+    den = math.lcm(*(a.denominator for a in alphas))
+    nums = tuple(a.numerator * (den // a.denominator) for a in alphas)
+    g = (nums, den)
+    z_g = ((0,) + nums, den)
+    z2_g_prime = ((0,) + tuple(k * v for k, v in enumerate(nums)), den)
+    inner = _sum_of_products(
+        [(_ONE, _ONE), (z_g, _const(-3, 4)), (z2_g_prime, _const(-1))]
+    )
+    residual, _ = _sum_of_products([(inner, g), (_const(-1), _ONE)])
     for idx, coeff in enumerate(residual):
         if coeff:
             return idx

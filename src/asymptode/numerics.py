@@ -76,6 +76,7 @@ __all__ = [
     "compute_G",
     "compute_c",
     "invert_G",
+    "lambert_root_tol",
     "lambert_wm1_numeric",
     "g_problem_for_data",
     "compute_c_for_data",
@@ -538,8 +539,9 @@ class GProblem:
     g and the running integral I(z) = int_z^{z0} r of the regular integrand
     r = (1/g - 1 + 3z/4) 4/z^2.  The two representations of g are required
     to agree at z_c when the problem is built.  G on [anchor, S] and the
-    head of c are read off I; the caches are the memoized constant c and
-    G(S), the base of every G evaluation above the split.
+    head of c are read off I; the caches are the memoized constant c, G(S),
+    the base of every G evaluation above the split, and the weights and S
+    part of the series integral above it.
     """
 
     def __init__(self, z0, g0, z_c, steps, cfg, dps, ode_err):
@@ -560,6 +562,7 @@ class GProblem:
             self._beta_mpf = [mp.mpf(b.numerator) / b.denominator for b in betas]
         self._c = None
         self._G_split = None
+        self._tail = None  # series weights above S and their S part
 
     @property
     def anchor(self):
@@ -760,28 +763,30 @@ def g_problem_for_data(
         return solve_g(z0, g0, cfg), mp.mpf(data.t0)
 
 
-def _series_tail_G(problem: GProblem, a, b):
-    """Exact integral of the reciprocal series sum beta_k (4/s)^k over [a, b].
+def _series_tail_G(problem: GProblem, x):
+    """Exact integral of the reciprocal series sum beta_k (4/s)^k over [S, x].
 
-    Valid when both endpoints are at or above the split point, where
-    4/s <= z_c and the series represents 1/g(4/s) below working precision.
-    Termwise: the k = 0 term integrates to (b - a), k = 1 to 4 log(b/a),
-    k >= 2 to 4^k (a^{1-k} - b^{1-k}) / (k-1).
+    Valid for x at or above the split point S, where 4/s <= z_c and the
+    series represents 1/g(4/s) below working precision.  Termwise: the
+    k = 0 term integrates to (x - S), k = 1 to 4 beta_1 log(x/S), k >= 2 to
+    w_k (S^{1-k} - x^{1-k}) with w_k = beta_k 4^k / (k-1).  The weights and
+    the S part sum w_k S^{1-k} are computed once per problem; the x part is
+    a Horner polynomial in u = 1/x.
     """
     with mp.workdps(problem.dps):
-        if b == a:
-            return mp.zero
+        S = problem.split
         betas = problem._beta_mpf
-        total = (b - a) + betas[1] * 4 * mp.log(b / a)
-        for k in range(2, len(betas)):
-            term = (
-                betas[k]
-                * mp.mpf(4) ** k
-                * (a ** (1 - k) - b ** (1 - k))
-                / (k - 1)
-            )
-            total += term
-        return total
+        if problem._tail is None:
+            weights = [
+                betas[k] * mp.mpf(4) ** k / (k - 1) for k in range(2, len(betas))
+            ]
+            s_part = sum(w * S ** (1 - k) for k, w in enumerate(weights, 2))
+            problem._tail = weights, s_part
+        weights, s_part = problem._tail
+        u = 1 / x
+        return (
+            (x - S) + betas[1] * 4 * mp.log(x / S) + s_part - u * _horner(weights, u)
+        )
 
 
 def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
@@ -790,8 +795,9 @@ def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
     Up to the split S this is dense output of the integrator's running
     integral, G(x) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x): a bisection for
     the step and one Horner evaluation.  Beyond S the reciprocal series is
-    integrated exactly term by term from S and added to G(S), which is
-    computed once per problem.
+    integrated exactly term by term from S (one log and one Horner
+    evaluation in 1/x) and added to G(S), which is computed once per
+    problem.
     """
     with mp.workdps(problem.dps):
         x = mp.mpf(x)
@@ -803,7 +809,7 @@ def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
         if x > S:
             if problem._G_split is None:
                 problem._G_split = _G_dense(problem, S)
-            return problem._G_split + _series_tail_G(problem, S, x)
+            return problem._G_split + _series_tail_G(problem, x)
         return _G_dense(problem, x)
 
 
@@ -939,6 +945,14 @@ def _invert_G_bracketed(x, problem: GProblem, cfg: SolverConfig):
         )
 
 
+def lambert_root_tol(x, cfg: SolverConfig | None = None):
+    """Residual at which lambert_wm1_numeric stops, |y - ln y - x| <= 10^-(dps-5) x
+    at its precision dps; the root is resolved to this over the slope 1 - 1/y."""
+    dps = max(30, (cfg or SolverConfig()).effective_dps)
+    with mp.workdps(dps):
+        return mp.mpf(10) ** (-(dps - 5)) * mp.mpf(x)
+
+
 def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
     """The larger root y > 1 of y - ln y = x, i.e. -W_{-1}(-e^{-x}).
 
@@ -953,7 +967,7 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
         x = mp.mpf(x)
         if x <= 1:
             raise DomainError("the branch point is at x = 1; need x > 1")
-        tol = mp.mpf(10) ** (-(dps - 5)) * x
+        tol = lambert_root_tol(x, cfg)
         lo = mp.one
         hi = x + 2 * mp.log(x) + 2
         while hi - mp.log(hi) < x:

@@ -25,7 +25,6 @@ from .errors import DomainError
 __all__ = [
     "Rational",
     "BivariatePoly",
-    "rational_binomial",
     "poly_eval",
     "poly_to_json",
     "poly_from_json",
@@ -46,26 +45,6 @@ def _as_rational(value: RationalLike) -> Fraction:
             "pass a Fraction, int, or string"
         )
     return Fraction(value)
-
-
-def rational_binomial(top: RationalLike, j: int) -> Fraction:
-    """Exact binomial coefficient ``binom(top, j)`` with rational ``top``.
-
-    Computed as the falling-factorial product
-    ``top (top-1) ... (top-j+1) / j!``, entirely in rational arithmetic.
-
-    >>> rational_binomial(Fraction(1, 4), 2)
-    Fraction(-3, 32)
-    >>> rational_binomial(-2, 3)
-    Fraction(-4, 1)
-    """
-    if j < 0:
-        raise DomainError("binomial lower index must be >= 0")
-    top = _as_rational(top)
-    result = Fraction(1)
-    for i in range(j):
-        result = result * (top - i) / (i + 1)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ general series calculus that shares no code with the package:
 * ``sigma0(a)`` is ``log(1 + a)``.
 * ``sigma_m(a, m)`` is ``(1 + a)^(-m)`` for integer ``m >= 1``.
 * ``series_reciprocal(a)`` is ``1 / a``.
+* ``rational_binomial(top, j)`` is ``binom(top, j)`` for rational ``top``.
 * ``series_to_json`` / ``series_from_json`` write and read a series with
   its integers as decimal strings.
 
@@ -26,13 +27,27 @@ from fractions import Fraction
 from typing import Iterable
 
 from asymptode.errors import DomainError
-from asymptode.series import rational_binomial
 
 
 def _exact(value) -> Fraction:
     if isinstance(value, float):
         raise DomainError("refusing to build an exact coefficient from a float")
     return Fraction(value)
+
+
+def rational_binomial(top, j: int) -> Fraction:
+    """Exact binomial coefficient ``binom(top, j)`` with rational ``top``.
+
+    Computed as the falling-factorial product
+    ``top (top-1) ... (top-j+1) / j!``, entirely in rational arithmetic.
+    """
+    if j < 0:
+        raise DomainError("binomial lower index must be >= 0")
+    top = _exact(top)
+    result = Fraction(1)
+    for i in range(j):
+        result = result * (top - i) / (i + 1)
+    return result
 
 
 class TruncatedSeries:

@@ -40,7 +40,8 @@ from asymptode import (
     remainder_study,
     shift_invariance_check,
 )
-from asymptode.asympt import _a_slope_c, _a_value
+from asymptode.asympt import _a_slope_c, _a_value, _lambert_value
+from asymptode.numerics import lambert_root_tol, lambert_wm1_numeric
 from asymptode.series import poly_eval
 
 DATA = InitialData(0, 1, 1)
@@ -169,14 +170,17 @@ class TestDenseEvaluation:
 
     @pytest.mark.parametrize("n", [1, 4, 20])
     def test_lambert_expansion(self, n):
+        # evaluated directly: lambert_compare refuses the points where its
+        # root cannot resolve the remainder (n = 4 at 1e6, n = 20 at all three)
         lam = gen_lambert_p(n)
-        rep = lambert_compare(n, self.POINTS, SolverConfig(dps=self.DPS))
         for x_raw in self.POINTS:
+            with mp.workdps(self.DPS):
+                got = _lambert_value(mp.mpf(x_raw), n)
             with mp.workdps(self.DPS + self.GUARD):
                 x = mp.mpf(x_raw)
                 z = mp.log(x)
                 ref = x + mp.fsum(poly_eval(lam[k], 0, z) / x**k for k in range(n + 1))
-                assert self._close(rep.approx[(n, x_raw)], ref), x_raw
+                assert self._close(got, ref), x_raw
 
 
 class TestEvalG:
@@ -348,6 +352,28 @@ class TestLambertCompare:
             x = mp.mpf(100)
             expected = x + mp.log(x) + mp.log(x) / x
             assert abs(rep.approx[(1, 100.0)] - expected) < mp.mpf("1e-25")
+
+    def test_resolution_bounds_the_root_error(self):
+        # soundness of the precision gate: the resolution it charges is at
+        # least the actual root error against mpmath's W_{-1} at 60 digits
+        cfg = SolverConfig(dps=30)
+        for x_raw in (1.5, 10, 1e3, 1e6, 1e20):
+            y = lambert_wm1_numeric(x_raw, cfg)
+            bound = lambert_root_tol(x_raw, cfg) / (1 - 1 / y)
+            with mp.workdps(60):
+                x = mp.mpf(x_raw)
+                ref = -mp.lambertw(-mp.exp(-x), -1)
+                assert abs(y - ref) <= bound, x_raw
+
+    @pytest.mark.parametrize("x, first_refused", [(1e2, 15), (1e4, 6), (1e6, 3)])
+    def test_gate_boundary(self, x, first_refused):
+        # at dps 30 the root is resolved to about 1e-25 x; the first order
+        # whose scale (ln x / x)^(n+1) is below 100 times that is refused
+        cfg = SolverConfig(dps=30)
+        rep = lambert_compare(first_refused - 1, [x], cfg)
+        assert rep.n_values[-1] == first_refused - 1
+        with pytest.raises(AccuracyError, match="n = %d, x = %s" % (first_refused, x)):
+            lambert_compare(first_refused, [x], cfg)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(DomainError):

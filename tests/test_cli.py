@@ -4,6 +4,7 @@ Everything goes through main(argv) directly; no subprocesses, so the
 suite stays fast and failures carry tracebacks.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -47,6 +48,21 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--family", "q", "--order", "0")
         assert code == 2
         assert "error" in err
+
+    # SHA-256 of the stdout of `series --family F --order 30 --format json`,
+    # recorded from the Fraction-arithmetic generators that preceded the
+    # integer-polynomial ones: a changed coefficient cannot pass silently
+    GOLDEN = {
+        "p": "3d008b330cc1e4ffc5bff89c423dbe52ef5c62b65f194a86fa62186a09dcb16c",
+        "q": "15161746b6134bfcbcb554a67c441e58800a24d2435e2fe3357f4cfd75a43a47",
+        "lambert": "8750cce73082b9bc4056411c1f3c14409133d22f5bd5a2303a65e095b78b5ed9",
+    }
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN))
+    def test_order_30_json_is_pinned(self, capsys, family):
+        code, out, _ = run(capsys, "series", "--family", family, "--order", "30", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[family]
 
 
 class TestIntegrate:
@@ -175,6 +191,15 @@ class TestLambert:
         )
         assert code == 0
         assert out.strip().endswith("PASS")
+
+    def test_unresolvable_remainder_exits_3(self, capsys):
+        # at x = 1e300 the root is resolved to about 1e275, far above the
+        # remainder scale (ln x / x)^(n+1); this used to print PASS on
+        # remainders of 0.0
+        code, out, err = run(capsys, "lambert", "--x-grid", "1e300")
+        assert code == 3
+        assert out == ""
+        assert "resolution" in err and "n = 0" in err and "x = 1e+300" in err
 
     def test_impossible_residual_exits_1(self, capsys):
         code, out, _ = run(capsys, "lambert", "--x-grid", "10,100", "--residual-tol", "1e-60")

@@ -12,11 +12,16 @@ Oracle layout:
 * p_n, q_k and ptilde_k are recomputed at rational points (c, z) by the
   generic series calculus of ``series_oracle``, one point at a time, which
   shares no code with the generators' w-polynomial composition table.
+* ptilde_0..ptilde_30 are pinned to the de Bruijn/Comtet closed form of
+  W_{-1} in Stirling cycle numbers, and p_0..p_6 to a sympy reversion of
+  G's expansion; neither uses the composition recursion.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from asymptode.errors import DomainError
 from asymptode.families import (
@@ -28,9 +33,10 @@ from asymptode.families import (
     gen_q,
     ode_residual_order,
 )
-from asymptode.series import BivariatePoly, poly_eval, rational_binomial
+from asymptode.series import BivariatePoly, poly_eval
 from series_oracle import (
     TruncatedSeries,
+    rational_binomial,
     series_compose_coeffs,
     series_reciprocal,
     sigma0,
@@ -299,6 +305,78 @@ class TestCompositionOracle:
         for k in range(self.N + 1):
             assert poly_eval(fam[k], F(0), z) == values[k], k
             assert _dense_value(fam.coeffs(k), z) == values[k], k
+
+
+def _stirling_cycle(n_max):
+    """[n, k] for 0 <= k <= n <= n_max: [n+1, k] = n [n, k] + [n, k-1]."""
+    table = [[1]]
+    for n in range(n_max):
+        row = table[-1] + [0]
+        table.append([n * row[k] + (row[k - 1] if k else 0) for k in range(n + 2)])
+    return table
+
+
+class TestLambertClosedForm:
+    def test_de_bruijn_comtet_to_30(self):
+        # y = x + ln x - sum_{k>=0, m>=1} c_km (ln x)^m / (-x)^(k+m) with
+        # c_km = (-1)^k [k+m, k+1] / m! (Corless, Gonnet, Hare, Jeffrey and
+        # Knuth, Adv. Comput. Math. 5, 1996, sec. 4), so the coefficient of
+        # z^m in ptilde_K is (-1)^(m+1) [K, K-m+1] / m!.
+        N = 30
+        cycle = _stirling_cycle(N)
+        fam = gen_lambert_p(N)
+        assert fam.coeffs(0) == (0, 1)
+        for K in range(1, N + 1):
+            expected = [F(0)] + [
+                F((-1) ** (m + 1) * cycle[K][K - m + 1], math.factorial(m))
+                for m in range(1, K + 1)
+            ]
+            assert fam.coeffs(K) == tuple(expected), K
+            assert fam[K] == BivariatePoly.z_poly(expected), K
+
+
+class TestSympyReversion:
+    def test_p_to_6(self):
+        # Solve G(y) = X for y = X + sum_k P_k / X^k order by order, with
+        # G(y) = y - 3 ln y + c - sum_{k>=1} (4^(k+1) beta_(k+1) / k) y^-k.
+        # In e = 1/X and L = ln X, with delta = sum_k P_k e^k:
+        #   delta - 3 ln(1 + e delta) - 3 L + c
+        #     - sum_k (4^(k+1) beta_(k+1) / k) e^k (1 + e delta)^-k = 0.
+        N = 6
+        e, L, c, u = sp.symbols("e L c u")
+        P = sp.symbols("P0:%d" % (N + 1))
+        betas = [sp.Rational(b.numerator, b.denominator) for b in gen_beta(N + 1).values]
+
+        def trunc(expr):
+            poly = sp.Poly(sp.expand(expr), e)
+            return sum(coef * e**k for (k,), coef in poly.terms() if k <= N)
+
+        delta = sum(P[k] * e**k for k in range(N + 1))
+
+        def compose(f):
+            # f(e delta) to order e^N, from sympy's Taylor series of f(u)
+            taylor = sp.series(f, u, 0, N + 1).removeO()
+            out, power = 0, 1
+            for j in range(N + 1):
+                out += taylor.coeff(u, j) * power
+                power = trunc(power * e * delta)
+            return trunc(out)
+
+        expr = delta - 3 * compose(sp.log(1 + u)) - 3 * L + c
+        for k in range(1, N + 1):
+            expr -= 4 ** (k + 1) * betas[k + 1] / k * e**k * compose((1 + u) ** (-k))
+        expr = sp.Poly(trunc(expr), e)
+        fam = gen_p(N)
+        solved = {}
+        for n in range(N + 1):
+            eq = sp.expand(expr.coeff_monomial(e**n).subs(solved))
+            assert sp.diff(eq, P[n]) == 1, n
+            solved[P[n]] = sp.expand(P[n] - eq)
+            terms = {
+                key: F(int(v.p), int(v.q))
+                for key, v in sp.Poly(solved[P[n]], c, L).terms()
+            }
+            assert fam[n] == BivariatePoly(terms), n
 
 
 class TestOdeResidual:

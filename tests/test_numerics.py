@@ -11,6 +11,7 @@ from mpmath import mp
 from asymptode.errors import AccuracyError, ConvergenceError, DomainError
 from asymptode.families import gen_beta
 from asymptode.numerics import (
+    _SERIES_ORDER,
     GProblem,
     InitialData,
     SolverConfig,
@@ -255,6 +256,24 @@ class TestComputeG:
     def test_rejects_below_anchor(self, problem):
         with pytest.raises(DomainError):
             compute_G(0.5, problem)
+
+    def test_series_tail_matches_termwise_integral(self, problem):
+        # above S, G(x) = G(S) + int_S^x sum beta_k (4/s)^k ds, integrated
+        # here term by term at 20 guard digits from the exact betas
+        betas = gen_beta(_SERIES_ORDER).values
+        S = problem.split
+        G_S = compute_G(S, problem)
+        for factor in (1.5, 1e3, 1e6):
+            with mp.workdps(problem.dps):
+                x = S * factor
+            got = compute_G(x, problem)
+            with mp.workdps(problem.dps + 20):
+                b = [mp.mpf(v.numerator) / v.denominator for v in betas]
+                ref = G_S + (x - S) + 4 * b[1] * mp.log(x / S) + mp.fsum(
+                    b[k] * mp.mpf(4) ** k * (S ** (1 - k) - x ** (1 - k)) / (k - 1)
+                    for k in range(2, len(b))
+                )
+                assert abs(got - ref) <= mp.mpf(10) ** (5 - problem.dps) * ref, factor
 
     def test_inversion_roundtrip_and_sandwich(self, problem):
         with mp.workdps(problem.dps):

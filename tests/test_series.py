@@ -20,10 +20,10 @@ from asymptode.series import (
     poly_eval,
     poly_from_json,
     poly_to_json,
-    rational_binomial,
 )
 from series_oracle import (
     TruncatedSeries,
+    rational_binomial,
     series_compose_coeffs,
     series_from_json,
     series_mul,
