@@ -15,6 +15,22 @@ the exact local Taylor series of the solution at each accepted point:
   integrated downward from z0 toward the singular point z = 0, with the same
   incremental reciprocal trick for 1/g.
 
+The coefficient recurrences run on fixed-point integers rather than mpf
+objects (the standard way to run such recurrences, Brent & Zimmermann,
+Modern Computer Arithmetic, 2010, ch. 3-4): coefficient j of a series is
+the int mantissa of its scaled value a_j rho^j at the binary scale 2^-F,
+with F at least mp.prec + 64 guard bits (more when the series' leading
+value is below 1, so that it keeps that many significant bits).
+rho = 2^k is a power of two at or above the step, so the scaled
+coefficients stay O(1), their errors are not amplified over the step, and
+rho enters as shifts: for g, rho lies just above z_s, since g's steps stay
+below 0.45 z_s; for the trajectory, rho is set between two and four times
+the previous step's guess, and the coefficients are recomputed with a
+wider rho in the rare case the new guess exceeds it.  Every convolution
+coefficient is one exact integer dot product shifted once, and every
+coefficient is rounded once into an mpf on the way out; the stored steps,
+the step control and the dense output work on those mpfs.
+
 The series order is tied to the working precision; the step size comes from
 a coefficient-ratio estimate of the local radius of convergence and is
 verified against the tolerance by the size of the last retained terms, with
@@ -53,9 +69,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Sequence
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import (
     AccuracyError,
@@ -85,6 +103,7 @@ __all__ = [
 ]
 
 _SERIES_ORDER = 24  # truncation used for g and 1/g below the crossover
+_GUARD_BITS = 64  # fixed-point bits of the Taylor kernels below mp.prec
 
 
 def _require_finite(**values) -> None:
@@ -179,7 +198,12 @@ def _tail_estimate(coeffs: Sequence, h, count: int = 3):
 
 
 def _step_guess(coeff_sets, eps_loc, order):
-    """Largest step for which the top Taylor terms stay below eps_loc."""
+    """Largest step for which the top Taylor terms stay below eps_loc.
+
+    Infinite when every top term is zero, as it is when the terms fall below
+    the kernels' fixed-point resolution: the caller's caps and the
+    acceptance test then bound the step.
+    """
     best = None
     for coeffs in coeff_sets:
         for j in (order, order - 1):
@@ -189,71 +213,130 @@ def _step_guess(coeff_sets, eps_loc, order):
                 if best is None or cand < best:
                     best = cand
     if best is None:
-        return mp.one  # locally polynomial; no scale to respect
+        return mp.inf
     return mp.mpf("0.8") * best
 
 
-def _h_system_coeffs(x0, y0, order):
+def _fixed(v, F):
+    """Mantissa of the mpf v at the binary scale 2^-F (truncated)."""
+    return to_fixed(v._mpf_, F)
+
+
+def _shift(m, k):
+    """m 2^k for a signed shift k, flooring when k < 0."""
+    return m << k if k >= 0 else m >> -k
+
+
+def _fixed_scale(v):
+    """F for a series whose leading value v must keep mp.prec + _GUARD_BITS
+    bits: the guard bits, plus the binary magnitude of v when |v| < 1."""
+    return mp.prec + _GUARD_BITS + max(0, -mp.mag(v))
+
+
+def _unscale(head, mants, F, k):
+    """[head] + the mpf values mants[j] 2^(-F - k j) for j >= 1.
+
+    Undoes the fixed-point scale and the rho = 2^k scaling of the independent
+    variable with one rounding to mp.prec per coefficient; the j = 0 entry is
+    the caller's own mpf, passed through unchanged.
+    """
+    prec = mp.prec
+    return [head] + [
+        mp.make_mpf(from_man_exp(m, -F - k * j, prec, round_nearest))
+        for j, m in enumerate(mants[1:], 1)
+    ]
+
+
+def _h_system_coeffs(x0, y0, order, k):
     """Taylor coefficients at one point for x' = y, y' = x^{-3} - y.
 
-    Uses the reciprocal recurrence for v = 1/x and incremental products for
-    v^3, so the cost is O(order^2) multiplications.
+    Fixed point: coefficient j of each series is held as the int mantissa of
+    its scaled value X_j rho^j at scale 2^-F, where rho = 2^k is a power of
+    two at or above the step (so the scaled coefficients stay O(1) and their
+    errors are not amplified on [0, rho]) and F = _fixed_scale(x0), at least
+    _GUARD_BITS bits finer than the working precision.  The reciprocal
+    v = 1/x follows from x v = 1 and x^{-3} = v^2 v from two more
+    convolutions, each an exact integer dot product shifted once:
+    O(order^2) int multiplications.  Differentiation multiplies by rho, a
+    shift by k.
     """
-    X = [x0]
-    Y = [y0]
-    V = [1 / x0]
-    V2 = [V[0] * V[0]]
-    U = [V2[0] * V[0]]  # x^{-3}
-    inv_x0 = V[0]
+    F = _fixed_scale(x0)
+    X = [_fixed(x0, F)]
+    Y = [_fixed(y0, F)]
+    v0 = (1 << 2 * F) // X[0]
+    V = [v0]
+    V2 = [v0 * v0 >> F]
+    U = [V2[0] * v0 >> F]  # x^{-3}
     for j in range(order):
-        X.append(Y[j] / (j + 1))
-        Y.append((U[j] - Y[j]) / (j + 1))
         m = j + 1
-        V.append(-inv_x0 * mp.fsum(X[i] * V[m - i] for i in range(1, m + 1)))
-        V2.append(mp.fsum(V[i] * V[m - i] for i in range(m + 1)))
-        U.append(mp.fsum(V2[i] * V[m - i] for i in range(m + 1)))
-    return X, Y
+        X.append(_shift(Y[j], k) // m)
+        Y.append(_shift(U[j] - Y[j], k) // m)
+        if m == order:
+            break
+        V.append(-(v0 * (sum(map(mul, X[1:], reversed(V))) >> F)) >> F)
+        V2.append(sum(map(mul, V, reversed(V))) >> F)
+        U.append(sum(map(mul, V2, reversed(V))) >> F)
+    return _unscale(x0, X, F, k), _unscale(y0, Y, F, k)
 
 
 def _g_equation_coeffs(z_s, g_s, order):
-    """Taylor coefficients of g at z_s for z^2 g' = 1 - 1/g - (3/4) z g."""
-    C = [g_s]
-    R = [1 / g_s]  # 1/g
-    inv_g0 = R[0]
-    zs2 = z_s * z_s
-    three_q = mp.mpf(3) / 4
+    """Taylor coefficients of g at z_s for z^2 g' = 1 - 1/g - (3/4) z g.
+
+    Same fixed-point representation as _h_system_coeffs, with
+    F = _fixed_scale(g_s), rho = 2^k the power of two just above z_s (steps
+    stay below 0.45 z_s) and zeta = z_s / rho in [1/2, 1).  In scaled
+    coefficients the recurrence is
+    c_{j+1} = ((delta_{j0} - r_j) / rho - (2j + 3/4) zeta c_j
+    - (j - 1/4) c_{j-1}) / (zeta^2 (j + 1)), and 1/g follows from g r = 1
+    by one convolution per coefficient.  Returns g's coefficients as mpfs
+    and the 1/g series (R, F, k) in fixed point, for
+    _running_integral_coeffs.
+    """
+    F = _fixed_scale(g_s)
+    k = mp.mag(z_s)
+    zeta = _fixed(z_s, F - k)
+    inv_zeta2 = (1 << 3 * F) // (zeta * zeta)
+    C = [_fixed(g_s, F)]
+    r0 = (1 << 2 * F) // C[0]
+    R = [r0]
     for j in range(order):
-        c_jm1 = C[j - 1] if j >= 1 else mp.zero
-        rhs = (mp.one if j == 0 else mp.zero) - R[j]
-        rhs -= three_q * (z_s * C[j] + c_jm1)
-        rhs -= 2 * z_s * j * C[j] + (j - 1) * c_jm1
-        C.append(rhs / (zs2 * (j + 1)))
-        m = j + 1
-        R.append(-inv_g0 * mp.fsum(C[i] * R[m - i] for i in range(1, m + 1)))
-    return C, R
+        num = -R[j]
+        if j == 0:
+            num += 1 << F
+        num = _shift(num, -k) - ((8 * j + 3) * zeta * C[j] >> F + 2)
+        if j >= 1:
+            num -= (4 * j - 1) * C[j - 1] >> 2
+        C.append((num * inv_zeta2 >> F) // (j + 1))
+        R.append(-(r0 * (sum(map(mul, C[1:], reversed(R))) >> F)) >> F)
+    return _unscale(g_s, C, F, k), (R, F, k)
 
 
-def _running_integral_coeffs(z_s, R, base):
+def _running_integral_coeffs(z_s, recip, base):
     """Taylor coefficients at z_s of I(z) = base + int_z^{z_s} r.
 
     r(z) = (1/g - 1 + 3z/4) 4/z^2 is the regular integrand of G and c, and
-    R holds the coefficients of 1/g at z_s.  With z = z_s + u, the identity
-    r (z_s + u)^2 = 4 (R - 1 + 3 (z_s + u)/4) gives r's coefficients F_k in
-    O(order); I' = -r integrates them termwise.
+    recip = (R, F, k) is the fixed-point 1/g series at z_s from
+    _g_equation_coeffs (mantissas R at scale 2^-F, rho = 2^k).  With
+    z = z_s + u, the identity r (z_s + u)^2 = 4 (1/g - 1 + 3 (z_s + u)/4)
+    gives r's scaled coefficients
+    f_j = (4 d_j / rho^2 - 2 zeta f_{j-1} - f_{j-2}) / zeta^2 in O(order),
+    with d the scaled coefficients of the right-hand side; I' = -r
+    integrates them termwise, one shift by k each.
     """
-    zs2 = z_s * z_s
+    R, F, k = recip
+    zeta = _fixed(z_s, F - k)
+    inv_zeta2 = (1 << 3 * F) // (zeta * zeta)
     D = list(R)
-    D[0] += 3 * z_s / 4 - 1
-    D[1] += mp.mpf(3) / 4
-    F = []
-    for k, d_k in enumerate(D):
-        acc = 4 * d_k
-        if k >= 1:
-            acc -= 2 * z_s * F[k - 1]
-        if k >= 2:
-            acc -= F[k - 2]
-        F.append(acc / zs2)
-    return [base] + [-f / (k + 1) for k, f in enumerate(F)]
+    D[0] += (_shift(3 * zeta, k) >> 2) - (1 << F)
+    D[1] += 3 << F + k - 2
+    f_prev2 = f_prev = 0
+    I = [None]  # I_0 is base, passed through by _unscale
+    for j, d in enumerate(D):
+        acc = _shift(d, 2 - 2 * k) - (zeta * f_prev >> F - 1) - f_prev2
+        f = acc * inv_zeta2 >> F
+        I.append(-_shift(f, k) // (j + 1))
+        f_prev2, f_prev = f_prev, f
+    return _unscale(base, I, F, k)
 
 
 @dataclass
@@ -461,18 +544,24 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
         steps: list[_Step] = []
         rejected = 0
         reduction = None
+        k = 0  # the kernels' scale rho = 2^k, kept at or above the step
         while t < t_max:
             if len(steps) >= cfg.max_steps:
                 raise IntegrationError(
                     f"step budget {cfg.max_steps} exhausted at t={t}"
                 )
-            X, Y = _h_system_coeffs(x, y, order)
             eps_loc = mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * max(
                 abs(x), abs(y)
             )
-            h = _step_guess((X, Y), eps_loc, order)
-            if t + h > t_max:
-                h = t_max - t
+            while True:
+                X, Y = _h_system_coeffs(x, y, order, k)
+                h = _step_guess((X, Y), eps_loc, order)
+                if t + h > t_max:
+                    h = t_max - t
+                fits = h <= mp.ldexp(1, k)
+                k = mp.mag(h) + 1  # rho in (2h, 4h]; recompute if h outgrew it
+                if fits:
+                    break
             halvings = 0
             while True:
                 est = max(_tail_estimate(X, h), _tail_estimate(Y, h))
@@ -542,18 +631,30 @@ class GProblem:
     head of c are read off I; the caches are the memoized constant c, G(S),
     the base of every G evaluation above the split, and the weights and S
     part of the series integral above it.
+
+    ``anchor`` = h0^4 = 4/z0 is the lower limit of G and ``split`` = S =
+    4/z_c the point beyond which G uses the series tail; both, and the
+    domain bounds of eval_g and compute_G (a relative slack of 10^(4-dps)),
+    are fixed when the problem is built.  ``n_rejected`` counts the
+    integrator's rejected trial steps.
     """
 
-    def __init__(self, z0, g0, z_c, steps, cfg, dps, ode_err):
+    def __init__(self, z0, g0, z_c, steps, cfg, dps, ode_err, rejected=0):
         self.z0 = z0
         self.g0 = g0
         self.z_c = z_c
         self.cfg = cfg
         self.dps = dps
         self.ode_err = ode_err
+        self.n_rejected = rejected
         self._steps = steps  # descending t_start; each covers [start-len, start]
         self._neg_starts = [-s.t_start for s in steps]  # ascending, for bisect
         with mp.workdps(dps):
+            self.anchor = 4 / z0
+            self.split = 4 / z_c
+            slack = mp.mpf(10) ** (4 - dps)
+            self._z_max = z0 * (1 + slack)  # eval_g's upper bound
+            self._x_min = self.anchor * (1 - slack)  # compute_G's lower bound
             alphas = gen_alpha(_SERIES_ORDER).values
             self._alpha_mpf = [
                 mp.mpf(a.numerator) / a.denominator for a in alphas
@@ -563,18 +664,6 @@ class GProblem:
         self._c = None
         self._G_split = None
         self._tail = None  # series weights above S and their S part
-
-    @property
-    def anchor(self):
-        """Lower integration limit of G, equal to h0^4 = 4/z0."""
-        with mp.workdps(self.dps):
-            return 4 / self.z0
-
-    @property
-    def split(self):
-        """Point S = 4/z_c beyond which G uses the series tail."""
-        with mp.workdps(self.dps):
-            return 4 / self.z_c
 
     def _step_at(self, z):
         """The Taylor piece covering z, for z_c < z <= z0."""
@@ -594,7 +683,7 @@ class GProblem:
             z = mp.mpf(z)
             if z <= 0:
                 raise DomainError("g is defined on (0, z0]")
-            if z > self.z0 * (1 + mp.mpf(10) ** (-self.dps + 4)):
+            if z > self._z_max:
                 raise DomainError(f"z={z} beyond the initial point z0={self.z0}")
             if z <= self.z_c or not self._steps:
                 return _horner(self._alpha_mpf, z)
@@ -689,8 +778,8 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
                 raise IntegrationError(
                     f"step budget {cfg.max_steps} exhausted at z={z}"
                 )
-            C, R = _g_equation_coeffs(z, g, order)
-            I = _running_integral_coeffs(z, R, i_cum)
+            C, recip = _g_equation_coeffs(z, g, order)
+            I = _running_integral_coeffs(z, recip, i_cum)
             eps_loc = mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * abs(g)
             h = _step_guess((C,), eps_loc, order)
             h = min(h, mp.mpf("0.45") * z)  # stay clear of the z = 0 singularity
@@ -719,7 +808,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
             g = g_new
             i_cum = _horner(I, -h)
 
-        problem = GProblem(z0, g0, z_c, steps, cfg, dps, cum_err)
+        problem = GProblem(z0, g0, z_c, steps, cfg, dps, cum_err, rejected)
         series_at_zc = _horner(problem._alpha_mpf, z_c)
         agree_tol = (
             1000 * trunc_est(z_c) + 100 * cum_err + mp.mpf(10) ** (-(dps - 6))
@@ -802,7 +891,7 @@ def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
     with mp.workdps(problem.dps):
         x = mp.mpf(x)
         anchor = problem.anchor
-        if x < anchor * (1 - mp.mpf(10) ** (-problem.dps + 4)):
+        if x < problem._x_min:
             raise DomainError(f"G is defined for x >= h0^4 = {anchor}")
         x = max(x, anchor)
         S = problem.split
@@ -877,7 +966,9 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
     y_{n+1} = x + y_n - G(y_n) from y_0 = x, which is monotone increasing
     with contraction ratio 4/x; the monotonicity and the ratio are monitored,
     and any violation (or small x to begin with) routes to a safeguarded
-    Newton/bisection with G'(y) = 1/g(4/y).
+    Newton/bisection with G'(y) = 1/g(4/y).  Both stop at |G(y) - x| <=
+    fp_tol / 2, or when their next iterate equals y at working precision:
+    for large h0^4 the absolute fp_tol can lie below G's rounding floor.
     """
     cfg = cfg or problem.cfg
     with mp.workdps(problem.dps):
@@ -896,6 +987,8 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
                 delta = x - compute_G(y, problem, cfg)
                 if abs(delta) <= fp_tol / 2:
                     return y + delta
+                if y + delta == y:
+                    return y  # fp_tol is below G's rounding floor at y
                 if delta < -fp_tol:
                     ok = False  # iterates must increase
                     break
@@ -937,6 +1030,8 @@ def _invert_G_bracketed(x, problem: GProblem, cfg: SolverConfig):
                 lo = y
             slope = 1 / problem.eval_g(4 / y)
             y_next = y - res / slope
+            if y_next == y:
+                return y  # fp_tol is below G's rounding floor at y
             if not (lo < y_next < hi):
                 y_next = (lo + hi) / 2
             y = y_next

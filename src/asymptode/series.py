@@ -39,6 +39,8 @@ RationalLike = Union[Fraction, int, str]
 
 
 def _as_rational(value: RationalLike) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise DomainError(
             "refusing to build an exact coefficient from a float; "
@@ -134,8 +136,9 @@ class BivariatePoly:
         pieces: list[str] = []
         for (i, j), value in self.sorted_terms():
             factors = []
-            if abs(value) != 1 or (i == 0 and j == 0):
-                factors.append(str(abs(value)))
+            mag = abs(value)
+            if mag != 1 or (i == 0 and j == 0):
+                factors.append(str(mag))
             if j:
                 factors.append("z" if j == 1 else f"z^{j}")
             if i:

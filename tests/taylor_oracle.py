@@ -1,0 +1,77 @@
+"""Taylor-coefficient recurrences in mpf arithmetic: a test oracle.
+
+``asymptode.numerics`` builds the local Taylor series of its two ODEs on
+fixed-point integers (one int mantissa per scaled coefficient).  This
+module keeps the textbook form of the same three recurrences, one mpf
+``fsum`` per convolution coefficient at the caller's working precision, so
+the integer kernels can be checked against it at a higher precision:
+
+* ``h_system_coeffs(x0, y0, order)``: x' = y, y' = x^{-3} - y, with the
+  reciprocal recurrence for v = 1/x and v^3 by two convolutions;
+* ``g_equation_coeffs(z_s, g_s, order)``: z^2 g' = 1 - 1/g - (3/4) z g and
+  the reciprocal series of g;
+* ``running_integral_coeffs(z_s, R, base)``: I(z) = base + int_z^{z_s} r
+  for r = (1/g - 1 + 3z/4) 4/z^2, from the coefficients R of 1/g.
+"""
+
+from __future__ import annotations
+
+from mpmath import mp
+
+
+def h_system_coeffs(x0, y0, order):
+    """Taylor coefficients (X, Y) at one point for x' = y, y' = x^{-3} - y."""
+    X = [x0]
+    Y = [y0]
+    V = [1 / x0]
+    V2 = [V[0] * V[0]]
+    U = [V2[0] * V[0]]  # x^{-3}
+    inv_x0 = V[0]
+    for j in range(order):
+        X.append(Y[j] / (j + 1))
+        Y.append((U[j] - Y[j]) / (j + 1))
+        m = j + 1
+        V.append(-inv_x0 * mp.fsum(X[i] * V[m - i] for i in range(1, m + 1)))
+        V2.append(mp.fsum(V[i] * V[m - i] for i in range(m + 1)))
+        U.append(mp.fsum(V2[i] * V[m - i] for i in range(m + 1)))
+    return X, Y
+
+
+def g_equation_coeffs(z_s, g_s, order):
+    """Taylor coefficients (C, R) at z_s of g and 1/g for
+    z^2 g' = 1 - 1/g - (3/4) z g."""
+    C = [g_s]
+    R = [1 / g_s]  # 1/g
+    inv_g0 = R[0]
+    zs2 = z_s * z_s
+    three_q = mp.mpf(3) / 4
+    for j in range(order):
+        c_jm1 = C[j - 1] if j >= 1 else mp.zero
+        rhs = (mp.one if j == 0 else mp.zero) - R[j]
+        rhs -= three_q * (z_s * C[j] + c_jm1)
+        rhs -= 2 * z_s * j * C[j] + (j - 1) * c_jm1
+        C.append(rhs / (zs2 * (j + 1)))
+        m = j + 1
+        R.append(-inv_g0 * mp.fsum(C[i] * R[m - i] for i in range(1, m + 1)))
+    return C, R
+
+
+def running_integral_coeffs(z_s, R, base):
+    """Taylor coefficients at z_s of I(z) = base + int_z^{z_s} r.
+
+    With z = z_s + u, the identity r (z_s + u)^2 = 4 (R - 1 + 3 (z_s + u)/4)
+    gives r's coefficients F_k in O(order); I' = -r integrates them termwise.
+    """
+    zs2 = z_s * z_s
+    D = list(R)
+    D[0] += 3 * z_s / 4 - 1
+    D[1] += mp.mpf(3) / 4
+    F = []
+    for k, d_k in enumerate(D):
+        acc = 4 * d_k
+        if k >= 1:
+            acc -= 2 * z_s * F[k - 1]
+        if k >= 2:
+            acc -= F[k - 2]
+        F.append(acc / zs2)
+    return [base] + [-f / (k + 1) for k, f in enumerate(F)]

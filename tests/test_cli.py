@@ -65,6 +65,28 @@ class TestSeries:
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[family]
 
 
+class TestNumericPins:
+    # SHA-256 of the stdout of the numeric commands, recorded from the mpf
+    # Taylor recurrences that preceded the fixed-point kernels: the printed
+    # numbers of the numeric layer cannot move silently either
+    GOLDEN = {
+        "constant --h0 1 --h1 1":
+            "736291bf4871ccb0097f36ed4bd804eb4131c2f11cbd8fc7dad662222ff12e04",
+        "constant --h0 2 --h1 0.5":
+            "e38f0f8b7e16e5b5755a103095f3bab65e1a45ce311e785f61fc7979dd097eaa",
+        "integrate --t-max 1e6 --format csv":
+            "c9004cbb6429462ddbfeadb4585b5cff2211c6d90d9ff94b2e4e1bddf18ed271",
+        "verify --format json":
+            "ead25f63e022abf7eb38aa9d59e577175b9615416303714706a43b331307fc54",
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_stdout_is_pinned(self, capsys, command):
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[command]
+
+
 class TestIntegrate:
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "integrate", "--t-max", "100", "--format", "csv")

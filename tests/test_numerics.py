@@ -8,14 +8,20 @@ checking agreement well beyond the asserted tolerances.
 import pytest
 from mpmath import mp
 
+import taylor_oracle as oracle
 from asymptode.errors import AccuracyError, ConvergenceError, DomainError
 from asymptode.families import gen_beta
 from asymptode.numerics import (
+    _GUARD_BITS,
     _SERIES_ORDER,
     GProblem,
     InitialData,
     SolverConfig,
     Trajectory,
+    _g_equation_coeffs,
+    _h_system_coeffs,
+    _running_integral_coeffs,
+    _step_guess,
     compute_G,
     compute_c,
     compute_c_for_data,
@@ -378,6 +384,119 @@ class TestQuadratureOracle:
             G_S = G_mid + self._quad(G_integrand, x_mid, S)
             assert abs(compute_G(x_mid, prob) - G_mid) < tol
             assert abs(compute_G(S, prob) - G_S) < tol
+
+
+class TestTaylorKernels:
+    """The fixed-point Taylor kernels against the mpf recurrences.
+
+    Each kernel runs at 40 digits with the Taylor order of rel 1e-22; the
+    reference (tests/taylor_oracle.py, one mpf fsum per convolution
+    coefficient) runs 20 digits higher.  Coefficient j of every series must
+    agree to 2^-(prec-4) of the series' largest |coefficient rho^j|, with
+    rho = 2^k the kernel's scale.
+    """
+
+    DPS = 40
+    ORDER = SolverConfig(rel_tol=1e-22, abs_tol=1e-24).taylor_order
+
+    @staticmethod
+    def _assert_close(got, ref, k, prec):
+        assert len(got) == len(ref)
+        rho = mp.ldexp(1, k)
+        scale = max(abs(b) * rho**j for j, b in enumerate(ref))
+        tol = mp.ldexp(scale, 4 - prec)
+        for j, (a, b) in enumerate(zip(got, ref)):
+            assert abs(a - b) * rho**j <= tol, (j, a, b)
+
+    @pytest.mark.parametrize("x0", [1e-80, 1e-3, 0.05, 1, 30, 1e3])
+    @pytest.mark.parametrize("y0", [-2.5, 0.7])
+    def test_h_system(self, x0, y0):
+        with mp.workdps(self.DPS + 20):
+            x0, y0 = mp.mpf(x0), mp.mpf(y0)
+            X_ref, Y_ref = oracle.h_system_coeffs(x0, y0, self.ORDER)
+            eps_loc = mp.mpf(1e-24) + mp.mpf(1e-22) * max(abs(x0), abs(y0))
+            step = _step_guess((X_ref, Y_ref), eps_loc, self.ORDER)
+        # the integrator keeps rho at or above the step: test rho in
+        # (step, 2 step], in (2 step, 4 step] and far above the step
+        for k in (mp.mag(step), mp.mag(step) + 1, mp.mag(step) + 8):
+            with mp.workdps(self.DPS):
+                prec = mp.prec
+                X, Y = _h_system_coeffs(x0, y0, self.ORDER, k)
+            with mp.workdps(self.DPS + 20):
+                self._assert_close(X, X_ref, k, prec)
+                self._assert_close(Y, Y_ref, k, prec)
+
+    @pytest.mark.parametrize("z_s", [0.0099, 0.3, 4, 400])
+    @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
+    def test_g_equation_and_running_integral(self, z_s, g_s):
+        with mp.workdps(self.DPS + 20):
+            z_s, g_s, base = mp.mpf(z_s), mp.mpf(g_s), mp.mpf("0.37")
+            C_ref, R_ref = oracle.g_equation_coeffs(z_s, g_s, self.ORDER)
+            I_ref = oracle.running_integral_coeffs(z_s, R_ref, base)
+        with mp.workdps(self.DPS):
+            prec = mp.prec
+            C, recip = _g_equation_coeffs(z_s, g_s, self.ORDER)
+            I = _running_integral_coeffs(z_s, recip, base)
+        R, F, k = recip
+        assert F >= prec + _GUARD_BITS
+        assert mp.ldexp(1, k - 1) <= z_s < mp.ldexp(1, k)
+        with mp.workdps(self.DPS + 20):
+            self._assert_close(C, C_ref, k, prec)
+            R_mpf = [mp.ldexp(r, -F - k * j) for j, r in enumerate(R)]
+            self._assert_close(R_mpf, R_ref, k, prec)
+            self._assert_close(I, I_ref, k, prec)
+
+
+class TestStepSequences:
+    """Step and rejection counts at the verify tolerances.
+
+    The Taylor kernels change only the last bits of the coefficients, so a
+    kernel change that moves step control shows here as a count.
+    """
+
+    CFG = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
+
+    @pytest.mark.parametrize(
+        "h0,h1,steps,g_steps", [(1, 1, 19, 0), (2, 0.5, 15, 1)]
+    )
+    def test_integrate_h(self, h0, h1, steps, g_steps):
+        traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.CFG)
+        assert (traj.n_steps, traj.n_rejected) == (steps, 0)
+        assert traj.stats["g_steps"] == g_steps
+
+    @pytest.mark.parametrize(
+        "h0,h1,g_steps", [(1, 1, 21), (2, 0.5, 14), (0.5, 2, 35)]
+    )
+    def test_solve_g(self, h0, h1, g_steps):
+        prob, t_base = g_problem_for_data(InitialData(0, h0, h1), self.CFG)
+        assert t_base == 0
+        assert (len(prob._steps), prob.n_rejected) == (g_steps, 0)
+
+
+class TestInversionFloor:
+    """At h ~ 500 and beyond, h^4 ~ 1e11: the absolute tolerance of the
+    trajectory's inversion (1e-29 at rel 1e-18) lies below the rounding
+    floor of G there, so the inversion must stop once its iterate no longer
+    moves at working precision instead of spinning to its iteration cap."""
+
+    CFG = SolverConfig(rel_tol=1e-18, abs_tol=1e-20, fp_tol=1e-29)
+
+    @pytest.mark.parametrize("h0", [10**2.6875, 1000])
+    def test_large_h0_resolves_to_the_reference(self, h0):
+        data = InitialData(0, h0, -0.7)
+        traj = integrate_h(data, 1e5, self.CFG)
+        ref = integrate_h(data, 1e5, SolverConfig(rel_tol=1e-30, abs_tol=1e-32))
+        with mp.workdps(60):
+            err = abs(traj.eval_h(1e5) - ref.eval_h(1e5))
+            assert err <= traj.err_bound(1e5)
+
+    def test_bracketed_solver_stops_at_the_floor(self):
+        # arguments up to 8 go to the bracketed Newton solver directly
+        prob = integrate_h(InitialData(0, 1000, -0.7), 1e5, self.CFG).g_problem
+        with mp.workdps(prob.dps):
+            for x in (3, 7.9):
+                y = invert_G(x, prob, self.CFG)
+                assert abs(compute_G(y, prob) - x) <= mp.mpf(10) ** (2 - prob.dps) * y
 
 
 class TestLambertRoot:
