@@ -21,11 +21,9 @@ from .numerics import (
     compute_c,
     compute_c_for_data,
     g_problem_for_data,
-    gproblem_to_json,
     integrate_h,
     invert_G,
     lambert_wm1_numeric,
-    map_to_radial,
     solve_g,
     trajectory_to_csv,
 )

@@ -27,9 +27,16 @@ rho enters as shifts: for g, rho lies just above z_s, since g's steps stay
 below 0.45 z_s; for the trajectory, rho is set between two and four times
 the previous step's guess, and the coefficients are recomputed with a
 wider rho in the rare case the new guess exceeds it.  Every convolution
-coefficient is one exact integer dot product shifted once, and every
-coefficient is rounded once into an mpf on the way out; the stored steps,
-the step control and the dense output work on those mpfs.
+coefficient is one exact integer dot product shifted once.
+
+The step loops stay on the mantissas as well.  The values at a step end
+are one integer Horner evaluation each in u = h / rho, rounded once into
+an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  The step guess
+and the truncation estimate read only the top three coefficients, which
+are the only ones rounded into mpfs during stepping; the estimate is
+summed in mpf because it is a bound that must keep its relative accuracy
+where the terms fall below 2^-F.  A stored step keeps its mantissas until
+dense output first reads it, and then holds the mpf coefficients instead.
 
 The series order is tied to the working precision; the step size comes from
 a coefficient-ratio estimate of the local radius of convergence and is
@@ -89,7 +96,6 @@ __all__ = [
     "Trajectory",
     "GProblem",
     "integrate_h",
-    "map_to_radial",
     "solve_g",
     "compute_G",
     "compute_c",
@@ -99,7 +105,6 @@ __all__ = [
     "g_problem_for_data",
     "compute_c_for_data",
     "trajectory_to_csv",
-    "gproblem_to_json",
 ]
 
 _SERIES_ORDER = 24  # truncation used for g and 1/g below the crossover
@@ -185,29 +190,18 @@ def _horner(coeffs: Sequence, u):
     return acc
 
 
-def _tail_estimate(coeffs: Sequence, h, count: int = 3):
-    """Crude truncation bound: twice the sum of the last ``count`` terms at h."""
-    top = len(coeffs) - 1
-    lo = max(1, top - count + 1)
-    est = mp.zero
-    hp = abs(h) ** lo
-    for j in range(lo, top + 1):
-        est += abs(coeffs[j]) * hp
-        hp *= abs(h)
-    return 2 * est
-
-
 def _step_guess(coeff_sets, eps_loc, order):
     """Largest step for which the top Taylor terms stay below eps_loc.
 
-    Infinite when every top term is zero, as it is when the terms fall below
-    the kernels' fixed-point resolution: the caller's caps and the
-    acceptance test then bound the step.
+    Reads the last two entries of each set, the coefficients of degree
+    ``order`` and ``order - 1``.  Infinite when every one of them is zero, as
+    it is when the terms fall below the kernels' fixed-point resolution: the
+    caller's caps and the acceptance test then bound the step.
     """
     best = None
     for coeffs in coeff_sets:
-        for j in (order, order - 1):
-            mag = abs(coeffs[j])
+        for j, c in ((order, coeffs[-1]), (order - 1, coeffs[-2])):
+            mag = abs(c)
             if mag != 0:
                 cand = (eps_loc / mag) ** (mp.one / j)
                 if best is None or cand < best:
@@ -233,6 +227,11 @@ def _fixed_scale(v):
     return mp.prec + _GUARD_BITS + max(0, -mp.mag(v))
 
 
+def _to_mpf(m, e):
+    """The mpf m 2^e, rounded once to mp.prec."""
+    return mp.make_mpf(from_man_exp(m, e, mp.prec, round_nearest))
+
+
 def _unscale(head, mants, F, k):
     """[head] + the mpf values mants[j] 2^(-F - k j) for j >= 1.
 
@@ -240,11 +239,48 @@ def _unscale(head, mants, F, k):
     variable with one rounding to mp.prec per coefficient; the j = 0 entry is
     the caller's own mpf, passed through unchanged.
     """
-    prec = mp.prec
-    return [head] + [
-        mp.make_mpf(from_man_exp(m, -F - k * j, prec, round_nearest))
-        for j, m in enumerate(mants[1:], 1)
-    ]
+    return [head] + [_to_mpf(m, -F - k * j) for j, m in enumerate(mants[1:], 1)]
+
+
+def _top_coeffs(mants, F, k):
+    """The three highest coefficients as mpfs, unscaled as _unscale would."""
+    top = len(mants) - 1
+    return [_to_mpf(mants[j], -F - k * j) for j in range(top - 2, top + 1)]
+
+
+def _tail_estimate(tops, top, h):
+    """Crude truncation bound: twice the sum of the last three terms at h.
+
+    ``tops`` are the coefficients of degree top - 2 .. top as mpfs.  The sum
+    runs in mpf, not at the kernels' absolute scale 2^-F: it is a bound
+    compared against the local tolerance and must keep its relative accuracy
+    when the terms fall far below 2^-F.
+    """
+    a = abs(h)
+    hp = a ** (top - 2)
+    est = mp.zero
+    for c in tops:
+        est += abs(c) * hp
+        hp *= a
+    return 2 * est
+
+
+def _fixed_eval(mants, h, F, k):
+    """A kernel's series at the offset h, by integer Horner, rounded once.
+
+    mants are the scaled mantissas at scale 2^-F and rho = 2^k, so the
+    Horner variable is u = h / rho.  U holds u at the scale 2^-E, with E
+    extended past F when |u| < 1 so that U keeps F significant bits: at a
+    fixed 2^-F a short step (h far below rho, as on a first step or after
+    halvings) would lose u altogether.  Each Horner stage floors once at
+    2^-F, far below the rounding of the result.
+    """
+    E = F + max(0, k - mp.mag(h))
+    U = _fixed(h, E - k)
+    acc = mants[-1]
+    for m in reversed(mants[:-1]):
+        acc = (acc * U >> E) + m
+    return _to_mpf(acc, -F)
 
 
 def _h_system_coeffs(x0, y0, order, k):
@@ -258,7 +294,8 @@ def _h_system_coeffs(x0, y0, order, k):
     v = 1/x follows from x v = 1 and x^{-3} = v^2 v from two more
     convolutions, each an exact integer dot product shifted once:
     O(order^2) int multiplications.  Differentiation multiplies by rho, a
-    shift by k.
+    shift by k.  Returns the mantissas (X, Y) and F; the j = 0 entries are
+    x0 and y0 at scale 2^-F, exactly.
     """
     F = _fixed_scale(x0)
     X = [_fixed(x0, F)]
@@ -276,7 +313,7 @@ def _h_system_coeffs(x0, y0, order, k):
         V.append(-(v0 * (sum(map(mul, X[1:], reversed(V))) >> F)) >> F)
         V2.append(sum(map(mul, V, reversed(V))) >> F)
         U.append(sum(map(mul, V2, reversed(V))) >> F)
-    return _unscale(x0, X, F, k), _unscale(y0, Y, F, k)
+    return X, Y, F
 
 
 def _g_equation_coeffs(z_s, g_s, order):
@@ -288,9 +325,8 @@ def _g_equation_coeffs(z_s, g_s, order):
     coefficients the recurrence is
     c_{j+1} = ((delta_{j0} - r_j) / rho - (2j + 3/4) zeta c_j
     - (j - 1/4) c_{j-1}) / (zeta^2 (j + 1)), and 1/g follows from g r = 1
-    by one convolution per coefficient.  Returns g's coefficients as mpfs
-    and the 1/g series (R, F, k) in fixed point, for
-    _running_integral_coeffs.
+    by one convolution per coefficient.  Returns the mantissas of g and of
+    1/g, F and k; the 1/g series feeds _running_integral_coeffs.
     """
     F = _fixed_scale(g_s)
     k = mp.mag(z_s)
@@ -308,44 +344,70 @@ def _g_equation_coeffs(z_s, g_s, order):
             num -= (4 * j - 1) * C[j - 1] >> 2
         C.append((num * inv_zeta2 >> F) // (j + 1))
         R.append(-(r0 * (sum(map(mul, C[1:], reversed(R))) >> F)) >> F)
-    return _unscale(g_s, C, F, k), (R, F, k)
+    return C, R, F, k
 
 
-def _running_integral_coeffs(z_s, recip, base):
+def _running_integral_coeffs(z_s, R, F, k, base):
     """Taylor coefficients at z_s of I(z) = base + int_z^{z_s} r.
 
     r(z) = (1/g - 1 + 3z/4) 4/z^2 is the regular integrand of G and c, and
-    recip = (R, F, k) is the fixed-point 1/g series at z_s from
-    _g_equation_coeffs (mantissas R at scale 2^-F, rho = 2^k).  With
-    z = z_s + u, the identity r (z_s + u)^2 = 4 (1/g - 1 + 3 (z_s + u)/4)
-    gives r's scaled coefficients
-    f_j = (4 d_j / rho^2 - 2 zeta f_{j-1} - f_{j-2}) / zeta^2 in O(order),
-    with d the scaled coefficients of the right-hand side; I' = -r
-    integrates them termwise, one shift by k each.
+    R is the fixed-point 1/g series at z_s from _g_equation_coeffs
+    (mantissas at scale 2^-F, rho = 2^k).  With z = z_s + u, the identity
+    r (z_s + u)^2 = 4 (1/g - 1 + 3 (z_s + u)/4) gives r's scaled
+    coefficients f_j = (4 d_j / rho^2 - 2 zeta f_{j-1} - f_{j-2}) / zeta^2
+    in O(order), with d the scaled coefficients of the right-hand side;
+    I' = -r integrates them termwise, one shift by k each.  Returns the
+    mantissas of I at the same scale, one degree above R's.
     """
-    R, F, k = recip
     zeta = _fixed(z_s, F - k)
     inv_zeta2 = (1 << 3 * F) // (zeta * zeta)
     D = list(R)
     D[0] += (_shift(3 * zeta, k) >> 2) - (1 << F)
     D[1] += 3 << F + k - 2
     f_prev2 = f_prev = 0
-    I = [None]  # I_0 is base, passed through by _unscale
+    I = [_fixed(base, F)]
     for j, d in enumerate(D):
         acc = _shift(d, 2 - 2 * k) - (zeta * f_prev >> F - 1) - f_prev2
         f = acc * inv_zeta2 >> F
         I.append(-_shift(f, k) // (j + 1))
         f_prev2, f_prev = f_prev, f
-    return _unscale(base, I, F, k)
+    return I
 
 
-@dataclass
+@dataclass(slots=True)
 class _Step:
+    """One accepted Taylor step: the two series x and y at t_start.
+
+    x is h for trajectory steps and g for g steps; y is h' for trajectory
+    steps and the running integral I for g steps.
+
+    The step holds one representation of its polynomials.  It keeps the
+    kernels' fixed-point mantissas (X, Y, F, k) until dense output first
+    reads it; that read unscales them into mpf coefficient lists and drops
+    the mantissas.  Many steps are never read again.
+    """
+
     t_start: object  # mpf
     length: object   # mpf, signed offset of the step end from t_start
-    x_coeffs: list   # h for trajectory steps, g for g steps
-    y_coeffs: list   # h' for trajectory steps, the running integral I for g
+    x0: object       # mpf values of x and y at t_start
+    y0: object
     err_cum: object  # cumulative error bound at the step end
+    _mants: tuple | None
+    _coeffs: tuple | None = None
+
+    def coeffs(self):
+        """(x_coeffs, y_coeffs) as mpfs in powers of the offset from t_start."""
+        if self._coeffs is None:
+            X, Y, F, k = self._mants
+            self._coeffs = (_unscale(self.x0, X, F, k), _unscale(self.y0, Y, F, k))
+            self._mants = None
+        return self._coeffs
+
+    def eval_x(self, t):
+        return _horner(self.coeffs()[0], t - self.t_start)
+
+    def eval_y(self, t):
+        return _horner(self.coeffs()[1], t - self.t_start)
 
 
 class Trajectory:
@@ -428,8 +490,7 @@ class Trajectory:
             self._check_range(t)
             if self._in_reduction(t):
                 return self._reduced_h4(t) ** (mp.one / 4)
-            step = self._phase1_segment(t)
-            return _horner(step.x_coeffs, t - step.t_start)
+            return self._phase1_segment(t).eval_x(t)
 
     def eval_hprime(self, t):
         with mp.workdps(self._dps):
@@ -440,8 +501,7 @@ class Trajectory:
                 s = self._reduced_h4(t)
                 # h' = g(4/h^4) / h^3
                 return problem.eval_g(4 / s) * s ** (-mp.mpf(3) / 4)
-            step = self._phase1_segment(t)
-            return _horner(step.y_coeffs, t - step.t_start)
+            return self._phase1_segment(t).eval_y(t)
 
     def err_bound(self, t):
         """Conservative estimate of |h_computed(t) - h(t)|."""
@@ -474,19 +534,11 @@ class Trajectory:
         if self._sample_cache is not None:
             return list(self._sample_cache)
         with mp.workdps(self._dps):
-            out = [
-                (s.t_start, s.x_coeffs[0], s.y_coeffs[0]) for s in self._steps
-            ]
+            out = [(s.t_start, s.x0, s.y0) for s in self._steps]
             if self._reduction is None:
                 last = self._steps[-1]
                 t_end = self.t_end
-                out.append(
-                    (
-                        t_end,
-                        _horner(last.x_coeffs, t_end - last.t_start),
-                        _horner(last.y_coeffs, t_end - last.t_start),
-                    )
-                )
+                out.append((t_end, last.eval_x(t_end), last.eval_y(t_end)))
             else:
                 _, t_sw, x_sw, y_sw = self._reduction
                 out.append((t_sw, x_sw, y_sw))
@@ -554,8 +606,10 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
                 abs(x), abs(y)
             )
             while True:
-                X, Y = _h_system_coeffs(x, y, order, k)
-                h = _step_guess((X, Y), eps_loc, order)
+                k_kernel = k  # the scale of X and Y; k moves on below
+                X, Y, F = _h_system_coeffs(x, y, order, k)
+                tops = (_top_coeffs(X, F, k), _top_coeffs(Y, F, k))
+                h = _step_guess(tops, eps_loc, order)
                 if t + h > t_max:
                     h = t_max - t
                 fits = h <= mp.ldexp(1, k)
@@ -564,8 +618,8 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
                     break
             halvings = 0
             while True:
-                est = max(_tail_estimate(X, h), _tail_estimate(Y, h))
-                x_new = _horner(X, h)
+                est = max(_tail_estimate(c, order, h) for c in tops)
+                x_new = _fixed_eval(X, h, F, k_kernel)
                 if est <= eps_loc and x_new > 0:
                     break
                 h = h / 2
@@ -576,9 +630,9 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
                         f"step size collapsed near t={t}; "
                         "h may be approaching zero"
                     )
-            y_new = _horner(Y, h)
+            y_new = _fixed_eval(Y, h, F, k_kernel)
             cum_err += est
-            steps.append(_Step(t, h, X, Y, cum_err))
+            steps.append(_Step(t, h, x, y, cum_err, (X, Y, F, k_kernel)))
             t = t + h
             x, y = x_new, y_new
             if y > 0 and t - t0 >= span_direct and t < t_max:
@@ -595,25 +649,6 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
         if reduction is not None:
             traj.eval_h(t_max)  # fail fast and seed the h^4 memo
         return traj
-
-
-def map_to_radial(traj: Trajectory, s_grid=None):
-    """Samples (s, r(s)) of the radial profile r(s) = s * h(ln s).
-
-    With h solving h^3 (h'' + h') = 1, the profile satisfies
-    r'' r^3 = s^2.  The default grid is exp(t) over the trajectory's own
-    sample times; points with ln s outside the integrated range raise.
-    """
-    with mp.workdps(traj.stats["dps"]):
-        if s_grid is None:
-            s_grid = [mp.e**t for (t, _, _) in traj.samples()]
-        out = []
-        for s in s_grid:
-            s = mp.mpf(s)
-            if s <= 0:
-                raise DomainError("radial variable must be positive")
-            out.append((s, s * traj.eval_h(mp.log(s))))
-        return out
 
 
 # -- the first-order problem and G ---------------------------------------------
@@ -687,15 +722,13 @@ class GProblem:
                 raise DomainError(f"z={z} beyond the initial point z0={self.z0}")
             if z <= self.z_c or not self._steps:
                 return _horner(self._alpha_mpf, z)
-            step = self._step_at(z)
-            return _horner(step.x_coeffs, z - step.t_start)
+            return self._step_at(z).eval_x(z)
 
     def _integral(self, z):
         """I(z) = int_z^{z0} r for z in [z_c, z0]; 0 without Taylor pieces."""
         if not self._steps:
             return mp.zero
-        step = self._step_at(z)
-        return _horner(step.y_coeffs, z - step.t_start)
+        return self._step_at(z).eval_y(z)
 
 
 def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
@@ -778,21 +811,23 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
                 raise IntegrationError(
                     f"step budget {cfg.max_steps} exhausted at z={z}"
                 )
-            C, recip = _g_equation_coeffs(z, g, order)
-            I = _running_integral_coeffs(z, recip, i_cum)
+            C, R, F, k = _g_equation_coeffs(z, g, order)
+            I = _running_integral_coeffs(z, R, F, k, i_cum)
+            c_top = _top_coeffs(C, F, k)
+            i_top = _top_coeffs(I, F, k)
             eps_loc = mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * abs(g)
-            h = _step_guess((C,), eps_loc, order)
+            h = _step_guess((c_top,), eps_loc, order)
             h = min(h, mp.mpf("0.45") * z)  # stay clear of the z = 0 singularity
             if z - h < z_c:
                 h = z - z_c
             halvings = 0
             while True:
-                est = _tail_estimate(C, h)
-                g_new = _horner(C, -h)
+                est = _tail_estimate(c_top, order, h)
+                g_new = _fixed_eval(C, -h, F, k)
                 if (
                     est <= eps_loc
                     and g_new > 0
-                    and _tail_estimate(I, h) <= eps_loc
+                    and _tail_estimate(i_top, order + 1, h) <= eps_loc
                 ):
                     break
                 h = h / 2
@@ -803,10 +838,10 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
                         f"g appears to vanish near z={z}; positivity violated"
                     )
             cum_err += est
-            steps.append(_Step(z, -h, C, I, cum_err))
+            steps.append(_Step(z, -h, g, i_cum, cum_err, (C, I, F, k)))
             z = z - h
             g = g_new
-            i_cum = _horner(I, -h)
+            i_cum = _fixed_eval(I, -h, F, k)
 
         problem = GProblem(z0, g0, z_c, steps, cfg, dps, cum_err, rejected)
         series_at_zc = _horner(problem._alpha_mpf, z_c)
@@ -859,8 +894,11 @@ def _series_tail_G(problem: GProblem, x):
     series represents 1/g(4/s) below working precision.  Termwise: the
     k = 0 term integrates to (x - S), k = 1 to 4 beta_1 log(x/S), k >= 2 to
     w_k (S^{1-k} - x^{1-k}) with w_k = beta_k 4^k / (k-1).  The weights and
-    the S part sum w_k S^{1-k} are computed once per problem; the x part is
-    a Horner polynomial in u = 1/x.
+    the S part sum w_k S^{1-k} are computed once per problem; the x part
+    u sum_k w_k u^{k-2} in u = 1/x is an integer Horner polynomial on the
+    weights' mantissas at the absolute scale 2^-F, F = mp.prec + _GUARD_BITS,
+    rounded once.  It is at most 0.2 in size (u <= z_c/4) and is added to
+    terms of size at least x - S + G(S), so absolute accuracy suffices.
     """
     with mp.workdps(problem.dps):
         S = problem.split
@@ -870,12 +908,15 @@ def _series_tail_G(problem: GProblem, x):
                 betas[k] * mp.mpf(4) ** k / (k - 1) for k in range(2, len(betas))
             ]
             s_part = sum(w * S ** (1 - k) for k, w in enumerate(weights, 2))
-            problem._tail = weights, s_part
-        weights, s_part = problem._tail
-        u = 1 / x
-        return (
-            (x - S) + betas[1] * 4 * mp.log(x / S) + s_part - u * _horner(weights, u)
-        )
+            F = mp.prec + _GUARD_BITS
+            problem._tail = [_fixed(w, F) for w in weights], F, s_part
+        W, F, s_part = problem._tail
+        U = (1 << 2 * F) // _fixed(x, F)  # u = 1/x; x >= S > 1 is exact at 2^-F
+        acc = W[-1]
+        for w in reversed(W[:-1]):
+            acc = (acc * U >> F) + w
+        x_part = _to_mpf(acc * U, -2 * F)
+        return (x - S) + betas[1] * 4 * mp.log(x / S) + s_part - x_part
 
 
 def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
@@ -1106,17 +1147,3 @@ def trajectory_to_csv(traj: Trajectory, t_grid=None) -> str:
                 )
             )
         return "\n".join(lines) + "\n"
-
-
-def gproblem_to_json(problem: GProblem) -> dict:
-    """Summary {z0, g0, c, crossover, tolerances} with 17-digit values."""
-    with mp.workdps(problem.dps):
-        c_val = compute_c(problem)
-        return {
-            "z0": mp.nstr(problem.z0, 17),
-            "g0": mp.nstr(problem.g0, 17),
-            "c": mp.nstr(c_val, 17),
-            "crossover": mp.nstr(problem.z_c, 17),
-            "rel_tol": problem.cfg.rel_tol,
-            "abs_tol": problem.cfg.abs_tol,
-        }

@@ -12,6 +12,9 @@ the integer kernels can be checked against it at a higher precision:
   the reciprocal series of g;
 * ``running_integral_coeffs(z_s, R, base)``: I(z) = base + int_z^{z_s} r
   for r = (1/g - 1 + 3z/4) 4/z^2, from the coefficients R of 1/g.
+
+``tail_estimate(coeffs, h)`` is the integrator's truncation estimate in its
+textbook form, over a whole mpf coefficient list.
 """
 
 from __future__ import annotations
@@ -75,3 +78,15 @@ def running_integral_coeffs(z_s, R, base):
             acc -= F[k - 2]
         F.append(acc / zs2)
     return [base] + [-f / (k + 1) for k, f in enumerate(F)]
+
+
+def tail_estimate(coeffs, h, count=3):
+    """Crude truncation bound: twice the sum of the last ``count`` terms at h."""
+    top = len(coeffs) - 1
+    lo = max(1, top - count + 1)
+    est = mp.zero
+    hp = abs(h) ** lo
+    for j in range(lo, top + 1):
+        est += abs(coeffs[j]) * hp
+        hp *= abs(h)
+    return 2 * est

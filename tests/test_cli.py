@@ -78,6 +78,20 @@ class TestNumericPins:
             "c9004cbb6429462ddbfeadb4585b5cff2211c6d90d9ff94b2e4e1bddf18ed271",
         "verify --format json":
             "ead25f63e022abf7eb38aa9d59e577175b9615416303714706a43b331307fc54",
+        # h1 <= 0: the rebasing route through integrate_h
+        "constant --h0 1 --h1 -1":
+            "a892769c66715e02785187e8dab22483aacd81f9550be096706541aaf2fda2d9",
+        # 35 g steps
+        "constant --h0 0.5 --h1 2 --rel-tol 1e-22 --abs-tol 1e-24":
+            "aecd7d7dcc7a45b76ea905d840bdb7738b9ca16c4d1480e932468fe97e863255",
+    }
+
+    # SHA-256 of the stderr of refusals, recorded from the mpf step ends
+    # that preceded the fixed-point ones: the handoff gate prints the
+    # integrated g(z_c) and the summed step error estimates in full
+    GOLDEN_STDERR = {
+        "constant --h0 1.5 --h1 3":
+            "7509ffdff57ffd191c02911dc975b0661d366c7518cec7039e5c53ff3332c910",
     }
 
     @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -85,6 +99,12 @@ class TestNumericPins:
         code, out, _ = run(capsys, *command.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[command]
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_STDERR))
+    def test_refusal_is_pinned(self, capsys, command):
+        code, out, err = run(capsys, *command.split())
+        assert (code, out) == (3, "")
+        assert hashlib.sha256(err.encode()).hexdigest() == self.GOLDEN_STDERR[command]
 
 
 class TestIntegrate:

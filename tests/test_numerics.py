@@ -18,19 +18,22 @@ from asymptode.numerics import (
     InitialData,
     SolverConfig,
     Trajectory,
+    _fixed_eval,
     _g_equation_coeffs,
     _h_system_coeffs,
+    _horner,
     _running_integral_coeffs,
     _step_guess,
+    _tail_estimate,
+    _top_coeffs,
+    _unscale,
     compute_G,
     compute_c,
     compute_c_for_data,
     g_problem_for_data,
-    gproblem_to_json,
     integrate_h,
     invert_G,
     lambert_wm1_numeric,
-    map_to_radial,
     solve_g,
     trajectory_to_csv,
 )
@@ -161,30 +164,6 @@ class TestIntegrateH:
             assert abs(pts[-1][0] - mp.mpf(10) ** 6) < mp.mpf("1e-20")
         for _, h, _ in pts:
             assert h > 0
-
-
-class TestRadialMap:
-    def test_profile_satisfies_radial_equation(self, traj):
-        # r(s) = s h(ln s) should satisfy r'' r^3 = s^2; check by finite
-        # differences, whose own error dominates the tolerance
-        with mp.workdps(traj.stats["dps"]):
-            d = mp.mpf("1e-4")
-            for s_mid in (mp.mpf(3), mp.mpf(20)):
-                grid = [s_mid - d, s_mid, s_mid + d]
-                pts = map_to_radial(traj, grid)
-                r = [p[1] for p in pts]
-                rdd = (r[2] - 2 * r[1] + r[0]) / d**2
-                assert abs(rdd * r[1] ** 3 / s_mid**2 - 1) < mp.mpf("1e-6")
-
-    def test_anchor_value(self, traj):
-        (s, r), = map_to_radial(traj, [1.0])
-        assert s == 1
-        with mp.workdps(traj.stats["dps"]):
-            assert abs(r - traj.eval_h(0)) == 0
-
-    def test_rejects_nonpositive_radius(self, traj):
-        with pytest.raises(DomainError):
-            map_to_radial(traj, [0.0])
 
 
 class TestSolveG:
@@ -391,22 +370,46 @@ class TestTaylorKernels:
 
     Each kernel runs at 40 digits with the Taylor order of rel 1e-22; the
     reference (tests/taylor_oracle.py, one mpf fsum per convolution
-    coefficient) runs 20 digits higher.  Coefficient j of every series must
-    agree to 2^-(prec-4) of the series' largest |coefficient rho^j|, with
-    rho = 2^k the kernel's scale.
+    coefficient) runs 20 digits higher.  The kernels return int mantissas;
+    the tests unscale them as dense output does.  Coefficient j of every
+    series must agree to 2^-(prec-4) of the series' largest
+    |coefficient rho^j|, with rho = 2^k the kernel's scale.
+
+    The step-end cases evaluate the mantissas at u = h / rho by integer
+    Horner and compare with mpf Horner on the reference coefficients, to
+    2^-(prec-6) of the same scale (the coefficient errors summed over
+    u <= 1/2, plus the one final rounding).  The truncation estimate from
+    the three top coefficients must equal, bit for bit, the mpf estimate
+    over the whole unscaled list.
     """
 
     DPS = 40
     ORDER = SolverConfig(rel_tol=1e-22, abs_tol=1e-24).taylor_order
 
     @staticmethod
-    def _assert_close(got, ref, k, prec):
+    def _scale(ref, k):
+        rho = mp.ldexp(1, k)
+        return max(abs(b) * rho**j for j, b in enumerate(ref))
+
+    @classmethod
+    def _assert_close(cls, got, ref, k, prec):
         assert len(got) == len(ref)
         rho = mp.ldexp(1, k)
-        scale = max(abs(b) * rho**j for j, b in enumerate(ref))
-        tol = mp.ldexp(scale, 4 - prec)
+        tol = mp.ldexp(cls._scale(ref, k), 4 - prec)
         for j, (a, b) in enumerate(zip(got, ref)):
             assert abs(a - b) * rho**j <= tol, (j, a, b)
+
+    @classmethod
+    def _assert_step_end(cls, mants, head, ref, F, k, h, prec):
+        """End value and truncation estimate of one series at offset h."""
+        with mp.workdps(cls.DPS):
+            got = _fixed_eval(mants, h, F, k)
+            est = _tail_estimate(_top_coeffs(mants, F, k), len(mants) - 1, h)
+            est_ref = oracle.tail_estimate(_unscale(head, mants, F, k), h)
+        assert est == est_ref
+        with mp.workdps(cls.DPS + 20):
+            tol = mp.ldexp(cls._scale(ref, k), 6 - prec)
+            assert abs(got - _horner(ref, h)) <= tol, (h, got)
 
     @pytest.mark.parametrize("x0", [1e-80, 1e-3, 0.05, 1, 30, 1e3])
     @pytest.mark.parametrize("y0", [-2.5, 0.7])
@@ -421,10 +424,49 @@ class TestTaylorKernels:
         for k in (mp.mag(step), mp.mag(step) + 1, mp.mag(step) + 8):
             with mp.workdps(self.DPS):
                 prec = mp.prec
-                X, Y = _h_system_coeffs(x0, y0, self.ORDER, k)
+                X, Y, F = _h_system_coeffs(x0, y0, self.ORDER, k)
+                X_mpf = _unscale(x0, X, F, k)
+                Y_mpf = _unscale(y0, Y, F, k)
             with mp.workdps(self.DPS + 20):
-                self._assert_close(X, X_ref, k, prec)
-                self._assert_close(Y, Y_ref, k, prec)
+                self._assert_close(X_mpf, X_ref, k, prec)
+                self._assert_close(Y_mpf, Y_ref, k, prec)
+
+    @pytest.mark.parametrize("x0", [1e-80, 1e-3, 0.05, 1, 30, 1e3])
+    @pytest.mark.parametrize("y0", [-2.5, 0.7])
+    @pytest.mark.parametrize("u", [2.0**-12, 0.1, 0.5])
+    def test_h_step_end(self, x0, y0, u):
+        # rho as the integrator sets it, in (2 step, 4 step]
+        with mp.workdps(self.DPS + 20):
+            x0, y0 = mp.mpf(x0), mp.mpf(y0)
+            X_ref, Y_ref = oracle.h_system_coeffs(x0, y0, self.ORDER)
+            eps_loc = mp.mpf(1e-24) + mp.mpf(1e-22) * max(abs(x0), abs(y0))
+            k = mp.mag(_step_guess((X_ref, Y_ref), eps_loc, self.ORDER)) + 1
+        with mp.workdps(self.DPS):
+            prec = mp.prec
+            X, Y, F = _h_system_coeffs(x0, y0, self.ORDER, k)
+            h = mp.ldexp(mp.mpf(u), k)
+        self._assert_step_end(X, x0, X_ref, F, k, h, prec)
+        self._assert_step_end(Y, y0, Y_ref, F, k, h, prec)
+
+    def test_h_step_far_below_rho(self):
+        # the first step runs at rho = 1 whatever its length: at h0 = 1e-80
+        # the step is about 1e-160, far below the kernel's 2^-F, and h' goes
+        # from 0.7 to about 1e80 over it
+        with mp.workdps(self.DPS + 20):
+            x0, y0 = mp.mpf(1e-80), mp.mpf(0.7)
+            X_ref, Y_ref = oracle.h_system_coeffs(x0, y0, self.ORDER)
+            eps_loc = mp.mpf(1e-24) + mp.mpf(1e-22) * max(abs(x0), abs(y0))
+            h = _step_guess((X_ref, Y_ref), eps_loc, self.ORDER)
+        with mp.workdps(self.DPS):
+            prec = mp.prec
+            h = +h
+            X, Y, F = _h_system_coeffs(x0, y0, self.ORDER, 0)
+            got = [_fixed_eval(X, h, F, 0), _fixed_eval(Y, h, F, 0)]
+        with mp.workdps(self.DPS + 20):
+            for val, ref in zip(got, (X_ref, Y_ref)):
+                exact = _horner(ref, h)
+                assert abs(val - exact) <= mp.ldexp(abs(exact), 2 - prec)
+            assert got[1] > 1e70
 
     @pytest.mark.parametrize("z_s", [0.0099, 0.3, 4, 400])
     @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
@@ -435,16 +477,34 @@ class TestTaylorKernels:
             I_ref = oracle.running_integral_coeffs(z_s, R_ref, base)
         with mp.workdps(self.DPS):
             prec = mp.prec
-            C, recip = _g_equation_coeffs(z_s, g_s, self.ORDER)
-            I = _running_integral_coeffs(z_s, recip, base)
-        R, F, k = recip
+            C, R, F, k = _g_equation_coeffs(z_s, g_s, self.ORDER)
+            I = _running_integral_coeffs(z_s, R, F, k, base)
+            C_mpf = _unscale(g_s, C, F, k)
+            I_mpf = _unscale(base, I, F, k)
         assert F >= prec + _GUARD_BITS
         assert mp.ldexp(1, k - 1) <= z_s < mp.ldexp(1, k)
         with mp.workdps(self.DPS + 20):
-            self._assert_close(C, C_ref, k, prec)
+            self._assert_close(C_mpf, C_ref, k, prec)
             R_mpf = [mp.ldexp(r, -F - k * j) for j, r in enumerate(R)]
             self._assert_close(R_mpf, R_ref, k, prec)
-            self._assert_close(I, I_ref, k, prec)
+            self._assert_close(I_mpf, I_ref, k, prec)
+
+    @pytest.mark.parametrize("z_s", [0.0099, 0.3, 4, 400])
+    @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
+    @pytest.mark.parametrize("u", [2.0**-12, 0.1, 0.45])
+    def test_g_step_end(self, z_s, g_s, u):
+        # g steps run downward: the step end is at the offset -h
+        with mp.workdps(self.DPS + 20):
+            z_s, g_s, base = mp.mpf(z_s), mp.mpf(g_s), mp.mpf("0.37")
+            C_ref, R_ref = oracle.g_equation_coeffs(z_s, g_s, self.ORDER)
+            I_ref = oracle.running_integral_coeffs(z_s, R_ref, base)
+        with mp.workdps(self.DPS):
+            prec = mp.prec
+            C, R, F, k = _g_equation_coeffs(z_s, g_s, self.ORDER)
+            I = _running_integral_coeffs(z_s, R, F, k, base)
+            h = -mp.ldexp(mp.mpf(u), k)
+        self._assert_step_end(C, g_s, C_ref, F, k, h, prec)
+        self._assert_step_end(I, base, I_ref, F, k, h, prec)
 
 
 class TestStepSequences:
@@ -554,9 +614,3 @@ class TestExports:
         h_field = text.strip().split("\n")[1].split(",")[1]
         digits = h_field.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 16
-
-    def test_gproblem_json(self, problem):
-        blob = gproblem_to_json(problem)
-        assert set(blob) == {"z0", "g0", "c", "crossover", "rel_tol", "abs_tol"}
-        assert blob["rel_tol"] == problem.cfg.rel_tol
-        assert blob["c"].startswith("-18.644415")
