@@ -29,12 +29,9 @@ from .numerics import (
 )
 from .asympt import (
     AsymptoticModel,
-    LambertReport,
     RemainderReport,
     SyntheticTrajectory,
     eval_A_n,
-    eval_G_asympt,
-    eval_Ginv_asympt,
     fit_c_from_trajectory,
     lambert_compare,
     lambert_report_to_csv,

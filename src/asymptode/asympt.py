@@ -12,9 +12,8 @@ times.  Inverting G and taking fourth roots yields the expansion
     h(t) ~ A_n(t) = (4t)**(1/4) * (1 + sum_{k=1}^{n} q_k(c; ln 4t) / t**k)
 
 with the exact polynomial family from :mod:`.families`.  This module
-evaluates A_n, the companion expansions of G and its inverse, fits c
-directly to an integrated trajectory, and measures the normalised
-remainders
+evaluates A_n, fits c directly to an integrated trajectory, and measures
+the normalised remainders
 
     R_n(t) = |h(t) - A_n(t)| / ((4t)**(1/4) * (ln t / t)**(n+1))
 
@@ -25,7 +24,7 @@ y - ln y = x, whose root shares the polynomial structure with c = 0;
 
 Everything here evaluates exact rational polynomials with mpmath at a
 configurable working precision; no floating-point coefficients enter.
-Each p_k and q_k is a polynomial in the single variable w = 3z - c, and is
+Each q_k is a polynomial in the single variable w = 3z - c, and is
 evaluated by Horner on its dense w-coefficients; the c-derivative needed
 by the fit is -d/dw of the same coefficients.
 """
@@ -38,21 +37,18 @@ from dataclasses import dataclass, field
 from mpmath import mp
 
 from .errors import AccuracyError, ConvergenceError, DomainError
-from .families import gen_beta, gen_lambert_p, gen_p, gen_q
+from .families import gen_lambert_p, gen_q
 from .numerics import SolverConfig, lambert_root_tol, lambert_wm1_numeric
 
 __all__ = [
     "AsymptoticModel",
     "eval_A_n",
-    "eval_Ginv_asympt",
-    "eval_G_asympt",
     "fit_c_from_trajectory",
     "RemainderReport",
     "remainder_study",
     "remainder_report_to_csv",
     "remainder_report_to_json",
     "shift_invariance_check",
-    "LambertReport",
     "lambert_compare",
     "lambert_report_to_csv",
     "lambert_report_to_json",
@@ -150,45 +146,6 @@ def eval_A_n(model, t, n=None):
         return _a_value(mp.mpf(model.c), t, n)
 
 
-def eval_Ginv_asympt(model, x, n=None):
-    """Expansion of the inverse of G: x + sum_{k=0}^{n} p_k(c; ln x) / x**k."""
-    n = model.order if n is None else int(n)
-    if n < 0:
-        raise DomainError("expansion order must be nonnegative")
-    with mp.workdps(model.dps):
-        x = mp.mpf(x)
-        if x <= 1:
-            raise DomainError("inverse expansion needs x > 1")
-        w = 3 * mp.log(x) - mp.mpf(model.c)
-        p = gen_p(n)
-        acc = x
-        xk = mp.one
-        for k in range(0, n + 1):
-            acc += _horner(p.coeffs(k), w) / xk
-            xk *= x
-        return acc
-
-
-def eval_G_asympt(model, x, n=None):
-    """Expansion of G itself: x - 3 ln x + c - 4 sum (beta_{k+1}/k)(4/x)**k."""
-    n = model.order if n is None else int(n)
-    if n < 0:
-        raise DomainError("expansion order must be nonnegative")
-    with mp.workdps(model.dps):
-        x = mp.mpf(x)
-        if x <= 0:
-            raise DomainError("G expansion needs x > 0")
-        betas = gen_beta(n + 1).values
-        acc = x - 3 * mp.log(x) + mp.mpf(model.c)
-        r = 4 / x
-        rk = mp.one
-        for k in range(1, n + 1):
-            rk *= r
-            b = betas[k + 1]
-            acc -= 4 * rk * mp.mpf(b.numerator) / b.denominator / k
-        return acc
-
-
 def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6), spread_tol=1e-7):
     """Recover the expansion constant from trajectory values alone.
 
@@ -251,6 +208,11 @@ class RemainderReport:
     ``remainders[(n, t)]`` holds R_n(t); ``growth(n)`` compares the last
     grid point against the first, which is the boundedness statement in
     its crudest testable form.
+
+    lambert_compare reports the y - ln y = x analogue in the same form:
+    its grid is in x, ``h_values`` holds the numeric roots y, ``a_values``
+    the expansion Y_n, and ``residuals`` the relative residuals
+    |y - ln y - x| / x of the roots.
     """
 
     n_values: tuple
@@ -259,6 +221,11 @@ class RemainderReport:
     a_values: dict = field(repr=False)
     remainders: dict = field(repr=False)
     growth_factor: float = 10.0
+    residuals: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def max_residual(self):
+        return max(self.residuals.values())
 
     def growth(self, n):
         first = self.remainders[(n, self.t_values[0])]
@@ -394,39 +361,6 @@ def shift_invariance_check(model, n, s, t_grid):
 # the y - ln y = x analogue
 
 
-@dataclass
-class LambertReport:
-    """Numeric root of y - ln y = x against its expansion, on an x-grid."""
-
-    n_values: tuple
-    x_values: tuple
-    y_values: dict = field(repr=False)
-    approx: dict = field(repr=False)
-    residuals: dict = field(repr=False)
-    remainders: dict = field(repr=False)
-
-    @property
-    def max_residual(self):
-        return max(self.residuals[x] for x in self.x_values)
-
-    def growth(self, n):
-        first = self.remainders[(n, self.x_values[0])]
-        last = self.remainders[(n, self.x_values[-1])]
-        if first == 0:
-            return mp.zero if last == 0 else mp.inf
-        return last / first
-
-    def max_remainder(self, n):
-        return max(self.remainders[(n, x)] for x in self.x_values)
-
-    def rows(self):
-        out = []
-        for n in self.n_values:
-            for x in self.x_values:
-                out.append((n, x, self.y_values[x], self.approx[(n, x)], self.remainders[(n, x)]))
-        return out
-
-
 def _lambert_value(x, n):
     # caller supplies the mp context; x already mpf
     z = mp.log(x)
@@ -439,7 +373,7 @@ def _lambert_value(x, n):
     return acc
 
 
-def lambert_compare(n_max, x_grid, cfg=None):
+def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
     """Solve y - ln y = x numerically and compare with the expansion.
 
     The root on the branch y > 1 is exactly what the fourth-power
@@ -453,7 +387,8 @@ def lambert_compare(n_max, x_grid, cfg=None):
     the numeric root and normalised remainders |y - Y_n| / (ln x / x)**(n+1)
     are both recorded.  Before forming each remainder the root's
     resolution (its Newton stop over the slope 1 - 1/y) is required to sit
-    below 0.01 of the normalisation scale, as in remainder_study.
+    below 0.01 of the normalisation scale, as in remainder_study, which
+    also returns the same report type.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -491,13 +426,14 @@ def lambert_compare(n_max, x_grid, cfg=None):
                     )
                 approx[(n, x_raw)] = _lambert_value(x, n)
                 remainders[(n, x_raw)] = abs(y_values[x_raw] - approx[(n, x_raw)]) / scale
-    return LambertReport(
+    return RemainderReport(
         n_values=tuple(range(n_max + 1)),
-        x_values=tuple(xs),
-        y_values=y_values,
-        approx=approx,
-        residuals=residuals,
+        t_values=tuple(xs),
+        h_values=y_values,
+        a_values=approx,
         remainders=remainders,
+        growth_factor=float(growth_factor),
+        residuals=residuals,
     )
 
 

@@ -83,6 +83,15 @@ def _csv_table(header, rows):
     return buf.getvalue()
 
 
+def _remainder_lines(rep):
+    """One table line per order n of a RemainderReport."""
+    return [
+        "n=%d  max remainder %-12s growth %-12s (limit %g)"
+        % (n, mp.nstr(rep.max_remainder(n), 6), mp.nstr(rep.growth(n), 6), rep.growth_factor)
+        for n in rep.n_values
+    ]
+
+
 def _add_data_args(sub):
     sub.add_argument("--t0", type=float, default=0.0, help="initial time (default 0)")
     sub.add_argument("--h0", type=float, default=1.0, help="h(t0) > 0 (default 1)")
@@ -235,12 +244,7 @@ def _cmd_verify(args):
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = ["constant c = %s" % mp.nstr(c, 20)]
-        for n in rep.n_values:
-            lines.append(
-                "n=%d  max remainder %-12s growth %-12s (limit %g)"
-                % (n, mp.nstr(rep.max_remainder(n), 6), mp.nstr(rep.growth(n), 6), args.growth_factor)
-            )
+        lines = ["constant c = %s" % mp.nstr(c, 20)] + _remainder_lines(rep)
         lines.append(
             "shift s=%g  normalised defect %s (limit %g)"
             % (args.shift, mp.nstr(defect, 6), args.shift_tol)
@@ -257,10 +261,8 @@ def _cmd_verify(args):
 
 def _cmd_lambert(args):
     cfg = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    rep = lambert_compare(args.n_max, args.x_grid, cfg)
-    growth_ok = all(rep.growth(n) <= args.growth_factor for n in rep.n_values)
-    residual_ok = rep.max_residual <= mp.mpf(args.residual_tol)
-    ok = growth_ok and residual_ok
+    rep = lambert_compare(args.n_max, args.x_grid, cfg, growth_factor=args.growth_factor)
+    ok = rep.ok and rep.max_residual <= mp.mpf(args.residual_tol)
 
     if args.format == "csv":
         text = lambert_report_to_csv(rep)
@@ -273,11 +275,7 @@ def _cmd_lambert(args):
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = ["max residual |y - ln y - x|/x = %s (limit %g)" % (mp.nstr(rep.max_residual, 6), args.residual_tol)]
-        for n in rep.n_values:
-            lines.append(
-                "n=%d  max remainder %-12s growth %-12s (limit %g)"
-                % (n, mp.nstr(rep.max_remainder(n), 6), mp.nstr(rep.growth(n), 6), args.growth_factor)
-            )
+        lines += _remainder_lines(rep)
         lines.append("PASS" if ok else "FAIL")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)

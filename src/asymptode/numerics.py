@@ -418,7 +418,7 @@ class Trajectory:
     configured direct span is covered, the solution continues through the
     exact reduction of order: with g = h^3 h' as a function of z = 4/h^4,
     the time map G is strictly increasing and h(t)^4 is its inverse at
-    4 (t - t_switch), evaluated by the dense G + fixed-point machinery
+    4 (t - t_switch), found by invert_G's bracketed Newton on the dense G
     below.  The reduction is an identity along any stretch with
     h' > 0 (an absorbing condition), not an approximation; the switch point
     supplies its data.
@@ -663,9 +663,11 @@ class GProblem:
     g and the running integral I(z) = int_z^{z0} r of the regular integrand
     r = (1/g - 1 + 3z/4) 4/z^2.  The two representations of g are required
     to agree at z_c when the problem is built.  G on [anchor, S] and the
-    head of c are read off I; the caches are the memoized constant c, G(S),
-    the base of every G evaluation above the split, and the weights and S
-    part of the series integral above it.
+    head of c are read off I: the head is ``i_c`` = I(z_c), the
+    integrator's own value at its last step end (zero without Taylor
+    pieces).  The caches are the memoized constant c, G(S), the base of
+    every G evaluation above the split, and the weights and S part of the
+    series integral above it.
 
     ``anchor`` = h0^4 = 4/z0 is the lower limit of G and ``split`` = S =
     4/z_c the point beyond which G uses the series tail; both, and the
@@ -674,10 +676,11 @@ class GProblem:
     integrator's rejected trial steps.
     """
 
-    def __init__(self, z0, g0, z_c, steps, cfg, dps, ode_err, rejected=0):
+    def __init__(self, z0, g0, z_c, steps, cfg, dps, ode_err, rejected=0, i_c=0):
         self.z0 = z0
         self.g0 = g0
         self.z_c = z_c
+        self.i_c = i_c
         self.cfg = cfg
         self.dps = dps
         self.ode_err = ode_err
@@ -843,7 +846,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
             g = g_new
             i_cum = _fixed_eval(I, -h, F, k)
 
-        problem = GProblem(z0, g0, z_c, steps, cfg, dps, cum_err, rejected)
+        problem = GProblem(z0, g0, z_c, steps, cfg, dps, cum_err, rejected, i_cum)
         series_at_zc = _horner(problem._alpha_mpf, z_c)
         agree_tol = (
             1000 * trunc_est(z_c) + 100 * cum_err + mp.mpf(10) ** (-(dps - 6))
@@ -967,7 +970,7 @@ def compute_c(problem: GProblem, cfg: SolverConfig | None = None):
         return problem._c
     with mp.workdps(problem.dps):
         z_tail = problem.z_c  # equal to z0 when the data sit below z_c
-        head = problem._integral(z_tail)
+        head = problem.i_c
         betas = problem._beta_mpf
         tail = 4 * mp.fsum(
             betas[j + 1] * z_tail**j / j for j in range(1, len(betas) - 1)
@@ -1000,16 +1003,39 @@ def compute_c_for_data(data: InitialData, cfg: SolverConfig | None = None):
         return compute_c(problem, cfg) + 4 * t_base
 
 
+def _newton(f, slope, y, lo, hi, tol, max_iter, what):
+    """Root of the increasing f in the bracket [lo, hi], by Newton from y.
+
+    Each residual narrows the bracket, and a Newton step that leaves it
+    bisects instead.  Stops at |f(y)| <= tol, or when the next iterate
+    equals y at working precision: an absolute tol can lie below f's
+    rounding floor at y.
+    """
+    for _ in range(max_iter):
+        res = f(y)
+        if abs(res) <= tol:
+            return y
+        if res > 0:
+            hi = y
+        else:
+            lo = y
+        y_next = y - res / slope(y)
+        if y_next == y:
+            return y
+        if not (lo < y_next < hi):
+            y_next = (lo + hi) / 2
+        y = y_next
+    raise ConvergenceError(f"{what} hit the {max_iter} cap")
+
+
 def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
     """Solve G(y) = x for y >= h0^4.
 
-    For x above a small threshold, runs the fixed-point iteration
-    y_{n+1} = x + y_n - G(y_n) from y_0 = x, which is monotone increasing
-    with contraction ratio 4/x; the monotonicity and the ratio are monitored,
-    and any violation (or small x to begin with) routes to a safeguarded
-    Newton/bisection with G'(y) = 1/g(4/y).  Both stop at |G(y) - x| <=
-    fp_tol / 2, or when their next iterate equals y at working precision:
-    for large h0^4 the absolute fp_tol can lie below G's rounding floor.
+    Bracketed Newton (_newton) with G'(y) = 1/g(4/y) on [h0^4, hi], hi
+    found by doubling, from y = max(x, h0^4).  Stops at
+    |G(y) - x| <= fp_tol / 2, or when the next iterate equals y at working
+    precision: for large h0^4 the absolute fp_tol can lie below G's
+    rounding floor.
     """
     cfg = cfg or problem.cfg
     with mp.workdps(problem.dps):
@@ -1018,66 +1044,19 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
             raise DomainError("G is nonnegative; no preimage for x < 0")
         if x == 0:
             return problem.anchor
-        fp_tol = mp.mpf(cfg.fp_tol)
-        if x > 8:
-            y = max(x, problem.anchor)
-            prev_delta = None
-            ratio_cap = (4 / x) * mp.mpf("1.5")
-            ok = True
-            for _ in range(cfg.fp_max_iter):
-                delta = x - compute_G(y, problem, cfg)
-                if abs(delta) <= fp_tol / 2:
-                    return y + delta
-                if y + delta == y:
-                    return y  # fp_tol is below G's rounding floor at y
-                if delta < -fp_tol:
-                    ok = False  # iterates must increase
-                    break
-                if prev_delta is not None and prev_delta > fp_tol:
-                    if delta > ratio_cap * prev_delta:
-                        ok = False  # contraction lost
-                        break
-                y = y + delta
-                prev_delta = delta
-            else:
-                raise ConvergenceError(
-                    f"fixed-point inversion hit the {cfg.fp_max_iter} cap"
-                )
-            if not ok:
-                return _invert_G_bracketed(x, problem, cfg)
-        return _invert_G_bracketed(x, problem, cfg)
-
-
-def _invert_G_bracketed(x, problem: GProblem, cfg: SolverConfig):
-    """Newton with a maintained bracket; covers every x >= 0."""
-    with mp.workdps(problem.dps):
-        fp_tol = mp.mpf(cfg.fp_tol)
         lo = problem.anchor  # G(lo) = 0 <= x
-        hi = max(2 * x + lo + 1, lo + 1)
+        hi = 2 * x + lo + 1
         for _ in range(200):
             if compute_G(hi, problem, cfg) >= x:
                 break
             hi *= 2
         else:
             raise ConvergenceError("could not bracket the preimage of x")
-        y = min(max(x, lo), hi)
-        for _ in range(cfg.fp_max_iter):
-            res = compute_G(y, problem, cfg) - x
-            if abs(res) <= fp_tol / 2:
-                return y
-            if res > 0:
-                hi = y
-            else:
-                lo = y
-            slope = 1 / problem.eval_g(4 / y)
-            y_next = y - res / slope
-            if y_next == y:
-                return y  # fp_tol is below G's rounding floor at y
-            if not (lo < y_next < hi):
-                y_next = (lo + hi) / 2
-            y = y_next
-        raise ConvergenceError(
-            f"bracketed inversion hit the {cfg.fp_max_iter} cap"
+        return _newton(
+            lambda y: compute_G(y, problem, cfg) - x,
+            lambda y: 1 / problem.eval_g(4 / y),
+            max(x, lo), lo, hi,
+            mp.mpf(cfg.fp_tol) / 2, cfg.fp_max_iter, "G inversion",
         )
 
 
@@ -1092,10 +1071,11 @@ def lambert_root_tol(x, cfg: SolverConfig | None = None):
 def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
     """The larger root y > 1 of y - ln y = x, i.e. -W_{-1}(-e^{-x}).
 
-    Newton from y = x + ln x (the function is convex with positive slope on
-    y > 1, so the iteration is safe; a bracket guards the first steps).  It
-    stops when the residual is within a few units of the working precision
-    relative to x, so the root is as accurate as the precision allows.
+    Bracketed Newton (_newton) from y = x + ln x with the slope 1 - 1/y
+    (the function is convex and increasing on y > 1; the bracket guards
+    the first steps).  It stops when the residual is within a few units
+    of the working precision relative to x, so the root is as accurate as
+    the precision allows.
     """
     cfg = cfg or SolverConfig()
     dps = max(30, cfg.effective_dps)
@@ -1103,26 +1083,14 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
         x = mp.mpf(x)
         if x <= 1:
             raise DomainError("the branch point is at x = 1; need x > 1")
-        tol = lambert_root_tol(x, cfg)
-        lo = mp.one
         hi = x + 2 * mp.log(x) + 2
         while hi - mp.log(hi) < x:
             hi *= 2
-        y = x + mp.log(x)
-        for _ in range(cfg.fp_max_iter):
-            f = y - mp.log(y) - x
-            if abs(f) <= tol:
-                return y
-            if f > 0:
-                hi = y
-            else:
-                lo = y
-            y_next = y - f / (1 - 1 / y)
-            if not (lo < y_next < hi):
-                y_next = (lo + hi) / 2
-            y = y_next
-        raise ConvergenceError(
-            f"Lambert root iteration hit the {cfg.fp_max_iter} cap"
+        return _newton(
+            lambda y: y - mp.log(y) - x,
+            lambda y: 1 - 1 / y,
+            x + mp.log(x), mp.one, hi,
+            lambert_root_tol(x, cfg), cfg.fp_max_iter, "Lambert root iteration",
         )
 
 

@@ -6,7 +6,8 @@
 
 * :class:`BivariatePoly` -- an exact polynomial in two variables ``(c, z)``
   stored as a sparse term map.  It is the form in which the families of
-  :mod:`.families` are printed, serialized to JSON and compared exactly.
+  :mod:`.families` are printed (as text, also inside the CLI's JSON) and
+  compared exactly.
   The families are generated, and evaluated on numeric paths, as dense
   coefficient lists in one variable; this class is only their public face.
 
@@ -26,8 +27,6 @@ __all__ = [
     "Rational",
     "BivariatePoly",
     "poly_eval",
-    "poly_to_json",
-    "poly_from_json",
 ]
 
 Rational = Fraction
@@ -188,33 +187,3 @@ def poly_eval(p: BivariatePoly, c, z):
         if i < top_c:
             c_pow = c_pow * c
     return total
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization: integers as decimal strings so arbitrary precision
-# survives a round trip through any JSON implementation.
-# ---------------------------------------------------------------------------
-
-
-def poly_to_json(p: BivariatePoly) -> dict:
-    return {
-        "terms": [
-            {
-                "c_pow": i,
-                "z_pow": j,
-                "num": str(value.numerator),
-                "den": str(value.denominator),
-            }
-            for (i, j), value in p.sorted_terms()
-        ]
-    }
-
-
-def poly_from_json(data: Mapping) -> BivariatePoly:
-    terms: dict[TermKey, Fraction] = {}
-    for entry in data["terms"]:
-        key = (int(entry["c_pow"]), int(entry["z_pow"]))
-        if key in terms:
-            raise DomainError(f"duplicate term {key} in polynomial JSON")
-        terms[key] = Fraction(int(entry["num"]), int(entry["den"]))
-    return BivariatePoly(terms)

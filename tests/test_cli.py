@@ -84,6 +84,13 @@ class TestNumericPins:
         # 35 g steps
         "constant --h0 0.5 --h1 2 --rel-tol 1e-22 --abs-tol 1e-24":
             "aecd7d7dcc7a45b76ea905d840bdb7738b9ca16c4d1480e932468fe97e863255",
+        # recorded while `lambert` still had a report type of its own
+        "lambert":
+            "653b1b60114c82938c0512fba3d2d72ecdb404c62fcddbde5ca9855c9bbb496f",
+        "lambert --format csv":
+            "40e714a4a45376266b0feb1efd3e269ba172b1a698cea0b46b5bcd33ce3b1bdb",
+        "lambert --format json":
+            "13074d98dd6493bcb63f3fa15bc0580262df69bfeb2aa03ca0bca81aabd88dc4",
     }
 
     # SHA-256 of the stderr of refusals, recorded from the mpf step ends

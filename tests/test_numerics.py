@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp
 
 import taylor_oracle as oracle
+from asymptode import numerics
 from asymptode.errors import AccuracyError, ConvergenceError, DomainError
 from asymptode.families import gen_beta
 from asymptode.numerics import (
@@ -284,6 +285,10 @@ class TestComputeG:
         with pytest.raises(ConvergenceError):
             invert_G(100, problem, starved)
 
+    def test_lambert_iteration_cap(self):
+        with pytest.raises(ConvergenceError):
+            lambert_wm1_numeric(1e5, SolverConfig(fp_max_iter=1))
+
 
 class TestComputeC:
     def test_reference_value(self, problem):
@@ -532,6 +537,29 @@ class TestStepSequences:
         assert t_base == 0
         assert (len(prob._steps), prob.n_rejected) == (g_steps, 0)
 
+    def test_compute_G_calls_per_inversion(self, monkeypatch):
+        # Newton on G takes 5.2 evaluations of G per inversion here; the
+        # fixed-point iteration y <- x + y - G(y) takes 9.2
+        calls = {"compute_G": 0, "invert_G": 0}
+
+        def counted(name):
+            original = getattr(numerics, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(numerics, name, wrapper)
+
+        counted("compute_G")
+        counted("invert_G")
+        for h0, h1 in ((1, 1), (2, 0.5)):
+            traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.CFG)
+            for t in (1e2, 1e3, 1e4, 1e5, 1e6):
+                traj.eval_h(t)
+        assert calls["invert_G"] >= 8
+        assert calls["compute_G"] <= 7 * calls["invert_G"]
+
 
 class TestInversionFloor:
     """At h ~ 500 and beyond, h^4 ~ 1e11: the absolute tolerance of the
@@ -551,7 +579,8 @@ class TestInversionFloor:
             assert err <= traj.err_bound(1e5)
 
     def test_bracketed_solver_stops_at_the_floor(self):
-        # arguments up to 8 go to the bracketed Newton solver directly
+        # arguments far below h0^4 = 1e12: the Newton iterate starts at the
+        # anchor, where the absolute fp_tol is below G's rounding floor
         prob = integrate_h(InitialData(0, 1000, -0.7), 1e5, self.CFG).g_problem
         with mp.workdps(prob.dps):
             for x in (3, 7.9):

@@ -15,12 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymptode.errors import DomainError
-from asymptode.series import (
-    BivariatePoly,
-    poly_eval,
-    poly_from_json,
-    poly_to_json,
-)
+from asymptode.series import BivariatePoly, poly_eval
 from series_oracle import (
     TruncatedSeries,
     rational_binomial,
@@ -302,20 +297,6 @@ class TestSerialization:
         s = TruncatedSeries([1, Fraction(-3, 4)])
         data = series_to_json(s)
         assert data == {"order": 1, "coeffs": [["1", "1"], ["-3", "4"]]}
-
-    def test_poly_roundtrip(self):
-        p = BivariatePoly(
-            {(0, 1): 9, (1, 0): -3, (0, 0): -21, (2, 5): Fraction(-7, 8192)}
-        )
-        data = json.loads(json.dumps(poly_to_json(p)))
-        assert poly_from_json(data) == p
-
-    def test_poly_json_term_shape(self):
-        p = BivariatePoly({(1, 0): Fraction(-1, 16)})
-        data = poly_to_json(p)
-        assert data == {
-            "terms": [{"c_pow": 1, "z_pow": 0, "num": "-1", "den": "16"}]
-        }
 
     def test_huge_integers_survive(self):
         big = Fraction(10**40 + 7, 3**60)
