@@ -32,6 +32,7 @@ by the fit is -d/dw of the same coefficients.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from mpmath import mp
@@ -54,6 +55,9 @@ __all__ = [
     "lambert_report_to_json",
     "SyntheticTrajectory",
 ]
+
+_GATE_FRAC = 0.01  # largest trajectory error bound, as a share of the remainder scale
+_SPREAD_TOL = 1e-7  # largest spread of the per-time fits of c
 
 
 @dataclass(frozen=True)
@@ -146,15 +150,15 @@ def eval_A_n(model, t, n=None):
         return _a_value(mp.mpf(model.c), t, n)
 
 
-def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6), spread_tol=1e-7):
+def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
     """Recover the expansion constant from trajectory values alone.
 
     At each fit time, Newton iteration on c solves A_n(c; t) = h(t);
     the expansion is nearly linear in c so a few steps suffice.  The
-    per-time fits are combined by median, and their spread is gated:
-    fit times that disagree mean the order n or the trajectory accuracy
-    cannot support the requested constant, and returning a number then
-    would be misleading.
+    per-time fits are combined by median, and their spread must stay
+    within _SPREAD_TOL: fit times that disagree mean the order n or the
+    trajectory accuracy cannot support the requested constant, and
+    returning a number then would be misleading.
 
     This route never touches the integral definition of c, so it is
     an independent check on it.
@@ -189,10 +193,10 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6), spread_tol=1e-
         m = len(fits)
         med = fits[m // 2] if m % 2 else (fits[m // 2 - 1] + fits[m // 2]) / 2
         spread = fits[-1] - fits[0]
-        if spread > mp.mpf(spread_tol):
+        if spread > mp.mpf(_SPREAD_TOL):
             raise AccuracyError(
                 "fit times disagree on c by %s (tolerance %s); "
-                "raise the fit order or tighten the solver" % (mp.nstr(spread, 6), spread_tol)
+                "raise the fit order or tighten the solver" % (mp.nstr(spread, 6), _SPREAD_TOL)
             )
         return med
 
@@ -252,11 +256,19 @@ class RemainderReport:
         return out
 
 
-def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0, gate_frac=0.01):
+def _growth_limit(growth_factor):
+    """growth_factor as a float, which must be finite and positive."""
+    growth_factor = float(growth_factor)
+    if not (math.isfinite(growth_factor) and growth_factor > 0):
+        raise DomainError("growth factor must be finite and positive, got %s" % growth_factor)
+    return growth_factor
+
+
+def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
     """Measure R_n(t) for n = 0..n_max over t_grid.
 
     Before forming each remainder the trajectory's own error bound is
-    required to sit below gate_frac times the normalisation scale
+    required to sit below _GATE_FRAC (0.01) times the normalisation scale
     (4t)**(1/4) (ln t / t)**(n+1).  Without that gate a small reported
     R_n could be integration error rather than expansion accuracy, and
     a large one could be noise.
@@ -264,6 +276,7 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0, gate_frac
     n_max = int(n_max)
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
+    growth_factor = _growth_limit(growth_factor)
     times = sorted(set(float(t) for t in t_grid))
     if not times:
         raise DomainError("empty t grid")
@@ -284,11 +297,11 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0, gate_frac
             for t_raw in times:
                 t = mp.mpf(t_raw)
                 scale = (4 * t) ** (mp.mpf(1) / 4) * (mp.log(t) / t) ** (n + 1)
-                if bounds[t_raw] > mp.mpf(gate_frac) * scale:
+                if bounds[t_raw] > mp.mpf(_GATE_FRAC) * scale:
                     raise AccuracyError(
                         "trajectory error bound %s exceeds %s of the remainder scale "
                         "at n = %d, t = %s; integrate with tighter tolerances"
-                        % (mp.nstr(bounds[t_raw], 4), gate_frac, n, t_raw)
+                        % (mp.nstr(bounds[t_raw], 4), _GATE_FRAC, n, t_raw)
                     )
                 a = _a_value(c, t, n)
                 a_values[(n, t_raw)] = a
@@ -299,7 +312,7 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0, gate_frac
         h_values=h_values,
         a_values=a_values,
         remainders=remainders,
-        growth_factor=float(growth_factor),
+        growth_factor=growth_factor,
     )
 
 
@@ -336,11 +349,15 @@ def shift_invariance_check(model, n, s, t_grid):
     constant is c - 4 s, so A_n(c; t + s) and A_n(c - 4 s; t) must
     agree to the order of the first neglected term.  Returns
     max_t |A_n(c; t+s) - A_n(c-4s; t)| / ((4t)**(1/4) (ln t/t)**(n+1)).
-    With s = 0 both sides coincide exactly and the result is zero.
+    With s = 0 both sides coincide exactly and the result is zero.  A
+    non-finite s is refused: its defect would be nan, which no tolerance
+    test rejects.
     """
     n = int(n)
     if n < 0:
         raise DomainError("expansion order must be nonnegative")
+    if not mp.isfinite(s):
+        raise DomainError("shift s must be finite, got %s" % s)
     times = sorted(float(t) for t in t_grid)
     if not times or times[0] <= 1:
         raise DomainError("shift check needs a nonempty grid with t > 1")
@@ -393,6 +410,7 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
     n_max = int(n_max)
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
+    growth_factor = _growth_limit(growth_factor)
     xs = sorted(set(float(x) for x in x_grid))
     if not xs:
         raise DomainError("empty x grid")
@@ -432,7 +450,7 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
         h_values=y_values,
         a_values=approx,
         remainders=remainders,
-        growth_factor=float(growth_factor),
+        growth_factor=growth_factor,
         residuals=residuals,
     )
 

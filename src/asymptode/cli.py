@@ -53,6 +53,13 @@ from .numerics import (
 __all__ = ["main"]
 
 
+def _finite(vals, what):
+    """vals, unless one of them is nan or infinite (float() accepts both)."""
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError("%s must be finite" % what)
+    return vals
+
+
 def _grid(text):
     try:
         vals = [float(part) for part in text.split(",") if part.strip()]
@@ -62,9 +69,15 @@ def _grid(text):
         )
     if not vals:
         raise argparse.ArgumentTypeError("empty grid")
-    if not all(math.isfinite(v) for v in vals):
-        raise argparse.ArgumentTypeError("grid points must be finite")
-    return vals
+    return _finite(vals, "grid points")
+
+
+def _finite_float(text):
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    return _finite([val], "the value")[0]
 
 
 def _emit(text, out):
@@ -181,8 +194,14 @@ def _cmd_integrate(args):
 def _cmd_constant(args):
     data = InitialData(args.t0, args.h0, args.h1)
     cfg = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    c = compute_c_for_data(data, cfg)
     digits = args.digits
+    if not 1 <= digits <= cfg.effective_dps:
+        # more digits than the working precision would print rounding noise
+        raise DomainError(
+            "--digits must lie between 1 and the working precision, %d"
+            % cfg.effective_dps
+        )
+    c = compute_c_for_data(data, cfg)
     rows = [("c", mp.nstr(c, digits))]
     if args.fit:
         traj = integrate_h(data, args.t_max * 1.2, cfg)
@@ -322,9 +341,9 @@ def _build_parser():
     _add_tol_args(p_ver, 1e-22, 1e-24)
     p_ver.add_argument("--n-max", type=int, default=3)
     p_ver.add_argument("--t-grid", type=_grid, default=[1e2, 1e3, 1e4, 1e5, 1e6])
-    p_ver.add_argument("--growth-factor", type=float, default=10.0)
+    p_ver.add_argument("--growth-factor", type=_finite_float, default=10.0)
     p_ver.add_argument("--shift", type=float, default=1.0)
-    p_ver.add_argument("--shift-tol", type=float, default=10.0)
+    p_ver.add_argument("--shift-tol", type=_finite_float, default=10.0)
     p_ver.add_argument(
         "--synthetic",
         type=int,
@@ -339,8 +358,8 @@ def _build_parser():
     p_lam = sub.add_parser("lambert", help="y - ln y = x: numeric root vs expansion")
     p_lam.add_argument("--n-max", type=int, default=3)
     p_lam.add_argument("--x-grid", type=_grid, default=[1e1, 1e2, 1e3, 1e4, 1e5])
-    p_lam.add_argument("--residual-tol", type=float, default=1e-12)
-    p_lam.add_argument("--growth-factor", type=float, default=10.0)
+    p_lam.add_argument("--residual-tol", type=_finite_float, default=1e-12)
+    p_lam.add_argument("--growth-factor", type=_finite_float, default=10.0)
     _add_tol_args(p_lam, 1e-10, 1e-12)
     _add_io_args(p_lam)
     p_lam.set_defaults(func=_cmd_lambert)

@@ -56,8 +56,8 @@ therefore cost tens of thousands of steps.  Instead, once the slope is
 positive (an absorbing property here) the order of the equation drops: along
 such a stretch g = h^3 h' is a function of z = 4/h^4 and h^4 is recovered by
 inverting the strictly increasing time map G.  Trajectories switch to that
-exact reduction after a configurable direct span; evaluations beyond the
-switch cost a few evaluations of G each, with no step-count growth in t.
+exact reduction after a fixed direct span; evaluations beyond the switch
+cost a few evaluations of G each, with no step-count growth in t.
 
 G and c.  The g integrator carries one extra Taylor component,
 the running integral I(z) = int_z^{z0} r of the regular integrand
@@ -65,10 +65,13 @@ r(z) = (1/g(z) - 1 + 3z/4) 4/z^2, whose Taylor coefficients follow in O(P)
 from the 1/g series each step already builds (augmented quadrature in the
 sense of Jorba & Zou, Exp. Math. 14, 2005).  Its truncation is checked in
 the same step-acceptance test as g's.  With s = 4/z,
-G(x) = int_{h0^4}^x ds / g(4/s) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x),
-which is dense output on [h0^4, S] (S = 4/z_c); above S the reciprocal
-series sum beta_k (4/s)^k is integrated exactly term by term.  The head of
-c is I(z_c), and its tail is the same series integrated from z_c to 0.
+G(x) = int_{h0^4}^x ds / g(4/s) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x).
+Below z_c (above S = 4/z_c) the integrand is the reciprocal series
+r = 4 sum_{k>=2} beta_k z^(k-2), so I(4/x) = J - T(x) with
+T(x) = sum_{k>=2} w_k x^(1-k), w_k = beta_k 4^k / (k-1), and
+J = I(0) = I(z_c) + T(S) the whole integral.  The same J gives
+c = J - h0^4 + 3 ln h0^4, and G above S is then the expansion
+x - 3 ln x + c - T(x); up to S, I(4/x) is dense output.
 """
 
 from __future__ import annotations
@@ -109,6 +112,9 @@ __all__ = [
 
 _SERIES_ORDER = 24  # truncation used for g and 1/g below the crossover
 _GUARD_BITS = 64  # fixed-point bits of the Taylor kernels below mp.prec
+_MAX_STEPS = 100_000  # step budget of each integrator run
+_DIRECT_SPAN = 128.0  # direct Taylor span before a trajectory may hand off
+_FP_MAX_ITER = 200  # iteration cap of the root finders (G inversion, Lambert)
 
 
 def _require_finite(**values) -> None:
@@ -119,45 +125,27 @@ def _require_finite(**values) -> None:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and caps for the numerical layer.
+    """Tolerances of the numerical layer.
 
-    ``rel_tol``/``abs_tol`` bound the local error per integrator step.
-    ``direct_span`` is the stretch integrated by direct Taylor steps before
-    a trajectory is allowed to hand off to the first-order reduction.
-    ``fp_tol`` is the residual tolerance of the G inversion; ``fp_max_iter``
-    caps the iterations of every root finder (G inversion and the Lambert
-    root).  ``dps`` pins the working decimal precision; left unset, it is
-    derived from the tolerances with guard digits.
+    ``rel_tol``/``abs_tol`` bound the local error per integrator step and
+    fix the working decimal precision ``effective_dps``: their digits plus
+    18 guard digits, and at least 30.  ``fp_tol`` is the residual tolerance
+    of the G inversion.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_steps: int = 100_000
-    direct_span: float = 128.0
     fp_tol: float = 1e-12
-    fp_max_iter: int = 200
-    dps: int | None = None
 
     def __post_init__(self) -> None:
         _require_finite(
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            direct_span=self.direct_span,
-            fp_tol=self.fp_tol,
+            rel_tol=self.rel_tol, abs_tol=self.abs_tol, fp_tol=self.fp_tol
         )
         if not (self.rel_tol > 0 and self.abs_tol > 0 and self.fp_tol > 0):
             raise DomainError("tolerances must be positive")
-        if self.max_steps < 1 or self.fp_max_iter < 1:
-            raise DomainError("step and iteration caps must be >= 1")
-        if self.direct_span < 0:
-            raise DomainError("direct_span must be nonnegative")
-        if self.dps is not None and self.dps < 15:
-            raise DomainError("dps below 15 defeats the purpose of this layer")
 
     @property
     def effective_dps(self) -> int:
-        if self.dps is not None:
-            return self.dps
         digits = -math.log10(min(self.rel_tol, self.abs_tol))
         return max(30, int(math.ceil(digits)) + 18)
 
@@ -415,7 +403,7 @@ class Trajectory:
 
     Two regimes.  The leading span is integrated directly, one Taylor
     polynomial per accepted step.  Once the slope is positive and the
-    configured direct span is covered, the solution continues through the
+    fixed direct span is covered, the solution continues through the
     exact reduction of order: with g = h^3 h' as a function of z = 4/h^4,
     the time map G is strictly increasing and h(t)^4 is its inverse at
     4 (t - t_switch), found by invert_G's bracketed Newton on the dense G
@@ -429,12 +417,12 @@ class Trajectory:
     model past the switch).
     """
 
-    def __init__(self, data, cfg, steps, t_end, rejected, dps, reduction=None):
+    def __init__(self, data, cfg, steps, t_end, rejected, reduction=None):
         self.data = data
         self.cfg = cfg
         self._steps = steps
         self._starts = [s.t_start for s in steps]
-        self._dps = dps
+        self._dps = dps = cfg.effective_dps
         self.t_start = steps[0].t_start
         self.t_end = t_end
         self.n_steps = len(steps)
@@ -444,9 +432,7 @@ class Trajectory:
         if reduction is not None:
             # drive the inversion to working precision, not to cfg.fp_tol:
             # the trajectory's own accuracy is on the line here
-            self._inv_cfg = replace(
-                cfg, fp_tol=float(mp.mpf(10) ** (-(dps - 9))), dps=dps
-            )
+            self._inv_cfg = replace(cfg, fp_tol=float(mp.mpf(10) ** (-(dps - 9))))
         self._h4_cache = {}
         self._sample_cache = None
 
@@ -574,7 +560,7 @@ class Trajectory:
 def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Trajectory:
     """Integrate x' = y, y' = x^{-3} - y from data.t0 to t_max.
 
-    Direct Taylor steps cover the transient and the configured direct span;
+    Direct Taylor steps cover the transient and the direct span (_DIRECT_SPAN);
     the first accepted step end beyond that with positive slope hands off to
     the exact first-order reduction (see Trajectory), which carries the
     trajectory to arbitrarily large times without further stepping.  The
@@ -589,7 +575,7 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
         _require_finite(t_max=t_max)
         if not t_max > t0:
             raise DomainError("t_max must exceed t0")
-        span_direct = mp.mpf(cfg.direct_span)
+        span_direct = mp.mpf(_DIRECT_SPAN)
         x, y = mp.mpf(data.h0), mp.mpf(data.h1)
         t = t0
         cum_err = mp.zero
@@ -598,10 +584,8 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
         reduction = None
         k = 0  # the kernels' scale rho = 2^k, kept at or above the step
         while t < t_max:
-            if len(steps) >= cfg.max_steps:
-                raise IntegrationError(
-                    f"step budget {cfg.max_steps} exhausted at t={t}"
-                )
+            if len(steps) >= _MAX_STEPS:
+                raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at t={t}")
             eps_loc = mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * max(
                 abs(x), abs(y)
             )
@@ -645,7 +629,7 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
                 )
                 reduction = (problem, t, x, y)
                 break
-        traj = Trajectory(data, cfg, steps, t_max, rejected, dps, reduction)
+        traj = Trajectory(data, cfg, steps, t_max, rejected, reduction)
         if reduction is not None:
             traj.eval_h(t_max)  # fail fast and seed the h^4 memo
         return traj
@@ -662,46 +646,49 @@ class GProblem:
     than any power); above, by the integrator's Taylor pieces, each carrying
     g and the running integral I(z) = int_z^{z0} r of the regular integrand
     r = (1/g - 1 + 3z/4) 4/z^2.  The two representations of g are required
-    to agree at z_c when the problem is built.  G on [anchor, S] and the
-    head of c are read off I: the head is ``i_c`` = I(z_c), the
+    to agree at z_c when the problem is built.  ``i_c`` = I(z_c) is the
     integrator's own value at its last step end (zero without Taylor
-    pieces).  The caches are the memoized constant c, G(S), the base of
-    every G evaluation above the split, and the weights and S part of the
-    series integral above it.
+    pieces).  Below z_c, r is the reciprocal series, and I(4/x) = J - T(x)
+    for x >= S (see _beta_tail); the weights of T and the whole integral
+    ``i_0`` = J = I(0) = i_c + T(S) are built here, once.  ``alphas`` are
+    the series coefficients as mpfs at the working precision, which is
+    ``cfg.effective_dps``.
 
     ``anchor`` = h0^4 = 4/z0 is the lower limit of G and ``split`` = S =
     4/z_c the point beyond which G uses the series tail; both, and the
     domain bounds of eval_g and compute_G (a relative slack of 10^(4-dps)),
     are fixed when the problem is built.  ``n_rejected`` counts the
-    integrator's rejected trial steps.
+    integrator's rejected trial steps.  The constant c is memoized on the
+    problem by compute_c.
     """
 
-    def __init__(self, z0, g0, z_c, steps, cfg, dps, ode_err, rejected=0, i_c=0):
+    def __init__(self, z0, g0, z_c, steps, cfg, alphas, ode_err, rejected=0, i_c=0):
         self.z0 = z0
         self.g0 = g0
         self.z_c = z_c
         self.i_c = i_c
         self.cfg = cfg
-        self.dps = dps
+        self.dps = dps = cfg.effective_dps
         self.ode_err = ode_err
         self.n_rejected = rejected
+        self._alpha_mpf = alphas
         self._steps = steps  # descending t_start; each covers [start-len, start]
         self._neg_starts = [-s.t_start for s in steps]  # ascending, for bisect
+        self._c = None
         with mp.workdps(dps):
             self.anchor = 4 / z0
             self.split = 4 / z_c
             slack = mp.mpf(10) ** (4 - dps)
             self._z_max = z0 * (1 + slack)  # eval_g's upper bound
             self._x_min = self.anchor * (1 - slack)  # compute_G's lower bound
-            alphas = gen_alpha(_SERIES_ORDER).values
-            self._alpha_mpf = [
-                mp.mpf(a.numerator) / a.denominator for a in alphas
-            ]
+            F = mp.prec + _GUARD_BITS
             betas = gen_beta(_SERIES_ORDER).values
-            self._beta_mpf = [mp.mpf(b.numerator) / b.denominator for b in betas]
-        self._c = None
-        self._G_split = None
-        self._tail = None  # series weights above S and their S part
+            weights = [
+                mp.mpf(b.numerator) / b.denominator * mp.mpf(4) ** k / (k - 1)
+                for k, b in enumerate(betas[2:], 2)
+            ]
+            self._weights = [_fixed(w, F) for w in weights], F
+            self.i_0 = i_c + self._beta_tail(self.split)
 
     def _step_at(self, z):
         """The Taylor piece covering z, for z_c < z <= z0."""
@@ -732,6 +719,24 @@ class GProblem:
         if not self._steps:
             return mp.zero
         return self._step_at(z).eval_y(z)
+
+    def _beta_tail(self, x):
+        """T(x) = sum_{k>=2} w_k x^(1-k) = int_0^{4/x} r, for x >= S.
+
+        Below z_c the integrand is the series r = 4 sum_{k>=2} beta_k
+        z^(k-2), integrated termwise.  An integer Horner polynomial in
+        u = 1/x on the weights' mantissas at the absolute scale 2^-F,
+        F = mp.prec + _GUARD_BITS, rounded once.  Absolute accuracy
+        suffices: T is at most 0.2 in size (u <= z_c/4), and x >= S > 100,
+        so its error lies _GUARD_BITS bits below the rounding of x itself.
+        Runs at the caller's precision, the problem's.
+        """
+        W, F = self._weights
+        U = (1 << 2 * F) // _fixed(x, F)  # u = 1/x; x >= S > 1 is exact at 2^-F
+        acc = W[-1]
+        for w in reversed(W[:-1]):
+            acc = (acc * U >> F) + w
+        return _to_mpf(acc * U, -2 * F)
 
 
 def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
@@ -767,9 +772,11 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
         g0 = mp.mpf(g0)
         if not (z0 > 0 and g0 > 0):
             raise DomainError("solve_g needs z0 > 0 and g0 > 0")
-        alphas = gen_alpha(_SERIES_ORDER).values
-        a_top = mp.mpf(alphas[-1].numerator) / alphas[-1].denominator
-        a_sub = mp.mpf(alphas[-2].numerator) / alphas[-2].denominator
+        alphas = [
+            mp.mpf(a.numerator) / a.denominator
+            for a in gen_alpha(_SERIES_ORDER).values
+        ]
+        a_top, a_sub = alphas[-1], alphas[-2]
         k_top = len(alphas) - 1
         tol_pt = mp.mpf("0.01") * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol))
 
@@ -786,9 +793,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
             # Initial point already inside the collapse region: every actual
             # solution is indistinguishable from the series there, so the
             # data must be consistent with it up to the truncation estimate.
-            series_val = _horner(
-                [mp.mpf(a.numerator) / a.denominator for a in alphas], z0
-            )
+            series_val = _horner(alphas, z0)
             gate = (
                 1000 * trunc_est(z0)
                 + mp.mpf(10) ** (-(dps - 6))
@@ -802,7 +807,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
                     "data disagree with the asymptotic profile; the backward "
                     "problem is not resolvable at this precision"
                 )
-            return GProblem(z0, g0, min(z0, z_c), [], cfg, dps, mp.zero)
+            return GProblem(z0, g0, min(z0, z_c), [], cfg, alphas, mp.zero)
 
         z, g = z0, g0
         i_cum = mp.zero  # I(z) = int_z^{z0} r
@@ -810,10 +815,8 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
         steps: list[_Step] = []
         rejected = 0
         while z > z_c:
-            if len(steps) >= cfg.max_steps:
-                raise IntegrationError(
-                    f"step budget {cfg.max_steps} exhausted at z={z}"
-                )
+            if len(steps) >= _MAX_STEPS:
+                raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at z={z}")
             C, R, F, k = _g_equation_coeffs(z, g, order)
             I = _running_integral_coeffs(z, R, F, k, i_cum)
             c_top = _top_coeffs(C, F, k)
@@ -846,8 +849,8 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
             g = g_new
             i_cum = _fixed_eval(I, -h, F, k)
 
-        problem = GProblem(z0, g0, z_c, steps, cfg, dps, cum_err, rejected, i_cum)
-        series_at_zc = _horner(problem._alpha_mpf, z_c)
+        problem = GProblem(z0, g0, z_c, steps, cfg, alphas, cum_err, rejected, i_cum)
+        series_at_zc = _horner(alphas, z_c)
         agree_tol = (
             1000 * trunc_est(z_c) + 100 * cum_err + mp.mpf(10) ** (-(dps - 6))
         )
@@ -875,7 +878,7 @@ def g_problem_for_data(
         if mp.mpf(data.h1) <= 0:
             # integrate until the trajectory hands off on its own: the
             # switch point is exactly the rebased data we need
-            horizon = max(2 * mp.mpf(cfg.direct_span), mp.mpf(32))
+            horizon = 2 * mp.mpf(_DIRECT_SPAN)
             while True:
                 traj = integrate_h(data, mp.mpf(data.t0) + horizon, cfg)
                 if traj.g_problem is not None:
@@ -890,47 +893,15 @@ def g_problem_for_data(
         return solve_g(z0, g0, cfg), mp.mpf(data.t0)
 
 
-def _series_tail_G(problem: GProblem, x):
-    """Exact integral of the reciprocal series sum beta_k (4/s)^k over [S, x].
-
-    Valid for x at or above the split point S, where 4/s <= z_c and the
-    series represents 1/g(4/s) below working precision.  Termwise: the
-    k = 0 term integrates to (x - S), k = 1 to 4 beta_1 log(x/S), k >= 2 to
-    w_k (S^{1-k} - x^{1-k}) with w_k = beta_k 4^k / (k-1).  The weights and
-    the S part sum w_k S^{1-k} are computed once per problem; the x part
-    u sum_k w_k u^{k-2} in u = 1/x is an integer Horner polynomial on the
-    weights' mantissas at the absolute scale 2^-F, F = mp.prec + _GUARD_BITS,
-    rounded once.  It is at most 0.2 in size (u <= z_c/4) and is added to
-    terms of size at least x - S + G(S), so absolute accuracy suffices.
-    """
-    with mp.workdps(problem.dps):
-        S = problem.split
-        betas = problem._beta_mpf
-        if problem._tail is None:
-            weights = [
-                betas[k] * mp.mpf(4) ** k / (k - 1) for k in range(2, len(betas))
-            ]
-            s_part = sum(w * S ** (1 - k) for k, w in enumerate(weights, 2))
-            F = mp.prec + _GUARD_BITS
-            problem._tail = [_fixed(w, F) for w in weights], F, s_part
-        W, F, s_part = problem._tail
-        U = (1 << 2 * F) // _fixed(x, F)  # u = 1/x; x >= S > 1 is exact at 2^-F
-        acc = W[-1]
-        for w in reversed(W[:-1]):
-            acc = (acc * U >> F) + w
-        x_part = _to_mpf(acc * U, -2 * F)
-        return (x - S) + betas[1] * 4 * mp.log(x / S) + s_part - x_part
-
-
-def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
+def compute_G(x, problem: GProblem):
     """G(x) = int_{h0^4}^{x} ds / g(4/s), for x >= h0^4.
 
-    Up to the split S this is dense output of the integrator's running
-    integral, G(x) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x): a bisection for
-    the step and one Horner evaluation.  Beyond S the reciprocal series is
-    integrated exactly term by term from S (one log and one Horner
-    evaluation in 1/x) and added to G(S), which is computed once per
-    problem.
+    G(x) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x) on both sides of the split
+    S.  Up to S, I(4/x) is dense output of the integrator's running
+    integral: a bisection for the step and one Horner evaluation.  Above S
+    it is J - T(x), the problem's whole integral less the series tail in
+    1/x (GProblem._beta_tail); this is the large-x expansion
+    x - 3 ln x + c - 4 sum_k (beta_{k+1}/k) (4/x)^k at the problem's own c.
     """
     with mp.workdps(problem.dps):
         x = mp.mpf(x)
@@ -938,30 +909,24 @@ def compute_G(x, problem: GProblem, cfg: SolverConfig | None = None):
         if x < problem._x_min:
             raise DomainError(f"G is defined for x >= h0^4 = {anchor}")
         x = max(x, anchor)
-        S = problem.split
-        if x > S:
-            if problem._G_split is None:
-                problem._G_split = _G_dense(problem, S)
-            return problem._G_split + _series_tail_G(problem, x)
-        return _G_dense(problem, x)
+        if x > problem.split:
+            i_x = problem.i_0 - problem._beta_tail(x)
+        else:
+            i_x = problem._integral(4 / x)
+        return (x - anchor) - 3 * mp.log(x / anchor) + i_x
 
 
-def _G_dense(problem: GProblem, x):
-    """G(x) for x in [anchor, S] from the running integral I."""
-    anchor = problem.anchor
-    return (x - anchor) - 3 * mp.log(x / anchor) + problem._integral(4 / x)
-
-
-def compute_c(problem: GProblem, cfg: SolverConfig | None = None):
+def compute_c(problem: GProblem):
     """The constant c = int_{h0^4}^inf (1/g(4/s) - 1 + 3/s) ds - h0^4 + 3 ln h0^4.
 
     In the radial variable (s = 4/z) the integrand becomes the regular
     r(z) = (1/g(z) - 1 + (3/4) z) * 4/z^2, which extends continuously to
-    z = 0 with value 4 beta_2.  The head, over [z_c, z0], is the running
-    integral I(z_c) that the integrator accumulated step by step; the tail
-    below z_c (or below z0 when the data already sit there) is the exact
-    termwise integral of the series
-    1/g(4/s) - 1 + 3/s = sum_{k>=2} beta_k (4/s)^k.
+    z = 0 with value 4 beta_2, and the integral is the problem's
+    J = I(0) = int_0^{z0} r: the running integral I(z_c) that the
+    integrator accumulated step by step, plus the exact termwise integral
+    T(S) of the series 1/g(4/s) - 1 + 3/s = sum_{k>=2} beta_k (4/s)^k below
+    z_c (below z0 when the data already sit there).  The series' last term
+    there must lie below the tolerance.
 
     Memoized on the problem.  The result is the c of a problem based at
     t0 = 0; see compute_c_for_data for general base points.
@@ -970,13 +935,10 @@ def compute_c(problem: GProblem, cfg: SolverConfig | None = None):
         return problem._c
     with mp.workdps(problem.dps):
         z_tail = problem.z_c  # equal to z0 when the data sit below z_c
-        head = problem.i_c
-        betas = problem._beta_mpf
-        tail = 4 * mp.fsum(
-            betas[j + 1] * z_tail**j / j for j in range(1, len(betas) - 1)
-        )
-        top = len(betas) - 1
-        last_term = abs(betas[top]) * 4 * z_tail ** (top - 1) / (top - 1)
+        top = _SERIES_ORDER
+        b_top = gen_beta(top)[top]
+        b_top = mp.mpf(b_top.numerator) / b_top.denominator
+        last_term = abs(b_top) * 4 * z_tail ** (top - 1) / (top - 1)
         tail_gate = mp.mpf("0.01") * (
             mp.mpf(problem.cfg.abs_tol) + mp.mpf(problem.cfg.rel_tol)
         ) + mp.mpf(10) ** (-(problem.dps - 8))
@@ -986,8 +948,8 @@ def compute_c(problem: GProblem, cfg: SolverConfig | None = None):
                 f"last term {last_term}"
             )
 
-        h04 = problem.anchor
-        problem._c = head + tail - h04 + 3 * mp.log(h04)
+        anchor = problem.anchor
+        problem._c = problem.i_0 - anchor + 3 * mp.log(anchor)
     return problem._c
 
 
@@ -1000,7 +962,7 @@ def compute_c_for_data(data: InitialData, cfg: SolverConfig | None = None):
     """
     problem, t_base = g_problem_for_data(data, cfg)
     with mp.workdps(problem.dps):
-        return compute_c(problem, cfg) + 4 * t_base
+        return compute_c(problem) + 4 * t_base
 
 
 def _newton(f, slope, y, lo, hi, tol, max_iter, what):
@@ -1047,23 +1009,23 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
         lo = problem.anchor  # G(lo) = 0 <= x
         hi = 2 * x + lo + 1
         for _ in range(200):
-            if compute_G(hi, problem, cfg) >= x:
+            if compute_G(hi, problem) >= x:
                 break
             hi *= 2
         else:
             raise ConvergenceError("could not bracket the preimage of x")
         return _newton(
-            lambda y: compute_G(y, problem, cfg) - x,
+            lambda y: compute_G(y, problem) - x,
             lambda y: 1 / problem.eval_g(4 / y),
             max(x, lo), lo, hi,
-            mp.mpf(cfg.fp_tol) / 2, cfg.fp_max_iter, "G inversion",
+            mp.mpf(cfg.fp_tol) / 2, _FP_MAX_ITER, "G inversion",
         )
 
 
 def lambert_root_tol(x, cfg: SolverConfig | None = None):
     """Residual at which lambert_wm1_numeric stops, |y - ln y - x| <= 10^-(dps-5) x
     at its precision dps; the root is resolved to this over the slope 1 - 1/y."""
-    dps = max(30, (cfg or SolverConfig()).effective_dps)
+    dps = (cfg or SolverConfig()).effective_dps
     with mp.workdps(dps):
         return mp.mpf(10) ** (-(dps - 5)) * mp.mpf(x)
 
@@ -1078,7 +1040,7 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
     the precision allows.
     """
     cfg = cfg or SolverConfig()
-    dps = max(30, cfg.effective_dps)
+    dps = cfg.effective_dps
     with mp.workdps(dps):
         x = mp.mpf(x)
         if x <= 1:
@@ -1090,25 +1052,19 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
             lambda y: y - mp.log(y) - x,
             lambda y: 1 - 1 / y,
             x + mp.log(x), mp.one, hi,
-            lambert_root_tol(x, cfg), cfg.fp_max_iter, "Lambert root iteration",
+            lambert_root_tol(x, cfg), _FP_MAX_ITER, "Lambert root iteration",
         )
 
 
 # -- export helpers -------------------------------------------------------------
 
 
-def trajectory_to_csv(traj: Trajectory, t_grid=None) -> str:
-    """CSV text with header t,h,hprime; 17 significant digits per value."""
+def trajectory_to_csv(traj: Trajectory) -> str:
+    """CSV text of traj.samples() with header t,h,hprime; 17 significant
+    digits per value."""
     with mp.workdps(traj.stats["dps"]):
         lines = ["t,h,hprime"]
-        if t_grid is None:
-            rows = traj.samples()
-        else:
-            rows = [
-                (mp.mpf(t), traj.eval_h(t), traj.eval_hprime(t))
-                for t in t_grid
-            ]
-        for t, h, hp in rows:
+        for t, h, hp in traj.samples():
             lines.append(
                 ",".join(
                     mp.nstr(v, 17, strip_zeros=False) for v in (t, h, hp)

@@ -283,6 +283,16 @@ class TestRemainderStudy:
         assert not rep.ok
         assert rep.failures()
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -10.0])
+    def test_growth_factor_must_be_finite_and_positive(self, factor):
+        # a nan limit would pass every growth test (growth > nan is false)
+        m = AsymptoticModel.build(C_011, order=3, dps=40)
+        syn = SyntheticTrajectory(lambda t: eval_A_n(m, t, 3), 50, 2e6, dps=40)
+        with pytest.raises(DomainError, match="growth factor"):
+            remainder_study(m, syn, 1, [1e2, 1e4], growth_factor=factor)
+        with pytest.raises(DomainError, match="growth factor"):
+            lambert_compare(1, [10, 100], growth_factor=factor)
+
     def test_zero_remainder_growth_guards(self):
         rep = RemainderReport(
             n_values=(0,), t_values=(2.0, 3.0),
@@ -329,6 +339,12 @@ class TestShiftInvariance:
         with pytest.raises(DomainError):
             shift_invariance_check(model, 3, 1, [])
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_shift_rejected(self, model, s):
+        # the nan defect would otherwise be lost in the running max
+        with pytest.raises(DomainError, match="must be finite"):
+            shift_invariance_check(model, 3, s, [1e2, 1e4])
+
 
 class TestLambertCompare:
     def test_residual_and_remainders(self):
@@ -355,7 +371,7 @@ class TestLambertCompare:
     def test_resolution_bounds_the_root_error(self):
         # soundness of the precision gate: the resolution it charges is at
         # least the actual root error against mpmath's W_{-1} at 60 digits
-        cfg = SolverConfig(dps=30)
+        cfg = SolverConfig()  # 30 digits
         for x_raw in (1.5, 10, 1e3, 1e6, 1e20):
             y = lambert_wm1_numeric(x_raw, cfg)
             bound = lambert_root_tol(x_raw, cfg) / (1 - 1 / y)
@@ -368,7 +384,7 @@ class TestLambertCompare:
     def test_gate_boundary(self, x, first_refused):
         # at dps 30 the root is resolved to about 1e-25 x; the first order
         # whose scale (ln x / x)^(n+1) is below 100 times that is refused
-        cfg = SolverConfig(dps=30)
+        cfg = SolverConfig()  # 30 digits
         rep = lambert_compare(first_refused - 1, [x], cfg)
         assert rep.n_values[-1] == first_refused - 1
         with pytest.raises(AccuracyError, match="n = %d, x = %s" % (first_refused, x)):

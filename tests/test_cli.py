@@ -146,6 +146,12 @@ class TestIntegrate:
             ("integrate", "--t-max", "inf"),
             ("integrate", "--rel-tol", "inf"),
             ("constant", "--abs-tol", "inf"),
+            ("verify", "--growth-factor", "nan"),
+            ("lambert", "--growth-factor", "nan"),
+            ("verify", "--shift-tol", "nan"),
+            ("lambert", "--residual-tol", "nan"),
+            ("verify", "--synthetic", "4", "--t-grid", "1e2,1e3", "--shift", "nan"),
+            ("verify", "--synthetic", "4", "--t-grid", "1e2,1e3", "--shift", "inf"),
         ],
     )
     def test_non_finite_input_is_usage_error(self, capsys, argv):
@@ -166,6 +172,19 @@ class TestConstant:
         code, out, _ = run(capsys, "constant")
         assert code == 0
         assert out.startswith("c = -18.6444150604")
+
+    @pytest.mark.parametrize("digits", ["0", "-3", "39", "100"])
+    def test_digits_outside_working_precision_is_usage_error(self, capsys, digits):
+        # the defaults work at 38 digits; more would print rounding noise
+        code, out, err = run(capsys, "constant", "--digits", digits)
+        assert (code, out) == (2, "")
+        assert "--digits" in err
+
+    def test_digits_up_to_working_precision(self, capsys):
+        code, out, _ = run(capsys, "constant", "--digits", "38")
+        assert code == 0
+        assert out.startswith("c = -18.644415060418059")
+        assert len(out.split("=")[1].strip().lstrip("-").replace(".", "")) == 38
 
 
 class TestVerify:

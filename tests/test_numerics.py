@@ -5,11 +5,15 @@ configurations at different working precisions (30 and 46 digits) and
 checking agreement well beyond the asserted tolerances.
 """
 
+import dataclasses
+
 import pytest
+from expansion_oracle import eval_G_asympt
 from mpmath import mp
 
 import taylor_oracle as oracle
 from asymptode import numerics
+from asymptode.asympt import AsymptoticModel
 from asymptode.errors import AccuracyError, ConvergenceError, DomainError
 from asymptode.families import gen_beta
 from asymptode.numerics import (
@@ -62,7 +66,10 @@ class TestSolverConfig:
     def test_dps_derived_from_tolerances(self):
         assert SolverConfig().effective_dps == 30
         assert SolverConfig(rel_tol=1e-18, abs_tol=1e-20).effective_dps == 38
-        assert SolverConfig(dps=33).effective_dps == 33
+
+    def test_fields_are_the_three_tolerances(self):
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert fields == ["rel_tol", "abs_tol", "fp_tol"]
 
     def test_taylor_order_tracks_dps(self):
         assert SolverConfig().taylor_order >= 24
@@ -75,12 +82,12 @@ class TestSolverConfig:
             {"rel_tol": 0.0},
             {"abs_tol": -1e-3},
             {"fp_tol": 0.0},
-            {"max_steps": 0},
-            {"fp_max_iter": 0},
-            {"dps": 10},
-            {"direct_span": -1.0},
+            {"rel_tol": float("nan")},
+            {"abs_tol": float("inf")},
+            {"fp_tol": -1e-12},
+            {"rel_tol": float("inf")},
             {"fp_tol": float("inf")},
-            {"direct_span": float("inf")},
+            {"abs_tol": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -280,14 +287,34 @@ class TestComputeG:
         with pytest.raises(DomainError):
             invert_G(-1, problem)
 
-    def test_inversion_iteration_cap(self, problem):
-        starved = SolverConfig(fp_max_iter=1, fp_tol=1e-25)
+    def test_inversion_iteration_cap(self, problem, monkeypatch):
+        monkeypatch.setattr(numerics, "_FP_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            invert_G(100, problem, starved)
+            invert_G(100, problem, SolverConfig(fp_tol=1e-25))
 
-    def test_lambert_iteration_cap(self):
+    def test_lambert_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_FP_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            lambert_wm1_numeric(1e5, SolverConfig(fp_max_iter=1))
+            lambert_wm1_numeric(1e5)
+
+    @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5), (0.5, 2), (1000, -0.7)])
+    def test_above_split_is_the_expansion(self, h0, h1):
+        # above S, G is x - 3 ln x + c - 4 sum_k (beta_{k+1}/k) (4/x)^k to
+        # the series order, at the problem's own c; (1000, -0.7) hands off
+        # at a point below the crossover, so its problem has no Taylor steps
+        cfg = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
+        prob, _ = g_problem_for_data(InitialData(0, h0, h1), cfg)
+        assert bool(prob._steps) == (h0 < 1000)
+        model = AsymptoticModel.build(
+            compute_c(prob), order=_SERIES_ORDER - 1, dps=prob.dps + 20
+        )
+        for factor in (1.5, 1e3, 1e6):
+            with mp.workdps(prob.dps):
+                x = prob.split * factor
+            got = compute_G(x, prob)
+            ref = eval_G_asympt(model, x)
+            with mp.workdps(model.dps):
+                assert abs(got - ref) <= mp.mpf(10) ** (5 - prob.dps) * abs(ref), factor
 
 
 class TestComputeC:
@@ -632,14 +659,15 @@ class TestLambertRoot:
 
 class TestExports:
     def test_csv_shape_and_determinism(self, traj):
-        text = trajectory_to_csv(traj, [0.5, 1.0, 200.0])
+        text = trajectory_to_csv(traj)
         lines = text.strip().split("\n")
         assert lines[0] == "t,h,hprime"
-        assert len(lines) == 4
-        assert text == trajectory_to_csv(traj, [0.5, 1.0, 200.0])
+        assert len(lines) == 1 + len(traj.samples())
+        assert text == trajectory_to_csv(traj)
 
     def test_csv_digits(self, traj):
-        text = trajectory_to_csv(traj, [1.0])
-        h_field = text.strip().split("\n")[1].split(",")[1]
+        # a row past the first, where h is no round number
+        text = trajectory_to_csv(traj)
+        h_field = text.strip().split("\n")[2].split(",")[1]
         digits = h_field.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 16
