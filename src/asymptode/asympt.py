@@ -22,11 +22,14 @@ The same machinery applies to the classical transcendental equation
 y - ln y = x, whose root shares the polynomial structure with c = 0;
 ``lambert_compare`` cross-checks that analogue end to end.
 
-Everything here evaluates exact rational polynomials with mpmath at a
-configurable working precision; no floating-point coefficients enter.
-Each q_k is a polynomial in the single variable w = 3z - c, and is
-evaluated by Horner on its dense w-coefficients; the c-derivative needed
-by the fit is -d/dw of the same coefficients.
+Everything here evaluates exact rational polynomials at a configurable
+working precision; no floating-point coefficients enter.  Each q_k is a
+polynomial in the single variable w = 3z - c.  It is evaluated by the
+integer Horner of the numerical layer (numerics._fixed_eval) on the
+mantissas of its dense w-coefficients at 2^-F, F = mp.prec +
+numerics._GUARD_BITS (families.fixed_coeffs), rounded once; the
+c-derivative needed by the fit is -d/dw, from the mantissas of the
+derivative's coefficients.  The Lambert family is read the same way.
 """
 
 from __future__ import annotations
@@ -38,8 +41,14 @@ from dataclasses import dataclass, field
 from mpmath import mp
 
 from .errors import AccuracyError, ConvergenceError, DomainError
-from .families import gen_lambert_p, gen_q
-from .numerics import SolverConfig, lambert_root_tol, lambert_wm1_numeric
+from .families import fixed_coeffs
+from .numerics import (
+    _GUARD_BITS,
+    SolverConfig,
+    _fixed_eval,
+    lambert_root_tol,
+    lambert_wm1_numeric,
+)
 
 __all__ = [
     "AsymptoticModel",
@@ -91,21 +100,11 @@ class AsymptoticModel:
             return AsymptoticModel(c=self.c - 4 * mp.mpf(s), order=self.order, dps=self.dps)
 
 
-def _horner(coeffs, u):
-    """sum_j coeffs[j] u**j for exact rational coefficients, in mpmath."""
-    acc = mp.zero
-    for f in reversed(coeffs):
-        acc = acc * u + mp.mpf(f.numerator) / f.denominator
-    return acc
-
-
-def _horner_deriv(coeffs, u):
-    """d/du of sum_j coeffs[j] u**j, from the same coefficients."""
-    acc = mp.zero
-    for j in range(len(coeffs) - 1, 0, -1):
-        f = coeffs[j]
-        acc = acc * u + mp.mpf(j * f.numerator) / f.denominator
-    return acc
+def _member_value(family, n, u, slope=False):
+    """Member n of the family at u (its derivative if slope), at the
+    caller's precision: one integer Horner, rounded once."""
+    F = mp.prec + _GUARD_BITS
+    return _fixed_eval(fixed_coeffs(family, n, F)[1 if slope else 0], u, F, 0)
 
 
 def _a_value(c, t, n):
@@ -114,10 +113,9 @@ def _a_value(c, t, n):
     if n >= 1:
         w = 3 * mp.log(4 * t) - c
         tk = mp.one
-        q = gen_q(n)
         for k in range(1, n + 1):
             tk *= t
-            acc += _horner(q.coeffs(k), w) / tk
+            acc += _member_value("q", k, w) / tk
     return (4 * t) ** (mp.mpf(1) / 4) * acc
 
 
@@ -127,10 +125,9 @@ def _a_slope_c(c, t, n):
     if n >= 1:
         w = 3 * mp.log(4 * t) - c
         tk = mp.one
-        q = gen_q(n)
         for k in range(1, n + 1):
             tk *= t
-            acc -= _horner_deriv(q.coeffs(k), w) / tk
+            acc -= _member_value("q", k, w, slope=True) / tk
     return (4 * t) ** (mp.mpf(1) / 4) * acc
 
 
@@ -211,7 +208,8 @@ class RemainderReport:
 
     ``remainders[(n, t)]`` holds R_n(t); ``growth(n)`` compares the last
     grid point against the first, which is the boundedness statement in
-    its crudest testable form.
+    its crudest testable form.  On a grid of one point there is nothing to
+    compare, and ``growth`` raises DomainError rather than report 1.
 
     lambert_compare reports the y - ln y = x analogue in the same form:
     its grid is in x, ``h_values`` holds the numeric roots y, ``a_values``
@@ -232,6 +230,8 @@ class RemainderReport:
         return max(self.residuals.values())
 
     def growth(self, n):
+        if len(self.t_values) < 2:
+            raise DomainError(_ONE_POINT)
         first = self.remainders[(n, self.t_values[0])]
         last = self.remainders[(n, self.t_values[-1])]
         if first == 0:
@@ -256,6 +256,9 @@ class RemainderReport:
         return out
 
 
+_ONE_POINT = "the growth test needs a grid of at least two distinct points"
+
+
 def _growth_limit(growth_factor):
     """growth_factor as a float, which must be finite and positive."""
     growth_factor = float(growth_factor)
@@ -278,8 +281,8 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
         raise DomainError("n_max must be nonnegative")
     growth_factor = _growth_limit(growth_factor)
     times = sorted(set(float(t) for t in t_grid))
-    if not times:
-        raise DomainError("empty t grid")
+    if len(times) < 2:
+        raise DomainError(_ONE_POINT)
     if times[0] <= 1:
         raise DomainError("remainder normalisation needs t > 1")
     dps = max(model.dps, traj.stats["dps"])
@@ -381,11 +384,10 @@ def shift_invariance_check(model, n, s, t_grid):
 def _lambert_value(x, n):
     # caller supplies the mp context; x already mpf
     z = mp.log(x)
-    lam = gen_lambert_p(n)
     acc = x
     xk = mp.one
     for k in range(0, n + 1):
-        acc += _horner(lam.coeffs(k), z) / xk
+        acc += _member_value("lambert", k, z) / xk
         xk *= x
     return acc
 

@@ -80,6 +80,14 @@ def _finite_float(text):
     return _finite([val], "the value")[0]
 
 
+def _positive_float(text):
+    """A finite float above zero, for the limits a run must stay within."""
+    val = _finite_float(text)
+    if not val > 0:
+        raise argparse.ArgumentTypeError("the value must be positive, got %r" % text)
+    return val
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -343,7 +351,7 @@ def _build_parser():
     p_ver.add_argument("--t-grid", type=_grid, default=[1e2, 1e3, 1e4, 1e5, 1e6])
     p_ver.add_argument("--growth-factor", type=_finite_float, default=10.0)
     p_ver.add_argument("--shift", type=float, default=1.0)
-    p_ver.add_argument("--shift-tol", type=_finite_float, default=10.0)
+    p_ver.add_argument("--shift-tol", type=_positive_float, default=10.0)
     p_ver.add_argument(
         "--synthetic",
         type=int,
@@ -358,7 +366,7 @@ def _build_parser():
     p_lam = sub.add_parser("lambert", help="y - ln y = x: numeric root vs expansion")
     p_lam.add_argument("--n-max", type=int, default=3)
     p_lam.add_argument("--x-grid", type=_grid, default=[1e1, 1e2, 1e3, 1e4, 1e5])
-    p_lam.add_argument("--residual-tol", type=_finite_float, default=1e-12)
+    p_lam.add_argument("--residual-tol", type=_positive_float, default=1e-12)
     p_lam.add_argument("--growth-factor", type=_finite_float, default=10.0)
     _add_tol_args(p_lam, 1e-10, 1e-12)
     _add_io_args(p_lam)

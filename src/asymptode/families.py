@@ -41,7 +41,11 @@ normalisation, which is what makes order 40 cheap.  Each family object
 carries two public forms, built once per member from the integer one: the
 display forms (``family[n]``) for printing, JSON and exact comparison, and
 the ``Fraction`` coefficients (``family.coeffs(n)``: in ``w`` for p and q,
-in ``z`` for ptilde) for numeric evaluation.
+in ``z`` for ptilde) for exact evaluation.  Numeric reads take neither:
+``fixed_coeffs`` gives the mantissas at 2^-F of a member's coefficients and
+of its derivative's, straight from the integer form, which the integer
+Horner ``numerics._fixed_eval`` evaluates.  They are built on the first
+numeric read at each F, never by the generators.
 
 All generation is incremental and memoized; a family asked for twice is
 computed once.  Returned objects are immutable.
@@ -69,6 +73,7 @@ __all__ = [
     "gen_q",
     "gen_lambert_p",
     "ode_residual_order",
+    "fixed_coeffs",
     "clear_caches",
 ]
 
@@ -155,6 +160,9 @@ class _State:
         self.p_pub: dict[int, tuple[BivariatePoly, tuple[Fraction, ...]]] = {}
         self.q_pub: dict[int, tuple[BivariatePoly, tuple[Fraction, ...]]] = {}
         self.lam_pub: dict[int, tuple[BivariatePoly, tuple[Fraction, ...]]] = {}
+        # numeric reads: (family, index, F) -> mantissas of the coefficients
+        # and of the derivative's coefficients, see fixed_coeffs
+        self.fixed: dict[tuple[str, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
 _STATE = _State()
@@ -396,6 +404,42 @@ def gen_lambert_p(N: int) -> LambertPolyFamily:
         LambertPolyFamily, _STATE.lam_pub, _STATE.lam, range(N + 1),
         lambda poly: BivariatePoly.z_poly(_fractions(poly)),
     )
+
+
+def _member(family: str, n: int) -> IntPoly:
+    """The integer form of p_n, q_n or ptilde_n, generated if needed."""
+    st = _STATE
+    if family == "p" and n >= 0:
+        _ensure_p(n)
+        return st.p_w[n]
+    if family == "q" and n >= 1:
+        _ensure_q(n)
+        return st.q_w[n]
+    if family == "lambert" and n >= 0:
+        _ensure_lambert(n)
+        return st.lam[n]
+    raise DomainError(f"no member {n} in family {family!r}")
+
+
+def fixed_coeffs(family: str, n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Member n of family "p", "q" or "lambert" at the binary scale 2^-F.
+
+    Returns the mantissas floor(u_j 2^F) of its dense coefficients u_j (in
+    w for p and q, in z for ptilde), lowest power first, and those of its
+    derivative's coefficients j u_j, j >= 1.  Each is one integer division
+    of the member's integer form, with no Fraction.  Memoized per
+    (family, n, F) until clear_caches().
+    """
+    key = (family, n, F)
+    hit = _STATE.fixed.get(key)
+    if hit is None:
+        nums, den = _member(family, n)
+        hit = (
+            tuple((v << F) // den for v in nums),
+            tuple((j * v << F) // den for j, v in enumerate(nums) if j),
+        )
+        _STATE.fixed[key] = hit
+    return hit
 
 
 def ode_residual_order(N: int) -> int:

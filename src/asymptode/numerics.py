@@ -35,8 +35,9 @@ an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  The step guess
 and the truncation estimate read only the top three coefficients, which
 are the only ones rounded into mpfs during stepping; the estimate is
 summed in mpf because it is a bound that must keep its relative accuracy
-where the terms fall below 2^-F.  A stored step keeps its mantissas until
-dense output first reads it, and then holds the mpf coefficients instead.
+where the terms fall below 2^-F.  A stored step keeps its mantissas for
+good: dense output is the same integer Horner at the offset of the read,
+and so is every read of g's series below the crossover.
 
 The series order is tied to the working precision; the step size comes from
 a coefficient-ratio estimate of the local radius of convergence and is
@@ -80,7 +81,6 @@ import bisect
 import math
 from dataclasses import dataclass, replace
 from operator import mul
-from typing import Sequence
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -171,13 +171,6 @@ class InitialData:
 # -- local Taylor models -------------------------------------------------------
 
 
-def _horner(coeffs: Sequence, u):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * u + c
-    return acc
-
-
 def _step_guess(coeff_sets, eps_loc, order):
     """Largest step for which the top Taylor terms stay below eps_loc.
 
@@ -220,18 +213,9 @@ def _to_mpf(m, e):
     return mp.make_mpf(from_man_exp(m, e, mp.prec, round_nearest))
 
 
-def _unscale(head, mants, F, k):
-    """[head] + the mpf values mants[j] 2^(-F - k j) for j >= 1.
-
-    Undoes the fixed-point scale and the rho = 2^k scaling of the independent
-    variable with one rounding to mp.prec per coefficient; the j = 0 entry is
-    the caller's own mpf, passed through unchanged.
-    """
-    return [head] + [_to_mpf(m, -F - k * j) for j, m in enumerate(mants[1:], 1)]
-
-
 def _top_coeffs(mants, F, k):
-    """The three highest coefficients as mpfs, unscaled as _unscale would."""
+    """The three highest coefficients as mpfs: mants[j] 2^(-F - k j), each
+    rounded once to mp.prec."""
     top = len(mants) - 1
     return [_to_mpf(mants[j], -F - k * j) for j in range(top - 2, top + 1)]
 
@@ -254,16 +238,20 @@ def _tail_estimate(tops, top, h):
 
 
 def _fixed_eval(mants, h, F, k):
-    """A kernel's series at the offset h, by integer Horner, rounded once.
+    """A polynomial at h, by integer Horner, rounded once to mp.prec.
 
-    mants are the scaled mantissas at scale 2^-F and rho = 2^k, so the
-    Horner variable is u = h / rho.  U holds u at the scale 2^-E, with E
-    extended past F when |u| < 1 so that U keeps F significant bits: at a
-    fixed 2^-F a short step (h far below rho, as on a first step or after
-    halvings) would lose u altogether.  Each Horner stage floors once at
-    2^-F, far below the rounding of the result.
+    The one evaluator of every numeric polynomial: the kernels' series at
+    step ends and in dense output (scaled mantissas at rho = 2^k), the
+    alpha series of g (k = 0) and the expansion families of asympt (k = 0,
+    mantissas from families.fixed_coeffs).  mants are at scale 2^-F, with
+    F at least mp.prec + _GUARD_BITS, and the Horner variable is
+    u = h / rho.  U holds u at the scale 2^-E, with E extended past F when
+    |u| < 1 so that U keeps F significant bits: at a fixed 2^-F a short
+    step (h far below rho, as on a first step or after halvings) would
+    lose u altogether.  Each Horner stage floors once at 2^-F, far below
+    the rounding of the result.  At h = 0 the value is mants[0], rounded.
     """
-    E = F + max(0, k - mp.mag(h))
+    E = F + max(0, k - mp.mag(h)) if h else F
     U = _fixed(h, E - k)
     acc = mants[-1]
     for m in reversed(mants[:-1]):
@@ -369,10 +357,11 @@ class _Step:
     x is h for trajectory steps and g for g steps; y is h' for trajectory
     steps and the running integral I for g steps.
 
-    The step holds one representation of its polynomials.  It keeps the
-    kernels' fixed-point mantissas (X, Y, F, k) until dense output first
-    reads it; that read unscales them into mpf coefficient lists and drops
-    the mantissas.  Many steps are never read again.
+    The step holds one representation of its polynomials for its whole
+    life: the kernels' fixed-point mantissas (X, Y, F, k).  Dense output
+    is one integer Horner (_fixed_eval) at the offset from t_start, as at
+    the step end.  At offset 0 it returns the head x0/y0 itself, which the
+    truncated mantissa of the head (for I, at g's scale) need not equal.
     """
 
     t_start: object  # mpf
@@ -380,22 +369,21 @@ class _Step:
     x0: object       # mpf values of x and y at t_start
     y0: object
     err_cum: object  # cumulative error bound at the step end
-    _mants: tuple | None
-    _coeffs: tuple | None = None
-
-    def coeffs(self):
-        """(x_coeffs, y_coeffs) as mpfs in powers of the offset from t_start."""
-        if self._coeffs is None:
-            X, Y, F, k = self._mants
-            self._coeffs = (_unscale(self.x0, X, F, k), _unscale(self.y0, Y, F, k))
-            self._mants = None
-        return self._coeffs
+    mants: tuple     # (X, Y, F, k)
 
     def eval_x(self, t):
-        return _horner(self.coeffs()[0], t - self.t_start)
+        u = t - self.t_start
+        if not u:
+            return self.x0
+        X, _, F, k = self.mants
+        return _fixed_eval(X, u, F, k)
 
     def eval_y(self, t):
-        return _horner(self.coeffs()[1], t - self.t_start)
+        u = t - self.t_start
+        if not u:
+            return self.y0
+        _, Y, F, k = self.mants
+        return _fixed_eval(Y, u, F, k)
 
 
 class Trajectory:
@@ -650,9 +638,10 @@ class GProblem:
     integrator's own value at its last step end (zero without Taylor
     pieces).  Below z_c, r is the reciprocal series, and I(4/x) = J - T(x)
     for x >= S (see _beta_tail); the weights of T and the whole integral
-    ``i_0`` = J = I(0) = i_c + T(S) are built here, once.  ``alphas`` are
-    the series coefficients as mpfs at the working precision, which is
-    ``cfg.effective_dps``.
+    ``i_0`` = J = I(0) = i_c + T(S) are built here, once, and so are the
+    mantissas of the exact alpha_k at 2^-F, F = mp.prec + _GUARD_BITS,
+    which every read of the series takes (_series: one integer Horner,
+    rounded once).  The working precision is ``cfg.effective_dps``.
 
     ``anchor`` = h0^4 = 4/z0 is the lower limit of G and ``split`` = S =
     4/z_c the point beyond which G uses the series tail; both, and the
@@ -662,7 +651,7 @@ class GProblem:
     problem by compute_c.
     """
 
-    def __init__(self, z0, g0, z_c, steps, cfg, alphas, ode_err, rejected=0, i_c=0):
+    def __init__(self, z0, g0, z_c, steps, cfg, ode_err, rejected=0, i_c=0):
         self.z0 = z0
         self.g0 = g0
         self.z_c = z_c
@@ -671,7 +660,6 @@ class GProblem:
         self.dps = dps = cfg.effective_dps
         self.ode_err = ode_err
         self.n_rejected = rejected
-        self._alpha_mpf = alphas
         self._steps = steps  # descending t_start; each covers [start-len, start]
         self._neg_starts = [-s.t_start for s in steps]  # ascending, for bisect
         self._c = None
@@ -688,7 +676,14 @@ class GProblem:
                 for k, b in enumerate(betas[2:], 2)
             ]
             self._weights = [_fixed(w, F) for w in weights], F
+            alphas = gen_alpha(_SERIES_ORDER).values
+            self._alphas = [(a.numerator << F) // a.denominator for a in alphas], F
             self.i_0 = i_c + self._beta_tail(self.split)
+
+    def _series(self, z):
+        """sum alpha_k z^k, for 0 < z <= z_c; at the caller's precision."""
+        A, F = self._alphas
+        return _fixed_eval(A, z, F, 0)
 
     def _step_at(self, z):
         """The Taylor piece covering z, for z_c < z <= z0."""
@@ -711,7 +706,7 @@ class GProblem:
             if z > self._z_max:
                 raise DomainError(f"z={z} beyond the initial point z0={self.z0}")
             if z <= self.z_c or not self._steps:
-                return _horner(self._alpha_mpf, z)
+                return self._series(z)
             return self._step_at(z).eval_x(z)
 
     def _integral(self, z):
@@ -772,12 +767,11 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
         g0 = mp.mpf(g0)
         if not (z0 > 0 and g0 > 0):
             raise DomainError("solve_g needs z0 > 0 and g0 > 0")
-        alphas = [
+        a_sub, a_top = (
             mp.mpf(a.numerator) / a.denominator
-            for a in gen_alpha(_SERIES_ORDER).values
-        ]
-        a_top, a_sub = alphas[-1], alphas[-2]
-        k_top = len(alphas) - 1
+            for a in gen_alpha(_SERIES_ORDER).values[-2:]
+        )
+        k_top = _SERIES_ORDER
         tol_pt = mp.mpf("0.01") * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol))
 
         def trunc_est(z):
@@ -793,7 +787,8 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
             # Initial point already inside the collapse region: every actual
             # solution is indistinguishable from the series there, so the
             # data must be consistent with it up to the truncation estimate.
-            series_val = _horner(alphas, z0)
+            problem = GProblem(z0, g0, min(z0, z_c), [], cfg, mp.zero)
+            series_val = problem._series(z0)
             gate = (
                 1000 * trunc_est(z0)
                 + mp.mpf(10) ** (-(dps - 6))
@@ -807,7 +802,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
                     "data disagree with the asymptotic profile; the backward "
                     "problem is not resolvable at this precision"
                 )
-            return GProblem(z0, g0, min(z0, z_c), [], cfg, alphas, mp.zero)
+            return problem
 
         z, g = z0, g0
         i_cum = mp.zero  # I(z) = int_z^{z0} r
@@ -849,8 +844,8 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
             g = g_new
             i_cum = _fixed_eval(I, -h, F, k)
 
-        problem = GProblem(z0, g0, z_c, steps, cfg, alphas, cum_err, rejected, i_cum)
-        series_at_zc = _horner(alphas, z_c)
+        problem = GProblem(z0, g0, z_c, steps, cfg, cum_err, rejected, i_cum)
+        series_at_zc = problem._series(z_c)
         agree_tol = (
             1000 * trunc_est(z_c) + 100 * cum_err + mp.mpf(10) ** (-(dps - 6))
         )

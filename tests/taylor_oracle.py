@@ -15,11 +15,35 @@ the integer kernels can be checked against it at a higher precision:
 
 ``tail_estimate(coeffs, h)`` is the integrator's truncation estimate in its
 textbook form, over a whole mpf coefficient list.
+
+``unscale(head, mants, F, k)`` turns a kernel's mantissas into mpf
+coefficients, and ``horner(coeffs, u)`` evaluates such a list in mpf: the
+reference for the integer Horner that every numeric read uses.
 """
 
 from __future__ import annotations
 
 from mpmath import mp
+
+from asymptode.numerics import _to_mpf
+
+
+def unscale(head, mants, F, k):
+    """[head] + the mpf values mants[j] 2^(-F - k j) for j >= 1.
+
+    Undoes the fixed-point scale and the rho = 2^k scaling of the independent
+    variable with one rounding to mp.prec per coefficient; the j = 0 entry is
+    the caller's own mpf, passed through unchanged.
+    """
+    return [head] + [_to_mpf(m, -F - k * j) for j, m in enumerate(mants[1:], 1)]
+
+
+def horner(coeffs, u):
+    """sum_j coeffs[j] u^j in mpf, one rounding per stage."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * u + c
+    return acc
 
 
 def h_system_coeffs(x0, y0, order):

@@ -38,7 +38,8 @@ from asymptode import (
     remainder_study,
     shift_invariance_check,
 )
-from asymptode.asympt import _a_slope_c, _a_value, _lambert_value
+from asymptode import families
+from asymptode.asympt import _a_slope_c, _a_value, _lambert_value, _member_value
 from asymptode.numerics import lambert_root_tol, lambert_wm1_numeric
 from asymptode.series import poly_eval
 from expansion_oracle import eval_G_asympt, eval_Ginv_asympt
@@ -182,6 +183,72 @@ class TestDenseEvaluation:
                 assert self._close(got, ref), x_raw
 
 
+class TestFixedPointReads:
+    """Each family member is read by one integer Horner on its mantissas at
+    2^-(prec + 64), rounded once.  Against mpf Horner on the exact
+    coefficients 30 digits higher, a read (and the derivative read the fit
+    takes) must be within two units in the last place, including far out
+    in w, where the members' coefficients span 100 binary orders."""
+
+    POINTS = (0.3, 7, -18.6, 65, 206, -400)
+    FAMILIES = {"q": (gen_q, 1), "p": (gen_p, 0), "lambert": (gen_lambert_p, 0)}
+
+    @staticmethod
+    def _assert_ulps(got, ref, prec, ulps=2):
+        if ref == 0:
+            assert got == 0
+        else:
+            assert abs(got - ref) <= ulps * mp.ldexp(1, mp.mag(ref) - prec), (got, ref)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("dps", [30, 42])
+    def test_members_within_two_ulps(self, family, dps):
+        gen, first = self.FAMILIES[family]
+        fam = gen(20)
+        for n in range(first, 21):
+            coeffs = fam.coeffs(n)
+            for w_raw in self.POINTS:
+                with mp.workdps(dps):
+                    prec = mp.prec
+                    w = mp.mpf(w_raw)
+                    got = _member_value(family, n, w)
+                    slope = _member_value(family, n, w, slope=True)
+                with mp.workdps(dps + 30):
+                    ref = mp.zero
+                    for c in reversed(coeffs):
+                        ref = ref * w + mp.mpf(c.numerator) / c.denominator
+                    ref_slope = mp.zero
+                    for j in range(len(coeffs) - 1, 0, -1):
+                        c = coeffs[j]
+                        ref_slope = ref_slope * w + mp.mpf(j * c.numerator) / c.denominator
+                    self._assert_ulps(got, ref, prec)
+                    self._assert_ulps(slope, ref_slope, prec)
+
+    def test_read_at_w_zero(self):
+        # w = 3 ln 4t - c is exactly 0 when c is 3 ln 4t at the same
+        # precision: the read is then the constant coefficient
+        with mp.workdps(30):
+            c = 3 * mp.log(4 * mp.mpf(100))
+            model = AsymptoticModel.build(c, order=3, dps=30)
+            assert 3 * mp.log(4 * mp.mpf(100)) - model.c == 0
+            got = eval_A_n(model, 100)
+        q = gen_q(3)
+        with mp.workdps(60):
+            const = [mp.mpf(q.coeffs(k)[0].numerator) / q.coeffs(k)[0].denominator for k in (1, 2, 3)]
+            ref = mp.mpf(400) ** 0.25 * (1 + sum(v / mp.mpf(100) ** k for k, v in enumerate(const, 1)))
+            assert abs(got - ref) <= mp.mpf(10) ** -28 * ref
+
+    def test_reads_build_the_memo_lazily(self):
+        families.clear_caches()
+        gen_q(20)
+        assert families._STATE.fixed == {}
+        model = AsymptoticModel.build(C_011, order=20, dps=30)
+        eval_A_n(model, 1e4)
+        with mp.workdps(30):
+            F = mp.prec + 64
+        assert set(families._STATE.fixed) == {("q", k, F) for k in range(1, 21)}
+
+
 class TestEvalG:
     def test_order_zero_form(self, model):
         with mp.workdps(30):
@@ -311,6 +378,12 @@ class TestRemainderStudy:
         with pytest.raises(DomainError):
             remainder_study(model, traj_default, -1, [1e3])
 
+    @pytest.mark.parametrize("grid", [[1e3], [1e3, 1e3]])
+    def test_one_point_grid_rejected(self, model, traj_default, grid):
+        # a growth of last over first on one point is 1 by construction
+        with pytest.raises(DomainError, match="two distinct points"):
+            remainder_study(model, traj_default, 1, grid)
+
     def test_serialisation(self):
         m = AsymptoticModel.build(C_011, order=3, dps=40)
         syn = SyntheticTrajectory(lambda t: eval_A_n(m, t, 3), 50, 2e6, dps=40)
@@ -397,6 +470,16 @@ class TestLambertCompare:
             lambert_compare(2, [])
         with pytest.raises(DomainError):
             lambert_compare(2, [0.5, 10])
+
+    def test_one_point_report_has_no_growth(self):
+        # the expansion values of one point stay readable; the growth test
+        # on them is refused, so the report cannot pass vacuously
+        rep = lambert_compare(1, [100, 100.0])
+        assert rep.t_values == (100.0,)
+        with pytest.raises(DomainError, match="two distinct points"):
+            rep.growth(1)
+        with pytest.raises(DomainError, match="two distinct points"):
+            rep.ok
 
     def test_serialisation(self):
         rep = lambert_compare(1, [10, 100])

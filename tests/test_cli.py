@@ -161,6 +161,23 @@ class TestIntegrate:
         assert "must be finite" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--shift-tol", "-1"),
+            ("verify", "--shift-tol", "0"),
+            ("lambert", "--residual-tol", "-1"),
+            ("lambert", "--residual-tol", "0"),
+        ],
+    )
+    def test_non_positive_limit_is_usage_error(self, capsys, argv):
+        # no run can stay within a limit of zero or below
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be positive" in err
+
+
 class TestConstant:
     def test_known_constant(self, capsys):
         code, out, _ = run(capsys, "constant", "--format", "json")
@@ -300,6 +317,22 @@ class TestContract:
         assert code == 2
         assert out == ""
         assert "grid points must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--t-grid", "1e2"),
+            ("verify", "--t-grid", "1e3,1e3"),
+            ("lambert", "--x-grid", "10"),
+        ],
+    )
+    def test_one_point_grid_is_usage_error(self, capsys, argv):
+        # the growth test compares the last grid point with the first: on
+        # one point that is 1 by construction and would pass any limit
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "two distinct points" in err
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "verify", "--synthetic", "4", "--n-max", "2",

@@ -23,9 +23,11 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from asymptode import families
 from asymptode.errors import DomainError
 from asymptode.families import (
     clear_caches,
+    fixed_coeffs,
     gen_alpha,
     gen_beta,
     gen_lambert_p,
@@ -412,6 +414,24 @@ class TestMemoization:
         small = gen_p(2)
         large = gen_p(8)
         assert large.polys[:3] == small.polys
+
+    def test_mantissas_only_on_numeric_reads(self):
+        # the generators never build the mantissas of numeric reads, and
+        # clear_caches drops them with everything else
+        clear_caches()
+        assert families._STATE.fixed == {}
+        gen_p(20)
+        gen_q(20)
+        gen_lambert_p(20)
+        assert families._STATE.fixed == {}
+        mants, slope = fixed_coeffs("q", 3, 200)
+        assert fixed_coeffs("q", 3, 200) is families._STATE.fixed[("q", 3, 200)]
+        nums, den = families._STATE.q_w[3]
+        assert mants == tuple((v << 200) // den for v in nums)
+        assert slope == tuple((j * v << 200) // den for j, v in enumerate(nums) if j)
+        assert set(families._STATE.fixed) == {("q", 3, 200)}
+        clear_caches()
+        assert families._STATE.fixed == {}
 
     def test_q_after_p_reuses_table(self):
         clear_caches()

@@ -12,10 +12,12 @@ from expansion_oracle import eval_G_asympt
 from mpmath import mp
 
 import taylor_oracle as oracle
+from taylor_oracle import horner as _horner
+from taylor_oracle import unscale as _unscale
 from asymptode import numerics
 from asymptode.asympt import AsymptoticModel
 from asymptode.errors import AccuracyError, ConvergenceError, DomainError
-from asymptode.families import gen_beta
+from asymptode.families import gen_alpha, gen_beta
 from asymptode.numerics import (
     _GUARD_BITS,
     _SERIES_ORDER,
@@ -26,12 +28,10 @@ from asymptode.numerics import (
     _fixed_eval,
     _g_equation_coeffs,
     _h_system_coeffs,
-    _horner,
     _running_integral_coeffs,
     _step_guess,
     _tail_estimate,
     _top_coeffs,
-    _unscale,
     compute_G,
     compute_c,
     compute_c_for_data,
@@ -537,6 +537,84 @@ class TestTaylorKernels:
             h = -mp.ldexp(mp.mpf(u), k)
         self._assert_step_end(C, g_s, C_ref, F, k, h, prec)
         self._assert_step_end(I, base, I_ref, F, k, h, prec)
+
+
+class TestDenseReads:
+    """Dense output and g's series against an mpf reference.
+
+    Every read is one integer Horner on the stored mantissas, rounded once.
+    The oracle unscales the same mantissas (taylor_oracle.unscale) and runs
+    mpf Horner 20 digits higher, at the same offset; g's series is the mpf
+    Horner on the exact alpha_k.  A read must be within one unit in the
+    last place of the oracle, and at offset 0 it must be the step's head,
+    bit for bit.  Offsets are {0, 2^-12, 1/2, 1} of each step's length.
+    """
+
+    CFG = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
+    OFFSETS = (0, 2.0**-12, 0.5, 1)
+    GUARD = 20
+
+    @classmethod
+    def _assert_read(cls, got, head, mants, F, k, u):
+        if u == 0:
+            assert got == head
+            return
+        prec = mp.prec
+        with mp.workdps(mp.dps + cls.GUARD):
+            ref = _horner(_unscale(head, mants, F, k), u)
+            assert abs(got - ref) <= mp.ldexp(1, mp.mag(ref) - prec), (u, got, ref)
+
+    @classmethod
+    def _assert_steps(cls, steps, dps):
+        with mp.workdps(dps):
+            for step in steps:
+                X, Y, F, k = step.mants
+                for f in cls.OFFSETS:
+                    t = step.t_start + f * step.length
+                    u = t - step.t_start
+                    cls._assert_read(step.eval_x(t), step.x0, X, F, k, u)
+                    cls._assert_read(step.eval_y(t), step.y0, Y, F, k, u)
+
+    @pytest.mark.parametrize(
+        "h0,h1,t_max,cfg",
+        [(1, 1, 1.2e6, CFG), (2, 0.5, 1.2e6, CFG), (1e-70, 1, 10, SolverConfig())],
+    )
+    def test_trajectory_steps(self, h0, h1, t_max, cfg):
+        traj = integrate_h(InitialData(0, h0, h1), t_max, cfg)
+        self._assert_steps(traj._steps, traj.stats["dps"])
+
+    def test_head_below_the_fixed_point_scale(self):
+        # near a turning point h' can sit far below 2^-F (F is set by h):
+        # its mantissa is then truncated, and only the head itself is exact
+        with mp.workdps(self.CFG.effective_dps):
+            x0, y0 = mp.one, mp.mpf("1e-30")
+            X, Y, F = _h_system_coeffs(x0, y0, self.CFG.taylor_order, 0)
+            assert _fixed_eval(Y, mp.zero, F, 0) != y0
+            step = numerics._Step(mp.zero, mp.mpf("0.5"), x0, y0, mp.zero, (X, Y, F, 0))
+            assert step.eval_y(mp.zero) == y0
+            assert step.eval_x(mp.zero) == x0
+
+    @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5)])
+    def test_eval_g(self, h0, h1):
+        problem, _ = g_problem_for_data(InitialData(0, h0, h1), self.CFG)
+        assert problem._steps
+        self._assert_steps(problem._steps, problem.dps)
+        alphas = gen_alpha(_SERIES_ORDER).values
+        with mp.workdps(problem.dps):
+            zs = [problem.z_c * f for f in self.OFFSETS[1:]]
+            for step in problem._steps:
+                zs += [step.t_start + f * step.length for f in self.OFFSETS]
+            for z in zs:
+                got = problem.eval_g(z)
+                if z > problem.z_c:
+                    step = problem._step_at(z)
+                    X, _, F, k = step.mants
+                    self._assert_read(got, step.x0, X, F, k, z - step.t_start)
+                    continue
+                prec = mp.prec
+                with mp.workdps(problem.dps + self.GUARD):
+                    ref = _horner([mp.mpf(a.numerator) / a.denominator for a in alphas], z)
+                    assert abs(got - ref) <= mp.ldexp(1, mp.mag(ref) - prec), (z, got, ref)
 
 
 class TestStepSequences:
