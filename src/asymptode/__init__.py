@@ -34,10 +34,7 @@ from .asympt import (
     eval_A_n,
     fit_c_from_trajectory,
     lambert_compare,
-    lambert_report_to_csv,
-    lambert_report_to_json,
-    remainder_report_to_csv,
-    remainder_report_to_json,
+    remainder_grid,
     remainder_study,
     shift_invariance_check,
 )

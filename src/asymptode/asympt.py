@@ -34,7 +34,6 @@ derivative's coefficients.  The Lambert family is read the same way.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -55,13 +54,10 @@ __all__ = [
     "eval_A_n",
     "fit_c_from_trajectory",
     "RemainderReport",
+    "remainder_grid",
     "remainder_study",
-    "remainder_report_to_csv",
-    "remainder_report_to_json",
     "shift_invariance_check",
     "lambert_compare",
-    "lambert_report_to_csv",
-    "lambert_report_to_json",
     "SyntheticTrajectory",
 ]
 
@@ -214,7 +210,9 @@ class RemainderReport:
     lambert_compare reports the y - ln y = x analogue in the same form:
     its grid is in x, ``h_values`` holds the numeric roots y, ``a_values``
     the expansion Y_n, and ``residuals`` the relative residuals
-    |y - ln y - x| / x of the roots.
+    |y - ln y - x| / x of the roots.  ``columns`` names the grid point,
+    the numeric value and the expansion in ``rows()``: ("t", "h_num",
+    "A_n"), or ("x", "y_num", "Y_n") for the analogue.
     """
 
     n_values: tuple
@@ -224,6 +222,7 @@ class RemainderReport:
     remainders: dict = field(repr=False)
     growth_factor: float = 10.0
     residuals: dict = field(default_factory=dict, repr=False)
+    columns: tuple = ("t", "h_num", "A_n")
 
     @property
     def max_residual(self):
@@ -249,11 +248,20 @@ class RemainderReport:
         return not self.failures()
 
     def rows(self):
-        out = []
-        for n in self.n_values:
-            for t in self.t_values:
-                out.append((n, t, self.h_values[t], self.a_values[(n, t)], self.remainders[(n, t)]))
-        return out
+        """One dict per (n, grid point), keyed n, the columns and ratio;
+        the values at 19 digits, so that CSV and JSON print the same."""
+        var, num, expansion = self.columns
+        return [
+            {
+                "n": n,
+                var: t,
+                num: mp.nstr(self.h_values[t], 19),
+                expansion: mp.nstr(self.a_values[(n, t)], 19),
+                "ratio": mp.nstr(self.remainders[(n, t)], 19),
+            }
+            for n in self.n_values
+            for t in self.t_values
+        ]
 
 
 _ONE_POINT = "the growth test needs a grid of at least two distinct points"
@@ -265,6 +273,18 @@ def _growth_limit(growth_factor):
     if not (math.isfinite(growth_factor) and growth_factor > 0):
         raise DomainError("growth factor must be finite and positive, got %s" % growth_factor)
     return growth_factor
+
+
+def remainder_grid(t_grid):
+    """The distinct points of t_grid, ascending; refused unless there are
+    at least two and the first exceeds 1, where the normalisation
+    (ln t / t)**(n+1) is positive."""
+    times = sorted(set(float(t) for t in t_grid))
+    if len(times) < 2:
+        raise DomainError(_ONE_POINT)
+    if times[0] <= 1:
+        raise DomainError("remainder normalisation needs t > 1")
+    return times
 
 
 def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
@@ -280,11 +300,7 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     growth_factor = _growth_limit(growth_factor)
-    times = sorted(set(float(t) for t in t_grid))
-    if len(times) < 2:
-        raise DomainError(_ONE_POINT)
-    if times[0] <= 1:
-        raise DomainError("remainder normalisation needs t > 1")
+    times = remainder_grid(t_grid)
     dps = max(model.dps, traj.stats["dps"])
     with mp.workdps(dps + 5):
         c = mp.mpf(model.c)
@@ -317,32 +333,6 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
         remainders=remainders,
         growth_factor=growth_factor,
     )
-
-
-def remainder_report_to_csv(report):
-    lines = ["n,t,h_num,A_n,ratio"]
-    for n, t, h, a, r in report.rows():
-        lines.append("%d,%r,%s,%s,%s" % (n, t, mp.nstr(h, 19), mp.nstr(a, 19), mp.nstr(r, 19)))
-    return "\n".join(lines) + "\n"
-
-
-def remainder_report_to_json(report):
-    payload = {
-        "growth_factor": report.growth_factor,
-        "growth": {str(n): mp.nstr(report.growth(n), 12) for n in report.n_values},
-        "ok": report.ok,
-        "rows": [
-            {
-                "n": n,
-                "t": t,
-                "h_num": mp.nstr(h, 19),
-                "A_n": mp.nstr(a, 19),
-                "ratio": mp.nstr(r, 19),
-            }
-            for n, t, h, a, r in report.rows()
-        ],
-    }
-    return json.dumps(payload, indent=2)
 
 
 def shift_invariance_check(model, n, s, t_grid):
@@ -454,32 +444,8 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
         remainders=remainders,
         growth_factor=growth_factor,
         residuals=residuals,
+        columns=("x", "y_num", "Y_n"),
     )
-
-
-def lambert_report_to_csv(report):
-    lines = ["n,x,y_num,Y_n,ratio"]
-    for n, x, y, a, r in report.rows():
-        lines.append("%d,%r,%s,%s,%s" % (n, x, mp.nstr(y, 19), mp.nstr(a, 19), mp.nstr(r, 19)))
-    return "\n".join(lines) + "\n"
-
-
-def lambert_report_to_json(report):
-    payload = {
-        "max_residual": mp.nstr(report.max_residual, 12),
-        "growth": {str(n): mp.nstr(report.growth(n), 12) for n in report.n_values},
-        "rows": [
-            {
-                "n": n,
-                "x": x,
-                "y_num": mp.nstr(y, 19),
-                "Y_n": mp.nstr(a, 19),
-                "ratio": mp.nstr(r, 19),
-            }
-            for n, x, y, a, r in report.rows()
-        ],
-    }
-    return json.dumps(payload, indent=2)
 
 
 class SyntheticTrajectory:

@@ -33,10 +33,7 @@ from .asympt import (
     eval_A_n,
     fit_c_from_trajectory,
     lambert_compare,
-    lambert_report_to_csv,
-    lambert_report_to_json,
-    remainder_report_to_csv,
-    remainder_report_to_json,
+    remainder_grid,
     remainder_study,
     shift_invariance_check,
 )
@@ -102,6 +99,17 @@ def _csv_table(header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _report_csv(rep):
+    """A RemainderReport's rows as CSV, headed by their keys."""
+    rows = rep.rows()
+    return _csv_table(rows[0], [row.values() for row in rows])
+
+
+def _growths(rep):
+    """A RemainderReport's growth per order n, for JSON."""
+    return {str(n): mp.nstr(rep.growth(n), 12) for n in rep.n_values}
 
 
 def _remainder_lines(rep):
@@ -235,14 +243,15 @@ def _cmd_constant(args):
 def _cmd_verify(args):
     data = InitialData(args.t0, args.h0, args.h1)
     cfg = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    grid = sorted(args.t_grid)
+    if args.synthetic is not None and args.synthetic <= args.n_max:
+        raise DomainError("--synthetic order must exceed --n-max")
+    # refuse a bad grid before any integration
+    grid = remainder_grid(args.t_grid)
     c = compute_c_for_data(data, cfg)
     model = AsymptoticModel.build(c, order=args.n_max, dps=cfg.effective_dps)
     if args.synthetic is not None:
         # self-test mode: the "trajectory" is the expansion itself at a
         # higher order, so remainders are pure polynomial tails
-        if args.synthetic <= args.n_max:
-            raise DomainError("--synthetic order must exceed --n-max")
         traj = SyntheticTrajectory(
             lambda t: eval_A_n(model, t, args.synthetic),
             grid[0] * 0.5,
@@ -257,11 +266,16 @@ def _cmd_verify(args):
     ok = rep.ok and shift_ok
 
     if args.format == "csv":
-        text = remainder_report_to_csv(rep)
+        text = _report_csv(rep)
     elif args.format == "json":
         payload = {
             "pass": ok,
-            "report": json.loads(remainder_report_to_json(rep)),
+            "report": {
+                "growth_factor": rep.growth_factor,
+                "growth": _growths(rep),
+                "ok": rep.ok,
+                "rows": rep.rows(),
+            },
             "shift": {
                 "s": args.shift,
                 "normalised_defect": mp.nstr(defect, 12),
@@ -292,12 +306,16 @@ def _cmd_lambert(args):
     ok = rep.ok and rep.max_residual <= mp.mpf(args.residual_tol)
 
     if args.format == "csv":
-        text = lambert_report_to_csv(rep)
+        text = _report_csv(rep)
     elif args.format == "json":
         payload = {
             "pass": ok,
             "residual_tol": args.residual_tol,
-            "report": json.loads(lambert_report_to_json(rep)),
+            "report": {
+                "max_residual": mp.nstr(rep.max_residual, 12),
+                "growth": _growths(rep),
+                "rows": rep.rows(),
+            },
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:

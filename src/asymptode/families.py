@@ -38,14 +38,15 @@ one integer accumulation over the common denominator of its terms, reduced
 by a single gcd pass when finished, and each member is one integer linear
 combination of table entries.  Python ints carry it, with no per-operation
 normalisation, which is what makes order 40 cheap.  Each family object
-carries two public forms, built once per member from the integer one: the
-display forms (``family[n]``) for printing, JSON and exact comparison, and
-the ``Fraction`` coefficients (``family.coeffs(n)``: in ``w`` for p and q,
-in ``z`` for ptilde) for exact evaluation.  Numeric reads take neither:
-``fixed_coeffs`` gives the mantissas at 2^-F of a member's coefficients and
-of its derivative's, straight from the integer form, which the integer
-Horner ``numerics._fixed_eval`` evaluates.  They are built on the first
-numeric read at each F, never by the generators.
+carries one public form, built once per member from the integer one: the
+display form (``family[n]``) for printing, JSON and exact comparison.
+Numeric reads take ``fixed_coeffs``: the mantissas at 2^-F of a member's
+coefficients (in ``w`` for p and q, in ``z`` for ptilde) and of its
+derivative's, straight from the integer form, which the integer Horner
+``numerics._fixed_eval`` evaluates.  The same call gives the two series
+``numerics.GProblem`` reads below the crossover: ``alpha_0..alpha_N`` and
+the tail weights ``w_k = beta_k 4^k / (k - 1)``.  Mantissas are built on
+the first numeric read at each F, never by the generators.
 
 All generation is incremental and memoized; a family asked for twice is
 computed once.  Returned objects are immutable.
@@ -113,9 +114,10 @@ def _sum_of_products(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
     return tuple(v // g for v in acc), den // g
 
 
-def _fractions(poly: IntPoly) -> tuple[Fraction, ...]:
-    nums, den = poly
-    return tuple(Fraction(v, den) for v in nums)
+def _over_lcm(values: list[Fraction]) -> IntPoly:
+    """The coefficients ``values``, lowest power first, over their lcm."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def _wpoly_to_bivariate(poly: IntPoly) -> BivariatePoly:
@@ -156,10 +158,10 @@ class _State:
         self.lam: list[IntPoly] = []
         self.s_t: dict[tuple[int, int], IntPoly] = {}
         self.s_t_max = 0
-        # public members: (BivariatePoly, Fraction coefficients) per index
-        self.p_pub: dict[int, tuple[BivariatePoly, tuple[Fraction, ...]]] = {}
-        self.q_pub: dict[int, tuple[BivariatePoly, tuple[Fraction, ...]]] = {}
-        self.lam_pub: dict[int, tuple[BivariatePoly, tuple[Fraction, ...]]] = {}
+        # public members: the display form per index
+        self.p_pub: dict[int, BivariatePoly] = {}
+        self.q_pub: dict[int, BivariatePoly] = {}
+        self.lam_pub: dict[int, BivariatePoly] = {}
         # numeric reads: (family, index, F) -> mantissas of the coefficients
         # and of the derivative's coefficients, see fixed_coeffs
         self.fixed: dict[tuple[str, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -191,6 +193,11 @@ def _ensure_beta(n: int) -> None:
         triple = sum(betas[j] * squares[m + 1 - j] for j in range(1, m + 1))
         betas.append((m - Fraction(3, 4)) * betas[m] - triple)
         squares.append(sum(betas[j] * betas[m + 1 - j] for j in range(m + 2)))
+
+
+def _weight(k: int) -> Fraction:
+    """w_k = beta_k 4^k / (k - 1) for k >= 2, beta_k already generated."""
+    return Fraction(4**k, k - 1) * _STATE.betas[k]
 
 
 def _extend_s_table(
@@ -239,14 +246,14 @@ def _ensure_p(n: int) -> None:
         st.s_max = _extend_s_table(st.s, st.s_max, nn, st.p_w)
         terms = _sigma0_terms(st.s, nn, 3)
         for k in range(1, nn):
-            # (4^{k+1} beta_{k+1} / k) sigma^k_{nn-k}, binom(-k, j) an integer
-            outer = Fraction(4 ** (k + 1), k) * st.betas[k + 1]
+            # w_{k+1} sigma^k_{nn-k}, binom(-k, j) an integer
+            outer = _weight(k + 1)
             for j in range(1, nn - k + 1):
                 binom = (-1) ** j * math.comb(k + j - 1, j)
                 terms.append(
                     (st.s[(j, nn - k)], _const(outer.numerator * binom, outer.denominator))
                 )
-        last = Fraction(4 ** (nn + 1), nn) * st.betas[nn + 1]
+        last = _weight(nn + 1)
         terms.append((_const(last.numerator, last.denominator), _ONE))
         st.p_w.append(_sum_of_products(terms))
 
@@ -283,12 +290,12 @@ def _ensure_lambert(n: int) -> None:
 
 
 def _family(cls, cache, polys, keys, display):
-    """cls over the members at keys, each built once from its integer form:
-    its display form and its Fraction coefficients."""
+    """cls over the display forms of the members at keys, each built once
+    from its integer form."""
     for key in keys:
         if key not in cache:
-            cache[key] = display(polys[key]), _fractions(polys[key])
-    return cls(*zip(*(cache[key] for key in keys)))
+            cache[key] = display(polys[key])
+    return cls(tuple(cache[key] for key in keys))
 
 
 # -- public family containers --------------------------------------------------
@@ -319,24 +326,16 @@ class BetaSequence(_Sequence):
 
 @dataclass(frozen=True)
 class _PolyFamily:
-    """Members by their mathematical index n >= ``first``: ``family[n]`` is
-    the display form, ``family.coeffs(n)`` the dense coefficients, lowest
-    power first."""
+    """Display forms of the members, by their mathematical index
+    n >= ``first``: ``family[n]``.  Numeric reads take fixed_coeffs."""
 
     polys: tuple[BivariatePoly, ...]
-    dense: tuple[tuple[Fraction, ...], ...]
     first: ClassVar[int] = 0
 
-    def _position(self, n: int) -> int:
+    def __getitem__(self, n: int) -> BivariatePoly:
         if n < self.first:
             raise DomainError(f"{type(self).__name__} starts at index {self.first}")
-        return n - self.first
-
-    def __getitem__(self, n: int) -> BivariatePoly:
-        return self.polys[self._position(n)]
-
-    def coeffs(self, n: int) -> tuple[Fraction, ...]:
-        return self.dense[self._position(n)]
+        return self.polys[n - self.first]
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -347,17 +346,17 @@ class _PolyFamily:
 
 
 class PPolyFamily(_PolyFamily):
-    """p_0..p_N in (c, z), dense in w = 3z - c."""
+    """p_0..p_N in (c, z), polynomials in w = 3z - c."""
 
 
 class QPolyFamily(_PolyFamily):
-    """q_1..q_N in (c, z), dense in w = 3z - c."""
+    """q_1..q_N in (c, z), polynomials in w = 3z - c."""
 
     first = 1
 
 
 class LambertPolyFamily(_PolyFamily):
-    """ptilde_0..ptilde_N, univariate in z and dense in z."""
+    """ptilde_0..ptilde_N, univariate in z."""
 
 
 # -- public generators -----------------------------------------------------------
@@ -380,7 +379,7 @@ def gen_beta(N: int) -> BetaSequence:
 
 
 def gen_p(N: int) -> PPolyFamily:
-    """p_0..p_N, as exact polynomials in (c, z) and dense in w."""
+    """p_0..p_N, as exact polynomials in (c, z)."""
     if N < 0:
         raise DomainError("gen_p needs N >= 0")
     _ensure_p(N)
@@ -388,7 +387,7 @@ def gen_p(N: int) -> PPolyFamily:
 
 
 def gen_q(N: int) -> QPolyFamily:
-    """q_1..q_N, as exact polynomials in (c, z) and dense in w."""
+    """q_1..q_N, as exact polynomials in (c, z)."""
     if N < 1:
         raise DomainError("gen_q needs N >= 1")
     _ensure_q(N)
@@ -402,12 +401,14 @@ def gen_lambert_p(N: int) -> LambertPolyFamily:
     _ensure_lambert(N)
     return _family(
         LambertPolyFamily, _STATE.lam_pub, _STATE.lam, range(N + 1),
-        lambda poly: BivariatePoly.z_poly(_fractions(poly)),
+        lambda poly: BivariatePoly.z_poly([Fraction(v, poly[1]) for v in poly[0]]),
     )
 
 
 def _member(family: str, n: int) -> IntPoly:
-    """The integer form of p_n, q_n or ptilde_n, generated if needed."""
+    """The integer form of p_n, q_n or ptilde_n, generated if needed; of
+    alpha_0..alpha_n as one polynomial in z; or of the tail
+    T = sum_{k=2}^{n} w_k u^(k-1) as one polynomial in u."""
     st = _STATE
     if family == "p" and n >= 0:
         _ensure_p(n)
@@ -418,15 +419,23 @@ def _member(family: str, n: int) -> IntPoly:
     if family == "lambert" and n >= 0:
         _ensure_lambert(n)
         return st.lam[n]
+    if family == "alpha" and n >= 0:
+        _ensure_alpha(n)
+        return _over_lcm(st.alphas[: n + 1])
+    if family == "tail" and n >= 2:
+        _ensure_beta(n)
+        return _over_lcm([Fraction(0)] + [_weight(k) for k in range(2, n + 1)])
     raise DomainError(f"no member {n} in family {family!r}")
 
 
 def fixed_coeffs(family: str, n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Member n of family "p", "q" or "lambert" at the binary scale 2^-F.
+    """Member n of family "p", "q", "lambert", "alpha" or "tail" at the
+    binary scale 2^-F.
 
     Returns the mantissas floor(u_j 2^F) of its dense coefficients u_j (in
-    w for p and q, in z for ptilde), lowest power first, and those of its
-    derivative's coefficients j u_j, j >= 1.  Each is one integer division
+    w for p and q, in z for ptilde and alpha, in u = 1/x for the tail; see
+    _member), lowest power first, and those of its derivative's
+    coefficients j u_j, j >= 1.  Each is one integer division
     of the member's integer form, with no Fraction.  Memoized per
     (family, n, F) until clear_caches().
     """
@@ -453,10 +462,7 @@ def ode_residual_order(N: int) -> int:
     """
     if N < 1:
         raise DomainError("ode_residual_order needs N >= 1")
-    alphas = gen_alpha(N).values
-    den = math.lcm(*(a.denominator for a in alphas))
-    nums = tuple(a.numerator * (den // a.denominator) for a in alphas)
-    g = (nums, den)
+    g = nums, den = _member("alpha", N)
     z_g = ((0,) + nums, den)
     z2_g_prime = ((0,) + tuple(k * v for k, v in enumerate(nums)), den)
     inner = _sum_of_products(

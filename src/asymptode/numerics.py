@@ -83,7 +83,7 @@ from dataclasses import dataclass, replace
 from operator import mul
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, mpf_rdiv_int, round_nearest, to_fixed
 
 from .errors import (
     AccuracyError,
@@ -91,7 +91,7 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .families import gen_alpha, gen_beta
+from .families import fixed_coeffs, gen_alpha, gen_beta
 
 __all__ = [
     "InitialData",
@@ -241,15 +241,16 @@ def _fixed_eval(mants, h, F, k):
     """A polynomial at h, by integer Horner, rounded once to mp.prec.
 
     The one evaluator of every numeric polynomial: the kernels' series at
-    step ends and in dense output (scaled mantissas at rho = 2^k), the
-    alpha series of g (k = 0) and the expansion families of asympt (k = 0,
-    mantissas from families.fixed_coeffs).  mants are at scale 2^-F, with
-    F at least mp.prec + _GUARD_BITS, and the Horner variable is
-    u = h / rho.  U holds u at the scale 2^-E, with E extended past F when
-    |u| < 1 so that U keeps F significant bits: at a fixed 2^-F a short
-    step (h far below rho, as on a first step or after halvings) would
-    lose u altogether.  Each Horner stage floors once at 2^-F, far below
-    the rounding of the result.  At h = 0 the value is mants[0], rounded.
+    step ends and in dense output (scaled mantissas at rho = 2^k), and at
+    k = 0 on mantissas from families.fixed_coeffs: the alpha series of g,
+    the beta tail of G and the expansion families of asympt.  mants are
+    at scale 2^-F, with F at least mp.prec + _GUARD_BITS, and the Horner
+    variable is u = h / rho.  U holds u at the scale 2^-E, with E
+    extended past F when |u| < 1 so that U keeps F significant bits: at a
+    fixed 2^-F a short step (h far below rho, as on a first step or after
+    halvings) would lose u altogether.  Each Horner stage floors once at
+    2^-F, far below the rounding of the result.  At h = 0 the value is
+    mants[0], rounded.
     """
     E = F + max(0, k - mp.mag(h)) if h else F
     U = _fixed(h, E - k)
@@ -637,11 +638,12 @@ class GProblem:
     to agree at z_c when the problem is built.  ``i_c`` = I(z_c) is the
     integrator's own value at its last step end (zero without Taylor
     pieces).  Below z_c, r is the reciprocal series, and I(4/x) = J - T(x)
-    for x >= S (see _beta_tail); the weights of T and the whole integral
-    ``i_0`` = J = I(0) = i_c + T(S) are built here, once, and so are the
-    mantissas of the exact alpha_k at 2^-F, F = mp.prec + _GUARD_BITS,
-    which every read of the series takes (_series: one integer Horner,
-    rounded once).  The working precision is ``cfg.effective_dps``.
+    for x >= S (see _beta_tail); the whole integral ``i_0`` = J = I(0) =
+    i_c + T(S) is built here, once.  Both series below z_c, sum alpha_k z^k
+    (_series) and T, are read by one integer Horner each (_fixed_eval,
+    rounded once) on the mantissas families.fixed_coeffs gives at 2^-F,
+    F = mp.prec + _GUARD_BITS.  The working precision is
+    ``cfg.effective_dps``.
 
     ``anchor`` = h0^4 = 4/z0 is the lower limit of G and ``split`` = S =
     4/z_c the point beyond which G uses the series tail; both, and the
@@ -670,14 +672,8 @@ class GProblem:
             self._z_max = z0 * (1 + slack)  # eval_g's upper bound
             self._x_min = self.anchor * (1 - slack)  # compute_G's lower bound
             F = mp.prec + _GUARD_BITS
-            betas = gen_beta(_SERIES_ORDER).values
-            weights = [
-                mp.mpf(b.numerator) / b.denominator * mp.mpf(4) ** k / (k - 1)
-                for k, b in enumerate(betas[2:], 2)
-            ]
-            self._weights = [_fixed(w, F) for w in weights], F
-            alphas = gen_alpha(_SERIES_ORDER).values
-            self._alphas = [(a.numerator << F) // a.denominator for a in alphas], F
+            self._alphas = fixed_coeffs("alpha", _SERIES_ORDER, F)[0], F
+            self._tail = fixed_coeffs("tail", _SERIES_ORDER, F)[0], F
             self.i_0 = i_c + self._beta_tail(self.split)
 
     def _series(self, z):
@@ -719,19 +715,17 @@ class GProblem:
         """T(x) = sum_{k>=2} w_k x^(1-k) = int_0^{4/x} r, for x >= S.
 
         Below z_c the integrand is the series r = 4 sum_{k>=2} beta_k
-        z^(k-2), integrated termwise.  An integer Horner polynomial in
-        u = 1/x on the weights' mantissas at the absolute scale 2^-F,
-        F = mp.prec + _GUARD_BITS, rounded once.  Absolute accuracy
-        suffices: T is at most 0.2 in size (u <= z_c/4), and x >= S > 100,
-        so its error lies _GUARD_BITS bits below the rounding of x itself.
-        Runs at the caller's precision, the problem's.
+        z^(k-2), integrated termwise, w_k = beta_k 4^k / (k-1).  One
+        _fixed_eval read of T as a polynomial in u = 1/x, with u formed
+        at F bits; the weights' mantissas are at the absolute scale 2^-F,
+        F = mp.prec + _GUARD_BITS.  Absolute accuracy suffices: T is at
+        most 0.2 in size (u <= z_c/4), and x >= S > 100, so its error lies
+        _GUARD_BITS bits below the rounding of x itself.  Runs at the
+        caller's precision, the problem's.
         """
-        W, F = self._weights
-        U = (1 << 2 * F) // _fixed(x, F)  # u = 1/x; x >= S > 1 is exact at 2^-F
-        acc = W[-1]
-        for w in reversed(W[:-1]):
-            acc = (acc * U >> F) + w
-        return _to_mpf(acc * U, -2 * F)
+        T, F = self._tail
+        u = mp.make_mpf(mpf_rdiv_int(1, x._mpf_, F, round_nearest))
+        return _fixed_eval(T, u, F, 0)
 
 
 def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:

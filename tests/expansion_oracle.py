@@ -17,7 +17,8 @@ from __future__ import annotations
 from mpmath import mp
 
 from asymptode.errors import DomainError
-from asymptode.families import gen_beta, gen_p
+from asymptode.families import gen_beta
+from series_oracle import dense
 
 
 def _order(model, n):
@@ -42,11 +43,10 @@ def eval_Ginv_asympt(model, x, n=None):
         if x <= 1:
             raise DomainError("inverse expansion needs x > 1")
         w = 3 * mp.log(x) - mp.mpf(model.c)
-        p = gen_p(n)
         acc = x
         xk = mp.one
         for k in range(0, n + 1):
-            acc += _horner(p.coeffs(k), w) / xk
+            acc += _horner(dense("p", k), w) / xk
             xk *= x
         return acc
 

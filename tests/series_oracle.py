@@ -16,6 +16,10 @@ general series calculus that shares no code with the package:
 * ``series_to_json`` / ``series_from_json`` write and read a series with
   its integers as decimal strings.
 
+One helper reads the package instead: ``dense(family, n)`` is the exact
+dense coefficients of a member, as ``Fraction``s from the integer form
+``families._member`` holds, for tests that evaluate members exactly.
+
 Everything here is written for ``a = a_1 x + a_2 x^2 + ...`` with zero
 constant term unless stated otherwise.  ``tests/test_series.py`` checks the
 calculus itself against brute-force enumeration and closed forms.
@@ -27,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from asymptode.errors import DomainError
+from asymptode.families import _member
 
 
 def _exact(value) -> Fraction:
@@ -234,3 +239,10 @@ def series_from_json(data) -> TruncatedSeries:
     if len(coeffs) != order + 1:
         raise DomainError(f"series JSON claims order {order} but has {len(coeffs)} coefficients")
     return TruncatedSeries(coeffs)
+
+
+def dense(family: str, n: int) -> tuple[Fraction, ...]:
+    """Member n of ``family`` ("p", "q", "lambert", "alpha" or "tail", as
+    for ``families.fixed_coeffs``), exactly, lowest power first."""
+    nums, den = _member(family, n)
+    return tuple(Fraction(v, den) for v in nums)

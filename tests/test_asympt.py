@@ -31,18 +31,16 @@ from asymptode import (
     gen_q,
     integrate_h,
     lambert_compare,
-    lambert_report_to_csv,
-    lambert_report_to_json,
-    remainder_report_to_csv,
-    remainder_report_to_json,
     remainder_study,
     shift_invariance_check,
 )
 from asymptode import families
 from asymptode.asympt import _a_slope_c, _a_value, _lambert_value, _member_value
+from asymptode.cli import _report_csv
 from asymptode.numerics import lambert_root_tol, lambert_wm1_numeric
 from asymptode.series import poly_eval
 from expansion_oracle import eval_G_asympt, eval_Ginv_asympt
+from series_oracle import dense
 
 DATA = InitialData(0, 1, 1)
 C_011 = "-18.64441506041806"
@@ -191,7 +189,7 @@ class TestFixedPointReads:
     in w, where the members' coefficients span 100 binary orders."""
 
     POINTS = (0.3, 7, -18.6, 65, 206, -400)
-    FAMILIES = {"q": (gen_q, 1), "p": (gen_p, 0), "lambert": (gen_lambert_p, 0)}
+    FIRST = {"q": 1, "p": 0, "lambert": 0}
 
     @staticmethod
     def _assert_ulps(got, ref, prec, ulps=2):
@@ -200,13 +198,11 @@ class TestFixedPointReads:
         else:
             assert abs(got - ref) <= ulps * mp.ldexp(1, mp.mag(ref) - prec), (got, ref)
 
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", sorted(FIRST))
     @pytest.mark.parametrize("dps", [30, 42])
     def test_members_within_two_ulps(self, family, dps):
-        gen, first = self.FAMILIES[family]
-        fam = gen(20)
-        for n in range(first, 21):
-            coeffs = fam.coeffs(n)
+        for n in range(self.FIRST[family], 21):
+            coeffs = dense(family, n)
             for w_raw in self.POINTS:
                 with mp.workdps(dps):
                     prec = mp.prec
@@ -232,9 +228,8 @@ class TestFixedPointReads:
             model = AsymptoticModel.build(c, order=3, dps=30)
             assert 3 * mp.log(4 * mp.mpf(100)) - model.c == 0
             got = eval_A_n(model, 100)
-        q = gen_q(3)
         with mp.workdps(60):
-            const = [mp.mpf(q.coeffs(k)[0].numerator) / q.coeffs(k)[0].denominator for k in (1, 2, 3)]
+            const = [mp.mpf(dense("q", k)[0].numerator) / dense("q", k)[0].denominator for k in (1, 2, 3)]
             ref = mp.mpf(400) ** 0.25 * (1 + sum(v / mp.mpf(100) ** k for k, v in enumerate(const, 1)))
             assert abs(got - ref) <= mp.mpf(10) ** -28 * ref
 
@@ -388,15 +383,17 @@ class TestRemainderStudy:
         m = AsymptoticModel.build(C_011, order=3, dps=40)
         syn = SyntheticTrajectory(lambda t: eval_A_n(m, t, 3), 50, 2e6, dps=40)
         rep = remainder_study(m, syn, 1, [1e2, 1e4])
-        csv = remainder_report_to_csv(rep)
+        assert rep.ok
+        csv = _report_csv(rep)
         lines = csv.strip().splitlines()
         assert lines[0] == "n,t,h_num,A_n,ratio"
         assert len(lines) == 1 + 2 * 2
-        payload = json.loads(remainder_report_to_json(rep))
-        assert payload["ok"] is True
-        assert set(payload["rows"][0]) == {"n", "t", "h_num", "A_n", "ratio"}
+        rows = rep.rows()
+        assert [list(row) for row in rows] == [["n", "t", "h_num", "A_n", "ratio"]] * 4
+        assert json.loads(json.dumps(rows)) == rows
         # deterministic
-        assert remainder_report_to_csv(rep) == csv
+        assert _report_csv(rep) == csv
+        assert rep.rows() == rows
 
 
 class TestShiftInvariance:
@@ -483,12 +480,16 @@ class TestLambertCompare:
 
     def test_serialisation(self):
         rep = lambert_compare(1, [10, 100])
-        csv = lambert_report_to_csv(rep)
+        csv = _report_csv(rep)
         lines = csv.strip().splitlines()
         assert lines[0] == "n,x,y_num,Y_n,ratio"
         assert len(lines) == 1 + 2 * 2
-        payload = json.loads(lambert_report_to_json(rep))
-        assert set(payload) == {"max_residual", "growth", "rows"}
+        rows = rep.rows()
+        assert [list(row) for row in rows] == [["n", "x", "y_num", "Y_n", "ratio"]] * 4
+        assert json.loads(json.dumps(rows)) == rows
+        # deterministic
+        assert _report_csv(rep) == csv
+        assert rep.rows() == rows
 
 
 class TestSyntheticTrajectory:

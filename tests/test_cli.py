@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from asymptode import cli
 from asymptode.cli import main
 
 
@@ -91,6 +92,15 @@ class TestNumericPins:
             "40e714a4a45376266b0feb1efd3e269ba172b1a698cea0b46b5bcd33ce3b1bdb",
         "lambert --format json":
             "13074d98dd6493bcb63f3fa15bc0580262df69bfeb2aa03ca0bca81aabd88dc4",
+        # recorded while each report had its own CSV and JSON writer
+        "verify --format csv":
+            "e853ee321b7764207cb2e3d3384e24b9edef9a1bb28d336a663ec9c99071c43d",
+        "verify --format json --h0 2 --h1 0.5":
+            "91c3ca11b65b159d6ee091370f7f8fd8fe247ced242b1c7d4fcdc71b58a9e34b",
+        "verify --synthetic 5 --format csv":
+            "9544e2650e517eca52450b3e251ba57c3af4b20594f2a1bc4fa87527b4bab0e8",
+        "lambert --n-max 1 --x-grid 10,100 --format json":
+            "db81da42ef243ff019074a1971307973f8e6d0820bc30ad5eb411558a4891b76",
     }
 
     # SHA-256 of the stderr of refusals, recorded from the mpf step ends
@@ -252,6 +262,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--synthetic", "2", "--n-max", "2")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("1e6", "the growth test needs a grid of at least two distinct points"),
+            ("0.5,1e3", "remainder normalisation needs t > 1"),
+        ],
+        ids=["one-point", "t-not-above-1"],
+    )
+    def test_bad_grid_refused_before_any_work(self, capsys, monkeypatch, grid, message):
+        def no_work(*args):
+            raise AssertionError("c computed for a grid the study refuses")
+
+        monkeypatch.setattr(cli, "compute_c_for_data", no_work)
+        code, out, err = run(capsys, "verify", "--t-grid", grid)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 class TestLambert:

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from mpmath import mp
 
-from asymptode import families
+from asymptode import families, numerics
 from asymptode.errors import DomainError
 from asymptode.families import (
     clear_caches,
@@ -38,6 +39,7 @@ from asymptode.families import (
 from asymptode.series import BivariatePoly, poly_eval
 from series_oracle import (
     TruncatedSeries,
+    dense,
     rational_binomial,
     series_compose_coeffs,
     series_reciprocal,
@@ -171,7 +173,7 @@ class TestQPolys:
 
     def test_q1_from_p0_directly(self):
         # q_1 = (1/4) binom(1/4, 1) p_0 = p_0 / 16
-        assert gen_q(1).coeffs(1) == tuple(u / 16 for u in gen_p(0).coeffs(0))
+        assert dense("q", 1) == tuple(u / 16 for u in dense("p", 0))
         assert gen_q(1)[1] == BivariatePoly({(0, 1): F(3, 16), (1, 0): F(-1, 16)})
 
     def test_q2(self):
@@ -281,7 +283,7 @@ class TestCompositionOracle:
         w = 3 * z - c
         for n in range(self.N + 1):
             assert poly_eval(fam[n], c, z) == expected[n], n
-            assert _dense_value(fam.coeffs(n), w) == expected[n], n
+            assert _dense_value(dense("p", n), w) == expected[n], n
 
     @pytest.mark.parametrize("c, z", POINTS)
     def test_q(self, c, z):
@@ -295,7 +297,7 @@ class TestCompositionOracle:
         for k in range(1, self.N + 1):
             expected = root[k] / 4**k
             assert poly_eval(fam[k], c, z) == expected, k
-            assert _dense_value(fam.coeffs(k), w) == expected, k
+            assert _dense_value(dense("q", k), w) == expected, k
 
     @pytest.mark.parametrize("z", [F(1), F(-5, 3), F(7, 2)])
     def test_ptilde(self, z):
@@ -306,7 +308,7 @@ class TestCompositionOracle:
         fam = gen_lambert_p(self.N)
         for k in range(self.N + 1):
             assert poly_eval(fam[k], F(0), z) == values[k], k
-            assert _dense_value(fam.coeffs(k), z) == values[k], k
+            assert _dense_value(dense("lambert", k), z) == values[k], k
 
 
 def _stirling_cycle(n_max):
@@ -327,13 +329,13 @@ class TestLambertClosedForm:
         N = 30
         cycle = _stirling_cycle(N)
         fam = gen_lambert_p(N)
-        assert fam.coeffs(0) == (0, 1)
+        assert dense("lambert", 0) == (0, 1)
         for K in range(1, N + 1):
             expected = [F(0)] + [
                 F((-1) ** (m + 1) * cycle[K][K - m + 1], math.factorial(m))
                 for m in range(1, K + 1)
             ]
-            assert fam.coeffs(K) == tuple(expected), K
+            assert dense("lambert", K) == tuple(expected), K
             assert fam[K] == BivariatePoly.z_poly(expected), K
 
 
@@ -432,6 +434,26 @@ class TestMemoization:
         assert set(families._STATE.fixed) == {("q", 3, 200)}
         clear_caches()
         assert families._STATE.fixed == {}
+
+    @pytest.mark.parametrize("dps", [30, 42])
+    def test_g_series_mantissas(self, dps):
+        # the two series numerics.GProblem reads below the crossover, at
+        # the scale 2^-F of a problem at dps digits: floor(v 2^F) of each
+        # exact alpha_k and tail weight w_k = beta_k 4^k / (k - 1), in the
+        # tail's u^(k-1), and of their derivatives' coefficients
+        with mp.workdps(dps):
+            bits = mp.prec + numerics._GUARD_BITS
+        betas = gen_beta(24).values
+        exact = {
+            "alpha": gen_alpha(24).values,
+            "tail": [F(0)] + [F(4**k, k - 1) * betas[k] for k in range(2, 25)],
+        }
+        for family, values in exact.items():
+            mants, slope = fixed_coeffs(family, 24, bits)
+            assert mants == tuple(math.floor(v * 2**bits) for v in values), family
+            assert slope == tuple(
+                math.floor(j * v * 2**bits) for j, v in enumerate(values) if j
+            ), family
 
     def test_q_after_p_reuses_table(self):
         clear_caches()

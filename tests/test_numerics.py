@@ -297,6 +297,26 @@ class TestComputeG:
         with pytest.raises(ConvergenceError):
             lambert_wm1_numeric(1e5)
 
+    @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5), (0.5, 2)])
+    def test_beta_tail_within_one_ulp(self, h0, h1):
+        # T(x) = sum_{k=2}^{24} w_k x^(1-k), w_k = beta_k 4^k / (k-1): the
+        # exact weights, summed 30 digits above the problem's precision
+        cfg = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
+        prob, _ = g_problem_for_data(InitialData(0, h0, h1), cfg)
+        betas = gen_beta(_SERIES_ORDER).values
+        for factor in (1, 1.5, 1e3, 1e6):
+            with mp.workdps(prob.dps):
+                x = prob.split * factor
+                prec = mp.prec
+                got = prob._beta_tail(x)
+            with mp.workdps(prob.dps + 30):
+                ref = mp.fsum(
+                    mp.mpf(betas[k].numerator * 4**k) / (betas[k].denominator * (k - 1))
+                    * x ** (1 - k)
+                    for k in range(2, _SERIES_ORDER + 1)
+                )
+                assert abs(got - ref) <= mp.ldexp(1, mp.mag(ref) - prec), (factor, got, ref)
+
     @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5), (0.5, 2), (1000, -0.7)])
     def test_above_split_is_the_expansion(self, h0, h1):
         # above S, G is x - 3 ln x + c - 4 sum_k (beta_{k+1}/k) (4/x)^k to
