@@ -10,7 +10,8 @@ Integrator.  Both ODEs are solved by an adaptive one-step method that builds
 the exact local Taylor series of the solution at each accepted point:
 
 * the second-order problem as the system x' = y, y' = x^{-3} - y, whose
-  Taylor coefficients follow from a reciprocal-series recurrence for 1/x;
+  Taylor coefficients take x^{-3} from the power rule (Knuth, TAOCP 4.7):
+  one weighted convolution, two integer dot products, per coefficient;
 * the first-order radial equation g' = (1/z^2)(1 - 1/g) - (3/4) g/z,
   integrated downward from z0 toward the singular point z = 0, with the same
   incremental reciprocal trick for 1/g.
@@ -263,33 +264,31 @@ def _fixed_eval(mants, h, F, k):
 def _h_system_coeffs(x0, y0, order, k):
     """Taylor coefficients at one point for x' = y, y' = x^{-3} - y.
 
-    Fixed point: coefficient j of each series is held as the int mantissa of
-    its scaled value X_j rho^j at scale 2^-F, where rho = 2^k is a power of
-    two at or above the step (so the scaled coefficients stay O(1) and their
-    errors are not amplified on [0, rho]) and F = _fixed_scale(x0), at least
-    _GUARD_BITS bits finer than the working precision.  The reciprocal
-    v = 1/x follows from x v = 1 and x^{-3} = v^2 v from two more
-    convolutions, each an exact integer dot product shifted once:
-    O(order^2) int multiplications.  Differentiation multiplies by rho, a
-    shift by k.  Returns the mantissas (X, Y) and F; the j = 0 entries are
-    x0 and y0 at scale 2^-F, exactly.
+    Mantissas of X_j rho^j at scale 2^-F, F = _fixed_scale(x0), rho = 2^k
+    at or above the step; d/dt is a shift by k.  u = x^{-3} comes from the
+    power rule m x_0 u_m = sum_{i=1..m} (-2i - m) x_i u_{m-i} (Knuth, TAOCP
+    vol. 2, 4.7): one weighted convolution, two exact integer dot products
+    (over X_i and i X_i), per coefficient.  v0 = 1/x_0 and u sit at 2^-G,
+    G = F + 3 max(0, mag x0), as every u_m carries u_0's relative error and
+    at 2^-F a large x0 (after a blow-up) would round u_0, so all of u, to 0.
+    Returns (X, Y, F); X[0] and Y[0] are x0 and y0 at 2^-F, exactly.
     """
     F = _fixed_scale(x0)
+    G = F + 3 * max(0, mp.mag(x0))
     X = [_fixed(x0, F)]
     Y = [_fixed(y0, F)]
-    v0 = (1 << 2 * F) // X[0]
-    V = [v0]
-    V2 = [v0 * v0 >> F]
-    U = [V2[0] * v0 >> F]  # x^{-3}
-    for j in range(order):
-        m = j + 1
-        X.append(_shift(Y[j], k) // m)
-        Y.append(_shift(U[j] - Y[j], k) // m)
+    v0 = (1 << F + G) // X[0]
+    U = [(v0 * v0 >> G) * v0 >> G]
+    IX = []  # i X_i for i >= 1
+    for m in range(1, order + 1):
+        X.append(_shift(Y[-1], k) // m)
+        Y.append(_shift((U[-1] >> G - F) - Y[-1], k) // m)
         if m == order:
             break
-        V.append(-(v0 * (sum(map(mul, X[1:], reversed(V))) >> F)) >> F)
-        V2.append(sum(map(mul, V, reversed(V))) >> F)
-        U.append(sum(map(mul, V2, reversed(V))) >> F)
+        IX.append(m * X[m])
+        rev = U[::-1]
+        s = 2 * sum(map(mul, IX, rev)) + m * sum(map(mul, X[1:], rev))
+        U.append((-(v0 * (s >> F)) >> G) // m)
     return X, Y, F
 
 

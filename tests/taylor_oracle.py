@@ -7,7 +7,9 @@ module keeps the textbook form of the same three recurrences, one mpf
 the integer kernels can be checked against it at a higher precision:
 
 * ``h_system_coeffs(x0, y0, order)``: x' = y, y' = x^{-3} - y, with the
-  reciprocal recurrence for v = 1/x and v^3 by two convolutions;
+  reciprocal recurrence for v = 1/x and v^3 by two convolutions.  This is
+  deliberately not the kernel's power rule for x^{-3}, so that the kernel
+  is checked against an independent recurrence;
 * ``g_equation_coeffs(z_s, g_s, order)``: z^2 g' = 1 - 1/g - (3/4) z g and
   the reciprocal series of g;
 * ``running_integral_coeffs(z_s, R, base)``: I(z) = base + int_z^{z_s} r

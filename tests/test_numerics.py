@@ -420,7 +420,8 @@ class TestQuadratureOracle:
 class TestTaylorKernels:
     """The fixed-point Taylor kernels against the mpf recurrences.
 
-    Each kernel runs at 40 digits with the Taylor order of rel 1e-22; the
+    Each kernel runs at 40 digits with the Taylor order of rel 1e-22, and
+    the h kernel also at 80 digits with the order of rel 1e-60; the
     reference (tests/taylor_oracle.py, one mpf fsum per convolution
     coefficient) runs 20 digits higher.  The kernels return int mantissas;
     the tests unscale them as dense output does.  Coefficient j of every
@@ -463,25 +464,52 @@ class TestTaylorKernels:
             tol = mp.ldexp(cls._scale(ref, k), 6 - prec)
             assert abs(got - _horner(ref, h)) <= tol, (h, got)
 
-    @pytest.mark.parametrize("x0", [1e-80, 1e-3, 0.05, 1, 30, 1e3])
-    @pytest.mark.parametrize("y0", [-2.5, 0.7])
-    def test_h_system(self, x0, y0):
-        with mp.workdps(self.DPS + 20):
+    @classmethod
+    def _check_h_system(cls, x0, y0, dps, order, rel_tol, abs_tol):
+        """_h_system_coeffs at dps digits against the oracle 20 digits
+        higher, at the step that rel_tol and abs_tol allow."""
+        with mp.workdps(dps + 20):
             x0, y0 = mp.mpf(x0), mp.mpf(y0)
-            X_ref, Y_ref = oracle.h_system_coeffs(x0, y0, self.ORDER)
-            eps_loc = mp.mpf(1e-24) + mp.mpf(1e-22) * max(abs(x0), abs(y0))
-            step = _step_guess((X_ref, Y_ref), eps_loc, self.ORDER)
+            X_ref, Y_ref = oracle.h_system_coeffs(x0, y0, order)
+            eps_loc = mp.mpf(abs_tol) + mp.mpf(rel_tol) * max(abs(x0), abs(y0))
+            step = _step_guess((X_ref, Y_ref), eps_loc, order)
         # the integrator keeps rho at or above the step: test rho in
         # (step, 2 step], in (2 step, 4 step] and far above the step
         for k in (mp.mag(step), mp.mag(step) + 1, mp.mag(step) + 8):
-            with mp.workdps(self.DPS):
+            with mp.workdps(dps):
                 prec = mp.prec
-                X, Y, F = _h_system_coeffs(x0, y0, self.ORDER, k)
+                X, Y, F = _h_system_coeffs(x0, y0, order, k)
                 X_mpf = _unscale(x0, X, F, k)
                 Y_mpf = _unscale(y0, Y, F, k)
-            with mp.workdps(self.DPS + 20):
-                self._assert_close(X_mpf, X_ref, k, prec)
-                self._assert_close(Y_mpf, Y_ref, k, prec)
+            with mp.workdps(dps + 20):
+                cls._assert_close(X_mpf, X_ref, k, prec)
+                cls._assert_close(Y_mpf, Y_ref, k, prec)
+
+    @pytest.mark.parametrize("x0", [1e-80, 1e-3, 0.05, 1, 30, 1e3])
+    @pytest.mark.parametrize("y0", [-2.5, 0.7])
+    def test_h_system(self, x0, y0):
+        self._check_h_system(x0, y0, self.DPS, self.ORDER, 1e-22, 1e-24)
+
+    @pytest.mark.parametrize("x0", [1e18, 1e42])
+    def test_h_system_after_blow_up(self, x0):
+        # from h0 = 1e-70 the slope jumps to 1e70 and h grows through 1e18
+        # and 1e42: x^{-3} falls below 2^-F while the step is far longer
+        # than x/x', so the scaled x^{-3} series grows with j and the whole
+        # of it hangs on the precision of its leading term
+        self._check_h_system(x0, 1e70, self.DPS, self.ORDER, 1e-22, 1e-24)
+
+    @pytest.mark.parametrize("x0", [1e-3, 1, 1e3])
+    @pytest.mark.parametrize("y0", [-2.5, 0.7])
+    def test_h_system_high_order(self, x0, y0):
+        # the power rule for x^{-3} floors and divides by m at every
+        # coefficient, so its rounding builds up differently from the
+        # oracle's three convolutions: check it at the order and precision
+        # of rel 1e-60 (order 104, 80 digits) as well
+        cfg = SolverConfig(rel_tol=1e-60, abs_tol=1e-62)
+        assert (cfg.effective_dps, cfg.taylor_order) == (80, 104)
+        self._check_h_system(
+            x0, y0, cfg.effective_dps, cfg.taylor_order, cfg.rel_tol, cfg.abs_tol
+        )
 
     @pytest.mark.parametrize("x0", [1e-80, 1e-3, 0.05, 1, 30, 1e3])
     @pytest.mark.parametrize("y0", [-2.5, 0.7])
