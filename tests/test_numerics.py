@@ -6,6 +6,7 @@ checking agreement well beyond the asserted tolerances.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 from expansion_oracle import eval_G_asympt
@@ -689,6 +690,29 @@ class TestStepSequences:
         prob, t_base = g_problem_for_data(InitialData(0, h0, h1), self.CFG)
         assert t_base == 0
         assert (len(prob._steps), prob.n_rejected) == (g_steps, 0)
+
+    def test_rejection_is_counted(self):
+        # the one datum of about 70 data x tolerances probed whose step
+        # control halves a trial step: h'' ~ 1e6 at the start
+        traj = integrate_h(InitialData(0, 100, -1e6), 1e3)
+        assert (traj.n_steps, traj.n_rejected) == (77, 1)
+
+    # SHA-256 of the _mpf_ tuples (t_start, length, err_cum) of every step
+    # of D1 and D2 (with their g problems) and of the (0.5, 2) g problem,
+    # recorded before the two step loops became one marcher: step sizes
+    # and the summed estimates cannot move silently
+    STEP_DIGEST = "c8dbedbd5c132e8ad8ffb6b883ae61af9d6d349385acf231fb56b9afd1be5d9e"
+
+    def test_step_digest(self):
+        steps = []
+        for h0, h1 in ((1, 1), (2, 0.5)):
+            traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.CFG)
+            steps += traj._steps + traj.g_problem._steps
+        prob, _ = g_problem_for_data(InitialData(0, 0.5, 2), self.CFG)
+        steps += prob._steps
+        assert len(steps) == 19 + 0 + 15 + 1 + 35
+        keys = [(s.t_start._mpf_, s.length._mpf_, s.err_cum._mpf_) for s in steps]
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == self.STEP_DIGEST
 
     def test_compute_G_calls_per_inversion(self, monkeypatch):
         # Newton on G takes 5.2 evaluations of G per inversion here; the
