@@ -6,15 +6,21 @@ being resolved is of size (4t)^{1/4} (ln t / t)^4 ~ 1e-18, far below double
 precision, so the whole numerical stack works at a configurable number of
 decimal digits derived from the requested tolerances.
 
-Integrator.  Both ODEs are solved by an adaptive one-step method that builds
-the exact local Taylor series of the solution at each accepted point:
+Integrator.  Both ODEs are stepped by one adaptive Taylor marcher (_march):
+at each accepted point a kernel builds the exact local Taylor series of a
+pair of series, the step comes from their top coefficients and is checked
+against their tail (Jorba & Zou, Exp. Math. 14, 2005).  The pairs are
 
 * the second-order problem as the system x' = y, y' = x^{-3} - y, whose
   Taylor coefficients take x^{-3} from the power rule (Knuth, TAOCP 4.7):
-  one weighted convolution, two integer dot products, per coefficient;
+  one weighted convolution, two integer dot products, per coefficient.
+  Both x and y lead: they set the local tolerance, the step guess and the
+  charged error.  The march stops at the switch to the reduction (below);
 * the first-order radial equation g' = (1/z^2)(1 - 1/g) - (3/4) g/z,
-  integrated downward from z0 toward the singular point z = 0, with the same
-  incremental reciprocal trick for 1/g.
+  integrated downward from z0 toward the singular point z = 0, with 1/g by
+  one convolution per coefficient, paired with the running integral I
+  (below).  g alone leads; I must pass the same tail test but is not
+  charged.  The step is capped at 0.45 z.
 
 The coefficient recurrences run on fixed-point integers rather than mpf
 objects (the standard way to run such recurrences, Brent & Zimmermann,
@@ -30,7 +36,7 @@ the previous step's guess, and the coefficients are recomputed with a
 wider rho in the rare case the new guess exceeds it.  Every convolution
 coefficient is one exact integer dot product shifted once.
 
-The step loops stay on the mantissas as well.  The values at a step end
+The step loop stays on the mantissas as well.  The values at a step end
 are one integer Horner evaluation each in u = h / rho, rounded once into
 an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  The step guess
 and the truncation estimate read only the top three coefficients, which
@@ -81,7 +87,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from operator import mul
+from operator import gt, lt, mul
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_rdiv_int, round_nearest, to_fixed
@@ -175,10 +181,12 @@ class InitialData:
 def _step_guess(coeff_sets, eps_loc, order):
     """Largest step for which the top Taylor terms stay below eps_loc.
 
-    Reads the last two entries of each set, the coefficients of degree
-    ``order`` and ``order - 1``.  Infinite when every one of them is zero, as
-    it is when the terms fall below the kernels' fixed-point resolution: the
-    caller's caps and the acceptance test then bound the step.
+    ``coeff_sets`` are the lead series' top coefficients (_march passes the
+    three of _top_coeffs for each); only the last two entries of each set
+    are read, the coefficients of degree ``order`` and ``order - 1``.
+    Infinite when every one of them is zero, as it is when the terms fall
+    below the kernels' fixed-point resolution: the march's clamps to its
+    end and cap, and the tail test, then bound the step.
     """
     best = None
     for coeffs in coeff_sets:
@@ -292,17 +300,23 @@ def _h_system_coeffs(x0, y0, order, k):
     return X, Y, F
 
 
-def _g_equation_coeffs(z_s, g_s, order):
-    """Taylor coefficients of g at z_s for z^2 g' = 1 - 1/g - (3/4) z g.
+def _g_system_coeffs(z_s, g_s, i_s, order):
+    """Taylor coefficients at z_s of g and of the running integral I.
 
-    Same fixed-point representation as _h_system_coeffs, with
+    g solves z^2 g' = 1 - 1/g - (3/4) z g, and I(z) = i_s + int_z^{z_s} r
+    integrates the regular integrand r(z) = (1/g - 1 + 3z/4) 4/z^2 of G
+    and c.  Same fixed-point representation as _h_system_coeffs, with
     F = _fixed_scale(g_s), rho = 2^k the power of two just above z_s (steps
     stay below 0.45 z_s) and zeta = z_s / rho in [1/2, 1).  In scaled
-    coefficients the recurrence is
+    coefficients the recurrence for g is
     c_{j+1} = ((delta_{j0} - r_j) / rho - (2j + 3/4) zeta c_j
-    - (j - 1/4) c_{j-1}) / (zeta^2 (j + 1)), and 1/g follows from g r = 1
-    by one convolution per coefficient.  Returns the mantissas of g and of
-    1/g, F and k; the 1/g series feeds _running_integral_coeffs.
+    - (j - 1/4) c_{j-1}) / (zeta^2 (j + 1)), and the 1/g series R follows
+    from g R = 1 by one convolution per coefficient.  With z = z_s + u, the
+    identity r (z_s + u)^2 = 4 (1/g - 1 + 3 (z_s + u)/4) then gives r's
+    scaled coefficients f_j = (4 d_j / rho^2 - 2 zeta f_{j-1} - f_{j-2})
+    / zeta^2 in O(order), with d the scaled coefficients of the right-hand
+    side; I' = -r integrates them termwise, one shift by k each.  Returns
+    (C, I, F, k): the mantissas of g and of I, which is one degree longer.
     """
     F = _fixed_scale(g_s)
     k = mp.mag(z_s)
@@ -320,34 +334,17 @@ def _g_equation_coeffs(z_s, g_s, order):
             num -= (4 * j - 1) * C[j - 1] >> 2
         C.append((num * inv_zeta2 >> F) // (j + 1))
         R.append(-(r0 * (sum(map(mul, C[1:], reversed(R))) >> F)) >> F)
-    return C, R, F, k
-
-
-def _running_integral_coeffs(z_s, R, F, k, base):
-    """Taylor coefficients at z_s of I(z) = base + int_z^{z_s} r.
-
-    r(z) = (1/g - 1 + 3z/4) 4/z^2 is the regular integrand of G and c, and
-    R is the fixed-point 1/g series at z_s from _g_equation_coeffs
-    (mantissas at scale 2^-F, rho = 2^k).  With z = z_s + u, the identity
-    r (z_s + u)^2 = 4 (1/g - 1 + 3 (z_s + u)/4) gives r's scaled
-    coefficients f_j = (4 d_j / rho^2 - 2 zeta f_{j-1} - f_{j-2}) / zeta^2
-    in O(order), with d the scaled coefficients of the right-hand side;
-    I' = -r integrates them termwise, one shift by k each.  Returns the
-    mantissas of I at the same scale, one degree above R's.
-    """
-    zeta = _fixed(z_s, F - k)
-    inv_zeta2 = (1 << 3 * F) // (zeta * zeta)
-    D = list(R)
-    D[0] += (_shift(3 * zeta, k) >> 2) - (1 << F)
-    D[1] += 3 << F + k - 2
+    # R becomes d, the series of 1/g - 1 + 3 (z_s + u)/4
+    R[0] += (_shift(3 * zeta, k) >> 2) - (1 << F)
+    R[1] += 3 << F + k - 2
     f_prev2 = f_prev = 0
-    I = [_fixed(base, F)]
-    for j, d in enumerate(D):
+    I = [_fixed(i_s, F)]
+    for j, d in enumerate(R):
         acc = _shift(d, 2 - 2 * k) - (zeta * f_prev >> F - 1) - f_prev2
         f = acc * inv_zeta2 >> F
         I.append(-_shift(f, k) // (j + 1))
         f_prev2, f_prev = f_prev, f
-    return I
+    return C, I, F, k
 
 
 @dataclass(slots=True)
@@ -386,6 +383,84 @@ class _Step:
         return _fixed_eval(Y, u, F, k)
 
 
+def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
+    """Adaptive Taylor steps of the pair (x, y) from t toward end.
+
+    The one step loop of both integrators.  ``kernel(t, x, y, order, k)``
+    returns the mantissas (X, Y, F, k) of both series at t, at rho = 2^k;
+    k is passed in at or above the last step, and a kernel may pick its
+    own.  The first ``lead`` series (x alone, or x and y) set the local
+    tolerance, the step guess and the charged error; every series must
+    pass the tail test.  The guess is clamped to ``cap(t)`` and to end,
+    and the kernel is recomputed at a wider rho when the step outgrows
+    it.  A trial step is halved until the tail estimates are within the
+    local tolerance and x stays positive.  The march ends at end, or at
+    the first step end where ``stop(t, x, y)`` holds.
+
+    Returns (steps, (t, x, y), err, rejected): the accepted steps, the
+    last step end, the summed charged estimates and the count of rejected
+    trial steps.  Raises IntegrationError when the _MAX_STEPS budget runs
+    out or a step collapses.
+    """
+    order = cfg.taylor_order
+    abs_tol, rel_tol = mp.mpf(cfg.abs_tol), mp.mpf(cfg.rel_tol)
+    up = end > t
+    before = lt if up else gt
+    cum_err = mp.zero
+    steps: list[_Step] = []
+    rejected = 0
+    k = 0  # rho = 2^k, kept at or above the step
+    while before(t, end):
+        if len(steps) >= _MAX_STEPS:
+            raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at {t}")
+        eps_loc = abs_tol + rel_tol * max(map(abs, (x, y)[:lead]))
+        while True:
+            X, Y, F, k_kernel = kernel(t, x, y, order, k)
+            tops = [_top_coeffs(M, F, k_kernel) for M in (X, Y)]
+            h = _step_guess(tops[:lead], eps_loc, order)
+            if cap is not None:
+                h = min(h, cap(t))
+            s = h if up else -h  # the signed step
+            if before(end, t + s):  # clamp to end
+                s = end - t
+            fits = abs(s) <= mp.ldexp(1, k_kernel)
+            k = mp.mag(s) + 1  # rho in (2h, 4h]; recompute if s outgrew it
+            if fits:
+                break
+        halvings = 0
+        while True:
+            ests = [_tail_estimate(c, len(M) - 1, s) for c, M in zip(tops, (X, Y))]
+            x_new = _fixed_eval(X, s, F, k_kernel)
+            if max(ests) <= eps_loc and x_new > 0:
+                break
+            s = s / 2
+            halvings += 1
+            rejected += 1
+            if halvings > 80:
+                raise IntegrationError(
+                    f"step size collapsed at {t}: 80 halvings failed the "
+                    "tail estimates or the positivity of the solution"
+                )
+        cum_err += max(ests[:lead])
+        steps.append(_Step(t, s, x, y, cum_err, (X, Y, F, k_kernel)))
+        t, x, y = t + s, x_new, _fixed_eval(Y, s, F, k_kernel)
+        if stop is not None and stop(t, x, y):
+            break
+    return steps, (t, x, y), cum_err, rejected
+
+
+def _step_at(steps, keys, key):
+    """The step covering the point at key = sign t.
+
+    keys hold sign t_start of each step, ascending, with sign the
+    direction of integration; a step covers its start up to the next
+    step's start.  A point before the first start maps to the first step
+    and one past the last step's end to the last (eval_g's slack above z0,
+    the rounding of 4/x at z_c).
+    """
+    return steps[max(bisect.bisect_right(keys, key) - 1, 0)]
+
+
 class Trajectory:
     """Dense solution of the second-order problem on [t0, t_end].
 
@@ -409,7 +484,7 @@ class Trajectory:
         self.data = data
         self.cfg = cfg
         self._steps = steps
-        self._starts = [s.t_start for s in steps]
+        self._keys = [s.t_start for s in steps]  # for _step_at
         self._dps = dps = cfg.effective_dps
         self.t_start = steps[0].t_start
         self.t_end = t_end
@@ -443,10 +518,6 @@ class Trajectory:
     def _in_reduction(self, t):
         return self._reduction is not None and t > self._reduction[1]
 
-    def _phase1_segment(self, t):
-        idx = bisect.bisect_right(self._starts, t) - 1
-        return self._steps[max(idx, 0)]
-
     def _reduced_h4(self, t):
         """h(t)^4 past the switch, inverting the time map; memoized."""
         problem, t_sw, _, _ = self._reduction
@@ -464,7 +535,7 @@ class Trajectory:
             self._check_range(t)
             if self._in_reduction(t):
                 return self._reduced_h4(t) ** (mp.one / 4)
-            return self._phase1_segment(t).eval_x(t)
+            return _step_at(self._steps, self._keys, t).eval_x(t)
 
     def eval_hprime(self, t):
         with mp.workdps(self._dps):
@@ -475,7 +546,7 @@ class Trajectory:
                 s = self._reduced_h4(t)
                 # h' = g(4/h^4) / h^3
                 return problem.eval_g(4 / s) * s ** (-mp.mpf(3) / 4)
-            return self._phase1_segment(t).eval_y(t)
+            return _step_at(self._steps, self._keys, t).eval_y(t)
 
     def err_bound(self, t):
         """Conservative estimate of |h_computed(t) - h(t)|."""
@@ -483,7 +554,7 @@ class Trajectory:
             t = mp.mpf(t)
             self._check_range(t)
             if not self._in_reduction(t):
-                return self._phase1_segment(t).err_cum
+                return _step_at(self._steps, self._keys, t).err_cum
             problem, _, x_sw, _ = self._reduction
             cum1 = self._steps[-1].err_cum
             s_t = self._reduced_h4(t)
@@ -555,68 +626,26 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
     returned object is dense on all of [t0, t_max] either way.
     """
     cfg = cfg or SolverConfig()
-    dps = cfg.effective_dps
-    order = cfg.taylor_order
-    with mp.workdps(dps):
+    with mp.workdps(cfg.effective_dps):
         t0 = mp.mpf(data.t0)
         t_max = mp.mpf(t_max)
         _require_finite(t_max=t_max)
         if not t_max > t0:
             raise DomainError("t_max must exceed t0")
         span_direct = mp.mpf(_DIRECT_SPAN)
-        x, y = mp.mpf(data.h0), mp.mpf(data.h1)
-        t = t0
-        cum_err = mp.zero
-        steps: list[_Step] = []
-        rejected = 0
+        steps, (t, x, y), cum_err, rejected = _march(
+            lambda t, x, y, order, k: (*_h_system_coeffs(x, y, order, k), k),
+            2, t0, mp.mpf(data.h0), mp.mpf(data.h1), t_max, cfg,
+            stop=lambda t, x, y: y > 0 and t - t0 >= span_direct,
+        )
         reduction = None
-        k = 0  # the kernels' scale rho = 2^k, kept at or above the step
-        while t < t_max:
-            if len(steps) >= _MAX_STEPS:
-                raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at t={t}")
-            eps_loc = mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * max(
-                abs(x), abs(y)
-            )
-            while True:
-                k_kernel = k  # the scale of X and Y; k moves on below
-                X, Y, F = _h_system_coeffs(x, y, order, k)
-                tops = (_top_coeffs(X, F, k), _top_coeffs(Y, F, k))
-                h = _step_guess(tops, eps_loc, order)
-                if t + h > t_max:
-                    h = t_max - t
-                fits = h <= mp.ldexp(1, k)
-                k = mp.mag(h) + 1  # rho in (2h, 4h]; recompute if h outgrew it
-                if fits:
-                    break
-            halvings = 0
-            while True:
-                est = max(_tail_estimate(c, order, h) for c in tops)
-                x_new = _fixed_eval(X, h, F, k_kernel)
-                if est <= eps_loc and x_new > 0:
-                    break
-                h = h / 2
-                halvings += 1
-                rejected += 1
-                if halvings > 80:
-                    raise IntegrationError(
-                        f"step size collapsed near t={t}; "
-                        "h may be approaching zero"
-                    )
-            y_new = _fixed_eval(Y, h, F, k_kernel)
-            cum_err += est
-            steps.append(_Step(t, h, x, y, cum_err, (X, Y, F, k_kernel)))
-            t = t + h
-            x, y = x_new, y_new
-            if y > 0 and t - t0 >= span_direct and t < t_max:
-                gamma = x**3 * y
-                # the switch data carry the direct phase's error; widen the
-                # consistency gate accordingly if z lands below the crossover
-                seed = cum_err * (3 * x**2 * abs(y) + x**3)
-                problem = solve_g(
-                    4 / x**4, gamma, cfg, seed_tol=100 * seed
-                )
-                reduction = (problem, t, x, y)
-                break
+        if t < t_max:  # stopped at the switch
+            gamma = x**3 * y
+            # the switch data carry the direct phase's error; widen the
+            # consistency gate accordingly if z lands below the crossover
+            seed = cum_err * (3 * x**2 * abs(y) + x**3)
+            problem = solve_g(4 / x**4, gamma, cfg, seed_tol=100 * seed)
+            reduction = (problem, t, x, y)
         traj = Trajectory(data, cfg, steps, t_max, rejected, reduction)
         if reduction is not None:
             traj.eval_h(t_max)  # fail fast and seed the h^4 memo
@@ -662,7 +691,7 @@ class GProblem:
         self.ode_err = ode_err
         self.n_rejected = rejected
         self._steps = steps  # descending t_start; each covers [start-len, start]
-        self._neg_starts = [-s.t_start for s in steps]  # ascending, for bisect
+        self._keys = [-s.t_start for s in steps]  # for _step_at
         self._c = None
         with mp.workdps(dps):
             self.anchor = 4 / z0
@@ -680,18 +709,6 @@ class GProblem:
         A, F = self._alphas
         return _fixed_eval(A, z, F, 0)
 
-    def _step_at(self, z):
-        """The Taylor piece covering z, for z_c < z <= z0."""
-        # steps are stored with descending start; step i covers
-        # [start_{i+1}, start_i], so locate the first start <= z and
-        # back up one piece when z lies strictly between two starts
-        idx = bisect.bisect_left(self._neg_starts, -z)
-        idx = min(max(idx, 0), len(self._steps) - 1)
-        step = self._steps[idx]
-        if z > step.t_start and idx > 0:
-            step = self._steps[idx - 1]
-        return step
-
     def eval_g(self, z):
         """g(z) for z in (0, z0]."""
         with mp.workdps(self.dps):
@@ -702,13 +719,13 @@ class GProblem:
                 raise DomainError(f"z={z} beyond the initial point z0={self.z0}")
             if z <= self.z_c or not self._steps:
                 return self._series(z)
-            return self._step_at(z).eval_x(z)
+            return _step_at(self._steps, self._keys, -z).eval_x(z)
 
     def _integral(self, z):
         """I(z) = int_z^{z0} r for z in [z_c, z0]; 0 without Taylor pieces."""
         if not self._steps:
             return mp.zero
-        return self._step_at(z).eval_y(z)
+        return _step_at(self._steps, self._keys, -z).eval_y(z)
 
     def _beta_tail(self, x):
         """T(x) = sum_{k>=2} w_k x^(1-k) = int_0^{4/x} r, for x >= S.
@@ -754,7 +771,6 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
     """
     cfg = cfg or SolverConfig()
     dps = cfg.effective_dps
-    order = cfg.taylor_order
     with mp.workdps(dps):
         z0 = mp.mpf(z0)
         g0 = mp.mpf(g0)
@@ -797,47 +813,12 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
                 )
             return problem
 
-        z, g = z0, g0
-        i_cum = mp.zero  # I(z) = int_z^{z0} r
-        cum_err = mp.zero
-        steps: list[_Step] = []
-        rejected = 0
-        while z > z_c:
-            if len(steps) >= _MAX_STEPS:
-                raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at z={z}")
-            C, R, F, k = _g_equation_coeffs(z, g, order)
-            I = _running_integral_coeffs(z, R, F, k, i_cum)
-            c_top = _top_coeffs(C, F, k)
-            i_top = _top_coeffs(I, F, k)
-            eps_loc = mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * abs(g)
-            h = _step_guess((c_top,), eps_loc, order)
-            h = min(h, mp.mpf("0.45") * z)  # stay clear of the z = 0 singularity
-            if z - h < z_c:
-                h = z - z_c
-            halvings = 0
-            while True:
-                est = _tail_estimate(c_top, order, h)
-                g_new = _fixed_eval(C, -h, F, k)
-                if (
-                    est <= eps_loc
-                    and g_new > 0
-                    and _tail_estimate(i_top, order + 1, h) <= eps_loc
-                ):
-                    break
-                h = h / 2
-                halvings += 1
-                rejected += 1
-                if halvings > 80:
-                    raise DomainError(
-                        f"g appears to vanish near z={z}; positivity violated"
-                    )
-            cum_err += est
-            steps.append(_Step(z, -h, g, i_cum, cum_err, (C, I, F, k)))
-            z = z - h
-            g = g_new
-            i_cum = _fixed_eval(I, -h, F, k)
-
-        problem = GProblem(z0, g0, z_c, steps, cfg, cum_err, rejected, i_cum)
+        steps, (_, g, i_c), cum_err, rejected = _march(
+            lambda z, g, i, order, k: _g_system_coeffs(z, g, i, order),
+            1, z0, g0, mp.zero, z_c, cfg,
+            cap=lambda z: mp.mpf("0.45") * z,  # clear of the z = 0 singularity
+        )
+        problem = GProblem(z0, g0, z_c, steps, cfg, cum_err, rejected, i_c)
         series_at_zc = problem._series(z_c)
         agree_tol = (
             1000 * trunc_est(z_c) + 100 * cum_err + mp.mpf(10) ** (-(dps - 6))

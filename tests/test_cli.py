@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from asymptode import cli
+from asymptode import cli, numerics
 from asymptode.cli import main
 
 
@@ -212,6 +212,19 @@ class TestConstant:
         assert code == 0
         assert out.startswith("c = -18.644415060418059")
         assert len(out.split("=")[1].strip().lstrip("-").replace(".", "")) == 38
+
+
+    @pytest.mark.parametrize(
+        "name,patch",
+        [("_MAX_STEPS", 3), ("_tail_estimate", lambda *args: float("inf"))],
+    )
+    def test_integrator_failure_exits_3(self, capsys, monkeypatch, name, patch):
+        # (0.5, 2) goes straight to the g integrator: a step budget run out
+        # or a collapsed step is a numerical failure, not a usage problem
+        monkeypatch.setattr(numerics, name, patch)
+        code, out, err = run(capsys, "constant", "--h0", "0.5", "--h1", "2")
+        assert (code, out) == (3, "")
+        assert "step" in err
 
 
 class TestVerify:

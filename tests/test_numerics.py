@@ -17,7 +17,12 @@ from taylor_oracle import horner as _horner
 from taylor_oracle import unscale as _unscale
 from asymptode import numerics
 from asymptode.asympt import AsymptoticModel
-from asymptode.errors import AccuracyError, ConvergenceError, DomainError
+from asymptode.errors import (
+    AccuracyError,
+    ConvergenceError,
+    DomainError,
+    IntegrationError,
+)
 from asymptode.families import gen_alpha, gen_beta
 from asymptode.numerics import (
     _GUARD_BITS,
@@ -27,9 +32,9 @@ from asymptode.numerics import (
     SolverConfig,
     Trajectory,
     _fixed_eval,
-    _g_equation_coeffs,
+    _g_system_coeffs,
     _h_system_coeffs,
-    _running_integral_coeffs,
+    _step_at,
     _step_guess,
     _tail_estimate,
     _top_coeffs,
@@ -558,16 +563,13 @@ class TestTaylorKernels:
             I_ref = oracle.running_integral_coeffs(z_s, R_ref, base)
         with mp.workdps(self.DPS):
             prec = mp.prec
-            C, R, F, k = _g_equation_coeffs(z_s, g_s, self.ORDER)
-            I = _running_integral_coeffs(z_s, R, F, k, base)
+            C, I, F, k = _g_system_coeffs(z_s, g_s, base, self.ORDER)
             C_mpf = _unscale(g_s, C, F, k)
             I_mpf = _unscale(base, I, F, k)
         assert F >= prec + _GUARD_BITS
         assert mp.ldexp(1, k - 1) <= z_s < mp.ldexp(1, k)
         with mp.workdps(self.DPS + 20):
             self._assert_close(C_mpf, C_ref, k, prec)
-            R_mpf = [mp.ldexp(r, -F - k * j) for j, r in enumerate(R)]
-            self._assert_close(R_mpf, R_ref, k, prec)
             self._assert_close(I_mpf, I_ref, k, prec)
 
     @pytest.mark.parametrize("z_s", [0.0099, 0.3, 4, 400])
@@ -581,8 +583,7 @@ class TestTaylorKernels:
             I_ref = oracle.running_integral_coeffs(z_s, R_ref, base)
         with mp.workdps(self.DPS):
             prec = mp.prec
-            C, R, F, k = _g_equation_coeffs(z_s, g_s, self.ORDER)
-            I = _running_integral_coeffs(z_s, R, F, k, base)
+            C, I, F, k = _g_system_coeffs(z_s, g_s, base, self.ORDER)
             h = -mp.ldexp(mp.mpf(u), k)
         self._assert_step_end(C, g_s, C_ref, F, k, h, prec)
         self._assert_step_end(I, base, I_ref, F, k, h, prec)
@@ -656,7 +657,7 @@ class TestDenseReads:
             for z in zs:
                 got = problem.eval_g(z)
                 if z > problem.z_c:
-                    step = problem._step_at(z)
+                    step = _step_at(problem._steps, problem._keys, -z)
                     X, _, F, k = step.mants
                     self._assert_read(got, step.x0, X, F, k, z - step.t_start)
                     continue
@@ -736,6 +737,55 @@ class TestStepSequences:
                 traj.eval_h(t)
         assert calls["invert_G"] >= 8
         assert calls["compute_G"] <= 7 * calls["invert_G"]
+
+
+class TestMarcher:
+    """The one step loop behind integrate_h and solve_g: its failures and
+    the step lookup of the dense reads."""
+
+    RUNS = {
+        "integrate_h": lambda: integrate_h(DATA, 1e6),
+        "solve_g": lambda: solve_g(4, 1),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_step_budget_is_an_integration_error(self, monkeypatch, run):
+        monkeypatch.setattr(numerics, "_MAX_STEPS", 3)
+        with pytest.raises(IntegrationError, match="step budget 3 exhausted"):
+            self.RUNS[run]()
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_step_collapse_is_an_integration_error(self, monkeypatch, run):
+        monkeypatch.setattr(numerics, "_tail_estimate", lambda *args: mp.inf)
+        with pytest.raises(IntegrationError, match="step size collapsed"):
+            self.RUNS[run]()
+
+    @staticmethod
+    def _assert_lookup(steps, keys, sign, dps):
+        with mp.workdps(dps):
+            for step in steps:
+                for t in (step.t_start, step.t_start + step.length / 2):
+                    assert _step_at(steps, keys, sign * t) is step
+            first, last = steps[0], steps[-1]
+            eps = mp.ldexp(abs(last.length), -20)
+            before = first.t_start - sign * eps
+            past = last.t_start + last.length + sign * eps
+            assert _step_at(steps, keys, sign * before) is first
+            assert _step_at(steps, keys, sign * past) is last
+
+    def test_trajectory_lookup(self, traj):
+        assert traj.n_steps > 2
+        self._assert_lookup(traj._steps, traj._keys, 1, traj.stats["dps"])
+
+    def test_g_problem_lookup(self, problem):
+        # eval_g reads up to a relative slack above z0, and 4/x can round
+        # just below z_c at the split
+        assert len(problem._steps) > 2
+        self._assert_lookup(problem._steps, problem._keys, -1, problem.dps)
+        with mp.workdps(problem.dps):
+            z = problem._z_max
+            assert z > problem.z0
+            assert problem.eval_g(z) == problem._steps[0].eval_x(z)
 
 
 class TestInversionFloor:
