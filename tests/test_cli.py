@@ -213,7 +213,6 @@ class TestConstant:
         assert out.startswith("c = -18.644415060418059")
         assert len(out.split("=")[1].strip().lstrip("-").replace(".", "")) == 38
 
-
     @pytest.mark.parametrize(
         "name,patch",
         [("_MAX_STEPS", 3), ("_tail_estimate", lambda *args: float("inf"))],
