@@ -140,10 +140,14 @@ def _add_io_args(sub):
 # ---------------------------------------------------------------------------
 # series
 
+MAX_SERIES_ORDER = 100  # cold q, the slowest family, takes 4 to 7 s there (2-vCPU VM)
+
 
 def _cmd_series(args):
     fam = args.family
     n = args.order
+    if n > MAX_SERIES_ORDER:
+        raise DomainError("--order %d exceeds the ceiling %d" % (n, MAX_SERIES_ORDER))
     if fam == "alpha":
         entries = [(k, str(v)) for k, v in enumerate(gen_alpha(n).values)]
         label = "alpha"
@@ -341,7 +345,7 @@ def _build_parser():
 
     p_series = sub.add_parser("series", help="print expansion coefficients or polynomials")
     p_series.add_argument("--family", choices=("alpha", "beta", "q", "p", "lambert"), required=True)
-    p_series.add_argument("--order", type=int, default=4)
+    p_series.add_argument("--order", type=int, default=4, help="highest index, at most %d" % MAX_SERIES_ORDER)
     _add_io_args(p_series)
     p_series.set_defaults(func=_cmd_series)
 

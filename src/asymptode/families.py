@@ -10,34 +10,38 @@ Everything the asymptotic expansion needs is generated here, exactly:
   their own three-term recursion (the reciprocal identity is enforced by
   tests, not assumed here).
 
-* ``p_n(c; z)``: the correction polynomials for the inverse of
-  ``G(x) ~ x - 3 log x + c - ...``, with ``p_0 = 3z - c`` and
+* ``p_n(c; z)``: the correction polynomials of the inverse
+  ``x(X) = X + sum_n p_n(c; log X) X^-n`` of ``G(x) ~ x - 3 log x + c - ...``,
+  defined with ``p_0 = 3z - c`` by
 
       p_n = 3 sigma0_n + sum_{k=1}^{n-1} (4^{k+1} beta_{k+1} / k) sigma^k_{n-k}
-            + 4^{n+1} beta_{n+1} / n,
+            + 4^{n+1} beta_{n+1} / n
 
-  where every sigma is evaluated on the argument sequence ``a_j := p_{j-1}``.
+  on ``a_j := p_{j-1}``, and generated without beta from the ODE of the
+  inverse: ``dx/dX = g(4/x)`` and ``z^2 g' = 1 - 1/g - (3/4) z g`` give
+  ``x x'' = -x (x' - 1)/4 + (3/4) x'^2``.
 
 * ``q_k(c; z)``: the relative-correction polynomials of the expansion
-  ``h(t) = (4t)^{1/4} (1 + sum q_k(c; log 4t) / t^k + ...)``, via
-  ``q_k = sum_{m=1}^{k} 4^{-k} binom(1/4, m) s_{m,k}(p_0, ..., p_{k-1})``.
+  ``h(t) = (4t)^{1/4} (1 + sum q_k(c; log 4t) / t^k + ...)``, defined by
+  ``q_k = 4^{-k} [y^k] (1 + sum_j p_{j-1} y^j)^{1/4}``; generated by the power rule.
 
 * ``ptilde_k(z)``: the analogous family for the inverse of ``y - log y``
-  (the branch of the Lambert function relevant at ``y > 1``), with
-  ``ptilde_0 = z`` and ``ptilde_{k+1} = sigma0_{k+1}`` on ``a_j := ptilde_{j-1}``.
+  (the branch of the Lambert function relevant at ``y > 1``), defined by
+  ``ptilde_0 = z`` and ``ptilde_{k+1} = sigma0_{k+1}`` on
+  ``a_j := ptilde_{j-1}``; generated by the log rule.
 
-Internal representation.  ``p_0 = 3z - c`` and every recursion step combines
-earlier members with rational coefficients, so each ``p_n`` and ``q_k`` is a
-rational polynomial in the single variable ``w := 3z - c``.  The generators
-work on dense ``w``-coefficients and expand ``w^j`` into ``(c, z)`` terms only
-when building the :class:`BivariatePoly` display forms.  This keeps the shared
-table of composition sums ``s_{j,m}`` univariate.  Every polynomial of the
-exact layer (table entries and family members alike) is an integer
-polynomial over one denominator, ``(numerators, denominator)``: each entry is
-one integer accumulation over the common denominator of its terms, reduced
-by a single gcd pass when finished, and each member is one integer linear
-combination of table entries.  Python ints carry it, with no per-operation
-normalisation, which is what makes order 40 cheap.  Each family object
+``sigma0`` and ``sigma^k`` are the coefficients of ``log(1 + a)`` and
+``(1 + a)^-k``, ``a = sum_j a_j x^j``: the definitions the test oracle checks.
+Each step is O(n) products of earlier members, O(N^2) to order N.
+
+Internal representation.  ``p_0 = 3z - c`` and ``D = d/d(log X) = 3 d/dw``,
+so each ``p_n`` and ``q_k`` is a rational polynomial in ``w := 3z - c``.
+The generators work on dense ``w``-coefficients and expand ``w^j`` into
+``(c, z)`` terms only for the :class:`BivariatePoly` display forms.  Every
+polynomial of the exact layer is an integer polynomial over one
+denominator, ``(numerators, denominator)``: one integer accumulation over
+the common denominator of its terms, reduced by one gcd pass when
+finished, with no per-operation normalisation.  Each family object
 carries one public form, built once per member from the integer one: the
 display form (``family[n]``) for printing, JSON and exact comparison.
 Numeric reads take ``fixed_coeffs``: the mantissas at 2^-F of a member's
@@ -149,15 +153,14 @@ class _State:
         self.alphas: list[Fraction] = [Fraction(1)]
         self.betas: list[Fraction] = [Fraction(1)]
         self.beta_squares: list[Fraction] = [Fraction(1)]  # of sum beta_n z^n
-        # p_n as dense w-polynomials; the s table is over a_j := p_{j-1}.
-        self.p_w: list[IntPoly] = []
-        self.s: dict[tuple[int, int], IntPoly] = {}
-        self.s_max = 0
+        # p_n as dense w-polynomials from p_0 = w, with r_n (r_0 = D p_0 = 3)
+        # and t_n of _ensure_p
+        self.p_w: list[IntPoly] = [((0, 1), 1)]
+        self.p_r: list[IntPoly] = [_const(3)]
+        self.p_t: list[IntPoly] = []
         self.q_w: dict[int, IntPoly] = {}
-        # Lambert analogue: ptilde_k as dense z-polynomials, own s table.
-        self.lam: list[IntPoly] = []
-        self.s_t: dict[tuple[int, int], IntPoly] = {}
-        self.s_t_max = 0
+        # Lambert analogue: ptilde_k as dense z-polynomials from ptilde_0 = z
+        self.lam: list[IntPoly] = [((0, 1), 1)]
         # public members: the display form per index
         self.p_pub: dict[int, BivariatePoly] = {}
         self.q_pub: dict[int, BivariatePoly] = {}
@@ -200,93 +203,84 @@ def _weight(k: int) -> Fraction:
     return Fraction(4**k, k - 1) * _STATE.betas[k]
 
 
-def _extend_s_table(
-    table: dict[tuple[int, int], IntPoly],
-    filled: int,
-    m_max: int,
-    a: list[IntPoly],
-) -> int:
-    """Fill rows filled+1 .. m_max of a composition-sum table.
-
-    ``a`` is the argument sequence with the generator's index shift already
-    applied: ``a[i]`` is the series coefficient a_{i+1}.  Row ``m`` holds
-    s_{j,m} for j = 1..m via s_{1,m} = a_m and
-    s_{j,m} = sum_{i=j-1}^{m-1} s_{j-1,i} a_{m-i}.
-    """
-    if m_max > len(a):
-        raise DomainError("composition table extended past known arguments")
-    for m in range(filled + 1, m_max + 1):
-        table[(1, m)] = a[m - 1]
-        for j in range(2, m + 1):
-            table[(j, m)] = _sum_of_products(
-                [(table[(j - 1, i)], a[m - i - 1]) for i in range(j - 1, m)]
-            )
-    return max(filled, m_max)
+def _scaled(poly: IntPoly, num: int, den: int = 1) -> IntPoly:
+    """poly * num / den, unreduced (_sum_of_products reduces its result)."""
+    nums, d = poly
+    return tuple(num * v for v in nums), d * den
 
 
-def _sigma0_terms(
-    table: dict[tuple[int, int], IntPoly], n: int, weight: int
-) -> list[tuple[IntPoly, IntPoly]]:
-    """weight * sigma0_n = weight * sum_{j=1}^{n} (-1)^(j+1)/j * s_{j,n}, as
-    terms for _sum_of_products."""
-    return [
-        (table[(j, n)], _const(weight * (-1) ** (j + 1), j)) for j in range(1, n + 1)
-    ]
+def _d_minus(poly: IntPoly, b: int) -> IntPoly:
+    """(D - b) poly for D = d/dL = 3 d/dw, at the same length."""
+    nums, den = poly
+    slope = [3 * j * u for j, u in enumerate(nums)][1:] + [0]
+    return tuple(d - b * u for d, u in zip(slope, nums)), den
+
+
+def _inverse_shift(rhs: IntPoly, m: int) -> IntPoly:
+    """(D - m)^{-1} rhs = -sum_i D^i rhs / m^(i+1) for m >= 1, by solving
+    3 (j+1) p_{j+1} - m p_j = rhs_j from the top down in the integers
+    p_j den m^len, each divisible by m^j."""
+    nums, den = rhs
+    scale = m ** len(nums)
+    out = list(nums)
+    prev = 0
+    for j in range(len(nums) - 1, -1, -1):
+        prev = out[j] = (3 * (j + 1) * prev - nums[j] * scale) // m
+    g = math.gcd(den * scale, *out)
+    return tuple(v // g for v in out), den * scale // g
 
 
 def _ensure_p(n: int) -> None:
-    st = _STATE
-    while len(st.p_w) <= n:
-        nn = len(st.p_w)
-        if nn == 0:
-            st.p_w.append(((0, 1), 1))  # p_0 = w
-            continue
-        _ensure_beta(nn + 1)
-        # arguments a_j = p_{j-1} are known up to j = nn, enough for row nn
-        st.s_max = _extend_s_table(st.s, st.s_max, nn, st.p_w)
-        terms = _sigma0_terms(st.s, nn, 3)
-        for k in range(1, nn):
-            # w_{k+1} sigma^k_{nn-k}, binom(-k, j) an integer
-            outer = _weight(k + 1)
-            for j in range(1, nn - k + 1):
-                binom = (-1) ** j * math.comb(k + j - 1, j)
-                terms.append(
-                    (st.s[(j, nn - k)], _const(outer.numerator * binom, outer.denominator))
-                )
-        last = _weight(nn + 1)
-        terms.append((_const(last.numerator, last.denominator), _ONE))
-        st.p_w.append(_sum_of_products(terms))
+    """p_m from the X^-m coefficient of x x'' = -x (x' - 1)/4 + (3/4) x'^2.
+
+    With x = X + sum_b p_b X^-b, r_b = (D - b) p_b and s_b = (D - b - 1) r_b:
+
+        (D - m) p_m = 4 [-s_{m-1} + (3/2) r_{m-1} - sum_{a+b=m-2} p_a s_b
+                         - (1/4) sum_{a+b=m-1} p_a r_b + (3/4) sum_{a+b=m-2} r_a r_b].
+
+    r_0 = 3, so p r's b = 0 term is 3 p_{m-1}; its others join p s as p_a t_b,
+    t_b = -4 s_b - r_{b+1}.  r r is symmetric: pairs a < b once at weight 6.
+    """
+    p, r, t = _STATE.p_w, _STATE.p_r, _STATE.p_t
+    while len(p) <= n:
+        m = len(p)
+        s = _d_minus(r[m - 1], m)
+        rhs = _sum_of_products(
+            [(s, _const(-4)), (r[m - 1], _const(6)), (p[m - 1], _const(-3))]
+            + [(p[a], t[m - 2 - a]) for a in range(m - 1)]
+            + [(r[a], _scaled(r[m - 2 - a], 6 if 2 * a < m - 2 else 3)) for a in range(m // 2)]
+        )
+        p.append(_inverse_shift(rhs, m))
+        r.append(_d_minus(p[m], m))
+        t.append(_sum_of_products([(s, _const(-4)), (r[m], _const(-1))]))
 
 
 def _ensure_q(k: int) -> None:
-    st = _STATE
+    """q_k = 4^-k Q_k, Q = (1 + A)^(1/4) with A_i = p_{i-1}, by the power rule
+    k Q_k = sum_{i=1}^{k} ((5/4) i - k) A_i Q_{k-i}, with 4^-k taken inside."""
     _ensure_p(k - 1)
-    st.s_max = _extend_s_table(st.s, st.s_max, k, st.p_w)
-    # binom(1/4, m) = prod_{i<m} (1 - 4i) / (4^m m!), as (numerator, denominator)
-    binoms = [(1, 1)]
-    for m in range(1, k + 1):
-        num, den = binoms[-1]
-        binoms.append((num * (5 - 4 * m), den * 4 * m))
-    for kk in range(1, k + 1):
-        if kk in st.q_w:
-            continue
-        st.q_w[kk] = _sum_of_products(
+    p, q = _STATE.p_w, _STATE.q_w
+    for kk in range(len(q) + 1, k + 1):
+        q[kk] = _sum_of_products(
             [
-                (st.s[(m, kk)], _const(binoms[m][0], binoms[m][1] * 4**kk))
-                for m in range(1, kk + 1)
+                (p[i - 1], _scaled(q.get(kk - i, _ONE), 5 * i - 4 * kk, 4 ** (i + 1) * kk))
+                for i in range(1, kk + 1)
             ]
         )
 
 
 def _ensure_lambert(n: int) -> None:
-    st = _STATE
-    while len(st.lam) <= n:
-        kk = len(st.lam)
-        if kk == 0:
-            st.lam.append(((0, 1), 1))  # ptilde_0 = z
-            continue
-        st.s_t_max = _extend_s_table(st.s_t, st.s_t_max, kk, st.lam)
-        st.lam.append(_sum_of_products(_sigma0_terms(st.s_t, kk, 1)))
+    """ptilde_k = [x^k] log(1 + sum_j ptilde_{j-1} x^j) by the log rule
+    ptilde_k = ptilde_{k-1} - (1/k) sum_{i=1}^{k-1} i ptilde_i ptilde_{k-1-i}."""
+    lam = _STATE.lam
+    while len(lam) <= n:
+        k = len(lam)
+        lam.append(
+            _sum_of_products(
+                [(lam[k - 1], _ONE)]
+                + [(lam[i], _scaled(lam[k - 1 - i], -i, k)) for i in range(1, k)]
+            )
+        )
 
 
 def _family(cls, cache, polys, keys, display):

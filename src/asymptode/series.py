@@ -135,18 +135,19 @@ class BivariatePoly:
         pieces: list[str] = []
         for (i, j), value in self.sorted_terms():
             factors = []
-            mag = abs(value)
-            if mag != 1 or (i == 0 and j == 0):
-                factors.append(str(mag))
+            num, den = value.numerator, value.denominator
+            mag = -num if num < 0 else num
+            if den != 1 or mag != 1 or (i == 0 and j == 0):
+                factors.append(f"{mag}/{den}" if den != 1 else str(mag))
             if j:
                 factors.append("z" if j == 1 else f"z^{j}")
             if i:
                 factors.append("c" if i == 1 else f"c^{i}")
             term = "*".join(factors)
             if not pieces:
-                pieces.append(term if value > 0 else f"-{term}")
+                pieces.append(f"-{term}" if num < 0 else term)
             else:
-                pieces.append(f"+ {term}" if value > 0 else f"- {term}")
+                pieces.append(f"- {term}" if num < 0 else f"+ {term}")
         return " ".join(pieces)
 
 

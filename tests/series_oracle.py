@@ -1,9 +1,10 @@
 """Generic truncated power series with exact coefficients: a test oracle.
 
-The family generators in ``asymptode.families`` work on one shared table of
-composition sums in a single polynomial variable.  This module computes the
-same quantities the textbook way, one numeric point at a time, with a
-general series calculus that shares no code with the package:
+The family generators in ``asymptode.families`` build p, q and ptilde by
+quadratic recurrences: the ODE of G^{-1}, the power rule and the log rule.
+This module computes the same quantities from their defining composition
+formulas, in two ways that share no recurrence with the package.  One
+point at a time, with a general series calculus:
 
 * ``series_pow(a, m)`` is ``a^m``; its ``k``-th coefficient is the sum of
   ``a_{i_1}*...*a_{i_m}`` over all compositions ``i_1 + ... + i_m = k``.
@@ -16,6 +17,13 @@ general series calculus that shares no code with the package:
 * ``series_to_json`` / ``series_from_json`` write and read a series with
   its integers as decimal strings.
 
+And whole members at once, in the package's integer form:
+``composition_families(N)`` is p_0..p_N, q_1..q_N and ptilde_0..ptilde_N by
+the composition-sum table s_{j,m} = [x^m] a^j over one polynomial variable,
+with C(N+2, 3) polynomial products.  It only borrows the package's
+``_sum_of_products`` to accumulate, so its results must equal the
+generators' exactly, lengths included.
+
 One helper reads the package instead: ``dense(family, n)`` is the exact
 dense coefficients of a member, as ``Fraction``s from the integer form
 ``families._member`` holds, for tests that evaluate members exactly.
@@ -27,11 +35,12 @@ calculus itself against brute-force enumeration and closed forms.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
 from asymptode.errors import DomainError
-from asymptode.families import _member
+from asymptode.families import _ONE, _const, _member, _sum_of_products, gen_beta
 
 
 def _exact(value) -> Fraction:
@@ -246,3 +255,82 @@ def dense(family: str, n: int) -> tuple[Fraction, ...]:
     for ``families.fixed_coeffs``), exactly, lowest power first."""
     nums, den = _member(family, n)
     return tuple(Fraction(v, den) for v in nums)
+
+
+def _extend_s_table(table: dict, filled: int, m_max: int, a: list) -> int:
+    """Fill rows filled+1 .. m_max of a composition-sum table.
+
+    ``a[i]`` is the series coefficient a_{i+1}.  Row ``m`` holds s_{j,m}
+    for j = 1..m via s_{1,m} = a_m and
+    s_{j,m} = sum_{i=j-1}^{m-1} s_{j-1,i} a_{m-i}.
+    """
+    if m_max > len(a):
+        raise DomainError("composition table extended past known arguments")
+    for m in range(filled + 1, m_max + 1):
+        table[(1, m)] = a[m - 1]
+        for j in range(2, m + 1):
+            table[(j, m)] = _sum_of_products(
+                [(table[(j - 1, i)], a[m - i - 1]) for i in range(j - 1, m)]
+            )
+    return max(filled, m_max)
+
+
+def _sigma0_terms(table: dict, n: int, weight: int) -> list:
+    """weight * sigma0_n = weight * sum_{j=1}^{n} (-1)^(j+1)/j * s_{j,n}, as
+    terms for _sum_of_products."""
+    return [
+        (table[(j, n)], _const(weight * (-1) ** (j + 1), j)) for j in range(1, n + 1)
+    ]
+
+
+def composition_families(N: int) -> tuple[list, dict, list]:
+    """(p, q, ptilde) as the package's integer forms, from the composition
+    formulas over the table s_{j,m} on a_j := p_{j-1} (ptilde_{j-1}):
+
+        p_n = 3 sigma0_n + sum_{k=1}^{n-1} (4^{k+1} beta_{k+1} / k) sigma^k_{n-k}
+              + 4^{n+1} beta_{n+1} / n,   p_0 = w,
+        q_k = sum_{m=1}^{k} 4^{-k} binom(1/4, m) s_{m,k},
+        ptilde_k = sigma0_k,   ptilde_0 = z.
+
+    p is a list over n = 0..N, q a dict over k = 1..N, ptilde a list.
+    """
+    betas = gen_beta(N + 1).values
+
+    def weight(k):
+        return Fraction(4**k, k - 1) * betas[k]
+
+    p = [((0, 1), 1)]
+    table: dict = {}
+    filled = 0
+    for n in range(1, N + 1):
+        filled = _extend_s_table(table, filled, n, p)
+        terms = _sigma0_terms(table, n, 3)
+        for k in range(1, n):
+            outer = weight(k + 1)
+            for j in range(1, n - k + 1):
+                binom = (-1) ** j * math.comb(k + j - 1, j)
+                terms.append(
+                    (table[(j, n - k)], _const(outer.numerator * binom, outer.denominator))
+                )
+        last = weight(n + 1)
+        terms.append((_const(last.numerator, last.denominator), _ONE))
+        p.append(_sum_of_products(terms))
+
+    binoms = [rational_binomial(Fraction(1, 4), m) for m in range(N + 1)]
+    q = {
+        k: _sum_of_products(
+            [
+                (table[(m, k)], _const(binoms[m].numerator, binoms[m].denominator * 4**k))
+                for m in range(1, k + 1)
+            ]
+        )
+        for k in range(1, N + 1)
+    }
+
+    lam = [((0, 1), 1)]
+    lam_table: dict = {}
+    lam_filled = 0
+    for k in range(1, N + 1):
+        lam_filled = _extend_s_table(lam_table, lam_filled, k, lam)
+        lam.append(_sum_of_products(_sigma0_terms(lam_table, k, 1)))
+    return p, q, lam

@@ -50,6 +50,26 @@ class TestSeries:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("family", ["alpha", "beta", "p", "q", "lambert"])
+    def test_order_above_ceiling_refused_before_work(self, capsys, monkeypatch, family):
+        def refuse(n):
+            raise AssertionError("generator called for order %d" % n)
+
+        for name in ("gen_alpha", "gen_beta", "gen_p", "gen_q", "gen_lambert_p"):
+            monkeypatch.setattr(cli, name, refuse)
+        order = str(cli.MAX_SERIES_ORDER + 1)
+        code, out, err = run(capsys, "series", "--family", family, "--order", order)
+        assert code == 2
+        assert out == ""
+        assert "ceiling" in err
+        code, _, _ = run(capsys, "series", "--family", family, "--order", "100000000")
+        assert code == 2
+
+    def test_order_at_ceiling_accepted(self, capsys):
+        code, out, _ = run(capsys, "series", "--family", "beta", "--order", str(cli.MAX_SERIES_ORDER))
+        assert code == 0
+        assert out.count("\n") == cli.MAX_SERIES_ORDER + 1
+
     # SHA-256 of the stdout of `series --family F --order 30 --format json`,
     # recorded from the Fraction-arithmetic generators that preceded the
     # integer-polynomial ones: a changed coefficient cannot pass silently

@@ -10,8 +10,9 @@ Oracle layout:
 * The reciprocity identity alpha * beta = 1 is the structural cross-check
   between the two independent recursions.
 * p_n, q_k and ptilde_k are recomputed at rational points (c, z) by the
-  generic series calculus of ``series_oracle``, one point at a time, which
-  shares no code with the generators' w-polynomial composition table.
+  generic series calculus of ``series_oracle``, one point at a time, and
+  whole to order 40 by its composition-sum table; neither shares a
+  recurrence with the generators' ODE, power rule and log rule.
 * ptilde_0..ptilde_30 are pinned to the de Bruijn/Comtet closed form of
   W_{-1} in Stirling cycle numbers, and p_0..p_6 to a sympy reversion of
   G's expansion; neither uses the composition recursion.
@@ -39,6 +40,7 @@ from asymptode.families import (
 from asymptode.series import BivariatePoly, poly_eval
 from series_oracle import (
     TruncatedSeries,
+    composition_families,
     dense,
     rational_binomial,
     series_compose_coeffs,
@@ -311,6 +313,50 @@ class TestCompositionOracle:
             assert _dense_value(dense("lambert", k), z) == values[k], k
 
 
+class TestCompositionTable:
+    N = 40
+
+    def test_integer_forms_equal_to_40(self):
+        # the generators' integer forms are the table's, entry for entry:
+        # fixed_coeffs returns one mantissa per stored coefficient, so the
+        # lengths (p_0: 2, p_m: m + 1, q_k and ptilde_k: k + 1) are pinned too
+        clear_caches()
+        gen_p(self.N)
+        gen_q(self.N)
+        gen_lambert_p(self.N)
+        p, q, lam = composition_families(self.N)
+        st = families._STATE
+        assert st.p_w == p
+        assert st.q_w == q
+        assert st.lam == lam
+        assert [len(nums) for nums, _ in st.p_w] == [2] + list(range(2, self.N + 2))
+        assert [len(st.q_w[k][0]) for k in range(1, self.N + 1)] == list(range(2, self.N + 2))
+        assert [len(nums) for nums, _ in st.lam] == [2] + list(range(2, self.N + 2))
+
+    def test_product_count_is_quadratic(self, monkeypatch):
+        # the products a cold generator accumulates: O(N^2), so a doubling
+        # of N multiplies them by about 4 (3.3 to 3.9 here); the composition
+        # table's C(N+2, 3) multiplied them by 7.0 to 7.7
+        real = families._sum_of_products
+        count = [0]
+
+        def counting(pairs):
+            count[0] += len(pairs)
+            return real(pairs)
+
+        monkeypatch.setattr(families, "_sum_of_products", counting)
+        for gen in (gen_p, gen_q, gen_lambert_p):
+            counts = []
+            for N in (10, 20, 40):
+                clear_caches()
+                count[0] = 0
+                gen(N)
+                counts.append(count[0])
+            assert counts[1] <= 4.6 * counts[0], (gen.__name__, counts)
+            assert counts[2] <= 4.6 * counts[1], (gen.__name__, counts)
+        clear_caches()
+
+
 def _stirling_cycle(n_max):
     """[n, k] for 0 <= k <= n <= n_max: [n+1, k] = n [n, k] + [n, k-1]."""
     table = [[1]]
@@ -458,5 +504,7 @@ class TestMemoization:
     def test_q_after_p_reuses_table(self):
         clear_caches()
         gen_p(10)
-        fam = gen_q(10)  # must not recompute p; just extends the s table
+        before = list(families._STATE.p_w)
+        fam = gen_q(10)  # must not recompute p: the p table is read as it is
+        assert all(a is b for a, b in zip(families._STATE.p_w, before, strict=True))
         assert fam[1] == BivariatePoly({(0, 1): F(3, 16), (1, 0): F(-1, 16)})
