@@ -13,14 +13,14 @@ against their tail (Jorba & Zou, Exp. Math. 14, 2005).  The pairs are
 
 * the second-order problem as the system x' = y, y' = x^{-3} - y, whose
   Taylor coefficients take x^{-3} from the power rule (Knuth, TAOCP 4.7):
-  one weighted convolution, two integer dot products, per coefficient.
+  one integer dot product per coefficient, over running weights.
   Both x and y lead: they set the local tolerance, the step guess and the
   charged error.  The march stops at the switch to the reduction (below);
 * the first-order radial equation g' = (1/z^2)(1 - 1/g) - (3/4) g/z,
-  integrated downward from z0 toward the singular point z = 0, with 1/g by
-  one convolution per coefficient, paired with the running integral I
-  (below).  g alone leads; I must pass the same tail test but is not
-  charged.  The step is capped at 0.45 z.
+  integrated downward from z0 toward the singular point z = 0; times g it
+  is linear in g^2, one symmetric sum per coefficient, paired with the
+  running integral I (below).  g alone leads; I must pass the same tail
+  test but is not charged.  The step is capped at 0.45 z.
 
 The coefficient recurrences run on fixed-point integers rather than mpf
 objects (the standard way to run such recurrences, Brent & Zimmermann,
@@ -69,9 +69,9 @@ cost a few evaluations of G each, with no step-count growth in t.
 
 G and c.  The g integrator carries one extra Taylor component,
 the running integral I(z) = int_z^{z0} r of the regular integrand
-r(z) = (1/g(z) - 1 + 3z/4) 4/z^2, whose Taylor coefficients follow in O(P)
-from the 1/g series each step already builds (augmented quadrature in the
-sense of Jorba & Zou, Exp. Math. 14, 2005).  Its truncation is checked in
+r(z) = (1/g(z) - 1 + 3z/4) 4/z^2 = -4 g' - 3 (g - 1)/z, whose Taylor
+coefficients follow in O(P) from g's (augmented quadrature in the sense
+of Jorba & Zou, Exp. Math. 14, 2005).  Its truncation is checked in
 the same step-acceptance test as g's.  With s = 4/z,
 G(x) = int_{h0^4}^x ds / g(4/s) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x).
 Below z_c (above S = 4/z_c) the integrand is the reciprocal series
@@ -87,7 +87,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from operator import gt, lt, mul
+from operator import add, gt, lt, mul
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_rdiv_int, round_nearest, to_fixed
@@ -275,10 +275,11 @@ def _h_system_coeffs(x0, y0, order, k):
     Mantissas of X_j rho^j at scale 2^-F, F = _fixed_scale(x0), rho = 2^k
     at or above the step; d/dt is a shift by k.  u = x^{-3} comes from the
     power rule m x_0 u_m = sum_{i=1..m} (-2i - m) x_i u_{m-i} (Knuth, TAOCP
-    vol. 2, 4.7): one weighted convolution, two exact integer dot products
-    (over X_i and i X_i), per coefficient.  v0 = 1/x_0 and u sit at 2^-G,
-    G = F + 3 max(0, mag x0), as every u_m carries u_0's relative error and
-    at 2^-F a large x0 (after a blow-up) would round u_0, so all of u, to 0.
+    vol. 2, 4.7): one exact integer dot product per coefficient, over the
+    weights W_i = (2i + m) X_i, which each new m raises by X_i and extends
+    by 3m X_m.  v0 = 1/x_0 and u sit at 2^-G, G = F + 3 max(0, mag x0), as
+    every u_m carries u_0's relative error and at 2^-F a large x0 (after a
+    blow-up) would round u_0, so all of u, to 0.
     Returns (X, Y, F); X[0] and Y[0] are x0 and y0 at 2^-F, exactly.
     """
     F = _fixed_scale(x0)
@@ -287,15 +288,15 @@ def _h_system_coeffs(x0, y0, order, k):
     Y = [_fixed(y0, F)]
     v0 = (1 << F + G) // X[0]
     U = [(v0 * v0 >> G) * v0 >> G]
-    IX = []  # i X_i for i >= 1
+    W = []  # (2i + m) X_i for i = 1..m
     for m in range(1, order + 1):
         X.append(_shift(Y[-1], k) // m)
         Y.append(_shift((U[-1] >> G - F) - Y[-1], k) // m)
         if m == order:
             break
-        IX.append(m * X[m])
-        rev = U[::-1]
-        s = 2 * sum(map(mul, IX, rev)) + m * sum(map(mul, X[1:], rev))
+        W = list(map(add, W, X[1:]))
+        W.append(3 * m * X[m])
+        s = sum(map(mul, W, reversed(U)))
         U.append((-(v0 * (s >> F)) >> G) // m)
     return X, Y, F
 
@@ -307,43 +308,40 @@ def _g_system_coeffs(z_s, g_s, i_s, order):
     integrates the regular integrand r(z) = (1/g - 1 + 3z/4) 4/z^2 of G
     and c.  Same fixed-point representation as _h_system_coeffs, with
     F = _fixed_scale(g_s), rho = 2^k the power of two just above z_s (steps
-    stay below 0.45 z_s) and zeta = z_s / rho in [1/2, 1).  In scaled
-    coefficients the recurrence for g is
-    c_{j+1} = ((delta_{j0} - r_j) / rho - (2j + 3/4) zeta c_j
-    - (j - 1/4) c_{j-1}) / (zeta^2 (j + 1)), and the 1/g series R follows
-    from g R = 1 by one convolution per coefficient.  With z = z_s + u, the
-    identity r (z_s + u)^2 = 4 (1/g - 1 + 3 (z_s + u)/4) then gives r's
-    scaled coefficients f_j = (4 d_j / rho^2 - 2 zeta f_{j-1} - f_{j-2})
-    / zeta^2 in O(order), with d the scaled coefficients of the right-hand
-    side; I' = -r integrates them termwise, one shift by k each.  Returns
-    (C, I, F, k): the mantissas of g and of I, which is one degree longer.
+    stay below 0.45 z_s) and zeta = z_s / rho in [1/2, 1).  Times g, the
+    equation is linear in Y = g^2: g - 1 = (3/4) z Y + (z^2/2) Y'.  In
+    scaled coefficients Y_{j+1} = (2 (c_j - delta_{j0}) / rho
+    - (2j + 3/2) zeta Y_j - (j + 1/2) Y_{j-1}) / (zeta^2 (j + 1)), and
+    c_{j+1} = (Y_{j+1} - sum_{i=1..j} c_i c_{j+1-i}) / (2 c_0) by a
+    symmetric sum of about j/2 products.  As r = -4 g' - 3 (g - 1)/z,
+    I_{j+1} = 4 c_{j+1} + 3 f_j / (j + 1) in O(order), with f the series
+    of (g - 1)/(zeta + v), v = (z - z_s)/rho.  Returns (C, I, F, k): the
+    mantissas of g and of I, which is one degree longer.
     """
     F = _fixed_scale(g_s)
     k = mp.mag(z_s)
     zeta = _fixed(z_s, F - k)
+    inv_zeta = (1 << 2 * F) // zeta
     inv_zeta2 = (1 << 3 * F) // (zeta * zeta)
     C = [_fixed(g_s, F)]
     r0 = (1 << 2 * F) // C[0]
-    R = [r0]
-    for j in range(order):
-        num = -R[j]
-        if j == 0:
-            num += 1 << F
-        num = _shift(num, -k) - ((8 * j + 3) * zeta * C[j] >> F + 2)
-        if j >= 1:
-            num -= (4 * j - 1) * C[j - 1] >> 2
-        C.append((num * inv_zeta2 >> F) // (j + 1))
-        R.append(-(r0 * (sum(map(mul, C[1:], reversed(R))) >> F)) >> F)
-    # R becomes d, the series of 1/g - 1 + 3 (z_s + u)/4
-    R[0] += (_shift(3 * zeta, k) >> 2) - (1 << F)
-    R[1] += 3 << F + k - 2
-    f_prev2 = f_prev = 0
+    Y = [C[0] * C[0] >> F]
     I = [_fixed(i_s, F)]
-    for j, d in enumerate(R):
-        acc = _shift(d, 2 - 2 * k) - (zeta * f_prev >> F - 1) - f_prev2
-        f = acc * inv_zeta2 >> F
-        I.append(-_shift(f, k) // (j + 1))
-        f_prev2, f_prev = f_prev, f
+    f = 0
+    for j in range(order + 1):
+        d = C[j] - (1 << F) if j == 0 else C[j]  # g - 1
+        num = _shift(2 * d, -k) - ((8 * j + 6) * zeta * Y[j] >> F + 2)
+        if j >= 1:
+            num -= (2 * j + 1) * Y[j - 1] >> 1
+        Y.append((num * inv_zeta2 >> F) // (j + 1))
+        half = j // 2  # c_i c_{j+1-i}, i = 1..half, twice; c_{half+1}^2 for odd j
+        s = 2 * sum(map(mul, C[1 : half + 1], C[j : j - half : -1]))
+        if j % 2:
+            s += C[half + 1] * C[half + 1]
+        C.append((Y[j + 1] - (s >> F)) * r0 >> F + 1)
+        f = (d - f) * inv_zeta >> F
+        I.append(4 * C[j + 1] + 3 * f // (j + 1))
+    del C[-1]  # c_{order+1} served I alone
     return C, I, F, k
 
 

@@ -11,9 +11,13 @@ the integer kernels can be checked against it at a higher precision:
   deliberately not the kernel's power rule for x^{-3}, so that the kernel
   is checked against an independent recurrence;
 * ``g_equation_coeffs(z_s, g_s, order)``: z^2 g' = 1 - 1/g - (3/4) z g and
-  the reciprocal series of g;
+  the reciprocal series of g, by the convolution g (1/g) = 1.  The kernel
+  instead squares g, as the equation times g is linear in g^2, and never
+  forms 1/g: the oracle keeps the 1/g route so that the two are
+  independent;
 * ``running_integral_coeffs(z_s, R, base)``: I(z) = base + int_z^{z_s} r
-  for r = (1/g - 1 + 3z/4) 4/z^2, from the coefficients R of 1/g.
+  for r = (1/g - 1 + 3z/4) 4/z^2, from the coefficients R of 1/g (the
+  kernel takes r = -4 g' - 3 (g - 1)/z from g alone).
 
 ``tail_estimate(coeffs, h)`` is the integrator's truncation estimate in its
 textbook form, over a whole mpf coefficient list.

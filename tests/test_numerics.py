@@ -427,9 +427,9 @@ class TestTaylorKernels:
     """The fixed-point Taylor kernels against the mpf recurrences.
 
     Each kernel runs at 40 digits with the Taylor order of rel 1e-22, and
-    the h kernel also at 80 digits with the order of rel 1e-60; the
-    reference (tests/taylor_oracle.py, one mpf fsum per convolution
-    coefficient) runs 20 digits higher.  The kernels return int mantissas;
+    also at 80 digits with the order of rel 1e-60; the reference
+    (tests/taylor_oracle.py, one mpf fsum per convolution coefficient, by
+    other recurrences than the kernels') runs 20 digits higher.  The kernels return int mantissas;
     the tests unscale them as dense output does.  Coefficient j of every
     series must agree to 2^-(prec-4) of the series' largest
     |coefficient rho^j|, with rho = 2^k the kernel's scale.
@@ -517,6 +517,27 @@ class TestTaylorKernels:
             x0, y0, cfg.effective_dps, cfg.taylor_order, cfg.rel_tol, cfg.abs_tol
         )
 
+    def test_dot_product_counts(self, monkeypatch):
+        # one call of each kernel at ORDER = P = 58: the g kernel squares g
+        # by a symmetric sum (841 products, where the convolution
+        # g (1/g) = 1 takes 1,711) and the h kernel takes one dot product
+        # per coefficient (1,653, where dot products over X_i and over
+        # i X_i take 3,306)
+        count = [0]
+
+        def counting(a, b):
+            count[0] += 1
+            return a * b
+
+        monkeypatch.setattr(numerics, "mul", counting)
+        P = self.ORDER
+        with mp.workdps(self.DPS):
+            _g_system_coeffs(mp.mpf(4), mp.mpf(1.05), mp.mpf("0.37"), P)
+            g_count, count[0] = count[0], 0
+            _h_system_coeffs(mp.mpf(1), mp.mpf(0.7), P, 0)
+        assert g_count <= (P + 2) ** 2 / 4, g_count
+        assert count[0] <= P * (P - 1) / 2, count[0]
+
     @pytest.mark.parametrize("x0", [1e-80, 1e-3, 0.05, 1, 30, 1e3])
     @pytest.mark.parametrize("y0", [-2.5, 0.7])
     @pytest.mark.parametrize("u", [2.0**-12, 0.1, 0.5])
@@ -554,23 +575,40 @@ class TestTaylorKernels:
                 assert abs(val - exact) <= mp.ldexp(abs(exact), 2 - prec)
             assert got[1] > 1e70
 
-    @pytest.mark.parametrize("z_s", [0.0099, 0.3, 4, 400])
-    @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
-    def test_g_equation_and_running_integral(self, z_s, g_s):
-        with mp.workdps(self.DPS + 20):
+    @classmethod
+    def _check_g_system(cls, z_s, g_s, dps, order):
+        """_g_system_coeffs at dps digits against the oracle 20 digits
+        higher."""
+        with mp.workdps(dps + 20):
             z_s, g_s, base = mp.mpf(z_s), mp.mpf(g_s), mp.mpf("0.37")
-            C_ref, R_ref = oracle.g_equation_coeffs(z_s, g_s, self.ORDER)
+            C_ref, R_ref = oracle.g_equation_coeffs(z_s, g_s, order)
             I_ref = oracle.running_integral_coeffs(z_s, R_ref, base)
-        with mp.workdps(self.DPS):
+        with mp.workdps(dps):
             prec = mp.prec
-            C, I, F, k = _g_system_coeffs(z_s, g_s, base, self.ORDER)
+            C, I, F, k = _g_system_coeffs(z_s, g_s, base, order)
             C_mpf = _unscale(g_s, C, F, k)
             I_mpf = _unscale(base, I, F, k)
         assert F >= prec + _GUARD_BITS
         assert mp.ldexp(1, k - 1) <= z_s < mp.ldexp(1, k)
-        with mp.workdps(self.DPS + 20):
-            self._assert_close(C_mpf, C_ref, k, prec)
-            self._assert_close(I_mpf, I_ref, k, prec)
+        with mp.workdps(dps + 20):
+            cls._assert_close(C_mpf, C_ref, k, prec)
+            cls._assert_close(I_mpf, I_ref, k, prec)
+
+    @pytest.mark.parametrize("z_s", [0.0099, 0.3, 4, 400])
+    @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
+    def test_g_equation_and_running_integral(self, z_s, g_s):
+        self._check_g_system(z_s, g_s, self.DPS, self.ORDER)
+
+    @pytest.mark.parametrize("z_s", [0.0099, 4])
+    @pytest.mark.parametrize("g_s", [1e-3, 1.05])
+    def test_g_system_high_order(self, z_s, g_s):
+        # the kernel squares g and divides by 2 c_0 at every coefficient,
+        # where the oracle convolves g with 1/g, so their rounding builds
+        # up differently: check it at the order and precision of rel 1e-60
+        # (order 104, 80 digits) as well
+        cfg = SolverConfig(rel_tol=1e-60, abs_tol=1e-62)
+        assert (cfg.effective_dps, cfg.taylor_order) == (80, 104)
+        self._check_g_system(z_s, g_s, cfg.effective_dps, cfg.taylor_order)
 
     @pytest.mark.parametrize("z_s", [0.0099, 0.3, 4, 400])
     @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
@@ -698,22 +736,43 @@ class TestStepSequences:
         traj = integrate_h(InitialData(0, 100, -1e6), 1e3)
         assert (traj.n_steps, traj.n_rejected) == (77, 1)
 
-    # SHA-256 of the _mpf_ tuples (t_start, length, err_cum) of every step
-    # of D1 and D2 (with their g problems) and of the (0.5, 2) g problem,
-    # recorded before the two step loops became one marcher: step sizes
-    # and the summed estimates cannot move silently
-    STEP_DIGEST = "c8dbedbd5c132e8ad8ffb6b883ae61af9d6d349385acf231fb56b9afd1be5d9e"
+    # SHA-256 of the _mpf_ tuples (t_start, length, err_cum) of the steps:
+    # step sizes and the summed estimates cannot move silently.  The h
+    # digest covers the 19 + 15 direct steps of D1 and D2 and has held
+    # since before the two step loops became one marcher: every change to
+    # the h kernel since then was exact integer arithmetic.  The g digest
+    # covers D2's one g step and the 35 of the (0.5, 2) g problem; it was
+    # re-recorded when the g kernel moved from the 1/g convolution to
+    # squaring g, which rounds differently within the guard bits (three
+    # steps moved, by at most 6e-38 relative)
+    H_STEP_DIGEST = "ca578c5e0e34832355fb93e74a9269bf5045eac4747c3dfd32a7112a0d4185b2"
+    G_STEP_DIGEST = "4bd89335c9b840a8e518851d796cac3656857370888f56583a087a168c5c3d9a"
 
-    def test_step_digest(self):
-        steps = []
+    @pytest.fixture(scope="class")
+    def digest_steps(self):
+        h_steps, g_steps = [], []
         for h0, h1 in ((1, 1), (2, 0.5)):
             traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.CFG)
-            steps += traj._steps + traj.g_problem._steps
+            assert traj.n_rejected == 0
+            h_steps.append(traj._steps)
+            g_steps.append(traj.g_problem._steps)
         prob, _ = g_problem_for_data(InitialData(0, 0.5, 2), self.CFG)
-        steps += prob._steps
-        assert len(steps) == 19 + 0 + 15 + 1 + 35
+        assert prob.n_rejected == 0
+        g_steps.append(prob._steps)
+        assert [len(s) for s in h_steps] == [19, 15]
+        assert [len(s) for s in g_steps] == [0, 1, 35]
+        return sum(h_steps, []), sum(g_steps, [])
+
+    @staticmethod
+    def _digest(steps):
         keys = [(s.t_start._mpf_, s.length._mpf_, s.err_cum._mpf_) for s in steps]
-        assert hashlib.sha256(repr(keys).encode()).hexdigest() == self.STEP_DIGEST
+        return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+    def test_step_digest(self, digest_steps):
+        assert self._digest(digest_steps[0]) == self.H_STEP_DIGEST
+
+    def test_g_step_digest(self, digest_steps):
+        assert self._digest(digest_steps[1]) == self.G_STEP_DIGEST
 
     def test_compute_G_calls_per_inversion(self, monkeypatch):
         # Newton on G takes 5.2 evaluations of G per inversion here; the
