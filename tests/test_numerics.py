@@ -429,10 +429,10 @@ class TestTaylorKernels:
     Each kernel runs at 40 digits with the Taylor order of rel 1e-22, and
     also at 80 digits with the order of rel 1e-60; the reference
     (tests/taylor_oracle.py, one mpf fsum per convolution coefficient, by
-    other recurrences than the kernels') runs 20 digits higher.  The kernels return int mantissas;
-    the tests unscale them as dense output does.  Coefficient j of every
-    series must agree to 2^-(prec-4) of the series' largest
-    |coefficient rho^j|, with rho = 2^k the kernel's scale.
+    other recurrences than the kernels') runs 20 digits higher.  The
+    kernels return int mantissas; the tests unscale them as dense output
+    does.  Coefficient j of every series must agree to 2^-(prec-4) of the
+    series' largest |coefficient rho^j|, with rho = 2^k the kernel's scale.
 
     The step-end cases evaluate the mantissas at u = h / rho by integer
     Horner and compare with mpf Horner on the reference coefficients, to
