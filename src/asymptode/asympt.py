@@ -20,7 +20,9 @@ the normalised remainders
 whose boundedness in t is the quantitative content of the expansion.
 The same machinery applies to the classical transcendental equation
 y - ln y = x, whose root shares the polynomial structure with c = 0;
-``lambert_compare`` cross-checks that analogue end to end.
+``lambert_compare`` cross-checks that analogue end to end.  One sum,
+acc + sum_k member_k(u) / t**k, serves A_n, its c-slope and the
+analogue's Y_n, and one gated loop forms the remainders of both studies.
 
 Everything here evaluates exact rational polynomials at a configurable
 working precision; no floating-point coefficients enter.  Each q_k is a
@@ -61,7 +63,7 @@ __all__ = [
     "SyntheticTrajectory",
 ]
 
-_GATE_FRAC = 0.01  # largest trajectory error bound, as a share of the remainder scale
+_GATE_FRAC = "0.01"  # largest error bound, as a share of the remainder scale
 _SPREAD_TOL = 1e-7  # largest spread of the per-time fits of c
 
 
@@ -103,28 +105,25 @@ def _member_value(family, n, u, slope=False):
     return _fixed_eval(fixed_coeffs(family, n, F)[1 if slope else 0], u, F, 0)
 
 
-def _a_value(c, t, n):
-    # caller supplies the mp context; t, c already mpf
-    acc = mp.one
-    if n >= 1:
-        w = 3 * mp.log(4 * t) - c
-        tk = mp.one
-        for k in range(1, n + 1):
+def _expansion_sum(family, u, t, n, acc, first=1, slope=False):
+    """acc + sum_{k=first..n} member_k(u) / t**k over the family (first is
+    0 or 1), at the caller's precision.  t**k is formed by repeated
+    products: mpmath's power rounds differently from k = 3 on."""
+    tk = mp.one
+    for k in range(first, n + 1):
+        if k:
             tk *= t
-            acc += _member_value("q", k, w) / tk
-    return (4 * t) ** (mp.mpf(1) / 4) * acc
+        acc += _member_value(family, k, u, slope) / tk
+    return acc
 
 
-def _a_slope_c(c, t, n):
-    # d A_n / d c at fixed t: with w = 3 ln 4t - c, d/dc = -d/dw
-    acc = mp.zero
-    if n >= 1:
-        w = 3 * mp.log(4 * t) - c
-        tk = mp.one
-        for k in range(1, n + 1):
-            tk *= t
-            acc -= _member_value("q", k, w, slope=True) / tk
-    return (4 * t) ** (mp.mpf(1) / 4) * acc
+def _a_value(c, t, n, slope=False):
+    """A_n(c; t), or its c-derivative if slope: at fixed t, with
+    w = 3 ln 4t - c, d/dc = -d/dw.  The caller supplies the mp context;
+    t and c are already mpf."""
+    w = 3 * mp.log(4 * t) - c if n else None
+    acc = _expansion_sum("q", w, t, n, mp.zero if slope else mp.one, slope=slope)
+    return (4 * t) ** (mp.mpf(1) / 4) * (-acc if slope else acc)
 
 
 def eval_A_n(model, t, n=None):
@@ -172,7 +171,7 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
             c = 3 * mp.log(4 * t) - 16 * t * (h / (4 * t) ** (mp.mpf(1) / 4) - 1)
             tol = mp.mpf(10) ** (-(dps - 8))
             for _ in range(64):
-                slope = _a_slope_c(c, t, n)
+                slope = _a_value(c, t, n, slope=True)
                 if slope == 0:
                     raise ConvergenceError("flat c-derivative in fit at t = %s" % t_raw)
                 step = (_a_value(c, t, n) - h) / slope
@@ -287,6 +286,41 @@ def remainder_grid(t_grid):
     return times
 
 
+def _scale(t, n):
+    """(4t)**(1/4) (ln t / t)**(n+1), the normalisation of R_n(t)."""
+    return (4 * t) ** (mp.mpf(1) / 4) * (mp.log(t) / t) ** (n + 1)
+
+
+def _gated_report(values, bounds, n_max, expansion, scale, refusal, **report):
+    """RemainderReport of |values - expansion(x, n)| / scale(x, n) for
+    n = 0..n_max over the ascending grid that keys values, at the caller's
+    precision.  A remainder is formed only while the point's bound sits
+    below _GATE_FRAC of the scale; else AccuracyError(refusal), formatted
+    with the bound, frac, scale, n and the point at."""
+    gate = mp.mpf(_GATE_FRAC)
+    approx = {}
+    remainders = {}
+    for n in range(n_max + 1):
+        for at in values:
+            x = mp.mpf(at)
+            size = scale(x, n)
+            if bounds[at] > gate * size:
+                raise AccuracyError(refusal.format(
+                    bound=mp.nstr(bounds[at], 4), frac=_GATE_FRAC, scale=mp.nstr(size, 4),
+                    n=n, at=at,
+                ))
+            approx[(n, at)] = expansion(x, n)
+            remainders[(n, at)] = abs(values[at] - approx[(n, at)]) / size
+    return RemainderReport(
+        n_values=tuple(range(n_max + 1)),
+        t_values=tuple(values),
+        h_values=values,
+        a_values=approx,
+        remainders=remainders,
+        **report,
+    )
+
+
 def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
     """Measure R_n(t) for n = 0..n_max over t_grid.
 
@@ -304,35 +338,14 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
     dps = max(model.dps, traj.stats["dps"])
     with mp.workdps(dps + 5):
         c = mp.mpf(model.c)
-        h_values = {}
-        bounds = {}
-        for t_raw in times:
-            t = mp.mpf(t_raw)
-            h_values[t_raw] = traj.eval_h(t)
-            bounds[t_raw] = mp.mpf(traj.err_bound(t))
-        a_values = {}
-        remainders = {}
-        for n in range(n_max + 1):
-            for t_raw in times:
-                t = mp.mpf(t_raw)
-                scale = (4 * t) ** (mp.mpf(1) / 4) * (mp.log(t) / t) ** (n + 1)
-                if bounds[t_raw] > mp.mpf(_GATE_FRAC) * scale:
-                    raise AccuracyError(
-                        "trajectory error bound %s exceeds %s of the remainder scale "
-                        "at n = %d, t = %s; integrate with tighter tolerances"
-                        % (mp.nstr(bounds[t_raw], 4), _GATE_FRAC, n, t_raw)
-                    )
-                a = _a_value(c, t, n)
-                a_values[(n, t_raw)] = a
-                remainders[(n, t_raw)] = abs(h_values[t_raw] - a) / scale
-    return RemainderReport(
-        n_values=tuple(range(n_max + 1)),
-        t_values=tuple(times),
-        h_values=h_values,
-        a_values=a_values,
-        remainders=remainders,
-        growth_factor=growth_factor,
-    )
+        h_values = {t: traj.eval_h(mp.mpf(t)) for t in times}
+        bounds = {t: mp.mpf(traj.err_bound(mp.mpf(t))) for t in times}
+        return _gated_report(
+            h_values, bounds, n_max, lambda t, n: _a_value(c, t, n), _scale,
+            "trajectory error bound {bound} exceeds {frac} of the remainder scale "
+            "at n = {n}, t = {at}; integrate with tighter tolerances",
+            growth_factor=growth_factor,
+        )
 
 
 def shift_invariance_check(model, n, s, t_grid):
@@ -362,24 +375,12 @@ def shift_invariance_check(model, n, s, t_grid):
             t = mp.mpf(t_raw)
             lhs = _a_value(mp.mpf(model.c), t + s, n)
             rhs = _a_value(mp.mpf(shifted.c), t, n)
-            scale = (4 * t) ** (mp.mpf(1) / 4) * (mp.log(t) / t) ** (n + 1)
-            worst = max(worst, abs(lhs - rhs) / scale)
+            worst = max(worst, abs(lhs - rhs) / _scale(t, n))
         return worst
 
 
 # ---------------------------------------------------------------------------
 # the y - ln y = x analogue
-
-
-def _lambert_value(x, n):
-    # caller supplies the mp context; x already mpf
-    z = mp.log(x)
-    acc = x
-    xk = mp.one
-    for k in range(0, n + 1):
-        acc += _member_value("lambert", k, z) / xk
-        xk *= x
-    return acc
 
 
 def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
@@ -390,14 +391,14 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
     and no beta corrections; its expansion uses the same polynomial
     recursion specialised accordingly:
 
-        y(x) ~ x + sum_{k=0}^{n} ptilde_k(ln x) / x**k
+        y(x) ~ Y_n(x) = x + sum_{k=0}^{n} ptilde_k(ln x) / x**k
 
     (the k = 0 term is ln x itself).  Residuals |y - ln y - x| / x of
     the numeric root and normalised remainders |y - Y_n| / (ln x / x)**(n+1)
     are both recorded.  Before forming each remainder the root's
     resolution (its Newton stop over the slope 1 - 1/y) is required to sit
-    below 0.01 of the normalisation scale, as in remainder_study, which
-    also returns the same report type.
+    below 0.01 of the normalisation scale, by the gated loop that
+    remainder_study uses, so both return the same report type.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -422,39 +423,25 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
             # instead of cancelling to zero at the working precision
             with mp.workdps(cfg.effective_dps + 20):
                 residuals[x_raw] = abs(y - mp.log(y) - x) / x
-        approx = {}
-        remainders = {}
-        for n in range(n_max + 1):
-            for x_raw in xs:
-                x = mp.mpf(x_raw)
-                scale = (mp.log(x) / x) ** (n + 1)
-                if resolution[x_raw] > mp.mpf("0.01") * scale:
-                    raise AccuracyError(
-                        "Lambert root resolution %s exceeds 0.01 of the remainder scale %s "
-                        "at n = %d, x = %s; raise the working precision"
-                        % (mp.nstr(resolution[x_raw], 4), mp.nstr(scale, 4), n, x_raw)
-                    )
-                approx[(n, x_raw)] = _lambert_value(x, n)
-                remainders[(n, x_raw)] = abs(y_values[x_raw] - approx[(n, x_raw)]) / scale
-    return RemainderReport(
-        n_values=tuple(range(n_max + 1)),
-        t_values=tuple(xs),
-        h_values=y_values,
-        a_values=approx,
-        remainders=remainders,
-        growth_factor=growth_factor,
-        residuals=residuals,
-        columns=("x", "y_num", "Y_n"),
-    )
+        return _gated_report(
+            y_values, resolution, n_max,
+            lambda x, n: _expansion_sum("lambert", mp.log(x), x, n, x, first=0),
+            lambda x, n: (mp.log(x) / x) ** (n + 1),
+            "Lambert root resolution {bound} exceeds {frac} of the remainder scale {scale} "
+            "at n = {n}, x = {at}; raise the working precision",
+            growth_factor=growth_factor,
+            residuals=residuals,
+            columns=("x", "y_num", "Y_n"),
+        )
 
 
 class SyntheticTrajectory:
     """Trajectory stand-in built from an explicit formula.
 
-    Quacks like the integrator output (eval_h, eval_hprime, err_bound,
-    samples, stats) but reports zero error.  Feeding the remainder and
-    fit routines an input with exactly known behaviour, e.g. a model
-    evaluated one order above the study order, separates what the
+    Quacks like the integrator output as far as the remainder study and
+    the fit read it (eval_h, err_bound, stats) but reports zero error.
+    Feeding those routines an input with exactly known behaviour, e.g. a
+    model evaluated one order above the study order, separates what the
     expansion does from what the integrator does.
     """
 
@@ -473,23 +460,8 @@ class SyntheticTrajectory:
                 raise DomainError("t outside the synthetic range")
             return mp.mpf(self._fn(t))
 
-    def eval_hprime(self, t):
-        # symmetric difference, folded inward at the endpoints
-        with mp.workdps(self._dps + 5):
-            t = mp.mpf(t)
-            step = mp.mpf(10) ** (-(self._dps // 3)) * max(mp.one, abs(t))
-            lo = max(t - step, mp.mpf(self.t_start))
-            hi = min(t + step, mp.mpf(self.t_end))
-            return (self.eval_h(hi) - self.eval_h(lo)) / (hi - lo)
-
     def err_bound(self, t):
         return mp.zero
-
-    def samples(self):
-        out = []
-        for t in (self.t_start, self.t_end):
-            out.append((mp.mpf(t), self.eval_h(t), self.eval_hprime(t)))
-        return out
 
     @property
     def stats(self):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import io
 import json
 import math
@@ -335,7 +336,11 @@ def _cmd_lambert(args):
 # wiring
 
 
+@functools.cache
 def _build_parser():
+    # built once, on first use.  Handlers look their generators up at call
+    # time, so patching a module attribute still takes effect; they must not
+    # mutate the default grids, which every parse shares
     parser = argparse.ArgumentParser(
         prog="asymptode",
         description="Expansion apparatus for h^3 (h'' + h') = 1: exact series, "

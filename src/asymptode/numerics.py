@@ -495,7 +495,6 @@ class Trajectory:
             # the trajectory's own accuracy is on the line here
             self._inv_cfg = replace(cfg, fp_tol=float(mp.mpf(10) ** (-(dps - 9))))
         self._h4_cache = {}
-        self._sample_cache = None
 
     @property
     def g_problem(self):
@@ -574,8 +573,6 @@ class Trajectory:
     def samples(self):
         """(t, h, h') at the direct step points and, past the switch, on a
         geometric grid refining toward the switch; endpoints included."""
-        if self._sample_cache is not None:
-            return list(self._sample_cache)
         with mp.workdps(self._dps):
             out = [(s.t_start, s.x0, s.y0) for s in self._steps]
             if self._reduction is None:
@@ -595,8 +592,7 @@ class Trajectory:
                 for off in reversed(offsets):
                     t = t_sw + off
                     out.append((t, self.eval_h(t), self.eval_hprime(t)))
-        self._sample_cache = out
-        return list(out)
+        return out
 
     @property
     def stats(self):

@@ -35,7 +35,7 @@ from asymptode import (
     shift_invariance_check,
 )
 from asymptode import families
-from asymptode.asympt import _a_slope_c, _a_value, _lambert_value, _member_value
+from asymptode.asympt import _a_value, _expansion_sum, _member_value
 from asymptode.cli import _report_csv
 from asymptode.numerics import lambert_root_tol, lambert_wm1_numeric
 from asymptode.series import poly_eval
@@ -141,7 +141,7 @@ class TestDenseEvaluation:
             for t_raw in self.POINTS:
                 with mp.workdps(self.DPS):
                     value = _a_value(mp.mpf(c_raw), mp.mpf(t_raw), n)
-                    slope = _a_slope_c(mp.mpf(c_raw), mp.mpf(t_raw), n)
+                    slope = _a_value(mp.mpf(c_raw), mp.mpf(t_raw), n, slope=True)
                 with mp.workdps(self.DPS + self.GUARD):
                     c, t = mp.mpf(c_raw), mp.mpf(t_raw)
                     z = mp.log(4 * t)
@@ -173,7 +173,8 @@ class TestDenseEvaluation:
         lam = gen_lambert_p(n)
         for x_raw in self.POINTS:
             with mp.workdps(self.DPS):
-                got = _lambert_value(mp.mpf(x_raw), n)
+                x = mp.mpf(x_raw)
+                got = _expansion_sum("lambert", mp.log(x), x, n, x, first=0)
             with mp.workdps(self.DPS + self.GUARD):
                 x = mp.mpf(x_raw)
                 z = mp.log(x)
@@ -497,16 +498,8 @@ class TestSyntheticTrajectory:
         syn = SyntheticTrajectory(lambda t: t * t, 1, 100, dps=30)
         with mp.workdps(30):
             assert syn.eval_h(7) == 49
-            assert abs(syn.eval_hprime(7) - 14) / 14 < mp.mpf("1e-6")
         assert syn.err_bound(7) == 0
         assert syn.stats["dps"] == 30 and syn.stats["steps"] == 0
-
-    def test_samples_hit_endpoints(self):
-        syn = SyntheticTrajectory(lambda t: t * t, 1, 100, dps=30)
-        pts = syn.samples()
-        assert len(pts) == 2
-        assert pts[0][0] == 1 and pts[1][0] == 100
-        assert pts[0][1] == 1 and pts[1][1] == 10000
 
     def test_range_enforced(self):
         syn = SyntheticTrajectory(lambda t: t, 1, 100)

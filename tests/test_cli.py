@@ -129,6 +129,12 @@ class TestNumericPins:
     GOLDEN_STDERR = {
         "constant --h0 1.5 --h1 3":
             "7509ffdff57ffd191c02911dc975b0661d366c7518cec7039e5c53ff3332c910",
+        # the two gated refusals (trajectory bound, Lambert root), recorded
+        # while each had a gate loop of its own
+        "verify --n-max 4":
+            "db6840613f5e63266e1523d3f2270cb4254b16910ca4a3112cdc5b09ade943d1",
+        "lambert --x-grid 1e300":
+            "b4e7780baae6596bdb3598c490c7bda6ea3e4e95f9226bec6d98ecb227919dc7",
     }
 
     @pytest.mark.parametrize("command", sorted(GOLDEN))
