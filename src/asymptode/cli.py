@@ -31,6 +31,7 @@ from mpmath import mp
 from .asympt import (
     AsymptoticModel,
     SyntheticTrajectory,
+    _growth_limit,
     eval_A_n,
     fit_c_from_trajectory,
     lambert_compare,
@@ -43,6 +44,7 @@ from .families import gen_alpha, gen_beta, gen_lambert_p, gen_p, gen_q
 from .numerics import (
     InitialData,
     SolverConfig,
+    _require_finite,
     compute_c_for_data,
     integrate_h,
     trajectory_to_csv,
@@ -149,24 +151,13 @@ def _cmd_series(args):
     n = args.order
     if n > MAX_SERIES_ORDER:
         raise DomainError("--order %d exceeds the ceiling %d" % (n, MAX_SERIES_ORDER))
-    if fam == "alpha":
-        entries = [(k, str(v)) for k, v in enumerate(gen_alpha(n).values)]
-        label = "alpha"
-    elif fam == "beta":
-        entries = [(k, str(v)) for k, v in enumerate(gen_beta(n).values)]
-        label = "beta"
-    elif fam == "q":
-        q = gen_q(n)
-        entries = [(k, q[k].format_descending()) for k in range(1, n + 1)]
-        label = "q"
-    elif fam == "p":
-        p = gen_p(n)
-        entries = [(k, p[k].format_descending()) for k in range(0, n + 1)]
-        label = "p"
+    if fam in ("alpha", "beta"):
+        values = (gen_alpha if fam == "alpha" else gen_beta)(n).values
+        entries = [(k, str(v)) for k, v in enumerate(values)]
     else:
-        lam = gen_lambert_p(n)
-        entries = [(k, lam[k].format_descending()) for k in range(0, n + 1)]
-        label = "ptilde"
+        family = {"p": gen_p, "q": gen_q, "lambert": gen_lambert_p}[fam](n)
+        entries = [(k, family.text(k)) for k in range(family.first, n + 1)]
+    label = "ptilde" if fam == "lambert" else fam
 
     if args.format == "table":
         text = "".join("%s[%d] = %s\n" % (label, k, v) for k, v in entries)
@@ -186,6 +177,7 @@ def _cmd_series(args):
 def _cmd_integrate(args):
     data = InitialData(args.t0, args.h0, args.h1)
     cfg = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    _require_finite(t_max=mp.mpf(args.t_max))
     traj = integrate_h(data, args.t_max, cfg)
     if args.format == "csv":
         text = trajectory_to_csv(traj)
@@ -222,6 +214,8 @@ def _cmd_constant(args):
             "--digits must lie between 1 and the working precision, %d"
             % cfg.effective_dps
         )
+    if args.fit:
+        _require_finite(t_max=mp.mpf(args.t_max))
     c = compute_c_for_data(data, cfg)
     rows = [("c", mp.nstr(c, digits))]
     if args.fit:
@@ -250,8 +244,13 @@ def _cmd_verify(args):
     cfg = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     if args.synthetic is not None and args.synthetic <= args.n_max:
         raise DomainError("--synthetic order must exceed --n-max")
-    # refuse a bad grid before any integration
+    # refuse bad arguments before any integration, with the later checks' messages
     grid = remainder_grid(args.t_grid)
+    if args.n_max < 0:
+        raise DomainError("expansion order must be nonnegative")
+    growth_factor = _growth_limit(args.growth_factor)
+    if not math.isfinite(args.shift):
+        raise DomainError("shift s must be finite, got %s" % args.shift)
     c = compute_c_for_data(data, cfg)
     model = AsymptoticModel.build(c, order=args.n_max, dps=cfg.effective_dps)
     if args.synthetic is not None:
@@ -265,7 +264,7 @@ def _cmd_verify(args):
         )
     else:
         traj = integrate_h(data, grid[-1] * 1.2, cfg)
-    rep = remainder_study(model, traj, args.n_max, grid, growth_factor=args.growth_factor)
+    rep = remainder_study(model, traj, args.n_max, grid, growth_factor=growth_factor)
     defect = shift_invariance_check(model, args.n_max, args.shift, grid)
     shift_ok = defect <= args.shift_tol
     ok = rep.ok and shift_ok

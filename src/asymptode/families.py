@@ -37,14 +37,19 @@ Each step is O(n) products of earlier members, O(N^2) to order N.
 Internal representation.  ``p_0 = 3z - c`` and ``D = d/d(log X) = 3 d/dw``,
 so each ``p_n`` and ``q_k`` is a rational polynomial in ``w := 3z - c``.
 The generators work on dense ``w``-coefficients and expand ``w^j`` into
-``(c, z)`` terms only for the :class:`BivariatePoly` display forms.  Every
-polynomial of the exact layer is an integer polynomial over one
-denominator, ``(numerators, denominator)``: one integer accumulation over
-the common denominator of its terms, reduced by one gcd pass when
-finished, with no per-operation normalisation.  Each family object
-carries one public form, built once per member from the integer one: the
-display form (``family[n]``) for printing, JSON and exact comparison.
-Numeric reads take ``fixed_coeffs``: the mantissas at 2^-F of a member's
+``(c, z)`` terms only for display.  Every polynomial of the exact layer is
+an integer polynomial over one denominator, ``(numerators, denominator)``:
+one integer accumulation over the common denominator of its terms, reduced
+by one gcd pass when finished, with no per-operation normalisation.  Its
+tuples are built from lists: CPython resizes a tuple built from a generator
+from a guessed length, and dead, such a tuple waits on a free list that
+only full collections empty, so repeated cold families would hold ever
+more memory.  A family object holds the integer forms: ``family.text(n)``,
+which ``series`` prints, writes member n's ``(c, z)`` terms from them in
+display order, by one integer binomial expansion of ``w^j`` and one gcd
+per term; ``family[n]``, the :class:`BivariatePoly` for exact comparison,
+is built on first index and kept by the family object.  Numeric
+reads take ``fixed_coeffs``: the mantissas at 2^-F of a member's
 coefficients (in ``w`` for p and q, in ``z`` for ptilde) and of its
 derivative's, straight from the integer form, which the integer Horner
 ``numerics._fixed_eval`` evaluates.  The same call gives the two series
@@ -59,12 +64,12 @@ computed once.  Returned objects are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
 from .errors import DomainError
-from .series import BivariatePoly
+from .series import BivariatePoly, format_terms
 
 __all__ = [
     "AlphaSequence",
@@ -104,7 +109,7 @@ def _sum_of_products(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
     A constant B makes this an integer linear combination.  The result has
     the length of the longest product (at least 1), whatever cancels.
     """
-    den = math.lcm(*(ad * bd for (_, ad), (_, bd) in pairs))
+    den = math.lcm(*[ad * bd for (_, ad), (_, bd) in pairs])
     size = max((len(an) + len(bn) - 1 for (an, _), (bn, _) in pairs), default=1)
     acc = [0] * size
     for (an, ad), (bn, bd) in pairs:
@@ -115,29 +120,29 @@ def _sum_of_products(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
                 for j, v in enumerate(scaled):
                     acc[i + j] += u * v
     g = math.gcd(den, *acc)
-    return tuple(v // g for v in acc), den // g
+    return tuple([v // g for v in acc]), den // g
 
 
 def _over_lcm(values: list[Fraction]) -> IntPoly:
     """The coefficients ``values``, lowest power first, over their lcm."""
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+    den = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
 
 
-def _wpoly_to_bivariate(poly: IntPoly) -> BivariatePoly:
-    """Expand sum_j u_j w^j with w = 3z - c into (c, z) terms.
-
-    The term c^(j-i) z^i comes from w^j alone, so each gets one Fraction.
-    """
+def _terms(poly: IntPoly, in_w: bool):
+    """The reduced (c, z) terms (c_power, z_power, num, den) of sum_j u_j w^j,
+    w = 3z - c (or, not in_w, of sum_j u_j z^j), z power descending, then c
+    power ascending: c^(j-i) z^i is u_j C(j, i) 3^i (-1)^(j-i), from w^j alone."""
     nums, den = poly
-    terms: dict[tuple[int, int], Fraction] = {}
-    for j, u in enumerate(nums):
-        if u:
-            for i in range(j + 1):
-                terms[(j - i, i)] = Fraction(
-                    u * math.comb(j, i) * 3**i * (-1) ** (j - i), den
-                )
-    return BivariatePoly(terms)
+    top = len(nums)
+    for i in range(top - 1, -1, -1):
+        weight = 3**i if in_w else 1
+        for j in range(i, top if in_w else i + 1):
+            u = nums[j]
+            if u:
+                v = math.comb(j, i) * weight * (u if (j - i) % 2 == 0 else -u)
+                g = math.gcd(v, den)
+                yield j - i, i, v // g, den // g
 
 
 # -- shared incremental state -------------------------------------------------
@@ -161,10 +166,6 @@ class _State:
         self.q_w: dict[int, IntPoly] = {}
         # Lambert analogue: ptilde_k as dense z-polynomials from ptilde_0 = z
         self.lam: list[IntPoly] = [((0, 1), 1)]
-        # public members: the display form per index
-        self.p_pub: dict[int, BivariatePoly] = {}
-        self.q_pub: dict[int, BivariatePoly] = {}
-        self.lam_pub: dict[int, BivariatePoly] = {}
         # numeric reads: (family, index, F) -> mantissas of the coefficients
         # and of the derivative's coefficients, see fixed_coeffs
         self.fixed: dict[tuple[str, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -206,14 +207,14 @@ def _weight(k: int) -> Fraction:
 def _scaled(poly: IntPoly, num: int, den: int = 1) -> IntPoly:
     """poly * num / den, unreduced (_sum_of_products reduces its result)."""
     nums, d = poly
-    return tuple(num * v for v in nums), d * den
+    return tuple([num * v for v in nums]), d * den
 
 
 def _d_minus(poly: IntPoly, b: int) -> IntPoly:
     """(D - b) poly for D = d/dL = 3 d/dw, at the same length."""
     nums, den = poly
     slope = [3 * j * u for j, u in enumerate(nums)][1:] + [0]
-    return tuple(d - b * u for d, u in zip(slope, nums)), den
+    return tuple([d - b * u for d, u in zip(slope, nums)]), den
 
 
 def _inverse_shift(rhs: IntPoly, m: int) -> IntPoly:
@@ -227,7 +228,7 @@ def _inverse_shift(rhs: IntPoly, m: int) -> IntPoly:
     for j in range(len(nums) - 1, -1, -1):
         prev = out[j] = (3 * (j + 1) * prev - nums[j] * scale) // m
     g = math.gcd(den * scale, *out)
-    return tuple(v // g for v in out), den * scale // g
+    return tuple([v // g for v in out]), den * scale // g
 
 
 def _ensure_p(n: int) -> None:
@@ -283,15 +284,6 @@ def _ensure_lambert(n: int) -> None:
         )
 
 
-def _family(cls, cache, polys, keys, display):
-    """cls over the display forms of the members at keys, each built once
-    from its integer form."""
-    for key in keys:
-        if key not in cache:
-            cache[key] = display(polys[key])
-    return cls(tuple(cache[key] for key in keys))
-
-
 # -- public family containers --------------------------------------------------
 
 
@@ -320,23 +312,42 @@ class BetaSequence(_Sequence):
 
 @dataclass(frozen=True)
 class _PolyFamily:
-    """Display forms of the members, by their mathematical index
-    n >= ``first``: ``family[n]``.  Numeric reads take fixed_coeffs."""
+    """Members n >= ``first`` of one family, by their mathematical index:
+    ``family[n]`` is the display form, built from the integer form on first
+    index and kept, and ``family.text(n)`` its text, written from the
+    integer form.  Numeric reads take fixed_coeffs."""
 
-    polys: tuple[BivariatePoly, ...]
+    _members: tuple[IntPoly, ...]  # integer forms, member n at n - first
+    _display: dict[int, BivariatePoly] = field(default_factory=dict, compare=False, repr=False)
     first: ClassVar[int] = 0
+    _in_w: ClassVar[bool] = True  # members are polynomials in w = 3z - c
 
-    def __getitem__(self, n: int) -> BivariatePoly:
+    def _member(self, n: int) -> IntPoly:
         if n < self.first:
             raise DomainError(f"{type(self).__name__} starts at index {self.first}")
-        return self.polys[n - self.first]
+        return self._members[n - self.first]
+
+    def __getitem__(self, n: int) -> BivariatePoly:
+        member = self._member(n)
+        if n not in self._display:
+            terms = _terms(member, self._in_w)
+            self._display[n] = BivariatePoly({(i, j): Fraction(u, d) for i, j, u, d in terms})
+        return self._display[n]
+
+    def text(self, n: int) -> str:
+        """``self[n].format_descending()``, with no display form built."""
+        return format_terms(_terms(self._member(n), self._in_w))
+
+    @property
+    def polys(self) -> tuple[BivariatePoly, ...]:
+        return tuple([self[n] for n in range(self.first, self.order + 1)])
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return len(self._members)
 
     @property
     def order(self) -> int:
-        return self.first + len(self.polys) - 1
+        return self.first + len(self._members) - 1
 
 
 class PPolyFamily(_PolyFamily):
@@ -351,6 +362,8 @@ class QPolyFamily(_PolyFamily):
 
 class LambertPolyFamily(_PolyFamily):
     """ptilde_0..ptilde_N, univariate in z."""
+
+    _in_w = False
 
 
 # -- public generators -----------------------------------------------------------
@@ -377,7 +390,7 @@ def gen_p(N: int) -> PPolyFamily:
     if N < 0:
         raise DomainError("gen_p needs N >= 0")
     _ensure_p(N)
-    return _family(PPolyFamily, _STATE.p_pub, _STATE.p_w, range(N + 1), _wpoly_to_bivariate)
+    return PPolyFamily(tuple(_STATE.p_w[: N + 1]))
 
 
 def gen_q(N: int) -> QPolyFamily:
@@ -385,7 +398,7 @@ def gen_q(N: int) -> QPolyFamily:
     if N < 1:
         raise DomainError("gen_q needs N >= 1")
     _ensure_q(N)
-    return _family(QPolyFamily, _STATE.q_pub, _STATE.q_w, range(1, N + 1), _wpoly_to_bivariate)
+    return QPolyFamily(tuple([_STATE.q_w[k] for k in range(1, N + 1)]))
 
 
 def gen_lambert_p(N: int) -> LambertPolyFamily:
@@ -393,10 +406,7 @@ def gen_lambert_p(N: int) -> LambertPolyFamily:
     if N < 0:
         raise DomainError("gen_lambert_p needs N >= 0")
     _ensure_lambert(N)
-    return _family(
-        LambertPolyFamily, _STATE.lam_pub, _STATE.lam, range(N + 1),
-        lambda poly: BivariatePoly.z_poly([Fraction(v, poly[1]) for v in poly[0]]),
-    )
+    return LambertPolyFamily(tuple(_STATE.lam[: N + 1]))
 
 
 def _member(family: str, n: int) -> IntPoly:
@@ -438,8 +448,8 @@ def fixed_coeffs(family: str, n: int, F: int) -> tuple[tuple[int, ...], tuple[in
     if hit is None:
         nums, den = _member(family, n)
         hit = (
-            tuple((v << F) // den for v in nums),
-            tuple((j * v << F) // den for j, v in enumerate(nums) if j),
+            tuple([(v << F) // den for v in nums]),
+            tuple([(j * v << F) // den for j, v in enumerate(nums) if j]),
         )
         _STATE.fixed[key] = hit
     return hit
@@ -458,7 +468,7 @@ def ode_residual_order(N: int) -> int:
         raise DomainError("ode_residual_order needs N >= 1")
     g = nums, den = _member("alpha", N)
     z_g = ((0,) + nums, den)
-    z2_g_prime = ((0,) + tuple(k * v for k, v in enumerate(nums)), den)
+    z2_g_prime = ((0,) + tuple([k * v for k, v in enumerate(nums)]), den)
     inner = _sum_of_products(
         [(_ONE, _ONE), (z_g, _const(-3, 4)), (z2_g_prime, _const(-1))]
     )

@@ -5,11 +5,14 @@
   floating point ever enters a coefficient computation.
 
 * :class:`BivariatePoly` -- an exact polynomial in two variables ``(c, z)``
-  stored as a sparse term map.  It is the form in which the families of
-  :mod:`.families` are printed (as text, also inside the CLI's JSON) and
-  compared exactly.
-  The families are generated, and evaluated on numeric paths, as dense
-  coefficient lists in one variable; this class is only their public face.
+  stored as a sparse term map.  It is the form in which a member of the
+  families of :mod:`.families` is indexed and compared exactly.
+  The families are generated, evaluated on numeric paths and printed from
+  dense integer coefficient lists in one variable; this class is only
+  their public face.
+
+:func:`format_terms` is the display rule that ``format_descending`` and the
+families' writer share.
 
 :func:`poly_eval` evaluates a :class:`BivariatePoly` in any numeric type, for
 callers that hold only the display form.  All values are immutable after
@@ -19,13 +22,14 @@ construction and all operations are pure functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import DomainError
 
 __all__ = [
     "Rational",
     "BivariatePoly",
+    "format_terms",
     "poly_eval",
 ]
 
@@ -74,17 +78,6 @@ class BivariatePoly:
                 clean[(int(i), int(j))] = value
         self._terms = clean
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "BivariatePoly":
-        return cls()
-
-    @classmethod
-    def z_poly(cls, coeffs: Sequence[RationalLike]) -> "BivariatePoly":
-        """Univariate polynomial in z: coeffs[j] is the coefficient of z^j."""
-        return cls({(0, j): c for j, c in enumerate(coeffs)})
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -96,15 +89,6 @@ class BivariatePoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def degree_z(self) -> int:
-        """Largest z exponent with a nonzero coefficient (-1 for the zero poly)."""
-        return max((j for (_, j) in self._terms), default=-1)
-
-    @property
-    def degree_c(self) -> int:
-        return max((i for (i, _) in self._terms), default=-1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivariatePoly):
@@ -130,25 +114,32 @@ class BivariatePoly:
         package's table output: z powers descend, and within one z power the
         c powers ascend.
         """
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for (i, j), value in self.sorted_terms():
-            factors = []
-            num, den = value.numerator, value.denominator
-            mag = -num if num < 0 else num
-            if den != 1 or mag != 1 or (i == 0 and j == 0):
-                factors.append(f"{mag}/{den}" if den != 1 else str(mag))
-            if j:
-                factors.append("z" if j == 1 else f"z^{j}")
-            if i:
-                factors.append("c" if i == 1 else f"c^{i}")
-            term = "*".join(factors)
-            if not pieces:
-                pieces.append(f"-{term}" if num < 0 else term)
-            else:
-                pieces.append(f"- {term}" if num < 0 else f"+ {term}")
-        return " ".join(pieces)
+        return format_terms(
+            (i, j, value.numerator, value.denominator)
+            for (i, j), value in self.sorted_terms()
+        )
+
+
+def format_terms(terms: Iterable[tuple[int, int, int, int]]) -> str:
+    """The text of the terms ``(c_power, z_power, num, den)``, each the
+    reduced ``num/den * z^z_power * c^c_power`` with ``den > 0`` and
+    ``num != 0``, in the order given; ``"0"`` if there are none."""
+    pieces: list[str] = []
+    for i, j, num, den in terms:
+        factors = []
+        mag = -num if num < 0 else num
+        if den != 1 or mag != 1 or (i == 0 and j == 0):
+            factors.append(f"{mag}/{den}" if den != 1 else str(mag))
+        if j:
+            factors.append("z" if j == 1 else f"z^{j}")
+        if i:
+            factors.append("c" if i == 1 else f"c^{i}")
+        term = "*".join(factors)
+        if not pieces:
+            pieces.append(f"-{term}" if num < 0 else term)
+        else:
+            pieces.append(f"- {term}" if num < 0 else f"+ {term}")
+    return " ".join(pieces) if pieces else "0"
 
 
 def poly_eval(p: BivariatePoly, c, z):

@@ -26,7 +26,9 @@ generators' exactly, lengths included.
 
 One helper reads the package instead: ``dense(family, n)`` is the exact
 dense coefficients of a member, as ``Fraction``s from the integer form
-``families._member`` holds, for tests that evaluate members exactly.
+``families._member`` holds, for tests that evaluate members exactly.  And
+``degree(poly, var)`` reads the degree in ``"c"`` or ``"z"`` of a display
+form (a ``BivariatePoly``), for the degree bounds of the families.
 
 Everything here is written for ``a = a_1 x + a_2 x^2 + ...`` with zero
 constant term unless stated otherwise.  ``tests/test_series.py`` checks the
@@ -255,6 +257,13 @@ def dense(family: str, n: int) -> tuple[Fraction, ...]:
     for ``families.fixed_coeffs``), exactly, lowest power first."""
     nums, den = _member(family, n)
     return tuple(Fraction(v, den) for v in nums)
+
+
+def degree(poly, var: str) -> int:
+    """Largest exponent of var ("c" or "z") in a BivariatePoly with a
+    nonzero coefficient; -1 for the zero polynomial."""
+    slot = {"c": 0, "z": 1}[var]
+    return max((key[slot] for key in poly.terms), default=-1)
 
 
 def _extend_s_table(table: dict, filled: int, m_max: int, a: list) -> int:

@@ -1,21 +1,53 @@
 """CLI contract tests: output shapes, exit codes, determinism.
 
 Everything goes through main(argv) directly; no subprocesses, so the
-suite stays fast and failures carry tracebacks.
+suite stays fast and failures carry tracebacks.  Every run counts the
+calls that start numeric work, and an exit-2 refusal must have made none.
 """
 
+import gc
 import hashlib
 import json
+import os
+import platform
+import sys
+from collections import Counter
 
 import pytest
 
-from asymptode import cli, numerics
+from asymptode import asympt, cli, families, numerics
 from asymptode.cli import main
+
+# the numeric work that bad arguments must be refused before
+WORK = ("compute_c_for_data", "integrate_h", "lambert_wm1_numeric")
+work_calls = Counter()
+
+# exit-2 runs that do numeric work first, and how much: a one-point Lambert
+# grid is refused after its one root, because the root's resolution gate
+# outranks the one-point rule (TestLambert.test_unresolvable_remainder_exits_3)
+WORK_BEFORE_REFUSAL = {("lambert", "--x-grid", "10"): {"lambert_wm1_numeric": 1}}
+
+
+@pytest.fixture(autouse=True)
+def count_work(monkeypatch):
+    for name in WORK:
+        original = getattr(numerics, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            work_calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (numerics, asympt, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
 
 
 def run(capsys, *argv):
+    work_calls.clear()
     code = main(list(argv))
     captured = capsys.readouterr()
+    if code == 2:
+        assert dict(work_calls) == WORK_BEFORE_REFUSAL.get(argv, {}), argv
     return code, captured.out, captured.err
 
 
@@ -84,6 +116,33 @@ class TestSeries:
         code, out, _ = run(capsys, "series", "--family", family, "--order", "30", "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[family]
+
+
+    @pytest.mark.skipif(
+        platform.python_implementation() != "CPython",
+        reason="pymalloc blocks and tuple free lists are CPython's",
+    )
+    def test_cold_series_holds_no_growing_free_lists(self):
+        # a tuple built from a generator is allocated at a guessed size and
+        # resized; dead, it waits on the free list of its final size, which
+        # nothing takes from.  Without the collections that empty those
+        # lists, repeated cold passes then hold ever more blocks
+        def cold_pass():
+            for family in ("p", "q", "lambert"):
+                families.clear_caches()
+                assert main(["series", "--family", family, "--order", "20", "--out", os.devnull]) == 0
+
+        gc.disable()
+        try:
+            for _ in range(5):
+                cold_pass()
+            before = sys.getallocatedblocks()
+            for _ in range(20):
+                cold_pass()
+            grown = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert grown < 2000, grown
 
 
 class TestNumericPins:
@@ -397,6 +456,28 @@ class TestContract:
         assert code == 2
         assert out == ""
         assert "two distinct points" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "--n-max", "-1"), "expansion order must be nonnegative"),
+            (("verify", "--growth-factor", "-1"), "growth factor must be finite and positive, got -1.0"),
+            (("lambert", "--x-grid", "0.5"), "the growing branch needs x > 1"),
+            (("lambert", "--x-grid", "0.5,1e2"), "the growing branch needs x > 1"),
+        ],
+    )
+    def test_bad_argument_refused_before_any_work(self, capsys, argv, message):
+        # run() asserts that no numeric work started
+        assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+    def test_work_is_counted(self, capsys):
+        # the counters run() reads see the work of a real run
+        assert run(capsys, "verify", "--synthetic", "4", "--n-max", "2", "--t-grid", "1e2,1e3")[0] == 0
+        assert work_calls["compute_c_for_data"] == 1
+        assert run(capsys, "lambert", "--n-max", "1", "--x-grid", "10,100")[0] == 0
+        assert work_calls["lambert_wm1_numeric"] == 2
+        assert run(capsys, "integrate", "--t-max", "10")[0] == 0
+        assert work_calls["integrate_h"] == 1
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "verify", "--synthetic", "4", "--n-max", "2",

@@ -41,6 +41,7 @@ from asymptode.series import BivariatePoly, poly_eval
 from series_oracle import (
     TruncatedSeries,
     composition_families,
+    degree,
     dense,
     rational_binomial,
     series_compose_coeffs,
@@ -158,8 +159,8 @@ class TestPPolys:
     def test_degree_bound_to_20(self):
         family = gen_p(20)
         for n in range(1, 21):
-            assert family[n].degree_z <= n, n
-        assert family[0].degree_z == 1
+            assert degree(family[n], "z") <= n, n
+        assert degree(family[0], "z") == 1
 
     def test_family_length(self):
         fam = gen_p(5)
@@ -211,7 +212,7 @@ class TestQPolys:
     def test_degree_bound_to_20(self):
         family = gen_q(20)
         for k in range(1, 21):
-            assert family[k].degree_z <= k, k
+            assert degree(family[k], "z") <= k, k
 
     def test_index_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -239,8 +240,8 @@ class TestLambertPolys:
         fam = gen_lambert_p(12)
         for k in range(1, 13):
             poly = fam[k]
-            assert poly.degree_z == k
-            assert poly.degree_c == 0
+            assert degree(poly, "z") == k
+            assert degree(poly, "c") == 0
             assert poly.coefficient(0, k) == F((-1) ** (k + 1), k)
 
     def test_no_constant_term(self):
@@ -382,7 +383,7 @@ class TestLambertClosedForm:
                 for m in range(1, K + 1)
             ]
             assert dense("lambert", K) == tuple(expected), K
-            assert fam[K] == BivariatePoly.z_poly(expected), K
+            assert fam[K] == BivariatePoly({(0, m): v for m, v in enumerate(expected)}), K
 
 
 class TestSympyReversion:
@@ -445,6 +446,54 @@ class TestOdeResidual:
     def test_invalid_order(self):
         with pytest.raises(DomainError):
             ode_residual_order(0)
+
+
+class TestDisplay:
+    # family.text(n) is written from the integer form; family[n] is the
+    # display form, built on first index.  Both must say the same thing,
+    # and the display form must be the w = 3z - c expansion of the member
+    N = 60
+    GEN = {"p": gen_p, "q": gen_q, "lambert": gen_lambert_p}
+
+    @pytest.mark.parametrize("name", sorted(GEN))
+    def test_text_is_the_display_text(self, name):
+        clear_caches()
+        family = self.GEN[name](self.N)
+        texts = {n: family.text(n) for n in range(family.first, self.N + 1)}
+        assert family._display == {}
+        for n, text in texts.items():
+            assert text == family[n].format_descending(), n
+
+    @pytest.mark.parametrize("name", sorted(GEN))
+    def test_display_form_expands_the_member(self, name):
+        family = self.GEN[name](self.N)
+        for n in range(family.first, self.N + 1):
+            expected = {}
+            for j, u in enumerate(dense(name, n)):
+                if name == "lambert":
+                    expected[(0, j)] = u
+                    continue
+                for i in range(j + 1):  # u (3z)^i (-c)^(j-i) C(j, i)
+                    expected[(j - i, i)] = u * math.comb(j, i) * 3**i * (-1) ** (j - i)
+            assert family[n] == BivariatePoly(expected), n
+
+    def test_display_forms_built_on_first_index_only(self):
+        family = gen_q(10)
+        assert family._display == {}
+        first = family[4]
+        assert set(family._display) == {4}
+        assert family[4] is first
+        assert family.polys[3] is first
+        assert set(family._display) == set(range(1, 11))
+
+    def test_equality_and_hash(self):
+        assert gen_p(4) == gen_p(4)
+        assert hash(gen_p(4)) == hash(gen_p(4))
+        assert gen_p(4) != gen_p(5)
+        assert gen_p(4) != gen_lambert_p(4)
+        small = gen_q(3)
+        clear_caches()
+        assert gen_q(3) == small
 
 
 class TestMemoization:
