@@ -117,16 +117,15 @@ class TestSeries:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[family]
 
-
     @pytest.mark.skipif(
         platform.python_implementation() != "CPython",
         reason="pymalloc blocks and tuple free lists are CPython's",
     )
     def test_cold_series_holds_no_growing_free_lists(self):
-        # a tuple built from a generator is allocated at a guessed size and
-        # resized; dead, it waits on the free list of its final size, which
-        # nothing takes from.  Without the collections that empty those
-        # lists, repeated cold passes then hold ever more blocks
+        # a tuple built from a generator is allocated at a guessed length
+        # and resized; dead, it waits on the free list of its final length,
+        # which the next such tuple does not take from.  With no collection
+        # to empty those lists, repeated cold passes would hold ever more
         def cold_pass():
             for family in ("p", "q", "lambert"):
                 families.clear_caches()
@@ -462,6 +461,7 @@ class TestContract:
         [
             (("verify", "--n-max", "-1"), "expansion order must be nonnegative"),
             (("verify", "--growth-factor", "-1"), "growth factor must be finite and positive, got -1.0"),
+            (("constant", "--fit", "--t-max", "inf"), "t_max must be finite, got +inf"),
             (("lambert", "--x-grid", "0.5"), "the growing branch needs x > 1"),
             (("lambert", "--x-grid", "0.5,1e2"), "the growing branch needs x > 1"),
         ],
