@@ -398,7 +398,8 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
     are both recorded.  Before forming each remainder the root's
     resolution (its Newton stop over the slope 1 - 1/y) is required to sit
     below 0.01 of the normalisation scale, by the gated loop that
-    remainder_study uses, so both return the same report type.
+    remainder_study uses, so both return the same report type.  The grid
+    must hold two distinct points above 1, checked before any root.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -409,6 +410,8 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
         raise DomainError("empty x grid")
     if xs[0] <= 1:
         raise DomainError("the growing branch needs x > 1")
+    if len(xs) < 2:
+        raise DomainError(_ONE_POINT)
     cfg = cfg if cfg is not None else SolverConfig()
     with mp.workdps(cfg.effective_dps):
         y_values = {}

@@ -214,8 +214,12 @@ def _cmd_constant(args):
             "--digits must lie between 1 and the working precision, %d"
             % cfg.effective_dps
         )
-    if args.fit:
+    if args.fit:  # the later checks of integrate_h and the fit, before any work
         _require_finite(t_max=mp.mpf(args.t_max))
+        if not args.t_max * 1.2 > args.t0:
+            raise DomainError("t_max must exceed t0")
+        if args.fit_order < 1:
+            raise DomainError("fitting c needs at least one expansion term")
     c = compute_c_for_data(data, cfg)
     rows = [("c", mp.nstr(c, digits))]
     if args.fit:

@@ -38,13 +38,14 @@ coefficient is one exact integer dot product shifted once.
 
 The step loop stays on the mantissas as well.  The values at a step end
 are one integer Horner evaluation each in u = h / rho, rounded once into
-an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  The step guess
-and the truncation estimate read only the top three coefficients, which
-are the only ones rounded into mpfs during stepping; the estimate is
-summed in mpf because it is a bound that must keep its relative accuracy
-where the terms fall below 2^-F.  A stored step keeps its mantissas for
-good: dense output is the same integer Horner at the offset of the read,
-and so is every read of g's series below the crossover.
+an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  The step
+control reads only the top three coefficients, on raw mpf tuples by the
+libmp calls of mpf objects at mp.prec: the bits of mpf arithmetic with no
+object per operation, and one root per guess (_step_guess).  The estimate
+is a floating sum: a bound keeps its relative accuracy below 2^-F.  A
+stored step keeps its mantissas for good: dense output is the same integer
+Horner at the offset of the read, and so is every read of g's series
+below the crossover.
 
 The series order is tied to the working precision; the step size comes from
 a coefficient-ratio estimate of the local radius of convergence and is
@@ -87,10 +88,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from operator import add, gt, lt, mul
+from functools import cmp_to_key
+from operator import add, mul
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_rdiv_int, round_nearest, to_fixed
+from mpmath.libmp import finf, fone, from_float, from_int, from_man_exp, from_str, fzero, mpf_abs
+from mpmath.libmp import mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pow
+from mpmath.libmp import mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest, to_fixed
 
 from .errors import (
     AccuracyError,
@@ -178,27 +182,34 @@ class InitialData:
 # -- local Taylor models -------------------------------------------------------
 
 
-def _step_guess(coeff_sets, eps_loc, order):
-    """Largest step for which the top Taylor terms stay below eps_loc.
+def _step_guess(coeff_sets, eps_loc, order, safety, prec):
+    """Largest step for which the top Taylor terms stay below eps_loc, times
+    ``safety``; raw mpfs, rounded to nearest at prec.
 
     ``coeff_sets`` are the lead series' top coefficients (_march passes the
     three of _top_coeffs for each); only the last two entries of each set
-    are read, the coefficients of degree ``order`` and ``order - 1``.
+    are read, the c of degree j = ``order`` and ``order - 1``.  A double log2
+    finds the least (eps_loc / |c|)^(1/j); only those within 1e-9 of it take
+    the root, compared in order by strict <.  The rest exceed it by 7e-10
+    relative, far beyond the errors, so the guess is that of all roots.
     Infinite when every one of them is zero, as it is when the terms fall
     below the kernels' fixed-point resolution: the march's clamps to its
     end and cap, and the tail test, then bound the step.
     """
+    log_eps = math.log2(eps_loc[1]) + eps_loc[2]
+    cands = [((log_eps - math.log2(c[1]) - c[2]) / j, j, c) for coeffs in coeff_sets
+             for j, c in ((order, coeffs[-1]), (order - 1, coeffs[-2])) if c[1]]
+    if not cands:
+        return finf
+    near = min(cand[0] for cand in cands) + 1e-9
     best = None
-    for coeffs in coeff_sets:
-        for j, c in ((order, coeffs[-1]), (order - 1, coeffs[-2])):
-            mag = abs(c)
-            if mag != 0:
-                cand = (eps_loc / mag) ** (mp.one / j)
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
-        return mp.inf
-    return mp.mpf("0.8") * best
+    for log_cand, j, c in cands:
+        if log_cand <= near:
+            ratio = mpf_div(eps_loc, mpf_abs(c), prec, round_nearest)
+            cand = mpf_pow(ratio, mpf_div(fone, from_int(j), prec, round_nearest), prec, round_nearest)
+            if best is None or mpf_lt(cand, best):
+                best = cand
+    return mpf_mul(safety, best, prec, round_nearest)
 
 
 def _fixed(v, F):
@@ -223,27 +234,25 @@ def _to_mpf(m, e):
 
 
 def _top_coeffs(mants, F, k):
-    """The three highest coefficients as mpfs: mants[j] 2^(-F - k j), each
-    rounded once to mp.prec."""
-    top = len(mants) - 1
-    return [_to_mpf(mants[j], -F - k * j) for j in range(top - 2, top + 1)]
+    """The three highest coefficients as raw mpfs: mants[j] 2^(-F - k j),
+    each rounded once to mp.prec."""
+    top, prec = len(mants) - 1, mp.prec
+    return [from_man_exp(mants[j], -F - k * j, prec, round_nearest) for j in range(top - 2, top + 1)]
 
 
-def _tail_estimate(tops, top, h):
-    """Crude truncation bound: twice the sum of the last three terms at h.
+def _tail_estimate(tops, a, hp, prec):
+    """Crude truncation bound: twice the sum of the last three terms at a step of length a.
 
-    ``tops`` are the coefficients of degree top - 2 .. top as mpfs.  The sum
-    runs in mpf, not at the kernels' absolute scale 2^-F: it is a bound
-    compared against the local tolerance and must keep its relative accuracy
-    when the terms fall far below 2^-F.
+    ``tops`` are the coefficients of degree top - 2 .. top and ``hp`` is
+    a^(top - 2), all raw mpfs.  The sum runs at prec, not at the kernels'
+    absolute scale 2^-F: it is a bound compared against the local tolerance
+    and must keep its relative accuracy when the terms fall far below 2^-F.
     """
-    a = abs(h)
-    hp = a ** (top - 2)
-    est = mp.zero
-    for c in tops:
-        est += abs(c) * hp
-        hp *= a
-    return 2 * est
+    est = mpf_mul(mpf_abs(tops[0]), hp, prec, round_nearest)
+    for c in tops[1:]:
+        hp = mpf_mul(hp, a, prec, round_nearest)
+        est = mpf_add(est, mpf_mul(mpf_abs(c), hp, prec, round_nearest), prec, round_nearest)
+    return mpf_shift(est, 1)
 
 
 def _fixed_eval(mants, h, F, k):
@@ -389,11 +398,14 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
     k is passed in at or above the last step, and a kernel may pick its
     own.  The first ``lead`` series (x alone, or x and y) set the local
     tolerance, the step guess and the charged error; every series must
-    pass the tail test.  The guess is clamped to ``cap(t)`` and to end,
-    and the kernel is recomputed at a wider rho when the step outgrows
-    it.  A trial step is halved until the tail estimates are within the
-    local tolerance and x stays positive.  The march ends at end, or at
-    the first step end where ``stop(t, x, y)`` holds.
+    pass the tail test.  The guess is clamped to ``cap`` t, a decimal
+    string, and to end, and the kernel is recomputed at a wider rho when
+    the step outgrows it.  A trial step is halved until the tail estimates
+    are within the local tolerance and x stays positive.  The march ends
+    at end, or at the first step end where ``stop(t, x, y)`` holds.
+
+    Control runs on raw mpfs; only what a step stores and the march returns
+    are mpf objects.  The 0.8 and the cap are parsed once per march.
 
     Returns (steps, (t, x, y), err, rejected): the accepted steps, the
     last step end, the summed charged estimates and the count of rejected
@@ -401,37 +413,45 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
     out or a step collapses.
     """
     order = cfg.taylor_order
-    abs_tol, rel_tol = mp.mpf(cfg.abs_tol), mp.mpf(cfg.rel_tol)
+    prec, rnd = mp.prec, round_nearest
+    abs_tol, rel_tol = from_float(cfg.abs_tol, prec, rnd), from_float(cfg.rel_tol, prec, rnd)
+    safety, cap = from_str("0.8", prec, rnd), cap and from_str(cap, prec, rnd)
+    by_value = cmp_to_key(mpf_cmp)  # the max() key of raw mpfs
     up = end > t
-    before = lt if up else gt
-    cum_err = mp.zero
+    before = mpf_lt if up else mpf_gt
+    end_ = end._mpf_
+    cum_err = fzero
     steps: list[_Step] = []
     rejected = 0
     k = 0  # rho = 2^k, kept at or above the step
-    while before(t, end):
+    while before(t._mpf_, end_):
         if len(steps) >= _MAX_STEPS:
             raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at {t}")
-        eps_loc = abs_tol + rel_tol * max(map(abs, (x, y)[:lead]))
+        big = max(map(abs, (x, y)[:lead]))._mpf_
+        eps_loc = mpf_add(abs_tol, mpf_mul(rel_tol, big, prec, rnd), prec, rnd)
         while True:
             X, Y, F, k_kernel = kernel(t, x, y, order, k)
             tops = [_top_coeffs(M, F, k_kernel) for M in (X, Y)]
-            h = _step_guess(tops[:lead], eps_loc, order)
-            if cap is not None:
-                h = min(h, cap(t))
-            s = h if up else -h  # the signed step
-            if before(end, t + s):  # clamp to end
-                s = end - t
-            fits = abs(s) <= mp.ldexp(1, k_kernel)
-            k = mp.mag(s) + 1  # rho in (2h, 4h]; recompute if s outgrew it
+            s = _step_guess(tops[:lead], eps_loc, order, safety, prec)
+            if cap and mpf_lt(limit := mpf_mul(cap, t._mpf_, prec, rnd), s):
+                s = limit
+            s = s if up else mpf_neg(s)  # the signed step
+            if before(end_, mpf_add(t._mpf_, s, prec, rnd)):  # clamp to end
+                s = mpf_sub(end_, t._mpf_, prec, rnd)
+            fits = mpf_le(mpf_abs(s), (0, 1, k_kernel, 1))  # |s| <= 2^k_kernel
+            k = s[2] + s[3] + 1  # rho in (2h, 4h]; recompute if s outgrew it
             if fits:
                 break
         halvings = 0
         while True:
-            ests = [_tail_estimate(c, len(M) - 1, s) for c, M in zip(tops, (X, Y))]
-            x_new = _fixed_eval(X, s, F, k_kernel)
-            if max(ests) <= eps_loc and x_new > 0:
+            a = mpf_abs(s)
+            powers = {n: mpf_pow_int(a, n - 3, prec, rnd) for n in {len(X), len(Y)}}
+            ests = [_tail_estimate(c, a, powers[len(M)], prec) for c, M in zip(tops, (X, Y))]
+            length = mp.make_mpf(s)
+            x_new = _fixed_eval(X, length, F, k_kernel)
+            if mpf_le(max(ests, key=by_value), eps_loc) and x_new > 0:
                 break
-            s = s / 2
+            s = mpf_shift(s, -1)
             halvings += 1
             rejected += 1
             if halvings > 80:
@@ -439,12 +459,12 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
                     f"step size collapsed at {t}: 80 halvings failed the "
                     "tail estimates or the positivity of the solution"
                 )
-        cum_err += max(ests[:lead])
-        steps.append(_Step(t, s, x, y, cum_err, (X, Y, F, k_kernel)))
-        t, x, y = t + s, x_new, _fixed_eval(Y, s, F, k_kernel)
+        cum_err = mpf_add(cum_err, max(ests[:lead], key=by_value), prec, rnd)
+        steps.append(_Step(t, length, x, y, mp.make_mpf(cum_err), (X, Y, F, k_kernel)))
+        t, x, y = t + length, x_new, _fixed_eval(Y, length, F, k_kernel)
         if stop is not None and stop(t, x, y):
             break
-    return steps, (t, x, y), cum_err, rejected
+    return steps, (t, x, y), mp.make_mpf(cum_err), rejected
 
 
 def _step_at(steps, keys, key):
@@ -810,7 +830,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
         steps, (_, g, i_c), cum_err, rejected = _march(
             lambda z, g, i, order, k: _g_system_coeffs(z, g, i, order),
             1, z0, g0, mp.zero, z_c, cfg,
-            cap=lambda z: mp.mpf("0.45") * z,  # clear of the z = 0 singularity
+            cap="0.45",  # clear of the z = 0 singularity
         )
         problem = GProblem(z0, g0, z_c, steps, cfg, cum_err, rejected, i_c)
         series_at_zc = problem._series(z_c)

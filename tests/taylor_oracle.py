@@ -20,7 +20,8 @@ the integer kernels can be checked against it at a higher precision:
   kernel takes r = -4 g' - 3 (g - 1)/z from g alone).
 
 ``tail_estimate(coeffs, h)`` is the integrator's truncation estimate in its
-textbook form, over a whole mpf coefficient list.
+textbook form, over a whole mpf coefficient list, and ``step_guess(coeff_sets,
+eps_loc, order)`` its step guess, one mpf root per nonzero candidate.
 
 ``unscale(head, mants, F, k)`` turns a kernel's mantissas into mpf
 coefficients, and ``horner(coeffs, u)`` evaluates such a list in mpf: the
@@ -120,3 +121,20 @@ def tail_estimate(coeffs, h, count=3):
         est += abs(coeffs[j]) * hp
         hp *= abs(h)
     return 2 * est
+
+
+def step_guess(coeff_sets, eps_loc, order):
+    """0.8 times the smallest (eps_loc / |c|)^(1/j) over the coefficients c
+    of degree j = order and order - 1 (the last two of each set), in mpf,
+    the smallest first in order by strict <; infinite when all are zero."""
+    best = None
+    for coeffs in coeff_sets:
+        for j, c in ((order, coeffs[-1]), (order - 1, coeffs[-2])):
+            mag = abs(c)
+            if mag != 0:
+                cand = (eps_loc / mag) ** (mp.one / j)
+                if best is None or cand < best:
+                    best = cand
+    if best is None:
+        return mp.inf
+    return mp.mpf("0.8") * best

@@ -34,7 +34,7 @@ from asymptode import (
     remainder_study,
     shift_invariance_check,
 )
-from asymptode import families
+from asymptode import asympt, families
 from asymptode.asympt import _a_value, _expansion_sum, _member_value
 from asymptode.cli import _report_csv
 from asymptode.numerics import lambert_root_tol, lambert_wm1_numeric
@@ -426,14 +426,14 @@ class TestLambertCompare:
             assert rep.growth(n) < 10
 
     def test_order_zero_term_is_log(self):
-        rep = lambert_compare(0, [100])
+        rep = lambert_compare(0, [100, 1e3])
         with mp.workdps(30):
             x = mp.mpf(100)
             assert abs(rep.a_values[(0, 100.0)] - (x + mp.log(x))) < mp.mpf("1e-25")
 
     def test_first_polynomial_is_plain_log(self):
         # ptilde_1(z) = z pins the normalisation of the whole family
-        rep = lambert_compare(1, [100])
+        rep = lambert_compare(1, [100, 1e3])
         with mp.workdps(30):
             x = mp.mpf(100)
             expected = x + mp.log(x) + mp.log(x) / x
@@ -454,12 +454,13 @@ class TestLambertCompare:
     @pytest.mark.parametrize("x, first_refused", [(1e2, 15), (1e4, 6), (1e6, 3)])
     def test_gate_boundary(self, x, first_refused):
         # at dps 30 the root is resolved to about 1e-25 x; the first order
-        # whose scale (ln x / x)^(n+1) is below 100 times that is refused
+        # whose scale (ln x / x)^(n+1) is below 100 times that is refused.
+        # The grid's second point, sqrt(x), is refused at a higher order
         cfg = SolverConfig()  # 30 digits
-        rep = lambert_compare(first_refused - 1, [x], cfg)
+        rep = lambert_compare(first_refused - 1, [x**0.5, x], cfg)
         assert rep.n_values[-1] == first_refused - 1
         with pytest.raises(AccuracyError, match="n = %d, x = %s" % (first_refused, x)):
-            lambert_compare(first_refused, [x], cfg)
+            lambert_compare(first_refused, [x**0.5, x], cfg)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(DomainError):
@@ -469,11 +470,22 @@ class TestLambertCompare:
         with pytest.raises(DomainError):
             lambert_compare(2, [0.5, 10])
 
-    def test_one_point_report_has_no_growth(self):
-        # the expansion values of one point stay readable; the growth test
-        # on them is refused, so the report cannot pass vacuously
-        rep = lambert_compare(1, [100, 100.0])
-        assert rep.t_values == (100.0,)
+    def test_one_point_report_has_no_growth(self, monkeypatch):
+        # a grid of one distinct point is refused before any root is
+        # solved; a one-point report built by hand still refuses its growth
+        # test, so it cannot pass vacuously
+        def no_root(*args):
+            raise AssertionError("root solved before the grid check")
+
+        monkeypatch.setattr(asympt, "lambert_wm1_numeric", no_root)
+        with pytest.raises(DomainError, match="two distinct points"):
+            lambert_compare(1, [100, 100.0])
+        rep = RemainderReport(
+            n_values=(0, 1), t_values=(100.0,),
+            h_values={100.0: mp.mpf(104)}, a_values={},
+            remainders={(0, 100.0): mp.one, (1, 100.0): mp.one},
+            columns=("x", "y_num", "Y_n"),
+        )
         with pytest.raises(DomainError, match="two distinct points"):
             rep.growth(1)
         with pytest.raises(DomainError, match="two distinct points"):

@@ -7,10 +7,12 @@ checking agreement well beyond the asserted tolerances.
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 from expansion_oracle import eval_G_asympt
 from mpmath import mp
+from mpmath.libmp import finf, from_str, mpf_pow_int, round_nearest
 
 import taylor_oracle as oracle
 from taylor_oracle import horner as _horner
@@ -50,6 +52,23 @@ from asymptode.numerics import (
 )
 
 DATA = InitialData(0, 1, 1)
+
+
+def _guess(coeff_sets, eps_loc, order):
+    """_step_guess on mpf coefficient lists, as an mpf at mp.prec."""
+    prec = mp.prec
+    tops = [[c._mpf_ for c in coeffs[-2:]] for coeffs in coeff_sets]
+    safety = from_str("0.8", prec, round_nearest)
+    return mp.make_mpf(_step_guess(tops, eps_loc._mpf_, order, safety, prec))
+
+
+def _estimate(mants, F, k, h):
+    """_tail_estimate of the kernel mantissas at h, as an mpf at mp.prec."""
+    prec = mp.prec
+    a = abs(h)._mpf_
+    hp = mpf_pow_int(a, len(mants) - 3, prec, round_nearest)
+    return mp.make_mpf(_tail_estimate(_top_coeffs(mants, F, k), a, hp, prec))
+
 
 # reference solution, see module docstring
 H_1E4 = "14.1465916111963430177"
@@ -463,7 +482,7 @@ class TestTaylorKernels:
         """End value and truncation estimate of one series at offset h."""
         with mp.workdps(cls.DPS):
             got = _fixed_eval(mants, h, F, k)
-            est = _tail_estimate(_top_coeffs(mants, F, k), len(mants) - 1, h)
+            est = _estimate(mants, F, k, h)
             est_ref = oracle.tail_estimate(_unscale(head, mants, F, k), h)
         assert est == est_ref
         with mp.workdps(cls.DPS + 20):
@@ -478,7 +497,7 @@ class TestTaylorKernels:
             x0, y0 = mp.mpf(x0), mp.mpf(y0)
             X_ref, Y_ref = oracle.h_system_coeffs(x0, y0, order)
             eps_loc = mp.mpf(abs_tol) + mp.mpf(rel_tol) * max(abs(x0), abs(y0))
-            step = _step_guess((X_ref, Y_ref), eps_loc, order)
+            step = _guess((X_ref, Y_ref), eps_loc, order)
         # the integrator keeps rho at or above the step: test rho in
         # (step, 2 step], in (2 step, 4 step] and far above the step
         for k in (mp.mag(step), mp.mag(step) + 1, mp.mag(step) + 8):
@@ -547,7 +566,7 @@ class TestTaylorKernels:
             x0, y0 = mp.mpf(x0), mp.mpf(y0)
             X_ref, Y_ref = oracle.h_system_coeffs(x0, y0, self.ORDER)
             eps_loc = mp.mpf(1e-24) + mp.mpf(1e-22) * max(abs(x0), abs(y0))
-            k = mp.mag(_step_guess((X_ref, Y_ref), eps_loc, self.ORDER)) + 1
+            k = mp.mag(_guess((X_ref, Y_ref), eps_loc, self.ORDER)) + 1
         with mp.workdps(self.DPS):
             prec = mp.prec
             X, Y, F = _h_system_coeffs(x0, y0, self.ORDER, k)
@@ -563,7 +582,7 @@ class TestTaylorKernels:
             x0, y0 = mp.mpf(1e-80), mp.mpf(0.7)
             X_ref, Y_ref = oracle.h_system_coeffs(x0, y0, self.ORDER)
             eps_loc = mp.mpf(1e-24) + mp.mpf(1e-22) * max(abs(x0), abs(y0))
-            h = _step_guess((X_ref, Y_ref), eps_loc, self.ORDER)
+            h = _guess((X_ref, Y_ref), eps_loc, self.ORDER)
         with mp.workdps(self.DPS):
             prec = mp.prec
             h = +h
@@ -798,6 +817,76 @@ class TestStepSequences:
         assert calls["compute_G"] <= 7 * calls["invert_G"]
 
 
+class TestStepGuess:
+    """_step_guess on raw mpfs against the mpf guess of taylor_oracle, at
+    the precision and order of rel 1e-12, 1e-20 and 1e-62: equal bit for
+    bit over separated candidates, exact ties, near ties (1e-12 relative),
+    zero coefficients and all zeros (an infinite step), with one root
+    whenever the smallest candidate is separated from the rest."""
+
+    CONFIGS = [(30, 44), (38, 53), (80, 104)]
+
+    @staticmethod
+    def _cases(order):
+        """(name, coeff_sets, eps_loc) at the working precision."""
+        rng = random.Random(order)
+
+        def coeff():
+            return mp.mpf(rng.uniform(-1, 1)) * mp.mpf(10) ** rng.randint(-60, 10)
+
+        def eps():
+            return mp.mpf(rng.uniform(1, 10)) * mp.mpf(10) ** -rng.randint(10, 60)
+
+        zero, tiny = mp.zero, mp.mpf(10) ** -200
+        near = 1 + mp.mpf("1e-12")
+        cases = []
+        for _ in range(25):
+            X, Y = [coeff() for _ in range(3)], [coeff() for _ in range(3)]
+            e = eps()
+            cases.append(("separated", [X], e))
+            cases.append(("separated", [X, Y], e))
+            cases.append(("exact tie", [X, list(X)], e))
+            cases.append(("exact tie", [X, [-c for c in X]], e))
+            for f in (near, 1 / near):
+                # the top coefficient of Y 1e-12 from that of X, both
+                # binding: the other two candidates are far larger
+                Xb = [X[0], X[1] * tiny, X[2]]
+                Yb = [Y[0], Y[1] * tiny, X[2] * f]
+                cases.append(("near tie", [Xb, Yb], e))
+                cases.append(("near tie", [Yb, Xb], e))
+            cases.append(("one zero", [[X[0], X[1], zero]], e))
+            cases.append(("one zero", [[X[0], zero, X[2]], Y], e))
+        cases.append(("all zero", [[zero] * 3], eps()))
+        cases.append(("all zero", [[zero] * 3, [coeff(), zero, zero]], eps()))
+        return cases
+
+    @pytest.mark.parametrize("dps,order", CONFIGS)
+    def test_equals_the_mpf_guess(self, monkeypatch, dps, order):
+        roots = [0]
+        mpf_pow = numerics.mpf_pow
+
+        def counted(*args):
+            roots[0] += 1
+            return mpf_pow(*args)
+
+        monkeypatch.setattr(numerics, "mpf_pow", counted)
+        kinds = set()
+        with mp.workdps(dps):
+            for kind, sets, eps_loc in self._cases(order):
+                roots[0] = 0
+                got = _guess(sets, eps_loc, order)
+                ref = oracle.step_guess(sets, eps_loc, order)
+                assert got._mpf_ == ref._mpf_, (kind, got, ref)
+                if kind in ("separated", "one zero"):
+                    assert roots[0] == 1, kind
+                elif kind == "all zero":
+                    assert (roots[0], got) == (0, mp.inf)
+                else:
+                    assert roots[0] == 2, kind
+                kinds.add(kind)
+        assert len(kinds) == 5
+
+
 class TestMarcher:
     """The one step loop behind integrate_h and solve_g: its failures and
     the step lookup of the dense reads."""
@@ -815,7 +904,7 @@ class TestMarcher:
 
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_step_collapse_is_an_integration_error(self, monkeypatch, run):
-        monkeypatch.setattr(numerics, "_tail_estimate", lambda *args: mp.inf)
+        monkeypatch.setattr(numerics, "_tail_estimate", lambda *args: finf)
         with pytest.raises(IntegrationError, match="step size collapsed"):
             self.RUNS[run]()
 
