@@ -15,7 +15,7 @@ Every run adds one entry to ``BENCH_<n>.json`` in the repository root: a
 JSON list of objects with the keys side, commit, workload, pair, first,
 seed, seconds, trace (traced runs only), result and record, where result
 and record are perfbench's last two output lines.  The file is rewritten
-after every run, so an interrupted session keeps the pairs it finished.
+after every run, so an interrupted run keeps the pairs it finished.
 At the end a summary prints, per workload and end-to-end metric, the
 median of each side and the number of pairs in which the change is lower.
 """
@@ -93,17 +93,14 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10, help="untraced pairs per workload")
     parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workloads to run (default: all three)")
     parser.add_argument("--tmp", help="directory for the two checkouts")
     args = parser.parse_args(argv)
 
     commits = {side: git("rev-parse", "--verify", rev + "^{commit}")
                for side, rev in (("parent", args.parent), ("change", args.change))}
     out = ROOT / ("BENCH_%d.json" % args.n)
-    workloads = args.workload or WORKLOADS
-    plan = [(w, pair, 0) for w in workloads for pair in range(1, args.pairs + 1)]
-    plan += [(w, 1, 1) for w in workloads]
+    plan = [(w, pair, 0) for w in WORKLOADS for pair in range(1, args.pairs + 1)]
+    plan += [(w, 1, 1) for w in WORKLOADS]
     entries = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.tmp) as tmp:
         checkouts = {}
