@@ -10,7 +10,6 @@ from .families import (
     gen_lambert_p,
     gen_p,
     gen_q,
-    ode_residual_order,
 )
 from .numerics import (
     GProblem,

@@ -152,7 +152,7 @@ def _cmd_series(args):
     if n > MAX_SERIES_ORDER:
         raise DomainError("--order %d exceeds the ceiling %d" % (n, MAX_SERIES_ORDER))
     if fam in ("alpha", "beta"):
-        values = (gen_alpha if fam == "alpha" else gen_beta)(n).values
+        values = (gen_alpha if fam == "alpha" else gen_beta)(n)
         entries = [(k, str(v)) for k, v in enumerate(values)]
     else:
         family = {"p": gen_p, "q": gen_q, "lambert": gen_lambert_p}[fam](n)

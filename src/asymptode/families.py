@@ -10,6 +10,13 @@ Everything the asymptotic expansion needs is generated here, exactly:
   their own three-term recursion (the reciprocal identity is enforced by
   tests, not assumed here).
 
+Both sequences are dyadic, ``alpha_k = A_k / 4^k`` and ``beta_k = B_k / 4^k``,
+and are generated as the integers ``A_k`` and ``B_k``:
+``A_{k+1} = (2k + 3) sum_{j<=k} A_j A_{k-j}`` and
+``B_{m+1} = (4m - 3) B_m - sum_{j=1}^{m} B_j Q_{m+1-j}``,
+``Q_n = sum_i B_i B_{n-i}``.  ``gen_alpha`` and ``gen_beta`` hand out the
+``Fraction`` values.
+
 * ``p_n(c; z)``: the correction polynomials of the inverse
   ``x(X) = X + sum_n p_n(c; log X) X^-n`` of ``G(x) ~ x - 3 log x + c - ...``,
   defined with ``p_0 = 3z - c`` by
@@ -36,6 +43,7 @@ Each step is O(n) products of earlier members, O(N^2) to order N.
 
 Internal representation.  ``p_0 = 3z - c`` and ``D = d/d(log X) = 3 d/dw``,
 so each ``p_n`` and ``q_k`` is a rational polynomial in ``w := 3z - c``.
+No generator does ``Fraction`` arithmetic.
 The generators work on dense ``w``-coefficients and expand ``w^j`` into
 ``(c, z)`` terms only for display.  Every polynomial of the exact layer is
 an integer polynomial over one denominator, ``(numerators, denominator)``:
@@ -48,14 +56,17 @@ more memory.  A family object holds the integer forms: ``family.text(n)``,
 which ``series`` prints, writes member n's ``(c, z)`` terms from them in
 display order, by one integer binomial expansion of ``w^j`` and one gcd
 per term; ``family[n]``, the :class:`BivariatePoly` for exact comparison,
-is built on first index and kept by the family object.  Numeric
-reads take ``fixed_coeffs``: the mantissas at 2^-F of a member's
-coefficients (in ``w`` for p and q, in ``z`` for ptilde) and of its
-derivative's, straight from the integer form, which the integer Horner
-``numerics._fixed_eval`` evaluates.  The same call gives the two series
-``numerics.GProblem`` reads below the crossover: ``alpha_0..alpha_N`` and
-the tail weights ``w_k = beta_k 4^k / (k - 1)``.  Mantissas are built on
-the first numeric read at each F, never by the generators.
+is built on first index and kept by the family object.  ``numerics``
+reads exact values only through ``fixed_coeffs``: the mantissas at 2^-F
+of a member's coefficients (in ``w`` for p and q, in ``z`` for ptilde)
+and of its derivative's, straight from the integer form, which the
+integer Horner ``numerics._fixed_eval`` evaluates.  The same call gives
+``alpha_0..alpha_N`` and ``beta_0..beta_N`` (over ``4^N``) and the tail
+weights ``w_k = beta_k 4^k / (k - 1) = B_k / (k - 1)`` (over
+``lcm(1..N-1)``), the series ``numerics.GProblem`` reads below the
+crossover.  A dyadic ``alpha_k`` or ``beta_k`` has an exact mantissa at
+``F >= 2k``.  Mantissas are built on the first numeric read at each F,
+never by the generators.
 
 All generation is incremental and memoized; a family asked for twice is
 computed once.  Returned objects are immutable.
@@ -72,8 +83,6 @@ from .errors import DomainError
 from .series import BivariatePoly, format_terms
 
 __all__ = [
-    "AlphaSequence",
-    "BetaSequence",
     "PPolyFamily",
     "QPolyFamily",
     "LambertPolyFamily",
@@ -82,7 +91,6 @@ __all__ = [
     "gen_p",
     "gen_q",
     "gen_lambert_p",
-    "ode_residual_order",
     "fixed_coeffs",
     "clear_caches",
 ]
@@ -123,12 +131,6 @@ def _sum_of_products(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
     return tuple([v // g for v in acc]), den // g
 
 
-def _over_lcm(values: list[Fraction]) -> IntPoly:
-    """The coefficients ``values``, lowest power first, over their lcm."""
-    den = math.lcm(*[v.denominator for v in values])
-    return tuple([v.numerator * (den // v.denominator) for v in values]), den
-
-
 def _terms(poly: IntPoly, in_w: bool):
     """The reduced (c, z) terms (c_power, z_power, num, den) of sum_j u_j w^j,
     w = 3z - c (or, not in_w, of sum_j u_j z^j), z power descending, then c
@@ -155,9 +157,11 @@ class _State:
         self.reset()
 
     def reset(self) -> None:
-        self.alphas: list[Fraction] = [Fraction(1)]
-        self.betas: list[Fraction] = [Fraction(1)]
-        self.beta_squares: list[Fraction] = [Fraction(1)]  # of sum beta_n z^n
+        # alpha_k = A_k / 4^k and beta_k = B_k / 4^k by their integers A_k
+        # and B_k; Q_n over 4^n is [z^n] of (sum beta_n z^n)^2
+        self.alphas: list[int] = [1]
+        self.betas: list[int] = [1]
+        self.beta_squares: list[int] = [1]
         # p_n as dense w-polynomials from p_0 = w, with r_n (r_0 = D p_0 = 3)
         # and t_n of _ensure_p
         self.p_w: list[IntPoly] = [((0, 1), 1)]
@@ -180,28 +184,25 @@ def clear_caches() -> None:
 
 
 def _ensure_alpha(n: int) -> None:
+    """alpha_{k+1} = (k/2 + 3/4) sum_{j<=k} alpha_j alpha_{k-j}, over 4^(k+1):
+    A_{k+1} = (2k + 3) sum_{j<=k} A_j A_{k-j}."""
     alphas = _STATE.alphas
     while len(alphas) <= n:
         k = len(alphas) - 1
-        conv = sum(alphas[j] * alphas[k - j] for j in range(k + 1))
-        alphas.append((Fraction(k, 2) + Fraction(3, 4)) * conv)
+        alphas.append((2 * k + 3) * sum(alphas[j] * alphas[k - j] for j in range(k + 1)))
 
 
 def _ensure_beta(n: int) -> None:
     """beta_{m+1} = (m - 3/4) beta_m + D - T, D the double and T the triple
     product sum of index m + 1 over indices <= m.  T's j = 0 part is D, and
-    its j >= 1 parts are beta_j times the square series' sq_{m+1-j}."""
+    its j >= 1 parts are beta_j times the square series' sq_{m+1-j}.  Over
+    4^(m+1): B_{m+1} = (4m - 3) B_m - sum_{j=1}^{m} B_j Q_{m+1-j}."""
     betas, squares = _STATE.betas, _STATE.beta_squares
     while len(betas) <= n:
         m = len(betas) - 1
         triple = sum(betas[j] * squares[m + 1 - j] for j in range(1, m + 1))
-        betas.append((m - Fraction(3, 4)) * betas[m] - triple)
+        betas.append((4 * m - 3) * betas[m] - triple)
         squares.append(sum(betas[j] * betas[m + 1 - j] for j in range(m + 2)))
-
-
-def _weight(k: int) -> Fraction:
-    """w_k = beta_k 4^k / (k - 1) for k >= 2, beta_k already generated."""
-    return Fraction(4**k, k - 1) * _STATE.betas[k]
 
 
 def _scaled(poly: IntPoly, num: int, den: int = 1) -> IntPoly:
@@ -288,29 +289,6 @@ def _ensure_lambert(n: int) -> None:
 
 
 @dataclass(frozen=True)
-class _Sequence:
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-
-class AlphaSequence(_Sequence):
-    """alpha_0..alpha_N of the formal radial series; index by subscript."""
-
-
-class BetaSequence(_Sequence):
-    """beta_0..beta_N, the reciprocal-series coefficients; index by subscript."""
-
-
-@dataclass(frozen=True)
 class _PolyFamily:
     """Members n >= ``first`` of one family, by their mathematical index:
     ``family[n]`` is the display form, built from the integer form on first
@@ -369,20 +347,25 @@ class LambertPolyFamily(_PolyFamily):
 # -- public generators -----------------------------------------------------------
 
 
-def gen_alpha(N: int) -> AlphaSequence:
+def _over_4k(ints: list[int], N: int) -> tuple[Fraction, ...]:
+    """ints[k] / 4^k for k = 0..N, exactly."""
+    return tuple([Fraction(v, 4**k) for k, v in enumerate(ints[: N + 1])])
+
+
+def gen_alpha(N: int) -> tuple[Fraction, ...]:
     """alpha_0..alpha_N, exactly."""
     if N < 0:
         raise DomainError("gen_alpha needs N >= 0")
     _ensure_alpha(N)
-    return AlphaSequence(tuple(_STATE.alphas[: N + 1]))
+    return _over_4k(_STATE.alphas, N)
 
 
-def gen_beta(N: int) -> BetaSequence:
+def gen_beta(N: int) -> tuple[Fraction, ...]:
     """beta_0..beta_N, exactly."""
     if N < 0:
         raise DomainError("gen_beta needs N >= 0")
     _ensure_beta(N)
-    return BetaSequence(tuple(_STATE.betas[: N + 1]))
+    return _over_4k(_STATE.betas, N)
 
 
 def gen_p(N: int) -> PPolyFamily:
@@ -411,8 +394,9 @@ def gen_lambert_p(N: int) -> LambertPolyFamily:
 
 def _member(family: str, n: int) -> IntPoly:
     """The integer form of p_n, q_n or ptilde_n, generated if needed; of
-    alpha_0..alpha_n as one polynomial in z; or of the tail
-    T = sum_{k=2}^{n} w_k u^(k-1) as one polynomial in u."""
+    alpha_0..alpha_n or beta_0..beta_n as one polynomial in z over 4^n; or
+    of the tail T = sum_{k=2}^{n} w_k u^(k-1), w_k = B_k / (k - 1), as one
+    polynomial in u over lcm(1..n-1)."""
     st = _STATE
     if family == "p" and n >= 0:
         _ensure_p(n)
@@ -423,24 +407,26 @@ def _member(family: str, n: int) -> IntPoly:
     if family == "lambert" and n >= 0:
         _ensure_lambert(n)
         return st.lam[n]
-    if family == "alpha" and n >= 0:
-        _ensure_alpha(n)
-        return _over_lcm(st.alphas[: n + 1])
+    if family in ("alpha", "beta") and n >= 0:
+        ensure, ints = (_ensure_alpha, st.alphas) if family == "alpha" else (_ensure_beta, st.betas)
+        ensure(n)
+        return tuple([v << 2 * (n - k) for k, v in enumerate(ints[: n + 1])]), 4**n
     if family == "tail" and n >= 2:
         _ensure_beta(n)
-        return _over_lcm([Fraction(0)] + [_weight(k) for k in range(2, n + 1)])
+        den = math.lcm(*range(1, n))
+        return tuple([0] + [st.betas[k] * (den // (k - 1)) for k in range(2, n + 1)]), den
     raise DomainError(f"no member {n} in family {family!r}")
 
 
 def fixed_coeffs(family: str, n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Member n of family "p", "q", "lambert", "alpha" or "tail" at the
-    binary scale 2^-F.
+    """Member n of family "p", "q", "lambert", "alpha", "beta" or "tail" at
+    the binary scale 2^-F.
 
     Returns the mantissas floor(u_j 2^F) of its dense coefficients u_j (in
-    w for p and q, in z for ptilde and alpha, in u = 1/x for the tail; see
-    _member), lowest power first, and those of its derivative's
-    coefficients j u_j, j >= 1.  Each is one integer division
-    of the member's integer form, with no Fraction.  Memoized per
+    w for p and q, in z for ptilde, alpha and beta, in u = 1/x for the
+    tail; see _member), lowest power first, and those of its derivative's
+    coefficients j u_j, j >= 1.  Each is one integer division of the
+    member's integer form, with no Fraction.  Memoized per
     (family, n, F) until clear_caches().
     """
     key = (family, n, F)
@@ -453,27 +439,3 @@ def fixed_coeffs(family: str, n: int, F: int) -> tuple[tuple[int, ...], tuple[in
         )
         _STATE.fixed[key] = hit
     return hit
-
-
-def ode_residual_order(N: int) -> int:
-    """Order of the residual left by the order-N truncation of the series.
-
-    Substitutes the degree-N polynomial g = sum_{k<=N} alpha_k z^k into
-    (1 - (3/4) z g - z^2 g') g - 1 with exact arithmetic (no truncation: the
-    result is computed as a full polynomial of degree 2N+1) and returns the
-    lowest index with a nonzero coefficient.  A formal solution of the
-    equation must leave a residual of order at least N+1.
-    """
-    if N < 1:
-        raise DomainError("ode_residual_order needs N >= 1")
-    g = nums, den = _member("alpha", N)
-    z_g = ((0,) + nums, den)
-    z2_g_prime = ((0,) + tuple([k * v for k, v in enumerate(nums)]), den)
-    inner = _sum_of_products(
-        [(_ONE, _ONE), (z_g, _const(-3, 4)), (z2_g_prime, _const(-1))]
-    )
-    residual, _ = _sum_of_products([(inner, g), (_const(-1), _ONE)])
-    for idx, coeff in enumerate(residual):
-        if coeff:
-            return idx
-    raise DomainError("residual vanished identically; truncation order suspect")

@@ -102,7 +102,7 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .families import fixed_coeffs, gen_alpha, gen_beta
+from .families import fixed_coeffs
 
 __all__ = [
     "InitialData",
@@ -498,8 +498,7 @@ class Trajectory:
     model past the switch).
     """
 
-    def __init__(self, data, cfg, steps, t_end, rejected, reduction=None):
-        self.data = data
+    def __init__(self, cfg, steps, t_end, rejected, reduction=None):
         self.cfg = cfg
         self._steps = steps
         self._keys = [s.t_start for s in steps]  # for _step_at
@@ -660,7 +659,7 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
             seed = cum_err * (3 * x**2 * abs(y) + x**3)
             problem = solve_g(4 / x**4, gamma, cfg, seed_tol=100 * seed)
             reduction = (problem, t, x, y)
-        traj = Trajectory(data, cfg, steps, t_max, rejected, reduction)
+        traj = Trajectory(cfg, steps, t_max, rejected, reduction)
         if reduction is not None:
             traj.eval_h(t_max)  # fail fast and seed the h^4 memo
         return traj
@@ -790,10 +789,8 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
         g0 = mp.mpf(g0)
         if not (z0 > 0 and g0 > 0):
             raise DomainError("solve_g needs z0 > 0 and g0 > 0")
-        a_sub, a_top = (
-            mp.mpf(a.numerator) / a.denominator
-            for a in gen_alpha(_SERIES_ORDER).values[-2:]
-        )
+        F = mp.prec + _GUARD_BITS  # alpha_k is dyadic: exact mantissas at F >= 2k
+        a_sub, a_top = (_to_mpf(m, -F) for m in fixed_coeffs("alpha", _SERIES_ORDER, F)[0][-2:])
         k_top = _SERIES_ORDER
         tol_pt = mp.mpf("0.01") * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol))
 
@@ -853,7 +850,7 @@ def g_problem_for_data(
     The reduction to the first-order problem needs h' > 0.  When h1 <= 0 the
     trajectory is integrated forward to the first sample with positive slope
     (the region h' > 0 is absorbing: at h' = 0 the acceleration is h^{-3} > 0)
-    and the problem is re-based there.
+    and the problem is re-based there, within the horizon t0 + 2^18.
     """
     cfg = cfg or SolverConfig()
     dps = cfg.effective_dps
@@ -861,16 +858,12 @@ def g_problem_for_data(
         if mp.mpf(data.h1) <= 0:
             # integrate until the trajectory hands off on its own: the
             # switch point is exactly the rebased data we need
-            horizon = 2 * mp.mpf(_DIRECT_SPAN)
-            while True:
-                traj = integrate_h(data, mp.mpf(data.t0) + horizon, cfg)
-                if traj.g_problem is not None:
-                    return traj.g_problem, traj.switch_time
-                if horizon > 131072:
-                    raise ConvergenceError(
-                        "no stretch with positive slope found within the horizon"
-                    )
-                horizon *= 2
+            traj = integrate_h(data, mp.mpf(data.t0) + 2**18, cfg)
+            if traj.g_problem is None:
+                raise ConvergenceError(
+                    "no stretch with positive slope found within the horizon"
+                )
+            return traj.g_problem, traj.switch_time
         z0 = 4 / mp.mpf(data.h0) ** 4
         g0 = mp.mpf(data.h0) ** 3 * mp.mpf(data.h1)
         return solve_g(z0, g0, cfg), mp.mpf(data.t0)
@@ -919,8 +912,10 @@ def compute_c(problem: GProblem):
     with mp.workdps(problem.dps):
         z_tail = problem.z_c  # equal to z0 when the data sit below z_c
         top = _SERIES_ORDER
-        b_top = gen_beta(top)[top]
-        b_top = mp.mpf(b_top.numerator) / b_top.denominator
+        # beta_k is dyadic, so its mantissa at F >= 2k is exact; the tail's
+        # w_k = B_k / (k - 1) is not
+        F = mp.prec + _GUARD_BITS
+        b_top = _to_mpf(fixed_coeffs("beta", top, F)[0][top], -F)
         last_term = abs(b_top) * 4 * z_tail ** (top - 1) / (top - 1)
         tail_gate = mp.mpf("0.01") * (
             mp.mpf(problem.cfg.abs_tol) + mp.mpf(problem.cfg.rel_tol)
@@ -948,15 +943,16 @@ def compute_c_for_data(data: InitialData, cfg: SolverConfig | None = None):
         return compute_c(problem) + 4 * t_base
 
 
-def _newton(f, slope, y, lo, hi, tol, max_iter, what):
+def _newton(f, slope, y, lo, hi, tol, what):
     """Root of the increasing f in the bracket [lo, hi], by Newton from y.
 
     Each residual narrows the bracket, and a Newton step that leaves it
     bisects instead.  Stops at |f(y)| <= tol, or when the next iterate
     equals y at working precision: an absolute tol can lie below f's
-    rounding floor at y.
+    rounding floor at y.  At most _FP_MAX_ITER iterations, read at call
+    time.
     """
-    for _ in range(max_iter):
+    for _ in range(_FP_MAX_ITER):
         res = f(y)
         if abs(res) <= tol:
             return y
@@ -970,7 +966,7 @@ def _newton(f, slope, y, lo, hi, tol, max_iter, what):
         if not (lo < y_next < hi):
             y_next = (lo + hi) / 2
         y = y_next
-    raise ConvergenceError(f"{what} hit the {max_iter} cap")
+    raise ConvergenceError(f"{what} hit the {_FP_MAX_ITER} cap")
 
 
 def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
@@ -1001,7 +997,7 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
             lambda y: compute_G(y, problem) - x,
             lambda y: 1 / problem.eval_g(4 / y),
             max(x, lo), lo, hi,
-            mp.mpf(cfg.fp_tol) / 2, _FP_MAX_ITER, "G inversion",
+            mp.mpf(cfg.fp_tol) / 2, "G inversion",
         )
 
 
@@ -1035,7 +1031,7 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
             lambda y: y - mp.log(y) - x,
             lambda y: 1 - 1 / y,
             x + mp.log(x), mp.one, hi,
-            lambert_root_tol(x, cfg), _FP_MAX_ITER, "Lambert root iteration",
+            lambert_root_tol(x, cfg), "Lambert root iteration",
         )
 
 

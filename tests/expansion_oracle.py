@@ -58,7 +58,7 @@ def eval_G_asympt(model, x, n=None):
         x = mp.mpf(x)
         if x <= 0:
             raise DomainError("G expansion needs x > 0")
-        betas = gen_beta(n + 1).values
+        betas = gen_beta(n + 1)
         acc = x - 3 * mp.log(x) + mp.mpf(model.c)
         r = 4 / x
         rk = mp.one

@@ -24,6 +24,12 @@ with C(N+2, 3) polynomial products.  It only borrows the package's
 ``_sum_of_products`` to accumulate, so its results must equal the
 generators' exactly, lengths included.
 
+The two dyadic sequences, as the reference the package's integer
+recurrences must equal: ``alpha_fractions(N)`` and ``beta_fractions(N)``
+run the Fraction recurrences of alpha and of its reciprocal beta, and
+``ode_residual_order(N)`` substitutes ``gen_alpha``'s values into the ODE
+with the series calculus above, sharing no arithmetic with the package.
+
 One helper reads the package instead: ``dense(family, n)`` is the exact
 dense coefficients of a member, as ``Fraction``s from the integer form
 ``families._member`` holds, for tests that evaluate members exactly.  And
@@ -42,7 +48,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from asymptode.errors import DomainError
-from asymptode.families import _ONE, _const, _member, _sum_of_products, gen_beta
+from asymptode.families import _ONE, _const, _member, _sum_of_products, gen_alpha, gen_beta
 
 
 def _exact(value) -> Fraction:
@@ -236,6 +242,51 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+def alpha_fractions(N: int) -> list[Fraction]:
+    """alpha_0..alpha_N by alpha_{k+1} = (k/2 + 3/4) sum_{j<=k} alpha_j alpha_{k-j}."""
+    alphas = [Fraction(1)]
+    for k in range(N):
+        conv = sum(alphas[j] * alphas[k - j] for j in range(k + 1))
+        alphas.append((Fraction(k, 2) + Fraction(3, 4)) * conv)
+    return alphas
+
+
+def beta_fractions(N: int) -> list[Fraction]:
+    """beta_0..beta_N by beta_{m+1} = (m - 3/4) beta_m + D - T, D the double
+    and T the triple product sum of index m + 1 over indices <= m.  T's
+    j = 0 part is D, and its j >= 1 parts are beta_j times the square
+    series' sq_{m+1-j}."""
+    betas, squares = [Fraction(1)], [Fraction(1)]
+    for m in range(N):
+        triple = sum(betas[j] * squares[m + 1 - j] for j in range(1, m + 1))
+        betas.append((m - Fraction(3, 4)) * betas[m] - triple)
+        squares.append(sum(betas[j] * betas[m + 1 - j] for j in range(m + 2)))
+    return betas
+
+
+def ode_residual_order(N: int) -> int:
+    """Order of the residual left by the order-N truncation of the series.
+
+    Substitutes the degree-N polynomial g = sum_{k<=N} alpha_k z^k, from
+    ``gen_alpha``, into (1 - (3/4) z g - z^2 g') g - 1 at order 2N + 1, the
+    residual's full degree, so nothing is truncated, and returns the lowest
+    index with a nonzero coefficient.  A formal solution of the equation
+    must leave a residual of order at least N+1.
+    """
+    if N < 1:
+        raise DomainError("ode_residual_order needs N >= 1")
+    top = 2 * N + 1
+    g = TruncatedSeries(gen_alpha(N), order=top)
+    z = TruncatedSeries.identity(top)
+    g_prime = TruncatedSeries(g.derivative().coeffs, order=top)
+    inner = (z * g).scale(Fraction(-3, 4)) + (z * z * g_prime).scale(-1)
+    residual = (inner.shift(1) * g).shift(-1)
+    order = residual.lowest_nonzero_index()
+    if order is None:
+        raise DomainError("residual vanished identically; truncation order suspect")
+    return order
+
+
 def series_to_json(s: TruncatedSeries) -> dict:
     """Coefficients as [numerator, denominator] decimal strings."""
     return {
@@ -253,7 +304,7 @@ def series_from_json(data) -> TruncatedSeries:
 
 
 def dense(family: str, n: int) -> tuple[Fraction, ...]:
-    """Member n of ``family`` ("p", "q", "lambert", "alpha" or "tail", as
+    """Member n of ``family`` ("p", "q", "lambert", "alpha", "beta" or "tail", as
     for ``families.fixed_coeffs``), exactly, lowest power first."""
     nums, den = _member(family, n)
     return tuple(Fraction(v, den) for v in nums)
@@ -303,7 +354,7 @@ def composition_families(N: int) -> tuple[list, dict, list]:
 
     p is a list over n = 0..N, q a dict over k = 1..N, ptilde a list.
     """
-    betas = gen_beta(N + 1).values
+    betas = gen_beta(N + 1)
 
     def weight(k):
         return Fraction(4**k, k - 1) * betas[k]

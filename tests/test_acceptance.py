@@ -34,10 +34,9 @@ from asymptode.families import (
     gen_lambert_p,
     gen_p,
     gen_q,
-    ode_residual_order,
 )
 from asymptode.series import BivariatePoly
-from series_oracle import degree
+from series_oracle import degree, ode_residual_order
 
 D1 = InitialData(0, 1, 1)
 D2 = InitialData(0, 2, 0.5)
@@ -54,8 +53,8 @@ def _passed(num, t0, budget):
 def test_criterion_01_low_order_sequences_exact():
     clear_caches()
     t0 = time.perf_counter()
-    assert gen_alpha(3).values == (F(1), F(3, 4), F(15, 8), F(483, 64))
-    assert gen_beta(4).values == (F(1), F(-3, 4), F(-21, 16), F(-165, 32), F(-7245, 256))
+    assert gen_alpha(3) == (F(1), F(3, 4), F(15, 8), F(483, 64))
+    assert gen_beta(4) == (F(1), F(-3, 4), F(-21, 16), F(-165, 32), F(-7245, 256))
     _passed(1, t0, 1.0)
 
 
@@ -126,8 +125,8 @@ def test_criterion_02_polynomial_families_reproduce_displays():
 def test_criterion_03_reciprocity_through_order_30():
     clear_caches()
     t0 = time.perf_counter()
-    a = gen_alpha(30).values
-    b = gen_beta(30).values
+    a = gen_alpha(30)
+    b = gen_beta(30)
     for n in range(31):
         total = sum(a[j] * b[n - j] for j in range(n + 1))
         assert total == (1 if n == 0 else 0), n

@@ -255,7 +255,7 @@ class TestEvalG:
     def test_first_correction_uses_beta2(self, model):
         with mp.workdps(30):
             x = mp.mpf(50)
-            b2 = gen_beta(2).values[2]
+            b2 = gen_beta(2)[2]
             term = 4 * (4 / x) * mp.mpf(b2.numerator) / b2.denominator
             diff = eval_G_asympt(model, x, 1) - eval_G_asympt(model, x, 0)
             assert abs(diff + term) < mp.mpf("1e-27")

@@ -9,6 +9,8 @@ Oracle layout:
   term-by-term; ptilde_4 is a frozen hand derivation.
 * The reciprocity identity alpha * beta = 1 is the structural cross-check
   between the two independent recursions.
+* alpha_0..alpha_100 and beta_0..beta_100, generated as integers over 4^k,
+  equal the Fraction recurrences of ``series_oracle`` entry for entry.
 * p_n, q_k and ptilde_k are recomputed at rational points (c, z) by the
   generic series calculus of ``series_oracle``, one point at a time, and
   whole to order 40 by its composition-sum table; neither shares a
@@ -35,14 +37,16 @@ from asymptode.families import (
     gen_lambert_p,
     gen_p,
     gen_q,
-    ode_residual_order,
 )
 from asymptode.series import BivariatePoly, poly_eval
 from series_oracle import (
     TruncatedSeries,
+    alpha_fractions,
+    beta_fractions,
     composition_families,
     degree,
     dense,
+    ode_residual_order,
     rational_binomial,
     series_compose_coeffs,
     series_reciprocal,
@@ -55,10 +59,10 @@ F = Fraction
 
 class TestAlpha:
     def test_published_values(self):
-        assert gen_alpha(3).values == (F(1), F(3, 4), F(15, 8), F(483, 64))
+        assert gen_alpha(3) == (F(1), F(3, 4), F(15, 8), F(483, 64))
 
     def test_base_case(self):
-        assert gen_alpha(0).values == (F(1),)
+        assert gen_alpha(0) == (F(1),)
 
     def test_hand_derived_alpha4_alpha5(self):
         # alpha_4 = (9/4)(2 a0 a3 + 2 a1 a2), alpha_5 = (11/4)(2 a0 a4 + 2 a1 a3 + a2^2)
@@ -67,7 +71,7 @@ class TestAlpha:
         assert seq[5] == F(134343, 512)
 
     def test_all_positive(self):
-        assert all(a > 0 for a in gen_alpha(25).values)
+        assert all(a > 0 for a in gen_alpha(25))
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
@@ -76,7 +80,7 @@ class TestAlpha:
 
 class TestBeta:
     def test_published_values(self):
-        assert gen_beta(4).values == (
+        assert gen_beta(4) == (
             F(1),
             F(-3, 4),
             F(-21, 16),
@@ -92,7 +96,7 @@ class TestBeta:
         # The beta recursion and the reciprocal of the alpha series are
         # independent computations; they must agree index by index.
         N = 30
-        alpha_series = TruncatedSeries(gen_alpha(N).values)
+        alpha_series = TruncatedSeries(gen_alpha(N))
         reciprocal = series_reciprocal(alpha_series)
         betas = gen_beta(N)
         for n in range(N + 1):
@@ -100,18 +104,24 @@ class TestBeta:
 
     def test_reciprocity_product_is_one(self):
         N = 30
-        product = TruncatedSeries(gen_alpha(N).values) * TruncatedSeries(
-            gen_beta(N).values
-        )
+        product = TruncatedSeries(gen_alpha(N)) * TruncatedSeries(gen_beta(N))
         assert product == TruncatedSeries.one(N)
 
 
 class TestGSeries:
+    def test_integer_recurrences_equal_the_fraction_recurrences(self):
+        # A_k / 4^k and B_k / 4^k against the Fraction recurrences of the
+        # oracle, entry for entry, cold
+        N = 100
+        clear_caches()
+        assert gen_alpha(N) == tuple(alpha_fractions(N))
+        assert gen_beta(N) == tuple(beta_fractions(N))
+
     def test_squared_series_identity(self):
         # coeff_k(g^2) = 2 alpha_{k+1} / (k + 3/2) for k <= N-1
         N = 18
         alphas = gen_alpha(N + 1)
-        g = TruncatedSeries(gen_alpha(N).values)
+        g = TruncatedSeries(gen_alpha(N))
         g2 = g * g
         for k in range(N):
             assert g2[k] == 2 * alphas[k + 1] / (k + F(3, 2)), k
@@ -396,7 +406,7 @@ class TestSympyReversion:
         N = 6
         e, L, c, u = sp.symbols("e L c u")
         P = sp.symbols("P0:%d" % (N + 1))
-        betas = [sp.Rational(b.numerator, b.denominator) for b in gen_beta(N + 1).values]
+        betas = [sp.Rational(b.numerator, b.denominator) for b in gen_beta(N + 1)]
 
         def trunc(expr):
             poly = sp.Poly(sp.expand(expr), e)
@@ -504,7 +514,7 @@ class TestMemoization:
         clear_caches()
         assert gen_p(6).polys == before_p.polys
         assert gen_q(6).polys == before_q.polys
-        assert gen_beta(12).values == before_b.values
+        assert gen_beta(12) == before_b
 
     def test_growing_requests_are_prefix_consistent(self):
         clear_caches()
@@ -532,15 +542,16 @@ class TestMemoization:
 
     @pytest.mark.parametrize("dps", [30, 42])
     def test_g_series_mantissas(self, dps):
-        # the two series numerics.GProblem reads below the crossover, at
-        # the scale 2^-F of a problem at dps digits: floor(v 2^F) of each
-        # exact alpha_k and tail weight w_k = beta_k 4^k / (k - 1), in the
-        # tail's u^(k-1), and of their derivatives' coefficients
+        # the series numerics reads below the crossover, at the scale
+        # 2^-F of a problem at dps digits: floor(v 2^F) of each exact
+        # alpha_k, beta_k and tail weight w_k = beta_k 4^k / (k - 1), in
+        # the tail's u^(k-1), and of their derivatives' coefficients
         with mp.workdps(dps):
             bits = mp.prec + numerics._GUARD_BITS
-        betas = gen_beta(24).values
+        betas = gen_beta(24)
         exact = {
-            "alpha": gen_alpha(24).values,
+            "alpha": gen_alpha(24),
+            "beta": betas,
             "tail": [F(0)] + [F(4**k, k - 1) * betas[k] for k in range(2, 25)],
         }
         for family, values in exact.items():

@@ -278,7 +278,7 @@ class TestComputeG:
     def test_series_tail_matches_termwise_integral(self, problem):
         # above S, G(x) = G(S) + int_S^x sum beta_k (4/s)^k ds, integrated
         # here term by term at 20 guard digits from the exact betas
-        betas = gen_beta(_SERIES_ORDER).values
+        betas = gen_beta(_SERIES_ORDER)
         S = problem.split
         G_S = compute_G(S, problem)
         for factor in (1.5, 1e3, 1e6):
@@ -328,7 +328,7 @@ class TestComputeG:
         # exact weights, summed 30 digits above the problem's precision
         cfg = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
         prob, _ = g_problem_for_data(InitialData(0, h0, h1), cfg)
-        betas = gen_beta(_SERIES_ORDER).values
+        betas = gen_beta(_SERIES_ORDER)
         for factor in (1, 1.5, 1e3, 1e6):
             with mp.workdps(prob.dps):
                 x = prob.split * factor
@@ -425,7 +425,7 @@ class TestQuadratureOracle:
                 return (1 / prob.eval_g(z) - 1 + 3 * z / 4) * 4 / z**2
 
             head = self._quad(head_integrand, z_c, prob.z0)
-            betas = [mp.mpf(b.numerator) / b.denominator for b in gen_beta(24).values]
+            betas = [mp.mpf(b.numerator) / b.denominator for b in gen_beta(24)]
             tail = 4 * mp.fsum(
                 betas[j + 1] * z_c**j / j for j in range(1, len(betas) - 1)
             )
@@ -706,7 +706,7 @@ class TestDenseReads:
         problem, _ = g_problem_for_data(InitialData(0, h0, h1), self.CFG)
         assert problem._steps
         self._assert_steps(problem._steps, problem.dps)
-        alphas = gen_alpha(_SERIES_ORDER).values
+        alphas = gen_alpha(_SERIES_ORDER)
         with mp.workdps(problem.dps):
             zs = [problem.z_c * f for f in self.OFFSETS[1:]]
             for step in problem._steps:

@@ -17,7 +17,12 @@ seed, seconds, trace (traced runs only), result and record, where result
 and record are perfbench's last two output lines.  The file is rewritten
 after every run, so an interrupted run keeps the pairs it finished.
 At the end a summary prints, per workload and end-to-end metric, the
-median of each side and the number of pairs in which the change is lower.
+median of each side, the number of pairs in which the change is lower,
+the parent's quartiles, the distance of the change's median from the
+parent's in parent interquartile ranges (IQRs), and whether every change
+run is lower than every parent run.  A metric whose parent spread is
+wider than the benchmark's bound is unresolved, not unchanged, unless
+every change run is lower than every parent run.
 """
 
 from __future__ import annotations
@@ -63,6 +68,14 @@ def bench(checkout, workload, seed, seconds, trace):
     return json.loads(record), json.loads(result)
 
 
+def quartiles(values):
+    """(Q1, Q3) of values; both are the value itself for a single run."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
 def summary(entries):
     for workload in sorted({e["workload"] for e in entries}):
         runs = [e for e in entries if e["workload"] == workload and "trace" not in e]
@@ -76,10 +89,14 @@ def summary(entries):
             parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
             change = [p["change"]["metrics"][metric]["value"] for p in pairs]
             lower = sum(c < q for c, q in zip(change, parent))
+            mid_p, mid_c = statistics.median(parent), statistics.median(change)
+            q1, q3 = quartiles(parent)
+            iqrs = "%+.2f" % ((mid_c - mid_p) / (q3 - q1)) if q3 > q1 else "n/a"
             print("%-14s %-12s parent %.5g  change %.5g  (%+.1f%%)  change lower in %d of %d" % (
-                workload, metric, statistics.median(parent), statistics.median(change),
-                100 * (statistics.median(change) / statistics.median(parent) - 1),
-                lower, len(pairs)))
+                workload, metric, mid_p, mid_c, 100 * (mid_c / mid_p - 1), lower, len(pairs)))
+            print("%-14s %-12s parent Q1 %.5g Q3 %.5g  change median %s parent IQRs away"
+                  "  every change run lower than every parent run: %s" % (
+                      workload, metric, q1, q3, iqrs, max(change) < min(parent)))
         failed = sum(e["result"]["failed"] for e in runs)
         correct = all(e["result"]["correct"] for e in runs)
         print("%-14s all correct: %s, failed operations: %d" % (workload, correct, failed))
