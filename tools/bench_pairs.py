@@ -22,7 +22,8 @@ the parent's quartiles, the distance of the change's median from the
 parent's in parent interquartile ranges (IQRs), and whether every change
 run is lower than every parent run.  A metric whose parent spread is
 wider than the benchmark's bound is unresolved, not unchanged, unless
-every change run is lower than every parent run.
+every change run is lower than every parent run.  Correctness and failed
+operations are summed over every run, traced ones included.
 """
 
 from __future__ import annotations
@@ -83,9 +84,7 @@ def summary(entries):
         for e in runs:
             by_pair.setdefault(e["pair"], {})[e["side"]] = e["result"]
         pairs = [p for p in by_pair.values() if len(p) == 2]
-        if not pairs:
-            continue
-        for metric in pairs[0]["parent"]["metrics"]:
+        for metric in pairs[0]["parent"]["metrics"] if pairs else ():
             parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
             change = [p["change"]["metrics"][metric]["value"] for p in pairs]
             lower = sum(c < q for c, q in zip(change, parent))
@@ -97,9 +96,11 @@ def summary(entries):
             print("%-14s %-12s parent Q1 %.5g Q3 %.5g  change median %s parent IQRs away"
                   "  every change run lower than every parent run: %s" % (
                       workload, metric, q1, q3, iqrs, max(change) < min(parent)))
-        failed = sum(e["result"]["failed"] for e in runs)
-        correct = all(e["result"]["correct"] for e in runs)
-        print("%-14s all correct: %s, failed operations: %d" % (workload, correct, failed))
+        every = [e for e in entries if e["workload"] == workload]  # traced runs too
+        failed = sum(e["result"]["failed"] for e in every)
+        correct = all(e["result"]["correct"] for e in every)
+        print("%-14s all correct: %s, failed operations: %d (%d runs)" % (
+            workload, correct, failed, len(every)))
 
 
 def main(argv=None):
