@@ -105,25 +105,40 @@ def _member_value(family, n, u, slope=False):
     return _fixed_eval(fixed_coeffs(family, n, F)[1 if slope else 0], u, F, 0)
 
 
-def _expansion_sum(family, u, t, n, acc, first=1, slope=False):
-    """acc + sum_{k=first..n} member_k(u) / t**k over the family (first is
-    0 or 1), at the caller's precision.  t**k is formed by repeated
-    products: mpmath's power rounds differently from k = 3 on."""
-    tk = mp.one
-    for k in range(first, n + 1):
-        if k:
-            tk *= t
-        acc += _member_value(family, k, u, slope) / tk
-    return acc
+def _powers(t, n):
+    """[t**0, ..., t**n] by repeated products: mpmath's power rounds
+    differently from k = 3 on."""
+    powers = [mp.one]
+    for _ in range(n):
+        powers.append(powers[-1] * t)
+    return powers
 
 
-def _a_value(c, t, n, slope=False):
-    """A_n(c; t), or its c-derivative if slope: at fixed t, with
-    w = 3 ln 4t - c, d/dc = -d/dw.  The caller supplies the mp context;
-    t and c are already mpf."""
-    w = 3 * mp.log(4 * t) - c if n else None
-    acc = _expansion_sum("q", w, t, n, mp.zero if slope else mp.one, slope=slope)
-    return (4 * t) ** (mp.mpf(1) / 4) * (-acc if slope else acc)
+def _expansion_sum(family, u, powers, acc, first=1, slope=False):
+    """The running sums acc + sum_{k=first..m} member_k(u) / t**k over the
+    family for m = 0..n, from powers = _powers(t, n); first is 0 or 1, and
+    entry 0 is acc itself when it is 1.  At the caller's precision."""
+    sums = [acc] * first
+    for k in range(first, len(powers)):
+        acc += _member_value(family, k, u, slope) / powers[k]
+        sums.append(acc)
+    return sums
+
+
+def _profile_parts(t, n):
+    """(3 ln 4t, (4t)**(1/4), _powers(t, n)): what A_0..A_n at t do not
+    owe to c, formed once per point.  The caller supplies the mp context;
+    t is already mpf."""
+    return 3 * mp.log(4 * t), (4 * t) ** (mp.mpf(1) / 4), _powers(t, n)
+
+
+def _a_value(c, parts, slope=False):
+    """A_n(c; t), or its c-derivative if slope, from parts =
+    _profile_parts(t, n): with w = 3 ln 4t - c, d/dc = -d/dw.  The caller
+    supplies the mp context; c is already mpf."""
+    log3, root, powers = parts
+    acc = _expansion_sum("q", log3 - c, powers, mp.zero if slope else mp.one, slope=slope)[-1]
+    return root * (-acc if slope else acc)
 
 
 def eval_A_n(model, t, n=None):
@@ -139,7 +154,7 @@ def eval_A_n(model, t, n=None):
         t = mp.mpf(t)
         if t <= 0:
             raise DomainError("A_n(t) needs t > 0")
-        return _a_value(mp.mpf(model.c), t, n)
+        return _a_value(mp.mpf(model.c), _profile_parts(t, n))
 
 
 def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
@@ -167,14 +182,15 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
         for t_raw in times:
             t = mp.mpf(t_raw)
             h = traj.eval_h(t)
+            parts = _profile_parts(t, n)
             # first-order closed form as the starting point
-            c = 3 * mp.log(4 * t) - 16 * t * (h / (4 * t) ** (mp.mpf(1) / 4) - 1)
+            c = parts[0] - 16 * t * (h / parts[1] - 1)
             tol = mp.mpf(10) ** (-(dps - 8))
             for _ in range(64):
-                slope = _a_value(c, t, n, slope=True)
+                slope = _a_value(c, parts, slope=True)
                 if slope == 0:
                     raise ConvergenceError("flat c-derivative in fit at t = %s" % t_raw)
-                step = (_a_value(c, t, n) - h) / slope
+                step = (_a_value(c, parts) - h) / slope
                 c -= step
                 if abs(step) <= tol * max(mp.one, abs(c)):
                     break
@@ -286,37 +302,38 @@ def remainder_grid(t_grid):
     return times
 
 
-def _scale(t, n):
-    """(4t)**(1/4) (ln t / t)**(n+1), the normalisation of R_n(t)."""
-    return (4 * t) ** (mp.mpf(1) / 4) * (mp.log(t) / t) ** (n + 1)
+def _scale(t, root, n):
+    """(4t)**(1/4) (ln t / t)**(n+1), the normalisation of R_n(t), from
+    root = (4t)**(1/4)."""
+    return root * (mp.log(t) / t) ** (n + 1)
 
 
-def _gated_report(values, bounds, n_max, expansion, scale, refusal, **report):
-    """RemainderReport of |values - expansion(x, n)| / scale(x, n) for
-    n = 0..n_max over the ascending grid that keys values, at the caller's
-    precision.  A remainder is formed only while the point's bound sits
-    below _GATE_FRAC of the scale; else AccuracyError(refusal), formatted
+def _gated_report(values, bounds, n_max, scale, expansion, refusal, **report):
+    """RemainderReport of |values - expansion| / scale for n = 0..n_max
+    over the ascending grid that keys values, at the caller's precision.
+    scale(at, n) is the scale at the grid point at, and expansion(at) the
+    expansion there for every n, from one pass.  Each point's bound must
+    sit below _GATE_FRAC of its scale at every n, tested in n-major order
+    before any expansion is formed; else AccuracyError(refusal), formatted
     with the bound, frac, scale, n and the point at."""
     gate = mp.mpf(_GATE_FRAC)
-    approx = {}
-    remainders = {}
+    sizes = {}
     for n in range(n_max + 1):
         for at in values:
-            x = mp.mpf(at)
-            size = scale(x, n)
+            size = sizes[(n, at)] = scale(at, n)
             if bounds[at] > gate * size:
                 raise AccuracyError(refusal.format(
                     bound=mp.nstr(bounds[at], 4), frac=_GATE_FRAC, scale=mp.nstr(size, 4),
                     n=n, at=at,
                 ))
-            approx[(n, at)] = expansion(x, n)
-            remainders[(n, at)] = abs(values[at] - approx[(n, at)]) / size
+    per_point = {at: expansion(at) for at in values}
+    approx = {(n, at): per_point[at][n] for n, at in sizes}
     return RemainderReport(
         n_values=tuple(range(n_max + 1)),
         t_values=tuple(values),
         h_values=values,
         a_values=approx,
-        remainders=remainders,
+        remainders={key: abs(values[key[1]] - a) / sizes[key] for key, a in approx.items()},
         **report,
     )
 
@@ -340,8 +357,14 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
         c = mp.mpf(model.c)
         h_values = {t: traj.eval_h(mp.mpf(t)) for t in times}
         bounds = {t: mp.mpf(traj.err_bound(mp.mpf(t))) for t in times}
+        parts = {t: _profile_parts(mp.mpf(t), n_max) for t in times}
+
+        def expansion(t):
+            log3, root, powers = parts[t]
+            return [root * acc for acc in _expansion_sum("q", log3 - c, powers, mp.one)]
+
         return _gated_report(
-            h_values, bounds, n_max, lambda t, n: _a_value(c, t, n), _scale,
+            h_values, bounds, n_max, lambda t, n: _scale(mp.mpf(t), parts[t][1], n), expansion,
             "trajectory error bound {bound} exceeds {frac} of the remainder scale "
             "at n = {n}, t = {at}; integrate with tighter tolerances",
             growth_factor=growth_factor,
@@ -369,13 +392,14 @@ def shift_invariance_check(model, n, s, t_grid):
         raise DomainError("shift check needs a nonempty grid with t > 1")
     shifted = model.shifted(s)
     with mp.workdps(model.dps):
-        s = mp.mpf(s)
+        s, c, c_shifted = mp.mpf(s), mp.mpf(model.c), mp.mpf(shifted.c)
         worst = mp.zero
         for t_raw in times:
             t = mp.mpf(t_raw)
-            lhs = _a_value(mp.mpf(model.c), t + s, n)
-            rhs = _a_value(mp.mpf(shifted.c), t, n)
-            worst = max(worst, abs(lhs - rhs) / _scale(t, n))
+            parts = _profile_parts(t, n)
+            lhs = _a_value(c, _profile_parts(t + s, n))
+            rhs = _a_value(c_shifted, parts)
+            worst = max(worst, abs(lhs - rhs) / _scale(t, parts[1], n))
         return worst
 
 
@@ -426,10 +450,17 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
             # instead of cancelling to zero at the working precision
             with mp.workdps(cfg.effective_dps + 20):
                 residuals[x_raw] = abs(y - mp.log(y) - x) / x
+
+        def scale(x_raw, n):
+            x = mp.mpf(x_raw)
+            return (mp.log(x) / x) ** (n + 1)
+
+        def expansion(x_raw):
+            x = mp.mpf(x_raw)
+            return _expansion_sum("lambert", mp.log(x), _powers(x, n_max), x, first=0)
+
         return _gated_report(
-            y_values, resolution, n_max,
-            lambda x, n: _expansion_sum("lambert", mp.log(x), x, n, x, first=0),
-            lambda x, n: (mp.log(x) / x) ** (n + 1),
+            y_values, resolution, n_max, scale, expansion,
             "Lambert root resolution {bound} exceeds {frac} of the remainder scale {scale} "
             "at n = {n}, x = {at}; raise the working precision",
             growth_factor=growth_factor,

@@ -93,8 +93,8 @@ from operator import add, mul
 
 from mpmath import mp
 from mpmath.libmp import finf, fone, from_float, from_int, from_man_exp, from_str, fzero, mpf_abs
-from mpmath.libmp import mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pow
-from mpmath.libmp import mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest, to_fixed
+from mpmath.libmp import mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int
+from mpmath.libmp import mpf_neg, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest, to_fixed
 
 from .errors import (
     AccuracyError,
@@ -723,14 +723,15 @@ class GProblem:
         return _fixed_eval(A, z, F, 0)
 
     def eval_g(self, z):
-        """g(z) for z in (0, z0]."""
+        """g(z) for z in (0, z0]; the domain tests run on raw mpfs."""
         with mp.workdps(self.dps):
             z = mp.mpf(z)
-            if z <= 0:
+            z_ = z._mpf_
+            if mpf_le(z_, fzero):
                 raise DomainError("g is defined on (0, z0]")
-            if z > self._z_max:
+            if mpf_gt(z_, self._z_max._mpf_):
                 raise DomainError(f"z={z} beyond the initial point z0={self.z0}")
-            if z <= self.z_c or not self._steps:
+            if mpf_le(z_, self.z_c._mpf_) or not self._steps:
                 return self._series(z)
             return _step_at(self._steps, self._keys, -z).eval_x(z)
 
@@ -878,18 +879,25 @@ def compute_G(x, problem: GProblem):
     it is J - T(x), the problem's whole integral less the series tail in
     1/x (GProblem._beta_tail); this is the large-x expansion
     x - 3 ln x + c - 4 sum_k (beta_{k+1}/k) (4/x)^k at the problem's own c.
+    The body runs on raw mpfs, by the libmp calls of mpf arithmetic at
+    the problem's precision (see _newton), so its bits are those of mpfs.
     """
     with mp.workdps(problem.dps):
-        x = mp.mpf(x)
-        anchor = problem.anchor
-        if x < problem._x_min:
-            raise DomainError(f"G is defined for x >= h0^4 = {anchor}")
-        x = max(x, anchor)
-        if x > problem.split:
-            i_x = problem.i_0 - problem._beta_tail(x)
+        prec = mp.prec
+        x = mp.mpf(x)._mpf_
+        anchor = problem.anchor._mpf_
+        if mpf_lt(x, problem._x_min._mpf_):
+            raise DomainError(f"G is defined for x >= h0^4 = {problem.anchor}")
+        if mpf_lt(x, anchor):
+            x = anchor
+        if mpf_gt(x, problem.split._mpf_):
+            i_x = mpf_sub(problem.i_0._mpf_, problem._beta_tail(mp.make_mpf(x))._mpf_, prec, round_nearest)
         else:
-            i_x = problem._integral(4 / x)
-        return (x - anchor) - 3 * mp.log(x / anchor) + i_x
+            i_x = problem._integral(mp.make_mpf(mpf_rdiv_int(4, x, prec, round_nearest)))._mpf_
+        log = mpf_log(mpf_div(x, anchor, prec, round_nearest), prec, round_nearest)
+        G = mpf_sub(mpf_sub(x, anchor, prec, round_nearest), mpf_mul_int(log, 3, prec, round_nearest),
+                    prec, round_nearest)
+        return mp.make_mpf(mpf_add(G, i_x, prec, round_nearest))
 
 
 def compute_c(problem: GProblem):
@@ -944,27 +952,49 @@ def compute_c_for_data(data: InitialData, cfg: SolverConfig | None = None):
 
 
 def _newton(f, slope, y, lo, hi, tol, what):
-    """Root of the increasing f in the bracket [lo, hi], by Newton from y.
+    """Root of the increasing f above lo, by Newton from y; raw mpfs.
 
-    Each residual narrows the bracket, and a Newton step that leaves it
-    bisects instead.  Stops at |f(y)| <= tol, or when the next iterate
-    equals y at working precision: an absolute tol can lie below f's
-    rounding floor at y.  At most _FP_MAX_ITER iterations, read at call
-    time.
+    f and slope map a raw mpf to one, and every step here is the libmp
+    call that mpf arithmetic makes, at mp.prec and rounded to nearest, so
+    the iterates are those of mpf objects.  Each residual narrows the
+    bracket [lo, hi], and a Newton step that leaves it bisects instead.
+    hi starts as a candidate: it is checked, and doubled until f(hi) >= 0,
+    only when an iterate reaches it or the first bisection needs it, and a
+    positive residual at y replaces it by y as ever.  hi is read only by
+    that range test and by bisection; an iterate below the candidate is
+    below the checked end too, so the iterates (and the root) are those of
+    a bracket checked before the first step.  Stops at |f(y)| <= tol, or
+    when the next iterate equals y at working precision: an absolute tol
+    can lie below f's rounding floor at y.  At most _FP_MAX_ITER
+    iterations, read at call time.
     """
+    prec = mp.prec
+    checked = False
+
+    def inside(y):
+        return mpf_lt(lo, y) and mpf_lt(y, hi)
+
     for _ in range(_FP_MAX_ITER):
         res = f(y)
-        if abs(res) <= tol:
+        if mpf_le(mpf_abs(res), tol):
             return y
-        if res > 0:
-            hi = y
-        else:
+        if res[0]:  # the sign bit: f(y) < 0
             lo = y
-        y_next = y - res / slope(y)
+        else:
+            hi, checked = y, True
+        y_next = mpf_sub(y, mpf_div(res, slope(y), prec, round_nearest), prec, round_nearest)
         if y_next == y:
             return y
-        if not (lo < y_next < hi):
-            y_next = (lo + hi) / 2
+        if not inside(y_next) and not checked:
+            for _ in range(200):
+                if not f(hi)[0]:
+                    break
+                hi = mpf_shift(hi, 1)
+            else:
+                raise ConvergenceError(f"{what} could not bracket its root")
+            checked = True
+        if not inside(y_next):
+            y_next = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
         y = y_next
     raise ConvergenceError(f"{what} hit the {_FP_MAX_ITER} cap")
 
@@ -972,8 +1002,9 @@ def _newton(f, slope, y, lo, hi, tol, what):
 def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
     """Solve G(y) = x for y >= h0^4.
 
-    Bracketed Newton (_newton) with G'(y) = 1/g(4/y) on [h0^4, hi], hi
-    found by doubling, from y = max(x, h0^4).  Stops at
+    Bracketed Newton (_newton) with G'(y) = 1/g(4/y) on [h0^4, hi], from
+    y = max(x, h0^4), with the candidate hi = 2x + h0^4 + 1; the residual
+    and slope call compute_G and problem.eval_g.  Stops at
     |G(y) - x| <= fp_tol / 2, or when the next iterate equals y at working
     precision: for large h0^4 the absolute fp_tol can lie below G's
     rounding floor.
@@ -985,20 +1016,17 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
             raise DomainError("G is nonnegative; no preimage for x < 0")
         if x == 0:
             return problem.anchor
-        lo = problem.anchor  # G(lo) = 0 <= x
-        hi = 2 * x + lo + 1
-        for _ in range(200):
-            if compute_G(hi, problem) >= x:
-                break
-            hi *= 2
-        else:
-            raise ConvergenceError("could not bracket the preimage of x")
-        return _newton(
-            lambda y: compute_G(y, problem) - x,
-            lambda y: 1 / problem.eval_g(4 / y),
-            max(x, lo), lo, hi,
-            mp.mpf(cfg.fp_tol) / 2, "G inversion",
-        )
+        prec, x, lo = mp.prec, x._mpf_, problem.anchor._mpf_  # G(lo) = 0 <= x
+        hi = mpf_add(mpf_add(mpf_mul_int(x, 2, prec, round_nearest), lo, prec, round_nearest), fone,
+                     prec, round_nearest)
+        return mp.make_mpf(_newton(
+            lambda y: mpf_sub(compute_G(mp.make_mpf(y), problem)._mpf_, x, prec, round_nearest),
+            lambda y: mpf_rdiv_int(
+                1, problem.eval_g(mp.make_mpf(mpf_rdiv_int(4, y, prec, round_nearest)))._mpf_,
+                prec, round_nearest),
+            lo if mpf_lt(x, lo) else x, lo, hi,
+            mpf_shift(from_float(cfg.fp_tol, prec, round_nearest), -1), "G inversion",
+        ))
 
 
 def lambert_root_tol(x, cfg: SolverConfig | None = None):
@@ -1012,11 +1040,11 @@ def lambert_root_tol(x, cfg: SolverConfig | None = None):
 def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
     """The larger root y > 1 of y - ln y = x, i.e. -W_{-1}(-e^{-x}).
 
-    Bracketed Newton (_newton) from y = x + ln x with the slope 1 - 1/y
-    (the function is convex and increasing on y > 1; the bracket guards
-    the first steps).  It stops when the residual is within a few units
-    of the working precision relative to x, so the root is as accurate as
-    the precision allows.
+    Bracketed Newton (_newton) on [1, hi] from y = x + ln x with the slope
+    1 - 1/y (the function is convex and increasing on y > 1; the bracket
+    guards the first steps), with the candidate hi = x + 2 ln x + 2.  It
+    stops when the residual is within a few units of the working precision
+    relative to x, so the root is as accurate as the precision allows.
     """
     cfg = cfg or SolverConfig()
     dps = cfg.effective_dps
@@ -1024,15 +1052,16 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
         x = mp.mpf(x)
         if x <= 1:
             raise DomainError("the branch point is at x = 1; need x > 1")
-        hi = x + 2 * mp.log(x) + 2
-        while hi - mp.log(hi) < x:
-            hi *= 2
-        return _newton(
-            lambda y: y - mp.log(y) - x,
-            lambda y: 1 - 1 / y,
-            x + mp.log(x), mp.one, hi,
-            lambert_root_tol(x, cfg), "Lambert root iteration",
-        )
+        prec, tol, x = mp.prec, lambert_root_tol(x, cfg)._mpf_, x._mpf_
+        log_x = mpf_log(x, prec, round_nearest)
+        hi = mpf_add(mpf_add(x, mpf_mul_int(log_x, 2, prec, round_nearest), prec, round_nearest),
+                     from_int(2), prec, round_nearest)
+        return mp.make_mpf(_newton(
+            lambda y: mpf_sub(mpf_sub(y, mpf_log(y, prec, round_nearest), prec, round_nearest), x,
+                              prec, round_nearest),
+            lambda y: mpf_sub(fone, mpf_rdiv_int(1, y, prec, round_nearest), prec, round_nearest),
+            mpf_add(x, log_x, prec, round_nearest), fone, hi, tol, "Lambert root iteration",
+        ))
 
 
 # -- export helpers -------------------------------------------------------------

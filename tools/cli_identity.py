@@ -1,0 +1,96 @@
+"""Byte-identity of the CLI between two revisions.
+
+    python3 tools/cli_identity.py --parent 366d57f --change HEAD
+
+Exports both revisions with ``git archive`` into new temporary checkouts,
+as tools/bench_pairs.py does, and runs every command of ``COMMANDS`` in
+each, one process at a time, as ``python -m asymptode.cli`` with the
+checkout's ``src/`` on the path and PYTHONDONTWRITEBYTECODE=1.  Prints
+each command whose stdout, stderr or exit code differs between the two,
+then the count; exits 1 when any differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import export, git  # noqa: E402
+
+# the pinned commands of tests/test_cli.py (TestSeries, TestNumericPins),
+# the verify and lambert variants around them, and the ten data of the
+# `constant` benchmark workload
+COMMANDS = (
+    [["series", "--family", f, "--order", "30", "--format", "json"]
+     for f in ("alpha", "beta", "p", "q", "lambert")]
+    + [c.split() for c in (
+        "constant --h0 1 --h1 1",
+        "constant --h0 2 --h1 0.5",
+        "constant --h0 1 --h1 -1",
+        "constant --h0 0.5 --h1 2 --rel-tol 1e-22 --abs-tol 1e-24",
+        "constant --h0 1.5 --h1 3",
+        "constant --fit",
+        "integrate --t-max 1e6 --format csv",
+        "verify",
+        "verify --format csv",
+        "verify --format json",
+        "verify --h0 2 --h1 0.5",
+        "verify --format json --h0 2 --h1 0.5",
+        "verify --synthetic 5 --format csv",
+        "verify --n-max 4",
+        "lambert",
+        "lambert --format csv",
+        "lambert --format json",
+        "lambert --rel-tol 1e-30 --abs-tol 1e-32",
+        "lambert --n-max 6 --rel-tol 1e-30 --abs-tol 1e-32",
+        "lambert --n-max 1 --x-grid 10,100 --format json",
+        "lambert --x-grid 1e300,1e301",
+    )]
+    + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
+        (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
+        (0.5, 0.5), (3, 0.1), (1, -1), (0.7, 0.3), (1.5, 1),
+    )]
+)
+
+
+def run(checkout, argv):
+    """(exit code, stdout, stderr) of the CLI in checkout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "asymptode.cli", *argv],
+                          cwd=checkout, env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="parent revision")
+    parser.add_argument("--change", required=True, help="changed revision")
+    parser.add_argument("--tmp", help="directory for the two checkouts")
+    args = parser.parse_args(argv)
+
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="cli_identity_", dir=args.tmp) as tmp:
+        checkouts = []
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            checkout = Path(tmp) / side
+            checkout.mkdir()
+            export(git("rev-parse", "--verify", rev + "^{commit}"), checkout)
+            checkouts.append(checkout)
+        for command in COMMANDS:
+            parent, change = (run(checkout, command) for checkout in checkouts)
+            if parent != change:
+                differ += 1
+                fields = [name for name, a, b in zip(("exit code", "stdout", "stderr"), parent, change) if a != b]
+                print("differs (%s): %s" % (", ".join(fields), " ".join(command)), flush=True)
+    print("%d of %d commands differ" % (differ, len(COMMANDS)))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
