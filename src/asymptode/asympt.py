@@ -20,9 +20,10 @@ the normalised remainders
 whose boundedness in t is the quantitative content of the expansion.
 The same machinery applies to the classical transcendental equation
 y - ln y = x, whose root shares the polynomial structure with c = 0;
-``lambert_compare`` cross-checks that analogue end to end.  One sum,
-acc + sum_k member_k(u) / t**k, serves A_n, its c-slope and the
-analogue's Y_n, and one gated loop forms the remainders of both studies.
+``lambert_compare`` cross-checks that analogue end to end.  One pass
+per point, the running sums acc + sum_k member_k(u) / t**k over 3 ln 4t,
+(4t)**(1/4) and t**k formed once, serves A_0..A_n, their c-slopes and
+Y_0..Y_n; one gated loop forms the remainders of both studies.
 
 Everything here evaluates exact rational polynomials at a configurable
 working precision; no floating-point coefficients enter.  Each q_k is a
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 
 from mpmath import mp
 
@@ -108,10 +111,7 @@ def _member_value(family, n, u, slope=False):
 def _powers(t, n):
     """[t**0, ..., t**n] by repeated products: mpmath's power rounds
     differently from k = 3 on."""
-    powers = [mp.one]
-    for _ in range(n):
-        powers.append(powers[-1] * t)
-    return powers
+    return list(accumulate([t] * n, mul, initial=mp.one))
 
 
 def _expansion_sum(family, u, powers, acc, first=1, slope=False):
@@ -127,8 +127,7 @@ def _expansion_sum(family, u, powers, acc, first=1, slope=False):
 
 def _profile_parts(t, n):
     """(3 ln 4t, (4t)**(1/4), _powers(t, n)): what A_0..A_n at t do not
-    owe to c, formed once per point.  The caller supplies the mp context;
-    t is already mpf."""
+    owe to c.  The caller supplies the mp context; t is already mpf."""
     return 3 * mp.log(4 * t), (4 * t) ** (mp.mpf(1) / 4), _powers(t, n)
 
 
@@ -303,30 +302,28 @@ def remainder_grid(t_grid):
 
 
 def _scale(t, root, n):
-    """(4t)**(1/4) (ln t / t)**(n+1), the normalisation of R_n(t), from
-    root = (4t)**(1/4)."""
+    """(4t)**(1/4) (ln t / t)**(n+1), the scale of R_n(t); root = (4t)**(1/4)."""
     return root * (mp.log(t) / t) ** (n + 1)
 
 
 def _gated_report(values, bounds, n_max, scale, expansion, refusal, **report):
-    """RemainderReport of |values - expansion| / scale for n = 0..n_max
-    over the ascending grid that keys values, at the caller's precision.
-    scale(at, n) is the scale at the grid point at, and expansion(at) the
-    expansion there for every n, from one pass.  Each point's bound must
-    sit below _GATE_FRAC of its scale at every n, tested in n-major order
-    before any expansion is formed; else AccuracyError(refusal), formatted
-    with the bound, frac, scale, n and the point at."""
+    """RemainderReport of |values - expansion(x)[n]| / scale(x, n) for
+    n = 0..n_max over the ascending grid that keys values, at the caller's
+    precision; expansion(x) lists every n in one pass.  Each bound must sit
+    below _GATE_FRAC of every scale of its point, in n-major order, before
+    any expansion; else AccuracyError(refusal), formatted with the bound,
+    frac, scale, n and the point at."""
     gate = mp.mpf(_GATE_FRAC)
     sizes = {}
     for n in range(n_max + 1):
         for at in values:
-            size = sizes[(n, at)] = scale(at, n)
+            size = sizes[(n, at)] = scale(mp.mpf(at), n)
             if bounds[at] > gate * size:
                 raise AccuracyError(refusal.format(
                     bound=mp.nstr(bounds[at], 4), frac=_GATE_FRAC, scale=mp.nstr(size, 4),
                     n=n, at=at,
                 ))
-    per_point = {at: expansion(at) for at in values}
+    per_point = {at: expansion(mp.mpf(at)) for at in values}
     approx = {(n, at): per_point[at][n] for n, at in sizes}
     return RemainderReport(
         n_values=tuple(range(n_max + 1)),
@@ -357,14 +354,11 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
         c = mp.mpf(model.c)
         h_values = {t: traj.eval_h(mp.mpf(t)) for t in times}
         bounds = {t: mp.mpf(traj.err_bound(mp.mpf(t))) for t in times}
-        parts = {t: _profile_parts(mp.mpf(t), n_max) for t in times}
-
-        def expansion(t):
-            log3, root, powers = parts[t]
-            return [root * acc for acc in _expansion_sum("q", log3 - c, powers, mp.one)]
-
+        parts = {t: _profile_parts(t, n_max) for t in map(mp.mpf, times)}  # keyed by the mpf
         return _gated_report(
-            h_values, bounds, n_max, lambda t, n: _scale(mp.mpf(t), parts[t][1], n), expansion,
+            h_values, bounds, n_max, lambda t, n: _scale(t, parts[t][1], n),
+            lambda t: [parts[t][1] * acc
+                       for acc in _expansion_sum("q", parts[t][0] - c, parts[t][2], mp.one)],
             "trajectory error bound {bound} exceeds {frac} of the remainder scale "
             "at n = {n}, t = {at}; integrate with tighter tolerances",
             growth_factor=growth_factor,
@@ -450,17 +444,10 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
             # instead of cancelling to zero at the working precision
             with mp.workdps(cfg.effective_dps + 20):
                 residuals[x_raw] = abs(y - mp.log(y) - x) / x
-
-        def scale(x_raw, n):
-            x = mp.mpf(x_raw)
-            return (mp.log(x) / x) ** (n + 1)
-
-        def expansion(x_raw):
-            x = mp.mpf(x_raw)
-            return _expansion_sum("lambert", mp.log(x), _powers(x, n_max), x, first=0)
-
         return _gated_report(
-            y_values, resolution, n_max, scale, expansion,
+            y_values, resolution, n_max,
+            lambda x, n: (mp.log(x) / x) ** (n + 1),
+            lambda x: _expansion_sum("lambert", mp.log(x), _powers(x, n_max), x, first=0),
             "Lambert root resolution {bound} exceeds {frac} of the remainder scale {scale} "
             "at n = {n}, x = {at}; raise the working precision",
             growth_factor=growth_factor,

@@ -80,7 +80,10 @@ r = 4 sum_{k>=2} beta_k z^(k-2), so I(4/x) = J - T(x) with
 T(x) = sum_{k>=2} w_k x^(1-k), w_k = beta_k 4^k / (k-1), and
 J = I(0) = I(z_c) + T(S) the whole integral.  The same J gives
 c = J - h0^4 + 3 ln h0^4, and G above S is then the expansion
-x - 3 ln x + c - T(x); up to S, I(4/x) is dense output.
+x - 3 ln x + c - T(x); up to S, I(4/x) is dense output.  G, the reads
+of g and the Newton inversion of G (_newton, which also finds the
+Lambert root) run on raw mpfs like the step control, with the same bits;
+Newton checks its bracket's upper end only once an iterate reaches it.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ from operator import add, mul
 from mpmath import mp
 from mpmath.libmp import finf, fone, from_float, from_int, from_man_exp, from_str, fzero, mpf_abs
 from mpmath.libmp import mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int
-from mpmath.libmp import mpf_neg, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest, to_fixed
+from mpmath.libmp import mpf_neg, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest
+from mpmath.libmp import to_fixed
 
 from .errors import (
     AccuracyError,
@@ -726,20 +730,13 @@ class GProblem:
         """g(z) for z in (0, z0]; the domain tests run on raw mpfs."""
         with mp.workdps(self.dps):
             z = mp.mpf(z)
-            z_ = z._mpf_
-            if mpf_le(z_, fzero):
+            if mpf_le(z._mpf_, fzero):
                 raise DomainError("g is defined on (0, z0]")
-            if mpf_gt(z_, self._z_max._mpf_):
+            if mpf_gt(z._mpf_, self._z_max._mpf_):
                 raise DomainError(f"z={z} beyond the initial point z0={self.z0}")
-            if mpf_le(z_, self.z_c._mpf_) or not self._steps:
+            if mpf_le(z._mpf_, self.z_c._mpf_) or not self._steps:
                 return self._series(z)
             return _step_at(self._steps, self._keys, -z).eval_x(z)
-
-    def _integral(self, z):
-        """I(z) = int_z^{z0} r for z in [z_c, z0]; 0 without Taylor pieces."""
-        if not self._steps:
-            return mp.zero
-        return _step_at(self._steps, self._keys, -z).eval_y(z)
 
     def _beta_tail(self, x):
         """T(x) = sum_{k>=2} w_k x^(1-k) = int_0^{4/x} r, for x >= S.
@@ -879,25 +876,24 @@ def compute_G(x, problem: GProblem):
     it is J - T(x), the problem's whole integral less the series tail in
     1/x (GProblem._beta_tail); this is the large-x expansion
     x - 3 ln x + c - 4 sum_k (beta_{k+1}/k) (4/x)^k at the problem's own c.
-    The body runs on raw mpfs, by the libmp calls of mpf arithmetic at
-    the problem's precision (see _newton), so its bits are those of mpfs.
     """
     with mp.workdps(problem.dps):
-        prec = mp.prec
+        prec, rnd = mp.prec, round_nearest
         x = mp.mpf(x)._mpf_
         anchor = problem.anchor._mpf_
         if mpf_lt(x, problem._x_min._mpf_):
             raise DomainError(f"G is defined for x >= h0^4 = {problem.anchor}")
-        if mpf_lt(x, anchor):
-            x = anchor
+        x = anchor if mpf_lt(x, anchor) else x
         if mpf_gt(x, problem.split._mpf_):
-            i_x = mpf_sub(problem.i_0._mpf_, problem._beta_tail(mp.make_mpf(x))._mpf_, prec, round_nearest)
-        else:
-            i_x = problem._integral(mp.make_mpf(mpf_rdiv_int(4, x, prec, round_nearest)))._mpf_
-        log = mpf_log(mpf_div(x, anchor, prec, round_nearest), prec, round_nearest)
-        G = mpf_sub(mpf_sub(x, anchor, prec, round_nearest), mpf_mul_int(log, 3, prec, round_nearest),
-                    prec, round_nearest)
-        return mp.make_mpf(mpf_add(G, i_x, prec, round_nearest))
+            i_x = mpf_sub(problem.i_0._mpf_, problem._beta_tail(mp.make_mpf(x))._mpf_, prec, rnd)
+        elif problem._steps:  # I(4/x) = int_{4/x}^{z0} r: dense output
+            z = mp.make_mpf(mpf_rdiv_int(4, x, prec, rnd))
+            i_x = _step_at(problem._steps, problem._keys, -z).eval_y(z)._mpf_
+        else:  # x = S = h0^4 without Taylor pieces
+            i_x = fzero
+        log = mpf_mul_int(mpf_log(mpf_div(x, anchor, prec, rnd), prec, rnd), 3, prec, rnd)
+        G = mpf_sub(mpf_sub(x, anchor, prec, rnd), log, prec, rnd)
+        return mp.make_mpf(mpf_add(G, i_x, prec, rnd))
 
 
 def compute_c(problem: GProblem):
@@ -952,28 +948,18 @@ def compute_c_for_data(data: InitialData, cfg: SolverConfig | None = None):
 
 
 def _newton(f, slope, y, lo, hi, tol, what):
-    """Root of the increasing f above lo, by Newton from y; raw mpfs.
+    """Root of the increasing f in the bracket [lo, hi], by Newton from y.
 
-    f and slope map a raw mpf to one, and every step here is the libmp
-    call that mpf arithmetic makes, at mp.prec and rounded to nearest, so
-    the iterates are those of mpf objects.  Each residual narrows the
-    bracket [lo, hi], and a Newton step that leaves it bisects instead.
-    hi starts as a candidate: it is checked, and doubled until f(hi) >= 0,
-    only when an iterate reaches it or the first bisection needs it, and a
-    positive residual at y replaces it by y as ever.  hi is read only by
-    that range test and by bisection; an iterate below the candidate is
-    below the checked end too, so the iterates (and the root) are those of
-    a bracket checked before the first step.  Stops at |f(y)| <= tol, or
-    when the next iterate equals y at working precision: an absolute tol
-    can lie below f's rounding floor at y.  At most _FP_MAX_ITER
-    iterations, read at call time.
+    Each residual narrows the bracket, and a Newton step that leaves it
+    bisects instead.  The candidate hi is checked, and doubled until
+    f(hi) >= 0, only at the first iterate at or beyond it or the first
+    bisection, its only reads: the iterates are those of a bracket checked
+    first.  Stops at |f(y)| <= tol, or when the next iterate equals y at
+    working precision: an absolute tol can lie below f's rounding floor at
+    y.  At most _FP_MAX_ITER iterations, read at call time.  Raw mpfs, f
+    and slope too, by the libmp calls of mpf arithmetic: the bits of mpfs.
     """
-    prec = mp.prec
-    checked = False
-
-    def inside(y):
-        return mpf_lt(lo, y) and mpf_lt(y, hi)
-
+    prec, rnd, checked = mp.prec, round_nearest, False
     for _ in range(_FP_MAX_ITER):
         res = f(y)
         if mpf_le(mpf_abs(res), tol):
@@ -982,10 +968,10 @@ def _newton(f, slope, y, lo, hi, tol, what):
             lo = y
         else:
             hi, checked = y, True
-        y_next = mpf_sub(y, mpf_div(res, slope(y), prec, round_nearest), prec, round_nearest)
+        y_next = mpf_sub(y, mpf_div(res, slope(y), prec, rnd), prec, rnd)
         if y_next == y:
             return y
-        if not inside(y_next) and not checked:
+        if not (checked or mpf_lt(lo, y_next) and mpf_lt(y_next, hi)):
             for _ in range(200):
                 if not f(hi)[0]:
                     break
@@ -993,8 +979,8 @@ def _newton(f, slope, y, lo, hi, tol, what):
             else:
                 raise ConvergenceError(f"{what} could not bracket its root")
             checked = True
-        if not inside(y_next):
-            y_next = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
+        if not (mpf_lt(lo, y_next) and mpf_lt(y_next, hi)):
+            y_next = mpf_shift(mpf_add(lo, hi, prec, rnd), -1)
         y = y_next
     raise ConvergenceError(f"{what} hit the {_FP_MAX_ITER} cap")
 
@@ -1016,16 +1002,14 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
             raise DomainError("G is nonnegative; no preimage for x < 0")
         if x == 0:
             return problem.anchor
-        prec, x, lo = mp.prec, x._mpf_, problem.anchor._mpf_  # G(lo) = 0 <= x
-        hi = mpf_add(mpf_add(mpf_mul_int(x, 2, prec, round_nearest), lo, prec, round_nearest), fone,
-                     prec, round_nearest)
+        prec, rnd, x, lo = mp.prec, round_nearest, x._mpf_, problem.anchor._mpf_  # G(lo) = 0 <= x
         return mp.make_mpf(_newton(
-            lambda y: mpf_sub(compute_G(mp.make_mpf(y), problem)._mpf_, x, prec, round_nearest),
+            lambda y: mpf_sub(compute_G(mp.make_mpf(y), problem)._mpf_, x, prec, rnd),
             lambda y: mpf_rdiv_int(
-                1, problem.eval_g(mp.make_mpf(mpf_rdiv_int(4, y, prec, round_nearest)))._mpf_,
-                prec, round_nearest),
-            lo if mpf_lt(x, lo) else x, lo, hi,
-            mpf_shift(from_float(cfg.fp_tol, prec, round_nearest), -1), "G inversion",
+                1, problem.eval_g(mp.make_mpf(mpf_rdiv_int(4, y, prec, rnd)))._mpf_, prec, rnd),
+            lo if mpf_lt(x, lo) else x, lo,
+            mpf_add(mpf_add(mpf_mul_int(x, 2, prec, rnd), lo, prec, rnd), fone, prec, rnd),
+            mpf_shift(from_float(cfg.fp_tol, prec, rnd), -1), "G inversion",
         ))
 
 
@@ -1052,15 +1036,14 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
         x = mp.mpf(x)
         if x <= 1:
             raise DomainError("the branch point is at x = 1; need x > 1")
-        prec, tol, x = mp.prec, lambert_root_tol(x, cfg)._mpf_, x._mpf_
-        log_x = mpf_log(x, prec, round_nearest)
-        hi = mpf_add(mpf_add(x, mpf_mul_int(log_x, 2, prec, round_nearest), prec, round_nearest),
-                     from_int(2), prec, round_nearest)
+        prec, rnd, tol, x = mp.prec, round_nearest, lambert_root_tol(x, cfg)._mpf_, x._mpf_
+        log_x = mpf_log(x, prec, rnd)
         return mp.make_mpf(_newton(
-            lambda y: mpf_sub(mpf_sub(y, mpf_log(y, prec, round_nearest), prec, round_nearest), x,
-                              prec, round_nearest),
-            lambda y: mpf_sub(fone, mpf_rdiv_int(1, y, prec, round_nearest), prec, round_nearest),
-            mpf_add(x, log_x, prec, round_nearest), fone, hi, tol, "Lambert root iteration",
+            lambda y: mpf_sub(mpf_sub(y, mpf_log(y, prec, rnd), prec, rnd), x, prec, rnd),
+            lambda y: mpf_sub(fone, mpf_rdiv_int(1, y, prec, rnd), prec, rnd),
+            mpf_add(x, log_x, prec, rnd), fone,
+            mpf_add(mpf_add(x, mpf_mul_int(log_x, 2, prec, rnd), prec, rnd), from_int(2), prec, rnd),
+            tol, "Lambert root iteration",
         ))
 
 

@@ -10,14 +10,25 @@ tests use them as references for the numerical G and for the q family:
 
 ``model`` is an ``asymptode.asympt.AsymptoticModel``: its ``c`` and ``dps``
 are used, and its ``order`` when ``n`` is not given.
+
+asympt forms each point's A_0..A_n in one pass, as running sums.  The
+per-order evaluation it replaced is kept here as the reference, each
+(n, point) formed on its own from the same member reads:
+
+* ``a_value(c, t, n, slope=False)``: A_n(c; t), or its c-derivative;
+* ``remainder_reference(model, traj, n_max, t_grid)`` and
+  ``lambert_reference(n_max, x_grid, cfg)``: the (values, a_values,
+  remainders) dicts of remainder_study and lambert_compare.
 """
 
 from __future__ import annotations
 
 from mpmath import mp
 
+from asymptode.asympt import _member_value
 from asymptode.errors import DomainError
 from asymptode.families import gen_beta
+from asymptode.numerics import lambert_wm1_numeric
 from series_oracle import dense
 
 
@@ -67,3 +78,54 @@ def eval_G_asympt(model, x, n=None):
             b = betas[k + 1]
             acc -= 4 * rk * mp.mpf(b.numerator) / b.denominator / k
         return acc
+
+
+def _sum(family, u, t, n, acc, first=1, slope=False):
+    """acc + sum_{k=first..n} member_k(u) / t**k, t**k by repeated products."""
+    tk = mp.one
+    for k in range(first, n + 1):
+        if k:
+            tk *= t
+        acc += _member_value(family, k, u, slope) / tk
+    return acc
+
+
+def a_value(c, t, n, slope=False):
+    """A_n(c; t), or its c-derivative if slope, for this n alone; at the
+    caller's precision, with c and t mpf."""
+    w = 3 * mp.log(4 * t) - c if n else None
+    acc = _sum("q", w, t, n, mp.zero if slope else mp.one, slope=slope)
+    return (4 * t) ** (mp.mpf(1) / 4) * (-acc if slope else acc)
+
+
+def _reference(values, n_max, expansion, scale):
+    approx, remainders = {}, {}
+    for n in range(n_max + 1):
+        for at in values:
+            x = mp.mpf(at)
+            approx[(n, at)] = expansion(x, n)
+            remainders[(n, at)] = abs(values[at] - approx[(n, at)]) / scale(x, n)
+    return values, approx, remainders
+
+
+def remainder_reference(model, traj, n_max, t_grid):
+    """(h_values, a_values, remainders) of remainder_study, per (n, point)."""
+    times = sorted(set(float(t) for t in t_grid))
+    with mp.workdps(max(model.dps, traj.stats["dps"]) + 5):
+        c = mp.mpf(model.c)
+        return _reference(
+            {t: traj.eval_h(mp.mpf(t)) for t in times}, n_max,
+            lambda t, n: a_value(c, t, n),
+            lambda t, n: (4 * t) ** (mp.mpf(1) / 4) * (mp.log(t) / t) ** (n + 1),
+        )
+
+
+def lambert_reference(n_max, x_grid, cfg):
+    """(y_values, a_values, remainders) of lambert_compare, per (n, point)."""
+    xs = sorted(set(float(x) for x in x_grid))
+    with mp.workdps(cfg.effective_dps):
+        return _reference(
+            {x: lambert_wm1_numeric(mp.mpf(x), cfg) for x in xs}, n_max,
+            lambda x, n: _sum("lambert", mp.log(x), x, n, x, first=0),
+            lambda x, n: (mp.log(x) / x) ** (n + 1),
+        )

@@ -39,6 +39,7 @@ from asymptode.asympt import _a_value, _expansion_sum, _member_value, _powers, _
 from asymptode.cli import _report_csv
 from asymptode.numerics import lambert_root_tol, lambert_wm1_numeric
 from asymptode.series import poly_eval
+import expansion_oracle
 from expansion_oracle import eval_G_asympt, eval_Ginv_asympt
 from series_oracle import dense
 
@@ -182,6 +183,53 @@ class TestDenseEvaluation:
                 z = mp.log(x)
                 ref = x + mp.fsum(poly_eval(lam[k], 0, z) / x**k for k in range(n + 1))
                 assert self._close(got, ref), x_raw
+
+
+class TestOnePassPerPoint:
+    """asympt forms A_0..A_n at a point in one pass, as the running sums of
+    one _expansion_sum over parts (3 ln 4t, (4t)^(1/4), t^k) formed once.
+    Each must equal the per-order evaluation of expansion_oracle bit for
+    bit, values and c-slopes, and so must the reports built from them."""
+
+    def test_running_sums_are_the_per_order_values(self):
+        n_max = 20
+        for c_raw in (C_011, "7.5"):
+            model = AsymptoticModel.build(c_raw, order=n_max, dps=30)
+            for t_raw in (1e2, 1234.5678, 98765.4321, 1e6):
+                with mp.workdps(30):
+                    c, t = mp.mpf(c_raw), mp.mpf(t_raw)
+                    log3, root, powers = _profile_parts(t, n_max)
+                    values = [root * s for s in _expansion_sum("q", log3 - c, powers, mp.one)]
+                    slopes = [root * -s for s in _expansion_sum("q", log3 - c, powers, mp.zero, slope=True)]
+                    for n in range(n_max + 1):
+                        assert values[n] == eval_A_n(model, t, n) == expansion_oracle.a_value(c, t, n)
+                        assert slopes[n] == _a_value(c, _profile_parts(t, n), slope=True)
+                        assert slopes[n] == expansion_oracle.a_value(c, t, n, slope=True)
+
+    def test_reports_equal_the_per_point_reference(self, tight):
+        m, traj = tight
+        grid = [1e2, 1e3, 3456.789, 1e4]
+        rep = remainder_study(m, traj, 2, grid)
+        assert (rep.h_values, rep.a_values, rep.remainders) == expansion_oracle.remainder_reference(m, traj, 2, grid)
+        cfg = SolverConfig()
+        grid = [10, 100, 1e3, 12345.678, 1e5]
+        rep = lambert_compare(3, grid, cfg)
+        assert (rep.h_values, rep.a_values, rep.remainders) == expansion_oracle.lambert_reference(3, grid, cfg)
+
+    def test_remainder_study_reads_each_member_once_per_point(self, monkeypatch):
+        # n_max = 3 on 5 points: q_1..q_3 once at each point, 15 reads
+        reads = []
+        member_value = asympt._member_value
+
+        def counted(*args, **kwargs):
+            reads.append(args[:2])
+            return member_value(*args, **kwargs)
+
+        monkeypatch.setattr(asympt, "_member_value", counted)
+        m = AsymptoticModel.build(C_011, order=3, dps=30)
+        syn = SyntheticTrajectory(lambda t: (4 * t) ** (mp.mpf(1) / 4), 10, 1e7, dps=30)
+        remainder_study(m, syn, 3, [1e2, 1e3, 1e4, 1e5, 1e6])
+        assert sorted(reads) == sorted([("q", k) for k in (1, 2, 3)] * 5)
 
 
 class TestFixedPointReads:
