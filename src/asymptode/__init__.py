@@ -2,7 +2,7 @@
 plus high-accuracy numerical verification."""
 
 from .errors import AccuracyError, ConvergenceError, DomainError, IntegrationError
-from .series import BivariatePoly, Rational, poly_eval
+from .series import BivariatePoly, poly_eval
 from .families import (
     clear_caches,
     gen_alpha,

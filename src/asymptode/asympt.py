@@ -50,6 +50,7 @@ from .numerics import (
     _GUARD_BITS,
     SolverConfig,
     _fixed_eval,
+    _floor,
     lambert_root_tol,
     lambert_wm1_numeric,
 )
@@ -175,8 +176,7 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
     times = sorted(float(t) for t in (t_fit if hasattr(t_fit, "__iter__") else [t_fit]))
     if not times:
         raise DomainError("no fit times given")
-    dps = traj.stats["dps"]
-    with mp.workdps(dps):
+    with mp.workdps(traj.dps):
         fits = []
         for t_raw in times:
             t = mp.mpf(t_raw)
@@ -184,7 +184,7 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
             parts = _profile_parts(t, n)
             # first-order closed form as the starting point
             c = parts[0] - 16 * t * (h / parts[1] - 1)
-            tol = mp.mpf(10) ** (-(dps - 8))
+            tol = _floor(8)
             for _ in range(64):
                 slope = _a_value(c, parts, slope=True)
                 if slope == 0:
@@ -349,8 +349,7 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
         raise DomainError("n_max must be nonnegative")
     growth_factor = _growth_limit(growth_factor)
     times = remainder_grid(t_grid)
-    dps = max(model.dps, traj.stats["dps"])
-    with mp.workdps(dps + 5):
+    with mp.workdps(max(model.dps, traj.dps) + 5):
         c = mp.mpf(model.c)
         h_values = {t: traj.eval_h(mp.mpf(t)) for t in times}
         bounds = {t: mp.mpf(traj.err_bound(mp.mpf(t))) for t in times}
@@ -460,7 +459,7 @@ class SyntheticTrajectory:
     """Trajectory stand-in built from an explicit formula.
 
     Quacks like the integrator output as far as the remainder study and
-    the fit read it (eval_h, err_bound, stats) but reports zero error.
+    the fit read it (eval_h, err_bound, dps) but reports zero error.
     Feeding those routines an input with exactly known behaviour, e.g. a
     model evaluated one order above the study order, separates what the
     expansion does from what the integrator does.
@@ -472,10 +471,10 @@ class SyntheticTrajectory:
         self._fn = fn
         self.t_start = float(t_start)
         self.t_end = float(t_end)
-        self._dps = max(int(dps), 15)
+        self.dps = max(int(dps), 15)
 
     def eval_h(self, t):
-        with mp.workdps(self._dps):
+        with mp.workdps(self.dps):
             t = mp.mpf(t)
             if t < self.t_start or t > self.t_end:
                 raise DomainError("t outside the synthetic range")
@@ -483,7 +482,3 @@ class SyntheticTrajectory:
 
     def err_bound(self, t):
         return mp.zero
-
-    @property
-    def stats(self):
-        return {"steps": 0, "rejected": 0, "rel_tol": 0.0, "abs_tol": 0.0, "dps": self._dps}

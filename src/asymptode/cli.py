@@ -44,7 +44,7 @@ from .families import gen_alpha, gen_beta, gen_lambert_p, gen_p, gen_q
 from .numerics import (
     InitialData,
     SolverConfig,
-    _require_finite,
+    _check_horizon,
     compute_c_for_data,
     integrate_h,
     trajectory_to_csv,
@@ -177,7 +177,7 @@ def _cmd_series(args):
 def _cmd_integrate(args):
     data = InitialData(args.t0, args.h0, args.h1)
     cfg = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    _require_finite(t_max=mp.mpf(args.t_max))
+    _check_horizon(args.t0, args.t_max)
     traj = integrate_h(data, args.t_max, cfg)
     if args.format == "csv":
         text = trajectory_to_csv(traj)
@@ -215,9 +215,7 @@ def _cmd_constant(args):
             % cfg.effective_dps
         )
     if args.fit:  # the later checks of integrate_h and the fit, before any work
-        _require_finite(t_max=mp.mpf(args.t_max))
-        if not args.t_max * 1.2 > args.t0:
-            raise DomainError("t_max must exceed t0")
+        _check_horizon(args.t0, args.t_max * 1.2)
         if args.fit_order < 1:
             raise DomainError("fitting c needs at least one expansion term")
     c = compute_c_for_data(data, cfg)

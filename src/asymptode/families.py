@@ -316,10 +316,6 @@ class _PolyFamily:
         """``self[n].format_descending()``, with no display form built."""
         return format_terms(_terms(self._member(n), self._in_w))
 
-    @property
-    def polys(self) -> tuple[BivariatePoly, ...]:
-        return tuple([self[n] for n in range(self.first, self.order + 1)])
-
     def __len__(self) -> int:
         return len(self._members)
 

@@ -90,7 +90,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cmp_to_key
 from operator import add, mul
 
@@ -138,6 +138,21 @@ def _require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _check_horizon(t0, t_max):
+    """(t0, t_max) as mpfs, once t_max is finite and beyond t0."""
+    t0, t_max = mp.mpf(t0), mp.mpf(t_max)
+    _require_finite(t_max=t_max)
+    if not t_max > t0:
+        raise DomainError("t_max must exceed t0")
+    return t0, t_max
+
+
+def _floor(k):
+    """10^(k - dps) at the working precision dps: a floor k decimal digits
+    above the rounding of dps-digit arithmetic."""
+    return mp.mpf(10) ** (k - mp.dps)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances of the numerical layer.
@@ -145,7 +160,8 @@ class SolverConfig:
     ``rel_tol``/``abs_tol`` bound the local error per integrator step and
     fix the working decimal precision ``effective_dps``: their digits plus
     18 guard digits, and at least 30.  ``fp_tol`` is the residual tolerance
-    of the G inversion.
+    of an invert_G called with this config; a trajectory inverts G at its
+    precision floor instead.
     """
 
     rel_tol: float = 1e-10
@@ -166,7 +182,7 @@ class SolverConfig:
 
     @property
     def taylor_order(self) -> int:
-        return max(24, int(1.2 * self.effective_dps) + 8)
+        return int(1.2 * self.effective_dps) + 8
 
 
 @dataclass(frozen=True)
@@ -491,10 +507,12 @@ class Trajectory:
     fixed direct span is covered, the solution continues through the
     exact reduction of order: with g = h^3 h' as a function of z = 4/h^4,
     the time map G is strictly increasing and h(t)^4 is its inverse at
-    4 (t - t_switch), found by invert_G's bracketed Newton on the dense G
-    below.  The reduction is an identity along any stretch with
-    h' > 0 (an absorbing condition), not an approximation; the switch point
-    supplies its data.
+    4 (t - switch_time), found by invert_G's bracketed Newton on the dense
+    G of ``g_problem``, to the precision floor 10^(9 - dps)/2 at the
+    trajectory's working precision ``dps``.  The reduction is an identity
+    along any stretch with h' > 0 (an absorbing condition), not an
+    approximation; the switch point supplies its data.  ``g_problem`` and
+    ``switch_time`` are None when the direct steps reach t_end.
 
     ``eval_h``/``eval_hprime`` evaluate whichever regime contains t;
     ``err_bound`` reports a conservative error estimate at t (summed local
@@ -504,78 +522,63 @@ class Trajectory:
 
     def __init__(self, cfg, steps, t_end, rejected, reduction=None):
         self.cfg = cfg
+        self.dps = cfg.effective_dps
         self._steps = steps
         self._keys = [s.t_start for s in steps]  # for _step_at
-        self._dps = dps = cfg.effective_dps
         self.t_start = steps[0].t_start
         self.t_end = t_end
         self.n_steps = len(steps)
         self.n_rejected = rejected
-        # (problem, t_switch, x_switch, y_switch) once handed off, else None
-        self._reduction = reduction
-        if reduction is not None:
-            # drive the inversion to working precision, not to cfg.fp_tol:
-            # the trajectory's own accuracy is on the line here
-            self._inv_cfg = replace(cfg, fp_tol=float(mp.mpf(10) ** (-(dps - 9))))
+        # the reduction's problem, and the time, h and h' at the switch
+        self.g_problem, self.switch_time, self._h_switch, self._hprime_switch = reduction or (None,) * 4
         self._h4_cache = {}
 
-    @property
-    def g_problem(self):
-        """First-order problem backing the reduction, or None."""
-        return self._reduction[0] if self._reduction is not None else None
-
-    @property
-    def switch_time(self):
-        return self._reduction[1] if self._reduction is not None else None
-
-    def _check_range(self, t):
+    def _locate(self, t):
+        """(t, the direct step covering it), with step None past the switch;
+        at the working precision."""
+        t = mp.mpf(t)
         if t < self.t_start or t > self.t_end:
             raise DomainError(
                 f"t={t} outside the integrated range "
                 f"[{self.t_start}, {self.t_end}]"
             )
-
-    def _in_reduction(self, t):
-        return self._reduction is not None and t > self._reduction[1]
+        if self.switch_time is not None and t > self.switch_time:
+            return t, None
+        return t, _step_at(self._steps, self._keys, t)
 
     def _reduced_h4(self, t):
         """h(t)^4 past the switch, inverting the time map; memoized."""
-        problem, t_sw, _, _ = self._reduction
         hit = self._h4_cache.get(t)
         if hit is not None:
             return hit
-        val = invert_G(4 * (t - t_sw), problem, self._inv_cfg)
+        val = invert_G(4 * (t - self.switch_time), self.g_problem)
         if len(self._h4_cache) < 8192:
             self._h4_cache[t] = val
         return val
 
     def eval_h(self, t):
-        with mp.workdps(self._dps):
-            t = mp.mpf(t)
-            self._check_range(t)
-            if self._in_reduction(t):
+        with mp.workdps(self.dps):
+            t, step = self._locate(t)
+            if step is None:
                 return self._reduced_h4(t) ** (mp.one / 4)
-            return _step_at(self._steps, self._keys, t).eval_x(t)
+            return step.eval_x(t)
 
     def eval_hprime(self, t):
-        with mp.workdps(self._dps):
-            t = mp.mpf(t)
-            self._check_range(t)
-            if self._in_reduction(t):
-                problem = self._reduction[0]
+        with mp.workdps(self.dps):
+            t, step = self._locate(t)
+            if step is None:
                 s = self._reduced_h4(t)
                 # h' = g(4/h^4) / h^3
-                return problem.eval_g(4 / s) * s ** (-mp.mpf(3) / 4)
-            return _step_at(self._steps, self._keys, t).eval_y(t)
+                return self.g_problem.eval_g(4 / s) * s ** (-mp.mpf(3) / 4)
+            return step.eval_y(t)
 
     def err_bound(self, t):
         """Conservative estimate of |h_computed(t) - h(t)|."""
-        with mp.workdps(self._dps):
-            t = mp.mpf(t)
-            self._check_range(t)
-            if not self._in_reduction(t):
-                return _step_at(self._steps, self._keys, t).err_cum
-            problem, _, x_sw, _ = self._reduction
+        with mp.workdps(self.dps):
+            t, step = self._locate(t)
+            if step is not None:
+                return step.err_cum
+            problem = self.g_problem
             cum1 = self._steps[-1].err_cum
             s_t = self._reduced_h4(t)
             # error in the time-map argument: anchor shift from the direct
@@ -585,10 +588,10 @@ class Trajectory:
                 self.cfg.rel_tol
             )
             d_arg = (
-                4 * x_sw**3 * cum1
+                4 * self._h_switch**3 * cum1
                 + noise * (s_t - problem.anchor)
-                + mp.mpf(10) ** (-(self._dps - 10)) * max(mp.one, s_t)
-                + 2 * mp.mpf(self._inv_cfg.fp_tol)
+                + _floor(10) * max(mp.one, s_t)
+                + 2 * _floor(9)
             )
             g_cap = max(2 * problem.g0, mp.mpf(2))  # |ds/dG| = g along the arc
             return cum1 + g_cap * d_arg / (4 * s_t ** (mp.mpf(3) / 4))
@@ -596,15 +599,15 @@ class Trajectory:
     def samples(self):
         """(t, h, h') at the direct step points and, past the switch, on a
         geometric grid refining toward the switch; endpoints included."""
-        with mp.workdps(self._dps):
+        with mp.workdps(self.dps):
             out = [(s.t_start, s.x0, s.y0) for s in self._steps]
-            if self._reduction is None:
+            t_sw = self.switch_time
+            if t_sw is None:
                 last = self._steps[-1]
                 t_end = self.t_end
                 out.append((t_end, last.eval_x(t_end), last.eval_y(t_end)))
             else:
-                _, t_sw, x_sw, y_sw = self._reduction
-                out.append((t_sw, x_sw, y_sw))
+                out.append((t_sw, self._h_switch, self._hprime_switch))
                 offsets = []
                 off = self.t_end - t_sw
                 while True:
@@ -624,12 +627,11 @@ class Trajectory:
             "rejected": self.n_rejected,
             "rel_tol": self.cfg.rel_tol,
             "abs_tol": self.cfg.abs_tol,
-            "dps": self._dps,
+            "dps": self.dps,
         }
-        if self._reduction is not None:
-            problem, t_sw, _, _ = self._reduction
-            info["switch_time"] = float(t_sw)
-            info["g_steps"] = len(problem._steps)
+        if self.g_problem is not None:
+            info["switch_time"] = float(self.switch_time)
+            info["g_steps"] = len(self.g_problem._steps)
         return info
 
 
@@ -644,11 +646,7 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
     """
     cfg = cfg or SolverConfig()
     with mp.workdps(cfg.effective_dps):
-        t0 = mp.mpf(data.t0)
-        t_max = mp.mpf(t_max)
-        _require_finite(t_max=t_max)
-        if not t_max > t0:
-            raise DomainError("t_max must exceed t0")
+        t0, t_max = _check_horizon(data.t0, t_max)
         span_direct = mp.mpf(_DIRECT_SPAN)
         steps, (t, x, y), cum_err, rejected = _march(
             lambda t, x, y, order, k: (*_h_system_coeffs(x, y, order, k), k),
@@ -704,16 +702,16 @@ class GProblem:
         self.z_c = z_c
         self.i_c = i_c
         self.cfg = cfg
-        self.dps = dps = cfg.effective_dps
+        self.dps = cfg.effective_dps
         self.ode_err = ode_err
         self.n_rejected = rejected
         self._steps = steps  # descending t_start; each covers [start-len, start]
         self._keys = [-s.t_start for s in steps]  # for _step_at
         self._c = None
-        with mp.workdps(dps):
+        with mp.workdps(self.dps):
             self.anchor = 4 / z0
             self.split = 4 / z_c
-            slack = mp.mpf(10) ** (4 - dps)
+            slack = _floor(4)
             self._z_max = z0 * (1 + slack)  # eval_g's upper bound
             self._x_min = self.anchor * (1 - slack)  # compute_G's lower bound
             F = mp.prec + _GUARD_BITS
@@ -781,8 +779,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
     switch point).
     """
     cfg = cfg or SolverConfig()
-    dps = cfg.effective_dps
-    with mp.workdps(dps):
+    with mp.workdps(cfg.effective_dps):
         z0 = mp.mpf(z0)
         g0 = mp.mpf(g0)
         if not (z0 > 0 and g0 > 0):
@@ -809,7 +806,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
             series_val = problem._series(z0)
             gate = (
                 1000 * trunc_est(z0)
-                + mp.mpf(10) ** (-(dps - 6))
+                + _floor(6)
                 + 10 * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * abs(g0))
             )
             if seed_tol is not None:
@@ -830,7 +827,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
         problem = GProblem(z0, g0, z_c, steps, cfg, cum_err, rejected, i_c)
         series_at_zc = problem._series(z_c)
         agree_tol = (
-            1000 * trunc_est(z_c) + 100 * cum_err + mp.mpf(10) ** (-(dps - 6))
+            1000 * trunc_est(z_c) + 100 * cum_err + _floor(6)
         )
         if abs(series_at_zc - g) > agree_tol:
             raise AccuracyError(
@@ -923,7 +920,7 @@ def compute_c(problem: GProblem):
         last_term = abs(b_top) * 4 * z_tail ** (top - 1) / (top - 1)
         tail_gate = mp.mpf("0.01") * (
             mp.mpf(problem.cfg.abs_tol) + mp.mpf(problem.cfg.rel_tol)
-        ) + mp.mpf(10) ** (-(problem.dps - 8))
+        ) + _floor(8)
         if last_term > tail_gate:
             raise AccuracyError(
                 "series tail for c not converged at the split point; "
@@ -991,11 +988,11 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
     Bracketed Newton (_newton) with G'(y) = 1/g(4/y) on [h0^4, hi], from
     y = max(x, h0^4), with the candidate hi = 2x + h0^4 + 1; the residual
     and slope call compute_G and problem.eval_g.  Stops at
-    |G(y) - x| <= fp_tol / 2, or when the next iterate equals y at working
-    precision: for large h0^4 the absolute fp_tol can lie below G's
-    rounding floor.
+    |G(y) - x| <= tol / 2, with tol the precision floor 10^(9 - dps) at the
+    problem's working precision dps, or cfg.fp_tol when a cfg is given; or
+    when the next iterate equals y at working precision: for large h0^4 an
+    absolute tol can lie below G's rounding floor.
     """
-    cfg = cfg or problem.cfg
     with mp.workdps(problem.dps):
         x = mp.mpf(x)
         if x < 0:
@@ -1003,22 +1000,22 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
         if x == 0:
             return problem.anchor
         prec, rnd, x, lo = mp.prec, round_nearest, x._mpf_, problem.anchor._mpf_  # G(lo) = 0 <= x
+        tol = _floor(9)._mpf_ if cfg is None else from_float(cfg.fp_tol, prec, rnd)
         return mp.make_mpf(_newton(
             lambda y: mpf_sub(compute_G(mp.make_mpf(y), problem)._mpf_, x, prec, rnd),
             lambda y: mpf_rdiv_int(
                 1, problem.eval_g(mp.make_mpf(mpf_rdiv_int(4, y, prec, rnd)))._mpf_, prec, rnd),
             lo if mpf_lt(x, lo) else x, lo,
             mpf_add(mpf_add(mpf_mul_int(x, 2, prec, rnd), lo, prec, rnd), fone, prec, rnd),
-            mpf_shift(from_float(cfg.fp_tol, prec, rnd), -1), "G inversion",
+            mpf_shift(tol, -1), "G inversion",
         ))
 
 
 def lambert_root_tol(x, cfg: SolverConfig | None = None):
-    """Residual at which lambert_wm1_numeric stops, |y - ln y - x| <= 10^-(dps-5) x
+    """Residual at which lambert_wm1_numeric stops, |y - ln y - x| <= 10^(5-dps) x
     at its precision dps; the root is resolved to this over the slope 1 - 1/y."""
-    dps = (cfg or SolverConfig()).effective_dps
-    with mp.workdps(dps):
-        return mp.mpf(10) ** (-(dps - 5)) * mp.mpf(x)
+    with mp.workdps((cfg or SolverConfig()).effective_dps):
+        return _floor(5) * mp.mpf(x)
 
 
 def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
@@ -1053,7 +1050,7 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text of traj.samples() with header t,h,hprime; 17 significant
     digits per value."""
-    with mp.workdps(traj.stats["dps"]):
+    with mp.workdps(traj.dps):
         lines = ["t,h,hprime"]
         for t, h, hp in traj.samples():
             lines.append(

@@ -1,15 +1,13 @@
-"""Exact rational values and the (c, z) display form of the polynomial families.
+"""The exact (c, z) display form of the polynomial families.
 
-* ``Rational`` -- an exact fraction.  This is stdlib :class:`fractions.Fraction`:
-  always reduced, positive denominator, arbitrary-precision integers.  No
-  floating point ever enters a coefficient computation.
-
-* :class:`BivariatePoly` -- an exact polynomial in two variables ``(c, z)``
-  stored as a sparse term map.  It is the form in which a member of the
-  families of :mod:`.families` is indexed and compared exactly.
-  The families are generated, evaluated on numeric paths and printed from
-  dense integer coefficient lists in one variable; this class is only
-  their public face.
+:class:`BivariatePoly` is an exact polynomial in two variables ``(c, z)``
+stored as a sparse term map of stdlib :class:`fractions.Fraction`
+coefficients: always reduced, positive denominator, arbitrary-precision
+integers, so no floating point ever enters a coefficient.  It is the form
+in which a member of the families of :mod:`.families` is indexed and
+compared exactly.  The families are generated, evaluated on numeric paths
+and printed from dense integer coefficient lists in one variable; this
+class is only their public face.
 
 :func:`format_terms` is the display rule that ``format_descending`` and the
 families' writer share.
@@ -27,13 +25,10 @@ from typing import Iterable, Mapping, Union
 from .errors import DomainError
 
 __all__ = [
-    "Rational",
     "BivariatePoly",
     "format_terms",
     "poly_eval",
 ]
-
-Rational = Fraction
 
 # Anything Fraction() accepts exactly.  Floats are deliberately excluded:
 # feeding a float into exact algebra is almost always a bug, and Fraction

@@ -111,7 +111,7 @@ def _reference(values, n_max, expansion, scale):
 def remainder_reference(model, traj, n_max, t_grid):
     """(h_values, a_values, remainders) of remainder_study, per (n, point)."""
     times = sorted(set(float(t) for t in t_grid))
-    with mp.workdps(max(model.dps, traj.stats["dps"]) + 5):
+    with mp.workdps(max(model.dps, traj.dps) + 5):
         c = mp.mpf(model.c)
         return _reference(
             {t: traj.eval_h(mp.mpf(t)) for t in times}, n_max,

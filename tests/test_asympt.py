@@ -561,7 +561,7 @@ class TestSyntheticTrajectory:
         with mp.workdps(30):
             assert syn.eval_h(7) == 49
         assert syn.err_bound(7) == 0
-        assert syn.stats["dps"] == 30 and syn.stats["steps"] == 0
+        assert syn.dps == 30
 
     def test_range_enforced(self):
         syn = SyntheticTrajectory(lambda t: t, 1, 100)

@@ -465,6 +465,8 @@ class TestContract:
             (("constant", "--fit", "--t-max", "0"), "t_max must exceed t0"),
             (("constant", "--fit", "--t0", "5", "--t-max", "4"), "t_max must exceed t0"),
             (("constant", "--fit", "--fit-order", "0"), "fitting c needs at least one expansion term"),
+            (("integrate", "--t-max", "0"), "t_max must exceed t0"),
+            (("integrate", "--t0", "5", "--t-max", "5"), "t_max must exceed t0"),
         ],
     )
     def test_bad_argument_refused_before_any_work(self, capsys, argv, message):

@@ -101,6 +101,9 @@ class TestSolverConfig:
         assert SolverConfig().taylor_order >= 24
         tight = SolverConfig(rel_tol=1e-26, abs_tol=1e-28)
         assert tight.taylor_order > SolverConfig().taylor_order
+        # 1.2 dps + 8, at dps 30, 38, 42 and 50
+        tols = [(1e-10, 1e-12), (1e-18, 1e-20), (1e-22, 1e-24), (1e-30, 1e-32)]
+        assert [SolverConfig(rel_tol=r, abs_tol=a).taylor_order for r, a in tols] == [44, 53, 58, 68]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -992,6 +995,17 @@ class TestInversionFloor:
         with mp.workdps(60):
             err = abs(traj.eval_h(1e5) - ref.eval_h(1e5))
             assert err <= traj.err_bound(1e5)
+
+    @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5)])
+    def test_default_stops_at_the_precision_floor(self, h0, h1):
+        # no config: the Newton stop is half the floor 10^(9 - dps) at the
+        # problem's precision (dps 42 here), not any config's fp_tol
+        prob, _ = g_problem_for_data(InitialData(0, h0, h1), SolverConfig(rel_tol=1e-22, abs_tol=1e-24))
+        assert prob.dps == 42
+        with mp.workdps(prob.dps):
+            for x in (1e2, 1e4, 1e6):
+                y = invert_G(x, prob)
+                assert abs(compute_G(y, prob) - x) <= mp.mpf(10) ** (9 - prob.dps) / 2, x
 
     def test_bracketed_solver_stops_at_the_floor(self):
         # arguments far below h0^4 = 1e12: the Newton iterate starts at the

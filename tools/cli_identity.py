@@ -23,7 +23,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export, git  # noqa: E402
 
 # the pinned commands of tests/test_cli.py (TestSeries, TestNumericPins),
-# the verify and lambert variants around them, and the ten data of the
+# the verify and lambert variants around them, the trajectory outputs with
+# and without a switch, two horizon refusals, and the ten data of the
 # `constant` benchmark workload
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
@@ -36,6 +37,13 @@ COMMANDS = (
         "constant --h0 1.5 --h1 3",
         "constant --fit",
         "integrate --t-max 1e6 --format csv",
+        "integrate --t-max 1e6",
+        "integrate --t-max 1e6 --format json",
+        "integrate --t-max 10 --format json",
+        "integrate --h1 -5 --t-max 300 --format json",
+        "integrate --t0 5 --t-max 5",
+        "constant --h0 1000 --h1 1",
+        "constant --fit --t-max inf",
         "verify",
         "verify --format csv",
         "verify --format json",
