@@ -51,6 +51,7 @@ from .numerics import (
     SolverConfig,
     _fixed_eval,
     _floor,
+    _workdps,
     lambert_root_tol,
     lambert_wm1_numeric,
 )
@@ -93,12 +94,12 @@ class AsymptoticModel:
 
     @classmethod
     def build(cls, c, order, dps=30):
-        with mp.workdps(max(int(dps), 15)):
+        with _workdps(max(int(dps), 15)):
             return cls(c=mp.mpf(c), order=int(order), dps=int(dps))
 
     def shifted(self, s):
         """Model for the time-shifted solution h(t + s): c -> c - 4 s."""
-        with mp.workdps(self.dps):
+        with _workdps(self.dps):
             return AsymptoticModel(c=self.c - 4 * mp.mpf(s), order=self.order, dps=self.dps)
 
 
@@ -150,7 +151,7 @@ def eval_A_n(model, t, n=None):
     n = model.order if n is None else int(n)
     if n < 0:
         raise DomainError("expansion order must be nonnegative")
-    with mp.workdps(model.dps):
+    with _workdps(model.dps):
         t = mp.mpf(t)
         if t <= 0:
             raise DomainError("A_n(t) needs t > 0")
@@ -176,7 +177,7 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
     times = sorted(float(t) for t in (t_fit if hasattr(t_fit, "__iter__") else [t_fit]))
     if not times:
         raise DomainError("no fit times given")
-    with mp.workdps(traj.dps):
+    with _workdps(traj.dps):
         fits = []
         for t_raw in times:
             t = mp.mpf(t_raw)
@@ -349,7 +350,7 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
         raise DomainError("n_max must be nonnegative")
     growth_factor = _growth_limit(growth_factor)
     times = remainder_grid(t_grid)
-    with mp.workdps(max(model.dps, traj.dps) + 5):
+    with _workdps(max(model.dps, traj.dps) + 5):
         c = mp.mpf(model.c)
         h_values = {t: traj.eval_h(mp.mpf(t)) for t in times}
         bounds = {t: mp.mpf(traj.err_bound(mp.mpf(t))) for t in times}
@@ -384,7 +385,7 @@ def shift_invariance_check(model, n, s, t_grid):
     if not times or times[0] <= 1:
         raise DomainError("shift check needs a nonempty grid with t > 1")
     shifted = model.shifted(s)
-    with mp.workdps(model.dps):
+    with _workdps(model.dps):
         s, c, c_shifted = mp.mpf(s), mp.mpf(model.c), mp.mpf(shifted.c)
         worst = mp.zero
         for t_raw in times:
@@ -430,7 +431,7 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
     if len(xs) < 2:
         raise DomainError(_ONE_POINT)
     cfg = cfg if cfg is not None else SolverConfig()
-    with mp.workdps(cfg.effective_dps):
+    with _workdps(cfg.effective_dps):
         y_values = {}
         residuals = {}
         resolution = {}
@@ -441,7 +442,7 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
             resolution[x_raw] = lambert_root_tol(x, cfg) / (1 - 1 / y)
             # guard digits, so the rounding of y shows in the residual
             # instead of cancelling to zero at the working precision
-            with mp.workdps(cfg.effective_dps + 20):
+            with _workdps(cfg.effective_dps + 20):
                 residuals[x_raw] = abs(y - mp.log(y) - x) / x
         return _gated_report(
             y_values, resolution, n_max,
@@ -474,7 +475,7 @@ class SyntheticTrajectory:
         self.dps = max(int(dps), 15)
 
     def eval_h(self, t):
-        with mp.workdps(self.dps):
+        with _workdps(self.dps):
             t = mp.mpf(t)
             if t < self.t_start or t > self.t_end:
                 raise DomainError("t outside the synthetic range")

@@ -45,6 +45,7 @@ from .numerics import (
     InitialData,
     SolverConfig,
     _check_horizon,
+    _workdps,
     compute_c_for_data,
     integrate_h,
     trajectory_to_csv,
@@ -224,7 +225,7 @@ def _cmd_constant(args):
         traj = integrate_h(data, args.t_max * 1.2, cfg)
         t_fit = (args.t_max * 1e-2, args.t_max * 1e-1, args.t_max)
         c_fit = fit_c_from_trajectory(traj, n=args.fit_order, t_fit=t_fit)
-        with mp.workdps(cfg.effective_dps):
+        with _workdps(cfg.effective_dps):
             rows.append(("c_fit", mp.nstr(c_fit, digits)))
             rows.append(("difference", mp.nstr(abs(c - c_fit), 6)))
     if args.format == "table":

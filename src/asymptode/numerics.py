@@ -83,12 +83,15 @@ c = J - h0^4 + 3 ln h0^4, and G above S is then the expansion
 x - 3 ln x + c - T(x); up to S, I(4/x) is dense output.  G, the reads
 of g and the Newton inversion of G (_newton, which also finds the
 Lambert root) run on raw mpfs like the step control, with the same bits;
-Newton checks its bracket's upper end only once an iterate reaches it.
+Newton checks its bracket's upper end only once an iterate reaches it,
+and inverts G from x + 3 ln(x + h0^4) - c, one fixed-point sweep of the
+large-x form.  Reads already at the working precision do not re-enter it.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -98,7 +101,7 @@ from mpmath import mp
 from mpmath.libmp import finf, fone, from_float, from_int, from_man_exp, from_str, fzero, mpf_abs
 from mpmath.libmp import mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int
 from mpmath.libmp import mpf_neg, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest
-from mpmath.libmp import to_fixed
+from mpmath.libmp import dps_to_prec, to_fixed
 
 from .errors import (
     AccuracyError,
@@ -130,6 +133,7 @@ _GUARD_BITS = 64  # fixed-point bits of the Taylor kernels below mp.prec
 _MAX_STEPS = 100_000  # step budget of each integrator run
 _DIRECT_SPAN = 128.0  # direct Taylor span before a trajectory may hand off
 _FP_MAX_ITER = 200  # iteration cap of the root finders (G inversion, Lambert)
+_AT_PRECISION = contextlib.nullcontext()  # what _workdps enters at the working precision
 
 
 def _require_finite(**values) -> None:
@@ -145,6 +149,11 @@ def _check_horizon(t0, t_max):
     if not t_max > t0:
         raise DomainError("t_max must exceed t0")
     return t0, t_max
+
+
+def _workdps(dps):
+    """mp.workdps(dps), or a shared no-op when mp.prec is already the one it sets."""
+    return _AT_PRECISION if mp.prec == dps_to_prec(dps) else mp.workdps(dps)
 
 
 def _floor(k):
@@ -557,14 +566,14 @@ class Trajectory:
         return val
 
     def eval_h(self, t):
-        with mp.workdps(self.dps):
+        with _workdps(self.dps):
             t, step = self._locate(t)
             if step is None:
                 return self._reduced_h4(t) ** (mp.one / 4)
             return step.eval_x(t)
 
     def eval_hprime(self, t):
-        with mp.workdps(self.dps):
+        with _workdps(self.dps):
             t, step = self._locate(t)
             if step is None:
                 s = self._reduced_h4(t)
@@ -574,7 +583,7 @@ class Trajectory:
 
     def err_bound(self, t):
         """Conservative estimate of |h_computed(t) - h(t)|."""
-        with mp.workdps(self.dps):
+        with _workdps(self.dps):
             t, step = self._locate(t)
             if step is not None:
                 return step.err_cum
@@ -583,23 +592,27 @@ class Trajectory:
             s_t = self._reduced_h4(t)
             # error in the time-map argument: anchor shift from the direct
             # phase, integrand noise over the covered span, precision
-            # floor, inversion tolerance
-            noise = problem.ode_err + mp.mpf(self.cfg.abs_tol) + mp.mpf(
-                self.cfg.rel_tol
-            )
+            # floor, inversion residual
+            noise = problem.ode_err + mp.mpf(self.cfg.abs_tol) + mp.mpf(self.cfg.rel_tol)
             d_arg = (
                 4 * self._h_switch**3 * cum1
                 + noise * (s_t - problem.anchor)
                 + _floor(10) * max(mp.one, s_t)
-                + 2 * _floor(9)
+                + self._inversion_err(s_t)
             )
             g_cap = max(2 * problem.g0, mp.mpf(2))  # |ds/dG| = g along the arc
             return cum1 + g_cap * d_arg / (4 * s_t ** (mp.mpf(3) / 4))
 
+    def _inversion_err(self, s):
+        """Bound on |G(s) - x| at invert_G's root s: twice its tolerance, or G's
+        rounding floor where Newton's step rounds away: past a switch, each of G's
+        4 roundings (s - h0^4, log term, difference, + I) is <= 2^-prec max(s, h0^4)."""
+        return max(2 * _floor(9), 4 * mp.ldexp(max(s, self.g_problem.anchor), -mp.prec))
+
     def samples(self):
         """(t, h, h') at the direct step points and, past the switch, on a
         geometric grid refining toward the switch; endpoints included."""
-        with mp.workdps(self.dps):
+        with _workdps(self.dps):
             out = [(s.t_start, s.x0, s.y0) for s in self._steps]
             t_sw = self.switch_time
             if t_sw is None:
@@ -645,7 +658,7 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
     returned object is dense on all of [t0, t_max] either way.
     """
     cfg = cfg or SolverConfig()
-    with mp.workdps(cfg.effective_dps):
+    with _workdps(cfg.effective_dps):
         t0, t_max = _check_horizon(data.t0, t_max)
         span_direct = mp.mpf(_DIRECT_SPAN)
         steps, (t, x, y), cum_err, rejected = _march(
@@ -708,7 +721,7 @@ class GProblem:
         self._steps = steps  # descending t_start; each covers [start-len, start]
         self._keys = [-s.t_start for s in steps]  # for _step_at
         self._c = None
-        with mp.workdps(self.dps):
+        with _workdps(self.dps):
             self.anchor = 4 / z0
             self.split = 4 / z_c
             slack = _floor(4)
@@ -726,7 +739,7 @@ class GProblem:
 
     def eval_g(self, z):
         """g(z) for z in (0, z0]; the domain tests run on raw mpfs."""
-        with mp.workdps(self.dps):
+        with _workdps(self.dps):
             z = mp.mpf(z)
             if mpf_le(z._mpf_, fzero):
                 raise DomainError("g is defined on (0, z0]")
@@ -779,7 +792,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
     switch point).
     """
     cfg = cfg or SolverConfig()
-    with mp.workdps(cfg.effective_dps):
+    with _workdps(cfg.effective_dps):
         z0 = mp.mpf(z0)
         g0 = mp.mpf(g0)
         if not (z0 > 0 and g0 > 0):
@@ -849,7 +862,7 @@ def g_problem_for_data(
     """
     cfg = cfg or SolverConfig()
     dps = cfg.effective_dps
-    with mp.workdps(dps):
+    with _workdps(dps):
         if mp.mpf(data.h1) <= 0:
             # integrate until the trajectory hands off on its own: the
             # switch point is exactly the rebased data we need
@@ -874,7 +887,7 @@ def compute_G(x, problem: GProblem):
     1/x (GProblem._beta_tail); this is the large-x expansion
     x - 3 ln x + c - 4 sum_k (beta_{k+1}/k) (4/x)^k at the problem's own c.
     """
-    with mp.workdps(problem.dps):
+    with _workdps(problem.dps):
         prec, rnd = mp.prec, round_nearest
         x = mp.mpf(x)._mpf_
         anchor = problem.anchor._mpf_
@@ -910,7 +923,7 @@ def compute_c(problem: GProblem):
     """
     if problem._c is not None:
         return problem._c
-    with mp.workdps(problem.dps):
+    with _workdps(problem.dps):
         z_tail = problem.z_c  # equal to z0 when the data sit below z_c
         top = _SERIES_ORDER
         # beta_k is dyadic, so its mantissa at F >= 2k is exact; the tail's
@@ -940,7 +953,7 @@ def compute_c_for_data(data: InitialData, cfg: SolverConfig | None = None):
     constant.
     """
     problem, t_base = g_problem_for_data(data, cfg)
-    with mp.workdps(problem.dps):
+    with _workdps(problem.dps):
         return compute_c(problem) + 4 * t_base
 
 
@@ -985,15 +998,18 @@ def _newton(f, slope, y, lo, hi, tol, what):
 def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
     """Solve G(y) = x for y >= h0^4.
 
-    Bracketed Newton (_newton) with G'(y) = 1/g(4/y) on [h0^4, hi], from
-    y = max(x, h0^4), with the candidate hi = 2x + h0^4 + 1; the residual
-    and slope call compute_G and problem.eval_g.  Stops at
-    |G(y) - x| <= tol / 2, with tol the precision floor 10^(9 - dps) at the
-    problem's working precision dps, or cfg.fp_tol when a cfg is given; or
-    when the next iterate equals y at working precision: for large h0^4 an
-    absolute tol can lie below G's rounding floor.
+    Bracketed Newton (_newton) with G'(y) = 1/g(4/y) on [h0^4, hi] from the
+    leading-order inverse x + 3 ln(x + h0^4) - c (one fixed-point sweep of
+    G's large-x form x - 3 ln x + c - T(x)), formed from the problem's whole
+    integral J as x + h0^4 + 3 ln(1 + x/h0^4) - J, and at least h0^4; the
+    candidate hi is 2x + h0^4 + 1, and the residual and slope call
+    compute_G and problem.eval_g.  Stops at |G(y) - x| <= tol / 2, with tol
+    the precision floor 10^(9 - dps) at the problem's working precision dps,
+    or cfg.fp_tol when a cfg is given; or when the next iterate equals y at
+    working precision: for large h0^4 an absolute tol can lie below G's
+    rounding floor.
     """
-    with mp.workdps(problem.dps):
+    with _workdps(problem.dps):
         x = mp.mpf(x)
         if x < 0:
             raise DomainError("G is nonnegative; no preimage for x < 0")
@@ -1001,11 +1017,13 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
             return problem.anchor
         prec, rnd, x, lo = mp.prec, round_nearest, x._mpf_, problem.anchor._mpf_  # G(lo) = 0 <= x
         tol = _floor(9)._mpf_ if cfg is None else from_float(cfg.fp_tol, prec, rnd)
+        log = mpf_mul_int(mpf_log(mpf_add(fone, mpf_div(x, lo, prec, rnd), prec, rnd), prec, rnd), 3, prec, rnd)
+        y0 = mpf_sub(mpf_add(mpf_add(x, lo, prec, rnd), log, prec, rnd), problem.i_0._mpf_, prec, rnd)
         return mp.make_mpf(_newton(
             lambda y: mpf_sub(compute_G(mp.make_mpf(y), problem)._mpf_, x, prec, rnd),
             lambda y: mpf_rdiv_int(
                 1, problem.eval_g(mp.make_mpf(mpf_rdiv_int(4, y, prec, rnd)))._mpf_, prec, rnd),
-            lo if mpf_lt(x, lo) else x, lo,
+            y0 if mpf_lt(lo, y0) else lo, lo,
             mpf_add(mpf_add(mpf_mul_int(x, 2, prec, rnd), lo, prec, rnd), fone, prec, rnd),
             mpf_shift(tol, -1), "G inversion",
         ))
@@ -1014,7 +1032,7 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
 def lambert_root_tol(x, cfg: SolverConfig | None = None):
     """Residual at which lambert_wm1_numeric stops, |y - ln y - x| <= 10^(5-dps) x
     at its precision dps; the root is resolved to this over the slope 1 - 1/y."""
-    with mp.workdps((cfg or SolverConfig()).effective_dps):
+    with _workdps((cfg or SolverConfig()).effective_dps):
         return _floor(5) * mp.mpf(x)
 
 
@@ -1029,7 +1047,7 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
     """
     cfg = cfg or SolverConfig()
     dps = cfg.effective_dps
-    with mp.workdps(dps):
+    with _workdps(dps):
         x = mp.mpf(x)
         if x <= 1:
             raise DomainError("the branch point is at x = 1; need x > 1")
@@ -1050,7 +1068,7 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text of traj.samples() with header t,h,hprime; 17 significant
     digits per value."""
-    with mp.workdps(traj.dps):
+    with _workdps(traj.dps):
         lines = ["t,h,hprime"]
         for t, h, hp in traj.samples():
             lines.append(

@@ -19,7 +19,7 @@ import taylor_oracle as oracle
 from taylor_oracle import horner as _horner
 from taylor_oracle import unscale as _unscale
 from asymptode import numerics
-from asymptode.asympt import AsymptoticModel
+from asymptode.asympt import AsymptoticModel, eval_A_n
 from asymptode.errors import (
     AccuracyError,
     ConvergenceError,
@@ -798,12 +798,12 @@ class TestStepSequences:
         assert self._digest(digest_steps[1]) == self.G_STEP_DIGEST
 
     def test_compute_G_calls_per_inversion(self, monkeypatch):
-        # Newton on G takes 4.2 evaluations of G per inversion here, since
-        # the bracket's upper end is checked only when an iterate reaches
-        # it (5.2 when it was checked first); the fixed-point iteration
-        # y <- x + y - G(y) took 9.2.  eval_g is patched on the class, as
-        # the benchmark's tracer patches it: each slope follows a residual
-        # that did not stop the iteration
+        # Newton on G takes 3.2 evaluations of G per inversion here, from
+        # the leading-order inverse x + 3 ln(x + h0^4) - c (4.2 from y = x,
+        # and 5.2 when the bracket's upper end was checked before the first
+        # iterate); the fixed-point iteration y <- x + y - G(y) took 9.2.
+        # eval_g is patched on the class, as the benchmark's tracer patches
+        # it: each slope follows a residual that did not stop the iteration
         calls = {"compute_G": 0, "invert_G": 0, "eval_g": 0}
 
         def counted(owner, name):
@@ -823,7 +823,7 @@ class TestStepSequences:
             for t in (1e2, 1e3, 1e4, 1e5, 1e6):
                 traj.eval_h(t)
         assert calls["invert_G"] >= 8
-        assert calls["compute_G"] <= 5 * calls["invert_G"]
+        assert calls["compute_G"] <= 4 * calls["invert_G"]
         assert 0 < calls["eval_g"] <= calls["compute_G"]
 
 
@@ -1015,6 +1015,51 @@ class TestInversionFloor:
             for x in (3, 7.9):
                 y = invert_G(x, prob, self.CFG)
                 assert abs(compute_G(y, prob) - x) <= mp.mpf(10) ** (2 - prob.dps) * y
+
+    def test_err_bound_charges_the_inversion_residual(self):
+        # err_bound's inversion term alone bounds |G(h^4) - x| from 1e-6 to
+        # 1e4 past the switch.  For (1000, -0.7) the residual is G's
+        # rounding floor near h^4 = 1e12, above twice the inversion
+        # tolerance, which was the whole term before
+        floor_stops = 0
+        for h0, h1 in ((1000, -0.7), (10**2.6875, -0.7), (1, 1), (2, 0.5)):
+            traj = integrate_h(InitialData(0, h0, h1), 2e4, SolverConfig(rel_tol=1e-18, abs_tol=1e-20))
+            t_sw, prob = traj.switch_time, traj.g_problem
+            with mp.workdps(traj.dps):
+                for e in range(-24, 17):
+                    t = t_sw + mp.mpf(10) ** (mp.mpf(e) / 4)
+                    y = traj._reduced_h4(t)
+                    res = abs(compute_G(y, prob) - 4 * (t - t_sw))
+                    assert res <= traj._inversion_err(y), (h0, h1, e)
+                    floor_stops += res > 2 * mp.mpf(10) ** (9 - traj.dps)
+        assert floor_stops
+
+
+class TestWorkingPrecision:
+    """compute_G, GProblem.eval_g, Trajectory.eval_h and eval_A_n enter
+    their own working precision only when the caller's differs: read at
+    mp.dps 15 or at that precision, they return equal values and leave
+    mp.prec as they found it."""
+
+    CFG = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
+
+    def test_reads_at_either_precision_are_equal(self):
+        # D1's c problem has Taylor pieces: G and g read dense output below
+        # the split and the series beyond it
+        prob, _ = g_problem_for_data(DATA, self.CFG)
+        model = AsymptoticModel.build(-0.7, 3, dps=prob.dps)
+        values = []
+        for dps in (15, prob.dps):
+            traj = integrate_h(DATA, 1.2e6, self.CFG)  # a fresh h^4 memo
+            with mp.workdps(dps):
+                prec = mp.prec
+                values.append([
+                    compute_G(2, prob), compute_G(1e4, prob),
+                    prob.eval_g(1), prob.eval_g(mp.ldexp(prob.z_c, -1)),
+                    traj.eval_h(50), traj.eval_h(1e5), eval_A_n(model, 1e5),
+                ])
+                assert (mp.prec, mp.dps) == (prec, dps)
+        assert values[0] == values[1]
 
 
 class TestLambertRoot:

@@ -24,8 +24,10 @@ from bench_pairs import export, git  # noqa: E402
 
 # the pinned commands of tests/test_cli.py (TestSeries, TestNumericPins),
 # the verify and lambert variants around them, the trajectory outputs with
-# and without a switch, two horizon refusals, and the ten data of the
-# `constant` benchmark workload
+# and without a switch, two horizon refusals, the ten data of the
+# `constant` benchmark workload, and inversion-heavy runs: a G inversion
+# that stops at G's rounding floor (h0 = 1000), tight and loose
+# trajectories, fits and verify runs that pass, refuse or exit 1
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -58,6 +60,14 @@ COMMANDS = (
         "lambert --n-max 6 --rel-tol 1e-30 --abs-tol 1e-32",
         "lambert --n-max 1 --x-grid 10,100 --format json",
         "lambert --x-grid 1e300,1e301",
+        "integrate --h0 1000 --h1 -0.7 --rel-tol 1e-18 --abs-tol 1e-20 --format json",
+        "integrate --h0 0.5 --h1 2 --t-max 1e6 --rel-tol 1e-22 --abs-tol 1e-24 --format csv",
+        "integrate --h0 1.5 --h1 3 --t-max 1e6 --format csv",
+        "constant --fit --h0 2 --h1 0.5",
+        "constant --fit --h0 1 --h1 -1",
+        "verify --rel-tol 1e-30 --abs-tol 1e-32 --n-max 4 --format json",
+        "verify --h0 0.5 --h1 2 --format json",
+        "verify --h0 3 --h1 0.1 --format csv",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
