@@ -144,7 +144,7 @@ def _add_io_args(sub):
 # ---------------------------------------------------------------------------
 # series
 
-MAX_SERIES_ORDER = 100  # cold q, the slowest family, takes 4 to 7 s there (2-vCPU VM)
+MAX_SERIES_ORDER = 100  # cold q, the slowest family, takes 5 to 6 s there (2-vCPU VM)
 
 
 def _cmd_series(args):

@@ -54,15 +54,16 @@ from a guessed length, and dead, such a tuple waits on a free list that
 only full collections empty, so repeated cold families would hold ever
 more memory.  A family object holds the integer forms: ``family.text(n)``,
 which ``series`` prints, writes member n's ``(c, z)`` terms from them in
-display order, by one integer binomial expansion of ``w^j`` and one gcd
-per term; ``family[n]``, the :class:`BivariatePoly` for exact comparison,
-is built on first index and kept by the family object.  ``numerics``
-reads exact values only through ``fixed_coeffs``: the mantissas at 2^-F
-of a member's coefficients (in ``w`` for p and q, in ``z`` for ptilde)
-and of its derivative's, straight from the integer form, which the
-integer Horner ``numerics._fixed_eval`` evaluates.  The same call gives
-``alpha_0..alpha_N`` and ``beta_0..beta_N`` (over ``4^N``) and the tail
-weights ``w_k = beta_k 4^k / (k - 1) = B_k / (k - 1)`` (over
+display order, by one integer binomial expansion of ``w^j``, with each
+coefficient reduced once and each term by the gcd of its binomial weight
+alone (see ``_terms``); ``family[n]``, the :class:`BivariatePoly` for
+exact comparison, is built on first index and kept by the family object.
+``numerics`` reads exact values only through ``fixed_coeffs``: the
+mantissas at 2^-F of a member's coefficients (in ``w`` for p and q, in
+``z`` for ptilde) and of its derivative's, straight from the integer form,
+which the integer Horner ``numerics._fixed_eval`` evaluates.  The same
+call gives ``alpha_0..alpha_N`` and ``beta_0..beta_N`` (over ``4^N``) and
+the tail weights ``w_k = beta_k 4^k / (k - 1) = B_k / (k - 1)`` (over
 ``lcm(1..N-1)``), the series ``numerics.GProblem`` reads below the
 crossover.  A dyadic ``alpha_k`` or ``beta_k`` has an exact mantissa at
 ``F >= 2k``.  Mantissas are built on the first numeric read at each F,
@@ -134,17 +135,22 @@ def _sum_of_products(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
 def _terms(poly: IntPoly, in_w: bool):
     """The reduced (c, z) terms (c_power, z_power, num, den) of sum_j u_j w^j,
     w = 3z - c (or, not in_w, of sum_j u_j z^j), z power descending, then c
-    power ascending: c^(j-i) z^i is u_j C(j, i) 3^i (-1)^(j-i), from w^j alone."""
+    power ascending: c^(j-i) z^i is u_j C(j, i) 3^i (-1)^(j-i), from w^j alone.
+
+    Each u_j / den is reduced once, to a_j / d_j with g_j = gcd(u_j, den).
+    a_j is prime to d_j, so gcd(W a_j, d_j) = gcd(W, d_j) for the weight
+    W = C(j, i) 3^i, and the term W a_j / d_j reduces by that small gcd."""
     nums, den = poly
     top = len(nums)
+    reduced = [(u // g, den // g) for u, g in [(u, math.gcd(u, den)) for u in nums]]
     for i in range(top - 1, -1, -1):
         weight = 3**i if in_w else 1
         for j in range(i, top if in_w else i + 1):
-            u = nums[j]
-            if u:
-                v = math.comb(j, i) * weight * (u if (j - i) % 2 == 0 else -u)
-                g = math.gcd(v, den)
-                yield j - i, i, v // g, den // g
+            a, d = reduced[j]
+            if a:
+                w = math.comb(j, i) * weight
+                h = math.gcd(w, d)
+                yield j - i, i, w // h * (a if (j - i) % 2 == 0 else -a), d // h
 
 
 # -- shared incremental state -------------------------------------------------

@@ -120,21 +120,31 @@ def format_terms(terms: Iterable[tuple[int, int, int, int]]) -> str:
     reduced ``num/den * z^z_power * c^c_power`` with ``den > 0`` and
     ``num != 0``, in the order given; ``"0"`` if there are none."""
     pieces: list[str] = []
+    c_texts = [""]  # "*c^k" by c power k, grown as powers arrive
+    z_power = z_text = None
     for i, j, num, den in terms:
-        factors = []
+        if j != z_power:
+            z_power, z_text = j, _power("z", j)
+        while len(c_texts) <= i:
+            c_texts.append(_power("c", len(c_texts)))
+        powers = z_text + c_texts[i]
         mag = -num if num < 0 else num
-        if den != 1 or mag != 1 or (i == 0 and j == 0):
-            factors.append(f"{mag}/{den}" if den != 1 else str(mag))
-        if j:
-            factors.append("z" if j == 1 else f"z^{j}")
-        if i:
-            factors.append("c" if i == 1 else f"c^{i}")
-        term = "*".join(factors)
+        if den != 1:
+            term = f"{mag}/{den}{powers}"
+        elif mag != 1 or not powers:
+            term = f"{mag}{powers}"
+        else:
+            term = powers[1:]
         if not pieces:
             pieces.append(f"-{term}" if num < 0 else term)
         else:
             pieces.append(f"- {term}" if num < 0 else f"+ {term}")
     return " ".join(pieces) if pieces else "0"
+
+
+def _power(var: str, k: int) -> str:
+    """The factor text ``*var^k``: ``*var`` for k = 1, empty for k = 0."""
+    return "" if not k else f"*{var}" if k == 1 else f"*{var}^{k}"
 
 
 def poly_eval(p: BivariatePoly, c, z):

@@ -36,6 +36,12 @@ dense coefficients of a member, as ``Fraction``s from the integer form
 ``degree(poly, var)`` reads the degree in ``"c"`` or ``"z"`` of a display
 form (a ``BivariatePoly``), for the degree bounds of the families.
 
+The text path's reference: ``terms_reference(poly, in_w)`` expands an
+integer form into its (c, z) terms with one gcd per whole term, and
+``format_reference(terms)`` writes them with one factor list per term, the
+plain forms that ``families._terms`` and ``series.format_terms`` must
+equal term for term and byte for byte.
+
 Everything here is written for ``a = a_1 x + a_2 x^2 + ...`` with zero
 constant term unless stated otherwise.  ``tests/test_series.py`` checks the
 calculus itself against brute-force enumeration and closed forms.
@@ -315,6 +321,45 @@ def degree(poly, var: str) -> int:
     nonzero coefficient; -1 for the zero polynomial."""
     slot = {"c": 0, "z": 1}[var]
     return max((key[slot] for key in poly.terms), default=-1)
+
+
+def terms_reference(poly, in_w: bool) -> list:
+    """The (c, z) terms (c_power, z_power, num, den) of an integer form, in
+    the order ``families._terms`` gives them, each reduced by one gcd of
+    its whole product u_j C(j, i) 3^i (-1)^(j-i) against den."""
+    nums, den = poly
+    top = len(nums)
+    out = []
+    for i in range(top - 1, -1, -1):
+        weight = 3**i if in_w else 1
+        for j in range(i, top if in_w else i + 1):
+            u = nums[j]
+            if u:
+                v = math.comb(j, i) * weight * (u if (j - i) % 2 == 0 else -u)
+                g = math.gcd(v, den)
+                out.append((j - i, i, v // g, den // g))
+    return out
+
+
+def format_reference(terms) -> str:
+    """The text ``series.format_terms`` writes for the terms, built as one
+    factor list per term: coefficient, z power, c power."""
+    pieces = []
+    for i, j, num, den in terms:
+        factors = []
+        mag = abs(num)
+        if den != 1 or mag != 1 or (i == 0 and j == 0):
+            factors.append(f"{mag}/{den}" if den != 1 else str(mag))
+        if j:
+            factors.append("z" if j == 1 else f"z^{j}")
+        if i:
+            factors.append("c" if i == 1 else f"c^{i}")
+        term = "*".join(factors)
+        if not pieces:
+            pieces.append(f"-{term}" if num < 0 else term)
+        else:
+            pieces.append(f"- {term}" if num < 0 else f"+ {term}")
+    return " ".join(pieces) if pieces else "0"
 
 
 def _extend_s_table(table: dict, filled: int, m_max: int, a: list) -> int:

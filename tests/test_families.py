@@ -38,7 +38,7 @@ from asymptode.families import (
     gen_p,
     gen_q,
 )
-from asymptode.series import BivariatePoly, poly_eval
+from asymptode.series import BivariatePoly, format_terms, poly_eval
 from series_oracle import (
     TruncatedSeries,
     alpha_fractions,
@@ -46,12 +46,14 @@ from series_oracle import (
     composition_families,
     degree,
     dense,
+    format_reference,
     ode_residual_order,
     rational_binomial,
     series_compose_coeffs,
     series_reciprocal,
     sigma0,
     sigma_m,
+    terms_reference,
 )
 
 F = Fraction
@@ -486,6 +488,36 @@ class TestDisplay:
                 for i in range(j + 1):  # u (3z)^i (-c)^(j-i) C(j, i)
                     expected[(j - i, i)] = u * math.comb(j, i) * 3**i * (-1) ** (j - i)
             assert family[n] == BivariatePoly(expected), n
+
+    @pytest.mark.parametrize("name", sorted(GEN))
+    def test_text_path_equals_the_reference(self, name):
+        # the terms, reduced once per coefficient, are the terms reduced
+        # by one gcd each, and the text is the factor-list text of them
+        family = self.GEN[name](self.N)
+        for n in range(family.first, self.N + 1):
+            member = family._member(n)
+            terms = terms_reference(member, family._in_w)
+            assert list(families._terms(member, family._in_w)) == terms, n
+            assert family.text(n) == format_reference(terms), n
+
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            ([], "0"),
+            ([(0, 0, 1, 1)], "1"),
+            ([(0, 0, -1, 1)], "-1"),
+            ([(0, 1, 1, 1), (1, 0, -1, 1)], "z - c"),
+            ([(2, 3, 1, 1), (1, 1, 1, 1), (0, 0, -1, 1)], "z^3*c^2 + z*c - 1"),
+            ([(3, 0, 1, 1), (0, 0, 5, 1)], "c^3 + 5"),
+            ([(0, 0, 5, 7)], "5/7"),
+            ([(0, 0, -1, 16)], "-1/16"),
+            ([(0, 2, -3, 4), (1, 2, 1, 4), (4, 0, 7, 1)], "-3/4*z^2 + 1/4*z^2*c + 7*c^4"),
+            ([(1, 0, -1, 1), (0, 1, -2, 1)], "-c - 2*z"),
+        ],
+    )
+    def test_format_edge_cases(self, terms, text):
+        assert format_terms(terms) == text
+        assert format_reference(terms) == text
 
     def test_display_forms_built_on_first_index_only(self):
         family = gen_q(10)

@@ -176,6 +176,21 @@ class TestIntegrateH:
         assert e2 > 0
         assert e6 > e2
 
+    @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5)])
+    def test_err_bound_is_sound_against_a_tighter_reference(self, h0, h1):
+        # the bound holds against a run 12 digits tighter, through the
+        # direct phase and both sides of the switch (t = 148.8 for D1,
+        # 138.4 for D2) into the tail; the least bound/actual measured is
+        # 261 (D1, t = 3) and 415 (D2, t = 30)
+        data = InitialData(0, h0, h1)
+        traj = integrate_h(data, 1e6, SolverConfig(rel_tol=1e-22, abs_tol=1e-24))
+        ref = integrate_h(data, 1e6, SolverConfig(rel_tol=1e-34, abs_tol=1e-36))
+        grid = (0.25, 1, 3, 10, 30, 100, 127, 129, 140, 150, 200, 1e3, 1e4, 1e5, 1e6)
+        assert grid[7] < traj.switch_time < grid[9]
+        with mp.workdps(60):
+            for t in grid:
+                assert abs(traj.eval_h(t) - ref.eval_h(t)) <= traj.err_bound(t), t
+
     def test_rejects_time_outside_range(self, traj):
         with pytest.raises(DomainError):
             traj.eval_h(-1)

@@ -23,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export, git  # noqa: E402
 
 # the pinned commands of tests/test_cli.py (TestSeries, TestNumericPins),
+# the printed families at order 60, past those pins,
 # the verify and lambert variants around them, the trajectory outputs with
 # and without a switch, two horizon refusals, the ten data of the
 # `constant` benchmark workload, and inversion-heavy runs: a G inversion
@@ -31,6 +32,8 @@ from bench_pairs import export, git  # noqa: E402
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
+    + [["series", "--family", f, "--order", "60", "--format", fmt]
+       for f in ("p", "q", "lambert") for fmt in ("table", "csv")]
     + [c.split() for c in (
         "constant --h0 1 --h1 1",
         "constant --h0 2 --h1 0.5",
