@@ -161,12 +161,12 @@ def eval_A_n(model, t, n=None):
 def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
     """Recover the expansion constant from trajectory values alone.
 
-    At each fit time, Newton iteration on c solves A_n(c; t) = h(t);
-    the expansion is nearly linear in c so a few steps suffice.  The
-    per-time fits are combined by median, and their spread must stay
-    within _SPREAD_TOL: fit times that disagree mean the order n or the
-    trajectory accuracy cannot support the requested constant, and
-    returning a number then would be misleading.
+    At each fit time of the sequence t_fit, Newton iteration on c
+    solves A_n(c; t) = h(t); the expansion is nearly linear in c so a
+    few steps suffice.  The per-time fits are combined by median, and
+    their spread must stay within _SPREAD_TOL: fit times that disagree
+    mean the order n or the trajectory accuracy cannot support the
+    requested constant, and returning a number then would be misleading.
 
     This route never touches the integral definition of c, so it is
     an independent check on it.
@@ -174,7 +174,7 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
     n = int(n)
     if n < 1:
         raise DomainError("fitting c needs at least one expansion term")
-    times = sorted(float(t) for t in (t_fit if hasattr(t_fit, "__iter__") else [t_fit]))
+    times = sorted(float(t) for t in t_fit)
     if not times:
         raise DomainError("no fit times given")
     with _workdps(traj.dps):

@@ -45,6 +45,7 @@ from .numerics import (
     InitialData,
     SolverConfig,
     _check_horizon,
+    _check_in_range,
     _workdps,
     compute_c_for_data,
     integrate_h,
@@ -123,6 +124,14 @@ def _remainder_lines(rep):
         % (n, mp.nstr(rep.max_remainder(n), 6), mp.nstr(rep.growth(n), 6), rep.growth_factor)
         for n in rep.n_values
     ]
+
+
+def _check_times(times, t0, t_max, cfg):
+    """Refuse the first of times outside the trajectory [t0, t_max] at cfg
+    as its read would, before the trajectory is computed."""
+    with _workdps(cfg.effective_dps):
+        for t in times:
+            _check_in_range(t, t0, t_max)
 
 
 def _add_data_args(sub):
@@ -215,15 +224,16 @@ def _cmd_constant(args):
             "--digits must lie between 1 and the working precision, %d"
             % cfg.effective_dps
         )
+    t_fit = (args.t_max * 1e-2, args.t_max * 1e-1, args.t_max)
     if args.fit:  # the later checks of integrate_h and the fit, before any work
         _check_horizon(args.t0, args.t_max * 1.2)
         if args.fit_order < 1:
             raise DomainError("fitting c needs at least one expansion term")
+        _check_times(sorted(t_fit), args.t0, args.t_max * 1.2, cfg)
     c = compute_c_for_data(data, cfg)
     rows = [("c", mp.nstr(c, digits))]
     if args.fit:
         traj = integrate_h(data, args.t_max * 1.2, cfg)
-        t_fit = (args.t_max * 1e-2, args.t_max * 1e-1, args.t_max)
         c_fit = fit_c_from_trajectory(traj, n=args.fit_order, t_fit=t_fit)
         with _workdps(cfg.effective_dps):
             rows.append(("c_fit", mp.nstr(c_fit, digits)))
@@ -254,6 +264,8 @@ def _cmd_verify(args):
     growth_factor = _growth_limit(args.growth_factor)
     if not math.isfinite(args.shift):
         raise DomainError("shift s must be finite, got %s" % args.shift)
+    if args.synthetic is None:
+        _check_times(grid, args.t0, grid[-1] * 1.2, cfg)
     c = compute_c_for_data(data, cfg)
     model = AsymptoticModel.build(c, order=args.n_max, dps=cfg.effective_dps)
     if args.synthetic is not None:

@@ -151,6 +151,15 @@ def _check_horizon(t0, t_max):
     return t0, t_max
 
 
+def _check_in_range(t, t_start, t_end):
+    """t as an mpf, once it lies in [t_start, t_end], the range of a
+    trajectory; the refusal prints at the caller's precision."""
+    t = mp.mpf(t)
+    if t < t_start or t > t_end:
+        raise DomainError(f"t={t} outside the integrated range [{mp.mpf(t_start)}, {mp.mpf(t_end)}]")
+    return t
+
+
 def _workdps(dps):
     """mp.workdps(dps), or a shared no-op when mp.prec is already the one it sets."""
     return _AT_PRECISION if mp.prec == dps_to_prec(dps) else mp.workdps(dps)
@@ -168,9 +177,9 @@ class SolverConfig:
 
     ``rel_tol``/``abs_tol`` bound the local error per integrator step and
     fix the working decimal precision ``effective_dps``: their digits plus
-    18 guard digits, and at least 30.  ``fp_tol`` is the residual tolerance
-    of an invert_G called with this config; a trajectory inverts G at its
-    precision floor instead.
+    18 guard digits, and at least 30.  No solver reads ``fp_tol``: every
+    G inversion stops at the precision floor (invert_G).  It remains a
+    validated field until the benchmark stops reading it.
     """
 
     rel_tol: float = 1e-10
@@ -545,12 +554,7 @@ class Trajectory:
     def _locate(self, t):
         """(t, the direct step covering it), with step None past the switch;
         at the working precision."""
-        t = mp.mpf(t)
-        if t < self.t_start or t > self.t_end:
-            raise DomainError(
-                f"t={t} outside the integrated range "
-                f"[{self.t_start}, {self.t_end}]"
-            )
+        t = _check_in_range(t, self.t_start, self.t_end)
         if self.switch_time is not None and t > self.switch_time:
             return t, None
         return t, _step_at(self._steps, self._keys, t)
@@ -693,9 +697,9 @@ class GProblem:
     r = (1/g - 1 + 3z/4) 4/z^2.  The two representations of g are required
     to agree at z_c when the problem is built.  ``i_c`` = I(z_c) is the
     integrator's own value at its last step end (zero without Taylor
-    pieces).  Below z_c, r is the reciprocal series, and I(4/x) = J - T(x)
-    for x >= S (see _beta_tail); the whole integral ``i_0`` = J = I(0) =
-    i_c + T(S) is built here, once.  Both series below z_c, sum alpha_k z^k
+    pieces, when z_c = z0).  Below z_c, r is the reciprocal series, and
+    I(4/x) = J - T(x) for x >= S (see _beta_tail); the whole integral
+    ``i_0`` = J = I(0) = i_c + T(S) is built here, once.  Both series below z_c, sum alpha_k z^k
     (_series) and T, are read by one integer Horner each (_fixed_eval,
     rounded once) on the mantissas families.fixed_coeffs gives at 2^-F,
     F = mp.prec + _GUARD_BITS.  The working precision is
@@ -705,22 +709,19 @@ class GProblem:
     4/z_c the point beyond which G uses the series tail; both, and the
     domain bounds of eval_g and compute_G (a relative slack of 10^(4-dps)),
     are fixed when the problem is built.  ``n_rejected`` counts the
-    integrator's rejected trial steps.  The constant c is memoized on the
-    problem by compute_c.
+    integrator's rejected trial steps.
     """
 
-    def __init__(self, z0, g0, z_c, steps, cfg, ode_err, rejected=0, i_c=0):
+    def __init__(self, z0, g0, z_c, steps, cfg, ode_err, rejected, i_c):
         self.z0 = z0
         self.g0 = g0
         self.z_c = z_c
-        self.i_c = i_c
         self.cfg = cfg
         self.dps = cfg.effective_dps
         self.ode_err = ode_err
         self.n_rejected = rejected
         self._steps = steps  # descending t_start; each covers [start-len, start]
         self._keys = [-s.t_start for s in steps]  # for _step_at
-        self._c = None
         with _workdps(self.dps):
             self.anchor = 4 / z0
             self.split = 4 / z_c
@@ -771,6 +772,8 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
 
     Integrates g' = (1/z^2)(1 - 1/g) - (3/4) g/z from z0 toward zero until
     the crossover z_c, below which the series representation takes over.
+    When z0 already lies below the crossover, z_c = z0 and the march takes
+    no step.
 
     Placement of the crossover is an accuracy/cost tradeoff.  The equation
     is stiff toward z = 0 (the solution-collapse rate is 1/z^2, so Taylor
@@ -780,16 +783,19 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
     last retained term is below 0.01 (abs_tol + rel_tol) z; the extra factor
     of z keeps the integrated impact of the series region (the integrands
     of G and c divide by z^2) below the noise the dense region already
-    carries.  The handoff is validated by comparing the integrated value
-    with the series value at z_c.
+    carries.  One check validates the handoff: the march's value at z_c
+    must agree with the series there, within 1000 times the truncation
+    estimate, 100 times the summed step error and the floor 10^(6 - dps).
+    Without steps that value is the data g0 itself, and the check also
+    allows the data's own accuracy, 10 (abs_tol + rel_tol |g0|).
 
     Each step also carries the running integral I of the regular integrand
     (see GProblem); a step is accepted only when the truncation estimates
     of both g and I are within the local tolerance.
 
-    ``seed_tol`` widens the data-consistency gate of the z0 <= z_c branch
-    when (z0, g0) are themselves numerical (a trajectory handing off its
-    switch point).
+    ``seed_tol`` widens that check, when the march takes no step, for
+    data (z0, g0) that are themselves numerical (a trajectory handing off
+    its switch point).
     """
     cfg = cfg or SolverConfig()
     with _workdps(cfg.effective_dps):
@@ -811,26 +817,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
         while trunc_est(z_c) > tol_pt * z_c:
             z_c *= mp.mpf("0.9")
 
-        if z0 <= z_c:
-            # Initial point already inside the collapse region: every actual
-            # solution is indistinguishable from the series there, so the
-            # data must be consistent with it up to the truncation estimate.
-            problem = GProblem(z0, g0, min(z0, z_c), [], cfg, mp.zero)
-            series_val = problem._series(z0)
-            gate = (
-                1000 * trunc_est(z0)
-                + _floor(6)
-                + 10 * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * abs(g0))
-            )
-            if seed_tol is not None:
-                gate += mp.mpf(seed_tol)
-            if abs(series_val - g0) > gate:
-                raise AccuracyError(
-                    "initial point lies below the series crossover but the "
-                    "data disagree with the asymptotic profile; the backward "
-                    "problem is not resolvable at this precision"
-                )
-            return problem
+        z_c = min(z0, z_c)  # data already below the crossover: no step
 
         steps, (_, g, i_c), cum_err, rejected = _march(
             lambda z, g, i, order, k: _g_system_coeffs(z, g, i, order),
@@ -839,10 +826,21 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
         )
         problem = GProblem(z0, g0, z_c, steps, cfg, cum_err, rejected, i_c)
         series_at_zc = problem._series(z_c)
-        agree_tol = (
-            1000 * trunc_est(z_c) + 100 * cum_err + _floor(6)
-        )
+        agree_tol = 1000 * trunc_est(z_c) + 100 * cum_err + _floor(6)
+        if not steps:
+            # every actual solution is indistinguishable from the series
+            # below z_c, so the data must agree with it to within their own
+            # accuracy and the truncation estimate
+            agree_tol += 10 * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * abs(g0))
+            if seed_tol is not None:
+                agree_tol += mp.mpf(seed_tol)
         if abs(series_at_zc - g) > agree_tol:
+            if not steps:
+                raise AccuracyError(
+                    "initial point lies below the series crossover but the "
+                    "data disagree with the asymptotic profile; the backward "
+                    "problem is not resolvable at this precision"
+                )
             raise AccuracyError(
                 f"series/ODE handoff mismatch at z_c={z_c}: "
                 f"|{series_at_zc} - {g}| > {agree_tol}"
@@ -882,10 +880,12 @@ def compute_G(x, problem: GProblem):
 
     G(x) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x) on both sides of the split
     S.  Up to S, I(4/x) is dense output of the integrator's running
-    integral: a bisection for the step and one Horner evaluation.  Above S
-    it is J - T(x), the problem's whole integral less the series tail in
-    1/x (GProblem._beta_tail); this is the large-x expansion
+    integral: a bisection for the step and one Horner evaluation.  Above S,
+    and for every x when the problem has no Taylor pieces, it is J - T(x),
+    the problem's whole integral less the series tail in 1/x
+    (GProblem._beta_tail); this is the large-x expansion
     x - 3 ln x + c - 4 sum_k (beta_{k+1}/k) (4/x)^k at the problem's own c.
+    Without pieces S = h0^4 and J = T(S), so G(h0^4) = 0 exactly.
     """
     with _workdps(problem.dps):
         prec, rnd = mp.prec, round_nearest
@@ -894,13 +894,11 @@ def compute_G(x, problem: GProblem):
         if mpf_lt(x, problem._x_min._mpf_):
             raise DomainError(f"G is defined for x >= h0^4 = {problem.anchor}")
         x = anchor if mpf_lt(x, anchor) else x
-        if mpf_gt(x, problem.split._mpf_):
+        if mpf_gt(x, problem.split._mpf_) or not problem._steps:
             i_x = mpf_sub(problem.i_0._mpf_, problem._beta_tail(mp.make_mpf(x))._mpf_, prec, rnd)
-        elif problem._steps:  # I(4/x) = int_{4/x}^{z0} r: dense output
+        else:  # I(4/x) = int_{4/x}^{z0} r: dense output
             z = mp.make_mpf(mpf_rdiv_int(4, x, prec, rnd))
             i_x = _step_at(problem._steps, problem._keys, -z).eval_y(z)._mpf_
-        else:  # x = S = h0^4 without Taylor pieces
-            i_x = fzero
         log = mpf_mul_int(mpf_log(mpf_div(x, anchor, prec, rnd), prec, rnd), 3, prec, rnd)
         G = mpf_sub(mpf_sub(x, anchor, prec, rnd), log, prec, rnd)
         return mp.make_mpf(mpf_add(G, i_x, prec, rnd))
@@ -915,14 +913,12 @@ def compute_c(problem: GProblem):
     J = I(0) = int_0^{z0} r: the running integral I(z_c) that the
     integrator accumulated step by step, plus the exact termwise integral
     T(S) of the series 1/g(4/s) - 1 + 3/s = sum_{k>=2} beta_k (4/s)^k below
-    z_c (below z0 when the data already sit there).  The series' last term
+    z_c (from z0 when the data already sit there).  The series' last term
     there must lie below the tolerance.
 
-    Memoized on the problem.  The result is the c of a problem based at
-    t0 = 0; see compute_c_for_data for general base points.
+    The result is the c of a problem based at t0 = 0; see
+    compute_c_for_data for general base points.
     """
-    if problem._c is not None:
-        return problem._c
     with _workdps(problem.dps):
         z_tail = problem.z_c  # equal to z0 when the data sit below z_c
         top = _SERIES_ORDER
@@ -941,8 +937,7 @@ def compute_c(problem: GProblem):
             )
 
         anchor = problem.anchor
-        problem._c = problem.i_0 - anchor + 3 * mp.log(anchor)
-    return problem._c
+        return problem.i_0 - anchor + 3 * mp.log(anchor)
 
 
 def compute_c_for_data(data: InitialData, cfg: SolverConfig | None = None):
@@ -995,7 +990,7 @@ def _newton(f, slope, y, lo, hi, tol, what):
     raise ConvergenceError(f"{what} hit the {_FP_MAX_ITER} cap")
 
 
-def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
+def invert_G(x, problem: GProblem):
     """Solve G(y) = x for y >= h0^4.
 
     Bracketed Newton (_newton) with G'(y) = 1/g(4/y) on [h0^4, hi] from the
@@ -1005,9 +1000,8 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
     candidate hi is 2x + h0^4 + 1, and the residual and slope call
     compute_G and problem.eval_g.  Stops at |G(y) - x| <= tol / 2, with tol
     the precision floor 10^(9 - dps) at the problem's working precision dps,
-    or cfg.fp_tol when a cfg is given; or when the next iterate equals y at
-    working precision: for large h0^4 an absolute tol can lie below G's
-    rounding floor.
+    or when the next iterate equals y at working precision: for large h0^4
+    an absolute tol can lie below G's rounding floor.
     """
     with _workdps(problem.dps):
         x = mp.mpf(x)
@@ -1016,7 +1010,6 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
         if x == 0:
             return problem.anchor
         prec, rnd, x, lo = mp.prec, round_nearest, x._mpf_, problem.anchor._mpf_  # G(lo) = 0 <= x
-        tol = _floor(9)._mpf_ if cfg is None else from_float(cfg.fp_tol, prec, rnd)
         log = mpf_mul_int(mpf_log(mpf_add(fone, mpf_div(x, lo, prec, rnd), prec, rnd), prec, rnd), 3, prec, rnd)
         y0 = mpf_sub(mpf_add(mpf_add(x, lo, prec, rnd), log, prec, rnd), problem.i_0._mpf_, prec, rnd)
         return mp.make_mpf(_newton(
@@ -1025,7 +1018,7 @@ def invert_G(x, problem: GProblem, cfg: SolverConfig | None = None):
                 1, problem.eval_g(mp.make_mpf(mpf_rdiv_int(4, y, prec, rnd)))._mpf_, prec, rnd),
             y0 if mpf_lt(lo, y0) else lo, lo,
             mpf_add(mpf_add(mpf_mul_int(x, 2, prec, rnd), lo, prec, rnd), fone, prec, rnd),
-            mpf_shift(tol, -1), "G inversion",
+            mpf_shift(_floor(9)._mpf_, -1), "G inversion",
         ))
 
 

@@ -4,10 +4,10 @@ numerics._newton checks the upper end of its bracket only when an
 iterate reaches it or a bisection needs it.  These are the mpf solvers
 it replaced, which check (and double) that end before the first iterate:
 
-* ``invert_G(x, problem, cfg)``: G(y) = x on [h0^4, hi], hi doubled from
+* ``invert_G(x, problem)``: G(y) = x on [h0^4, hi], hi doubled from
   2x + h0^4 + 1 until G(hi) >= x, from the leading-order inverse
   y = max(x + h0^4 + 3 ln(1 + x/h0^4) - J, h0^4), J the problem's whole
-  integral;
+  integral, to the residual 10^(9 - dps)/2 at the problem's precision;
 * ``lambert_wm1(x, cfg)``: y - ln y = x from y = x + ln x on [1, hi], hi
   doubled from x + 2 ln x + 2 until hi - ln hi >= x.
 
@@ -44,7 +44,7 @@ def newton(f, slope, y, lo, hi, tol, path):
     raise ConvergenceError("iteration cap")
 
 
-def invert_G(x, problem, cfg):
+def invert_G(x, problem):
     path = {"doublings": 0, "bisections": 0}
     with mp.workdps(problem.dps):
         x = mp.mpf(x)
@@ -57,7 +57,7 @@ def invert_G(x, problem, cfg):
             lambda y: compute_G(y, problem) - x,
             lambda y: 1 / problem.eval_g(4 / y),
             max(x + lo + 3 * mp.log(1 + x / lo) - problem.i_0, lo), lo, hi,
-            mp.mpf(cfg.fp_tol) / 2, path,
+            mp.mpf(10) ** (9 - problem.dps) / 2, path,
         )
     return root, path
 

@@ -195,7 +195,7 @@ def test_criterion_09_inversion_roundtrip_and_sandwich():
     with mp.workdps(problem.dps):
         for expo in (2, 3, 4, 5, 6):
             x = mp.mpf(10) ** expo
-            y = invert_G(x, problem, CFG_C)
+            y = invert_G(x, problem)
             assert abs(compute_G(y, problem) - x) <= mp.mpf("1e-9"), expo
             gap = y - x
             assert gap >= 0, expo

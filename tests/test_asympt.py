@@ -342,8 +342,8 @@ class TestFitC:
         with mp.workdps(30):
             assert abs(c_quad - c_fit) < mp.mpf("1e-10")
 
-    def test_scalar_fit_time(self, traj_default):
-        c = fit_c_from_trajectory(traj_default, n=4, t_fit=1e5)
+    def test_single_fit_time(self, traj_default):
+        c = fit_c_from_trajectory(traj_default, n=4, t_fit=(1e5,))
         with mp.workdps(30):
             assert abs(c - mp.mpf(C_011)) < mp.mpf("1e-10")
 
@@ -355,7 +355,7 @@ class TestFitC:
 
     def test_bad_arguments_rejected(self, traj_default):
         with pytest.raises(DomainError):
-            fit_c_from_trajectory(traj_default, n=0, t_fit=1e5)
+            fit_c_from_trajectory(traj_default, n=0, t_fit=(1e5,))
         with pytest.raises(DomainError):
             fit_c_from_trajectory(traj_default, n=4, t_fit=())
 

@@ -183,6 +183,10 @@ class TestNumericPins:
     GOLDEN_STDERR = {
         "constant --h0 1.5 --h1 3":
             "7509ffdff57ffd191c02911dc975b0661d366c7518cec7039e5c53ff3332c910",
+        # data below the series crossover that disagree with the series,
+        # recorded while that check had a branch of its own
+        "constant --h0 1000 --h1 1":
+            "b69d670d5bc14a628ab2a7cc7cf047aed58a2c0f56b60665541ed46941f161d1",
         # the two gated refusals (trajectory bound, Lambert root), recorded
         # while each had a gate loop of its own
         "verify --n-max 4":
@@ -467,6 +471,10 @@ class TestContract:
             (("constant", "--fit", "--fit-order", "0"), "fitting c needs at least one expansion term"),
             (("integrate", "--t-max", "0"), "t_max must exceed t0"),
             (("integrate", "--t0", "5", "--t-max", "5"), "t_max must exceed t0"),
+            (("constant", "--fit", "--t0", "100", "--t-max", "1000"),
+             "t=10.0 outside the integrated range [100.0, 1200.0]"),
+            (("verify", "--t0", "500", "--t-grid", "1e2,1e3"),
+             "t=100.0 outside the integrated range [500.0, 1200.0]"),
         ],
     )
     def test_bad_argument_refused_before_any_work(self, capsys, argv, message):

@@ -276,6 +276,13 @@ class TestSolveG:
 class TestComputeG:
     def test_anchor_is_zero(self, problem):
         assert compute_G(problem.anchor, problem) == 0
+        # D1's switch problem at rel 1e-18 has no Taylor pieces: there
+        # I(4/x) = J - T(x) for every x, and J = T(S) at S = h0^4
+        cfg = SolverConfig(rel_tol=1e-18, abs_tol=1e-20)
+        switched = integrate_h(DATA, 1e3, cfg).g_problem
+        assert not switched._steps
+        assert switched.split == switched.anchor
+        assert compute_G(switched.anchor, switched) == 0
 
     def test_monotone(self, problem):
         with mp.workdps(problem.dps):
@@ -334,7 +341,7 @@ class TestComputeG:
     def test_inversion_iteration_cap(self, problem, monkeypatch):
         monkeypatch.setattr(numerics, "_FP_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            invert_G(100, problem, SolverConfig(fp_tol=1e-25))
+            invert_G(100, problem)
 
     def test_lambert_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(numerics, "_FP_MAX_ITER", 1)
@@ -386,8 +393,21 @@ class TestComputeC:
         with mp.workdps(problem.dps):
             assert abs(compute_c(problem) - mp.mpf(C_011)) < mp.mpf("1e-9")
 
-    def test_memoized(self, problem):
-        assert compute_c(problem) is compute_c(problem)
+    @pytest.mark.parametrize("h0,h1", [
+        (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
+        (0.5, 0.5), (3, 0.1), (1, -1), (0.7, 0.3), (1.5, 1),
+        (1, 0), (1, -0.5), (1000, -0.7),
+    ])
+    def test_printed_c_is_sound_against_a_tighter_reference(self, h0, h1):
+        # at the `constant` defaults, c is within rel_tol |c| + abs_tol of
+        # the rel 1e-30 run: marched problems, and the step-free switch
+        # problems of the h1 <= 0 and large-h0 data
+        cfg = SolverConfig(rel_tol=1e-18, abs_tol=1e-20)
+        data = InitialData(0, h0, h1)
+        c = compute_c_for_data(data, cfg)
+        ref = compute_c_for_data(data, SolverConfig(rel_tol=1e-30, abs_tol=1e-32))
+        with mp.workdps(60):
+            assert abs(c - ref) <= cfg.rel_tol * abs(c) + cfg.abs_tol, (c, ref)
 
     def test_base_point_invariance(self, traj):
         # the same solution described by its state at t = 5 must produce
@@ -847,8 +867,8 @@ class TestDeferredBracket:
     reaches it or a bisection needs it.  The roots of invert_G and
     lambert_wm1_numeric equal, bit for bit, those of the eager bracket of
     newton_oracle: G on D1, D2 and (0.5, 2), whose G has Taylor pieces,
-    and the large-g0 datum (3, 1), at the default fp_tol and at the
-    trajectory's own (1e-31 here), for x from 1e-3 to 5e6; the Lambert
+    and the large-g0 datum (3, 1), at the precision floor 10^(9 - dps)/2
+    (5e-34 at dps 42 here), for x from 1e-3 to 5e6; the Lambert
     root from just above the branch point to 1e300.  Some of the G paths
     double the candidate end and some bisect."""
 
@@ -859,12 +879,11 @@ class TestDeferredBracket:
         paths = {"doublings": 0, "bisections": 0}
         for h0, h1 in ((1, 1), (2, 0.5), (0.5, 2), (3, 1)):
             prob, _ = g_problem_for_data(InitialData(0, h0, h1), self.CFG)
-            for cfg in (self.CFG, dataclasses.replace(self.CFG, fp_tol=1e-31)):
-                for x in self.XS:
-                    ref, path = newton_oracle.invert_G(x, prob, cfg)
-                    assert invert_G(x, prob, cfg) == ref, (h0, h1, cfg.fp_tol, x)
-                    for key in paths:
-                        paths[key] += path[key]
+            for x in self.XS:
+                ref, path = newton_oracle.invert_G(x, prob)
+                assert invert_G(x, prob) == ref, (h0, h1, x)
+                for key in paths:
+                    paths[key] += path[key]
         assert paths["doublings"] and paths["bisections"], paths
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-30])
@@ -1000,7 +1019,7 @@ class TestInversionFloor:
     floor of G there, so the inversion must stop once its iterate no longer
     moves at working precision instead of spinning to its iteration cap."""
 
-    CFG = SolverConfig(rel_tol=1e-18, abs_tol=1e-20, fp_tol=1e-29)
+    CFG = SolverConfig(rel_tol=1e-18, abs_tol=1e-20)
 
     @pytest.mark.parametrize("h0", [10**2.6875, 1000])
     def test_large_h0_resolves_to_the_reference(self, h0):
@@ -1013,8 +1032,8 @@ class TestInversionFloor:
 
     @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5)])
     def test_default_stops_at_the_precision_floor(self, h0, h1):
-        # no config: the Newton stop is half the floor 10^(9 - dps) at the
-        # problem's precision (dps 42 here), not any config's fp_tol
+        # the Newton stop is half the floor 10^(9 - dps) at the problem's
+        # precision (dps 42 here)
         prob, _ = g_problem_for_data(InitialData(0, h0, h1), SolverConfig(rel_tol=1e-22, abs_tol=1e-24))
         assert prob.dps == 42
         with mp.workdps(prob.dps):
@@ -1024,11 +1043,11 @@ class TestInversionFloor:
 
     def test_bracketed_solver_stops_at_the_floor(self):
         # arguments far below h0^4 = 1e12: the Newton iterate starts at the
-        # anchor, where the absolute fp_tol is below G's rounding floor
+        # anchor, where the floor's absolute tolerance is below G's rounding floor
         prob = integrate_h(InitialData(0, 1000, -0.7), 1e5, self.CFG).g_problem
         with mp.workdps(prob.dps):
             for x in (3, 7.9):
-                y = invert_G(x, prob, self.CFG)
+                y = invert_G(x, prob)
                 assert abs(compute_G(y, prob) - x) <= mp.mpf(10) ** (2 - prob.dps) * y
 
     def test_err_bound_charges_the_inversion_residual(self):

@@ -28,7 +28,9 @@ from bench_pairs import export, git  # noqa: E402
 # and without a switch, two horizon refusals, the ten data of the
 # `constant` benchmark workload, and inversion-heavy runs: a G inversion
 # that stops at G's rounding floor (h0 = 1000), tight and loose
-# trajectories, fits and verify runs that pass, refuse or exit 1
+# trajectories, fits and verify runs that pass, refuse or exit 1; then the
+# step-free g problems (h1 <= 0 and large h0), refused or not, a dense read
+# of a marched G, and two fit and grid times before t0
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -71,6 +73,16 @@ COMMANDS = (
         "verify --rel-tol 1e-30 --abs-tol 1e-32 --n-max 4 --format json",
         "verify --h0 0.5 --h1 2 --format json",
         "verify --h0 3 --h1 0.1 --format csv",
+        "constant --h0 1 --h1 0",
+        "constant --h0 1 --h1 -0.5 --format json",
+        "verify --h0 1 --h1 -1",
+        "integrate --h1 -1 --t-max 1e4 --format json",
+        "integrate --t-max 1e4 --rel-tol 1e-30 --abs-tol 1e-32 --format csv",
+        "constant --h0 1000 --h1 -0.7",
+        "constant --h0 200 --h1 1e-9",
+        "integrate --h0 1000 --h1 -0.7 --t-max 1e4 --format csv",
+        "constant --fit --t0 100 --t-max 1000",
+        "verify --t0 500 --t-grid 1e2,1e3",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
