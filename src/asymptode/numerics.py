@@ -152,8 +152,7 @@ def _check_horizon(t0, t_max):
 
 
 def _check_in_range(t, t_start, t_end):
-    """t as an mpf, once it lies in [t_start, t_end], the range of a
-    trajectory; the refusal prints at the caller's precision."""
+    """t as an mpf, once in a trajectory's [t_start, t_end]; at the caller's precision."""
     t = mp.mpf(t)
     if t < t_start or t > t_end:
         raise DomainError(f"t={t} outside the integrated range [{mp.mpf(t_start)}, {mp.mpf(t_end)}]")
@@ -699,8 +698,8 @@ class GProblem:
     integrator's own value at its last step end (zero without Taylor
     pieces, when z_c = z0).  Below z_c, r is the reciprocal series, and
     I(4/x) = J - T(x) for x >= S (see _beta_tail); the whole integral
-    ``i_0`` = J = I(0) = i_c + T(S) is built here, once.  Both series below z_c, sum alpha_k z^k
-    (_series) and T, are read by one integer Horner each (_fixed_eval,
+    ``i_0`` = J = I(0) = i_c + T(S) is built here, once.  Both series
+    below z_c, sum alpha_k z^k (_series) and T, are read by one integer Horner each (_fixed_eval,
     rounded once) on the mantissas families.fixed_coeffs gives at 2^-F,
     F = mp.prec + _GUARD_BITS.  The working precision is
     ``cfg.effective_dps``.
@@ -771,9 +770,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
     """Build the dense representation of g through (z0, g0) down to z -> 0.
 
     Integrates g' = (1/z^2)(1 - 1/g) - (3/4) g/z from z0 toward zero until
-    the crossover z_c, below which the series representation takes over.
-    When z0 already lies below the crossover, z_c = z0 and the march takes
-    no step.
+    the crossover z_c (at most z0), below which the series takes over.
 
     Placement of the crossover is an accuracy/cost tradeoff.  The equation
     is stiff toward z = 0 (the solution-collapse rate is 1/z^2, so Taylor
@@ -783,19 +780,15 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
     last retained term is below 0.01 (abs_tol + rel_tol) z; the extra factor
     of z keeps the integrated impact of the series region (the integrands
     of G and c divide by z^2) below the noise the dense region already
-    carries.  One check validates the handoff: the march's value at z_c
-    must agree with the series there, within 1000 times the truncation
-    estimate, 100 times the summed step error and the floor 10^(6 - dps).
-    Without steps that value is the data g0 itself, and the check also
-    allows the data's own accuracy, 10 (abs_tol + rel_tol |g0|).
+    carries.  One check compares the march's value at z_c with the series
+    there; with no step that value is g0, and the data's accuracy counts.
 
     Each step also carries the running integral I of the regular integrand
     (see GProblem); a step is accepted only when the truncation estimates
     of both g and I are within the local tolerance.
 
-    ``seed_tol`` widens that check, when the march takes no step, for
-    data (z0, g0) that are themselves numerical (a trajectory handing off
-    its switch point).
+    ``seed_tol`` widens the step-free check for numerical (z0, g0), as at
+    a trajectory's switch point.
     """
     cfg = cfg or SolverConfig()
     with _workdps(cfg.effective_dps):
@@ -827,10 +820,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
         problem = GProblem(z0, g0, z_c, steps, cfg, cum_err, rejected, i_c)
         series_at_zc = problem._series(z_c)
         agree_tol = 1000 * trunc_est(z_c) + 100 * cum_err + _floor(6)
-        if not steps:
-            # every actual solution is indistinguishable from the series
-            # below z_c, so the data must agree with it to within their own
-            # accuracy and the truncation estimate
+        if not steps:  # below z_c every solution is the series, to the data's accuracy
             agree_tol += 10 * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * abs(g0))
             if seed_tol is not None:
                 agree_tol += mp.mpf(seed_tol)
