@@ -29,10 +29,11 @@ Everything here evaluates exact rational polynomials at a configurable
 working precision; no floating-point coefficients enter.  Each q_k is a
 polynomial in the single variable w = 3z - c.  It is evaluated by the
 integer Horner of the numerical layer (numerics._fixed_eval) on the
-mantissas of its dense w-coefficients at 2^-F, F = mp.prec +
-numerics._GUARD_BITS (families.fixed_coeffs), rounded once; the
-c-derivative needed by the fit is -d/dw, from the mantissas of the
-derivative's coefficients.  The Lambert family is read the same way.
+mantissas of its dense w-coefficients from the one fixed-point reader
+(numerics._fixed_member), rounded once; the c-derivative needed by the
+fit is -d/dw, from the mantissas of the derivative's coefficients.  The
+Lambert family is read the same way.  Non-finite t, c and grid points
+are refused before any work.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ from operator import mul
 from mpmath import mp
 
 from .errors import AccuracyError, ConvergenceError, DomainError
-from .families import fixed_coeffs
 from .numerics import (
-    _GUARD_BITS,
     SolverConfig,
     _fixed_eval,
+    _fixed_member,
     _floor,
+    _require_finite,
     _workdps,
     lambert_root_tol,
     lambert_wm1_numeric,
@@ -87,6 +88,7 @@ class AsymptoticModel:
     dps: int = 30
 
     def __post_init__(self):
+        _require_finite(c=self.c)
         if self.order < 0:
             raise DomainError("expansion order must be nonnegative")
         if self.dps < 15:
@@ -106,8 +108,8 @@ class AsymptoticModel:
 def _member_value(family, n, u, slope=False):
     """Member n of the family at u (its derivative if slope), at the
     caller's precision: one integer Horner, rounded once."""
-    F = mp.prec + _GUARD_BITS
-    return _fixed_eval(fixed_coeffs(family, n, F)[1 if slope else 0], u, F, 0)
+    mants, F = _fixed_member(family, n, slope)
+    return _fixed_eval(mants, u, F, 0)
 
 
 def _powers(t, n):
@@ -153,6 +155,7 @@ def eval_A_n(model, t, n=None):
         raise DomainError("expansion order must be nonnegative")
     with _workdps(model.dps):
         t = mp.mpf(t)
+        _require_finite(t=t)
         if t <= 0:
             raise DomainError("A_n(t) needs t > 0")
         return _a_value(mp.mpf(model.c), _profile_parts(t, n))
@@ -174,7 +177,7 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
     n = int(n)
     if n < 1:
         raise DomainError("fitting c needs at least one expansion term")
-    times = sorted(float(t) for t in t_fit)
+    times = _finite_points(t_fit, "fit time")
     if not times:
         raise DomainError("no fit times given")
     with _workdps(traj.dps):
@@ -290,11 +293,19 @@ def _growth_limit(growth_factor):
     return growth_factor
 
 
+def _finite_points(points, name):
+    """The points as floats, ascending, once each is finite: a NaN would
+    sort anywhere and drop out of every comparison."""
+    values = [float(v) for v in points]
+    _require_finite(**{"%s %d" % (name, i): v for i, v in enumerate(values)})
+    return sorted(values)
+
+
 def remainder_grid(t_grid):
-    """The distinct points of t_grid, ascending; refused unless there are
-    at least two and the first exceeds 1, where the normalisation
-    (ln t / t)**(n+1) is positive."""
-    times = sorted(set(float(t) for t in t_grid))
+    """The distinct points of t_grid, ascending; refused unless they are
+    finite, there are at least two and the first exceeds 1, where the
+    normalisation (ln t / t)**(n+1) is positive."""
+    times = sorted(set(_finite_points(t_grid, "grid point")))
     if len(times) < 2:
         raise DomainError(_ONE_POINT)
     if times[0] <= 1:
@@ -379,9 +390,8 @@ def shift_invariance_check(model, n, s, t_grid):
     n = int(n)
     if n < 0:
         raise DomainError("expansion order must be nonnegative")
-    if not mp.isfinite(s):
-        raise DomainError("shift s must be finite, got %s" % s)
-    times = sorted(float(t) for t in t_grid)
+    _require_finite(s=s)
+    times = _finite_points(t_grid, "grid point")
     if not times or times[0] <= 1:
         raise DomainError("shift check needs a nonempty grid with t > 1")
     shifted = model.shifted(s)
@@ -423,7 +433,7 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     growth_factor = _growth_limit(growth_factor)
-    xs = sorted(set(float(x) for x in x_grid))
+    xs = sorted(set(_finite_points(x_grid, "grid point")))
     if not xs:
         raise DomainError("empty x grid")
     if xs[0] <= 1:
@@ -477,7 +487,7 @@ class SyntheticTrajectory:
     def eval_h(self, t):
         with _workdps(self.dps):
             t = mp.mpf(t)
-            if t < self.t_start or t > self.t_end:
+            if not self.t_start <= t <= self.t_end:
                 raise DomainError("t outside the synthetic range")
             return mp.mpf(self._fn(t))
 

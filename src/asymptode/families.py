@@ -52,22 +52,26 @@ by one gcd pass when finished, with no per-operation normalisation.  Its
 tuples are built from lists: CPython resizes a tuple built from a generator
 from a guessed length, and dead, such a tuple waits on a free list that
 only full collections empty, so repeated cold families would hold ever
-more memory.  A family object holds the integer forms: ``family.text(n)``,
-which ``series`` prints, writes member n's ``(c, z)`` terms from them in
-display order, by one integer binomial expansion of ``w^j``, with each
-coefficient reduced once and each term by the gcd of its binomial weight
-alone (see ``_terms``); ``family[n]``, the :class:`BivariatePoly` for
-exact comparison, is built on first index and kept by the family object.
-``numerics`` reads exact values only through ``fixed_coeffs``: the
+more memory.  One family type, :class:`PolyFamily`, serves the three kinds
+"p", "q" and "lambert"; one table (``_KINDS``) gives each kind's first
+index, its variable (``w`` or ``z``), its generator and its memo, and one
+lookup (``_family_member``) hands out member n, for the generators and
+for numeric reads alike.  A family object holds the integer forms:
+``family.text(n)``, which ``series`` prints, writes member n's ``(c, z)``
+terms from them in display order, by one integer binomial expansion of
+``w^j``, with each coefficient reduced once and each term by the gcd of
+its binomial weight alone (see ``_terms``); ``family[n]``, the
+:class:`BivariatePoly` for exact comparison, is built on first index and
+kept by the family object.  ``numerics`` reads exact values only through
+``fixed_coeffs`` (kinds "p", "q", "lambert", "alpha" and "tail"): the
 mantissas at 2^-F of a member's coefficients (in ``w`` for p and q, in
 ``z`` for ptilde) and of its derivative's, straight from the integer form,
 which the integer Horner ``numerics._fixed_eval`` evaluates.  The same
-call gives ``alpha_0..alpha_N`` and ``beta_0..beta_N`` (over ``4^N``) and
-the tail weights ``w_k = beta_k 4^k / (k - 1) = B_k / (k - 1)`` (over
-``lcm(1..N-1)``), the series ``numerics.GProblem`` reads below the
-crossover.  A dyadic ``alpha_k`` or ``beta_k`` has an exact mantissa at
-``F >= 2k``.  Mantissas are built on the first numeric read at each F,
-never by the generators.
+call gives ``alpha_0..alpha_N`` (over ``4^N``) and the tail weights
+``w_k = beta_k 4^k / (k - 1) = B_k / (k - 1)`` (over ``lcm(1..N-1)``),
+the series ``numerics.GProblem`` reads below the crossover.  A dyadic
+``alpha_k`` has an exact mantissa at ``F >= 2k``.  Mantissas are built on
+the first numeric read at each F, never by the generators.
 
 All generation is incremental and memoized; a family asked for twice is
 computed once.  Returned objects are immutable.
@@ -78,15 +82,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar
 
 from .errors import DomainError
 from .series import BivariatePoly, format_terms
 
 __all__ = [
-    "PPolyFamily",
-    "QPolyFamily",
-    "LambertPolyFamily",
+    "PolyFamily",
     "gen_alpha",
     "gen_beta",
     "gen_p",
@@ -291,24 +292,49 @@ def _ensure_lambert(n: int) -> None:
         )
 
 
-# -- public family containers --------------------------------------------------
+# -- the family type -------------------------------------------------------------
+
+# kind: (first index, members in w = 3z - c (else in z), generator, the
+# _STATE table of the integer forms, indexed by the member's index)
+_KINDS = {
+    "p": (0, True, _ensure_p, "p_w"),
+    "q": (1, True, _ensure_q, "q_w"),
+    "lambert": (0, False, _ensure_lambert, "lam"),
+}
+
+
+def _family_member(kind: str, n: int) -> IntPoly:
+    """The integer form of member n >= first of kind "p", "q" or "lambert",
+    generated if needed."""
+    _, _, ensure, table = _KINDS[kind]
+    ensure(n)
+    return getattr(_STATE, table)[n]
 
 
 @dataclass(frozen=True)
-class _PolyFamily:
-    """Members n >= ``first`` of one family, by their mathematical index:
+class PolyFamily:
+    """Members n >= ``first`` of the family ``kind``, by their mathematical
+    index: p_0..p_N and q_1..q_N in w = 3z - c, ptilde_0..ptilde_N in z.
     ``family[n]`` is the display form, built from the integer form on first
     index and kept, and ``family.text(n)`` its text, written from the
-    integer form.  Numeric reads take fixed_coeffs."""
+    integer form.  Equal families have the same kind and the same members.
+    Numeric reads take fixed_coeffs."""
 
+    kind: str
     _members: tuple[IntPoly, ...]  # integer forms, member n at n - first
     _display: dict[int, BivariatePoly] = field(default_factory=dict, compare=False, repr=False)
-    first: ClassVar[int] = 0
-    _in_w: ClassVar[bool] = True  # members are polynomials in w = 3z - c
+
+    @property
+    def first(self) -> int:
+        return _KINDS[self.kind][0]
+
+    @property
+    def _in_w(self) -> bool:
+        return _KINDS[self.kind][1]
 
     def _member(self, n: int) -> IntPoly:
         if n < self.first:
-            raise DomainError(f"{type(self).__name__} starts at index {self.first}")
+            raise DomainError(f"family {self.kind!r} starts at index {self.first}")
         return self._members[n - self.first]
 
     def __getitem__(self, n: int) -> BivariatePoly:
@@ -321,29 +347,6 @@ class _PolyFamily:
     def text(self, n: int) -> str:
         """``self[n].format_descending()``, with no display form built."""
         return format_terms(_terms(self._member(n), self._in_w))
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    @property
-    def order(self) -> int:
-        return self.first + len(self._members) - 1
-
-
-class PPolyFamily(_PolyFamily):
-    """p_0..p_N in (c, z), polynomials in w = 3z - c."""
-
-
-class QPolyFamily(_PolyFamily):
-    """q_1..q_N in (c, z), polynomials in w = 3z - c."""
-
-    first = 1
-
-
-class LambertPolyFamily(_PolyFamily):
-    """ptilde_0..ptilde_N, univariate in z."""
-
-    _in_w = False
 
 
 # -- public generators -----------------------------------------------------------
@@ -370,62 +373,52 @@ def gen_beta(N: int) -> tuple[Fraction, ...]:
     return _over_4k(_STATE.betas, N)
 
 
-def gen_p(N: int) -> PPolyFamily:
+def _family(kind: str, N: int, name: str) -> PolyFamily:
+    """Members first..N of kind, by _family_member; name is the generator's."""
+    first = _KINDS[kind][0]
+    if N < first:
+        raise DomainError(f"{name} needs N >= {first}")
+    return PolyFamily(kind, tuple([_family_member(kind, n) for n in range(first, N + 1)]))
+
+
+def gen_p(N: int) -> PolyFamily:
     """p_0..p_N, as exact polynomials in (c, z)."""
-    if N < 0:
-        raise DomainError("gen_p needs N >= 0")
-    _ensure_p(N)
-    return PPolyFamily(tuple(_STATE.p_w[: N + 1]))
+    return _family("p", N, "gen_p")
 
 
-def gen_q(N: int) -> QPolyFamily:
+def gen_q(N: int) -> PolyFamily:
     """q_1..q_N, as exact polynomials in (c, z)."""
-    if N < 1:
-        raise DomainError("gen_q needs N >= 1")
-    _ensure_q(N)
-    return QPolyFamily(tuple([_STATE.q_w[k] for k in range(1, N + 1)]))
+    return _family("q", N, "gen_q")
 
 
-def gen_lambert_p(N: int) -> LambertPolyFamily:
+def gen_lambert_p(N: int) -> PolyFamily:
     """ptilde_0..ptilde_N as exact polynomials (univariate in z)."""
-    if N < 0:
-        raise DomainError("gen_lambert_p needs N >= 0")
-    _ensure_lambert(N)
-    return LambertPolyFamily(tuple(_STATE.lam[: N + 1]))
+    return _family("lambert", N, "gen_lambert_p")
 
 
 def _member(family: str, n: int) -> IntPoly:
-    """The integer form of p_n, q_n or ptilde_n, generated if needed; of
-    alpha_0..alpha_n or beta_0..beta_n as one polynomial in z over 4^n; or
-    of the tail T = sum_{k=2}^{n} w_k u^(k-1), w_k = B_k / (k - 1), as one
-    polynomial in u over lcm(1..n-1)."""
-    st = _STATE
-    if family == "p" and n >= 0:
-        _ensure_p(n)
-        return st.p_w[n]
-    if family == "q" and n >= 1:
-        _ensure_q(n)
-        return st.q_w[n]
-    if family == "lambert" and n >= 0:
-        _ensure_lambert(n)
-        return st.lam[n]
-    if family in ("alpha", "beta") and n >= 0:
-        ensure, ints = (_ensure_alpha, st.alphas) if family == "alpha" else (_ensure_beta, st.betas)
-        ensure(n)
-        return tuple([v << 2 * (n - k) for k, v in enumerate(ints[: n + 1])]), 4**n
+    """The integer form of p_n, q_n or ptilde_n (_family_member); of
+    alpha_0..alpha_n as one polynomial in z over 4^n; or of the tail
+    T = sum_{k=2}^{n} w_k u^(k-1), w_k = B_k / (k - 1), as one polynomial
+    in u over lcm(1..n-1)."""
+    if family in _KINDS and n >= _KINDS[family][0]:
+        return _family_member(family, n)
+    if family == "alpha" and n >= 0:
+        _ensure_alpha(n)
+        return tuple([v << 2 * (n - k) for k, v in enumerate(_STATE.alphas[: n + 1])]), 4**n
     if family == "tail" and n >= 2:
         _ensure_beta(n)
         den = math.lcm(*range(1, n))
-        return tuple([0] + [st.betas[k] * (den // (k - 1)) for k in range(2, n + 1)]), den
+        return tuple([0] + [_STATE.betas[k] * (den // (k - 1)) for k in range(2, n + 1)]), den
     raise DomainError(f"no member {n} in family {family!r}")
 
 
 def fixed_coeffs(family: str, n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Member n of family "p", "q", "lambert", "alpha", "beta" or "tail" at
-    the binary scale 2^-F.
+    """Member n of family "p", "q", "lambert", "alpha" or "tail" at the
+    binary scale 2^-F.
 
     Returns the mantissas floor(u_j 2^F) of its dense coefficients u_j (in
-    w for p and q, in z for ptilde, alpha and beta, in u = 1/x for the
+    w for p and q, in z for ptilde and alpha, in u = 1/x for the
     tail; see _member), lowest power first, and those of its derivative's
     coefficients j u_j, j >= 1.  Each is one integer division of the
     member's integer form, with no Fraction.  Memoized per

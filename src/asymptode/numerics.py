@@ -96,6 +96,7 @@ import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 from operator import add, mul
+from typing import ClassVar
 
 from mpmath import mp
 from mpmath.libmp import finf, fone, from_float, from_int, from_man_exp, from_str, fzero, mpf_abs
@@ -154,7 +155,7 @@ def _check_horizon(t0, t_max):
 def _check_in_range(t, t_start, t_end):
     """t as an mpf, once in a trajectory's [t_start, t_end]; at the caller's precision."""
     t = mp.mpf(t)
-    if t < t_start or t > t_end:
+    if not t_start <= t <= t_end:
         raise DomainError(f"t={t} outside the integrated range [{mp.mpf(t_start)}, {mp.mpf(t_end)}]")
     return t
 
@@ -176,20 +177,19 @@ class SolverConfig:
 
     ``rel_tol``/``abs_tol`` bound the local error per integrator step and
     fix the working decimal precision ``effective_dps``: their digits plus
-    18 guard digits, and at least 30.  No solver reads ``fp_tol``: every
-    G inversion stops at the precision floor (invert_G).  It remains a
-    validated field until the benchmark stops reading it.
+    18 guard digits, and at least 30.  They are the only settable values.
+    ``fp_tol`` is a constant that no solver reads (every G inversion stops
+    at the precision floor, invert_G): the benchmark's Lambert check still
+    takes it as its root tolerance.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    fp_tol: float = 1e-12
+    fp_tol: ClassVar[float] = 1e-12
 
     def __post_init__(self) -> None:
-        _require_finite(
-            rel_tol=self.rel_tol, abs_tol=self.abs_tol, fp_tol=self.fp_tol
-        )
-        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.fp_tol > 0):
+        _require_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("tolerances must be positive")
 
     @property
@@ -270,6 +270,13 @@ def _to_mpf(m, e):
     return mp.make_mpf(from_man_exp(m, e, mp.prec, round_nearest))
 
 
+def _fixed_member(family, n, slope=False):
+    """(mants, F) of member n of an exact family (families.fixed_coeffs),
+    or of its derivative, at the one scale of exact reads, 2^-F."""
+    F = mp.prec + _GUARD_BITS
+    return fixed_coeffs(family, n, F)[1 if slope else 0], F
+
+
 def _top_coeffs(mants, F, k):
     """The three highest coefficients as raw mpfs: mants[j] 2^(-F - k j),
     each rounded once to mp.prec."""
@@ -297,9 +304,9 @@ def _fixed_eval(mants, h, F, k):
 
     The one evaluator of every numeric polynomial: the kernels' series at
     step ends and in dense output (scaled mantissas at rho = 2^k), and at
-    k = 0 on mantissas from families.fixed_coeffs: the alpha series of g,
-    the beta tail of G and the expansion families of asympt.  mants are
-    at scale 2^-F, with F at least mp.prec + _GUARD_BITS, and the Horner
+    k = 0 on mantissas from _fixed_member: the alpha series of g, the
+    beta tail of G and the expansion families of asympt.  mants are at
+    scale 2^-F, F that of _fixed_scale or _fixed_member, and the Horner
     variable is u = h / rho.  U holds u at the scale 2^-E, with E
     extended past F when |u| < 1 so that U keeps F significant bits: at a
     fixed 2^-F a short step (h far below rho, as on a first step or after
@@ -699,10 +706,10 @@ class GProblem:
     pieces, when z_c = z0).  Below z_c, r is the reciprocal series, and
     I(4/x) = J - T(x) for x >= S (see _beta_tail); the whole integral
     ``i_0`` = J = I(0) = i_c + T(S) is built here, once.  Both series
-    below z_c, sum alpha_k z^k (_series) and T, are read by one integer Horner each (_fixed_eval,
-    rounded once) on the mantissas families.fixed_coeffs gives at 2^-F,
-    F = mp.prec + _GUARD_BITS.  The working precision is
-    ``cfg.effective_dps``.
+    below z_c, sum alpha_k z^k (_series) and T, are read by one integer
+    Horner each (_fixed_eval, rounded once) on the mantissas that
+    _fixed_member gives, stored once per problem.  The working precision
+    is ``cfg.effective_dps``.
 
     ``anchor`` = h0^4 = 4/z0 is the lower limit of G and ``split`` = S =
     4/z_c the point beyond which G uses the series tail; both, and the
@@ -727,9 +734,8 @@ class GProblem:
             slack = _floor(4)
             self._z_max = z0 * (1 + slack)  # eval_g's upper bound
             self._x_min = self.anchor * (1 - slack)  # compute_G's lower bound
-            F = mp.prec + _GUARD_BITS
-            self._alphas = fixed_coeffs("alpha", _SERIES_ORDER, F)[0], F
-            self._tail = fixed_coeffs("tail", _SERIES_ORDER, F)[0], F
+            self._alphas = _fixed_member("alpha", _SERIES_ORDER)
+            self._tail = _fixed_member("tail", _SERIES_ORDER)
             self.i_0 = i_c + self._beta_tail(self.split)
 
     def _series(self, z):
@@ -741,7 +747,7 @@ class GProblem:
         """g(z) for z in (0, z0]; the domain tests run on raw mpfs."""
         with _workdps(self.dps):
             z = mp.mpf(z)
-            if mpf_le(z._mpf_, fzero):
+            if not mpf_gt(z._mpf_, fzero):
                 raise DomainError("g is defined on (0, z0]")
             if mpf_gt(z._mpf_, self._z_max._mpf_):
                 raise DomainError(f"z={z} beyond the initial point z0={self.z0}")
@@ -755,8 +761,8 @@ class GProblem:
         Below z_c the integrand is the series r = 4 sum_{k>=2} beta_k
         z^(k-2), integrated termwise, w_k = beta_k 4^k / (k-1).  One
         _fixed_eval read of T as a polynomial in u = 1/x, with u formed
-        at F bits; the weights' mantissas are at the absolute scale 2^-F,
-        F = mp.prec + _GUARD_BITS.  Absolute accuracy suffices: T is at
+        at F bits; the weights' mantissas are at the absolute scale 2^-F
+        of _fixed_member.  Absolute accuracy suffices: T is at
         most 0.2 in size (u <= z_c/4), and x >= S > 100, so its error lies
         _GUARD_BITS bits below the rounding of x itself.  Runs at the
         caller's precision, the problem's.
@@ -792,12 +798,11 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
     """
     cfg = cfg or SolverConfig()
     with _workdps(cfg.effective_dps):
-        z0 = mp.mpf(z0)
-        g0 = mp.mpf(g0)
+        z0, g0 = mp.mpf(z0), mp.mpf(g0)
         if not (z0 > 0 and g0 > 0):
             raise DomainError("solve_g needs z0 > 0 and g0 > 0")
-        F = mp.prec + _GUARD_BITS  # alpha_k is dyadic: exact mantissas at F >= 2k
-        a_sub, a_top = (_to_mpf(m, -F) for m in fixed_coeffs("alpha", _SERIES_ORDER, F)[0][-2:])
+        alphas, F = _fixed_member("alpha", _SERIES_ORDER)  # dyadic: exact at F >= 2k
+        a_sub, a_top = (_to_mpf(m, -F) for m in alphas[-2:])
         k_top = _SERIES_ORDER
         tol_pt = mp.mpf("0.01") * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol))
 
@@ -881,7 +886,8 @@ def compute_G(x, problem: GProblem):
         prec, rnd = mp.prec, round_nearest
         x = mp.mpf(x)._mpf_
         anchor = problem.anchor._mpf_
-        if mpf_lt(x, problem._x_min._mpf_):
+        if x == finf or not mpf_le(problem._x_min._mpf_, x):
+            _require_finite(x=mp.make_mpf(x))
             raise DomainError(f"G is defined for x >= h0^4 = {problem.anchor}")
         x = anchor if mpf_lt(x, anchor) else x
         if mpf_gt(x, problem.split._mpf_) or not problem._steps:
@@ -904,30 +910,23 @@ def compute_c(problem: GProblem):
     integrator accumulated step by step, plus the exact termwise integral
     T(S) of the series 1/g(4/s) - 1 + 3/s = sum_{k>=2} beta_k (4/s)^k below
     z_c (from z0 when the data already sit there).  The series' last term
-    there must lie below the tolerance.
+    there, the top tail weight's w_24 (z_c/4)^23 = 4 beta_24 z_c^23 / 23,
+    must lie below the tolerance.
 
     The result is the c of a problem based at t0 = 0; see
     compute_c_for_data for general base points.
     """
     with _workdps(problem.dps):
-        z_tail = problem.z_c  # equal to z0 when the data sit below z_c
-        top = _SERIES_ORDER
-        # beta_k is dyadic, so its mantissa at F >= 2k is exact; the tail's
-        # w_k = B_k / (k - 1) is not
-        F = mp.prec + _GUARD_BITS
-        b_top = _to_mpf(fixed_coeffs("beta", top, F)[0][top], -F)
-        last_term = abs(b_top) * 4 * z_tail ** (top - 1) / (top - 1)
-        tail_gate = mp.mpf("0.01") * (
-            mp.mpf(problem.cfg.abs_tol) + mp.mpf(problem.cfg.rel_tol)
-        ) + _floor(8)
+        T, F = problem._tail
+        last_term = abs(_to_mpf(T[-1], -F)) * (problem.z_c / 4) ** (len(T) - 1)
+        cfg = problem.cfg
+        tail_gate = mp.mpf("0.01") * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol)) + _floor(8)
         if last_term > tail_gate:
             raise AccuracyError(
                 "series tail for c not converged at the split point; "
                 f"last term {last_term}"
             )
-
-        anchor = problem.anchor
-        return problem.i_0 - anchor + 3 * mp.log(anchor)
+        return problem.i_0 - problem.anchor + 3 * mp.log(problem.anchor)
 
 
 def compute_c_for_data(data: InitialData, cfg: SolverConfig | None = None):
@@ -995,6 +994,7 @@ def invert_G(x, problem: GProblem):
     """
     with _workdps(problem.dps):
         x = mp.mpf(x)
+        _require_finite(x=x)
         if x < 0:
             raise DomainError("G is nonnegative; no preimage for x < 0")
         if x == 0:
@@ -1032,6 +1032,7 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
     dps = cfg.effective_dps
     with _workdps(dps):
         x = mp.mpf(x)
+        _require_finite(x=x)
         if x <= 1:
             raise DomainError("the branch point is at x = 1; need x > 1")
         prec, rnd, tol, x = mp.prec, round_nearest, lambert_root_tol(x, cfg)._mpf_, x._mpf_
@@ -1052,11 +1053,5 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text of traj.samples() with header t,h,hprime; 17 significant
     digits per value."""
     with _workdps(traj.dps):
-        lines = ["t,h,hprime"]
-        for t, h, hp in traj.samples():
-            lines.append(
-                ",".join(
-                    mp.nstr(v, 17, strip_zeros=False) for v in (t, h, hp)
-                )
-            )
-        return "\n".join(lines) + "\n"
+        rows = [",".join(mp.nstr(v, 17, strip_zeros=False) for v in row) for row in traj.samples()]
+        return "\n".join(["t,h,hprime"] + rows) + "\n"

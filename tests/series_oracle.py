@@ -310,8 +310,8 @@ def series_from_json(data) -> TruncatedSeries:
 
 
 def dense(family: str, n: int) -> tuple[Fraction, ...]:
-    """Member n of ``family`` ("p", "q", "lambert", "alpha", "beta" or "tail", as
-    for ``families.fixed_coeffs``), exactly, lowest power first."""
+    """Member n of ``family`` ("p", "q", "lambert", "alpha" or "tail", as for
+    ``families.fixed_coeffs``), exactly, lowest power first."""
     nums, den = _member(family, n)
     return tuple(Fraction(v, den) for v in nums)
 

@@ -175,9 +175,11 @@ class TestPPolys:
         assert degree(family[0], "z") == 1
 
     def test_family_length(self):
+        # gen_p(5) holds p_0..p_5 and nothing past them
         fam = gen_p(5)
-        assert len(fam) == 6
-        assert fam.order == 5
+        assert [fam[n] for n in range(6)] == [gen_p(8)[n] for n in range(6)]
+        with pytest.raises(IndexError):
+            fam[6]
 
 
 class TestQPolys:
@@ -576,14 +578,13 @@ class TestMemoization:
     def test_g_series_mantissas(self, dps):
         # the series numerics reads below the crossover, at the scale
         # 2^-F of a problem at dps digits: floor(v 2^F) of each exact
-        # alpha_k, beta_k and tail weight w_k = beta_k 4^k / (k - 1), in
-        # the tail's u^(k-1), and of their derivatives' coefficients
+        # alpha_k and tail weight w_k = beta_k 4^k / (k - 1) = B_k / (k - 1),
+        # in the tail's u^(k-1), and of their derivatives' coefficients
         with mp.workdps(dps):
             bits = mp.prec + numerics._GUARD_BITS
         betas = gen_beta(24)
         exact = {
             "alpha": gen_alpha(24),
-            "beta": betas,
             "tail": [F(0)] + [F(4**k, k - 1) * betas[k] for k in range(2, 25)],
         }
         for family, values in exact.items():

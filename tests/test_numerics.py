@@ -19,7 +19,14 @@ import taylor_oracle as oracle
 from taylor_oracle import horner as _horner
 from taylor_oracle import unscale as _unscale
 from asymptode import numerics
-from asymptode.asympt import AsymptoticModel, eval_A_n
+from asymptode.asympt import (
+    AsymptoticModel,
+    eval_A_n,
+    fit_c_from_trajectory,
+    lambert_compare,
+    remainder_study,
+    shift_invariance_check,
+)
 from asymptode.errors import (
     AccuracyError,
     ConvergenceError,
@@ -94,8 +101,14 @@ class TestSolverConfig:
         assert SolverConfig(rel_tol=1e-18, abs_tol=1e-20).effective_dps == 38
 
     def test_fields_are_the_three_tolerances(self):
+        # rel_tol and abs_tol are the settable values; fp_tol is a constant
         fields = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert fields == ["rel_tol", "abs_tol", "fp_tol"]
+        assert fields == ["rel_tol", "abs_tol"]
+        assert SolverConfig().fp_tol == SolverConfig.fp_tol == 1e-12
+
+    def test_fp_tol_is_not_settable(self):
+        with pytest.raises(TypeError):
+            SolverConfig(fp_tol=1e-12)
 
     def test_taylor_order_tracks_dps(self):
         assert SolverConfig().taylor_order >= 24
@@ -110,12 +123,9 @@ class TestSolverConfig:
         [
             {"rel_tol": 0.0},
             {"abs_tol": -1e-3},
-            {"fp_tol": 0.0},
             {"rel_tol": float("nan")},
             {"abs_tol": float("inf")},
-            {"fp_tol": -1e-12},
             {"rel_tol": float("inf")},
-            {"fp_tol": float("inf")},
             {"abs_tol": float("nan")},
         ],
     )
@@ -432,6 +442,24 @@ class TestComputeC:
         prob, t_base = g_problem_for_data(InitialData(0, 1, 0))
         assert t_base > 0
         assert prob.g0 > 0
+
+    @pytest.mark.parametrize("rel_tol, abs_tol", [(1e-18, 1e-20), (1e-30, 1e-32), (1e-10, 1e-12)])
+    def test_tail_gate(self, rel_tol, abs_tol):
+        # the series' last term below z_c, 4 |beta_24| z^23 / 23, against
+        # the gate 0.01 (abs_tol + rel_tol) + 10^(8 - dps): its root z* is
+        # solved 20 digits finer from the exact beta_24, and a step-free
+        # problem (z_c = z0) is refused just above z* and passes just below
+        cfg = SolverConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+        top = _SERIES_ORDER
+        b_top = gen_beta(top)[top]
+        with mp.workdps(cfg.effective_dps + 20):
+            gate = mp.mpf("0.01") * (mp.mpf(abs_tol) + mp.mpf(rel_tol)) + mp.mpf(10) ** (8 - cfg.effective_dps)
+            weight = 4 * abs(mp.mpf(b_top.numerator) / b_top.denominator) / (top - 1)
+            z_star = (gate / weight) ** (mp.one / (top - 1))
+            below, above = z_star * (1 - mp.mpf("1e-6")), z_star * (1 + mp.mpf("1e-6"))
+        assert mp.isfinite(compute_c(GProblem(below, 1, below, [], cfg, 0, 0, 0)))
+        with pytest.raises(AccuracyError, match="series tail for c not converged"):
+            compute_c(GProblem(above, 1, above, [], cfg, 0, 0, 0))
 
 
 class TestQuadratureOracle:
@@ -1136,6 +1164,40 @@ class TestLambertRoot:
                 expected = -mp.lambertw(-mp.e ** (-mp.mpf(x)), -1)
                 err = abs(lambert_wm1_numeric(x, cfg) - expected)
                 assert err < mp.mpf(10) ** (-(cfg.effective_dps - 8)) * x
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInputs:
+    # a NaN or infinite argument is refused as a DomainError before any
+    # work: read as 0, or dropped by a range test or a running max, it
+    # would give a plausible number, and in the root finders it would run
+    # to the iteration cap
+    MODEL = AsymptoticModel.build(C_011, 3)
+    CALLS = {
+        "model c": lambda traj, prob: AsymptoticModel.build(NAN, 3),
+        "eval_h": lambda traj, prob: traj.eval_h(NAN),
+        "eval_hprime": lambda traj, prob: traj.eval_hprime(NAN),
+        "err_bound": lambda traj, prob: traj.err_bound(NAN),
+        "eval_g": lambda traj, prob: prob.eval_g(NAN),
+        "compute_G nan": lambda traj, prob: compute_G(NAN, prob),
+        "compute_G inf": lambda traj, prob: compute_G(INF, prob),
+        "invert_G nan": lambda traj, prob: invert_G(NAN, prob),
+        "invert_G inf": lambda traj, prob: invert_G(INF, prob),
+        "lambert nan": lambda traj, prob: lambert_wm1_numeric(NAN),
+        "lambert inf": lambda traj, prob: lambert_wm1_numeric(INF),
+        "eval_A_n": lambda traj, prob: eval_A_n(TestNonFiniteInputs.MODEL, NAN),
+        "shift grid": lambda traj, prob: shift_invariance_check(TestNonFiniteInputs.MODEL, 3, 1, [NAN, 100]),
+        "lambert grid": lambda traj, prob: lambert_compare(2, [NAN, 10, 100]),
+        "remainder grid": lambda traj, prob: remainder_study(TestNonFiniteInputs.MODEL, traj, 2, [100, NAN, 500]),
+        "fit times": lambda traj, prob: fit_c_from_trajectory(traj, 2, [NAN]),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_refused(self, call, traj, problem):
+        with pytest.raises(DomainError):
+            self.CALLS[call](traj, problem)
 
 
 class TestExports:

@@ -30,7 +30,9 @@ from bench_pairs import export, git  # noqa: E402
 # that stops at G's rounding floor (h0 = 1000), tight and loose
 # trajectories, fits and verify runs that pass, refuse or exit 1; then the
 # step-free g problems (h1 <= 0 and large h0), refused or not, a dense read
-# of a marched G, and two fit and grid times before t0
+# of a marched G, and two fit and grid times before t0; then exact reads at
+# other working precisions (dps 50 to 80), three argparse validators and
+# the shortest q families
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -83,6 +85,17 @@ COMMANDS = (
         "integrate --h0 1000 --h1 -0.7 --t-max 1e4 --format csv",
         "constant --fit --t0 100 --t-max 1000",
         "verify --t0 500 --t-grid 1e2,1e3",
+        "constant --rel-tol 1e-60 --abs-tol 1e-62 --digits 60",
+        "constant --h0 0.5 --h1 0.5 --rel-tol 1e-40 --abs-tol 1e-42",
+        "lambert --rel-tol 1e-60 --abs-tol 1e-62 --n-max 8 --format json",
+        "verify --rel-tol 1e-40 --abs-tol 1e-42 --n-max 5 --format json",
+        "constant --fit --rel-tol 1e-30 --abs-tol 1e-32",
+        "integrate --t-max 1e5 --rel-tol 1e-40 --abs-tol 1e-42 --format csv",
+        "verify --synthetic 5 --t-grid 1e2,1e3 --growth-factor 1e-12",
+        "lambert --x-grid 10,100 --residual-tol 1e-60",
+        "verify --shift-tol 0",
+        "series --family q --order 1",
+        "series --family q --order 0",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
