@@ -48,6 +48,7 @@ from mpmath import mp
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .numerics import (
     SolverConfig,
+    _check_in_range,
     _fixed_eval,
     _fixed_member,
     _floor,
@@ -486,10 +487,7 @@ class SyntheticTrajectory:
 
     def eval_h(self, t):
         with _workdps(self.dps):
-            t = mp.mpf(t)
-            if not self.t_start <= t <= self.t_end:
-                raise DomainError("t outside the synthetic range")
-            return mp.mpf(self._fn(t))
+            return mp.mpf(self._fn(_check_in_range(t, self.t_start, self.t_end)))
 
     def err_bound(self, t):
         return mp.zero

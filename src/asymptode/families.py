@@ -55,8 +55,8 @@ only full collections empty, so repeated cold families would hold ever
 more memory.  One family type, :class:`PolyFamily`, serves the three kinds
 "p", "q" and "lambert"; one table (``_KINDS``) gives each kind's first
 index, its variable (``w`` or ``z``), its generator and its memo, and one
-lookup (``_family_member``) hands out member n, for the generators and
-for numeric reads alike.  A family object holds the integer forms:
+lookup (``_member``) hands out member n, for the generators and for
+numeric reads alike.  A family object holds the integer forms:
 ``family.text(n)``, which ``series`` prints, writes member n's ``(c, z)``
 terms from them in display order, by one integer binomial expansion of
 ``w^j``, with each coefficient reduced once and each term by the gcd of
@@ -303,14 +303,6 @@ _KINDS = {
 }
 
 
-def _family_member(kind: str, n: int) -> IntPoly:
-    """The integer form of member n >= first of kind "p", "q" or "lambert",
-    generated if needed."""
-    _, _, ensure, table = _KINDS[kind]
-    ensure(n)
-    return getattr(_STATE, table)[n]
-
-
 @dataclass(frozen=True)
 class PolyFamily:
     """Members n >= ``first`` of the family ``kind``, by their mathematical
@@ -374,11 +366,11 @@ def gen_beta(N: int) -> tuple[Fraction, ...]:
 
 
 def _family(kind: str, N: int, name: str) -> PolyFamily:
-    """Members first..N of kind, by _family_member; name is the generator's."""
+    """Members first..N of kind, each by _member; name is the generator's."""
     first = _KINDS[kind][0]
     if N < first:
         raise DomainError(f"{name} needs N >= {first}")
-    return PolyFamily(kind, tuple([_family_member(kind, n) for n in range(first, N + 1)]))
+    return PolyFamily(kind, tuple([_member(kind, n) for n in range(first, N + 1)]))
 
 
 def gen_p(N: int) -> PolyFamily:
@@ -397,12 +389,14 @@ def gen_lambert_p(N: int) -> PolyFamily:
 
 
 def _member(family: str, n: int) -> IntPoly:
-    """The integer form of p_n, q_n or ptilde_n (_family_member); of
-    alpha_0..alpha_n as one polynomial in z over 4^n; or of the tail
-    T = sum_{k=2}^{n} w_k u^(k-1), w_k = B_k / (k - 1), as one polynomial
-    in u over lcm(1..n-1)."""
+    """The integer form of p_n, q_n or ptilde_n, generated if needed, the
+    one lookup of the generators and of numeric reads; of alpha_0..alpha_n
+    as one polynomial in z over 4^n; or of the tail T = sum_{k=2}^{n} w_k
+    u^(k-1), w_k = B_k / (k - 1), as one polynomial in u over lcm(1..n-1)."""
     if family in _KINDS and n >= _KINDS[family][0]:
-        return _family_member(family, n)
+        _, _, ensure, table = _KINDS[family]
+        ensure(n)
+        return getattr(_STATE, table)[n]
     if family == "alpha" and n >= 0:
         _ensure_alpha(n)
         return tuple([v << 2 * (n - k) for k, v in enumerate(_STATE.alphas[: n + 1])]), 4**n

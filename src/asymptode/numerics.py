@@ -798,7 +798,8 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
     """
     cfg = cfg or SolverConfig()
     with _workdps(cfg.effective_dps):
-        z0, g0 = mp.mpf(z0), mp.mpf(g0)
+        z0 = mp.mpf(z0)
+        g0 = mp.mpf(g0)
         if not (z0 > 0 and g0 > 0):
             raise DomainError("solve_g needs z0 > 0 and g0 > 0")
         alphas, F = _fixed_member("alpha", _SERIES_ORDER)  # dyadic: exact at F >= 2k
@@ -919,8 +920,9 @@ def compute_c(problem: GProblem):
     with _workdps(problem.dps):
         T, F = problem._tail
         last_term = abs(_to_mpf(T[-1], -F)) * (problem.z_c / 4) ** (len(T) - 1)
-        cfg = problem.cfg
-        tail_gate = mp.mpf("0.01") * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol)) + _floor(8)
+        tail_gate = mp.mpf("0.01") * (
+            mp.mpf(problem.cfg.abs_tol) + mp.mpf(problem.cfg.rel_tol)
+        ) + _floor(8)
         if last_term > tail_gate:
             raise AccuracyError(
                 "series tail for c not converged at the split point; "
@@ -1053,5 +1055,11 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text of traj.samples() with header t,h,hprime; 17 significant
     digits per value."""
     with _workdps(traj.dps):
-        rows = [",".join(mp.nstr(v, 17, strip_zeros=False) for v in row) for row in traj.samples()]
-        return "\n".join(["t,h,hprime"] + rows) + "\n"
+        lines = ["t,h,hprime"]
+        for t, h, hp in traj.samples():
+            lines.append(
+                ",".join(
+                    mp.nstr(v, 17, strip_zeros=False) for v in (t, h, hp)
+                )
+            )
+        return "\n".join(lines) + "\n"
