@@ -127,6 +127,9 @@ class TestSolverConfig:
             {"abs_tol": float("inf")},
             {"rel_tol": float("inf")},
             {"abs_tol": float("nan")},
+            {"abs_tol": 0.0},
+            {"rel_tol": -1e-10},
+            {"rel_tol": float("-inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
