@@ -377,6 +377,14 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
         )
 
 
+def _check_shift(s, t_min):
+    """Refuse a shift that takes the least grid point t_min to t + s <= 1,
+    where the normalisation (ln t / t)**(n+1) is not positive and
+    ln 4(t + s) turns complex below t + s = 1/4."""
+    if t_min + float(s) <= 1:
+        raise DomainError("shift check needs t + s > 1, got %g at t = %g" % (t_min + float(s), t_min))
+
+
 def shift_invariance_check(model, n, s, t_grid):
     """Largest normalised defect of the shift identity on a grid.
 
@@ -386,7 +394,8 @@ def shift_invariance_check(model, n, s, t_grid):
     max_t |A_n(c; t+s) - A_n(c-4s; t)| / ((4t)**(1/4) (ln t/t)**(n+1)).
     With s = 0 both sides coincide exactly and the result is zero.  A
     non-finite s is refused: its defect would be nan, which no tolerance
-    test rejects.
+    test rejects; so is a shifted grid reaching t + s <= 1 (see
+    _check_shift).
     """
     n = int(n)
     if n < 0:
@@ -395,6 +404,7 @@ def shift_invariance_check(model, n, s, t_grid):
     times = _finite_points(t_grid, "grid point")
     if not times or times[0] <= 1:
         raise DomainError("shift check needs a nonempty grid with t > 1")
+    _check_shift(s, times[0])
     shifted = model.shifted(s)
     with _workdps(model.dps):
         s, c, c_shifted = mp.mpf(s), mp.mpf(model.c), mp.mpf(shifted.c)

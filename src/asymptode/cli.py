@@ -31,6 +31,7 @@ from mpmath import mp
 from .asympt import (
     AsymptoticModel,
     SyntheticTrajectory,
+    _check_shift,
     _growth_limit,
     eval_A_n,
     fit_c_from_trajectory,
@@ -153,7 +154,7 @@ def _add_io_args(sub):
 # ---------------------------------------------------------------------------
 # series
 
-MAX_SERIES_ORDER = 100  # cold q, the slowest family, takes 5 to 6 s there (2-vCPU VM)
+MAX_SERIES_ORDER = 100  # cold p and q take about 4 s each there (2-vCPU VM)
 
 
 def _cmd_series(args):
@@ -264,6 +265,7 @@ def _cmd_verify(args):
     growth_factor = _growth_limit(args.growth_factor)
     if not math.isfinite(args.shift):
         raise DomainError("shift s must be finite, got %s" % args.shift)
+    _check_shift(args.shift, grid[0])
     if args.synthetic is None:
         _check_times(grid, args.t0, grid[-1] * 1.2, cfg)
     c = compute_c_for_data(data, cfg)

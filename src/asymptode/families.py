@@ -30,12 +30,16 @@ and are generated as the integers ``A_k`` and ``B_k``:
 
 * ``q_k(c; z)``: the relative-correction polynomials of the expansion
   ``h(t) = (4t)^{1/4} (1 + sum q_k(c; log 4t) / t^k + ...)``, defined by
-  ``q_k = 4^{-k} [y^k] (1 + sum_j p_{j-1} y^j)^{1/4}``; generated by the power rule.
+  ``q_k = 4^{-k} [y^k] (1 + sum_j p_{j-1} y^j)^{1/4}``, and generated
+  without p from the equation for h: ``u = h / (4t)^{1/4}`` satisfies
+  ``u^3 [t u' + t u'' + u'/2 + u/4 - 3u/(16t)] = 1/4``, with ``u^-3`` by
+  the power rule.
 
 * ``ptilde_k(z)``: the analogous family for the inverse of ``y - log y``
   (the branch of the Lambert function relevant at ``y > 1``), defined by
   ``ptilde_0 = z`` and ``ptilde_{k+1} = sigma0_{k+1}`` on
-  ``a_j := ptilde_{j-1}``; generated by the log rule.
+  ``a_j := ptilde_{j-1}``; generated by the log rule, whose product sum
+  is symmetric, so each pair is taken once.
 
 ``sigma0`` and ``sigma^k`` are the coefficients of ``log(1 + a)`` and
 ``(1 + a)^-k``, ``a = sum_j a_j x^j``: the definitions the test oracle checks.
@@ -174,7 +178,10 @@ class _State:
         self.p_w: list[IntPoly] = [((0, 1), 1)]
         self.p_r: list[IntPoly] = [_const(3)]
         self.p_t: list[IntPoly] = []
-        self.q_w: dict[int, IntPoly] = {}
+        # q_k as dense w-polynomials from q_1 = w/16, with v_k = [t^-k] u^-3
+        # of _ensure_q (q_0 = v_0 = 1 is never stored)
+        self.q_w: dict[int, IntPoly] = {1: ((0, 1), 16)}
+        self.q_v: dict[int, IntPoly] = {1: ((0, -3), 16)}
         # Lambert analogue: ptilde_k as dense z-polynomials from ptilde_0 = z
         self.lam: list[IntPoly] = [((0, 1), 1)]
         # numeric reads: (family, index, F) -> mantissas of the coefficients
@@ -265,29 +272,55 @@ def _ensure_p(n: int) -> None:
 
 
 def _ensure_q(k: int) -> None:
-    """q_k = 4^-k Q_k, Q = (1 + A)^(1/4) with A_i = p_{i-1}, by the power rule
-    k Q_k = sum_{i=1}^{k} ((5/4) i - k) A_i Q_{k-i}, with 4^-k taken inside."""
-    _ensure_p(k - 1)
-    p, q = _STATE.p_w, _STATE.q_w
+    """q_k from the t^-k coefficient of the equation for h.
+
+    u = h / (4t)^(1/4) = sum_k q_k t^-k, q_0 = 1, turns h^3 (h'' + h') = 1
+    into u^3 [t u' + t u'' + u'/2 + u/4 - 3u/(16t)] = 1/4.  With v = u^-3
+    by the power rule (Knuth, TAOCP 4.7), v_k = V_k - 3 q_k,
+    V_k = (1/k) sum_{i=1}^{k-1} (-2i - k) q_i v_{k-i}, and D = d/dz = 3 d/dw
+    for z = log 4t, its t^-k coefficient is
+
+        (D - k + 1) q_k = V_k/4 - (D - k)(D - k + 1) q_{k-1}
+                          - (1/2)(D - k + 1) q_{k-1} + (3/16) q_{k-1},
+
+    so q_1 = w/16 (D q_1 = 3/16, with no constant in w) and, for k >= 2,
+    q_k inverts the shift D - (k - 1).
+    """
+    q, v = _STATE.q_w, _STATE.q_v
     for kk in range(len(q) + 1, k + 1):
-        q[kk] = _sum_of_products(
+        big_v = _sum_of_products(
+            [(q[i], _scaled(v[kk - i], -2 * i - kk, kk)) for i in range(1, kk)]
+        )
+        shifted = _d_minus(q[kk - 1], kk - 1)
+        rhs = _sum_of_products(
             [
-                (p[i - 1], _scaled(q.get(kk - i, _ONE), 5 * i - 4 * kk, 4 ** (i + 1) * kk))
-                for i in range(1, kk + 1)
+                (big_v, _const(1, 4)),
+                (_d_minus(shifted, kk), _const(-1)),
+                (shifted, _const(-1, 2)),
+                (q[kk - 1], _const(3, 16)),
             ]
         )
+        q[kk] = _inverse_shift(rhs, kk - 1)
+        v[kk] = _sum_of_products([(big_v, _ONE), (q[kk], _const(-3))])
 
 
 def _ensure_lambert(n: int) -> None:
     """ptilde_k = [x^k] log(1 + sum_j ptilde_{j-1} x^j) by the log rule
-    ptilde_k = ptilde_{k-1} - (1/k) sum_{i=1}^{k-1} i ptilde_i ptilde_{k-1-i}."""
+    ptilde_k = ptilde_{k-1} - (1/k) sum_{i=1}^{k-1} i ptilde_i ptilde_{k-1-i}.
+
+    The sum is ((k - 1)/2) sum_{i=0}^{k-1} ptilde_i ptilde_{k-1-i}, pairs
+    i < k-1-i once at weight 2 and the middle term once.  At k = 1 it is
+    empty: a weight-0 middle term would lengthen every later member."""
     lam = _STATE.lam
     while len(lam) <= n:
         k = len(lam)
         lam.append(
             _sum_of_products(
                 [(lam[k - 1], _ONE)]
-                + [(lam[i], _scaled(lam[k - 1 - i], -i, k)) for i in range(1, k)]
+                + [
+                    (lam[i], _scaled(lam[k - 1 - i], 1 - k, k if 2 * i < k - 1 else 2 * k))
+                    for i in range((k + 1) // 2 if k > 1 else 0)
+                ]
             )
         )
 

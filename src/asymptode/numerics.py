@@ -800,6 +800,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
     with _workdps(cfg.effective_dps):
         z0 = mp.mpf(z0)
         g0 = mp.mpf(g0)
+        _require_finite(z0=z0, g0=g0)
         if not (z0 > 0 and g0 > 0):
             raise DomainError("solve_g needs z0 > 0 and g0 > 0")
         alphas, F = _fixed_member("alpha", _SERIES_ORDER)  # dyadic: exact at F >= 2k

@@ -1,7 +1,8 @@
 """Generic truncated power series with exact coefficients: a test oracle.
 
 The family generators in ``asymptode.families`` build p, q and ptilde by
-quadratic recurrences: the ODE of G^{-1}, the power rule and the log rule.
+quadratic recurrences: the ODE of G^{-1}, the equation for h with the power
+rule, and the log rule.
 This module computes the same quantities from their defining composition
 formulas, in two ways that share no recurrence with the package.  One
 point at a time, with a general series calculus:

@@ -466,6 +466,13 @@ class TestShiftInvariance:
         with pytest.raises(DomainError, match="must be finite"):
             shift_invariance_check(model, 3, s, [1e2, 1e4])
 
+    @pytest.mark.parametrize("s", [-200, -99])
+    def test_shift_below_one_rejected(self, model, s):
+        # ln 4(t + s) turns complex at t = 100 for s = -200; t + s = 1
+        # already has a zero normalisation
+        with pytest.raises(DomainError, match="needs t \\+ s > 1"):
+            shift_invariance_check(model, 3, s, [1e4, 1e2])
+
 
 class TestLambertCompare:
     def test_residual_and_remainders(self):

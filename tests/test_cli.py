@@ -475,6 +475,7 @@ class TestContract:
              "t=10.0 outside the integrated range [100.0, 1200.0]"),
             (("verify", "--t0", "500", "--t-grid", "1e2,1e3"),
              "t=100.0 outside the integrated range [500.0, 1200.0]"),
+            (("verify", "--shift", "-200"), "shift check needs t + s > 1, got -100 at t = 100"),
         ],
     )
     def test_bad_argument_refused_before_any_work(self, capsys, argv, message):

@@ -14,7 +14,8 @@ Oracle layout:
 * p_n, q_k and ptilde_k are recomputed at rational points (c, z) by the
   generic series calculus of ``series_oracle``, one point at a time, and
   whole to order 40 by its composition-sum table; neither shares a
-  recurrence with the generators' ODE, power rule and log rule.
+  recurrence with the generators' ODEs (of G^{-1} and of h), power rule
+  and log rule.
 * ptilde_0..ptilde_30 are pinned to the de Bruijn/Comtet closed form of
   W_{-1} in Stirling cycle numbers, and p_0..p_6 to a sympy reversion of
   G's expansion; neither uses the composition recursion.
@@ -350,16 +351,9 @@ class TestCompositionTable:
 
     def test_product_count_is_quadratic(self, monkeypatch):
         # the products a cold generator accumulates: O(N^2), so a doubling
-        # of N multiplies them by about 4 (3.3 to 3.9 here); the composition
+        # of N multiplies them by about 4 (3.1 to 3.6 here); the composition
         # table's C(N+2, 3) multiplied them by 7.0 to 7.7
-        real = families._sum_of_products
-        count = [0]
-
-        def counting(pairs):
-            count[0] += len(pairs)
-            return real(pairs)
-
-        monkeypatch.setattr(families, "_sum_of_products", counting)
+        count = _pair_counter(monkeypatch)
         for gen in (gen_p, gen_q, gen_lambert_p):
             counts = []
             for N in (10, 20, 40):
@@ -370,6 +364,30 @@ class TestCompositionTable:
             assert counts[1] <= 4.6 * counts[0], (gen.__name__, counts)
             assert counts[2] <= 4.6 * counts[1], (gen.__name__, counts)
         clear_caches()
+
+    @pytest.mark.parametrize("gen, most", [(gen_q, 650), (gen_lambert_p, 300)])
+    def test_pair_count_at_30(self, monkeypatch, gen, most):
+        # q from the equation for h (609 pairs; 1,226 through p and the
+        # power rule), ptilde by the symmetric log rule (269; 465 with
+        # every pair of the sum taken)
+        count = _pair_counter(monkeypatch)
+        clear_caches()
+        gen(30)
+        clear_caches()
+        assert count[0] <= most, count[0]
+
+
+def _pair_counter(monkeypatch):
+    """[n], n the pairs _sum_of_products has accumulated since it was reset."""
+    real = families._sum_of_products
+    count = [0]
+
+    def counting(pairs):
+        count[0] += len(pairs)
+        return real(pairs)
+
+    monkeypatch.setattr(families, "_sum_of_products", counting)
+    return count
 
 
 def _stirling_cycle(n_max):
@@ -594,10 +612,12 @@ class TestMemoization:
                 math.floor(j * v * 2**bits) for j, v in enumerate(values) if j
             ), family
 
-    def test_q_after_p_reuses_table(self):
+    def test_q_builds_no_p(self):
+        # q comes from the equation for h: a cold gen_q leaves the p tables
+        # (p_w, r and t) exactly as clear_caches left them
         clear_caches()
-        gen_p(10)
-        before = list(families._STATE.p_w)
-        fam = gen_q(10)  # must not recompute p: the p table is read as it is
-        assert all(a is b for a, b in zip(families._STATE.p_w, before, strict=True))
+        st = families._STATE
+        before = (list(st.p_w), list(st.p_r), list(st.p_t))
+        fam = gen_q(10)
+        assert (st.p_w, st.p_r, st.p_t) == before == ([((0, 1), 1)], [((3,), 1)], [])
         assert fam[1] == BivariatePoly({(0, 1): F(3, 16), (1, 0): F(-1, 16)})

@@ -1195,6 +1195,9 @@ class TestNonFiniteInputs:
         "lambert grid": lambda traj, prob: lambert_compare(2, [NAN, 10, 100]),
         "remainder grid": lambda traj, prob: remainder_study(TestNonFiniteInputs.MODEL, traj, 2, [100, NAN, 500]),
         "fit times": lambda traj, prob: fit_c_from_trajectory(traj, 2, [NAN]),
+        "solve_g inf z0": lambda traj, prob: solve_g(INF, 1),
+        "solve_g inf g0": lambda traj, prob: solve_g(0.5, INF),
+        "solve_g nan g0": lambda traj, prob: solve_g(0.5, NAN),
     }
 
     @pytest.mark.parametrize("call", list(CALLS))

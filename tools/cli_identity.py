@@ -32,7 +32,9 @@ from bench_pairs import export, git  # noqa: E402
 # step-free g problems (h1 <= 0 and large h0), refused or not, a dense read
 # of a marched G, and two fit and grid times before t0; then exact reads at
 # other working precisions (dps 50 to 80), three argparse validators and
-# the shortest q families
+# the shortest q families; then the first members of the q and ptilde
+# recursions, cold q and ptilde at the order ceiling, and shifts that take
+# the grid to t + s <= 1
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -96,6 +98,13 @@ COMMANDS = (
         "verify --shift-tol 0",
         "series --family q --order 1",
         "series --family q --order 0",
+        "series --family q --order 2",
+        "series --family lambert --order 1",
+        "series --family lambert --order 2",
+        "series --family q --order 100",
+        "series --family lambert --order 100",
+        "verify --shift -200",
+        "verify --shift -99.5 --t-grid 1e2,1e3",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
