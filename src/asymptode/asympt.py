@@ -378,11 +378,11 @@ def remainder_study(model, traj, n_max, t_grid, *, growth_factor=10.0):
 
 
 def _check_shift(s, t_min):
-    """Refuse a shift that takes the least grid point t_min to t + s <= 1,
-    where the normalisation (ln t / t)**(n+1) is not positive and
-    ln 4(t + s) turns complex below t + s = 1/4."""
-    if t_min + float(s) <= 1:
-        raise DomainError("shift check needs t + s > 1, got %g at t = %g" % (t_min + float(s), t_min))
+    """Refuse a shift s that takes the least grid point t_min out of the
+    grid's own range t > 1: below t + s = 0, A_n(c; t + s) is complex."""
+    shifted = t_min + float(s)
+    if shifted <= 1:
+        raise DomainError("shift check needs t + s > 1, got %g at t = %g" % (shifted, t_min))
 
 
 def shift_invariance_check(model, n, s, t_grid):

@@ -30,10 +30,8 @@ and are generated as the integers ``A_k`` and ``B_k``:
 
 * ``q_k(c; z)``: the relative-correction polynomials of the expansion
   ``h(t) = (4t)^{1/4} (1 + sum q_k(c; log 4t) / t^k + ...)``, defined by
-  ``q_k = 4^{-k} [y^k] (1 + sum_j p_{j-1} y^j)^{1/4}``, and generated
-  without p from the equation for h: ``u = h / (4t)^{1/4}`` satisfies
-  ``u^3 [t u' + t u'' + u'/2 + u/4 - 3u/(16t)] = 1/4``, with ``u^-3`` by
-  the power rule.
+  ``q_k = 4^{-k} [y^k] (1 + sum_j p_{j-1} y^j)^{1/4}``; generated
+  without p from the equation for h and the power rule (``_ensure_q``).
 
 * ``ptilde_k(z)``: the analogous family for the inverse of ``y - log y``
   (the branch of the Lambert function relevant at ``y > 1``), defined by
