@@ -468,8 +468,8 @@ class TestShiftInvariance:
 
     @pytest.mark.parametrize("s", [-200, -99])
     def test_shift_below_one_rejected(self, model, s):
-        # ln 4(t + s) turns complex at t = 100 for s = -200; t + s = 1
-        # already has a zero normalisation
+        # ln 4(t + s) turns complex at t = 100 for s = -200; s = -99 takes
+        # t = 100 to 1, outside the grid's own range t > 1
         with pytest.raises(DomainError, match="needs t \\+ s > 1"):
             shift_invariance_check(model, 3, s, [1e4, 1e2])
 
