@@ -118,7 +118,8 @@ _ONE = _const(1)
 def _sum_of_products(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
     """sum A * B over the pairs, accumulated over one common denominator.
 
-    A constant B makes this an integer linear combination.  The result has
+    Each product loops over its shorter factor.  A constant factor makes
+    this an integer linear combination.  The result has
     the length of the longest product (at least 1), whatever cancels.
     """
     den = math.lcm(*[ad * bd for (_, ad), (_, bd) in pairs])
@@ -126,11 +127,13 @@ def _sum_of_products(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
     acc = [0] * size
     for (an, ad), (bn, bd) in pairs:
         scale = den // (ad * bd)
-        scaled = [scale * v for v in bn]
+        if len(an) > len(bn):
+            an, bn = bn, an
         for i, u in enumerate(an):
             if u:
-                for j, v in enumerate(scaled):
-                    acc[i + j] += u * v
+                u *= scale
+                for j, v in enumerate(bn, i):
+                    acc[j] += u * v
     g = math.gcd(den, *acc)
     return tuple([v // g for v in acc]), den // g
 
@@ -172,10 +175,10 @@ class _State:
         self.betas: list[int] = [1]
         self.beta_squares: list[int] = [1]
         # p_n as dense w-polynomials from p_0 = w, with r_n (r_0 = D p_0 = 3)
-        # and t_n of _ensure_p
+        # and the squares S_n = sum_{a+b=n} p_a p_b of _ensure_p
         self.p_w: list[IntPoly] = [((0, 1), 1)]
         self.p_r: list[IntPoly] = [_const(3)]
-        self.p_t: list[IntPoly] = []
+        self.p_sq: list[IntPoly] = []
         # q_k as dense w-polynomials from q_1 = w/16, with v_k = [t^-k] u^-3
         # of _ensure_q (q_0 = v_0 = 1 is never stored)
         self.q_w: dict[int, IntPoly] = {1: ((0, 1), 16)}
@@ -223,6 +226,15 @@ def _scaled(poly: IntPoly, num: int, den: int = 1) -> IntPoly:
     return tuple([num * v for v in nums]), d * den
 
 
+def _square_pairs(seq: list[IntPoly], n: int, num: int = 1, den: int = 1) -> list[tuple[IntPoly, IntPoly]]:
+    """The pairs of (num/den) sum_{a+b=n} seq_a seq_b for _sum_of_products:
+    each pair a < b once at twice the weight, the middle term once."""
+    return [
+        (seq[a], _scaled(seq[n - a], num if 2 * a == n else 2 * num, den))
+        for a in range(n // 2 + 1)
+    ]
+
+
 def _d_minus(poly: IntPoly, b: int) -> IntPoly:
     """(D - b) poly for D = d/dL = 3 d/dw, at the same length."""
     nums, den = poly
@@ -245,28 +257,35 @@ def _inverse_shift(rhs: IntPoly, m: int) -> IntPoly:
 
 
 def _ensure_p(n: int) -> None:
-    """p_m from the X^-m coefficient of x x'' = -x (x' - 1)/4 + (3/4) x'^2.
+    """p_m from the X^-(m+1) coefficient of the equation of the inverse.
 
-    With x = X + sum_b p_b X^-b, r_b = (D - b) p_b and s_b = (D - b - 1) r_b:
+    x x'' = -x (x' - 1)/4 + (3/4) x'^2, with x x'' = (x^2)''/2 - x'^2 and
+    x x' = (x^2)'/2, is (x^2)''/2 + (x^2)'/8 - x/4 - (7/4) x'^2 = 0, whose
+    only products are squares.  With x = X + sum_b p_b X^-b,
+    r_b = (D - b) p_b, S_n = sum_{a+b=n} p_a p_b and R_n = sum_{a+b=n} r_a r_b
+    (S_-1 = R_-1 = 0), its X^-(m+1) coefficient gives
 
-        (D - m) p_m = 4 [-s_{m-1} + (3/2) r_{m-1} - sum_{a+b=m-2} p_a s_b
-                         - (1/4) sum_{a+b=m-1} p_a r_b + (3/4) sum_{a+b=m-2} r_a r_b].
+        (D - m) p_m = -2 (D - m + 1)(D - m + 2)(2 p_{m-1} + S_{m-2})
+                      - (1/2)(D - m + 1) S_{m-1} + 14 r_{m-1} + 7 R_{m-2},
 
-    r_0 = 3, so p r's b = 0 term is 3 p_{m-1}; its others join p s as p_a t_b,
-    t_b = -4 s_b - r_{b+1}.  r r is symmetric: pairs a < b once at weight 6.
+    where (D - m + 1) p_{m-1} = r_{m-1}.  Both squares take pairs a < b once
+    at weight 2.  At m = 1, D S_0 = D w^2 keeps a zero top coefficient, so
+    the right side is cut to the m + 1 coefficients of p_m.
     """
-    p, r, t = _STATE.p_w, _STATE.p_r, _STATE.p_t
+    p, r, sq = _STATE.p_w, _STATE.p_r, _STATE.p_sq
     while len(p) <= n:
         m = len(p)
-        s = _d_minus(r[m - 1], m)
-        rhs = _sum_of_products(
-            [(s, _const(-4)), (r[m - 1], _const(6)), (p[m - 1], _const(-3))]
-            + [(p[a], t[m - 2 - a]) for a in range(m - 1)]
-            + [(r[a], _scaled(r[m - 2 - a], 6 if 2 * a < m - 2 else 3)) for a in range(m // 2)]
-        )
-        p.append(_inverse_shift(rhs, m))
+        sq.append(_sum_of_products(_square_pairs(p, m - 1)))
+        pairs = [
+            (_d_minus(r[m - 1], m - 2), _const(-4)),
+            (r[m - 1], _const(14)),
+            (_d_minus(sq[m - 1], m - 1), _const(-1, 2)),
+        ] + _square_pairs(r, m - 2, 7)
+        if m > 1:
+            pairs.append((_d_minus(_d_minus(sq[m - 2], m - 2), m - 1), _const(-2)))
+        nums, den = _sum_of_products(pairs)
+        p.append(_inverse_shift((nums[: m + 1], den), m))
         r.append(_d_minus(p[m], m))
-        t.append(_sum_of_products([(s, _const(-4)), (r[m], _const(-1))]))
 
 
 def _ensure_q(k: int) -> None:
@@ -314,11 +333,7 @@ def _ensure_lambert(n: int) -> None:
         k = len(lam)
         lam.append(
             _sum_of_products(
-                [(lam[k - 1], _ONE)]
-                + [
-                    (lam[i], _scaled(lam[k - 1 - i], 1 - k, k if 2 * i < k - 1 else 2 * k))
-                    for i in range((k + 1) // 2 if k > 1 else 0)
-                ]
+                [(lam[k - 1], _ONE)] + (_square_pairs(lam, k - 1, 1 - k, 2 * k) if k > 1 else [])
             )
         )
 

@@ -365,11 +365,12 @@ class TestCompositionTable:
             assert counts[2] <= 4.6 * counts[1], (gen.__name__, counts)
         clear_caches()
 
-    @pytest.mark.parametrize("gen, most", [(gen_q, 650), (gen_lambert_p, 300)])
+    @pytest.mark.parametrize("gen, most", [(gen_p, 700), (gen_q, 650), (gen_lambert_p, 300)])
     def test_pair_count_at_30(self, monkeypatch, gen, most):
-        # q from the equation for h (609 pairs; 1,226 through p and the
-        # power rule), ptilde by the symmetric log rule (269; 465 with
-        # every pair of the sum taken)
+        # p from the squared equation of the inverse (584 pairs; 810 with
+        # the convolution sum p_a t_b), q from the equation for h (609
+        # pairs; 1,226 through p and the power rule), ptilde by the
+        # symmetric log rule (269; 465 with every pair of the sum taken)
         count = _pair_counter(monkeypatch)
         clear_caches()
         gen(30)
@@ -614,10 +615,10 @@ class TestMemoization:
 
     def test_q_builds_no_p(self):
         # q comes from the equation for h: a cold gen_q leaves the p tables
-        # (p_w, r and t) exactly as clear_caches left them
+        # (p_w, r and the squares S) exactly as clear_caches left them
         clear_caches()
         st = families._STATE
-        before = (list(st.p_w), list(st.p_r), list(st.p_t))
+        before = (list(st.p_w), list(st.p_r), list(st.p_sq))
         fam = gen_q(10)
-        assert (st.p_w, st.p_r, st.p_t) == before == ([((0, 1), 1)], [((3,), 1)], [])
+        assert (st.p_w, st.p_r, st.p_sq) == before == ([((0, 1), 1)], [((3,), 1)], [])
         assert fam[1] == BivariatePoly({(0, 1): F(3, 16), (1, 0): F(-1, 16)})
