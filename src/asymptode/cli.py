@@ -154,7 +154,7 @@ def _add_io_args(sub):
 # ---------------------------------------------------------------------------
 # series
 
-MAX_SERIES_ORDER = 100  # cold p and q take about 4 s each there (2-vCPU VM)
+MAX_SERIES_ORDER = 100  # cold p takes about 3 s there, q 3 to 4 s (2-vCPU VM)
 
 
 def _cmd_series(args):

@@ -26,7 +26,10 @@ and are generated as the integers ``A_k`` and ``B_k``:
 
   on ``a_j := p_{j-1}``, and generated without beta from the ODE of the
   inverse: ``dx/dX = g(4/x)`` and ``z^2 g' = 1 - 1/g - (3/4) z g`` give
-  ``x x'' = -x (x' - 1)/4 + (3/4) x'^2``.
+  ``x x'' = -x (x' - 1)/4 + (3/4) x'^2``, that is
+  ``(x^2)''/2 + (x^2)'/8 - x/4 - (7/4) x'^2 = 0``, whose only products are
+  the squares of x and x': each step takes their symmetric pairs once
+  (``_ensure_p``).
 
 * ``q_k(c; z)``: the relative-correction polynomials of the expansion
   ``h(t) = (4t)^{1/4} (1 + sum q_k(c; log 4t) / t^k + ...)``, defined by
@@ -226,7 +229,9 @@ def _scaled(poly: IntPoly, num: int, den: int = 1) -> IntPoly:
     return tuple([num * v for v in nums]), d * den
 
 
-def _square_pairs(seq: list[IntPoly], n: int, num: int = 1, den: int = 1) -> list[tuple[IntPoly, IntPoly]]:
+def _square_pairs(
+    seq: list[IntPoly], n: int, num: int = 1, den: int = 1
+) -> list[tuple[IntPoly, IntPoly]]:
     """The pairs of (num/den) sum_{a+b=n} seq_a seq_b for _sum_of_products:
     each pair a < b once at twice the weight, the middle term once."""
     return [
