@@ -122,8 +122,8 @@ def _sum_of_products(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
     """sum A * B over the pairs, accumulated over one common denominator.
 
     Each product loops over its shorter factor.  A constant factor makes
-    this an integer linear combination.  The result has
-    the length of the longest product (at least 1), whatever cancels.
+    this an integer linear combination.  The result has the length of the
+    longest product (at least 1), whatever cancels.
     """
     den = math.lcm(*[ad * bd for (_, ad), (_, bd) in pairs])
     size = max((len(an) + len(bn) - 1 for (an, _), (bn, _) in pairs), default=1)
