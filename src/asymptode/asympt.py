@@ -427,8 +427,8 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
 
     The root on the branch y > 1 is exactly what the fourth-power
     substitution produces for the growth profile, with constant c = 0
-    and no beta corrections; its expansion uses the same polynomial
-    recursion specialised accordingly:
+    and no beta corrections; its expansion has the same form, with the
+    Lambert family ptilde_k of gen_lambert_p in place of p_k:
 
         y(x) ~ Y_n(x) = x + sum_{k=0}^{n} ptilde_k(ln x) / x**k
 

@@ -39,12 +39,16 @@ and are generated as the integers ``A_k`` and ``B_k``:
 * ``ptilde_k(z)``: the analogous family for the inverse of ``y - log y``
   (the branch of the Lambert function relevant at ``y > 1``), defined by
   ``ptilde_0 = z`` and ``ptilde_{k+1} = sigma0_{k+1}`` on
-  ``a_j := ptilde_{j-1}``; generated by the log rule, whose product sum
-  is symmetric, so each pair is taken once.
+  ``a_j := ptilde_{j-1}``; generated in closed form, with no product of
+  members: the coefficient of ``z^m`` in ``ptilde_k`` is
+  ``(-1)^(m+1) [k, k-m+1] / m!`` in the Stirling cycle numbers, each row
+  built from the last (``_ensure_lambert``).
 
 ``sigma0`` and ``sigma^k`` are the coefficients of ``log(1 + a)`` and
 ``(1 + a)^-k``, ``a = sum_j a_j x^j``: the definitions the test oracle checks.
-Each step is O(n) products of earlier members, O(N^2) to order N.
+Each step of p and q is one weighted sum of O(n) products of earlier
+members (``_sum_of_products``), O(N^2) products to order N; each step of
+ptilde is one row of O(n) integers.
 
 Internal representation.  ``p_0 = 3z - c`` and ``D = d/d(log X) = 3 d/dw``,
 so each ``p_n`` and ``q_k`` is a rational polynomial in ``w := 3z - c``.
@@ -110,26 +114,26 @@ __all__ = [
 
 IntPoly = tuple[tuple[int, ...], int]
 
+# a weighted pair (A, B, num, den) of _sum_of_products: (num/den) A B, den > 0
+Pair = tuple[IntPoly, IntPoly, int, int]
 
-def _const(num: int, den: int = 1) -> IntPoly:
-    return (num,), den
-
-
-_ONE = _const(1)
+_ONE: IntPoly = ((1,), 1)
 
 
-def _sum_of_products(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
-    """sum A * B over the pairs, accumulated over one common denominator.
+def _sum_of_products(pairs: list[Pair]) -> IntPoly:
+    """sum (num/den) A B over the pairs, over one common denominator.
 
-    Each product loops over its shorter factor.  A constant factor makes
-    this an integer linear combination.  The result has the length of the
-    longest product (at least 1), whatever cancels.
+    Each weight is folded into its pair's scale to that denominator, and
+    each product loops over its shorter factor, whose coefficients take
+    the scale.  A factor _ONE makes this an integer linear combination.
+    The result has the length of the longest product (at least 1),
+    whatever cancels, and is in lowest terms with a positive denominator.
     """
-    den = math.lcm(*[ad * bd for (_, ad), (_, bd) in pairs])
-    size = max((len(an) + len(bn) - 1 for (an, _), (bn, _) in pairs), default=1)
+    den = math.lcm(*[ad * bd * d for (_, ad), (_, bd), _, d in pairs])
+    size = max((len(an) + len(bn) - 1 for (an, _), (bn, _), _, _ in pairs), default=1)
     acc = [0] * size
-    for (an, ad), (bn, bd) in pairs:
-        scale = den // (ad * bd)
+    for (an, ad), (bn, bd), num, d in pairs:
+        scale = den // (ad * bd * d) * num
         if len(an) > len(bn):
             an, bn = bn, an
         for i, u in enumerate(an):
@@ -180,14 +184,16 @@ class _State:
         # p_n as dense w-polynomials from p_0 = w, with r_n (r_0 = D p_0 = 3)
         # and the squares S_n = sum_{a+b=n} p_a p_b of _ensure_p
         self.p_w: list[IntPoly] = [((0, 1), 1)]
-        self.p_r: list[IntPoly] = [_const(3)]
+        self.p_r: list[IntPoly] = [((3,), 1)]
         self.p_sq: list[IntPoly] = []
         # q_k as dense w-polynomials from q_1 = w/16, with v_k = [t^-k] u^-3
         # of _ensure_q (q_0 = v_0 = 1 is never stored)
         self.q_w: dict[int, IntPoly] = {1: ((0, 1), 16)}
         self.q_v: dict[int, IntPoly] = {1: ((0, -3), 16)}
-        # Lambert analogue: ptilde_k as dense z-polynomials from ptilde_0 = z
+        # Lambert analogue: ptilde_k as dense z-polynomials from ptilde_0 = z,
+        # with the Stirling cycle numbers [k, j], j = 0..k, of the last k
         self.lam: list[IntPoly] = [((0, 1), 1)]
+        self.lam_cycle: list[int] = [1]
         # numeric reads: (family, index, F) -> mantissas of the coefficients
         # and of the derivative's coefficients, see fixed_coeffs
         self.fixed: dict[tuple[str, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -223,21 +229,10 @@ def _ensure_beta(n: int) -> None:
         squares.append(sum(betas[j] * betas[m + 1 - j] for j in range(m + 2)))
 
 
-def _scaled(poly: IntPoly, num: int, den: int = 1) -> IntPoly:
-    """poly * num / den, unreduced (_sum_of_products reduces its result)."""
-    nums, d = poly
-    return tuple([num * v for v in nums]), d * den
-
-
-def _square_pairs(
-    seq: list[IntPoly], n: int, num: int = 1, den: int = 1
-) -> list[tuple[IntPoly, IntPoly]]:
-    """The pairs of (num/den) sum_{a+b=n} seq_a seq_b for _sum_of_products:
-    each pair a < b once at twice the weight, the middle term once."""
-    return [
-        (seq[a], _scaled(seq[n - a], num if 2 * a == n else 2 * num, den))
-        for a in range(n // 2 + 1)
-    ]
+def _square_pairs(seq: list[IntPoly], n: int, num: int = 1) -> list[Pair]:
+    """The pairs of num sum_{a+b=n} seq_a seq_b for _sum_of_products: each
+    pair a < b once at twice the weight, the middle term once."""
+    return [(seq[a], seq[n - a], num if 2 * a == n else 2 * num, 1) for a in range(n // 2 + 1)]
 
 
 def _d_minus(poly: IntPoly, b: int) -> IntPoly:
@@ -282,12 +277,12 @@ def _ensure_p(n: int) -> None:
         m = len(p)
         sq.append(_sum_of_products(_square_pairs(p, m - 1)))
         pairs = [
-            (_d_minus(r[m - 1], m - 2), _const(-4)),
-            (r[m - 1], _const(14)),
-            (_d_minus(sq[m - 1], m - 1), _const(-1, 2)),
+            (_d_minus(r[m - 1], m - 2), _ONE, -4, 1),
+            (r[m - 1], _ONE, 14, 1),
+            (_d_minus(sq[m - 1], m - 1), _ONE, -1, 2),
         ] + _square_pairs(r, m - 2, 7)
         if m > 1:
-            pairs.append((_d_minus(_d_minus(sq[m - 2], m - 2), m - 1), _const(-2)))
+            pairs.append((_d_minus(_d_minus(sq[m - 2], m - 2), m - 1), _ONE, -2, 1))
         nums, den = _sum_of_products(pairs)
         p.append(_inverse_shift((nums[: m + 1], den), m))
         r.append(_d_minus(p[m], m))
@@ -310,37 +305,46 @@ def _ensure_q(k: int) -> None:
     """
     q, v = _STATE.q_w, _STATE.q_v
     for kk in range(len(q) + 1, k + 1):
-        big_v = _sum_of_products(
-            [(q[i], _scaled(v[kk - i], -2 * i - kk, kk)) for i in range(1, kk)]
-        )
+        big_v = _sum_of_products([(q[i], v[kk - i], -2 * i - kk, kk) for i in range(1, kk)])
         shifted = _d_minus(q[kk - 1], kk - 1)
         rhs = _sum_of_products(
             [
-                (big_v, _const(1, 4)),
-                (_d_minus(shifted, kk), _const(-1)),
-                (shifted, _const(-1, 2)),
-                (q[kk - 1], _const(3, 16)),
+                (big_v, _ONE, 1, 4),
+                (_d_minus(shifted, kk), _ONE, -1, 1),
+                (shifted, _ONE, -1, 2),
+                (q[kk - 1], _ONE, 3, 16),
             ]
         )
         q[kk] = _inverse_shift(rhs, kk - 1)
-        v[kk] = _sum_of_products([(big_v, _ONE), (q[kk], _const(-3))])
+        v[kk] = _sum_of_products([(big_v, _ONE, 1, 1), (q[kk], _ONE, -3, 1)])
 
 
 def _ensure_lambert(n: int) -> None:
-    """ptilde_k = [x^k] log(1 + sum_j ptilde_{j-1} x^j) by the log rule
-    ptilde_k = ptilde_{k-1} - (1/k) sum_{i=1}^{k-1} i ptilde_i ptilde_{k-1-i}.
+    """ptilde_k = [x^k] log(1 + sum_j ptilde_{j-1} x^j) in closed form,
 
-    The sum is ((k - 1)/2) sum_{i=0}^{k-1} ptilde_i ptilde_{k-1-i}, pairs
-    i < k-1-i once at weight 2 and the middle term once.  At k = 1 it is
-    empty: a weight-0 middle term would lengthen every later member."""
+        ptilde_k(z) = sum_{m=1}^{k} (-1)^(m+1) [k, k-m+1] / m! z^m,
+
+    in the Stirling cycle numbers [k, j] of y = x + ln x - sum_{k>=0, m>=1}
+    c_km (ln x)^m / (-x)^(k+m), c_km = (-1)^k [k+m, k+1] / m! (de Bruijn;
+    Comtet; Corless, Gonnet, Hare, Jeffrey and Knuth, Adv. Comput. Math. 5,
+    1996, sec. 4).  The row of k comes from the last one by
+    [k, j] = (k-1) [k-1, j] + [k-1, j-1], and member k is one integer row
+    over k!, with z^m's coefficient (-1)^(m+1) [k, k-m+1] k!/m!, reduced by
+    one gcd.  Its z^k coefficient [k, 1]/k! = 1/k is never 0, so ptilde_k
+    has k + 1 coefficients."""
     lam = _STATE.lam
     while len(lam) <= n:
         k = len(lam)
-        lam.append(
-            _sum_of_products(
-                [(lam[k - 1], _ONE)] + (_square_pairs(lam, k - 1, 1 - k, 2 * k) if k > 1 else [])
-            )
-        )
+        prev = _STATE.lam_cycle
+        row = [0] + [(k - 1) * u + v for u, v in zip(prev[1:] + [0], prev)]
+        _STATE.lam_cycle = row
+        nums = [0] * (k + 1)
+        ratio = 1  # k! / m!
+        for m in range(k, 0, -1):
+            nums[m] = ratio * row[k - m + 1] if m % 2 else -ratio * row[k - m + 1]
+            ratio *= m
+        g = math.gcd(ratio, *nums)
+        lam.append((tuple([v // g for v in nums]), ratio // g))
 
 
 # -- the family type -------------------------------------------------------------

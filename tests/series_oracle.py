@@ -1,8 +1,8 @@
 """Generic truncated power series with exact coefficients: a test oracle.
 
-The family generators in ``asymptode.families`` build p, q and ptilde by
-quadratic recurrences: the ODE of G^{-1}, the equation for h with the power
-rule, and the log rule.
+The family generators in ``asymptode.families`` build p and q by
+quadratic recurrences, the ODE of G^{-1} and the equation for h with the
+power rule, and ptilde in closed form from Stirling cycle numbers.
 This module computes the same quantities from their defining composition
 formulas, in two ways that share no recurrence with the package.  One
 point at a time, with a general series calculus:
@@ -22,8 +22,10 @@ And whole members at once, in the package's integer form:
 ``composition_families(N)`` is p_0..p_N, q_1..q_N and ptilde_0..ptilde_N by
 the composition-sum table s_{j,m} = [x^m] a^j over one polynomial variable,
 with C(N+2, 3) polynomial products.  It only borrows the package's
-``_sum_of_products`` to accumulate, so its results must equal the
-generators' exactly, lengths included.
+``_sum_of_products`` (weighted pairs) to accumulate, so its results must
+equal the generators' exactly, lengths included.  ``lambert_log_rule(N)``
+is ptilde_0..ptilde_N by the log rule, the recursion of ``log(1 + a)``, in
+the same integer form: the reference of the closed form beyond order 40.
 
 The two dyadic sequences, as the reference the package's integer
 recurrences must equal: ``alpha_fractions(N)`` and ``beta_fractions(N)``
@@ -55,7 +57,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from asymptode.errors import DomainError
-from asymptode.families import _ONE, _const, _member, _sum_of_products, gen_alpha, gen_beta
+from asymptode.families import _ONE, _member, _sum_of_products, gen_alpha, gen_beta
 
 
 def _exact(value) -> Fraction:
@@ -376,7 +378,7 @@ def _extend_s_table(table: dict, filled: int, m_max: int, a: list) -> int:
         table[(1, m)] = a[m - 1]
         for j in range(2, m + 1):
             table[(j, m)] = _sum_of_products(
-                [(table[(j - 1, i)], a[m - i - 1]) for i in range(j - 1, m)]
+                [(table[(j - 1, i)], a[m - i - 1], 1, 1) for i in range(j - 1, m)]
             )
     return max(filled, m_max)
 
@@ -384,9 +386,7 @@ def _extend_s_table(table: dict, filled: int, m_max: int, a: list) -> int:
 def _sigma0_terms(table: dict, n: int, weight: int) -> list:
     """weight * sigma0_n = weight * sum_{j=1}^{n} (-1)^(j+1)/j * s_{j,n}, as
     terms for _sum_of_products."""
-    return [
-        (table[(j, n)], _const(weight * (-1) ** (j + 1), j)) for j in range(1, n + 1)
-    ]
+    return [(table[(j, n)], _ONE, weight * (-1) ** (j + 1), j) for j in range(1, n + 1)]
 
 
 def composition_families(N: int) -> tuple[list, dict, list]:
@@ -416,17 +416,17 @@ def composition_families(N: int) -> tuple[list, dict, list]:
             for j in range(1, n - k + 1):
                 binom = (-1) ** j * math.comb(k + j - 1, j)
                 terms.append(
-                    (table[(j, n - k)], _const(outer.numerator * binom, outer.denominator))
+                    (table[(j, n - k)], _ONE, outer.numerator * binom, outer.denominator)
                 )
         last = weight(n + 1)
-        terms.append((_const(last.numerator, last.denominator), _ONE))
+        terms.append((_ONE, _ONE, last.numerator, last.denominator))
         p.append(_sum_of_products(terms))
 
     binoms = [rational_binomial(Fraction(1, 4), m) for m in range(N + 1)]
     q = {
         k: _sum_of_products(
             [
-                (table[(m, k)], _const(binoms[m].numerator, binoms[m].denominator * 4**k))
+                (table[(m, k)], _ONE, binoms[m].numerator, binoms[m].denominator * 4**k)
                 for m in range(1, k + 1)
             ]
         )
@@ -440,3 +440,19 @@ def composition_families(N: int) -> tuple[list, dict, list]:
         lam_filled = _extend_s_table(lam_table, lam_filled, k, lam)
         lam.append(_sum_of_products(_sigma0_terms(lam_table, k, 1)))
     return p, q, lam
+
+
+def lambert_log_rule(N: int) -> list:
+    """ptilde_0..ptilde_N as the package's integer forms, by the log rule
+    of ptilde_k = [x^k] log(1 + sum_j ptilde_{j-1} x^j):
+
+        ptilde_k = ptilde_{k-1} - (1/k) sum_{i=1}^{k-1} i ptilde_i ptilde_{k-1-i},
+
+    each pair of the sum taken, ptilde_0 = z.  The package builds the same
+    members in closed form, from Stirling cycle numbers."""
+    lam = [((0, 1), 1)]
+    for k in range(1, N + 1):
+        pairs = [(lam[k - 1], _ONE, 1, 1)]
+        pairs += [(lam[i], lam[k - 1 - i], -i, k) for i in range(1, k)]
+        lam.append(_sum_of_products(pairs))
+    return lam

@@ -14,11 +14,15 @@ Oracle layout:
 * p_n, q_k and ptilde_k are recomputed at rational points (c, z) by the
   generic series calculus of ``series_oracle``, one point at a time, and
   whole to order 40 by its composition-sum table; neither shares a
-  recurrence with the generators' ODEs (of G^{-1} and of h), power rule
-  and log rule.
-* ptilde_0..ptilde_30 are pinned to the de Bruijn/Comtet closed form of
-  W_{-1} in Stirling cycle numbers, and p_0..p_6 to a sympy reversion of
-  G's expansion; neither uses the composition recursion.
+  recurrence with the generators' ODEs (of G^{-1} and of h) and power
+  rule, nor with ptilde's closed form in Stirling cycle numbers.
+* ptilde_0..ptilde_100 equal, cold, the log rule's members
+  (``series_oracle.lambert_log_rule``), and ptilde_0..ptilde_30 the de
+  Bruijn/Comtet closed form of W_{-1} as written out in this file; p_0..p_6
+  are pinned to a sympy reversion of G's expansion.  None of these uses the
+  composition recursion.
+* ``_sum_of_products`` equals the Fraction sum of its weighted products on
+  random small integer polynomials (hypothesis), in lowest terms.
 """
 
 import math
@@ -26,6 +30,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from asymptode import families, numerics
@@ -48,6 +54,7 @@ from series_oracle import (
     degree,
     dense,
     format_reference,
+    lambert_log_rule,
     ode_residual_order,
     rational_binomial,
     series_compose_coeffs,
@@ -354,37 +361,72 @@ class TestCompositionTable:
         # of N multiplies them by about 4 (3.1 to 3.6 here); the composition
         # table's C(N+2, 3) multiplied them by 7.0 to 7.7
         count = _pair_counter(monkeypatch)
-        for gen in (gen_p, gen_q, gen_lambert_p):
+        for gen in (gen_p, gen_q):
             counts = []
             for N in (10, 20, 40):
                 clear_caches()
-                count[0] = 0
+                count[:] = [0, 0]
                 gen(N)
                 counts.append(count[0])
             assert counts[1] <= 4.6 * counts[0], (gen.__name__, counts)
             assert counts[2] <= 4.6 * counts[1], (gen.__name__, counts)
+        # ptilde, in closed form, calls _sum_of_products at no order
+        for N in (10, 20, 30, 40):
+            clear_caches()
+            count[:] = [0, 0]
+            gen_lambert_p(N)
+            assert count == [0, 0], (N, count)
         clear_caches()
 
-    @pytest.mark.parametrize("gen, most", [(gen_p, 700), (gen_q, 650), (gen_lambert_p, 300)])
+    @pytest.mark.parametrize("gen, most", [(gen_p, 700), (gen_q, 650), (gen_lambert_p, 0)])
     def test_pair_count_at_30(self, monkeypatch, gen, most):
         # p from the squared equation of the inverse (584 pairs; 810 with
         # the convolution sum p_a t_b), q from the equation for h (609
-        # pairs; 1,226 through p and the power rule), ptilde by the
-        # symmetric log rule (269; 465 with every pair of the sum taken)
+        # pairs; 1,226 through p and the power rule), ptilde in closed form
+        # with no _sum_of_products call (269 pairs by the symmetric log rule)
         count = _pair_counter(monkeypatch)
         clear_caches()
         gen(30)
         clear_caches()
-        assert count[0] <= most, count[0]
+        pairs, calls = count
+        assert pairs <= most, pairs
+        assert (calls == 0) == (most == 0), calls
+
+
+# small integer polynomials (numerators, denominator), unit length included,
+# and weighted pairs of them for _sum_of_products, weights of either sign
+_SMALL_POLY = st.tuples(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(tuple), st.integers(1, 8)
+)
+_WEIGHTED_PAIR = st.tuples(_SMALL_POLY, _SMALL_POLY, st.integers(-20, 20), st.integers(1, 12))
+
+
+class TestSumOfProducts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_WEIGHTED_PAIR, min_size=1, max_size=5))
+    def test_equals_the_fraction_sum(self, pairs):
+        # sum (num/den) A B coefficient by coefficient, at the length of the
+        # longest product, in lowest terms over a positive denominator
+        nums, den = families._sum_of_products(pairs)
+        expected = [F(0)] * max(len(an) + len(bn) - 1 for (an, _), (bn, _), _, _ in pairs)
+        for (an, ad), (bn, bd), num, d in pairs:
+            for i, u in enumerate(an):
+                for j, v in enumerate(bn):
+                    expected[i + j] += F(num, d) * F(u, ad) * F(v, bd)
+        assert [F(v, den) for v in nums] == expected
+        assert den > 0
+        assert math.gcd(den, *nums) == 1
 
 
 def _pair_counter(monkeypatch):
-    """[n], n the pairs _sum_of_products has accumulated since it was reset."""
+    """[pairs, calls]: the pairs _sum_of_products has accumulated, and the
+    calls it has taken, since the list was reset."""
     real = families._sum_of_products
-    count = [0]
+    count = [0, 0]
 
     def counting(pairs):
         count[0] += len(pairs)
+        count[1] += 1
         return real(pairs)
 
     monkeypatch.setattr(families, "_sum_of_products", counting)
@@ -398,6 +440,16 @@ def _stirling_cycle(n_max):
         row = table[-1] + [0]
         table.append([n * row[k] + (row[k - 1] if k else 0) for k in range(n + 2)])
     return table
+
+
+class TestLambertLogRule:
+    def test_closed_form_is_the_log_rule_to_100(self):
+        # cold, the closed form's integer forms are the log rule's, entry
+        # for entry and length for length
+        clear_caches()
+        gen_lambert_p(100)
+        assert families._STATE.lam == lambert_log_rule(100)
+        clear_caches()
 
 
 class TestLambertClosedForm:

@@ -47,6 +47,15 @@ def git(*args):
     ).stdout.strip()
 
 
+def tmp_is_usable(tmp):
+    """Whether ``--tmp`` is unset or names an existing directory; prints a
+    one-line refusal otherwise, since the checkouts could not be made."""
+    if tmp is None or os.path.isdir(tmp):
+        return True
+    print("--tmp %s is not an existing directory" % tmp, file=sys.stderr)
+    return False
+
+
 def export(commit, into):
     """The tree of commit, unpacked into the empty directory into."""
     archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
@@ -111,8 +120,10 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10, help="untraced pairs per workload")
     parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--tmp", help="directory for the two checkouts")
+    parser.add_argument("--tmp", help="existing directory for the two checkouts")
     args = parser.parse_args(argv)
+    if not tmp_is_usable(args.tmp):
+        return 2
 
     commits = {side: git("rev-parse", "--verify", rev + "^{commit}")
                for side, rev in (("parent", args.parent), ("change", args.change))}

@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import export, git  # noqa: E402
+from bench_pairs import export, git, tmp_is_usable  # noqa: E402
 
 # the pinned commands of tests/test_cli.py (TestSeries, TestNumericPins),
 # the printed families at order 60, past those pins,
@@ -34,7 +34,8 @@ from bench_pairs import export, git  # noqa: E402
 # other working precisions (dps 50 to 80), three argparse validators and
 # the shortest q families; then the first members of the q and ptilde
 # recursions, cold q and ptilde at the order ceiling, and shifts that take
-# the grid to t + s <= 1
+# the grid to t + s <= 1, and a Lambert check that reads ptilde_0..ptilde_20
+# through fixed_coeffs
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -105,6 +106,7 @@ COMMANDS = (
         "series --family lambert --order 100",
         "verify --shift -200",
         "verify --shift -99.5 --t-grid 1e2,1e3",
+        "lambert --n-max 20 --rel-tol 1e-80 --abs-tol 1e-82 --format csv",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
@@ -126,8 +128,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent revision")
     parser.add_argument("--change", required=True, help="changed revision")
-    parser.add_argument("--tmp", help="directory for the two checkouts")
+    parser.add_argument("--tmp", help="existing directory for the two checkouts")
     args = parser.parse_args(argv)
+    if not tmp_is_usable(args.tmp):
+        return 2
 
     differ = 0
     with tempfile.TemporaryDirectory(prefix="cli_identity_", dir=args.tmp) as tmp:
