@@ -18,33 +18,24 @@ import bench_pairs  # noqa: E402
 import cli_identity  # noqa: E402
 
 
+@pytest.mark.parametrize("plain_file", [False, True], ids=["absent", "file"])
 @pytest.mark.parametrize(
     "tool, extra",
     [(bench_pairs, ["--n", "999999", "--seed", "1"]), (cli_identity, [])],
     ids=["bench_pairs", "cli_identity"],
 )
-def test_missing_tmp_is_refused(tool, extra, tmp_path, monkeypatch, capsys):
+def test_bad_tmp_is_refused(tool, extra, plain_file, tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(tool, "git", lambda *args: calls.append(("git", args)))
     monkeypatch.setattr(tool, "export", lambda *args: calls.append(("export", args)))
-    missing = tmp_path / "absent"
-    argv = ["--parent", "HEAD~1", "--change", "HEAD", "--tmp", str(missing)] + extra
+    bad = tmp_path / "bad"
+    if plain_file:
+        bad.write_text("")
+    argv = ["--parent", "HEAD~1", "--change", "HEAD", "--tmp", str(bad)] + extra
     assert tool.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "--tmp %s is not an existing directory\n" % missing
+    assert err == "--tmp %s is not an existing directory\n" % bad
     assert calls == []
-    assert not missing.exists()
+    assert bad.exists() == plain_file
     assert not (bench_pairs.ROOT / "BENCH_999999.json").exists()
-
-
-def test_a_file_is_no_tmp(tmp_path, monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(bench_pairs, "export", lambda *args: calls.append(args))
-    plain = tmp_path / "plain"
-    plain.write_text("")
-    argv = ["--parent", "HEAD~1", "--change", "HEAD", "--n", "999999", "--seed", "1",
-            "--tmp", str(plain)]
-    assert bench_pairs.main(argv) == 2
-    assert capsys.readouterr().err == "--tmp %s is not an existing directory\n" % plain
-    assert calls == []
