@@ -70,8 +70,8 @@ numeric reads alike.  A family object holds the integer forms:
 terms from them in display order, by one integer binomial expansion of
 ``w^j``, with each coefficient reduced once and each term by the gcd of
 its binomial weight alone (see ``_terms``); ``family[n]``, the
-:class:`BivariatePoly` for exact comparison, is built on first index and
-kept by the family object.  ``numerics`` reads exact values only through
+:class:`BivariatePoly` for exact comparison, is built from the same terms
+on each index, and not kept.  ``numerics`` reads exact values only through
 ``fixed_coeffs`` (kinds "p", "q", "lambert", "alpha" and "tail"): the
 mantissas at 2^-F of a member's coefficients (in ``w`` for p and q, in
 ``z`` for ptilde) and of its derivative's, straight from the integer form,
@@ -89,7 +89,7 @@ computed once.  Returned objects are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -362,14 +362,13 @@ _KINDS = {
 class PolyFamily:
     """Members n >= ``first`` of the family ``kind``, by their mathematical
     index: p_0..p_N and q_1..q_N in w = 3z - c, ptilde_0..ptilde_N in z.
-    ``family[n]`` is the display form, built from the integer form on first
-    index and kept, and ``family.text(n)`` its text, written from the
-    integer form.  Equal families have the same kind and the same members.
-    Numeric reads take fixed_coeffs."""
+    ``family[n]`` is the display form, built from the integer form on each
+    index, and ``family.text(n)`` its text, written from the integer form.
+    Equal families have the same kind and the same members.  Numeric reads
+    take fixed_coeffs."""
 
     kind: str
     _members: tuple[IntPoly, ...]  # integer forms, member n at n - first
-    _display: dict[int, BivariatePoly] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def first(self) -> int:
@@ -385,11 +384,8 @@ class PolyFamily:
         return self._members[n - self.first]
 
     def __getitem__(self, n: int) -> BivariatePoly:
-        member = self._member(n)
-        if n not in self._display:
-            terms = _terms(member, self._in_w)
-            self._display[n] = BivariatePoly({(i, j): Fraction(u, d) for i, j, u, d in terms})
-        return self._display[n]
+        terms = _terms(self._member(n), self._in_w)
+        return BivariatePoly({(i, j): Fraction(u, d) for i, j, u, d in terms})
 
     def text(self, n: int) -> str:
         """``self[n].format_descending()``, with no display form built."""

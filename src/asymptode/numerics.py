@@ -684,10 +684,7 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
             seed = cum_err * (3 * x**2 * abs(y) + x**3)
             problem = solve_g(4 / x**4, gamma, cfg, seed_tol=100 * seed)
             reduction = (problem, t, x, y)
-        traj = Trajectory(cfg, steps, t_max, rejected, reduction)
-        if reduction is not None:
-            traj.eval_h(t_max)  # fail fast and seed the h^4 memo
-        return traj
+        return Trajectory(cfg, steps, t_max, rejected, reduction)
 
 
 # -- the first-order problem and G ---------------------------------------------
@@ -853,12 +850,23 @@ def g_problem_for_data(
     The reduction to the first-order problem needs h' > 0.  When h1 <= 0 the
     trajectory is integrated forward to the first sample with positive slope
     (the region h' > 0 is absorbing: at h' = 0 the acceleration is h^{-3} > 0)
-    and the problem is re-based there, within the horizon t0 + 2^18.
+    and the problem is re-based there, within the horizon t0 + 2^18.  The
+    same route is taken when the data's own problem is refused: by the
+    switch the e^{-t} sector of the solution has decayed by about
+    e^{-_DIRECT_SPAN}.  If that route refuses too, both refusals are named.
     """
     cfg = cfg or SolverConfig()
     dps = cfg.effective_dps
     with _workdps(dps):
-        if mp.mpf(data.h1) <= 0:
+        refused = None
+        if mp.mpf(data.h1) > 0:
+            z0 = 4 / mp.mpf(data.h0) ** 4
+            g0 = mp.mpf(data.h0) ** 3 * mp.mpf(data.h1)
+            try:
+                return solve_g(z0, g0, cfg), mp.mpf(data.t0)
+            except AccuracyError as exc:
+                refused = exc
+        try:
             # integrate until the trajectory hands off on its own: the
             # switch point is exactly the rebased data we need
             traj = integrate_h(data, mp.mpf(data.t0) + 2**18, cfg)
@@ -866,10 +874,14 @@ def g_problem_for_data(
                 raise ConvergenceError(
                     "no stretch with positive slope found within the horizon"
                 )
-            return traj.g_problem, traj.switch_time
-        z0 = 4 / mp.mpf(data.h0) ** 4
-        g0 = mp.mpf(data.h0) ** 3 * mp.mpf(data.h1)
-        return solve_g(z0, g0, cfg), mp.mpf(data.t0)
+        except (AccuracyError, ConvergenceError, IntegrationError) as exc:
+            if refused is None:
+                raise
+            raise AccuracyError(
+                f"the data's own problem refused ({refused}), and so did "
+                f"the trajectory's switch problem ({exc})"
+            ) from exc
+        return traj.g_problem, traj.switch_time
 
 
 def compute_G(x, problem: GProblem):

@@ -12,9 +12,10 @@ class is only their public face.
 :func:`format_terms` is the display rule that ``format_descending`` and the
 families' writer share.
 
-:func:`poly_eval` evaluates a :class:`BivariatePoly` in any numeric type, for
-callers that hold only the display form.  All values are immutable after
-construction and all operations are pure functions.
+:func:`poly_eval` evaluates a :class:`BivariatePoly` in any numeric type, as
+the plain sum of its terms, for callers that hold only the display form.
+All values are immutable after construction and all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -98,10 +99,6 @@ class BivariatePoly:
 
     # -- display ---------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
-        """Terms ordered by descending z power, then ascending c power."""
-        return sorted(self._terms.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
-
     def format_descending(self) -> str:
         """Human-readable form with descending z powers, e.g. ``9*z - 3*c - 21``.
 
@@ -109,9 +106,9 @@ class BivariatePoly:
         package's table output: z powers descend, and within one z power the
         c powers ascend.
         """
+        ordered = sorted(self._terms.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
         return format_terms(
-            (i, j, value.numerator, value.denominator)
-            for (i, j), value in self.sorted_terms()
+            (i, j, value.numerator, value.denominator) for (i, j), value in ordered
         )
 
 
@@ -150,37 +147,15 @@ def _power(var: str, k: int) -> str:
 def poly_eval(p: BivariatePoly, c, z):
     """Evaluate ``p`` at numeric ``(c, z)``.
 
-    Works with any numeric type that supports ``+`` and ``*`` (arbitrary
-    precision floats, plain floats, Fractions).  Rational coefficients are
-    converted at evaluation time by numerator/denominator division in the
-    caller's arithmetic, so no precision is fixed here.  Evaluation runs a
-    Horner scheme in z separately for each c power, then accumulates the c
-    powers.
+    Works with any numeric type that supports ``+``, ``*``, ``/`` and integer
+    powers (arbitrary precision floats, plain floats, Fractions).  The value
+    is the plain sum of the terms, each rational coefficient taken as its
+    numerator times ``one`` divided by its denominator in the caller's
+    arithmetic, so no precision is fixed here.
     """
     zero = 0 * c * z
     one = zero + 1
-    if p.is_zero():
-        return zero
-
-    by_c_power: dict[int, dict[int, Fraction]] = {}
-    for (i, j), value in p._terms.items():
-        by_c_power.setdefault(i, {})[j] = value
-
-    def convert(f: Fraction):
-        scaled = f.numerator * one
-        return scaled / f.denominator if f.denominator != 1 else scaled
-
     total = zero
-    c_pow = one
-    top_c = max(by_c_power)
-    for i in range(top_c + 1):
-        group = by_c_power.get(i)
-        if group:
-            top = max(group)
-            acc = convert(group[top])
-            for j in range(top - 1, -1, -1):
-                acc = acc * z + convert(group.get(j, Fraction(0)))
-            total = total + acc * c_pow
-        if i < top_c:
-            c_pow = c_pow * c
+    for (i, j), value in p._terms.items():
+        total = total + value.numerator * one / value.denominator * c**i * z**j
     return total

@@ -13,11 +13,13 @@ import platform
 import sys
 from collections import Counter
 
+import mpmath
 import pytest
 from mpmath.libmp import finf
 
 from asymptode import asympt, cli, families, numerics
 from asymptode.cli import main
+from asymptode.errors import AccuracyError
 
 # the numeric work that bad arguments must be refused before
 WORK = ("compute_c_for_data", "integrate_h", "lambert_wm1_numeric")
@@ -175,18 +177,17 @@ class TestNumericPins:
             "9544e2650e517eca52450b3e251ba57c3af4b20594f2a1bc4fa87527b4bab0e8",
         "lambert --n-max 1 --x-grid 10,100 --format json":
             "db81da42ef243ff019074a1971307973f8e6d0820bc30ad5eb411558a4891b76",
+        # refused by their own g problem, resolved through the trajectory's
+        # switch problem; recorded when that fallback came in, and each c
+        # agrees with its rel 1e-30 run (TestConstant.REFERENCE)
+        "constant --h0 1.5 --h1 3":
+            "6ac8e21edea18e4762ecaee5dfaca1dabf389a6701bc933d95dabcffedb38045",
+        "constant --h0 1000 --h1 1":
+            "9aed48e936bc32cc5851cc76ace5dca2e4a2d476032735f3cf90cc1ef91a6159",
     }
 
-    # SHA-256 of the stderr of refusals, recorded from the mpf step ends
-    # that preceded the fixed-point ones: the handoff gate prints the
-    # integrated g(z_c) and the summed step error estimates in full
+    # SHA-256 of the stderr of refusals: each gate prints its bound in full
     GOLDEN_STDERR = {
-        "constant --h0 1.5 --h1 3":
-            "7509ffdff57ffd191c02911dc975b0661d366c7518cec7039e5c53ff3332c910",
-        # data below the series crossover that disagree with the series,
-        # recorded while that check had a branch of its own
-        "constant --h0 1000 --h1 1":
-            "b69d670d5bc14a628ab2a7cc7cf047aed58a2c0f56b60665541ed46941f161d1",
         # the two gated refusals (trajectory bound, Lambert root), recorded
         # while each had a gate loop of its own
         "verify --n-max 4":
@@ -310,6 +311,47 @@ class TestConstant:
         code, out, err = run(capsys, "constant", "--h0", "0.5", "--h1", "2")
         assert (code, out) == (3, "")
         assert "step" in err
+
+    # c at rel 1e-30, abs 1e-32, 28 digits, for data whose own g problem
+    # the CLI defaults or rel 1e-10 refuse: the data's own problem where
+    # rel 1e-30 resolves it, the trajectory's switch problem otherwise
+    REFERENCE = {
+        (1.5, 3): "-416.7783041536585301880540627",  # own problem
+        (1, 3): "-284.562431414803484591908067",  # own problem
+        (2, 2): "-248.2797810488278038150572036",  # own problem
+        (1e-3, 1): "-1000008283162.830186114608354",
+        (1000, 1): "-1004006003914.106942649552687",
+        (0.1, 10): "-41419.06430294795184448415773",
+        (5, 5): "-9981.145233935605671985302543",
+        (200, 1e-9): "-1599999932.452191603298799872",
+        (0.5, 2): "-117.974325628368916643013323",  # own problem
+        (3, 0.1): "-75.21216399523723588800631081",  # own problem
+    }
+
+    @pytest.mark.parametrize(
+        "h0, h1, rel, abs_",
+        [(h0, h1, "1e-18", "1e-20") for h0, h1 in list(REFERENCE)[:8]]
+        + [(0.5, 2, "1e-10", "1e-12"), (3, 0.1, "1e-10", "1e-12")],
+    )
+    def test_refused_problem_resolves_through_the_switch(self, capsys, h0, h1, rel, abs_):
+        code, out, err = run(capsys, "constant", "--h0", repr(h0), "--h1", repr(h1),
+                             "--rel-tol", rel, "--abs-tol", abs_)
+        assert (code, err) == (0, "")
+        c = mpmath.mpf(out.removeprefix("c = "))
+        ref = mpmath.mpf(self.REFERENCE[(h0, h1)])
+        assert abs(c - ref) <= float(rel) * abs(ref)
+
+    def test_both_refusals_are_named(self, capsys, monkeypatch):
+        refusals = iter(["own problem refused", "switch problem refused"])
+
+        def refuse(*args, **kwargs):
+            raise AccuracyError(next(refusals))
+
+        monkeypatch.setattr(numerics, "solve_g", refuse)
+        code, out, err = run(capsys, "constant", "--h0", "1.5", "--h1", "3")
+        assert (code, out) == (3, "")
+        assert "own problem refused" in err and "switch problem refused" in err
+        assert next(refusals, None) is None
 
 
 class TestVerify:

@@ -535,19 +535,27 @@ class TestOdeResidual:
 
 class TestDisplay:
     # family.text(n) is written from the integer form; family[n] is the
-    # display form, built on first index.  Both must say the same thing,
+    # display form, built on each index.  Both must say the same thing,
     # and the display form must be the w = 3z - c expansion of the member
     N = 60
     GEN = {"p": gen_p, "q": gen_q, "lambert": gen_lambert_p}
 
     @pytest.mark.parametrize("name", sorted(GEN))
-    def test_text_is_the_display_text(self, name):
+    def test_text_is_the_display_text(self, name, monkeypatch):
         clear_caches()
         family = self.GEN[name](self.N)
+        built = []
+
+        def counting(terms):
+            built.append(terms)
+            return BivariatePoly(terms)
+
+        monkeypatch.setattr(families, "BivariatePoly", counting)
         texts = {n: family.text(n) for n in range(family.first, self.N + 1)}
-        assert family._display == {}
+        assert built == []  # the text path builds no display form
         for n, text in texts.items():
             assert text == family[n].format_descending(), n
+        assert len(built) == len(texts)
 
     @pytest.mark.parametrize("name", sorted(GEN))
     def test_display_form_expands_the_member(self, name):
@@ -591,15 +599,6 @@ class TestDisplay:
     def test_format_edge_cases(self, terms, text):
         assert format_terms(terms) == text
         assert format_reference(terms) == text
-
-    def test_display_forms_built_on_first_index_only(self):
-        family = gen_q(10)
-        assert family._display == {}
-        first = family[4]
-        assert set(family._display) == {4}
-        assert family[4] is first
-        assert [family[n] for n in range(1, 11)][3] is first
-        assert set(family._display) == set(range(1, 11))
 
     def test_equality_and_hash(self):
         assert gen_p(4) == gen_p(4)

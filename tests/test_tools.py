@@ -1,9 +1,12 @@
-"""The audit tools refuse a bad ``--tmp`` before any work.
+"""The audit tools refuse a bad ``--tmp`` before any work, and the identity
+audit runs every pinned CLI command.
 
 ``tools/bench_pairs.py`` and ``tools/cli_identity.py`` make their two
 checkouts in a temporary directory under ``--tmp``.  A ``--tmp`` that is not
 an existing directory exits 2 with a one-line message, before any revision
 is resolved or exported and before any ``BENCH_<n>.json`` is written.
+``cli_identity.COMMANDS`` holds each command once, and every command whose
+output ``tests/test_cli.py`` pins.
 """
 
 import sys
@@ -16,6 +19,7 @@ sys.path.insert(0, str(TOOLS))
 
 import bench_pairs  # noqa: E402
 import cli_identity  # noqa: E402
+import test_cli  # noqa: E402
 
 
 @pytest.mark.parametrize("plain_file", [False, True], ids=["absent", "file"])
@@ -39,3 +43,18 @@ def test_bad_tmp_is_refused(tool, extra, plain_file, tmp_path, monkeypatch, caps
     assert calls == []
     assert bad.exists() == plain_file
     assert not (bench_pairs.ROOT / "BENCH_999999.json").exists()
+
+
+def test_identity_commands_are_distinct():
+    commands = [" ".join(c) for c in cli_identity.COMMANDS]
+    assert len(commands) == len(set(commands))
+
+
+def test_identity_commands_hold_every_cli_pin():
+    pins = test_cli.TestNumericPins
+    pinned = set(pins.GOLDEN) | set(pins.GOLDEN_STDERR) | {
+        "series --family %s --order 30 --format json" % family
+        for family in test_cli.TestSeries.GOLDEN
+    }
+    commands = {" ".join(c) for c in cli_identity.COMMANDS}
+    assert pinned <= commands, sorted(pinned - commands)

@@ -22,9 +22,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export, git, tmp_is_usable  # noqa: E402
 
-# the pinned commands of tests/test_cli.py (TestSeries, TestNumericPins),
-# the printed families at order 60, past those pins,
-# the verify and lambert variants around them, the trajectory outputs with
+# each command once: the pinned commands of tests/test_cli.py (TestSeries,
+# TestNumericPins; tests/test_tools.py checks both), the printed families
+# at order 60, past those pins, the verify and lambert variants around them, the trajectory outputs with
 # and without a switch, two horizon refusals, the ten data of the
 # `constant` benchmark workload, and inversion-heavy runs: a G inversion
 # that stops at G's rounding floor (h0 = 1000), tight and loose
@@ -34,17 +34,15 @@ from bench_pairs import export, git, tmp_is_usable  # noqa: E402
 # other working precisions (dps 50 to 80), three argparse validators and
 # the shortest q families; then the first members of the q and ptilde
 # recursions, cold q and ptilde at the order ceiling, and shifts that take
-# the grid to t + s <= 1, and a Lambert check that reads ptilde_0..ptilde_20
-# through fixed_coeffs
+# the grid to t + s <= 1, a Lambert check that reads ptilde_0..ptilde_20
+# through fixed_coeffs, and data whose own g problem is refused, which
+# resolve through the trajectory's switch problem
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
     + [["series", "--family", f, "--order", "60", "--format", fmt]
        for f in ("p", "q", "lambert") for fmt in ("table", "csv")]
     + [c.split() for c in (
-        "constant --h0 1 --h1 1",
-        "constant --h0 2 --h1 0.5",
-        "constant --h0 1 --h1 -1",
         "constant --h0 0.5 --h1 2 --rel-tol 1e-22 --abs-tol 1e-24",
         "constant --h0 1.5 --h1 3",
         "constant --fit",
@@ -107,6 +105,13 @@ COMMANDS = (
         "verify --shift -200",
         "verify --shift -99.5 --t-grid 1e2,1e3",
         "lambert --n-max 20 --rel-tol 1e-80 --abs-tol 1e-82 --format csv",
+        "constant --h0 1 --h1 3",
+        "constant --h0 2 --h1 2",
+        "constant --h0 1e-3 --h1 1",
+        "constant --h0 0.1 --h1 10",
+        "constant --h0 5 --h1 5",
+        "constant --h0 0.5 --h1 2 --rel-tol 1e-10 --abs-tol 1e-12",
+        "constant --h0 3 --h1 0.1 --rel-tol 1e-10 --abs-tol 1e-12",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
