@@ -337,9 +337,19 @@ class TestConstant:
         code, out, err = run(capsys, "constant", "--h0", repr(h0), "--h1", repr(h1),
                              "--rel-tol", rel, "--abs-tol", abs_)
         assert (code, err) == (0, "")
-        c = mpmath.mpf(out.removeprefix("c = "))
-        ref = mpmath.mpf(self.REFERENCE[(h0, h1)])
-        assert abs(c - ref) <= float(rel) * abs(ref)
+        with mpmath.workdps(40):
+            c = mpmath.mpf(out.removeprefix("c = "))
+            ref = mpmath.mpf(self.REFERENCE[(h0, h1)])
+            assert abs(c - ref) <= float(rel) * abs(ref)
+
+    @pytest.mark.parametrize("rel", [1e-8, 1e-10, 1e-14, 1e-18, 1e-22])
+    def test_refused_problems_resolve_at_every_tolerance(self, rel):
+        # the function `constant` calls, at more digits than it prints
+        for (h0, h1), text in self.REFERENCE.items():
+            cfg = numerics.SolverConfig(rel_tol=rel, abs_tol=rel / 100)
+            c = numerics.compute_c_for_data(numerics.InitialData(0, h0, h1), cfg)
+            with mpmath.workdps(40):
+                assert abs(c - mpmath.mpf(text)) <= rel * abs(mpmath.mpf(text)), (h0, h1)
 
     def test_both_refusals_are_named(self, capsys, monkeypatch):
         refusals = iter(["own problem refused", "switch problem refused"])
