@@ -149,9 +149,8 @@ def poly_eval(p: BivariatePoly, c, z):
 
     Works with any numeric type that supports ``+``, ``*``, ``/`` and integer
     powers (arbitrary precision floats, plain floats, Fractions).  The value
-    is the plain sum of the terms, each rational coefficient taken as its
-    numerator times ``one`` divided by its denominator in the caller's
-    arithmetic, so no precision is fixed here.
+    is the plain sum of the terms, each rational coefficient divided out in
+    the caller's arithmetic, so no precision is fixed here.
     """
     zero = 0 * c * z
     one = zero + 1
