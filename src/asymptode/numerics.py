@@ -39,11 +39,11 @@ coefficient is one exact integer dot product shifted once.
 The step loop stays on the mantissas as well.  The values at a step end
 are one integer Horner evaluation each in u = h / rho, rounded once into
 an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  The step
-control reads only the top three coefficients, on raw mpf tuples by the
-libmp calls of mpf objects at mp.prec: the bits of mpf arithmetic with no
-object per operation, and one root per guess (_step_guess).  The estimate
-is a floating sum: a bound keeps its relative accuracy below 2^-F.  A
-stored step keeps its mantissas for good: dense output is the same integer
+control decides on log2 magnitudes of the top three coefficients, as
+Python floats: no root, no mpf per trial step, no range limit.  What it
+decides on stays exact: a guess becomes an exact dyadic mpf, and the
+clamps, the halving and what a step stores run at mp.prec.  A stored
+step keeps its mantissas for good: dense output is the same integer
 Horner at the offset of the read, and so is every read of g's series
 below the crossover.
 
@@ -82,7 +82,7 @@ J = I(0) = I(z_c) + T(S) the whole integral.  The same J gives
 c = J - h0^4 + 3 ln h0^4, and G above S is then the expansion
 x - 3 ln x + c - T(x); up to S, I(4/x) is dense output.  G, the reads
 of g and the Newton inversion of G (_newton, which also finds the
-Lambert root) run on raw mpfs like the step control, with the same bits;
+Lambert root) run on raw mpfs, with the bits of mpf arithmetic;
 Newton checks its bracket's upper end only once an iterate reaches it,
 and inverts G from x + 3 ln(x + h0^4) - c, one fixed-point sweep of the
 large-x form.  Reads already at the working precision do not re-enter it.
@@ -94,14 +94,13 @@ import bisect
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 from operator import add, mul
 from typing import ClassVar
 
 from mpmath import mp
 from mpmath.libmp import finf, fone, from_float, from_int, from_man_exp, from_str, fzero, mpf_abs
-from mpmath.libmp import mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int
-from mpmath.libmp import mpf_neg, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest
+from mpmath.libmp import mpf_add, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int
+from mpmath.libmp import mpf_neg, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest
 from mpmath.libmp import dps_to_prec, to_fixed
 
 from .errors import (
@@ -219,34 +218,35 @@ class InitialData:
 # -- local Taylor models -------------------------------------------------------
 
 
-def _step_guess(coeff_sets, eps_loc, order, safety, prec):
-    """Largest step for which the top Taylor terms stay below eps_loc, times
-    ``safety``; raw mpfs, rounded to nearest at prec.
+def _step_guess(log_sets, log_eps, order, k):
+    """0.8 times the largest step for which the top Taylor terms stay below
+    eps_loc, as an exact dyadic raw mpf (_exp2).
 
-    ``coeff_sets`` are the lead series' top coefficients (_march passes the
-    three of _top_coeffs for each); only the last two entries of each set
-    are read, the c of degree j = ``order`` and ``order - 1``.  A double log2
-    finds the least (eps_loc / |c|)^(1/j); only those within 1e-9 of it take
-    the root, compared in order by strict <.  The rest exceed it by 7e-10
-    relative, far beyond the errors, so the guess is that of all roots.
-    Infinite when every one of them is zero, as it is when the terms fall
-    below the kernels' fixed-point resolution: the march's clamps to its
-    end and cap, and the tail test, then bound the step.
+    ``log_sets`` hold the lead series' _top_coeffs at rho = 2^k, of which
+    the last two are read (degree j = ``order`` and ``order - 1``), and
+    ``log_eps`` is log2 eps_loc: the least (log_eps - log2 |c rho^j|) / j
+    is log2 of the step in units of rho.  Infinite when every c is zero,
+    as when the terms fall below the kernels' fixed-point resolution:
+    the march's clamps to its end and cap, and the tail test, then bound
+    the step.
     """
-    log_eps = math.log2(eps_loc[1]) + eps_loc[2]
-    cands = [((log_eps - math.log2(c[1]) - c[2]) / j, j, c) for coeffs in coeff_sets
-             for j, c in ((order, coeffs[-1]), (order - 1, coeffs[-2])) if c[1]]
-    if not cands:
-        return finf
-    near = min(cand[0] for cand in cands) + 1e-9
-    best = None
-    for log_cand, j, c in cands:
-        if log_cand <= near:
-            ratio = mpf_div(eps_loc, mpf_abs(c), prec, round_nearest)
-            cand = mpf_pow(ratio, mpf_div(fone, from_int(j), prec, round_nearest), prec, round_nearest)
-            if best is None or mpf_lt(cand, best):
-                best = cand
-    return mpf_mul(safety, best, prec, round_nearest)
+    least = min(min((log_eps - c[-1]) / order, (log_eps - c[-2]) / (order - 1)) for c in log_sets)
+    return mpf_shift(_exp2(least, 0.8), k)
+
+
+def _exp2(v, scale=1.0):
+    """scale 2^v as an exact dyadic raw mpf for a double v (0 at -inf, finf
+    at inf): the integer part is the exponent, the rest goes through from_float."""
+    if math.isinf(v):
+        return finf if v > 0 else fzero
+    n = math.floor(v)
+    return mpf_shift(from_float(scale * 2.0 ** (v - n)), n)
+
+
+def _log2(v, k=0):
+    """log2 |v 2^-k| of a raw mpf v as a double (-inf at 0), with the
+    mantissa as a fraction in [1/2, 1): one rounding, no range limit."""
+    return math.log2(v[1] / (1 << v[3])) + (v[2] + v[3] - k) if v[1] else -math.inf
 
 
 def _fixed(v, F):
@@ -277,26 +277,22 @@ def _fixed_member(family, n, slope=False):
     return fixed_coeffs(family, n, F)[1 if slope else 0], F
 
 
-def _top_coeffs(mants, F, k):
-    """The three highest coefficients as raw mpfs: mants[j] 2^(-F - k j),
-    each rounded once to mp.prec."""
-    top, prec = len(mants) - 1, mp.prec
-    return [from_man_exp(mants[j], -F - k * j, prec, round_nearest) for j in range(top - 2, top + 1)]
+def _top_coeffs(mants, F):
+    """log2 |c_j rho^j| of the three highest scaled coefficients,
+    mants[j] 2^-F, as doubles; -inf where a mantissa is zero."""
+    return [math.log2(abs(m)) - F if m else -math.inf for m in mants[-3:]]
 
 
-def _tail_estimate(tops, a, hp, prec):
-    """Crude truncation bound: twice the sum of the last three terms at a step of length a.
-
-    ``tops`` are the coefficients of degree top - 2 .. top and ``hp`` is
-    a^(top - 2), all raw mpfs.  The sum runs at prec, not at the kernels'
-    absolute scale 2^-F: it is a bound compared against the local tolerance
-    and must keep its relative accuracy when the terms fall far below 2^-F.
+def _tail_estimate(tops, top, log_u):
+    """log2 of the crude truncation bound, twice the sum of the last three
+    terms at a step of length u rho, from the _top_coeffs ``tops`` of
+    degree ``top`` - 2 .. ``top`` and ``log_u`` = log2 u.  The sum runs
+    relative to its largest term: no range limit, however far the terms
+    fall below the kernels' 2^-F.  -inf when every term is zero.
     """
-    est = mpf_mul(mpf_abs(tops[0]), hp, prec, round_nearest)
-    for c in tops[1:]:
-        hp = mpf_mul(hp, a, prec, round_nearest)
-        est = mpf_add(est, mpf_mul(mpf_abs(c), hp, prec, round_nearest), prec, round_nearest)
-    return mpf_shift(est, 1)
+    terms = [c + j * log_u for j, c in enumerate(tops, top - 2)]
+    big = max(terms)
+    return big if big == -math.inf else big + 1 + math.log2(sum(2.0 ** (t - big) for t in terms))
 
 
 def _fixed_eval(mants, h, F, k):
@@ -337,21 +333,22 @@ def _h_system_coeffs(x0, y0, order, k):
     """
     F = _fixed_scale(x0)
     G = F + 3 * max(0, mp.mag(x0))
-    X = [_fixed(x0, F)]
+    X0 = _fixed(x0, F)
+    T = []  # X_1..X_m, the weights' own list: no copy of X per m
     Y = [_fixed(y0, F)]
-    v0 = (1 << F + G) // X[0]
+    v0 = (1 << F + G) // X0
     U = [(v0 * v0 >> G) * v0 >> G]
     W = []  # (2i + m) X_i for i = 1..m
     for m in range(1, order + 1):
-        X.append(_shift(Y[-1], k) // m)
+        T.append(_shift(Y[-1], k) // m)
         Y.append(_shift((U[-1] >> G - F) - Y[-1], k) // m)
         if m == order:
             break
-        W = list(map(add, W, X[1:]))
-        W.append(3 * m * X[m])
+        W = list(map(add, W, T))  # stops at W's m - 1 entries
+        W.append(3 * m * T[-1])
         s = sum(map(mul, W, reversed(U)))
         U.append((-(v0 * (s >> F)) >> G) // m)
-    return X, Y, F
+    return [X0, *T], Y, F
 
 
 def _g_system_coeffs(z_s, g_s, i_s, order):
@@ -448,8 +445,10 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
     are within the local tolerance and x stays positive.  The march ends
     at end, or at the first step end where ``stop(t, x, y)`` holds.
 
-    Control runs on raw mpfs; only what a step stores and the march returns
-    are mpf objects.  The 0.8 and the cap are parsed once per march.
+    Decisions run on log2 doubles; what the march stores or returns stays
+    exact: each guess is a dyadic mpf, the clamps, halvings, step ends and
+    positivity test run on raw mpfs at mp.prec, and the charged estimate of
+    an accepted step is summed in mpf.  The cap is parsed once per march.
 
     Returns (steps, (t, x, y), err, rejected): the accepted steps, the
     last step end, the summed charged estimates and the count of rejected
@@ -459,8 +458,7 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
     order = cfg.taylor_order
     prec, rnd = mp.prec, round_nearest
     abs_tol, rel_tol = from_float(cfg.abs_tol, prec, rnd), from_float(cfg.rel_tol, prec, rnd)
-    safety, cap = from_str("0.8", prec, rnd), cap and from_str(cap, prec, rnd)
-    by_value = cmp_to_key(mpf_cmp)  # the max() key of raw mpfs
+    cap = cap and from_str(cap, prec, rnd)
     up = end > t
     before = mpf_lt if up else mpf_gt
     end_ = end._mpf_
@@ -472,11 +470,11 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
         if len(steps) >= _MAX_STEPS:
             raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at {t}")
         big = max(map(abs, (x, y)[:lead]))._mpf_
-        eps_loc = mpf_add(abs_tol, mpf_mul(rel_tol, big, prec, rnd), prec, rnd)
+        log_eps = _log2(mpf_add(abs_tol, mpf_mul(rel_tol, big, prec, rnd), prec, rnd))
         while True:
             X, Y, F, k_kernel = kernel(t, x, y, order, k)
-            tops = [_top_coeffs(M, F, k_kernel) for M in (X, Y)]
-            s = _step_guess(tops[:lead], eps_loc, order, safety, prec)
+            tops = [_top_coeffs(M, F) for M in (X, Y)]
+            s = _step_guess(tops[:lead], log_eps, order, k_kernel)
             if cap and mpf_lt(limit := mpf_mul(cap, t._mpf_, prec, rnd), s):
                 s = limit
             s = s if up else mpf_neg(s)  # the signed step
@@ -488,12 +486,11 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
                 break
         halvings = 0
         while True:
-            a = mpf_abs(s)
-            powers = {n: mpf_pow_int(a, n - 3, prec, rnd) for n in {len(X), len(Y)}}
-            ests = [_tail_estimate(c, a, powers[len(M)], prec) for c, M in zip(tops, (X, Y))]
+            log_u = _log2(s, k_kernel)
+            ests = [_tail_estimate(c, len(M) - 1, log_u) for c, M in zip(tops, (X, Y))]
             length = mp.make_mpf(s)
             x_new = _fixed_eval(X, length, F, k_kernel)
-            if mpf_le(max(ests, key=by_value), eps_loc) and x_new > 0:
+            if max(ests) <= log_eps and x_new > 0:
                 break
             s = mpf_shift(s, -1)
             halvings += 1
@@ -503,7 +500,7 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
                     f"step size collapsed at {t}: 80 halvings failed the "
                     "tail estimates or the positivity of the solution"
                 )
-        cum_err = mpf_add(cum_err, max(ests[:lead], key=by_value), prec, rnd)
+        cum_err = mpf_add(cum_err, _exp2(max(ests[:lead])), prec, rnd)
         steps.append(_Step(t, length, x, y, mp.make_mpf(cum_err), (X, Y, F, k_kernel)))
         t, x, y = t + length, x_new, _fixed_eval(Y, length, F, k_kernel)
         if stop is not None and stop(t, x, y):

@@ -7,12 +7,12 @@ checking agreement well beyond the asserted tolerances.
 
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
 from expansion_oracle import eval_G_asympt
 from mpmath import mp
-from mpmath.libmp import finf, from_str, mpf_pow_int, round_nearest
 
 import newton_oracle
 import taylor_oracle as oracle
@@ -44,6 +44,8 @@ from asymptode.numerics import (
     _fixed_eval,
     _g_system_coeffs,
     _h_system_coeffs,
+    _exp2,
+    _log2,
     _step_at,
     _step_guess,
     _tail_estimate,
@@ -63,19 +65,27 @@ DATA = InitialData(0, 1, 1)
 
 
 def _guess(coeff_sets, eps_loc, order):
-    """_step_guess on mpf coefficient lists, as an mpf at mp.prec."""
-    prec = mp.prec
-    tops = [[c._mpf_ for c in coeffs[-2:]] for coeffs in coeff_sets]
-    safety = from_str("0.8", prec, round_nearest)
-    return mp.make_mpf(_step_guess(tops, eps_loc._mpf_, order, safety, prec))
+    """_step_guess on mpf coefficient lists, as an mpf."""
+    tops = [[_log2(c._mpf_) for c in coeffs[-2:]] for coeffs in coeff_sets]
+    return mp.make_mpf(_step_guess(tops, _log2(eps_loc._mpf_), order, 0))
 
 
 def _estimate(mants, F, k, h):
-    """_tail_estimate of the kernel mantissas at h, as an mpf at mp.prec."""
-    prec = mp.prec
-    a = abs(h)._mpf_
-    hp = mpf_pow_int(a, len(mants) - 3, prec, round_nearest)
-    return mp.make_mpf(_tail_estimate(_top_coeffs(mants, F, k), a, hp, prec))
+    """_tail_estimate of the kernel mantissas at h, as an mpf, and the size
+    of the log2 values it sums: the top coefficients' and their powers of
+    h / rho, each a double with a rounding of 2^-53 of its size."""
+    tops, top, log_u = _top_coeffs(mants, F), len(mants) - 1, _log2(h._mpf_, k)
+    size = max(abs(c) for c in tops if c > -math.inf) + top * abs(log_u)
+    return mp.make_mpf(_exp2(_tail_estimate(tops, top, log_u))), size
+
+
+def _assert_rel(got, ref, size=0):
+    """got within 1e-12 of ref, relatively, widened by 2^-51 size for log2
+    values of that size; equal when ref is 0 or infinite."""
+    if ref == 0 or mp.isinf(ref):
+        assert got == ref, (got, ref)
+    else:
+        assert abs(got - ref) <= (1e-12 + size * 2.0**-51) * abs(ref), (got, ref, size)
 
 
 # reference solution, see module docstring
@@ -527,8 +537,9 @@ class TestTaylorKernels:
     Horner and compare with mpf Horner on the reference coefficients, to
     2^-(prec-6) of the same scale (the coefficient errors summed over
     u <= 1/2, plus the one final rounding).  The truncation estimate from
-    the three top coefficients must equal, bit for bit, the mpf estimate
-    over the whole unscaled list.
+    the three top coefficients, summed on doubles in the log2 domain, must
+    agree to 1e-12 relative with the mpf estimate over the whole unscaled
+    list, and so must the step guess with the mpf guess.
     """
 
     DPS = 40
@@ -552,9 +563,9 @@ class TestTaylorKernels:
         """End value and truncation estimate of one series at offset h."""
         with mp.workdps(cls.DPS):
             got = _fixed_eval(mants, h, F, k)
-            est = _estimate(mants, F, k, h)
+            est, size = _estimate(mants, F, k, h)
             est_ref = oracle.tail_estimate(_unscale(head, mants, F, k), h)
-        assert est == est_ref
+        _assert_rel(est, est_ref, size)
         with mp.workdps(cls.DPS + 20):
             tol = mp.ldexp(cls._scale(ref, k), 6 - prec)
             assert abs(got - _horner(ref, h)) <= tol, (h, got)
@@ -653,16 +664,20 @@ class TestTaylorKernels:
             X_ref, Y_ref = oracle.h_system_coeffs(x0, y0, self.ORDER)
             eps_loc = mp.mpf(1e-24) + mp.mpf(1e-22) * max(abs(x0), abs(y0))
             h = _guess((X_ref, Y_ref), eps_loc, self.ORDER)
+            _assert_rel(h, oracle.step_guess((X_ref, Y_ref), eps_loc, self.ORDER))
         with mp.workdps(self.DPS):
             prec = mp.prec
             h = +h
             X, Y, F = _h_system_coeffs(x0, y0, self.ORDER, 0)
             got = [_fixed_eval(X, h, F, 0), _fixed_eval(Y, h, F, 0)]
+            ests = [_estimate(M, F, 0, h) for M in (X, Y)]
         with mp.workdps(self.DPS + 20):
             for val, ref in zip(got, (X_ref, Y_ref)):
                 exact = _horner(ref, h)
                 assert abs(val - exact) <= mp.ldexp(abs(exact), 2 - prec)
             assert got[1] > 1e70
+            for (est, size), head, M in zip(ests, (x0, y0), (X, Y)):
+                _assert_rel(est, oracle.tail_estimate(_unscale(head, M, F, 0), h), size)
 
     @classmethod
     def _check_g_system(cls, z_s, g_s, dps, order):
@@ -827,15 +842,16 @@ class TestStepSequences:
 
     # SHA-256 of the _mpf_ tuples (t_start, length, err_cum) of the steps:
     # step sizes and the summed estimates cannot move silently.  The h
-    # digest covers the 19 + 15 direct steps of D1 and D2 and has held
-    # since before the two step loops became one marcher: every change to
-    # the h kernel since then was exact integer arithmetic.  The g digest
-    # covers D2's one g step and the 35 of the (0.5, 2) g problem; it was
-    # re-recorded when the g kernel moved from the 1/g convolution to
-    # squaring g, which rounds differently within the guard bits (three
-    # steps moved, by at most 6e-38 relative)
-    H_STEP_DIGEST = "ca578c5e0e34832355fb93e74a9269bf5045eac4747c3dfd32a7112a0d4185b2"
-    G_STEP_DIGEST = "4bd89335c9b840a8e518851d796cac3656857370888f56583a087a168c5c3d9a"
+    # digest covers the 19 + 15 direct steps of D1 and D2, the g digest
+    # D2's one g step and the 35 of the (0.5, 2) g problem.  Both were
+    # re-recorded when the step control moved from mpf roots and sums to
+    # doubles in the log2 domain: every step length moved in its last
+    # double bits (the guess is 0.8 2^v for a double v, an exact dyadic),
+    # with the same counts, and TestMpfControl checks the moved steps
+    # against the mpf control.  Changes to the kernels alone are exact
+    # integer arithmetic and keep both
+    H_STEP_DIGEST = "f57b1d5eeeb3da69a8b1e77d7bdb0c46338b73ef80c8b1b0c142e1afabd92f39"
+    G_STEP_DIGEST = "bd7c80b33f807ff692d493798e4be0a0876e8d75248e287288505d93ea771e99"
 
     @pytest.fixture(scope="class")
     def digest_steps(self):
@@ -926,11 +942,12 @@ class TestDeferredBracket:
 
 
 class TestStepGuess:
-    """_step_guess on raw mpfs against the mpf guess of taylor_oracle, at
-    the precision and order of rel 1e-12, 1e-20 and 1e-62: equal bit for
-    bit over separated candidates, exact ties, near ties (1e-12 relative),
-    zero coefficients and all zeros (an infinite step), with one root
-    whenever the smallest candidate is separated from the rest."""
+    """_step_guess, on doubles in the log2 domain, against the mpf guess of
+    taylor_oracle, at the precision and order of rel 1e-12, 1e-20 and
+    1e-62: within 1e-12 relative over separated candidates, exact ties,
+    near ties (1e-12 relative), zero coefficients, coefficients whose
+    binary exponents lie beyond the double range, and guesses that do;
+    infinite when every coefficient is zero."""
 
     CONFIGS = [(30, 44), (38, 53), (80, 104)]
 
@@ -939,8 +956,8 @@ class TestStepGuess:
         """(name, coeff_sets, eps_loc) at the working precision."""
         rng = random.Random(order)
 
-        def coeff():
-            return mp.mpf(rng.uniform(-1, 1)) * mp.mpf(10) ** rng.randint(-60, 10)
+        def coeff(lo=-60, hi=10, base=10):
+            return mp.mpf(rng.uniform(-1, 1)) * mp.mpf(base) ** rng.randint(lo, hi)
 
         def eps():
             return mp.mpf(rng.uniform(1, 10)) * mp.mpf(10) ** -rng.randint(10, 60)
@@ -964,35 +981,85 @@ class TestStepGuess:
                 cases.append(("near tie", [Yb, Xb], e))
             cases.append(("one zero", [[X[0], X[1], zero]], e))
             cases.append(("one zero", [[X[0], zero, X[2]], Y], e))
+            # binary exponents from 1100 to 5000 either way: beyond the
+            # double range, a double product or quotient would overflow
+            sign = rng.choice((-1, 1))
+            cases.append(("beyond doubles", [[sign * coeff(1100, 5000, 2) ** sign for _ in range(3)]], e))
+            # and so far beyond it that the guess itself lies past 2^-1100
+            lo = 1100 * order + 100
+            cases.append(("guess beyond doubles", [[coeff(lo, 2 * lo, 2) for _ in range(3)]], e))
         cases.append(("all zero", [[zero] * 3], eps()))
         cases.append(("all zero", [[zero] * 3, [coeff(), zero, zero]], eps()))
         return cases
 
     @pytest.mark.parametrize("dps,order", CONFIGS)
-    def test_equals_the_mpf_guess(self, monkeypatch, dps, order):
-        roots = [0]
-        mpf_pow = numerics.mpf_pow
-
-        def counted(*args):
-            roots[0] += 1
-            return mpf_pow(*args)
-
-        monkeypatch.setattr(numerics, "mpf_pow", counted)
+    def test_equals_the_mpf_guess(self, dps, order):
         kinds = set()
         with mp.workdps(dps):
             for kind, sets, eps_loc in self._cases(order):
-                roots[0] = 0
                 got = _guess(sets, eps_loc, order)
                 ref = oracle.step_guess(sets, eps_loc, order)
-                assert got._mpf_ == ref._mpf_, (kind, got, ref)
-                if kind in ("separated", "one zero"):
-                    assert roots[0] == 1, kind
-                elif kind == "all zero":
-                    assert (roots[0], got) == (0, mp.inf)
+                _assert_rel(got, ref)
+                if kind == "all zero":
+                    assert got == mp.inf
                 else:
-                    assert roots[0] == 2, kind
+                    assert 0 < got < mp.inf, kind
+                if kind == "guess beyond doubles":
+                    assert mp.mag(got) < -1100, got
                 kinds.add(kind)
-        assert len(kinds) == 5
+        assert len(kinds) == 7
+
+
+class TestMpfControl:
+    """The marcher with the step control of taylor_oracle patched in: mpf
+    scaled coefficients, the mpf root of step_guess, the mpf estimate of
+    tail_estimate, compared and summed in mpf; the log2 helpers pass mpfs
+    through.  On D1 and D2 (rel 1e-22, to 1.2e6) and the (0.5, 2) g
+    problem, the shipped control on doubles takes the same steps and
+    rejections, its step ends agree to 1e-15 relative, and c to 20
+    digits."""
+
+    CFG = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
+
+    @staticmethod
+    def _mpf_control(monkeypatch):
+        def top_coeffs(mants, F):
+            # tail_estimate reads the degree of the last three from the length
+            return [mp.zero] * (len(mants) - 3) + [mp.ldexp(m, -F) for m in mants[-3:]]
+
+        monkeypatch.setattr(numerics, "_log2", lambda v, k=0: mp.ldexp(abs(mp.make_mpf(v)), -k))
+        monkeypatch.setattr(numerics, "_top_coeffs", top_coeffs)
+        monkeypatch.setattr(
+            numerics, "_step_guess",
+            lambda sets, eps, order, k: mp.ldexp(oracle.step_guess(sets, eps, order), k)._mpf_,
+        )
+        monkeypatch.setattr(numerics, "_tail_estimate", lambda tops, top, u: oracle.tail_estimate(tops, u))
+        monkeypatch.setattr(numerics, "_exp2", lambda est: est._mpf_)
+
+    def _runs(self):
+        """(steps, rejected, c) of D1 and D2 and of the (0.5, 2) g problem."""
+        out = []
+        for h0, h1 in ((1, 1), (2, 0.5)):
+            traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.CFG)
+            with mp.workdps(self.CFG.effective_dps):
+                c = compute_c(traj.g_problem) + 4 * traj.switch_time
+            out.append((traj._steps + traj.g_problem._steps, traj.n_rejected + traj.g_problem.n_rejected, c))
+        prob, _ = g_problem_for_data(InitialData(0, 0.5, 2), self.CFG)
+        out.append((prob._steps, prob.n_rejected, compute_c(prob)))
+        return out
+
+    def test_doubles_take_the_mpf_steps(self, monkeypatch):
+        shipped = self._runs()
+        with monkeypatch.context() as patch:
+            self._mpf_control(patch)
+            reference = self._runs()
+        with mp.workdps(self.CFG.effective_dps):
+            for (steps, rejected, c), (steps_ref, rejected_ref, c_ref) in zip(shipped, reference):
+                assert (len(steps), rejected) == (len(steps_ref), rejected_ref)
+                for step, ref in zip(steps, steps_ref):
+                    end, end_ref = step.t_start + step.length, ref.t_start + ref.length
+                    assert abs(end - end_ref) <= 1e-15 * abs(end_ref), (end, end_ref)
+                assert mp.nstr(c, 20) == mp.nstr(c_ref, 20)
 
 
 class TestMarcher:
@@ -1012,7 +1079,7 @@ class TestMarcher:
 
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_step_collapse_is_an_integration_error(self, monkeypatch, run):
-        monkeypatch.setattr(numerics, "_tail_estimate", lambda *args: finf)
+        monkeypatch.setattr(numerics, "_tail_estimate", lambda *args: math.inf)
         with pytest.raises(IntegrationError, match="step size collapsed"):
             self.RUNS[run]()
 
