@@ -21,7 +21,9 @@ the integer kernels can be checked against it at a higher precision:
 
 ``tail_estimate(coeffs, h)`` is the integrator's truncation estimate in its
 textbook form, over a whole mpf coefficient list, and ``step_guess(coeff_sets,
-eps_loc, order)`` its step guess, one mpf root per nonzero candidate.
+eps_loc, order)`` its step guess, one mpf root per nonzero candidate: the
+mpf step control that the integrator's control on log2 doubles is checked
+against, alone and patched into the marcher.
 
 ``unscale(head, mants, F, k)`` turns a kernel's mantissas into mpf
 coefficients, and ``horner(coeffs, u)`` evaluates such a list in mpf: the

@@ -41,10 +41,10 @@ from asymptode.numerics import (
     InitialData,
     SolverConfig,
     Trajectory,
+    _exp2,
     _fixed_eval,
     _g_system_coeffs,
     _h_system_coeffs,
-    _exp2,
     _log2,
     _step_at,
     _step_guess,
@@ -539,7 +539,8 @@ class TestTaylorKernels:
     u <= 1/2, plus the one final rounding).  The truncation estimate from
     the three top coefficients, summed on doubles in the log2 domain, must
     agree to 1e-12 relative with the mpf estimate over the whole unscaled
-    list, and so must the step guess with the mpf guess.
+    list, widened where its log2 values are large (_assert_rel: 2e-12 was
+    seen at 6e4), and the step guess with the mpf guess.
     """
 
     DPS = 40
