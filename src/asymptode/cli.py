@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 from mpmath import mp
@@ -352,12 +353,22 @@ def _cmd_lambert(args):
 # wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading -9e-06 as a negative number, as it does -1 and -0.5,
+    and so as an option's value, not as an unknown option (no option here
+    looks like a number).  Subparsers take the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def _build_parser():
     # built once, on first use.  Handlers look their generators up at call
     # time, so patching a module attribute still takes effect; they must not
     # mutate the default grids, which every parse shares
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asymptode",
         description="Expansion apparatus for h^3 (h'' + h') = 1: exact series, "
         "high-accuracy integration, and verification of the large-time profile.",

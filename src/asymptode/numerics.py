@@ -30,11 +30,13 @@ with F at least mp.prec + 64 guard bits (more when the series' leading
 value is below 1, so that it keeps that many significant bits).
 rho = 2^k is a power of two at or above the step, so the scaled
 coefficients stay O(1), their errors are not amplified over the step, and
-rho enters as shifts: for g, rho lies just above z_s, since g's steps stay
-below 0.45 z_s; for the trajectory, rho is set between two and four times
-the previous step's guess, and the coefficients are recomputed with a
-wider rho in the rare case the new guess exceeds it.  Every convolution
-coefficient is one exact integer dot product shifted once.
+rho enters as shifts.  One rule serves both kernels: rho is set between
+two and four times the previous step's guess, and the coefficients are
+recomputed with a wider rho in the rare case the new guess exceeds it.
+The g kernel caps rho at 2^mag(z_s), the power of two just above z_s
+(g's steps stay below 0.45 z_s), so that the scaled series of 1/z cannot
+grow.  Every convolution coefficient is one exact integer dot product
+shifted once.
 
 The step loop stays on the mantissas as well.  The values at a step end
 are one integer Horner evaluation each in u = h / rho, rounded once into
@@ -351,14 +353,16 @@ def _h_system_coeffs(x0, y0, order, k):
     return [X0, *T], Y, F
 
 
-def _g_system_coeffs(z_s, g_s, i_s, order):
+def _g_system_coeffs(z_s, g_s, i_s, order, k):
     """Taylor coefficients at z_s of g and of the running integral I.
 
     g solves z^2 g' = 1 - 1/g - (3/4) z g, and I(z) = i_s + int_z^{z_s} r
     integrates the regular integrand r(z) = (1/g - 1 + 3z/4) 4/z^2 of G
     and c.  Same fixed-point representation as _h_system_coeffs, with
-    F = _fixed_scale(g_s), rho = 2^k the power of two just above z_s (steps
-    stay below 0.45 z_s) and zeta = z_s / rho in [1/2, 1).  Times g, the
+    F = _fixed_scale(g_s), rho = 2^k at or above the step as for the
+    trajectory, but at most 2^mag(z_s), the power of two just above z_s
+    (steps stay below 0.45 z_s): zeta = z_s / rho >= 1/2, so the scaled
+    series of 1/(zeta + v) cannot grow.  Times g, the
     equation is linear in Y = g^2: g - 1 = (3/4) z Y + (z^2/2) Y'.  In
     scaled coefficients Y_{j+1} = (2 (c_j - delta_{j0}) / rho
     - (2j + 3/2) zeta Y_j - (j + 1/2) Y_{j-1}) / (zeta^2 (j + 1)), and
@@ -369,7 +373,7 @@ def _g_system_coeffs(z_s, g_s, i_s, order):
     mantissas of g and of I, which is one degree longer.
     """
     F = _fixed_scale(g_s)
-    k = mp.mag(z_s)
+    k = min(k, mp.mag(z_s))
     zeta = _fixed(z_s, F - k)
     inv_zeta = (1 << 2 * F) // zeta
     inv_zeta2 = (1 << 3 * F) // (zeta * zeta)
@@ -431,19 +435,20 @@ class _Step:
         return _fixed_eval(Y, u, F, k)
 
 
-def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
+def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
     """Adaptive Taylor steps of the pair (x, y) from t toward end.
 
     The one step loop of both integrators.  ``kernel(t, x, y, order, k)``
     returns the mantissas (X, Y, F, k) of both series at t, at rho = 2^k;
-    k is passed in at or above the last step, and a kernel may pick its
-    own.  The first ``lead`` series (x alone, or x and y) set the local
-    tolerance, the step guess and the charged error; every series must
-    pass the tail test.  The guess is clamped to ``cap`` t, a decimal
-    string, and to end, and the kernel is recomputed at a wider rho when
-    the step outgrows it.  A trial step is halved until the tail estimates
-    are within the local tolerance and x stays positive.  The march ends
-    at end, or at the first step end where ``stop(t, x, y)`` holds.
+    k is passed in at or above the last step (``k`` on the first), and a
+    kernel may lower it.  The first ``lead`` series (x alone, or x and y)
+    set the local tolerance, the step guess and the charged error; every
+    series must pass the tail test.  The guess is clamped to ``cap`` t, a
+    decimal string, and to end, and the kernel is recomputed at a wider
+    rho when the step outgrows it.  A trial step is halved until the tail
+    estimates are within the local tolerance and x stays positive.  The
+    march ends at end, or at the first step end where ``stop(t, x, y)``
+    holds.
 
     Decisions run on log2 doubles; what the march stores or returns stays
     exact: each guess is a dyadic mpf, the clamps, halvings, step ends and
@@ -465,7 +470,6 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None):
     cum_err = fzero
     steps: list[_Step] = []
     rejected = 0
-    k = 0  # rho = 2^k, kept at or above the step
     while before(t._mpf_, end_):
         if len(steps) >= _MAX_STEPS:
             raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at {t}")
@@ -814,9 +818,9 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
         z_c = min(z0, z_c)  # data already below the crossover: no step
 
         steps, (_, g, i_c), cum_err, rejected = _march(
-            lambda z, g, i, order, k: _g_system_coeffs(z, g, i, order),
-            1, z0, g0, mp.zero, z_c, cfg,
+            _g_system_coeffs, 1, z0, g0, mp.zero, z_c, cfg,
             cap="0.45",  # clear of the z = 0 singularity
+            k=mp.mag(z0),  # the kernel's cap: no first step at a wider rho
         )
         problem = GProblem(z0, g0, z_c, steps, cfg, cum_err, rejected, i_c)
         series_at_zc = problem._series(z_c)

@@ -187,6 +187,10 @@ class TestNumericPins:
             "6ac8e21edea18e4762ecaee5dfaca1dabf389a6701bc933d95dabcffedb38045",
         "constant --h0 1000 --h1 1":
             "9aed48e936bc32cc5851cc76ace5dca2e4a2d476032735f3cf90cc1ef91a6159",
+        # a negative value in exponent form (TestContract.EXPONENT_FORM);
+        # recorded from --h1=-9e-06, the one spelling argparse took before
+        "constant --h1 -9e-06":
+            "adc76771b3104c17b32847e7a01142ff7eb396a37e1c415e5e91709f1616e570",
     }
 
     # SHA-256 of the stderr of refusals: each gate prints its bound in full
@@ -484,6 +488,38 @@ class TestContract:
 
     def test_bad_grid_is_usage_error(self, capsys):
         assert run(capsys, "verify", "--t-grid", "1e2,banana")[0] == 2
+
+    # a negative value in exponent form after each float option: argparse
+    # took -9e-06 for an option and exited 2 with "expected one argument"
+    EXPONENT_FORM = (
+        "constant --h1 -9e-06",
+        "integrate --t0 -1e-3 --t-max 10 --format csv",
+        "integrate --h0 -1e-3",
+        "integrate --t-max -1e1",
+        "verify --synthetic 5 --shift -5e-1 --t-grid 1e2,1e3",
+    )
+
+    @pytest.mark.parametrize("command", EXPONENT_FORM)
+    def test_negative_exponent_form_is_a_value(self, capsys, command):
+        argv = command.split()
+        i = next(i for i, arg in enumerate(argv) if arg[0] == "-" and arg[1].isdigit())
+        joined = argv[: i - 1] + ["%s=%s" % (argv[i - 1], argv[i])] + argv[i + 1 :]
+        spaced = run(capsys, *argv)
+        assert spaced == run(capsys, *joined)
+        assert "expected one argument" not in spaced[2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constant", "--h1", "-9e-06", "--digts", "5"),
+            ("constant", "--hl", "-9e-06"),
+            ("constant", "-9e-06"),
+            ("constant", "--h1"),
+        ],
+    )
+    def test_option_typo_is_usage_error(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (2, "")
 
     @pytest.mark.parametrize(
         "argv",

@@ -73,9 +73,10 @@ def _guess(coeff_sets, eps_loc, order):
 def _estimate(mants, F, k, h):
     """_tail_estimate of the kernel mantissas at h, as an mpf, and the size
     of the log2 values it sums: the top coefficients' and their powers of
-    h / rho, each a double with a rounding of 2^-53 of its size."""
+    h / rho, each a double with a rounding of 2^-53 of its size (0 when
+    every top mantissa is zero, as at a rho far below the radius)."""
     tops, top, log_u = _top_coeffs(mants, F), len(mants) - 1, _log2(h._mpf_, k)
-    size = max(abs(c) for c in tops if c > -math.inf) + top * abs(log_u)
+    size = max((abs(c) for c in tops if c > -math.inf), default=0) + top * abs(log_u)
     return mp.make_mpf(_exp2(_tail_estimate(tops, top, log_u))), size
 
 
@@ -633,7 +634,7 @@ class TestTaylorKernels:
         monkeypatch.setattr(numerics, "mul", counting)
         P = self.ORDER
         with mp.workdps(self.DPS):
-            _g_system_coeffs(mp.mpf(4), mp.mpf(1.05), mp.mpf("0.37"), P)
+            _g_system_coeffs(mp.mpf(4), mp.mpf(1.05), mp.mpf("0.37"), P, 3)
             g_count, count[0] = count[0], 0
             _h_system_coeffs(mp.mpf(1), mp.mpf(0.7), P, 0)
         assert g_count <= (P + 2) ** 2 / 4, g_count
@@ -680,24 +681,42 @@ class TestTaylorKernels:
             for (est, size), head, M in zip(ests, (x0, y0), (X, Y)):
                 _assert_rel(est, oracle.tail_estimate(_unscale(head, M, F, 0), h), size)
 
+    # g steps as fractions of z_s, from the shortest probed to the 0.45 cap
+    G_STEPS = (2.0**-12, 0.1, 0.45)
+
+    @classmethod
+    def _g_ks(cls, z_s):
+        """k as the march passes it for g: rho = 2^k in (2h, 4h] for the
+        steps h of G_STEPS, and far above z_s, where the kernel caps rho
+        at 2^mag(z_s), as on the first step."""
+        return [mp.mag(f * z_s) + 1 for f in cls.G_STEPS] + [mp.mag(z_s) + 8]
+
+    @staticmethod
+    def _g_kernel(z_s, g_s, base, order, k):
+        """_g_system_coeffs at the current precision; rho is the march's,
+        capped at 2^mag(z_s)."""
+        C, I, F, k_got = _g_system_coeffs(z_s, g_s, base, order, k)
+        assert F >= mp.prec + _GUARD_BITS
+        assert k_got == min(k, mp.mag(z_s)) <= mp.mag(z_s)
+        return C, I, F, k_got
+
     @classmethod
     def _check_g_system(cls, z_s, g_s, dps, order):
         """_g_system_coeffs at dps digits against the oracle 20 digits
-        higher."""
+        higher, at each rho of _g_ks."""
         with mp.workdps(dps + 20):
             z_s, g_s, base = mp.mpf(z_s), mp.mpf(g_s), mp.mpf("0.37")
             C_ref, R_ref = oracle.g_equation_coeffs(z_s, g_s, order)
             I_ref = oracle.running_integral_coeffs(z_s, R_ref, base)
-        with mp.workdps(dps):
-            prec = mp.prec
-            C, I, F, k = _g_system_coeffs(z_s, g_s, base, order)
-            C_mpf = _unscale(g_s, C, F, k)
-            I_mpf = _unscale(base, I, F, k)
-        assert F >= prec + _GUARD_BITS
-        assert mp.ldexp(1, k - 1) <= z_s < mp.ldexp(1, k)
-        with mp.workdps(dps + 20):
-            cls._assert_close(C_mpf, C_ref, k, prec)
-            cls._assert_close(I_mpf, I_ref, k, prec)
+        for k in cls._g_ks(z_s):
+            with mp.workdps(dps):
+                prec = mp.prec
+                C, I, F, k = cls._g_kernel(z_s, g_s, base, order, k)
+                C_mpf = _unscale(g_s, C, F, k)
+                I_mpf = _unscale(base, I, F, k)
+            with mp.workdps(dps + 20):
+                cls._assert_close(C_mpf, C_ref, k, prec)
+                cls._assert_close(I_mpf, I_ref, k, prec)
 
     @pytest.mark.parametrize("z_s", [0.0099, 0.3, 4, 400])
     @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
@@ -715,21 +734,34 @@ class TestTaylorKernels:
         assert (cfg.effective_dps, cfg.taylor_order) == (80, 104)
         self._check_g_system(z_s, g_s, cfg.effective_dps, cfg.taylor_order)
 
+    @classmethod
+    def _check_g_step_end(cls, z_s, g_s, u, capped):
+        """The step end at offset -h, h = u z_s (g steps run downward), at
+        rho as the march sets it, in (2h, 4h] up to the cap, or at the cap
+        2^mag(z_s) itself when ``capped``, as on the first step."""
+        with mp.workdps(cls.DPS + 20):
+            z_s, g_s, base = mp.mpf(z_s), mp.mpf(g_s), mp.mpf("0.37")
+            C_ref, R_ref = oracle.g_equation_coeffs(z_s, g_s, cls.ORDER)
+            I_ref = oracle.running_integral_coeffs(z_s, R_ref, base)
+        with mp.workdps(cls.DPS):
+            prec = mp.prec
+            h = -u * z_s
+            k = mp.mag(z_s) if capped else mp.mag(h) + 1
+            C, I, F, k = cls._g_kernel(z_s, g_s, base, cls.ORDER, k)
+        cls._assert_step_end(C, g_s, C_ref, F, k, h, prec)
+        cls._assert_step_end(I, base, I_ref, F, k, h, prec)
+
     @pytest.mark.parametrize("z_s", [0.0099, 0.3, 4, 400])
     @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
-    @pytest.mark.parametrize("u", [2.0**-12, 0.1, 0.45])
+    @pytest.mark.parametrize("u", G_STEPS)
     def test_g_step_end(self, z_s, g_s, u):
-        # g steps run downward: the step end is at the offset -h
-        with mp.workdps(self.DPS + 20):
-            z_s, g_s, base = mp.mpf(z_s), mp.mpf(g_s), mp.mpf("0.37")
-            C_ref, R_ref = oracle.g_equation_coeffs(z_s, g_s, self.ORDER)
-            I_ref = oracle.running_integral_coeffs(z_s, R_ref, base)
-        with mp.workdps(self.DPS):
-            prec = mp.prec
-            C, I, F, k = _g_system_coeffs(z_s, g_s, base, self.ORDER)
-            h = -mp.ldexp(mp.mpf(u), k)
-        self._assert_step_end(C, g_s, C_ref, F, k, h, prec)
-        self._assert_step_end(I, base, I_ref, F, k, h, prec)
+        self._check_g_step_end(z_s, g_s, u, capped=False)
+
+    @pytest.mark.parametrize("z_s", [0.0099, 0.3, 4, 400])
+    @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
+    @pytest.mark.parametrize("u", G_STEPS)
+    def test_g_step_end_at_the_cap(self, z_s, g_s, u):
+        self._check_g_step_end(z_s, g_s, u, capped=True)
 
 
 class TestDenseReads:
@@ -849,10 +881,16 @@ class TestStepSequences:
     # doubles in the log2 domain: every step length moved in its last
     # double bits (the guess is 0.8 2^v for a double v, an exact dyadic),
     # with the same counts, and TestMpfControl checks the moved steps
-    # against the mpf control.  Changes to the kernels alone are exact
-    # integer arithmetic and keep both
+    # against the mpf control.  A kernel change that keeps rho computes the
+    # same integers and keeps both; one that moves rho moves the truncated
+    # last bits of the coefficients.  The g digest was re-recorded when the
+    # g kernel moved from rho = 2^mag(z_s) to the march's rho: the 35
+    # steps of (0.5, 2) moved by at most 9e-15 relative and their err_cum
+    # by at most 4e-15, with the same counts (TestGKernelScale checks the
+    # two rules against each other); D2's one g step, at the first step's
+    # rho = 2^mag(z0), did not move
     H_STEP_DIGEST = "f57b1d5eeeb3da69a8b1e77d7bdb0c46338b73ef80c8b1b0c142e1afabd92f39"
-    G_STEP_DIGEST = "bd7c80b33f807ff692d493798e4be0a0876e8d75248e287288505d93ea771e99"
+    G_STEP_DIGEST = "e2211accd8c78e2b9f0643acf71f43037630a72f8ecdae5c013908bff13b3564"
 
     @pytest.fixture(scope="class")
     def digest_steps(self):
@@ -1061,6 +1099,76 @@ class TestMpfControl:
                     end, end_ref = step.t_start + step.length, ref.t_start + ref.length
                     assert abs(end - end_ref) <= 1e-15 * abs(end_ref), (end, end_ref)
                 assert mp.nstr(c, 20) == mp.nstr(c_ref, 20)
+
+
+class TestGKernelScale:
+    """The g kernel at the march's rho against the rule it replaced.
+
+    The march passes k with rho = 2^k in (2h, 4h] of the last step h, and
+    the g kernel caps it at 2^mag(z_s).  Before, the kernel took rho =
+    2^mag(z_s) at every step, however short: in the collapse region, where
+    g steps are 0.03 to 0.1 z_s long, its scaled coefficients grew like
+    (rho/R)^j for the local radius R, on oversized integers.  Both rules
+    compute the same series to the kernel's fixed-point resolution, so
+    they must take the same steps.
+    """
+
+    CFG = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
+    # the ten data of the `constant` workload (perfbench/workloads.py)
+    CONSTANT_DATA = (
+        (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
+        (0.5, 0.5), (3, 0.1), (1, -1), (0.7, 0.3), (1.5, 1),
+    )
+
+    @staticmethod
+    def _wrap_kernel(monkeypatch, capped, calls=None):
+        """Patch _g_system_coeffs: at rho = 2^mag(z_s) whatever k the march
+        passes when ``capped``, and recording into ``calls`` the excess of
+        each call's largest g mantissa over the scale, in bits."""
+        kernel = numerics._g_system_coeffs
+
+        def wrapper(z_s, g_s, i_s, order, k):
+            C, I, F, k = kernel(z_s, g_s, i_s, order, mp.mag(z_s) if capped else k)
+            if calls is not None:
+                calls.append(max(map(abs, C)).bit_length() - F)
+            return C, I, F, k
+
+        monkeypatch.setattr(numerics, "_g_system_coeffs", wrapper)
+
+    def _problems(self, cfg, data):
+        out = []
+        for h0, h1 in data:
+            prob, t_base = g_problem_for_data(InitialData(0, h0, h1), cfg)
+            with mp.workdps(prob.dps):
+                out.append((prob, compute_c(prob) + 4 * t_base))
+        return out
+
+    def test_same_steps_as_rho_at_z(self, monkeypatch):
+        data = ((0.5, 2), (0.5, 0.5), (1, 1))
+        shipped = self._problems(self.CFG, data)
+        with monkeypatch.context() as patch:
+            self._wrap_kernel(patch, capped=True)
+            reference = self._problems(self.CFG, data)
+        with mp.workdps(self.CFG.effective_dps):
+            for (prob, c), (ref, c_ref) in zip(shipped, reference):
+                assert prob._steps
+                assert (len(prob._steps), prob.n_rejected) == (len(ref._steps), ref.n_rejected)
+                for step, step_ref in zip(prob._steps, ref._steps):
+                    assert abs(step.length - step_ref.length) <= 1e-12 * abs(step_ref.length)
+                assert abs(c - c_ref) <= 1e-30 * abs(c_ref), (c, c_ref)
+
+    def test_no_recompute_and_small_operands(self, monkeypatch):
+        # at the CLI defaults the ten data take 179 g steps, each one kernel
+        # call: no trial step is recomputed at a wider rho.  The largest g
+        # mantissa of a call exceeds the scale 2^-F by 24 bits in the mean
+        # (67 at rho = 2^mag(z_s) at every step)
+        calls = []
+        self._wrap_kernel(monkeypatch, capped=False, calls=calls)
+        cfg = SolverConfig(rel_tol=1e-18, abs_tol=1e-20)
+        problems = [prob for prob, _ in self._problems(cfg, self.CONSTANT_DATA)]
+        steps = sum(len(prob._steps) + prob.n_rejected for prob in problems)
+        assert len(calls) == steps == 179
+        assert sum(calls) / len(calls) <= 32, sum(calls) / len(calls)
 
 
 class TestMarcher:

@@ -36,7 +36,10 @@ from bench_pairs import export, git, tmp_is_usable  # noqa: E402
 # recursions, cold q and ptilde at the order ceiling, and shifts that take
 # the grid to t + s <= 1, a Lambert check that reads ptilde_0..ptilde_20
 # through fixed_coeffs, and data whose own g problem is refused, which
-# resolve through the trajectory's switch problem
+# resolve through the trajectory's switch problem; then negative values in
+# exponent form after each float option (TestContract.EXPONENT_FORM), one
+# also as --h1=-9e-06, and a rel 1e-60 g problem of 249 steps, most in
+# the collapse region, where the g kernel's rho sits furthest below z
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -112,6 +115,13 @@ COMMANDS = (
         "constant --h0 5 --h1 5",
         "constant --h0 0.5 --h1 2 --rel-tol 1e-10 --abs-tol 1e-12",
         "constant --h0 3 --h1 0.1 --rel-tol 1e-10 --abs-tol 1e-12",
+        "constant --h1 -9e-06",
+        "constant --h1=-9e-06",
+        "integrate --t0 -1e-3 --t-max 10 --format csv",
+        "integrate --h0 -1e-3",
+        "integrate --t-max -1e1",
+        "verify --synthetic 5 --shift -5e-1 --t-grid 1e2,1e3",
+        "constant --h0 0.5 --h1 2 --rel-tol 1e-60 --abs-tol 1e-62 --digits 60",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
