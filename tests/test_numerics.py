@@ -1120,21 +1120,6 @@ class TestGKernelScale:
         (0.5, 0.5), (3, 0.1), (1, -1), (0.7, 0.3), (1.5, 1),
     )
 
-    @staticmethod
-    def _wrap_kernel(monkeypatch, capped, calls=None):
-        """Patch _g_system_coeffs: at rho = 2^mag(z_s) whatever k the march
-        passes when ``capped``, and recording into ``calls`` the excess of
-        each call's largest g mantissa over the scale, in bits."""
-        kernel = numerics._g_system_coeffs
-
-        def wrapper(z_s, g_s, i_s, order, k):
-            C, I, F, k = kernel(z_s, g_s, i_s, order, mp.mag(z_s) if capped else k)
-            if calls is not None:
-                calls.append(max(map(abs, C)).bit_length() - F)
-            return C, I, F, k
-
-        monkeypatch.setattr(numerics, "_g_system_coeffs", wrapper)
-
     def _problems(self, cfg, data):
         out = []
         for h0, h1 in data:
@@ -1146,8 +1131,12 @@ class TestGKernelScale:
     def test_same_steps_as_rho_at_z(self, monkeypatch):
         data = ((0.5, 2), (0.5, 0.5), (1, 1))
         shipped = self._problems(self.CFG, data)
+        kernel = numerics._g_system_coeffs
         with monkeypatch.context() as patch:
-            self._wrap_kernel(patch, capped=True)
+            patch.setattr(
+                numerics, "_g_system_coeffs",
+                lambda z_s, g_s, i_s, order, k: kernel(z_s, g_s, i_s, order, mp.mag(z_s)),
+            )
             reference = self._problems(self.CFG, data)
         with mp.workdps(self.CFG.effective_dps):
             for (prob, c), (ref, c_ref) in zip(shipped, reference):
@@ -1162,13 +1151,20 @@ class TestGKernelScale:
         # call: no trial step is recomputed at a wider rho.  The largest g
         # mantissa of a call exceeds the scale 2^-F by 24 bits in the mean
         # (67 at rho = 2^mag(z_s) at every step)
-        calls = []
-        self._wrap_kernel(monkeypatch, capped=False, calls=calls)
+        excess = []  # bits of each call's largest g mantissa above 2^F
+        kernel = numerics._g_system_coeffs
+
+        def counted(*args):
+            C, I, F, k = kernel(*args)
+            excess.append(max(map(abs, C)).bit_length() - F)
+            return C, I, F, k
+
+        monkeypatch.setattr(numerics, "_g_system_coeffs", counted)
         cfg = SolverConfig(rel_tol=1e-18, abs_tol=1e-20)
         problems = [prob for prob, _ in self._problems(cfg, self.CONSTANT_DATA)]
         steps = sum(len(prob._steps) + prob.n_rejected for prob in problems)
-        assert len(calls) == steps == 179
-        assert sum(calls) / len(calls) <= 32, sum(calls) / len(calls)
+        assert len(excess) == steps == 179
+        assert sum(excess) / len(excess) <= 32, sum(excess) / len(excess)
 
 
 class TestMarcher:
