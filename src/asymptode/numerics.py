@@ -40,14 +40,19 @@ shifted once.
 
 The step loop stays on the mantissas as well.  The values at a step end
 are one integer Horner evaluation each in u = h / rho, rounded once into
-an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  The step
-control decides on log2 magnitudes of the top three coefficients, as
-Python floats: no root, no mpf per trial step, no range limit.  What it
-decides on stays exact: a guess becomes an exact dyadic mpf, and the
-clamps, the halving and what a step stores run at mp.prec.  A stored
-step keeps its mantissas for good: dense output is the same integer
-Horner at the offset of the read, and so is every read of g's series
-below the crossover.
+an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  Each stage
+multiplies by u at its own length: a step guess is a 53-bit dyadic and
+any other read point has at most mp.prec bits, so u = +-man 2^(exp - k)
+exactly, and a product by man with one shift floors the same rational
+as a product by u widened to F bits, in fewer digit operations.  The g
+kernel forms its zeta term from z_s's own mantissa by the same rule.
+The step control decides on log2 magnitudes of the top three
+coefficients, as Python floats: no root, no mpf per trial step, no range
+limit.  What it decides on stays exact: a guess becomes an exact dyadic
+mpf, and the clamps, the halving and what a step stores run at mp.prec.
+A stored step keeps its mantissas for good: dense output is the same
+integer Horner at the offset of the read, and so is every read of g's
+series below the crossover.
 
 The series order is tied to the working precision; the step size comes from
 a coefficient-ratio estimate of the local radius of convergence and is
@@ -136,6 +141,8 @@ _MAX_STEPS = 100_000  # step budget of each integrator run
 _DIRECT_SPAN = 128.0  # direct Taylor span before a trajectory may hand off
 _FP_MAX_ITER = 200  # iteration cap of the root finders (G inversion, Lambert)
 _AT_PRECISION = contextlib.nullcontext()  # what _workdps enters at the working precision
+_QUARTER = mp.make_mpf((0, 1, -2, 1))  # the exact exponents of eval_h and eval_hprime
+_MINUS_THREE_QUARTERS = mp.make_mpf((1, 3, -2, 2))
 
 
 def _require_finite(**values) -> None:
@@ -305,15 +312,25 @@ def _fixed_eval(mants, h, F, k):
     k = 0 on mantissas from _fixed_member: the alpha series of g, the
     beta tail of G and the expansion families of asympt.  mants are at
     scale 2^-F, F that of _fixed_scale or _fixed_member, and the Horner
-    variable is u = h / rho.  U holds u at the scale 2^-E, with E
-    extended past F when |u| < 1 so that U keeps F significant bits: at a
-    fixed 2^-F a short step (h far below rho, as on a first step or after
-    halvings) would lose u altogether.  Each Horner stage floors once at
-    2^-F, far below the rounding of the result.  At h = 0 the value is
-    mants[0], rounded.
+    variable is u = h / rho, taken as U 2^-E.  Each Horner stage floors
+    acc u once at 2^-F, far below the rounding of the result.  A read
+    point of bc <= F bits, h = +-man 2^exp, is u exactly at its own
+    length: U = +-man and E = k - exp (U = u itself, E = 0, when u is an
+    integer), so each stage multiplies by a 53-bit step guess or an
+    mp.prec-bit point, not by an F-bit one.  A longer h (built at a higher
+    precision) is truncated at E = F + max(0, k - mag h): U keeps F
+    significant bits when |u| < 1, where a fixed 2^-F would lose a short
+    step's u altogether.  Where U is exact the two forms floor the same
+    rational at every stage, so they give the same integers.  At h = 0 the
+    value is mants[0], rounded.
     """
-    E = F + max(0, k - mp.mag(h)) if h else F
-    U = _fixed(h, E - k)
+    sign, man, exp, bc = h._mpf_
+    if bc > F:
+        E = F + max(0, k - exp - bc)
+        U = _fixed(h, E - k)
+    else:
+        E = max(0, k - exp)
+        U = (-man if sign else man) << max(0, exp - k)
     acc = mants[-1]
     for m in reversed(mants[:-1]):
         acc = (acc * U >> E) + m
@@ -369,12 +386,18 @@ def _g_system_coeffs(z_s, g_s, i_s, order, k):
     c_{j+1} = (Y_{j+1} - sum_{i=1..j} c_i c_{j+1-i}) / (2 c_0) by a
     symmetric sum of about j/2 products.  As r = -4 g' - 3 (g - 1)/z,
     I_{j+1} = 4 c_{j+1} + 3 f_j / (j + 1) in O(order), with f the series
-    of (g - 1)/(zeta + v), v = (z - z_s)/rho.  Returns (C, I, F, k): the
-    mantissas of g and of I, which is one degree longer.
+    of (g - 1)/(zeta + v), v = (z - z_s)/rho.  At the scale 2^-F zeta is
+    exact, as k <= mag z_s and z_s has at most mp.prec < F bits, so the
+    term (8j + 6) zeta Y_j is formed from z_s = man 2^exp as (8j + 6) man
+    Y_j shifted by k + 2 - exp: the same floor, on a short multiplier.
+    Returns (C, I, F, k): the mantissas of g and of I, which is one degree
+    longer.
     """
     F = _fixed_scale(g_s)
     k = min(k, mp.mag(z_s))
     zeta = _fixed(z_s, F - k)
+    _, man, exp, _ = z_s._mpf_  # zeta = man 2^(exp + F - k)
+    Z, S = man << max(0, exp - k - 2), max(0, k + 2 - exp)
     inv_zeta = (1 << 2 * F) // zeta
     inv_zeta2 = (1 << 3 * F) // (zeta * zeta)
     C = [_fixed(g_s, F)]
@@ -384,7 +407,7 @@ def _g_system_coeffs(z_s, g_s, i_s, order, k):
     f = 0
     for j in range(order + 1):
         d = C[j] - (1 << F) if j == 0 else C[j]  # g - 1
-        num = _shift(2 * d, -k) - ((8 * j + 6) * zeta * Y[j] >> F + 2)
+        num = _shift(2 * d, -k) - ((8 * j + 6) * Z * Y[j] >> S)
         if j >= 1:
             num -= (2 * j + 1) * Y[j - 1] >> 1
         Y.append((num * inv_zeta2 >> F) // (j + 1))
@@ -451,9 +474,11 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
     holds.
 
     Decisions run on log2 doubles; what the march stores or returns stays
-    exact: each guess is a dyadic mpf, the clamps, halvings, step ends and
-    positivity test run on raw mpfs at mp.prec, and the charged estimate of
-    an accepted step is summed in mpf.  The cap is parsed once per march.
+    exact: each guess is a dyadic mpf, the local tolerance's |x| (or the
+    larger of |x| and |y|), the clamps, halvings, positivity test and
+    t + s run on raw mpfs at mp.prec, as the mpf operators would, and the
+    charged estimate of an accepted step is summed in mpf.  The cap is
+    parsed once per march.
 
     Returns (steps, (t, x, y), err, rejected): the accepted steps, the
     last step end, the summed charged estimates and the count of rejected
@@ -473,7 +498,9 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
     while before(t._mpf_, end_):
         if len(steps) >= _MAX_STEPS:
             raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at {t}")
-        big = max(map(abs, (x, y)[:lead]))._mpf_
+        big = mpf_abs(x._mpf_)
+        if lead == 2 and mpf_gt(abs_y := mpf_abs(y._mpf_), big):
+            big = abs_y
         log_eps = _log2(mpf_add(abs_tol, mpf_mul(rel_tol, big, prec, rnd), prec, rnd))
         while True:
             X, Y, F, k_kernel = kernel(t, x, y, order, k)
@@ -494,7 +521,7 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
             ests = [_tail_estimate(c, len(M) - 1, log_u) for c, M in zip(tops, (X, Y))]
             length = mp.make_mpf(s)
             x_new = _fixed_eval(X, length, F, k_kernel)
-            if max(ests) <= log_eps and x_new > 0:
+            if max(ests) <= log_eps and mpf_gt(x_new._mpf_, fzero):
                 break
             s = mpf_shift(s, -1)
             halvings += 1
@@ -506,7 +533,8 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
                 )
         cum_err = mpf_add(cum_err, _exp2(max(ests[:lead])), prec, rnd)
         steps.append(_Step(t, length, x, y, mp.make_mpf(cum_err), (X, Y, F, k_kernel)))
-        t, x, y = t + length, x_new, _fixed_eval(Y, length, F, k_kernel)
+        t = mp.make_mpf(mpf_add(t._mpf_, s, prec, rnd))
+        x, y = x_new, _fixed_eval(Y, length, F, k_kernel)
         if stop is not None and stop(t, x, y):
             break
     return steps, (t, x, y), mp.make_mpf(cum_err), rejected
@@ -580,7 +608,7 @@ class Trajectory:
         with _workdps(self.dps):
             t, step = self._locate(t)
             if step is None:
-                return self._reduced_h4(t) ** (mp.one / 4)
+                return self._reduced_h4(t) ** _QUARTER
             return step.eval_x(t)
 
     def eval_hprime(self, t):
@@ -589,7 +617,7 @@ class Trajectory:
             if step is None:
                 s = self._reduced_h4(t)
                 # h' = g(4/h^4) / h^3
-                return self.g_problem.eval_g(4 / s) * s ** (-mp.mpf(3) / 4)
+                return self.g_problem.eval_g(4 / s) * s ** _MINUS_THREE_QUARTERS
             return step.eval_y(t)
 
     def err_bound(self, t):

@@ -28,13 +28,24 @@ against, alone and patched into the marcher.
 ``unscale(head, mants, F, k)`` turns a kernel's mantissas into mpf
 coefficients, and ``horner(coeffs, u)`` evaluates such a list in mpf: the
 reference for the integer Horner that every numeric read uses.
+
+Two integer forms are kept as they were before the operands were
+shortened, as bit-for-bit references: ``fixed_eval_widened(mants, h, F,
+k)`` widens every read point u = h / rho to an integer U of at least F
+significant bits, and ``g_system_coeffs_zeta(z_s, g_s, i_s, order, k)``
+forms the g kernel's (8j + 6) zeta Y_j from zeta = z_s / rho at the
+scale 2^-F.  The shipped forms multiply by the read point's and z_s's
+own mantissas instead, and must give the same integers.
 """
 
 from __future__ import annotations
 
-from mpmath import mp
+from operator import mul
 
-from asymptode.numerics import _to_mpf
+from mpmath import mp
+from mpmath.libmp import to_fixed
+
+from asymptode.numerics import _fixed_scale, _shift, _to_mpf
 
 
 def unscale(head, mants, F, k):
@@ -140,3 +151,45 @@ def step_guess(coeff_sets, eps_loc, order):
     if best is None:
         return mp.inf
     return mp.mpf("0.8") * best
+
+
+def fixed_eval_widened(mants, h, F, k):
+    """Integer Horner of mants (scale 2^-F) at u = h / 2^k, rounded once
+    to mp.prec, with U = floor(h 2^(E - k)) at E = F + max(0, k - mag h)
+    bits whatever the length of h (E = F at h = 0)."""
+    E = F + max(0, k - mp.mag(h)) if h else F
+    U = to_fixed(h._mpf_, E - k)
+    acc = mants[-1]
+    for m in reversed(mants[:-1]):
+        acc = (acc * U >> E) + m
+    return _to_mpf(acc, -F)
+
+
+def g_system_coeffs_zeta(z_s, g_s, i_s, order, k):
+    """(C, I, F, k) of the g kernel, with its (8j + 6) zeta Y_j formed from
+    zeta = floor(z_s 2^(F - k)) and shifted by F + 2."""
+    F = _fixed_scale(g_s)
+    k = min(k, mp.mag(z_s))
+    zeta = to_fixed(z_s._mpf_, F - k)
+    inv_zeta = (1 << 2 * F) // zeta
+    inv_zeta2 = (1 << 3 * F) // (zeta * zeta)
+    C = [to_fixed(g_s._mpf_, F)]
+    r0 = (1 << 2 * F) // C[0]
+    Y = [C[0] * C[0] >> F]
+    I = [to_fixed(i_s._mpf_, F)]
+    f = 0
+    for j in range(order + 1):
+        d = C[j] - (1 << F) if j == 0 else C[j]
+        num = _shift(2 * d, -k) - ((8 * j + 6) * zeta * Y[j] >> F + 2)
+        if j >= 1:
+            num -= (2 * j + 1) * Y[j - 1] >> 1
+        Y.append((num * inv_zeta2 >> F) // (j + 1))
+        half = j // 2
+        s = 2 * sum(map(mul, C[1 : half + 1], C[j : j - half : -1]))
+        if j % 2:
+            s += C[half + 1] * C[half + 1]
+        C.append((Y[j + 1] - (s >> F)) * r0 >> F + 1)
+        f = (d - f) * inv_zeta >> F
+        I.append(4 * C[j + 1] + 3 * f // (j + 1))
+    del C[-1]
+    return C, I, F, k

@@ -18,7 +18,7 @@ import newton_oracle
 import taylor_oracle as oracle
 from taylor_oracle import horner as _horner
 from taylor_oracle import unscale as _unscale
-from asymptode import numerics
+from asymptode import asympt, numerics
 from asymptode.asympt import (
     AsymptoticModel,
     eval_A_n,
@@ -840,6 +840,129 @@ class TestDenseReads:
                 with mp.workdps(problem.dps + self.GUARD):
                     ref = _horner([mp.mpf(a.numerator) / a.denominator for a in alphas], z)
                     assert abs(got - ref) <= mp.ldexp(1, mp.mag(ref) - prec), (z, got, ref)
+
+
+class TestShortOperands:
+    """The short operands give the integers of the widened ones, bit for bit.
+
+    _fixed_eval multiplies each Horner stage by the read point's own
+    mantissa, and _g_system_coeffs forms (8j + 6) zeta Y_j from z_s's own;
+    taylor_oracle keeps the forms that widen both to F-bit integers.  A
+    read is compared at the caller's precision and at one that keeps the
+    whole Horner accumulator, so that an accumulator one unit off at 2^-F
+    shows; the kernel's integers are compared as they are.
+    """
+
+    DPS = 40
+    ORDER = TestTaylorKernels.ORDER
+
+    @staticmethod
+    def _assert_same_read(mants, h, F, k):
+        assert _fixed_eval(mants, h, F, k) == oracle.fixed_eval_widened(mants, h, F, k)
+        mag_u = max(0, mp.mag(h) - k) if h else 0
+        with mp.workprec(max(abs(m).bit_length() for m in mants) + len(mants) * (mag_u + 1) + 64):
+            got = _fixed_eval(mants, h, F, k)
+            assert got == oracle.fixed_eval_widened(mants, h, F, k), (h, F, k)
+
+    @pytest.mark.parametrize("x0,y0", [(1, 0.7), (1e-3, -2.5), (30, 0.7)])
+    @pytest.mark.parametrize("k", [-3, 0, 4])
+    def test_step_reads(self, x0, y0, k):
+        # h = 0, 53-bit step guesses, full-precision lengths (an end clamp
+        # or a dense-output offset) and steps 2^-40 rho, of both signs
+        with mp.workdps(self.DPS):
+            X, Y, F = _h_system_coeffs(mp.mpf(x0), mp.mpf(y0), self.ORDER, k)
+            rho, third = mp.ldexp(1, k), mp.one / 3
+            points = [mp.zero] + [mp.ldexp(mp.mpf(u), k) for u in (0.8 * 2**-1.3, 0.3, 0.77 * 2**-40)]
+            points += [third * rho, mp.pi / 4 * rho, mp.ldexp(third, k - 40), mp.ldexp(third, k - 1)]
+            for h in points:
+                assert mp.mag(h) <= k if h else True
+                for M in (X, Y):
+                    self._assert_same_read(M, h, F, k)
+                    self._assert_same_read(M, -h, F, k)
+
+    def test_integral_reads(self):
+        # u an integer, as at k = 0 reads of a family at u >= 1 or a kernel
+        # step far longer than rho: U is u itself, shifted left, and E = 0
+        with mp.workdps(self.DPS):
+            A, F = numerics._fixed_member("alpha", _SERIES_ORDER)
+            for u in (1, 2, 12, -3, 2**40 + 1):
+                self._assert_same_read(A, mp.mpf(u), F, 0)
+            X, Y, F = _h_system_coeffs(mp.one, mp.mpf(0.7), self.ORDER, -3)
+            for h in (mp.mpf(0.5), mp.mpf(-0.75), mp.mpf(6)):
+                self._assert_same_read(X, h, F, -3)
+                self._assert_same_read(Y, h, F, -3)
+
+    def test_beta_tail_reads(self, problem):
+        # _beta_tail's u = 1/x at F bits: the longest read point that is
+        # still exact, bc = F
+        T, F = problem._tail
+        with mp.workdps(problem.dps):
+            for x in (problem.split, mp.mpf(1000), mp.mpf(1e12) / 7):
+                u = mp.make_mpf(numerics.mpf_rdiv_int(1, x._mpf_, F, numerics.round_nearest))
+                assert u._mpf_[3] <= F
+                self._assert_same_read(T, u, F, 0)
+
+    @pytest.mark.parametrize("k", [-40, 0, 1])
+    def test_reads_longer_than_the_scale(self, k):
+        # a read point at twice the precision of the mantissas' problem has
+        # more than F bits: U is truncated at E >= F bits, as before.  With
+        # |u| near 1 and mantissas near 2^F or above (k >= 0), the exact u
+        # would give other integers
+        with mp.workdps(self.DPS):
+            X, Y, F = _h_system_coeffs(mp.one, mp.mpf(0.7), self.ORDER, k)
+        with mp.workdps(2 * self.DPS):
+            points = [1 - mp.pi * mp.ldexp(1, -70), -mp.pi / 7, mp.sqrt(2) / 2, mp.one / 6]
+            for h in (mp.ldexp(u, k) for u in points):
+                assert h._mpf_[3] > F
+                for M in (X, Y):
+                    self._assert_same_read(M, h, F, k)
+
+    def test_reads_of_a_pipeline(self, monkeypatch):
+        # every read of a trajectory past its switch, its CSV samples, the
+        # G inversions behind them and A_4: step ends, dense output, g's
+        # series, the beta tail and the expansion families
+        reads = [0]
+
+        def checked(mants, h, F, k):
+            reads[0] += 1
+            self._assert_same_read(mants, h, F, k)
+            return oracle.fixed_eval_widened(mants, h, F, k)
+
+        monkeypatch.setattr(numerics, "_fixed_eval", checked)
+        monkeypatch.setattr(asympt, "_fixed_eval", checked)
+        traj = integrate_h(DATA, 1e4)
+        trajectory_to_csv(traj)
+        eval_A_n(AsymptoticModel.build(C_011, 4), 1e4)
+        assert traj.g_problem is not None and reads[0] >= 100, reads[0]
+
+    @pytest.mark.parametrize("z_s", [1e-70, 0.0099, 0.3, 4, 400])
+    @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
+    def test_g_kernel(self, z_s, g_s):
+        # the cases of TestTaylorKernels' g kernel checks, with z_s = 1e-70
+        # and rho far below, at and above the cap 2^mag(z_s)
+        with mp.workdps(self.DPS):
+            z_s, g_s, base = mp.mpf(z_s), mp.mpf(g_s), mp.mpf("0.37")
+            for k in TestTaylorKernels._g_ks(z_s) + [mp.mag(z_s) - 60]:
+                got = _g_system_coeffs(z_s, g_s, base, self.ORDER, k)
+                assert got == oracle.g_system_coeffs_zeta(z_s, g_s, base, self.ORDER, k), k
+
+    def test_g_kernel_of_the_constant_workload(self, monkeypatch):
+        # every kernel call of the ten `constant` data at the CLI defaults,
+        # first steps at 2^mag(z0) included
+        calls = [0]
+
+        def checked(*args):
+            calls[0] += 1
+            got = kernel(*args)
+            assert got == oracle.g_system_coeffs_zeta(*args), args[:2]
+            return got
+
+        kernel = numerics._g_system_coeffs
+        monkeypatch.setattr(numerics, "_g_system_coeffs", checked)
+        cfg = SolverConfig(rel_tol=1e-18, abs_tol=1e-20)
+        for h0, h1 in TestGKernelScale.CONSTANT_DATA:
+            g_problem_for_data(InitialData(0, h0, h1), cfg)
+        assert calls[0] == 179
 
 
 class TestStepSequences:

@@ -39,7 +39,9 @@ from bench_pairs import export, git, tmp_is_usable  # noqa: E402
 # resolve through the trajectory's switch problem; then negative values in
 # exponent form after each float option (TestContract.EXPONENT_FORM), one
 # also as --h1=-9e-06, and a rel 1e-60 g problem of 249 steps, most in
-# the collapse region, where the g kernel's rho sits furthest below z
+# the collapse region, where the g kernel's rho sits furthest below z;
+# last, verify to t = 1e12 at rel 1e-46, whose expansion reads run at about
+# 170 bits, and a rel 1e-60 g problem whose first step is 0.06 z0 long
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -122,6 +124,8 @@ COMMANDS = (
         "integrate --t-max -1e1",
         "verify --synthetic 5 --shift -5e-1 --t-grid 1e2,1e3",
         "constant --h0 0.5 --h1 2 --rel-tol 1e-60 --abs-tol 1e-62 --digits 60",
+        "verify --t-grid 1e2,1e4,1e6,1e9,1e12 --rel-tol 1e-46 --abs-tol 1e-48",
+        "constant --h0 0.5 --h1 0.5 --rel-tol 1e-60 --abs-tol 1e-62 --digits 60",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
