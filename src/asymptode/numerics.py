@@ -41,11 +41,12 @@ shifted once.
 The step loop stays on the mantissas as well.  The values at a step end
 are one integer Horner evaluation each in u = h / rho, rounded once into
 an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  Each stage
-multiplies by u at its own length: a step guess is a 53-bit dyadic and
-any other read point has at most mp.prec bits, so u = +-man 2^(exp - k)
-exactly, and a product by man with one shift floors the same rational
-as a product by u widened to F bits, in fewer digit operations.  The g
-kernel forms its zeta term from z_s's own mantissa by the same rule.
+multiplies by u at its own length: a step guess is a 53-bit dyadic, most
+other read points have mp.prec bits and none more than F, so u = +-man
+2^(exp - k) exactly, and a product by man with one shift floors the same
+rational as a product by u widened to F bits, in fewer digit
+operations.  The g kernel forms its zeta term from z_s's own mantissa by
+the same rule.
 The step control decides on log2 magnitudes of the top three
 coefficients, as Python floats: no root, no mpf per trial step, no range
 limit.  What it decides on stays exact: a guess becomes an exact dyadic
@@ -317,7 +318,8 @@ def _fixed_eval(mants, h, F, k):
     point of bc <= F bits, h = +-man 2^exp, is u exactly at its own
     length: U = +-man and E = k - exp (U = u itself, E = 0, when u is an
     integer), so each stage multiplies by a 53-bit step guess or an
-    mp.prec-bit point, not by an F-bit one.  A longer h (built at a higher
+    mp.prec-bit point, not by an F-bit one (the beta tail's u, formed at
+    F bits, is as long either way).  A longer h (built at a higher
     precision) is truncated at E = F + max(0, k - mag h): U keeps F
     significant bits when |u| < 1, where a fixed 2^-F would lose a short
     step's u altogether.  Where U is exact the two forms floor the same

@@ -29,13 +29,12 @@ against, alone and patched into the marcher.
 coefficients, and ``horner(coeffs, u)`` evaluates such a list in mpf: the
 reference for the integer Horner that every numeric read uses.
 
-Two integer forms are kept as they were before the operands were
-shortened, as bit-for-bit references: ``fixed_eval_widened(mants, h, F,
-k)`` widens every read point u = h / rho to an integer U of at least F
-significant bits, and ``g_system_coeffs_zeta(z_s, g_s, i_s, order, k)``
-forms the g kernel's (8j + 6) zeta Y_j from zeta = z_s / rho at the
-scale 2^-F.  The shipped forms multiply by the read point's and z_s's
-own mantissas instead, and must give the same integers.
+Two integer forms are bit-for-bit references: ``fixed_eval_widened(mants,
+h, F, k)`` widens every read point u = h / rho to an integer U of at
+least F significant bits, and ``g_system_coeffs_zeta(z_s, g_s, i_s,
+order, k)`` forms the g kernel's (8j + 6) zeta Y_j from zeta = z_s / rho
+at the scale 2^-F.  The shipped forms multiply by the read point's and
+z_s's own mantissas instead, and must give the same integers.
 """
 
 from __future__ import annotations
