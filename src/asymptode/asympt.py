@@ -27,11 +27,12 @@ Y_0..Y_n; one gated loop forms the remainders of both studies.
 
 Everything here evaluates exact rational polynomials at a configurable
 working precision; no floating-point coefficients enter.  Each q_k is a
-polynomial in the single variable w = 3z - c.  It is evaluated by the
-integer Horner of the numerical layer (numerics._fixed_eval) on the
-mantissas of its dense w-coefficients from the one fixed-point reader
-(numerics._fixed_member), rounded once; the c-derivative needed by the
-fit is -d/dw, from the mantissas of the derivative's coefficients.  The
+polynomial in the single variable w = 3z - c.  It is read by the one
+integer Horner of the numerical layer (numerics._fixed_horner), rounded
+once, on the mantissas of its dense w-coefficients from the one
+fixed-point reader (numerics._fixed_member), with w split once per point
+and the running sums on raw mpfs; the c-derivative needed by the fit is
+-d/dw, from the mantissas of the derivative's coefficients.  The
 Lambert family is read the same way.  Non-finite t, c and grid points
 are refused before any work.
 """
@@ -44,13 +45,15 @@ from itertools import accumulate
 from operator import mul
 
 from mpmath import mp
+from mpmath.libmp import mpf_add, mpf_div, round_nearest
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .numerics import (
     SolverConfig,
     _check_in_range,
-    _fixed_eval,
+    _fixed_horner,
     _fixed_member,
+    _read_point,
     _floor,
     _require_finite,
     _workdps,
@@ -106,13 +109,6 @@ class AsymptoticModel:
             return AsymptoticModel(c=self.c - 4 * mp.mpf(s), order=self.order, dps=self.dps)
 
 
-def _member_value(family, n, u, slope=False):
-    """Member n of the family at u (its derivative if slope), at the
-    caller's precision: one integer Horner, rounded once."""
-    mants, F = _fixed_member(family, n, slope)
-    return _fixed_eval(mants, u, F, 0)
-
-
 def _powers(t, n):
     """[t**0, ..., t**n] by repeated products: mpmath's power rounds
     differently from k = 3 on."""
@@ -122,11 +118,19 @@ def _powers(t, n):
 def _expansion_sum(family, u, powers, acc, first=1, slope=False):
     """The running sums acc + sum_{k=first..m} member_k(u) / t**k over the
     family for m = 0..n, from powers = _powers(t, n); first is 0 or 1, and
-    entry 0 is acc itself when it is 1.  At the caller's precision."""
+    entry 0 is acc itself when it is 1.  At the caller's precision: u is
+    split once, each member (its derivative if slope) is one _fixed_horner
+    read, and the sum runs on raw mpfs by the mpf_div and mpf_add at
+    mp.prec that the mpf operators make."""
+    prec, rnd = mp.prec, round_nearest
     sums = [acc] * first
+    acc = acc._mpf_
     for k in range(first, len(powers)):
-        acc += _member_value(family, k, u, slope) / powers[k]
-        sums.append(acc)
+        mants, F = _fixed_member(family, k, slope)
+        if k == first:
+            U, E = _read_point(u._mpf_, F, 0)
+        acc = mpf_add(acc, mpf_div(_fixed_horner(mants, U, E, F), powers[k]._mpf_, prec, rnd), prec, rnd)
+        sums.append(mp.make_mpf(acc))
     return sums
 
 

@@ -88,12 +88,15 @@ r = 4 sum_{k>=2} beta_k z^(k-2), so I(4/x) = J - T(x) with
 T(x) = sum_{k>=2} w_k x^(1-k), w_k = beta_k 4^k / (k-1), and
 J = I(0) = I(z_c) + T(S) the whole integral.  The same J gives
 c = J - h0^4 + 3 ln h0^4, and G above S is then the expansion
-x - 3 ln x + c - T(x); up to S, I(4/x) is dense output.  G, the reads
-of g and the Newton inversion of G (_newton, which also finds the
-Lambert root) run on raw mpfs, with the bits of mpf arithmetic;
-Newton checks its bracket's upper end only once an iterate reaches it,
-and inverts G from x + 3 ln(x + h0^4) - c, one fixed-point sweep of the
-large-x form.  Reads already at the working precision do not re-enter it.
+x - 3 ln x + c - T(x); up to S, I(4/x) is dense output.  G and g have
+one raw core each (GProblem._G, _g): raw mpfs in and out, with the bits
+of mpf arithmetic and no check.  compute_G and eval_g validate at the
+edge, enter the problem's precision and call them; the Newton inversion
+of G (_newton, which also finds the Lambert root) calls them directly,
+as its iterates stay in their domain.  Newton checks its bracket's upper
+end only once an iterate reaches it, and inverts G from
+x + 3 ln(x + h0^4) - c, one fixed-point sweep of the large-x form.
+Reads already at the working precision do not re-enter it.
 """
 
 from __future__ import annotations
@@ -305,38 +308,44 @@ def _tail_estimate(tops, top, log_u):
     return big if big == -math.inf else big + 1 + math.log2(sum(2.0 ** (t - big) for t in terms))
 
 
-def _fixed_eval(mants, h, F, k):
-    """A polynomial at h, by integer Horner, rounded once to mp.prec.
+def _read_point(h, F, k):
+    """(U, E) with U 2^-E = u = h / 2^k: the Horner variable of _fixed_horner
+    for the raw mpf h, read against mantissas at scale 2^-F.
 
-    The one evaluator of every numeric polynomial: the kernels' series at
-    step ends and in dense output (scaled mantissas at rho = 2^k), and at
-    k = 0 on mantissas from _fixed_member: the alpha series of g, the
-    beta tail of G and the expansion families of asympt.  mants are at
-    scale 2^-F, F that of _fixed_scale or _fixed_member, and the Horner
-    variable is u = h / rho, taken as U 2^-E.  Each Horner stage floors
-    acc u once at 2^-F, far below the rounding of the result.  A read
-    point of bc <= F bits, h = +-man 2^exp, is u exactly at its own
+    A read point of bc <= F bits, h = +-man 2^exp, is u exactly at its own
     length: U = +-man and E = k - exp (U = u itself, E = 0, when u is an
-    integer), so each stage multiplies by a 53-bit step guess or an
+    integer), so each Horner stage multiplies by a 53-bit step guess or an
     mp.prec-bit point, not by an F-bit one (the beta tail's u, formed at
     F bits, is as long either way).  A longer h (built at a higher
     precision) is truncated at E = F + max(0, k - mag h): U keeps F
     significant bits when |u| < 1, where a fixed 2^-F would lose a short
-    step's u altogether.  Where U is exact the two forms floor the same
-    rational at every stage, so they give the same integers.  At h = 0 the
-    value is mants[0], rounded.
+    step's u altogether.  Where U is exact, the Horner stages floor the
+    same rationals as with u widened to F bits, so they give the same
+    integers.
     """
-    sign, man, exp, bc = h._mpf_
+    sign, man, exp, bc = h
     if bc > F:
         E = F + max(0, k - exp - bc)
-        U = _fixed(h, E - k)
-    else:
-        E = max(0, k - exp)
-        U = (-man if sign else man) << max(0, exp - k)
-    acc = mants[-1]
-    for m in reversed(mants[:-1]):
+        return to_fixed(h, E - k), E
+    return (-man if sign else man) << max(0, exp - k), max(0, k - exp)
+
+
+def _fixed_horner(mants, U, E, F):
+    """The polynomial with mantissas mants (scale 2^-F) at u = U 2^-E, from
+    _read_point: the one integer Horner loop, each stage flooring acc u
+    once at 2^-F, far below the rounding of the result, which is a raw mpf
+    rounded once to mp.prec.  At u = 0 it is mants[0], rounded."""
+    acc = 0
+    for m in reversed(mants):
         acc = (acc * U >> E) + m
-    return _to_mpf(acc, -F)
+    return from_man_exp(acc, -F, mp.prec, round_nearest)
+
+
+def _fixed_eval(mants, h, F, k):
+    """A polynomial at the mpf h, as an mpf: _fixed_horner at
+    _read_point(h, F, k), mants at scale 2^-F and rho = 2^k.  The march
+    reads its step ends here; every other read calls the two raw parts."""
+    return mp.make_mpf(_fixed_horner(mants, *_read_point(h._mpf_, F, k), F))
 
 
 def _h_system_coeffs(x0, y0, order, k):
@@ -433,9 +442,10 @@ class _Step:
 
     The step holds one representation of its polynomials for its whole
     life: the kernels' fixed-point mantissas (X, Y, F, k).  Dense output
-    is one integer Horner (_fixed_eval) at the offset from t_start, as at
-    the step end.  At offset 0 it returns the head x0/y0 itself, which the
-    truncated mantissa of the head (for I, at g's scale) need not equal.
+    (read) is one integer Horner (_fixed_horner) at the offset from
+    t_start, as at the step end, on raw mpfs; eval_x and eval_y wrap it.
+    At offset 0 it returns the head x0/y0 itself, which the truncated
+    mantissa of the head (for I, at g's scale) need not equal.
     """
 
     t_start: object  # mpf
@@ -446,18 +456,18 @@ class _Step:
     mants: tuple     # (X, Y, F, k)
 
     def eval_x(self, t):
-        u = t - self.t_start
-        if not u:
-            return self.x0
-        X, _, F, k = self.mants
-        return _fixed_eval(X, u, F, k)
+        return mp.make_mpf(self.read(t._mpf_, 0))
 
     def eval_y(self, t):
-        u = t - self.t_start
-        if not u:
-            return self.y0
-        _, Y, F, k = self.mants
-        return _fixed_eval(Y, u, F, k)
+        return mp.make_mpf(self.read(t._mpf_, 1))
+
+    def read(self, t, i):
+        """Series i (0: x, 1: y) at the raw mpf t, as a raw mpf at mp.prec."""
+        u = mpf_sub(t, self.t_start._mpf_, mp.prec, round_nearest)
+        if u == fzero:
+            return (self.x0, self.y0)[i]._mpf_
+        F, k = self.mants[2:]
+        return _fixed_horner(self.mants[i], *_read_point(u, F, k), F)
 
 
 def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
@@ -618,8 +628,10 @@ class Trajectory:
             t, step = self._locate(t)
             if step is None:
                 s = self._reduced_h4(t)
-                # h' = g(4/h^4) / h^3
-                return self.g_problem.eval_g(4 / s) * s ** _MINUS_THREE_QUARTERS
+                # h' = g(4/h^4) / h^3, with g read by eval_g's core: s >= h0^4
+                # (invert_G), so 4/h^4 lies in eval_g's domain (0, z0]
+                g = self.g_problem._g(mpf_rdiv_int(4, s._mpf_, mp.prec, round_nearest))
+                return mp.make_mpf(g) * s ** _MINUS_THREE_QUARTERS
             return step.eval_y(t)
 
     def err_bound(self, t):
@@ -764,40 +776,58 @@ class GProblem:
             self._x_min = self.anchor * (1 - slack)  # compute_G's lower bound
             self._alphas = _fixed_member("alpha", _SERIES_ORDER)
             self._tail = _fixed_member("tail", _SERIES_ORDER)
-            self.i_0 = i_c + self._beta_tail(self.split)
-
-    def _series(self, z):
-        """sum alpha_k z^k, for 0 < z <= z_c; at the caller's precision."""
-        A, F = self._alphas
-        return _fixed_eval(A, z, F, 0)
+            self.i_0 = i_c + mp.make_mpf(self._beta_tail(self.split._mpf_))
 
     def eval_g(self, z):
-        """g(z) for z in (0, z0]; the domain tests run on raw mpfs."""
+        """g(z) for z in (0, z0]: the domain checks, on raw mpfs, then _g at
+        the problem's precision."""
         with _workdps(self.dps):
-            z = mp.mpf(z)
-            if not mpf_gt(z._mpf_, fzero):
+            z = mp.mpf(z)._mpf_
+            if not mpf_gt(z, fzero):
                 raise DomainError("g is defined on (0, z0]")
-            if mpf_gt(z._mpf_, self._z_max._mpf_):
-                raise DomainError(f"z={z} beyond the initial point z0={self.z0}")
-            if mpf_le(z._mpf_, self.z_c._mpf_) or not self._steps:
-                return self._series(z)
-            return _step_at(self._steps, self._keys, -z).eval_x(z)
+            if mpf_gt(z, self._z_max._mpf_):
+                raise DomainError(f"z={mp.make_mpf(z)} beyond the initial point z0={self.z0}")
+            return mp.make_mpf(self._g(z))
+
+    def _g(self, z):
+        """g at the raw z in eval_g's domain, unchecked, as a raw mpf at
+        mp.prec: the alpha series up to z_c, dense output above."""
+        if mpf_le(z, self.z_c._mpf_) or not self._steps:
+            A, F = self._alphas
+            return _fixed_horner(A, *_read_point(z, F, 0), F)
+        return self._piece(z).read(z, 0)
+
+    def _G(self, x):
+        """G at the raw x >= h0^4, unchecked, as a raw mpf at mp.prec (see
+        compute_G): I(4/x) is J - T(x) above S and dense output up to S."""
+        prec, rnd = mp.prec, round_nearest
+        anchor = self.anchor._mpf_
+        if mpf_gt(x, self.split._mpf_) or not self._steps:
+            i_x = mpf_sub(self.i_0._mpf_, self._beta_tail(x), prec, rnd)
+        else:  # I(4/x) = int_{4/x}^{z0} r
+            z = mpf_rdiv_int(4, x, prec, rnd)
+            i_x = self._piece(z).read(z, 1)
+        log = mpf_mul_int(mpf_log(mpf_div(x, anchor, prec, rnd), prec, rnd), 3, prec, rnd)
+        return mpf_add(mpf_sub(mpf_sub(x, anchor, prec, rnd), log, prec, rnd), i_x, prec, rnd)
+
+    def _piece(self, z):
+        """The Taylor piece covering the raw z > z_c."""
+        return _step_at(self._steps, self._keys, mp.make_mpf(mpf_neg(z)))
 
     def _beta_tail(self, x):
         """T(x) = sum_{k>=2} w_k x^(1-k) = int_0^{4/x} r, for x >= S.
 
         Below z_c the integrand is the series r = 4 sum_{k>=2} beta_k
         z^(k-2), integrated termwise, w_k = beta_k 4^k / (k-1).  One
-        _fixed_eval read of T as a polynomial in u = 1/x, with u formed
+        _fixed_horner read of T as a polynomial in u = 1/x, with u formed
         at F bits; the weights' mantissas are at the absolute scale 2^-F
         of _fixed_member.  Absolute accuracy suffices: T is at
         most 0.2 in size (u <= z_c/4), and x >= S > 100, so its error lies
-        _GUARD_BITS bits below the rounding of x itself.  Runs at the
-        caller's precision, the problem's.
+        _GUARD_BITS bits below the rounding of x itself.  x and T are raw
+        mpfs, T rounded to the caller's precision, the problem's.
         """
         T, F = self._tail
-        u = mp.make_mpf(mpf_rdiv_int(1, x._mpf_, F, round_nearest))
-        return _fixed_eval(T, u, F, 0)
+        return _fixed_horner(T, *_read_point(mpf_rdiv_int(1, x, F, round_nearest), F, 0), F)
 
 
 def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
@@ -853,7 +883,7 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
             k=mp.mag(z0),  # the kernel's cap: no first step at a wider rho
         )
         problem = GProblem(z0, g0, z_c, steps, cfg, cum_err, rejected, i_c)
-        series_at_zc = problem._series(z_c)
+        series_at_zc = mp.make_mpf(problem._g(z_c._mpf_))  # z_c itself: the series
         agree_tol = 1000 * trunc_est(z_c) + 100 * cum_err + _floor(6)
         if not steps:  # below z_c every solution is the series, to the data's accuracy
             agree_tol += 10 * (mp.mpf(cfg.abs_tol) + mp.mpf(cfg.rel_tol) * abs(g0))
@@ -918,6 +948,9 @@ def g_problem_for_data(
 def compute_G(x, problem: GProblem):
     """G(x) = int_{h0^4}^{x} ds / g(4/s), for x >= h0^4.
 
+    Checks x (finite, >= h0^4 less a slack of 10^(4-dps), clamped up to
+    h0^4), enters the problem's precision and calls the raw core GProblem._G.
+
     G(x) = (x - h0^4) - 3 ln(x / h0^4) + I(4/x) on both sides of the split
     S.  Up to S, I(4/x) is dense output of the integrator's running
     integral: a bisection for the step and one Horner evaluation.  Above S,
@@ -928,21 +961,12 @@ def compute_G(x, problem: GProblem):
     Without pieces S = h0^4 and J = T(S), so G(h0^4) = 0 exactly.
     """
     with _workdps(problem.dps):
-        prec, rnd = mp.prec, round_nearest
         x = mp.mpf(x)._mpf_
         anchor = problem.anchor._mpf_
         if x == finf or not mpf_le(problem._x_min._mpf_, x):
             _require_finite(x=mp.make_mpf(x))
             raise DomainError(f"G is defined for x >= h0^4 = {problem.anchor}")
-        x = anchor if mpf_lt(x, anchor) else x
-        if mpf_gt(x, problem.split._mpf_) or not problem._steps:
-            i_x = mpf_sub(problem.i_0._mpf_, problem._beta_tail(mp.make_mpf(x))._mpf_, prec, rnd)
-        else:  # I(4/x) = int_{4/x}^{z0} r: dense output
-            z = mp.make_mpf(mpf_rdiv_int(4, x, prec, rnd))
-            i_x = _step_at(problem._steps, problem._keys, -z).eval_y(z)._mpf_
-        log = mpf_mul_int(mpf_log(mpf_div(x, anchor, prec, rnd), prec, rnd), 3, prec, rnd)
-        G = mpf_sub(mpf_sub(x, anchor, prec, rnd), log, prec, rnd)
-        return mp.make_mpf(mpf_add(G, i_x, prec, rnd))
+        return mp.make_mpf(problem._G(anchor if mpf_lt(x, anchor) else x))
 
 
 def compute_c(problem: GProblem):
@@ -1032,8 +1056,8 @@ def invert_G(x, problem: GProblem):
     leading-order inverse x + 3 ln(x + h0^4) - c (one fixed-point sweep of
     G's large-x form x - 3 ln x + c - T(x)), formed from the problem's whole
     integral J as x + h0^4 + 3 ln(1 + x/h0^4) - J, and at least h0^4; the
-    candidate hi is 2x + h0^4 + 1, and the residual and slope call
-    compute_G and problem.eval_g.  Stops at |G(y) - x| <= tol / 2, with tol
+    candidate hi is 2x + h0^4 + 1.  x is checked here, and the residual
+    and slope come from the raw cores GProblem._G and _g.  Stops at |G(y) - x| <= tol / 2, with tol
     the precision floor 10^(9 - dps) at the problem's working precision dps,
     or when the next iterate equals y at working precision: for large h0^4
     an absolute tol can lie below G's rounding floor.
@@ -1048,10 +1072,13 @@ def invert_G(x, problem: GProblem):
         prec, rnd, x, lo = mp.prec, round_nearest, x._mpf_, problem.anchor._mpf_  # G(lo) = 0 <= x
         log = mpf_mul_int(mpf_log(mpf_add(fone, mpf_div(x, lo, prec, rnd), prec, rnd), prec, rnd), 3, prec, rnd)
         y0 = mpf_sub(mpf_add(mpf_add(x, lo, prec, rnd), log, prec, rnd), problem.i_0._mpf_, prec, rnd)
+        # the iterates stay in the bracket [h0^4, hi], hi finite: compute_G's
+        # domain with nothing to clamp, and 4/y in eval_g's (0, z0], so the
+        # cores take them unchecked
+        G, g = problem._G, problem._g
         return mp.make_mpf(_newton(
-            lambda y: mpf_sub(compute_G(mp.make_mpf(y), problem)._mpf_, x, prec, rnd),
-            lambda y: mpf_rdiv_int(
-                1, problem.eval_g(mp.make_mpf(mpf_rdiv_int(4, y, prec, rnd)))._mpf_, prec, rnd),
+            lambda y: mpf_sub(G(y), x, prec, rnd),
+            lambda y: mpf_rdiv_int(1, g(mpf_rdiv_int(4, y, prec, rnd)), prec, rnd),
             y0 if mpf_lt(lo, y0) else lo, lo,
             mpf_add(mpf_add(mpf_mul_int(x, 2, prec, rnd), lo, prec, rnd), fone, prec, rnd),
             mpf_shift(_floor(9)._mpf_, -1), "G inversion",

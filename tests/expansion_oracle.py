@@ -11,10 +11,13 @@ tests use them as references for the numerical G and for the q family:
 ``model`` is an ``asymptode.asympt.AsymptoticModel``: its ``c`` and ``dps``
 are used, and its ``order`` when ``n`` is not given.
 
-asympt forms each point's A_0..A_n in one pass, as running sums.  The
-per-order evaluation it replaced is kept here as the reference, each
-(n, point) formed on its own from the same member reads:
+asympt forms each point's A_0..A_n in one pass, as running sums on raw
+mpfs, with the read point split once.  The per-order evaluation it
+replaced is kept here as the reference, each (n, point) formed on its own
+in mpf arithmetic from member reads that split the point every time:
 
+* ``member_value(family, n, u, slope=False)``: member n at u (its
+  derivative if slope), one numerics._fixed_eval read of its mantissas;
 * ``a_value(c, t, n, slope=False)``: A_n(c; t), or its c-derivative;
 * ``remainder_reference(model, traj, n_max, t_grid)`` and
   ``lambert_reference(n_max, x_grid, cfg)``: the (values, a_values,
@@ -25,10 +28,9 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from asymptode.asympt import _member_value
 from asymptode.errors import DomainError
 from asymptode.families import gen_beta
-from asymptode.numerics import lambert_wm1_numeric
+from asymptode.numerics import _fixed_eval, _fixed_member, lambert_wm1_numeric
 from series_oracle import dense
 
 
@@ -80,13 +82,20 @@ def eval_G_asympt(model, x, n=None):
         return acc
 
 
+def member_value(family, n, u, slope=False):
+    """Member n of the family at u (its derivative if slope), at the
+    caller's precision: one integer Horner, rounded once."""
+    mants, F = _fixed_member(family, n, slope)
+    return _fixed_eval(mants, u, F, 0)
+
+
 def _sum(family, u, t, n, acc, first=1, slope=False):
     """acc + sum_{k=first..n} member_k(u) / t**k, t**k by repeated products."""
     tk = mp.one
     for k in range(first, n + 1):
         if k:
             tk *= t
-        acc += _member_value(family, k, u, slope) / tk
+        acc += member_value(family, k, u, slope) / tk
     return acc
 
 

@@ -11,8 +11,9 @@ it replaced, which check (and double) that end before the first iterate:
 * ``lambert_wm1(x, cfg)``: y - ln y = x from y = x + ln x on [1, hi], hi
   doubled from x + 2 ln x + 2 until hi - ln hi >= x.
 
-Each returns (root, path): path counts the doublings of hi and the
-bisections, so a test can show that it covers both.
+Each returns (root, path): path counts the doublings of hi, the
+bisections and the stops on an iterate that no longer moves (stalls), so
+a test can show that it covers each.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ def newton(f, slope, y, lo, hi, tol, path):
             lo = y
         y_next = y - res / slope(y)
         if y_next == y:
+            path["stalls"] += 1
             return y
         if not (lo < y_next < hi):
             y_next = (lo + hi) / 2
@@ -45,7 +47,7 @@ def newton(f, slope, y, lo, hi, tol, path):
 
 
 def invert_G(x, problem):
-    path = {"doublings": 0, "bisections": 0}
+    path = {"doublings": 0, "bisections": 0, "stalls": 0}
     with mp.workdps(problem.dps):
         x = mp.mpf(x)
         lo = problem.anchor
@@ -63,7 +65,7 @@ def invert_G(x, problem):
 
 
 def lambert_wm1(x, cfg):
-    path = {"doublings": 0, "bisections": 0}
+    path = {"doublings": 0, "bisections": 0, "stalls": 0}
     with mp.workdps(cfg.effective_dps):
         x = mp.mpf(x)
         hi = x + 2 * mp.log(x) + 2

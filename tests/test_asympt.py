@@ -35,12 +35,12 @@ from asymptode import (
     shift_invariance_check,
 )
 from asymptode import asympt, families
-from asymptode.asympt import _a_value, _expansion_sum, _member_value, _powers, _profile_parts
+from asymptode.asympt import _a_value, _expansion_sum, _powers, _profile_parts
 from asymptode.cli import _report_csv
 from asymptode.numerics import lambert_root_tol, lambert_wm1_numeric
 from asymptode.series import poly_eval
 import expansion_oracle
-from expansion_oracle import eval_G_asympt, eval_Ginv_asympt
+from expansion_oracle import eval_G_asympt, eval_Ginv_asympt, member_value
 from series_oracle import dense
 
 DATA = InitialData(0, 1, 1)
@@ -206,6 +206,26 @@ class TestOnePassPerPoint:
                         assert slopes[n] == _a_value(c, _profile_parts(t, n), slope=True)
                         assert slopes[n] == expansion_oracle.a_value(c, t, n, slope=True)
 
+    @pytest.mark.parametrize("dps", [30, 35, 42, 47])
+    @pytest.mark.parametrize("family,first", [("q", 1), ("lambert", 0)])
+    def test_expansion_sums_equal_the_per_order_sums(self, family, first, dps):
+        # the raw running sums against expansion_oracle's mpf sums, each
+        # member read at its own split of u, values and slopes to n = 20;
+        # remainder_study reads at the trajectory's dps (42 at the verify
+        # tolerances) + 5
+        n = 20
+        for t_raw in (1e2, 1234.5678, 1e6):
+            with mp.workdps(dps):
+                t = mp.mpf(t_raw)
+                u = 3 * mp.log(4 * t) - mp.mpf(C_011) if first else mp.log(t)
+                for slope in (False, True):
+                    acc = mp.zero if slope else (mp.one if first else t)
+                    sums = _expansion_sum(family, u, _powers(t, n), acc, first, slope)
+                    assert len(sums) == n + 1
+                    for m in range(n + 1):
+                        ref = expansion_oracle._sum(family, u, t, m, acc, first, slope)
+                        assert sums[m] == ref, (t_raw, slope, m)
+
     def test_reports_equal_the_per_point_reference(self, tight):
         m, traj = tight
         grid = [1e2, 1e3, 3456.789, 1e4]
@@ -217,15 +237,22 @@ class TestOnePassPerPoint:
         assert (rep.h_values, rep.a_values, rep.remainders) == expansion_oracle.lambert_reference(3, grid, cfg)
 
     def test_remainder_study_reads_each_member_once_per_point(self, monkeypatch):
-        # n_max = 3 on 5 points: q_1..q_3 once at each point, 15 reads
-        reads = []
-        member_value = asympt._member_value
+        # n_max = 3 on 5 points: q_1..q_3 once at each point, 15 reads of
+        # the one Horner core, each on the mantissas of the member it names
+        reads, member_of = [], {}
+        fetch, horner = asympt._fixed_member, asympt._fixed_horner
 
-        def counted(*args, **kwargs):
-            reads.append(args[:2])
-            return member_value(*args, **kwargs)
+        def fetched(family, n, slope=False):
+            mants, F = fetch(family, n, slope)
+            member_of[id(mants)] = (family, n)
+            return mants, F
 
-        monkeypatch.setattr(asympt, "_member_value", counted)
+        def counted(mants, U, E, F):
+            reads.append(member_of[id(mants)])
+            return horner(mants, U, E, F)
+
+        monkeypatch.setattr(asympt, "_fixed_member", fetched)
+        monkeypatch.setattr(asympt, "_fixed_horner", counted)
         m = AsymptoticModel.build(C_011, order=3, dps=30)
         syn = SyntheticTrajectory(lambda t: (4 * t) ** (mp.mpf(1) / 4), 10, 1e7, dps=30)
         remainder_study(m, syn, 3, [1e2, 1e3, 1e4, 1e5, 1e6])
@@ -258,8 +285,8 @@ class TestFixedPointReads:
                 with mp.workdps(dps):
                     prec = mp.prec
                     w = mp.mpf(w_raw)
-                    got = _member_value(family, n, w)
-                    slope = _member_value(family, n, w, slope=True)
+                    got = member_value(family, n, w)
+                    slope = member_value(family, n, w, slope=True)
                 with mp.workdps(dps + 30):
                     ref = mp.zero
                     for c in reversed(coeffs):

@@ -383,7 +383,7 @@ class TestComputeG:
             with mp.workdps(prob.dps):
                 x = prob.split * factor
                 prec = mp.prec
-                got = prob._beta_tail(x)
+                got = mp.make_mpf(prob._beta_tail(x._mpf_))
             with mp.workdps(prob.dps + 30):
                 ref = mp.fsum(
                     mp.mpf(betas[k].numerator * 4**k) / (betas[k].denominator * (k - 1))
@@ -808,7 +808,7 @@ class TestDenseReads:
         traj = integrate_h(InitialData(0, h0, h1), t_max, cfg)
         self._assert_steps(traj._steps, traj.stats["dps"])
 
-    def test_head_below_the_fixed_point_scale(self):
+    def test_head_below_the_read_point_scale(self):
         # near a turning point h' can sit far below 2^-F (F is set by h):
         # its mantissa is then truncated, and only the head itself is exact
         with mp.workdps(self.CFG.effective_dps):
@@ -857,11 +857,11 @@ class TestShortOperands:
     ORDER = TestTaylorKernels.ORDER
 
     @staticmethod
-    def _assert_same_read(mants, h, F, k):
-        assert _fixed_eval(mants, h, F, k) == oracle.fixed_eval_widened(mants, h, F, k)
+    def _assert_same_read(mants, h, F, k, read=_fixed_eval):
+        assert read(mants, h, F, k) == oracle.fixed_eval_widened(mants, h, F, k)
         mag_u = max(0, mp.mag(h) - k) if h else 0
         with mp.workprec(max(abs(m).bit_length() for m in mants) + len(mants) * (mag_u + 1) + 64):
-            got = _fixed_eval(mants, h, F, k)
+            got = read(mants, h, F, k)
             assert got == oracle.fixed_eval_widened(mants, h, F, k), (h, F, k)
 
     @pytest.mark.parametrize("x0,y0", [(1, 0.7), (1e-3, -2.5), (30, 0.7)])
@@ -919,16 +919,25 @@ class TestShortOperands:
     def test_reads_of_a_pipeline(self, monkeypatch):
         # every read of a trajectory past its switch, its CSV samples, the
         # G inversions behind them and A_4: step ends, dense output, g's
-        # series, the beta tail and the expansion families
-        reads = [0]
+        # series, the beta tail and the expansion families.  The one Horner
+        # loop is checked at the point (h, k) that its (U, E) was split from
+        reads, points = [0], {}
+        split, horner = numerics._read_point, numerics._fixed_horner
 
-        def checked(mants, h, F, k):
+        def recorded(h, F, k):
+            point = split(h, F, k)
+            points[point] = (mp.make_mpf(h), k)
+            return point
+
+        def checked(mants, U, E, F):
             reads[0] += 1
-            self._assert_same_read(mants, h, F, k)
-            return _fixed_eval(mants, h, F, k)
+            h, k = points[(U, E)]
+            self._assert_same_read(mants, h, F, k, lambda *_: mp.make_mpf(horner(mants, U, E, F)))
+            return horner(mants, U, E, F)
 
-        monkeypatch.setattr(numerics, "_fixed_eval", checked)
-        monkeypatch.setattr(asympt, "_fixed_eval", checked)
+        for module in (numerics, asympt):
+            monkeypatch.setattr(module, "_read_point", recorded)
+            monkeypatch.setattr(module, "_fixed_horner", checked)
         traj = integrate_h(DATA, 1e4)
         trajectory_to_csv(traj)
         eval_A_n(AsymptoticModel.build(C_011, 4), 1e4)
@@ -1045,9 +1054,11 @@ class TestStepSequences:
         # the leading-order inverse x + 3 ln(x + h0^4) - c (4.2 from y = x,
         # and 5.2 when the bracket's upper end was checked before the first
         # iterate); the fixed-point iteration y <- x + y - G(y) took 9.2.
-        # eval_g is patched on the class, as the benchmark's tracer patches
-        # it: each slope follows a residual that did not stop the iteration
-        calls = {"compute_G": 0, "invert_G": 0, "eval_g": 0}
+        # invert_G reads G and g through their raw cores, GProblem._G and
+        # GProblem._g, counted on the class once the trajectories are built
+        # (solve_g reads _g at z_c): each slope follows a residual that did
+        # not stop the iteration
+        calls = {"_G": 0, "invert_G": 0, "_g": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -1058,16 +1069,16 @@ class TestStepSequences:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(numerics, "compute_G")
+        trajs = [integrate_h(InitialData(0, h0, h1), 1.2e6, self.CFG) for h0, h1 in ((1, 1), (2, 0.5))]
         counted(numerics, "invert_G")
-        counted(GProblem, "eval_g")
-        for h0, h1 in ((1, 1), (2, 0.5)):
-            traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.CFG)
+        counted(GProblem, "_G")
+        counted(GProblem, "_g")
+        for traj in trajs:
             for t in (1e2, 1e3, 1e4, 1e5, 1e6):
                 traj.eval_h(t)
         assert calls["invert_G"] >= 8
-        assert calls["compute_G"] <= 4 * calls["invert_G"]
-        assert 0 < calls["eval_g"] <= calls["compute_G"]
+        assert calls["_G"] <= 4 * calls["invert_G"]
+        assert 0 < calls["_g"] <= calls["_G"]
 
 
 class TestDeferredBracket:
@@ -1078,7 +1089,12 @@ class TestDeferredBracket:
     and the large-g0 datum (3, 1), at the precision floor 10^(9 - dps)/2
     (5e-34 at dps 42 here), for x from 1e-3 to 5e6; the Lambert
     root from just above the branch point to 1e300.  Some of the G paths
-    double the candidate end and some bisect."""
+    double the candidate end and some bisect.  invert_G reads G and g
+    through the raw cores and the oracle through compute_G and eval_g, so
+    the same roots also show that the cores give the wrappers' bits on the
+    inversions that trajectories send: past the switch of D1 (no Taylor
+    piece), of D2 (one piece) and of (1000, -0.7), where Newton stops on
+    an iterate that no longer moves."""
 
     CFG = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
     XS = (1e-3, 0.1, 1, 3, 50, 1e3, 4e4, 1e6, 5e6)
@@ -1093,6 +1109,48 @@ class TestDeferredBracket:
                 for key in paths:
                     paths[key] += path[key]
         assert paths["doublings"] and paths["bisections"], paths
+
+    @staticmethod
+    def _switch_inversions(data, t_max, cfg):
+        """(problem, xs): a trajectory's switch problem and the arguments
+        4 (t - t_sw) of its CSV samples past the switch."""
+        traj = integrate_h(data, t_max, cfg)
+        with mp.workdps(traj.dps):
+            t_sw = traj.switch_time
+            xs = [4 * (t - t_sw) for t, _, _ in traj.samples() if t > t_sw]
+        return traj.g_problem, xs
+
+    def test_switch_problem_roots_equal_the_eager_bracket(self):
+        # D1's switch problem has no Taylor piece and D2's one; x = 2.2
+        # lands below D2's split S, where G is dense output; and the 21
+        # CSV offsets to 1.2e6 land above it.  x = 0 is h0^4 itself, by
+        # invert_G's entry check before any Newton step (the oracle's
+        # Newton starts from max(h0^4 - J, h0^4) and may stop a unit away),
+        # so x = 1e-20 stands for the inversions next to it.  A slope read
+        # as 1 - 3/y - T'(y) in place of g's alpha series moves only the
+        # step before the last, and so the root rarely: of these, only one
+        # of (0.5, 2)'s offsets
+        for (h0, h1), pieces in (((1, 1), 0), ((2, 0.5), 1), ((0.5, 2), 0)):
+            prob, xs = self._switch_inversions(InitialData(0, h0, h1), 1.2e6, self.CFG)
+            assert len(prob._steps) == pieces and len(xs) == 21
+            assert invert_G(0, prob) == prob.anchor
+            for x in [1e-20, 2.2] + xs:
+                ref, _ = newton_oracle.invert_G(x, prob)
+                assert invert_G(x, prob) == ref, (h0, h1, x)
+            with mp.workdps(prob.dps):
+                assert (invert_G(2.2, prob) < prob.split) == bool(pieces)
+
+    def test_stalled_inversions_equal_the_eager_bracket(self):
+        # (1000, -0.7) at rel 1e-18: h0^4 = 1e12, where the Newton stop lies
+        # below G's rounding floor and the iteration ends on y_next == y
+        cfg = SolverConfig(rel_tol=1e-18, abs_tol=1e-20)
+        prob, xs = self._switch_inversions(InitialData(0, 1000, -0.7), 1e4, cfg)
+        stalls = 0
+        for x in [3, 7.9, *self.XS] + xs:
+            ref, path = newton_oracle.invert_G(x, prob)
+            assert invert_G(x, prob) == ref, x
+            stalls += path["stalls"]
+        assert stalls, stalls
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-30])
     def test_lambert_roots_equal_the_eager_bracket(self, rel_tol):

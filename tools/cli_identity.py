@@ -40,8 +40,10 @@ from bench_pairs import export, git, tmp_is_usable  # noqa: E402
 # exponent form after each float option (TestContract.EXPONENT_FORM), one
 # also as --h1=-9e-06, and a rel 1e-60 g problem of 249 steps, most in
 # the collapse region, where the g kernel's rho sits furthest below z;
-# last, verify to t = 1e12 at rel 1e-46, whose expansion reads run at about
-# 170 bits, and a rel 1e-60 g problem whose first step is 0.06 z0 long
+# then verify to t = 1e12 at rel 1e-46, whose expansion reads run at about
+# 170 bits, and a rel 1e-60 g problem whose first step is 0.06 z0 long;
+# last, a D2 trajectory to t = 139, whose one sample past the switch
+# (y = h^4 ~ 602.43 < S ~ 602.91) inverts G through dense output
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -126,6 +128,7 @@ COMMANDS = (
         "constant --h0 0.5 --h1 2 --rel-tol 1e-60 --abs-tol 1e-62 --digits 60",
         "verify --t-grid 1e2,1e4,1e6,1e9,1e12 --rel-tol 1e-46 --abs-tol 1e-48",
         "constant --h0 0.5 --h1 0.5 --rel-tol 1e-60 --abs-tol 1e-62 --digits 60",
+        "integrate --h0 2 --h1 0.5 --rel-tol 1e-22 --abs-tol 1e-24 --t-max 139 --format csv",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
