@@ -808,7 +808,7 @@ class TestDenseReads:
         traj = integrate_h(InitialData(0, h0, h1), t_max, cfg)
         self._assert_steps(traj._steps, traj.stats["dps"])
 
-    def test_head_below_the_read_point_scale(self):
+    def test_head_below_the_fixed_point_scale(self):
         # near a turning point h' can sit far below 2^-F (F is set by h):
         # its mantissa is then truncated, and only the head itself is exact
         with mp.workdps(self.CFG.effective_dps):
