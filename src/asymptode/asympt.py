@@ -53,8 +53,8 @@ from .numerics import (
     _check_in_range,
     _fixed_horner,
     _fixed_member,
-    _read_point,
     _floor,
+    _read_point,
     _require_finite,
     _workdps,
     lambert_root_tol,
