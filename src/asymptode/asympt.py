@@ -124,11 +124,9 @@ def _expansion_sum(family, u, powers, acc, first=1, slope=False):
     mp.prec that the mpf operators make."""
     prec, rnd = mp.prec, round_nearest
     sums = [acc] * first
-    acc = acc._mpf_
+    acc, (U, E) = acc._mpf_, _read_point(u._mpf_, 0)
     for k in range(first, len(powers)):
         mants, F = _fixed_member(family, k, slope)
-        if k == first:
-            U, E = _read_point(u._mpf_, F, 0)
         acc = mpf_add(acc, mpf_div(_fixed_horner(mants, U, E, F), powers[k]._mpf_, prec, rnd), prec, rnd)
         sums.append(mp.make_mpf(acc))
     return sums

@@ -75,7 +75,7 @@ on each index, and not kept.  ``numerics`` reads exact values only through
 ``fixed_coeffs`` (kinds "p", "q", "lambert", "alpha" and "tail"): the
 mantissas at 2^-F of a member's coefficients (in ``w`` for p and q, in
 ``z`` for ptilde) and of its derivative's, straight from the integer form,
-which the integer Horner ``numerics._fixed_eval`` evaluates.  The same
+which the integer Horner ``numerics._fixed_horner`` evaluates.  The same
 call gives ``alpha_0..alpha_N`` (over ``4^N``) and the tail weights
 ``w_k = beta_k 4^k / (k - 1) = B_k / (k - 1)`` (over ``lcm(1..N-1)``),
 the series ``numerics.GProblem`` reads below the crossover.  A dyadic

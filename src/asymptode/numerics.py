@@ -40,13 +40,13 @@ shifted once.
 
 The step loop stays on the mantissas as well.  The values at a step end
 are one integer Horner evaluation each in u = h / rho, rounded once into
-an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  Each stage
-multiplies by u at its own length: a step guess is a 53-bit dyadic, most
-other read points have mp.prec bits and none more than F, so u = +-man
-2^(exp - k) exactly, and a product by man with one shift floors the same
-rational as a product by u widened to F bits, in fewer digit
-operations.  The g kernel forms its zeta term from z_s's own mantissa by
-the same rule.
+an mpf (the same evaluation of Brent & Zimmermann, ch. 4).  One exact
+rule splits every read point: u = +-man 2^(exp - k), and each stage
+multiplies by man at its own length (a step guess is a 53-bit dyadic,
+most other read points have mp.prec bits and none more than F), so a
+product by man with one shift floors the same rational as a product by
+u widened to F bits, in fewer digit operations.  The g kernel forms its
+zeta term from z_s's own mantissa by the same rule.
 The step control decides on log2 magnitudes of the top three
 coefficients, as Python floats: no root, no mpf per trial step, no range
 limit.  What it decides on stays exact: a guess becomes an exact dyadic
@@ -308,25 +308,13 @@ def _tail_estimate(tops, top, log_u):
     return big if big == -math.inf else big + 1 + math.log2(sum(2.0 ** (t - big) for t in terms))
 
 
-def _read_point(h, F, k):
-    """(U, E) with U 2^-E = u = h / 2^k: the Horner variable of _fixed_horner
-    for the raw mpf h, read against mantissas at scale 2^-F.
-
-    A read point of bc <= F bits, h = +-man 2^exp, is u exactly at its own
-    length: U = +-man and E = k - exp (U = u itself, E = 0, when u is an
-    integer), so each Horner stage multiplies by a 53-bit step guess or an
-    mp.prec-bit point, not by an F-bit one (the beta tail's u, formed at
-    F bits, is as long either way).  A longer h (built at a higher
-    precision) is truncated at E = F + max(0, k - mag h): U keeps F
-    significant bits when |u| < 1, where a fixed 2^-F would lose a short
-    step's u altogether.  Where U is exact, the Horner stages floor the
-    same rationals as with u widened to F bits, so they give the same
-    integers.
-    """
-    sign, man, exp, bc = h
-    if bc > F:
-        E = F + max(0, k - exp - bc)
-        return to_fixed(h, E - k), E
+def _read_point(h, k):
+    """(U, E) with U 2^-E = u = h / 2^k exactly, for the raw mpf h =
+    +-man 2^exp: U = +-man and E = k - exp, or U = u itself and E = 0 when
+    u is an integer.  Each stage of _fixed_horner multiplies by the point
+    at its own length; every point read here has at most F bits, where
+    that floors the same rationals as u widened to F bits."""
+    sign, man, exp, _ = h
     return (-man if sign else man) << max(0, exp - k), max(0, k - exp)
 
 
@@ -339,13 +327,6 @@ def _fixed_horner(mants, U, E, F):
     for m in reversed(mants):
         acc = (acc * U >> E) + m
     return from_man_exp(acc, -F, mp.prec, round_nearest)
-
-
-def _fixed_eval(mants, h, F, k):
-    """A polynomial at the mpf h, as an mpf: _fixed_horner at
-    _read_point(h, F, k), mants at scale 2^-F and rho = 2^k.  The march
-    reads its step ends here; every other read calls the two raw parts."""
-    return mp.make_mpf(_fixed_horner(mants, *_read_point(h._mpf_, F, k), F))
 
 
 def _h_system_coeffs(x0, y0, order, k):
@@ -443,9 +424,10 @@ class _Step:
     The step holds one representation of its polynomials for its whole
     life: the kernels' fixed-point mantissas (X, Y, F, k).  Dense output
     (read) is one integer Horner (_fixed_horner) at the offset from
-    t_start, as at the step end, on raw mpfs; eval_x and eval_y wrap it.
-    At offset 0 it returns the head x0/y0 itself, which the truncated
-    mantissa of the head (for I, at g's scale) need not equal.
+    t_start, as at the step end, on raw mpfs; Trajectory and GProblem
+    read through it alike.  At offset 0 it returns the head x0/y0 itself,
+    which the truncated mantissa of the head (for I, at g's scale) need
+    not equal.  A trajectory's step times are elapsed times from its t0.
     """
 
     t_start: object  # mpf
@@ -455,19 +437,13 @@ class _Step:
     err_cum: object  # cumulative error bound at the step end
     mants: tuple     # (X, Y, F, k)
 
-    def eval_x(self, t):
-        return mp.make_mpf(self.read(t._mpf_, 0))
-
-    def eval_y(self, t):
-        return mp.make_mpf(self.read(t._mpf_, 1))
-
     def read(self, t, i):
         """Series i (0: x, 1: y) at the raw mpf t, as a raw mpf at mp.prec."""
         u = mpf_sub(t, self.t_start._mpf_, mp.prec, round_nearest)
         if u == fzero:
             return (self.x0, self.y0)[i]._mpf_
         F, k = self.mants[2:]
-        return _fixed_horner(self.mants[i], *_read_point(u, F, k), F)
+        return _fixed_horner(self.mants[i], *_read_point(u, k), F)
 
 
 def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
@@ -483,14 +459,16 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
     rho when the step outgrows it.  A trial step is halved until the tail
     estimates are within the local tolerance and x stays positive.  The
     march ends at end, or at the first step end where ``stop(t, x, y)``
-    holds.
+    holds.  t is whatever the caller marches in: z for g, the elapsed
+    time for a trajectory.
 
     Decisions run on log2 doubles; what the march stores or returns stays
     exact: each guess is a dyadic mpf, the local tolerance's |x| (or the
     larger of |x| and |y|), the clamps, halvings, positivity test and
     t + s run on raw mpfs at mp.prec, as the mpf operators would, and the
-    charged estimate of an accepted step is summed in mpf.  The cap is
-    parsed once per march.
+    charged estimate of an accepted step is summed in mpf.  Each trial
+    step is split once (_read_point) and both step ends are _fixed_horner
+    reads at it.  The cap is parsed once per march.
 
     Returns (steps, (t, x, y), err, rejected): the accepted steps, the
     last step end, the summed charged estimates and the count of rejected
@@ -531,9 +509,9 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
         while True:
             log_u = _log2(s, k_kernel)
             ests = [_tail_estimate(c, len(M) - 1, log_u) for c, M in zip(tops, (X, Y))]
-            length = mp.make_mpf(s)
-            x_new = _fixed_eval(X, length, F, k_kernel)
-            if max(ests) <= log_eps and mpf_gt(x_new._mpf_, fzero):
+            point = _read_point(s, k_kernel)
+            x_new = _fixed_horner(X, *point, F)
+            if max(ests) <= log_eps and mpf_gt(x_new, fzero):
                 break
             s = mpf_shift(s, -1)
             halvings += 1
@@ -544,9 +522,9 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
                     "tail estimates or the positivity of the solution"
                 )
         cum_err = mpf_add(cum_err, _exp2(max(ests[:lead])), prec, rnd)
-        steps.append(_Step(t, length, x, y, mp.make_mpf(cum_err), (X, Y, F, k_kernel)))
+        steps.append(_Step(t, mp.make_mpf(s), x, y, mp.make_mpf(cum_err), (X, Y, F, k_kernel)))
         t = mp.make_mpf(mpf_add(t._mpf_, s, prec, rnd))
-        x, y = x_new, _fixed_eval(Y, length, F, k_kernel)
+        x, y = mp.make_mpf(x_new), mp.make_mpf(_fixed_horner(Y, *point, F))
         if stop is not None and stop(t, x, y):
             break
     return steps, (t, x, y), mp.make_mpf(cum_err), rejected
@@ -567,17 +545,20 @@ def _step_at(steps, keys, key):
 class Trajectory:
     """Dense solution of the second-order problem on [t0, t_end].
 
-    Two regimes.  The leading span is integrated directly, one Taylor
-    polynomial per accepted step.  Once the slope is positive and the
+    Two regimes, both in the elapsed time tau = t - t0 (the equation is
+    autonomous), formed once per read.  The leading span is integrated
+    directly, one Taylor polynomial per accepted step, each read through
+    _Step.read.  Once the slope is positive and the
     fixed direct span is covered, the solution continues through the
     exact reduction of order: with g = h^3 h' as a function of z = 4/h^4,
     the time map G is strictly increasing and h(t)^4 is its inverse at
-    4 (t - switch_time), found by invert_G's bracketed Newton on the dense
+    4 (tau - tau_sw), found by invert_G's bracketed Newton on the dense
     G of ``g_problem``, to the precision floor 10^(9 - dps)/2 at the
     trajectory's working precision ``dps``.  The reduction is an identity
     along any stretch with h' > 0 (an absorbing condition), not an
-    approximation; the switch point supplies its data.  ``g_problem`` and
-    ``switch_time`` are None when the direct steps reach t_end.
+    approximation; the switch point supplies its data.  ``switch_time`` is
+    t0 + tau_sw, rounded once.  ``g_problem`` and ``switch_time`` are None
+    when the direct steps reach t_end.
 
     ``eval_h``/``eval_hprime`` evaluate whichever regime contains t;
     ``err_bound`` reports a conservative error estimate at t (summed local
@@ -585,64 +566,67 @@ class Trajectory:
     model past the switch).
     """
 
-    def __init__(self, cfg, steps, t_end, rejected, reduction=None):
+    def __init__(self, cfg, t0, steps, t_end, rejected, reduction=None):
+        # built by integrate_h at the working precision, steps in elapsed time
         self.cfg = cfg
         self.dps = cfg.effective_dps
         self._steps = steps
         self._keys = [s.t_start for s in steps]  # for _step_at
-        self.t_start = steps[0].t_start
+        self.t_start = t0
         self.t_end = t_end
         self.n_steps = len(steps)
         self.n_rejected = rejected
-        # the reduction's problem, and the time, h and h' at the switch
-        self.g_problem, self.switch_time, self._h_switch, self._hprime_switch = reduction or (None,) * 4
+        # the reduction's problem, and the elapsed time, h and h' at the switch
+        self.g_problem, self._tau_switch, self._h_switch, self._hprime_switch = reduction or (None,) * 4
+        self.switch_time = reduction and t0 + self._tau_switch
         self._h4_cache = {}
 
     def _locate(self, t):
-        """(t, the direct step covering it), with step None past the switch;
-        at the working precision."""
-        t = _check_in_range(t, self.t_start, self.t_end)
-        if self.switch_time is not None and t > self.switch_time:
-            return t, None
-        return t, _step_at(self._steps, self._keys, t)
+        """(tau = t - t0, the direct step covering it), with step None past
+        the switch; at the working precision."""
+        tau = _check_in_range(t, self.t_start, self.t_end) - self.t_start
+        if self.switch_time is not None and tau > self._tau_switch:
+            return tau, None
+        return tau, _step_at(self._steps, self._keys, tau)
 
-    def _reduced_h4(self, t):
-        """h(t)^4 past the switch, inverting the time map; memoized."""
-        hit = self._h4_cache.get(t)
+    def _reduced_h4(self, tau):
+        """h^4 at the elapsed time tau past the switch, inverting the time
+        map; memoized."""
+        hit = self._h4_cache.get(tau)
         if hit is not None:
             return hit
-        val = invert_G(4 * (t - self.switch_time), self.g_problem)
+        val = invert_G(4 * (tau - self._tau_switch), self.g_problem)
         if len(self._h4_cache) < 8192:
-            self._h4_cache[t] = val
+            self._h4_cache[tau] = val
         return val
 
     def eval_h(self, t):
         with _workdps(self.dps):
-            t, step = self._locate(t)
+            tau, step = self._locate(t)
             if step is None:
-                return self._reduced_h4(t) ** _QUARTER
-            return step.eval_x(t)
+                return self._reduced_h4(tau) ** _QUARTER
+            return mp.make_mpf(step.read(tau._mpf_, 0))
 
     def eval_hprime(self, t):
         with _workdps(self.dps):
-            t, step = self._locate(t)
+            tau, step = self._locate(t)
             if step is None:
-                s = self._reduced_h4(t)
+                s = self._reduced_h4(tau)
                 # h' = g(4/h^4) / h^3, with g read by eval_g's core: s >= h0^4
                 # (invert_G), so 4/h^4 lies in eval_g's domain (0, z0]
                 g = self.g_problem._g(mpf_rdiv_int(4, s._mpf_, mp.prec, round_nearest))
                 return mp.make_mpf(g) * s ** _MINUS_THREE_QUARTERS
-            return step.eval_y(t)
+            return mp.make_mpf(step.read(tau._mpf_, 1))
 
     def err_bound(self, t):
         """Conservative estimate of |h_computed(t) - h(t)|."""
         with _workdps(self.dps):
-            t, step = self._locate(t)
+            tau, step = self._locate(t)
             if step is not None:
                 return step.err_cum
             problem = self.g_problem
             cum1 = self._steps[-1].err_cum
-            s_t = self._reduced_h4(t)
+            s_t = self._reduced_h4(tau)
             # error in the time-map argument: anchor shift from the direct
             # phase, integrand noise over the covered span, precision
             # floor, inversion residual
@@ -664,14 +648,14 @@ class Trajectory:
 
     def samples(self):
         """(t, h, h') at the direct step points and, past the switch, on a
-        geometric grid refining toward the switch; endpoints included."""
+        geometric grid refining toward the switch; endpoints included.  A
+        step point's t is t0 + its elapsed time, rounded once."""
         with _workdps(self.dps):
-            out = [(s.t_start, s.x0, s.y0) for s in self._steps]
+            out = [(self.t_start + s.t_start, s.x0, s.y0) for s in self._steps]
             t_sw = self.switch_time
             if t_sw is None:
-                last = self._steps[-1]
                 t_end = self.t_end
-                out.append((t_end, last.eval_x(t_end), last.eval_y(t_end)))
+                out.append((t_end, self.eval_h(t_end), self.eval_hprime(t_end)))
             else:
                 out.append((t_sw, self._h_switch, self._hprime_switch))
                 offsets = []
@@ -704,30 +688,33 @@ class Trajectory:
 def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Trajectory:
     """Integrate x' = y, y' = x^{-3} - y from data.t0 to t_max.
 
-    Direct Taylor steps cover the transient and the direct span (_DIRECT_SPAN);
-    the first accepted step end beyond that with positive slope hands off to
-    the exact first-order reduction (see Trajectory), which carries the
-    trajectory to arbitrarily large times without further stepping.  The
-    returned object is dense on all of [t0, t_max] either way.
+    The equation is autonomous, so the march runs in the elapsed time
+    tau = t - t0, from 0 to t_max - t0: the step times stay exact sums of
+    the steps however large |t0| is.  Direct Taylor steps cover the
+    transient and the direct span (_DIRECT_SPAN); the first accepted step
+    end beyond that with positive slope hands off to the exact
+    first-order reduction (see Trajectory), which carries the trajectory
+    to arbitrarily large times without further stepping.  The returned
+    object is dense on all of [t0, t_max] either way.
     """
     cfg = cfg or SolverConfig()
     with _workdps(cfg.effective_dps):
         t0, t_max = _check_horizon(data.t0, t_max)
-        span_direct = mp.mpf(_DIRECT_SPAN)
-        steps, (t, x, y), cum_err, rejected = _march(
+        span_direct, tau_max = mp.mpf(_DIRECT_SPAN), t_max - t0
+        steps, (tau, x, y), cum_err, rejected = _march(
             lambda t, x, y, order, k: (*_h_system_coeffs(x, y, order, k), k),
-            2, t0, mp.mpf(data.h0), mp.mpf(data.h1), t_max, cfg,
-            stop=lambda t, x, y: y > 0 and t - t0 >= span_direct,
+            2, mp.zero, mp.mpf(data.h0), mp.mpf(data.h1), tau_max, cfg,
+            stop=lambda tau, x, y: y > 0 and tau >= span_direct,
         )
         reduction = None
-        if t < t_max:  # stopped at the switch
+        if tau < tau_max:  # stopped at the switch
             gamma = x**3 * y
             # the switch data carry the direct phase's error; widen the
             # consistency gate accordingly if z lands below the crossover
             seed = cum_err * (3 * x**2 * abs(y) + x**3)
             problem = solve_g(4 / x**4, gamma, cfg, seed_tol=100 * seed)
-            reduction = (problem, t, x, y)
-        return Trajectory(cfg, steps, t_max, rejected, reduction)
+            reduction = (problem, tau, x, y)
+        return Trajectory(cfg, t0, steps, t_max, rejected, reduction)
 
 
 # -- the first-order problem and G ---------------------------------------------
@@ -747,7 +734,7 @@ class GProblem:
     I(4/x) = J - T(x) for x >= S (see _beta_tail); the whole integral
     ``i_0`` = J = I(0) = i_c + T(S) is built here, once.  Both series
     below z_c, sum alpha_k z^k (_series) and T, are read by one integer
-    Horner each (_fixed_eval, rounded once) on the mantissas that
+    Horner each (_fixed_horner, rounded once) on the mantissas that
     _fixed_member gives, stored once per problem.  The working precision
     is ``cfg.effective_dps``.
 
@@ -794,7 +781,7 @@ class GProblem:
         mp.prec: the alpha series up to z_c, dense output above."""
         if mpf_le(z, self.z_c._mpf_) or not self._steps:
             A, F = self._alphas
-            return _fixed_horner(A, *_read_point(z, F, 0), F)
+            return _fixed_horner(A, *_read_point(z, 0), F)
         return self._piece(z).read(z, 0)
 
     def _G(self, x):
@@ -827,7 +814,7 @@ class GProblem:
         mpfs, T rounded to the caller's precision, the problem's.
         """
         T, F = self._tail
-        return _fixed_horner(T, *_read_point(mpf_rdiv_int(1, x, F, round_nearest), F, 0), F)
+        return _fixed_horner(T, *_read_point(mpf_rdiv_int(1, x, F, round_nearest), 0), F)
 
 
 def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:

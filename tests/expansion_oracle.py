@@ -17,7 +17,8 @@ replaced is kept here as the reference, each (n, point) formed on its own
 in mpf arithmetic from member reads that split the point every time:
 
 * ``member_value(family, n, u, slope=False)``: member n at u (its
-  derivative if slope), one numerics._fixed_eval read of its mantissas;
+  derivative if slope), one taylor_oracle.fixed_eval read of its
+  mantissas, the shipped read at one point;
 * ``a_value(c, t, n, slope=False)``: A_n(c; t), or its c-derivative;
 * ``remainder_reference(model, traj, n_max, t_grid)`` and
   ``lambert_reference(n_max, x_grid, cfg)``: the (values, a_values,
@@ -30,8 +31,9 @@ from mpmath import mp
 
 from asymptode.errors import DomainError
 from asymptode.families import gen_beta
-from asymptode.numerics import _fixed_eval, _fixed_member, lambert_wm1_numeric
+from asymptode.numerics import _fixed_member, lambert_wm1_numeric
 from series_oracle import dense
+from taylor_oracle import fixed_eval
 
 
 def _order(model, n):
@@ -86,7 +88,7 @@ def member_value(family, n, u, slope=False):
     """Member n of the family at u (its derivative if slope), at the
     caller's precision: one integer Horner, rounded once."""
     mants, F = _fixed_member(family, n, slope)
-    return _fixed_eval(mants, u, F, 0)
+    return fixed_eval(mants, u, F, 0)
 
 
 def _sum(family, u, t, n, acc, first=1, slope=False):

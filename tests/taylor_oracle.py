@@ -28,13 +28,17 @@ against, alone and patched into the marcher.
 ``unscale(head, mants, F, k)`` turns a kernel's mantissas into mpf
 coefficients, and ``horner(coeffs, u)`` evaluates such a list in mpf: the
 reference for the integer Horner that every numeric read uses.
+``fixed_eval(mants, h, F, k)`` is that shipped read at the mpf h, as an
+mpf: the package reads on raw mpfs only, one exact split of the point
+(numerics._read_point) and the one Horner loop (numerics._fixed_horner).
 
 Two integer forms are bit-for-bit references: ``fixed_eval_widened(mants,
 h, F, k)`` widens every read point u = h / rho to an integer U of at
 least F significant bits, and ``g_system_coeffs_zeta(z_s, g_s, i_s,
 order, k)`` forms the g kernel's (8j + 6) zeta Y_j from zeta = z_s / rho
 at the scale 2^-F.  The shipped forms multiply by the read point's and
-z_s's own mantissas instead, and must give the same integers.
+z_s's own mantissas instead, and must give the same integers wherever the
+point has at most F bits, as every point the package reads has.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from operator import mul
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from asymptode.numerics import _fixed_scale, _shift, _to_mpf
+from asymptode.numerics import _fixed_horner, _fixed_scale, _read_point, _shift, _to_mpf
 
 
 def unscale(head, mants, F, k):
@@ -150,6 +154,12 @@ def step_guess(coeff_sets, eps_loc, order):
     if best is None:
         return mp.inf
     return mp.mpf("0.8") * best
+
+
+def fixed_eval(mants, h, F, k):
+    """The shipped read of mants (scale 2^-F) at u = h / 2^k for the mpf h,
+    as an mpf rounded once to mp.prec."""
+    return mp.make_mpf(_fixed_horner(mants, *_read_point(h._mpf_, k), F))
 
 
 def fixed_eval_widened(mants, h, F, k):

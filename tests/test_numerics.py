@@ -42,7 +42,6 @@ from asymptode.numerics import (
     SolverConfig,
     Trajectory,
     _exp2,
-    _fixed_eval,
     _g_system_coeffs,
     _h_system_coeffs,
     _log2,
@@ -214,6 +213,33 @@ class TestIntegrateH:
         with mp.workdps(60):
             for t in grid:
                 assert abs(traj.eval_h(t) - ref.eval_h(t)) <= traj.err_bound(t), t
+
+    @pytest.mark.parametrize("t0", [1e20, 1e25, -1e25, 3.5])
+    @pytest.mark.parametrize("rel_tol,abs_tol", [(1e-22, 1e-24), (1e-10, 1e-12)])
+    def test_large_t0_is_the_t0_0_trajectory_shifted(self, t0, rel_tol, abs_tol):
+        # the equation is autonomous and the march runs in elapsed time, so
+        # from any t0 D2 gives the t0 = 0 values, bounds included, bit for
+        # bit, on both sides of the switch (t0 + 138.4), at the verify and
+        # the integrate tolerances.  Step times formed as rounded sums
+        # t0 + s_1 + ... + s_j drift from the state once t0 and the 53-bit
+        # steps need more bits together than the precision has: at the
+        # integrate defaults (103 bits) from t0 = 1e20 on
+        cfg = SolverConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+        ref = integrate_h(InitialData(0, 2, 0.5), 1.2e6, cfg)
+        with mp.workdps(cfg.effective_dps):  # t0 + offset is exact here
+            t_max = mp.mpf(t0) + mp.mpf(1.2e6)
+            traj = integrate_h(InitialData(t0, 2, 0.5), t_max, cfg)
+            assert traj.switch_time == t0 + ref.switch_time > t0 + 138
+            for off in (0, 0.5, 3, 100, 138, 139, 200, 1e4, 1e6):
+                t = mp.mpf(t0) + off
+                got = (traj.eval_h(t), traj.eval_hprime(t), traj.err_bound(t))
+                assert got == (ref.eval_h(off), ref.eval_hprime(off), ref.err_bound(off)), off
+
+    def test_far_t0_reaches_the_switch(self):
+        # at t0 = 1e300 a step does not move t0 + s: the march in elapsed
+        # time still hands off after the direct span
+        traj = integrate_h(InitialData(1e300, 1, 1), 1e301)
+        assert traj.g_problem is not None and traj.n_steps < 100
 
     def test_rejects_time_outside_range(self, traj):
         with pytest.raises(DomainError):
@@ -564,7 +590,7 @@ class TestTaylorKernels:
     def _assert_step_end(cls, mants, head, ref, F, k, h, prec):
         """End value and truncation estimate of one series at offset h."""
         with mp.workdps(cls.DPS):
-            got = _fixed_eval(mants, h, F, k)
+            got = oracle.fixed_eval(mants, h, F, k)
             est, size = _estimate(mants, F, k, h)
             est_ref = oracle.tail_estimate(_unscale(head, mants, F, k), h)
         _assert_rel(est, est_ref, size)
@@ -671,7 +697,7 @@ class TestTaylorKernels:
             prec = mp.prec
             h = +h
             X, Y, F = _h_system_coeffs(x0, y0, self.ORDER, 0)
-            got = [_fixed_eval(X, h, F, 0), _fixed_eval(Y, h, F, 0)]
+            got = [oracle.fixed_eval(X, h, F, 0), oracle.fixed_eval(Y, h, F, 0)]
             ests = [_estimate(M, F, 0, h) for M in (X, Y)]
         with mp.workdps(self.DPS + 20):
             for val, ref in zip(got, (X_ref, Y_ref)):
@@ -797,8 +823,8 @@ class TestDenseReads:
                 for f in cls.OFFSETS:
                     t = step.t_start + f * step.length
                     u = t - step.t_start
-                    cls._assert_read(step.eval_x(t), step.x0, X, F, k, u)
-                    cls._assert_read(step.eval_y(t), step.y0, Y, F, k, u)
+                    cls._assert_read(mp.make_mpf(step.read(t._mpf_, 0)), step.x0, X, F, k, u)
+                    cls._assert_read(mp.make_mpf(step.read(t._mpf_, 1)), step.y0, Y, F, k, u)
 
     @pytest.mark.parametrize(
         "h0,h1,t_max,cfg",
@@ -814,10 +840,10 @@ class TestDenseReads:
         with mp.workdps(self.CFG.effective_dps):
             x0, y0 = mp.one, mp.mpf("1e-30")
             X, Y, F = _h_system_coeffs(x0, y0, self.CFG.taylor_order, 0)
-            assert _fixed_eval(Y, mp.zero, F, 0) != y0
+            assert oracle.fixed_eval(Y, mp.zero, F, 0) != y0
             step = numerics._Step(mp.zero, mp.mpf("0.5"), x0, y0, mp.zero, (X, Y, F, 0))
-            assert step.eval_y(mp.zero) == y0
-            assert step.eval_x(mp.zero) == x0
+            assert step.read(mp.zero._mpf_, 1) == y0._mpf_
+            assert step.read(mp.zero._mpf_, 0) == x0._mpf_
 
     @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5)])
     def test_eval_g(self, h0, h1):
@@ -845,8 +871,10 @@ class TestDenseReads:
 class TestShortOperands:
     """The short operands give the integers of the widened ones, bit for bit.
 
-    _fixed_eval multiplies each Horner stage by the read point's own
-    mantissa, and _g_system_coeffs forms (8j + 6) zeta Y_j from z_s's own;
+    Every read multiplies each Horner stage by the read point's own
+    mantissa (numerics._read_point, read here through
+    taylor_oracle.fixed_eval), and _g_system_coeffs forms (8j + 6) zeta
+    Y_j from z_s's own;
     taylor_oracle keeps the forms that widen both to F-bit integers.  A
     read is compared at the caller's precision and at one that keeps the
     whole Horner accumulator, so that an accumulator one unit off at 2^-F
@@ -857,7 +885,7 @@ class TestShortOperands:
     ORDER = TestTaylorKernels.ORDER
 
     @staticmethod
-    def _assert_same_read(mants, h, F, k, read=_fixed_eval):
+    def _assert_same_read(mants, h, F, k, read=oracle.fixed_eval):
         assert read(mants, h, F, k) == oracle.fixed_eval_widened(mants, h, F, k)
         mag_u = max(0, mp.mag(h) - k) if h else 0
         with mp.workprec(max(abs(m).bit_length() for m in mants) + len(mants) * (mag_u + 1) + 64):
@@ -901,38 +929,27 @@ class TestShortOperands:
                 assert u._mpf_[3] <= F
                 self._assert_same_read(T, u, F, 0)
 
-    @pytest.mark.parametrize("k", [-40, 0, 1])
-    def test_reads_longer_than_the_scale(self, k):
-        # a read point at twice the precision of the mantissas' problem has
-        # more than F bits: U is truncated at E >= F bits, as before.  With
-        # |u| near 1 and mantissas near 2^F or above (k >= 0), the exact u
-        # would give other integers
-        with mp.workdps(self.DPS):
-            X, Y, F = _h_system_coeffs(mp.one, mp.mpf(0.7), self.ORDER, k)
-        with mp.workdps(2 * self.DPS):
-            points = [1 - mp.pi * mp.ldexp(1, -70), -mp.pi / 7, mp.sqrt(2) / 2, mp.one / 6]
-            for h in (mp.ldexp(u, k) for u in points):
-                assert h._mpf_[3] > F
-                for M in (X, Y):
-                    self._assert_same_read(M, h, F, k)
-
     def test_reads_of_a_pipeline(self, monkeypatch):
         # every read of a trajectory past its switch, its CSV samples, the
-        # G inversions behind them and A_4: step ends, dense output, g's
-        # series, the beta tail and the expansion families.  The one Horner
-        # loop is checked at the point (h, k) that its (U, E) was split from
+        # G inversions behind them, A_4, a remainder study at its dps + 5,
+        # a Lambert check and dense reads of a G problem with Taylor pieces,
+        # below its split: step ends, dense output, g's series, the beta
+        # tail and the expansion families.  Every read point has at most F
+        # bits, and the one Horner loop is checked at the point (h, k) that
+        # its (U, E) was split from
         reads, points = [0], {}
         split, horner = numerics._read_point, numerics._fixed_horner
 
-        def recorded(h, F, k):
-            point = split(h, F, k)
-            points[point] = (mp.make_mpf(h), k)
+        def recorded(h, k):
+            point = split(h, k)
+            points[point] = (h, k)
             return point
 
         def checked(mants, U, E, F):
             reads[0] += 1
             h, k = points[(U, E)]
-            self._assert_same_read(mants, h, F, k, lambda *_: mp.make_mpf(horner(mants, U, E, F)))
+            assert h[3] <= F, (h, F)
+            self._assert_same_read(mants, mp.make_mpf(h), F, k, lambda *_: mp.make_mpf(horner(mants, U, E, F)))
             return horner(mants, U, E, F)
 
         for module in (numerics, asympt):
@@ -940,8 +957,20 @@ class TestShortOperands:
             monkeypatch.setattr(module, "_fixed_horner", checked)
         traj = integrate_h(DATA, 1e4)
         trajectory_to_csv(traj)
-        eval_A_n(AsymptoticModel.build(C_011, 4), 1e4)
+        model = AsymptoticModel.build(C_011, 4)
+        eval_A_n(model, 1e4)
+        remainder_study(model, traj, 1, [1e3, 1e4])
+        lambert_compare(3, [10, 100])
         assert traj.g_problem is not None and reads[0] >= 100, reads[0]
+        before = reads[0]
+        problem, _ = g_problem_for_data(InitialData(0, 0.5, 2), SolverConfig(rel_tol=1e-22, abs_tol=1e-24))
+        assert problem._steps and problem.split > problem.anchor
+        with mp.workdps(problem.dps):
+            for f in (0, 0.25, 0.5, 1):
+                x = problem.anchor + f * (problem.split - problem.anchor)
+                compute_G(x, problem)
+                problem.eval_g(4 / x)
+        assert reads[0] - before >= 8, reads[0] - before
 
     @pytest.mark.parametrize("z_s", [1e-70, 0.0099, 0.3, 4, 400])
     @pytest.mark.parametrize("g_s", [1e-70, 1e-3, 1.05, 1e3])
@@ -1393,7 +1422,7 @@ class TestMarcher:
         with mp.workdps(problem.dps):
             z = problem._z_max
             assert z > problem.z0
-            assert problem.eval_g(z) == problem._steps[0].eval_x(z)
+            assert problem.eval_g(z) == mp.make_mpf(problem._steps[0].read(z._mpf_, 0))
 
 
 class TestInversionFloor:

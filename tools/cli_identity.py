@@ -42,8 +42,10 @@ from bench_pairs import export, git, tmp_is_usable  # noqa: E402
 # the collapse region, where the g kernel's rho sits furthest below z;
 # then verify to t = 1e12 at rel 1e-46, whose expansion reads run at about
 # 170 bits, and a rel 1e-60 g problem whose first step is 0.06 z0 long;
-# last, a D2 trajectory to t = 139, whose one sample past the switch
-# (y = h^4 ~ 602.43 < S ~ 602.91) inverts G through dense output
+# then a D2 trajectory to t = 139, whose one sample past the switch
+# (y = h^4 ~ 602.43 < S ~ 602.91) inverts G through dense output; last,
+# a trajectory from t0 = 1e25, whose direct steps are far shorter than
+# the spacing of the doubles near t0 and must march in elapsed time
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -129,6 +131,7 @@ COMMANDS = (
         "verify --t-grid 1e2,1e4,1e6,1e9,1e12 --rel-tol 1e-46 --abs-tol 1e-48",
         "constant --h0 0.5 --h1 0.5 --rel-tol 1e-60 --abs-tol 1e-62 --digits 60",
         "integrate --h0 2 --h1 0.5 --rel-tol 1e-22 --abs-tol 1e-24 --t-max 139 --format csv",
+        "integrate --t0 1e25 --t-max 1.0000000001e25 --format csv",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
