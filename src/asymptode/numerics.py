@@ -585,7 +585,7 @@ class Trajectory:
         """(tau = t - t0, the direct step covering it), with step None past
         the switch; at the working precision."""
         tau = _check_in_range(t, self.t_start, self.t_end) - self.t_start
-        if self.switch_time is not None and tau > self._tau_switch:
+        if self._tau_switch is not None and tau > self._tau_switch:
             return tau, None
         return tau, _step_at(self._steps, self._keys, tau)
 

@@ -874,8 +874,8 @@ class TestShortOperands:
     Every read multiplies each Horner stage by the read point's own
     mantissa (numerics._read_point, read here through
     taylor_oracle.fixed_eval), and _g_system_coeffs forms (8j + 6) zeta
-    Y_j from z_s's own;
-    taylor_oracle keeps the forms that widen both to F-bit integers.  A
+    Y_j from z_s's own; taylor_oracle keeps the forms that widen both to
+    F-bit integers.  A
     read is compared at the caller's precision and at one that keeps the
     whole Horner accumulator, so that an accumulator one unit off at 2^-F
     shows; the kernel's integers are compared as they are.
