@@ -22,8 +22,8 @@ The same machinery applies to the classical transcendental equation
 y - ln y = x, whose root shares the polynomial structure with c = 0;
 ``lambert_compare`` cross-checks that analogue end to end.  One pass
 per point, the running sums acc + sum_k member_k(u) / t**k over 3 ln 4t,
-(4t)**(1/4) and t**k formed once, serves A_0..A_n, their c-slopes and
-Y_0..Y_n; one gated loop forms the remainders of both studies.
+(4t)**(1/4) and t**k formed once, serves A_0..A_n and Y_0..Y_n; one gated
+loop forms the remainders of both studies.
 
 Everything here evaluates exact rational polynomials at a configurable
 working precision; no floating-point coefficients enter.  Each q_k is a
@@ -31,8 +31,7 @@ polynomial in the single variable w = 3z - c.  It is read by the one
 integer Horner of the numerical layer (numerics._fixed_horner), rounded
 once, on the mantissas of its dense w-coefficients from the one
 fixed-point reader (numerics._fixed_member), with w split once per point
-and the running sums on raw mpfs; the c-derivative needed by the fit is
--d/dw, from the mantissas of the derivative's coefficients.  The
+and the running sums on raw mpfs; the fit of c reads values alone.  The
 Lambert family is read the same way.  Non-finite t, c and grid points
 are refused before any work.
 """
@@ -115,18 +114,17 @@ def _powers(t, n):
     return list(accumulate([t] * n, mul, initial=mp.one))
 
 
-def _expansion_sum(family, u, powers, acc, first=1, slope=False):
-    """The running sums acc + sum_{k=first..m} member_k(u) / t**k over the
-    family for m = 0..n, from powers = _powers(t, n); first is 0 or 1, and
-    entry 0 is acc itself when it is 1.  At the caller's precision: u is
-    split once, each member (its derivative if slope) is one _fixed_horner
-    read, and the sum runs on raw mpfs by the mpf_div and mpf_add at
-    mp.prec that the mpf operators make."""
+def _expansion_sum(family, u, powers, acc):
+    """The running sums acc + sum_{k=1..m} member_k(u) / t**k over the
+    family for m = 0..n, from powers = _powers(t, n); entry 0 is acc itself.
+    At the caller's precision: u is split once, each member is one
+    _fixed_horner read, and the sum runs on raw mpfs by the mpf_div and
+    mpf_add at mp.prec that the mpf operators make."""
     prec, rnd = mp.prec, round_nearest
-    sums = [acc] * first
+    sums = [acc]
     acc, (U, E) = acc._mpf_, _read_point(u._mpf_, 0)
-    for k in range(first, len(powers)):
-        mants, F = _fixed_member(family, k, slope)
+    for k in range(1, len(powers)):
+        mants, F = _fixed_member(family, k)
         acc = mpf_add(acc, mpf_div(_fixed_horner(mants, U, E, F), powers[k]._mpf_, prec, rnd), prec, rnd)
         sums.append(mp.make_mpf(acc))
     return sums
@@ -138,13 +136,11 @@ def _profile_parts(t, n):
     return 3 * mp.log(4 * t), (4 * t) ** (mp.mpf(1) / 4), _powers(t, n)
 
 
-def _a_value(c, parts, slope=False):
-    """A_n(c; t), or its c-derivative if slope, from parts =
-    _profile_parts(t, n): with w = 3 ln 4t - c, d/dc = -d/dw.  The caller
-    supplies the mp context; c is already mpf."""
+def _a_value(c, parts):
+    """A_n(c; t) from parts = _profile_parts(t, n).  The caller supplies
+    the mp context; c is already mpf."""
     log3, root, powers = parts
-    acc = _expansion_sum("q", log3 - c, powers, mp.zero if slope else mp.one, slope=slope)[-1]
-    return root * (-acc if slope else acc)
+    return root * _expansion_sum("q", log3 - c, powers, mp.one)[-1]
 
 
 def eval_A_n(model, t, n=None):
@@ -167,9 +163,10 @@ def eval_A_n(model, t, n=None):
 def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
     """Recover the expansion constant from trajectory values alone.
 
-    At each fit time of the sequence t_fit, Newton iteration on c
-    solves A_n(c; t) = h(t); the expansion is nearly linear in c so a
-    few steps suffice.  The per-time fits are combined by median, and
+    At each fit time of the sequence t_fit, secant steps on c solve
+    A_n(c; t) = h(t), the first on the c-slope of A_1, -(4t)**(1/4) / (16 t);
+    the expansion is nearly linear in c so a few steps suffice.  The
+    per-time fits are combined by median, and
     their spread must stay within _SPREAD_TOL: fit times that disagree
     mean the order n or the trajectory accuracy cannot support the
     requested constant, and returning a number then would be misleading.
@@ -191,18 +188,22 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
             parts = _profile_parts(t, n)
             # first-order closed form as the starting point
             c = parts[0] - 16 * t * (h / parts[1] - 1)
+            res, slope = _a_value(c, parts) - h, -parts[1] / (16 * t)
             tol = _floor(8)
             for _ in range(64):
-                slope = _a_value(c, parts, slope=True)
-                if slope == 0:
-                    raise ConvergenceError("flat c-derivative in fit at t = %s" % t_raw)
-                step = (_a_value(c, parts) - h) / slope
-                c -= step
-                if abs(step) <= tol * max(mp.one, abs(c)):
+                step = res / slope
+                c_next = c - step
+                # stop first: a step that fails this test leaves c_next != c
+                if abs(step) <= tol * max(mp.one, abs(c_next)):
                     break
+                res_next = _a_value(c_next, parts) - h
+                if res_next == res:
+                    raise ConvergenceError("flat c-derivative in fit at t = %s" % t_raw)
+                slope = (res_next - res) / (c_next - c)
+                c, res = c_next, res_next
             else:
                 raise ConvergenceError("c fit failed to settle at t = %s" % t_raw)
-            fits.append(c)
+            fits.append(c_next)
         fits.sort()
         m = len(fits)
         med = fits[m // 2] if m % 2 else (fits[m // 2 - 1] + fits[m // 2]) / 2
@@ -434,9 +435,9 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
 
         y(x) ~ Y_n(x) = x + sum_{k=0}^{n} ptilde_k(ln x) / x**k
 
-    (the k = 0 term is ln x itself).  Residuals |y - ln y - x| / x of
-    the numeric root and normalised remainders |y - Y_n| / (ln x / x)**(n+1)
-    are both recorded.  Before forming each remainder the root's
+    (the k = 0 term is ln x itself, read exactly, so the sums start at
+    x + ln x).  Residuals |y - ln y - x| / x of the numeric root and
+    normalised remainders |y - Y_n| / (ln x / x)**(n+1) are both recorded.  Before forming each remainder the root's
     resolution (its Newton stop over the slope 1 - 1/y) is required to sit
     below 0.01 of the normalisation scale, by the gated loop that
     remainder_study uses, so both return the same report type.  The grid
@@ -470,7 +471,7 @@ def lambert_compare(n_max, x_grid, cfg=None, *, growth_factor=10.0):
         return _gated_report(
             y_values, resolution, n_max,
             lambda x, n: (mp.log(x) / x) ** (n + 1),
-            lambda x: _expansion_sum("lambert", mp.log(x), _powers(x, n_max), x, first=0),
+            lambda x: _expansion_sum("lambert", mp.log(x), _powers(x, n_max), x + mp.log(x)),
             "Lambert root resolution {bound} exceeds {frac} of the remainder scale {scale} "
             "at n = {n}, x = {at}; raise the working precision",
             growth_factor=growth_factor,

@@ -74,9 +74,9 @@ its binomial weight alone (see ``_terms``); ``family[n]``, the
 on each index, and not kept.  ``numerics`` reads exact values only through
 ``fixed_coeffs`` (kinds "p", "q", "lambert", "alpha" and "tail"): the
 mantissas at 2^-F of a member's coefficients (in ``w`` for p and q, in
-``z`` for ptilde) and of its derivative's, straight from the integer form,
-which the integer Horner ``numerics._fixed_horner`` evaluates.  The same
-call gives ``alpha_0..alpha_N`` (over ``4^N``) and the tail weights
+``z`` for ptilde), straight from the integer form, which the integer
+Horner ``numerics._fixed_horner`` evaluates.  The same call gives
+``alpha_0..alpha_N`` (over ``4^N``) and the tail weights
 ``w_k = beta_k 4^k / (k - 1) = B_k / (k - 1)`` (over ``lcm(1..N-1)``),
 the series ``numerics.GProblem`` reads below the crossover.  A dyadic
 ``alpha_k`` has an exact mantissa at ``F >= 2k``.  Mantissas are built on
@@ -194,9 +194,9 @@ class _State:
         # with the Stirling cycle numbers [k, j], j = 0..k, of the last k
         self.lam: list[IntPoly] = [((0, 1), 1)]
         self.lam_cycle: list[int] = [1]
-        # numeric reads: (family, index, F) -> mantissas of the coefficients
-        # and of the derivative's coefficients, see fixed_coeffs
-        self.fixed: dict[tuple[str, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # numeric reads: (family, index, F) -> mantissas of the
+        # coefficients, see fixed_coeffs
+        self.fixed: dict[tuple[str, int, int], tuple[int, ...]] = {}
 
 
 _STATE = _State()
@@ -458,24 +458,19 @@ def _member(family: str, n: int) -> IntPoly:
     raise DomainError(f"no member {n} in family {family!r}")
 
 
-def fixed_coeffs(family: str, n: int, F: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def fixed_coeffs(family: str, n: int, F: int) -> tuple[int, ...]:
     """Member n of family "p", "q", "lambert", "alpha" or "tail" at the
     binary scale 2^-F.
 
     Returns the mantissas floor(u_j 2^F) of its dense coefficients u_j (in
     w for p and q, in z for ptilde and alpha, in u = 1/x for the
-    tail; see _member), lowest power first, and those of its derivative's
-    coefficients j u_j, j >= 1.  Each is one integer division of the
-    member's integer form, with no Fraction.  Memoized per
+    tail; see _member), lowest power first.  Each is one integer division
+    of the member's integer form, with no Fraction.  Memoized per
     (family, n, F) until clear_caches().
     """
     key = (family, n, F)
     hit = _STATE.fixed.get(key)
     if hit is None:
         nums, den = _member(family, n)
-        hit = (
-            tuple([(v << F) // den for v in nums]),
-            tuple([(j * v << F) // den for j, v in enumerate(nums) if j]),
-        )
-        _STATE.fixed[key] = hit
+        hit = _STATE.fixed[key] = tuple([(v << F) // den for v in nums])
     return hit

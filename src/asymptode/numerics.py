@@ -283,11 +283,11 @@ def _to_mpf(m, e):
     return mp.make_mpf(from_man_exp(m, e, mp.prec, round_nearest))
 
 
-def _fixed_member(family, n, slope=False):
+def _fixed_member(family, n):
     """(mants, F) of member n of an exact family (families.fixed_coeffs),
-    or of its derivative, at the one scale of exact reads, 2^-F."""
+    at the one scale of exact reads, 2^-F."""
     F = mp.prec + _GUARD_BITS
-    return fixed_coeffs(family, n, F)[1 if slope else 0], F
+    return fixed_coeffs(family, n, F), F
 
 
 def _top_coeffs(mants, F):
@@ -446,7 +446,7 @@ class _Step:
         return _fixed_horner(self.mants[i], *_read_point(u, k), F)
 
 
-def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
+def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0, t0=0):
     """Adaptive Taylor steps of the pair (x, y) from t toward end.
 
     The one step loop of both integrators.  ``kernel(t, x, y, order, k)``
@@ -460,7 +460,7 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
     estimates are within the local tolerance and x stays positive.  The
     march ends at end, or at the first step end where ``stop(t, x, y)``
     holds.  t is whatever the caller marches in: z for g, the elapsed
-    time for a trajectory.
+    time for a trajectory, whose failures name the time t0 + t.
 
     Decisions run on log2 doubles; what the march stores or returns stays
     exact: each guess is a dyadic mpf, the local tolerance's |x| (or the
@@ -487,7 +487,7 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
     rejected = 0
     while before(t._mpf_, end_):
         if len(steps) >= _MAX_STEPS:
-            raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at {t}")
+            raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at {t0 + t}")
         big = mpf_abs(x._mpf_)
         if lead == 2 and mpf_gt(abs_y := mpf_abs(y._mpf_), big):
             big = abs_y
@@ -518,7 +518,7 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0):
             rejected += 1
             if halvings > 80:
                 raise IntegrationError(
-                    f"step size collapsed at {t}: 80 halvings failed the "
+                    f"step size collapsed at {t0 + t}: 80 halvings failed the "
                     "tail estimates or the positivity of the solution"
                 )
         cum_err = mpf_add(cum_err, _exp2(max(ests[:lead])), prec, rnd)
@@ -704,7 +704,7 @@ def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Tr
         steps, (tau, x, y), cum_err, rejected = _march(
             lambda t, x, y, order, k: (*_h_system_coeffs(x, y, order, k), k),
             2, mp.zero, mp.mpf(data.h0), mp.mpf(data.h1), tau_max, cfg,
-            stop=lambda tau, x, y: y > 0 and tau >= span_direct,
+            stop=lambda tau, x, y: y > 0 and tau >= span_direct, t0=t0,
         )
         reduction = None
         if tau < tau_max:  # stopped at the switch

@@ -16,10 +16,14 @@ mpfs, with the read point split once.  The per-order evaluation it
 replaced is kept here as the reference, each (n, point) formed on its own
 in mpf arithmetic from member reads that split the point every time:
 
-* ``member_value(family, n, u, slope=False)``: member n at u (its
-  derivative if slope), one taylor_oracle.fixed_eval read of its
-  mantissas, the shipped read at one point;
+* ``member_value(family, n, u, slope=False)``: member n at u, one
+  taylor_oracle.fixed_eval read of its mantissas, the shipped read at one
+  point; if slope, its derivative, read the same way on the mantissas
+  floor(j u_j 2^F) of the coefficients j u_j, j >= 1, which the package
+  does not build;
 * ``a_value(c, t, n, slope=False)``: A_n(c; t), or its c-derivative;
+* ``newton_fit(traj, n, t)``: the fit of c at one time by Newton steps on
+  the exact c-derivative, the reference for the shipped secant steps;
 * ``remainder_reference(model, traj, n_max, t_grid)`` and
   ``lambert_reference(n_max, x_grid, cfg)``: the (values, a_values,
   remainders) dicts of remainder_study and lambert_compare.
@@ -29,9 +33,9 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from asymptode.errors import DomainError
-from asymptode.families import gen_beta
-from asymptode.numerics import _fixed_member, lambert_wm1_numeric
+from asymptode.errors import ConvergenceError, DomainError
+from asymptode.families import _member, gen_beta
+from asymptode.numerics import _GUARD_BITS, _fixed_member, _floor, lambert_wm1_numeric
 from series_oracle import dense
 from taylor_oracle import fixed_eval
 
@@ -87,7 +91,12 @@ def eval_G_asympt(model, x, n=None):
 def member_value(family, n, u, slope=False):
     """Member n of the family at u (its derivative if slope), at the
     caller's precision: one integer Horner, rounded once."""
-    mants, F = _fixed_member(family, n, slope)
+    if not slope:
+        mants, F = _fixed_member(family, n)
+    else:
+        F = mp.prec + _GUARD_BITS
+        nums, den = _member(family, n)
+        mants = tuple([(j * v << F) // den for j, v in enumerate(nums) if j])
     return fixed_eval(mants, u, F, 0)
 
 
@@ -107,6 +116,24 @@ def a_value(c, t, n, slope=False):
     w = 3 * mp.log(4 * t) - c if n else None
     acc = _sum("q", w, t, n, mp.zero if slope else mp.one, slope=slope)
     return (4 * t) ** (mp.mpf(1) / 4) * (-acc if slope else acc)
+
+
+def newton_fit(traj, n, t):
+    """c with A_n(c; t) = h(t), by Newton steps on the exact c-derivative
+    from the first-order closed form, to the shipped fit's stop
+    |step| <= 10^(8 - dps) max(1, |c|); at the trajectory's precision."""
+    with mp.workdps(traj.dps):
+        t = mp.mpf(t)
+        h = traj.eval_h(t)
+        root = (4 * t) ** (mp.mpf(1) / 4)
+        c = 3 * mp.log(4 * t) - 16 * t * (h / root - 1)
+        tol = _floor(8)
+        for _ in range(64):
+            step = (a_value(c, t, n) - h) / a_value(c, t, n, slope=True)
+            c -= step
+            if abs(step) <= tol * max(mp.one, abs(c)):
+                return c
+        raise ConvergenceError("c fit failed to settle at t = %s" % t)
 
 
 def _reference(values, n_max, expansion, scale):

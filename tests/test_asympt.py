@@ -8,6 +8,7 @@ integrations at moderate tolerances.
 """
 
 import json
+import re
 
 import pytest
 from mpmath import mp
@@ -15,6 +16,7 @@ from mpmath import mp
 from asymptode import (
     AccuracyError,
     AsymptoticModel,
+    ConvergenceError,
     DomainError,
     InitialData,
     RemainderReport,
@@ -37,7 +39,7 @@ from asymptode import (
 from asymptode import asympt, families
 from asymptode.asympt import _a_value, _expansion_sum, _powers, _profile_parts
 from asymptode.cli import _report_csv
-from asymptode.numerics import lambert_root_tol, lambert_wm1_numeric
+from asymptode.numerics import _floor, lambert_root_tol, lambert_wm1_numeric
 from asymptode.series import poly_eval
 import expansion_oracle
 from expansion_oracle import eval_G_asympt, eval_Ginv_asympt, member_value
@@ -143,7 +145,8 @@ class TestDenseEvaluation:
                 with mp.workdps(self.DPS):
                     parts = _profile_parts(mp.mpf(t_raw), n)
                     value = _a_value(mp.mpf(c_raw), parts)
-                    slope = _a_value(mp.mpf(c_raw), parts, slope=True)
+                    # the c-derivative the reference fit takes
+                    slope = expansion_oracle.a_value(mp.mpf(c_raw), mp.mpf(t_raw), n, slope=True)
                 with mp.workdps(self.DPS + self.GUARD):
                     c, t = mp.mpf(c_raw), mp.mpf(t_raw)
                     z = mp.log(4 * t)
@@ -177,7 +180,7 @@ class TestDenseEvaluation:
         for x_raw in self.POINTS:
             with mp.workdps(self.DPS):
                 x = mp.mpf(x_raw)
-                got = _expansion_sum("lambert", mp.log(x), _powers(x, n), x, first=0)[-1]
+                got = _expansion_sum("lambert", mp.log(x), _powers(x, n), x + mp.log(x))[-1]
             with mp.workdps(self.DPS + self.GUARD):
                 x = mp.mpf(x_raw)
                 z = mp.log(x)
@@ -189,7 +192,7 @@ class TestOnePassPerPoint:
     """asympt forms A_0..A_n at a point in one pass, as the running sums of
     one _expansion_sum over parts (3 ln 4t, (4t)^(1/4), t^k) formed once.
     Each must equal the per-order evaluation of expansion_oracle bit for
-    bit, values and c-slopes, and so must the reports built from them."""
+    bit, and so must the reports built from them."""
 
     def test_running_sums_are_the_per_order_values(self):
         n_max = 20
@@ -200,31 +203,27 @@ class TestOnePassPerPoint:
                     c, t = mp.mpf(c_raw), mp.mpf(t_raw)
                     log3, root, powers = _profile_parts(t, n_max)
                     values = [root * s for s in _expansion_sum("q", log3 - c, powers, mp.one)]
-                    slopes = [root * -s for s in _expansion_sum("q", log3 - c, powers, mp.zero, slope=True)]
                     for n in range(n_max + 1):
                         assert values[n] == eval_A_n(model, t, n) == expansion_oracle.a_value(c, t, n)
-                        assert slopes[n] == _a_value(c, _profile_parts(t, n), slope=True)
-                        assert slopes[n] == expansion_oracle.a_value(c, t, n, slope=True)
 
     @pytest.mark.parametrize("dps", [30, 35, 42, 47])
     @pytest.mark.parametrize("family,first", [("q", 1), ("lambert", 0)])
     def test_expansion_sums_equal_the_per_order_sums(self, family, first, dps):
-        # the raw running sums against expansion_oracle's mpf sums, each
-        # member read at its own split of u, values and slopes to n = 20;
-        # remainder_study reads at the trajectory's dps (42 at the verify
-        # tolerances) + 5
+        # the raw running sums against expansion_oracle's mpf sums from
+        # member first, each member read at its own split of u, to n = 20;
+        # the shipped sums start at member 1, the Lambert ones at t + ln t,
+        # as ptilde_0(ln t) = ln t is read exactly.  remainder_study reads
+        # at the trajectory's dps (42 at the verify tolerances) + 5
         n = 20
         for t_raw in (1e2, 1234.5678, 1e6):
             with mp.workdps(dps):
                 t = mp.mpf(t_raw)
                 u = 3 * mp.log(4 * t) - mp.mpf(C_011) if first else mp.log(t)
-                for slope in (False, True):
-                    acc = mp.zero if slope else (mp.one if first else t)
-                    sums = _expansion_sum(family, u, _powers(t, n), acc, first, slope)
-                    assert len(sums) == n + 1
-                    for m in range(n + 1):
-                        ref = expansion_oracle._sum(family, u, t, m, acc, first, slope)
-                        assert sums[m] == ref, (t_raw, slope, m)
+                acc = mp.one if first else t
+                sums = _expansion_sum(family, u, _powers(t, n), acc if first else acc + u)
+                assert len(sums) == n + 1
+                for m in range(n + 1):
+                    assert sums[m] == expansion_oracle._sum(family, u, t, m, acc, first), (t_raw, m)
 
     def test_reports_equal_the_per_point_reference(self, tight):
         m, traj = tight
@@ -242,8 +241,8 @@ class TestOnePassPerPoint:
         reads, member_of = [], {}
         fetch, horner = asympt._fixed_member, asympt._fixed_horner
 
-        def fetched(family, n, slope=False):
-            mants, F = fetch(family, n, slope)
+        def fetched(family, n):
+            mants, F = fetch(family, n)
             member_of[id(mants)] = (family, n)
             return mants, F
 
@@ -262,9 +261,10 @@ class TestOnePassPerPoint:
 class TestFixedPointReads:
     """Each family member is read by one integer Horner on its mantissas at
     2^-(prec + 64), rounded once.  Against mpf Horner on the exact
-    coefficients 30 digits higher, a read (and the derivative read the fit
-    takes) must be within two units in the last place, including far out
-    in w, where the members' coefficients span 100 binary orders."""
+    coefficients 30 digits higher, a read (and expansion_oracle's
+    derivative read, which its reference fit takes) must be within two
+    units in the last place, including far out in w, where the members'
+    coefficients span 100 binary orders."""
 
     POINTS = (0.3, 7, -18.6, 65, 206, -400)
     FIRST = {"q": 1, "p": 0, "lambert": 0}
@@ -385,6 +385,54 @@ class TestFitC:
             fit_c_from_trajectory(traj_default, n=0, t_fit=(1e5,))
         with pytest.raises(DomainError):
             fit_c_from_trajectory(traj_default, n=4, t_fit=())
+
+    VERIFY = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)  # the CLI's verify tolerances
+
+    @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5), (1, -0.5), (0.5, 2)])
+    def test_secant_fit_agrees_with_the_newton_reference(self, h0, h1):
+        # per fit time and per t_fit set, the secant steps on values alone
+        # land within the stop tolerance of Newton on the exact c-derivative
+        # (expansion_oracle.newton_fit), or both refuse: at t = 10 for
+        # (0.5, 2), A_4(c; 10) - h(10) has no root in c
+        traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.VERIFY)
+        refs = {}
+        for t in (10, 100, 1000, 1e4, 1e5, 1e6):
+            try:
+                refs[t] = expansion_oracle.newton_fit(traj, 4, t)
+            except ConvergenceError as err:
+                with pytest.raises(ConvergenceError, match=re.escape(str(err))):
+                    fit_c_from_trajectory(traj, 4, (t,))
+            else:
+                self._assert_within_stop(fit_c_from_trajectory(traj, 4, (t,)), refs[t], traj.dps)
+        assert sorted(set((10, 100, 1000, 1e4, 1e5, 1e6)) - set(refs)) == ([10] if h0 == 0.5 else [])
+        for t_fit in ((1e4, 1e5, 1e6), (10, 100, 1000)):
+            fits = sorted(refs.get(t, mp.inf) for t in t_fit)
+            if fits[-1] - fits[0] <= asympt._SPREAD_TOL:
+                self._assert_within_stop(fit_c_from_trajectory(traj, 4, t_fit), fits[1], traj.dps)
+            else:
+                with pytest.raises((AccuracyError, ConvergenceError)):
+                    fit_c_from_trajectory(traj, 4, t_fit)
+
+    @staticmethod
+    def _assert_within_stop(got, ref, dps):
+        with mp.workdps(dps):
+            assert abs(got - ref) <= _floor(8) * max(1, abs(ref)), (got, ref)
+
+    @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5)])
+    def test_fit_takes_fewer_sums_than_newton(self, monkeypatch, h0, h1):
+        # Newton took a value and a derivative sum per step: 22 sums for
+        # either datum at the default fit times; the secant steps take 14
+        traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.VERIFY)
+        calls, expansion_sum = [], asympt._expansion_sum
+
+        def counted(family, *args, **kwargs):
+            calls.append(family)
+            return expansion_sum(family, *args, **kwargs)
+
+        monkeypatch.setattr(asympt, "_expansion_sum", counted)
+        fit_c_from_trajectory(traj, n=4)
+        assert calls and set(calls) == {"q"}
+        assert len(calls) < 22
 
 
 class TestRemainderStudy:

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 
 import pytest
 from expansion_oracle import eval_G_asympt
@@ -1396,6 +1397,22 @@ class TestMarcher:
         monkeypatch.setattr(numerics, "_tail_estimate", lambda *args: math.inf)
         with pytest.raises(IntegrationError, match="step size collapsed"):
             self.RUNS[run]()
+
+    @pytest.mark.parametrize("failure", ["budget", "collapse"])
+    def test_trajectory_failures_name_t(self, monkeypatch, failure):
+        # the march runs in the elapsed time tau = t - t0, the same steps
+        # from t0 = 0 and t0 = 100; its refusals name t = t0 + tau
+        if failure == "budget":
+            monkeypatch.setattr(numerics, "_MAX_STEPS", 3)
+        else:
+            monkeypatch.setattr(numerics, "_tail_estimate", lambda *args: math.inf)
+        at = {}
+        for t0 in (0, 100):
+            with pytest.raises(IntegrationError) as err:
+                integrate_h(InitialData(t0, 1, 1), t0 + 900)
+            at[t0] = float(re.search(r" at ([-+.e\d]+)", str(err.value)).group(1))
+        assert at[0] > 0 if failure == "budget" else at[0] == 0
+        assert at[100] == pytest.approx(100 + at[0], rel=1e-15)
 
     @staticmethod
     def _assert_lookup(steps, keys, sign, dps):

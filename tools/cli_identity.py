@@ -34,7 +34,7 @@ from bench_pairs import export, git, tmp_is_usable  # noqa: E402
 # other working precisions (dps 50 to 80), three argparse validators and
 # the shortest q families; then the first members of the q and ptilde
 # recursions, cold q and ptilde at the order ceiling, and shifts that take
-# the grid to t + s <= 1, a Lambert check that reads ptilde_0..ptilde_20
+# the grid to t + s <= 1, a Lambert check that reads ptilde_1..ptilde_20
 # through fixed_coeffs, and data whose own g problem is refused, which
 # resolve through the trajectory's switch problem; then negative values in
 # exponent form after each float option (TestContract.EXPONENT_FORM), one
@@ -43,9 +43,12 @@ from bench_pairs import export, git, tmp_is_usable  # noqa: E402
 # then verify to t = 1e12 at rel 1e-46, whose expansion reads run at about
 # 170 bits, and a rel 1e-60 g problem whose first step is 0.06 z0 long;
 # then a D2 trajectory to t = 139, whose one sample past the switch
-# (y = h^4 ~ 602.43 < S ~ 602.91) inverts G through dense output; last,
+# (y = h^4 ~ 602.43 < S ~ 602.91) inverts G through dense output; then
 # a trajectory from t0 = 1e25, whose direct steps are far shorter than
-# the spacing of the doubles near t0 and must march in elapsed time
+# the spacing of the doubles near t0 and must march in elapsed time; last,
+# the `constant` paths no other command runs: its CSV table with and
+# without the fit, the refused --digits 0 and --fit-order 0, and the fit
+# at t_max = 1e3, whose fit times disagree
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -132,6 +135,11 @@ COMMANDS = (
         "constant --h0 0.5 --h1 0.5 --rel-tol 1e-60 --abs-tol 1e-62 --digits 60",
         "integrate --h0 2 --h1 0.5 --rel-tol 1e-22 --abs-tol 1e-24 --t-max 139 --format csv",
         "integrate --t0 1e25 --t-max 1.0000000001e25 --format csv",
+        "constant --format csv",
+        "constant --fit --format csv",
+        "constant --digits 0",
+        "constant --fit --fit-order 0",
+        "constant --fit --t-max 1e3",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
