@@ -165,7 +165,11 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
 
     At each fit time of the sequence t_fit, secant steps on c solve
     A_n(c; t) = h(t), the first on the c-slope of A_1, -(4t)**(1/4) / (16 t);
-    the expansion is nearly linear in c so a few steps suffice.  The
+    the expansion is nearly linear in c so a few steps suffice.  It falls
+    in c where it resolves c at t, so a chord that does not fall means
+    the iterates left that branch, and the fit time is refused at once as
+    having no root (A_4(c; 10) < h(10) for the data (0.5, 2)); past such a
+    chord a step could stop on a huge slope, far from a root.  The
     per-time fits are combined by median, and
     their spread must stay within _SPREAD_TOL: fit times that disagree
     mean the order n or the trajectory accuracy cannot support the
@@ -200,6 +204,11 @@ def fit_c_from_trajectory(traj, n=4, t_fit=(1.0e4, 1.0e5, 1.0e6)):
                 if res_next == res:
                     raise ConvergenceError("flat c-derivative in fit at t = %s" % t_raw)
                 slope = (res_next - res) / (c_next - c)
+                if slope >= 0:
+                    raise ConvergenceError(
+                        "c fit found no root of A_%d(c; t) = h(t) at t = %s: A_%d stops "
+                        "falling in c between c = %s and %s" % (n, t_raw, n, mp.nstr(c, 6), mp.nstr(c_next, 6))
+                    )
                 c, res = c_next, res_next
             else:
                 raise ConvergenceError("c fit failed to settle at t = %s" % t_raw)

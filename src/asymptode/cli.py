@@ -49,6 +49,7 @@ from .numerics import (
     _check_horizon,
     _check_in_range,
     _workdps,
+    compute_c,
     compute_c_for_data,
     integrate_h,
     trajectory_to_csv,
@@ -134,6 +135,17 @@ def _check_times(times, t0, t_max, cfg):
     with _workdps(cfg.effective_dps):
         for t in times:
             _check_in_range(t, t0, t_max)
+
+
+def _c_and_trajectory(data, t_max, cfg):
+    """(c, the trajectory to t_max) from one g problem: the trajectory's
+    own when it reaches its reduction, which is g_problem_for_data's;
+    compute_c_for_data's otherwise."""
+    traj = integrate_h(data, t_max, cfg)
+    if traj.g_problem is None:
+        return compute_c_for_data(data, cfg), traj
+    with _workdps(cfg.effective_dps):
+        return compute_c(traj.g_problem) + 4 * traj.switch_time, traj
 
 
 def _add_data_args(sub):
@@ -232,10 +244,12 @@ def _cmd_constant(args):
         if args.fit_order < 1:
             raise DomainError("fitting c needs at least one expansion term")
         _check_times(sorted(t_fit), args.t0, args.t_max * 1.2, cfg)
-    c = compute_c_for_data(data, cfg)
+    if args.fit:
+        c, traj = _c_and_trajectory(data, args.t_max * 1.2, cfg)
+    else:
+        c = compute_c_for_data(data, cfg)
     rows = [("c", mp.nstr(c, digits))]
     if args.fit:
-        traj = integrate_h(data, args.t_max * 1.2, cfg)
         c_fit = fit_c_from_trajectory(traj, n=args.fit_order, t_fit=t_fit)
         with _workdps(cfg.effective_dps):
             rows.append(("c_fit", mp.nstr(c_fit, digits)))
@@ -269,7 +283,9 @@ def _cmd_verify(args):
     _check_shift(args.shift, grid[0])
     if args.synthetic is None:
         _check_times(grid, args.t0, grid[-1] * 1.2, cfg)
-    c = compute_c_for_data(data, cfg)
+        c, traj = _c_and_trajectory(data, grid[-1] * 1.2, cfg)
+    else:
+        c = compute_c_for_data(data, cfg)
     model = AsymptoticModel.build(c, order=args.n_max, dps=cfg.effective_dps)
     if args.synthetic is not None:
         # self-test mode: the "trajectory" is the expansion itself at a
@@ -280,8 +296,6 @@ def _cmd_verify(args):
             grid[-1] * 2.0,
             dps=cfg.effective_dps,
         )
-    else:
-        traj = integrate_h(data, grid[-1] * 1.2, cfg)
     rep = remainder_study(model, traj, args.n_max, grid, growth_factor=growth_factor)
     defect = shift_invariance_check(model, args.n_max, args.shift, grid)
     shift_ok = defect <= args.shift_tol

@@ -72,9 +72,14 @@ is only accurate for |u| up to about P/e.  Direct stepping to t = 10^6 would
 therefore cost tens of thousands of steps.  Instead, once the slope is
 positive (an absorbing property here) the order of the equation drops: along
 such a stretch g = h^3 h' is a function of z = 4/h^4 and h^4 is recovered by
-inverting the strictly increasing time map G.  Trajectories switch to that
-exact reduction after a fixed direct span; evaluations beyond the switch
-cost a few evaluations of G each, with no step-count growth in t.
+inverting the strictly increasing time map G.  A trajectory with h1 > 0
+and a horizon past a fixed direct span is that exact reduction from t0,
+on the data's own g problem, the one c comes from; any other (h1 <= 0,
+an own problem refused, a shorter horizon) marches directly and switches
+to the reduction at the first step end past the span with positive
+slope.  A read in the reduction costs a few evaluations of G, with no
+step-count growth in t; the trajectory's samples at the g march's own
+points need none, as G there is the march's running integral.
 
 G and c.  The g integrator carries one extra Taylor component,
 the running integral I(z) = int_z^{z0} r of the regular integrand
@@ -112,7 +117,7 @@ from mpmath import mp
 from mpmath.libmp import finf, fone, from_float, from_int, from_man_exp, from_str, fzero, mpf_abs
 from mpmath.libmp import mpf_add, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int
 from mpmath.libmp import mpf_neg, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest
-from mpmath.libmp import dps_to_prec, to_fixed
+from mpmath.libmp import dps_to_prec, repr_dps, to_fixed
 
 from .errors import (
     AccuracyError,
@@ -473,7 +478,9 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0, t0=0):
     Returns (steps, (t, x, y), err, rejected): the accepted steps, the
     last step end, the summed charged estimates and the count of rejected
     trial steps.  Raises IntegrationError when the _MAX_STEPS budget runs
-    out or a step collapses.
+    out or a step collapses: 80 halvings fail, or an accepted step no
+    longer moves t at mp.prec (a g march from z0 = 4e280 would otherwise
+    spend the whole budget at z0).
     """
     order = cfg.taylor_order
     prec, rnd = mp.prec, round_nearest
@@ -521,9 +528,12 @@ def _march(kernel, lead, t, x, y, end, cfg, cap=None, stop=None, k=0, t0=0):
                     f"step size collapsed at {t0 + t}: 80 halvings failed the "
                     "tail estimates or the positivity of the solution"
                 )
+        t_new = mpf_add(t._mpf_, s, prec, rnd)
+        if t_new == t._mpf_:
+            raise IntegrationError(f"step size collapsed at {t0 + t}: the step no longer moves t")
         cum_err = mpf_add(cum_err, _exp2(max(ests[:lead])), prec, rnd)
         steps.append(_Step(t, mp.make_mpf(s), x, y, mp.make_mpf(cum_err), (X, Y, F, k_kernel)))
-        t = mp.make_mpf(mpf_add(t._mpf_, s, prec, rnd))
+        t = mp.make_mpf(t_new)
         x, y = mp.make_mpf(x_new), mp.make_mpf(_fixed_horner(Y, *point, F))
         if stop is not None and stop(t, x, y):
             break
@@ -546,19 +556,19 @@ class Trajectory:
     """Dense solution of the second-order problem on [t0, t_end].
 
     Two regimes, both in the elapsed time tau = t - t0 (the equation is
-    autonomous), formed once per read.  The leading span is integrated
-    directly, one Taylor polynomial per accepted step, each read through
-    _Step.read.  Once the slope is positive and the
-    fixed direct span is covered, the solution continues through the
-    exact reduction of order: with g = h^3 h' as a function of z = 4/h^4,
-    the time map G is strictly increasing and h(t)^4 is its inverse at
-    4 (tau - tau_sw), found by invert_G's bracketed Newton on the dense
-    G of ``g_problem``, to the precision floor 10^(9 - dps)/2 at the
-    trajectory's working precision ``dps``.  The reduction is an identity
-    along any stretch with h' > 0 (an absorbing condition), not an
-    approximation; the switch point supplies its data.  ``switch_time`` is
-    t0 + tau_sw, rounded once.  ``g_problem`` and ``switch_time`` are None
-    when the direct steps reach t_end.
+    autonomous), formed once per read.  The direct regime is one Taylor
+    polynomial per accepted step, each read through _Step.read.  The
+    reduction of order holds along any stretch with h' > 0 (an absorbing
+    condition), not as an approximation: with g = h^3 h' as a function of
+    z = 4/h^4, the time map G is strictly increasing and h(t)^4 is its
+    inverse at 4 (tau - tau_sw), found by invert_G's bracketed Newton on
+    the dense G of ``g_problem``, to the precision floor 10^(9 - dps)/2 at
+    the trajectory's working precision ``dps``.  integrate_h picks the
+    route: the reduction from t0 itself (no direct step, tau_sw = 0,
+    ``g_problem`` the data's own), or direct steps up to a switch point
+    that supplies the reduction's data.  ``switch_time`` is t0 + tau_sw,
+    rounded once.  ``g_problem`` and ``switch_time`` are None when the
+    direct steps reach t_end.
 
     ``eval_h``/``eval_hprime`` evaluate whichever regime contains t;
     ``err_bound`` reports a conservative error estimate at t (summed local
@@ -582,10 +592,11 @@ class Trajectory:
         self._h4_cache = {}
 
     def _locate(self, t):
-        """(tau = t - t0, the direct step covering it), with step None past
-        the switch; at the working precision."""
+        """(tau = t - t0, the direct step covering it), with step None in
+        the reduction: past the switch, or anywhere without direct steps;
+        at the working precision."""
         tau = _check_in_range(t, self.t_start, self.t_end) - self.t_start
-        if self._tau_switch is not None and tau > self._tau_switch:
+        if self._tau_switch is not None and (tau > self._tau_switch or not self._steps):
             return tau, None
         return tau, _step_at(self._steps, self._keys, tau)
 
@@ -600,6 +611,11 @@ class Trajectory:
             self._h4_cache[tau] = val
         return val
 
+    def _g_at(self, s):
+        """g(4/s) by eval_g's core: s >= h0^4 (invert_G, the split), so
+        4/s lies in eval_g's domain (0, z0]."""
+        return mp.make_mpf(self.g_problem._g(mpf_rdiv_int(4, s._mpf_, mp.prec, round_nearest)))
+
     def eval_h(self, t):
         with _workdps(self.dps):
             tau, step = self._locate(t)
@@ -612,10 +628,7 @@ class Trajectory:
             tau, step = self._locate(t)
             if step is None:
                 s = self._reduced_h4(tau)
-                # h' = g(4/h^4) / h^3, with g read by eval_g's core: s >= h0^4
-                # (invert_G), so 4/h^4 lies in eval_g's domain (0, z0]
-                g = self.g_problem._g(mpf_rdiv_int(4, s._mpf_, mp.prec, round_nearest))
-                return mp.make_mpf(g) * s ** _MINUS_THREE_QUARTERS
+                return self._g_at(s) * s ** _MINUS_THREE_QUARTERS  # h' = g(4/h^4) / h^3
             return mp.make_mpf(step.read(tau._mpf_, 1))
 
     def err_bound(self, t):
@@ -625,7 +638,7 @@ class Trajectory:
             if step is not None:
                 return step.err_cum
             problem = self.g_problem
-            cum1 = self._steps[-1].err_cum
+            cum1 = self._steps[-1].err_cum if self._steps else mp.zero
             s_t = self._reduced_h4(tau)
             # error in the time-map argument: anchor shift from the direct
             # phase, integrand noise over the covered span, precision
@@ -637,8 +650,9 @@ class Trajectory:
                 + _floor(10) * max(mp.one, s_t)
                 + self._inversion_err(s_t)
             )
-            g_cap = max(2 * problem.g0, mp.mpf(2))  # |ds/dG| = g along the arc
-            return cum1 + g_cap * d_arg / (4 * s_t ** (mp.mpf(3) / 4))
+            # |ds/dG| = g(4/s): twice its value at the read point covers the
+            # arc between the computed and the true s
+            return cum1 + 2 * self._g_at(s_t) * d_arg / (4 * s_t ** (mp.mpf(3) / 4))
 
     def _inversion_err(self, s):
         """Bound on |G(s) - x| at invert_G's root s: twice its tolerance, or G's
@@ -647,27 +661,48 @@ class Trajectory:
         return max(2 * _floor(9), 4 * mp.ldexp(max(s, self.g_problem.anchor), -mp.prec))
 
     def samples(self):
-        """(t, h, h') at the direct step points and, past the switch, on a
-        geometric grid refining toward the switch; endpoints included.  A
-        step point's t is t0 + its elapsed time, rounded once."""
+        """(t, h, h') at the direct step points; past the switch at the g
+        march's own points, then on a geometric grid refining toward the
+        split S; endpoints included.
+
+        A direct step point's t is t0 + its elapsed time, rounded once.
+        The g march's points are the switch (its data), every later step
+        start z_s and the last step's end z_c, where S = 4/z_c.  Each is
+        read forward, with no inversion: s = 4/z_s, h = s^(1/4),
+        h' = g_s s^(-3/4) and t = t_sw + G(s)/4, with G from the running
+        integral I that the step holds at z_s (at z_c, dense output, and g
+        there the series).  The points stop before
+        t_end; the grid's offsets from the last of them start at t_end and
+        halve until they reach 1, at most 60 of them.
+        """
         with _workdps(self.dps):
             out = [(self.t_start + s.t_start, s.x0, s.y0) for s in self._steps]
-            t_sw = self.switch_time
+            t_sw, t_end = self.switch_time, self.t_end
             if t_sw is None:
-                t_end = self.t_end
                 out.append((t_end, self.eval_h(t_end), self.eval_hprime(t_end)))
-            else:
-                out.append((t_sw, self._h_switch, self._hprime_switch))
-                offsets = []
-                off = self.t_end - t_sw
-                while True:
-                    offsets.append(off)
-                    off = off / 2
-                    if off <= 1 or len(offsets) >= 60:
-                        break
-                for off in reversed(offsets):
-                    t = t_sw + off
-                    out.append((t, self.eval_h(t), self.eval_hprime(t)))
+                return out
+            out.append((t_sw, self._h_switch, self._hprime_switch))
+            problem = self.g_problem
+            points = [(step.t_start._mpf_, step.x0._mpf_, step.y0._mpf_) for step in problem._steps[1:]]
+            if problem._steps:
+                last, z_c = problem._steps[-1], problem.z_c._mpf_
+                points.append((z_c, problem._g(z_c), last.read(z_c, 1)))  # g: the series, as past S
+            for z, g, i in points:
+                s = mp.make_mpf(mpf_rdiv_int(4, z, mp.prec, round_nearest))
+                t = t_sw + mp.make_mpf(problem._time_map(s._mpf_, i)) / 4
+                if t >= t_end:
+                    break
+                out.append((t, s ** _QUARTER, mp.make_mpf(g) * s ** _MINUS_THREE_QUARTERS))
+            base, offsets = out[-1][0], []
+            off = t_end - base
+            while True:
+                offsets.append(off)
+                off = off / 2
+                if off <= 1 or len(offsets) >= 60:
+                    break
+            for off in reversed(offsets):
+                t = base + off
+                out.append((t, self.eval_h(t), self.eval_hprime(t)))
         return out
 
     @property
@@ -688,32 +723,51 @@ class Trajectory:
 def integrate_h(data: InitialData, t_max, cfg: SolverConfig | None = None) -> Trajectory:
     """Integrate x' = y, y' = x^{-3} - y from data.t0 to t_max.
 
-    The equation is autonomous, so the march runs in the elapsed time
-    tau = t - t0, from 0 to t_max - t0: the step times stay exact sums of
-    the steps however large |t0| is.  Direct Taylor steps cover the
-    transient and the direct span (_DIRECT_SPAN); the first accepted step
-    end beyond that with positive slope hands off to the exact
-    first-order reduction (see Trajectory), which carries the trajectory
-    to arbitrarily large times without further stepping.  The returned
+    The equation is autonomous, so both routes run in the elapsed time
+    tau = t - t0.  With h1 > 0 and a horizon past the direct span
+    (_DIRECT_SPAN) the trajectory is the exact first-order reduction from
+    t0 on the data's own g problem, solve_g(4/h0^4, h0^3 h1) (see
+    Trajectory): h' > 0 holds from t0 on.  Otherwise (h1 <= 0, an own
+    problem refused, a shorter horizon) direct Taylor steps, exact sums
+    of the steps however large |t0| is, cover the transient and the
+    direct span; the first step end beyond it with positive slope hands
+    off to the reduction on the problem solved there, which carries the
+    trajectory to arbitrarily large times without further stepping.  An
+    own problem refuses by AccuracyError or IntegrationError; when the
+    direct route fails too, one AccuracyError names both.  The returned
     object is dense on all of [t0, t_max] either way.
     """
     cfg = cfg or SolverConfig()
     with _workdps(cfg.effective_dps):
         t0, t_max = _check_horizon(data.t0, t_max)
-        span_direct, tau_max = mp.mpf(_DIRECT_SPAN), t_max - t0
-        steps, (tau, x, y), cum_err, rejected = _march(
-            lambda t, x, y, order, k: (*_h_system_coeffs(x, y, order, k), k),
-            2, mp.zero, mp.mpf(data.h0), mp.mpf(data.h1), tau_max, cfg,
-            stop=lambda tau, x, y: y > 0 and tau >= span_direct, t0=t0,
-        )
-        reduction = None
-        if tau < tau_max:  # stopped at the switch
-            gamma = x**3 * y
-            # the switch data carry the direct phase's error; widen the
-            # consistency gate accordingly if z lands below the crossover
-            seed = cum_err * (3 * x**2 * abs(y) + x**3)
-            problem = solve_g(4 / x**4, gamma, cfg, seed_tol=100 * seed)
-            reduction = (problem, tau, x, y)
+        h0, h1, tau_max = mp.mpf(data.h0), mp.mpf(data.h1), t_max - t0
+        span_direct, refused = mp.mpf(_DIRECT_SPAN), None
+        if h1 > 0 and tau_max > span_direct:
+            try:
+                problem = solve_g(4 / h0**4, h0**3 * h1, cfg)
+                return Trajectory(cfg, t0, [], t_max, 0, (problem, mp.zero, h0, h1))
+            except (AccuracyError, IntegrationError) as exc:
+                refused = exc
+        try:
+            steps, (tau, x, y), cum_err, rejected = _march(
+                lambda t, x, y, order, k: (*_h_system_coeffs(x, y, order, k), k),
+                2, mp.zero, h0, h1, tau_max, cfg,
+                stop=lambda tau, x, y: y > 0 and tau >= span_direct, t0=t0,
+            )
+            reduction = None
+            if tau < tau_max:  # stopped at the switch
+                gamma = x**3 * y
+                # the switch data carry the direct phase's error; widen the
+                # consistency gate accordingly if z lands below the crossover
+                seed = cum_err * (3 * x**2 * abs(y) + x**3)
+                reduction = (solve_g(4 / x**4, gamma, cfg, seed_tol=100 * seed), tau, x, y)
+        except (AccuracyError, ConvergenceError, IntegrationError) as exc:
+            if refused is None:
+                raise
+            raise AccuracyError(
+                f"the data's own problem refused ({refused}), and so did "
+                f"the trajectory's switch problem ({exc})"
+            ) from exc
         return Trajectory(cfg, t0, steps, t_max, rejected, reduction)
 
 
@@ -788,12 +842,17 @@ class GProblem:
         """G at the raw x >= h0^4, unchecked, as a raw mpf at mp.prec (see
         compute_G): I(4/x) is J - T(x) above S and dense output up to S."""
         prec, rnd = mp.prec, round_nearest
-        anchor = self.anchor._mpf_
         if mpf_gt(x, self.split._mpf_) or not self._steps:
             i_x = mpf_sub(self.i_0._mpf_, self._beta_tail(x), prec, rnd)
         else:  # I(4/x) = int_{4/x}^{z0} r
             z = mpf_rdiv_int(4, x, prec, rnd)
             i_x = self._piece(z).read(z, 1)
+        return self._time_map(x, i_x)
+
+    def _time_map(self, x, i_x):
+        """(x - h0^4) - 3 ln(x / h0^4) + i_x for raw mpfs at mp.prec: G(x)
+        once i_x = I(4/x)."""
+        prec, rnd, anchor = mp.prec, round_nearest, self.anchor._mpf_
         log = mpf_mul_int(mpf_log(mpf_div(x, anchor, prec, rnd), prec, rnd), 3, prec, rnd)
         return mpf_add(mpf_sub(mpf_sub(x, anchor, prec, rnd), log, prec, rnd), i_x, prec, rnd)
 
@@ -893,42 +952,27 @@ def solve_g(z0, g0, cfg: SolverConfig | None = None, seed_tol=None) -> GProblem:
 def g_problem_for_data(
     data: InitialData, cfg: SolverConfig | None = None
 ):
-    """(GProblem, t_base) for the given initial data.
+    """(GProblem, t_base) for the given initial data: the g_problem and
+    switch_time of integrate_h's trajectory to the horizon t0 + 2^18.
 
-    The reduction to the first-order problem needs h' > 0.  When h1 <= 0 the
-    trajectory is integrated forward to the first sample with positive slope
-    (the region h' > 0 is absorbing: at h' = 0 the acceleration is h^{-3} > 0)
-    and the problem is re-based there, within the horizon t0 + 2^18.  The
-    same route is taken when the data's own problem is refused: by the
-    switch the e^{-t} sector of the solution has decayed by about
-    e^{-_DIRECT_SPAN}.  If that route refuses too, both refusals are named.
+    The reduction to the first-order problem needs h' > 0.  With h1 > 0 it
+    is the data's own problem, based at t0.  When h1 <= 0 the trajectory
+    is integrated forward to its switch (the region h' > 0 is absorbing:
+    at h' = 0 the acceleration is h^{-3} > 0) and the problem is re-based
+    there.  The same route is taken when the data's own problem is
+    refused: by the switch the e^{-t} sector of the solution has decayed
+    by about e^{-_DIRECT_SPAN}.  If that route refuses too, both refusals
+    are named.  Where t0 + 2^18 would round to t0 (|t0| above about 1e44
+    at 38 digits) the horizon is a few units of t0's last place instead.
     """
     cfg = cfg or SolverConfig()
-    dps = cfg.effective_dps
-    with _workdps(dps):
-        refused = None
-        if mp.mpf(data.h1) > 0:
-            z0 = 4 / mp.mpf(data.h0) ** 4
-            g0 = mp.mpf(data.h0) ** 3 * mp.mpf(data.h1)
-            try:
-                return solve_g(z0, g0, cfg), mp.mpf(data.t0)
-            except AccuracyError as exc:
-                refused = exc
-        try:
-            # integrate until the trajectory hands off on its own: the
-            # switch point is exactly the rebased data we need
-            traj = integrate_h(data, mp.mpf(data.t0) + 2**18, cfg)
-            if traj.g_problem is None:
-                raise ConvergenceError(
-                    "no stretch with positive slope found within the horizon"
-                )
-        except (AccuracyError, ConvergenceError, IntegrationError) as exc:
-            if refused is None:
-                raise
-            raise AccuracyError(
-                f"the data's own problem refused ({refused}), and so did "
-                f"the trajectory's switch problem ({exc})"
-            ) from exc
+    with _workdps(cfg.effective_dps):
+        t0 = mp.mpf(data.t0)
+        traj = integrate_h(data, t0 + max(2**18, mp.ldexp(abs(t0), 4 - mp.prec)), cfg)
+        if traj.g_problem is None:
+            raise ConvergenceError(
+                "no stretch with positive slope found within the horizon"
+            )
         return traj.g_problem, traj.switch_time
 
 
@@ -1110,14 +1154,21 @@ def lambert_wm1_numeric(x, cfg: SolverConfig | None = None):
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV text of traj.samples() with header t,h,hprime; 17 significant
-    digits per value."""
+    """CSV text of traj.samples() with header t,h,hprime: h and h' to 17
+    significant digits, and t to as many digits from 17 up as it takes
+    for distinct stored times to print distinct text (at most repr_dps of
+    the working precision).  From t0 = 1e25 the elapsed times below 1e9
+    need more than 17 digits beside t0; from t0 = 1e300 the first times
+    t0 + tau round to t0 itself at the working precision, and those rows
+    print the same t."""
     with _workdps(traj.dps):
+        rows = traj.samples()
+        n_times = len({t._mpf_ for t, _, _ in rows})
+        for digits in range(17, repr_dps(mp.prec) + 1):
+            times = [mp.nstr(t, digits, strip_zeros=False) for t, _, _ in rows]
+            if len(set(times)) == n_times:
+                break
         lines = ["t,h,hprime"]
-        for t, h, hp in traj.samples():
-            lines.append(
-                ",".join(
-                    mp.nstr(v, 17, strip_zeros=False) for v in (t, h, hp)
-                )
-            )
+        for text, (_, h, hp) in zip(times, rows):
+            lines.append(",".join([text] + [mp.nstr(v, 17, strip_zeros=False) for v in (h, hp)]))
         return "\n".join(lines) + "\n"

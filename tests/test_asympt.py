@@ -392,15 +392,17 @@ class TestFitC:
     def test_secant_fit_agrees_with_the_newton_reference(self, h0, h1):
         # per fit time and per t_fit set, the secant steps on values alone
         # land within the stop tolerance of Newton on the exact c-derivative
-        # (expansion_oracle.newton_fit), or both refuse: at t = 10 for
-        # (0.5, 2), A_4(c; 10) - h(10) has no root in c
+        # (expansion_oracle.newton_fit), or both refuse at the same t: at
+        # t = 10 for (0.5, 2), A_4(c; 10) - h(10) has no root in c, which
+        # Newton finds out by its 64-step cap and the secant steps at once
         traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.VERIFY)
         refs = {}
         for t in (10, 100, 1000, 1e4, 1e5, 1e6):
             try:
                 refs[t] = expansion_oracle.newton_fit(traj, 4, t)
             except ConvergenceError as err:
-                with pytest.raises(ConvergenceError, match=re.escape(str(err))):
+                assert str(err) == "c fit failed to settle at t = %s" % float(t)
+                with pytest.raises(ConvergenceError, match=re.escape("no root of A_4(c; t) = h(t) at t = %s:" % float(t))):
                     fit_c_from_trajectory(traj, 4, (t,))
             else:
                 self._assert_within_stop(fit_c_from_trajectory(traj, 4, (t,)), refs[t], traj.dps)
@@ -417,6 +419,22 @@ class TestFitC:
     def _assert_within_stop(got, ref, dps):
         with mp.workdps(dps):
             assert abs(got - ref) <= _floor(8) * max(1, abs(ref)), (got, ref)
+
+    def test_no_root_is_refused_within_ten_sums(self, monkeypatch):
+        # A_4(c; 10) peaks near c = -40 at about 0.6 below h(10) for
+        # (0.5, 2): the second sum gives a chord that does not fall, and the
+        # fit time is refused there, not after its 64-step cap (65 sums)
+        traj = integrate_h(InitialData(0, 0.5, 2), 1.2e3, SolverConfig(rel_tol=1e-18, abs_tol=1e-20))
+        calls, expansion_sum = [], asympt._expansion_sum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return expansion_sum(*args, **kwargs)
+
+        monkeypatch.setattr(asympt, "_expansion_sum", counted)
+        with pytest.raises(ConvergenceError, match=re.escape("c fit found no root of A_4(c; t) = h(t) at t = 10.0")):
+            fit_c_from_trajectory(traj, 4, (10, 100, 1000))
+        assert 0 < len(calls) <= 10, len(calls)
 
     @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5)])
     def test_fit_takes_fewer_sums_than_newton(self, monkeypatch, h0, h1):

@@ -151,13 +151,21 @@ class TestNumericPins:
             "736291bf4871ccb0097f36ed4bd804eb4131c2f11cbd8fc7dad662222ff12e04",
         "constant --h0 2 --h1 0.5":
             "e38f0f8b7e16e5b5755a103095f3bab65e1a45ce311e785f61fc7979dd097eaa",
-        # re-recorded when the step control moved to doubles in the log2
-        # domain: its rows sit at step starts, and 25 of the 36 times moved,
-        # by at most 1.2e-16 relative, with the same rows
+        # re-recorded when D1 became the reduction from t0 on its own g
+        # problem: the rows are the 12 g steps' starts and S, read forward,
+        # then the grid from S (t = 36.8), 33 rows in place of the 19 direct
+        # steps, the switch and the grid from t = 129.0.  Before, when the
+        # step control moved to doubles, 25 of the 36 times moved by at
+        # most 1.2e-16 relative, with the same rows
         "integrate --t-max 1e6 --format csv":
-            "ce01933feaa373f34c4dd494eaa98be7c88499a951ad8a34ba537e753d4b7459",
+            "9053bb8306f6729b3e39e3b3186c27e84e2e2a446e95a5baa6e8fc77fd2093e4",
+        # re-recorded, with the two verify pins below, when D1 and D2 became
+        # the reduction from t0: h_num moves below its 19 printed digits, and
+        # the ratio column, which divides the remainder by its scale, by at
+        # most 5e-12 relative, in digits that no bound certifies (the
+        # trajectory bound at t = 1e6 is 2.26e-21)
         "verify --format json":
-            "ead25f63e022abf7eb38aa9d59e577175b9615416303714706a43b331307fc54",
+            "17d7d15fba84d53e05ccdf4b0d999f9063794f5ac4e60405738f620bf79371c4",
         # h1 <= 0: the rebasing route through integrate_h
         "constant --h0 1 --h1 -1":
             "a892769c66715e02785187e8dab22483aacd81f9550be096706541aaf2fda2d9",
@@ -173,9 +181,9 @@ class TestNumericPins:
             "13074d98dd6493bcb63f3fa15bc0580262df69bfeb2aa03ca0bca81aabd88dc4",
         # recorded while each report had its own CSV and JSON writer
         "verify --format csv":
-            "e853ee321b7764207cb2e3d3384e24b9edef9a1bb28d336a663ec9c99071c43d",
+            "ee60448b07bdd980419e4179b371d25fb29df06ca8252226e0e3d882600f8be4",
         "verify --format json --h0 2 --h1 0.5":
-            "91c3ca11b65b159d6ee091370f7f8fd8fe247ced242b1c7d4fcdc71b58a9e34b",
+            "b3f7931a67c21de9b11e9017f2cd4f195392d8fc3b5ce1eed62cacbdc87a7a1b",
         "verify --synthetic 5 --format csv":
             "9544e2650e517eca52450b3e251ba57c3af4b20594f2a1bc4fa87527b4bab0e8",
         "lambert --n-max 1 --x-grid 10,100 --format json":
@@ -196,9 +204,11 @@ class TestNumericPins:
     # SHA-256 of the stderr of refusals: each gate prints its bound in full
     GOLDEN_STDERR = {
         # the two gated refusals (trajectory bound, Lambert root), recorded
-        # while each had a gate loop of its own
+        # while each had a gate loop of its own; the verify refusal
+        # re-recorded when D1 became the reduction from t0, whose bound at
+        # t = 1e6 reads 2.261e-21 (2.269e-21 through the direct span)
         "verify --n-max 4":
-            "db6840613f5e63266e1523d3f2270cb4254b16910ca4a3112cdc5b09ade943d1",
+            "09bed1bf775ca0068d29827d3cb172b324ebb0adabdc092d9f1904accfbbc0ae",
         # refused at its first point, as the one-point grid 1e300 was
         # when this was recorded
         "lambert --x-grid 1e300,1e301":
@@ -228,6 +238,22 @@ class TestIntegrate:
         for line in lines[1:]:
             t, h, hp = (float(part) for part in line.split(","))
             assert h > 0
+
+    def test_csv_times_far_from_zero_stay_distinct(self, capsys):
+        # from t0 = 1e25 the elapsed times below 1e9 need 27 digits beside
+        # t0: every row's t prints distinct, ascending, and each of the 13
+        # rows of D1's own g march (t < 37) is the t0 = 0 row, which prints
+        # t at 17 digits
+        code, out, _ = run(capsys, "integrate", "--t0", "1e25", "--t-max", "1.0000000001e25", "--format", "csv")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        with mpmath.workdps(40):
+            times = [mpmath.mpf(t) for t, _, _ in rows]
+            assert len(set(times)) == len(times) and times == sorted(times)
+        assert rows[1][0] == "10000000000000000905969664.2"
+        code, out, _ = run(capsys, "integrate", "--t-max", "1e9", "--format", "csv")
+        assert [row[1:] for row in rows[:13]] == [line.split(",")[1:] for line in out.strip().splitlines()[1:14]]
+        assert out.splitlines()[2].split(",")[0] == "0.16298713864901134"
 
     def test_json_has_stats_and_samples(self, capsys):
         code, out, _ = run(capsys, "integrate", "--t-max", "100", "--format", "json")
@@ -312,8 +338,9 @@ class TestConstant:
         [("_MAX_STEPS", 3), ("_tail_estimate", lambda *args: math.inf)],
     )
     def test_integrator_failure_exits_3(self, capsys, monkeypatch, name, patch):
-        # (0.5, 2) goes straight to the g integrator: a step budget run out
-        # or a collapsed step is a numerical failure, not a usage problem
+        # (0.5, 2) goes to its own g problem, then to the direct march of
+        # the switch route: a step budget run out or a collapsed step in
+        # both is a numerical failure, not a usage problem
         monkeypatch.setattr(numerics, name, patch)
         code, out, err = run(capsys, "constant", "--h0", "0.5", "--h1", "2")
         assert (code, out) == (3, "")
@@ -360,16 +387,44 @@ class TestConstant:
                 assert abs(c - mpmath.mpf(text)) <= rel * abs(mpmath.mpf(text)), (h0, h1)
 
     def test_both_refusals_are_named(self, capsys, monkeypatch):
-        refusals = iter(["own problem refused", "switch problem refused"])
+        # the data's own problem is tried once per run, then the switch
+        # problem: with the fit, and in verify, c and the trajectory come
+        # from the one route
+        for command in ("constant", "constant --fit", "verify"):
+            refusals = iter(["own problem refused", "switch problem refused"])
 
-        def refuse(*args, **kwargs):
-            raise AccuracyError(next(refusals))
+            def refuse(*args, **kwargs):
+                raise AccuracyError(next(refusals))
 
-        monkeypatch.setattr(numerics, "solve_g", refuse)
-        code, out, err = run(capsys, "constant", "--h0", "1.5", "--h1", "3")
-        assert (code, out) == (3, "")
-        assert "own problem refused" in err and "switch problem refused" in err
-        assert next(refusals, None) is None
+            monkeypatch.setattr(numerics, "solve_g", refuse)
+            code, out, err = run(capsys, *command.split(), "--h0", "1.5", "--h1", "3")
+            assert (code, out) == (3, ""), command
+            assert "own problem refused" in err and "switch problem refused" in err, command
+            assert next(refusals, None) is None, command
+
+    @pytest.mark.parametrize(
+        "command, marches",
+        [("verify", 1), ("constant --fit", 1), ("verify --h1 -1", 2), ("constant --fit --h1 -1", 2),
+         ("verify --t-grid 10,50 --n-max 1", 2)],
+    )
+    def test_one_g_problem_per_run(self, capsys, monkeypatch, command, marches):
+        # c and the trajectory share one g problem: solve_g runs once per
+        # verify and per constant --fit, and a march runs once per problem
+        # and per transient.  A trajectory that ends before its switch (the
+        # grid to 50) leaves c its own problem; the trajectory then marches
+        # directly
+        counts = Counter()
+        for name in ("solve_g", "_march"):
+            original = getattr(numerics, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(numerics, name, counted)
+        code, _, _ = run(capsys, *command.split())
+        assert code in (0, 1)
+        assert counts == {"solve_g": 1, "_march": marches}
 
 
 class TestVerify:

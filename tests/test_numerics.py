@@ -62,6 +62,11 @@ from asymptode.numerics import (
 )
 
 DATA = InitialData(0, 1, 1)
+# h1 <= 0: direct steps to a switch past the direct span, then the switch
+# problem; D1 and D2 (h1 > 0) are the reduction from t0 on their own
+# problem.  At rel 1e-22 (1, -1) switches at t = 150.19 to a problem with
+# no Taylor piece, (2, -0.5) at t = 141.22 to one with one piece
+SWITCHED = InitialData(0, 1, -1)
 
 
 def _guess(coeff_sets, eps_loc, order):
@@ -168,9 +173,10 @@ class TestIntegrateH:
         for t in (10, 100, 1e4, 1e6):
             assert traj.eval_hprime(t) > 0
 
-    def test_dense_output_is_continuous_at_the_switch(self, traj):
+    def test_dense_output_is_continuous_at_the_switch(self):
+        traj = integrate_h(SWITCHED, 1e6)
         t_sw = traj.switch_time
-        assert t_sw is not None
+        assert t_sw > 128
         with mp.workdps(traj.stats["dps"]):
             eps = mp.mpf("1e-12")
             below = traj.eval_h(t_sw - eps)
@@ -200,41 +206,76 @@ class TestIntegrateH:
         assert e2 > 0
         assert e6 > e2
 
-    @pytest.mark.parametrize("h0,h1", [(1, 1), (2, 0.5)])
+    @pytest.mark.parametrize(
+        "h0,h1", [(1, 1), (2, 0.5), (0.5, 2), (3, 0.1), (0.8, 1), (3, 1), (0.5, 0.5), (1, -1)]
+    )
     def test_err_bound_is_sound_against_a_tighter_reference(self, h0, h1):
-        # the bound holds against a run 12 digits tighter, through the
-        # direct phase and both sides of the switch (t = 148.8 for D1,
-        # 138.4 for D2) into the tail; the least bound/actual measured is
-        # 261 (D1, t = 3) and 415 (D2, t = 30)
+        # the bound holds against a run 12 digits tighter from t0 into the
+        # tail: for h1 > 0 the reduction from t0 on the data's own problem,
+        # whose |ds/dG| is g at the read point (g0 = 27 for (3, 1)); for
+        # (1, -1) the direct phase and both sides of its switch (t = 150.19).
+        # The least bound/actual measured is 3.9e5 for h1 > 0 (0.8, 1 at
+        # t = 0.25; 123 through the direct span, (3, 1) at t = 10) and 356
+        # for (1, -1) (t = 10).
+        # At t = 1e6 D1's and D2's bounds stay within the 2.27e-21 they
+        # read through the 128-unit direct span, the headroom of verify's
+        # gate at n = 3 (and its refusal at n = 4)
         data = InitialData(0, h0, h1)
         traj = integrate_h(data, 1e6, SolverConfig(rel_tol=1e-22, abs_tol=1e-24))
         ref = integrate_h(data, 1e6, SolverConfig(rel_tol=1e-34, abs_tol=1e-36))
-        grid = (0.25, 1, 3, 10, 30, 100, 127, 129, 140, 150, 200, 1e3, 1e4, 1e5, 1e6)
-        assert grid[7] < traj.switch_time < grid[9]
+        grid = (0, 0.25, 1, 3, 10, 30, 100, 127, 129, 140, 150, 151, 200, 1e3, 1e4, 1e5, 1e6)
+        if h1 > 0:
+            assert (traj.n_steps, traj.switch_time) == (0, 0) and traj.g_problem._steps
+        else:
+            assert grid[10] < traj.switch_time < grid[11]
         with mp.workdps(60):
             for t in grid:
                 assert abs(traj.eval_h(t) - ref.eval_h(t)) <= traj.err_bound(t), t
+            if (h0, h1) in ((1, 1), (2, 0.5)):
+                assert traj.err_bound(1e6) <= mp.mpf("2.27e-21")
 
     @pytest.mark.parametrize("t0", [1e20, 1e25, -1e25, 3.5])
     @pytest.mark.parametrize("rel_tol,abs_tol", [(1e-22, 1e-24), (1e-10, 1e-12)])
     def test_large_t0_is_the_t0_0_trajectory_shifted(self, t0, rel_tol, abs_tol):
         # the equation is autonomous and the march runs in elapsed time, so
-        # from any t0 D2 gives the t0 = 0 values, bounds included, bit for
-        # bit, on both sides of the switch (t0 + 138.4), at the verify and
-        # the integrate tolerances.  Step times formed as rounded sums
-        # t0 + s_1 + ... + s_j drift from the state once t0 and the 53-bit
-        # steps need more bits together than the precision has: at the
-        # integrate defaults (103 bits) from t0 = 1e20 on
+        # from any t0 (2, -0.5) gives the t0 = 0 values, bounds included,
+        # bit for bit, on both sides of the switch (t0 + 141.2 at rel
+        # 1e-22, t0 + 130.9 at rel 1e-10), at the verify and the integrate
+        # tolerances.  Step times
+        # formed as rounded sums t0 + s_1 + ... + s_j drift from the state
+        # once t0 and the 53-bit steps need more bits together than the
+        # precision has: at the integrate defaults (103 bits) from t0 = 1e20 on
         cfg = SolverConfig(rel_tol=rel_tol, abs_tol=abs_tol)
-        ref = integrate_h(InitialData(0, 2, 0.5), 1.2e6, cfg)
+        ref = integrate_h(InitialData(0, 2, -0.5), 1.2e6, cfg)
         with mp.workdps(cfg.effective_dps):  # t0 + offset is exact here
             t_max = mp.mpf(t0) + mp.mpf(1.2e6)
-            traj = integrate_h(InitialData(t0, 2, 0.5), t_max, cfg)
-            assert traj.switch_time == t0 + ref.switch_time > t0 + 138
-            for off in (0, 0.5, 3, 100, 138, 139, 200, 1e4, 1e6):
+            traj = integrate_h(InitialData(t0, 2, -0.5), t_max, cfg)
+            assert traj.switch_time == t0 + ref.switch_time > t0 + 128
+            for off in (0, 0.5, 3, 100, 128, 142, 200, 1e4, 1e6):
                 t = mp.mpf(t0) + off
                 got = (traj.eval_h(t), traj.eval_hprime(t), traj.err_bound(t))
                 assert got == (ref.eval_h(off), ref.eval_hprime(off), ref.err_bound(off)), off
+
+    def test_samples_read_the_g_march_forward(self):
+        # D1 at rel 1e-22 to t = 129: past the direct span, short of its own
+        # problem's split (t_S ~ 150).  The rows are the data at t0, the g
+        # march's later step starts with t < 129, read forward with no
+        # inversion, then the grid from the last of them to t_max.  Each
+        # forward row is h^3 h' = g at z = 4/h^4 and agrees with the
+        # inversion at its own t, within the bound there
+        traj = integrate_h(DATA, 129, SolverConfig(rel_tol=1e-22, abs_tol=1e-24))
+        prob, rows = traj.g_problem, traj.samples()
+        forward = [row for row in rows if row[0] <= rows[19][0]]
+        assert rows[0] == (0, 1, 1) and len(forward) == 20
+        assert rows[-1][0] == 129 and all(t < 129 for t, _, _ in rows[:-1])
+        assert [t for t, _, _ in rows] == sorted(t for t, _, _ in rows)
+        with mp.workdps(traj.dps):
+            for (t, h, hp), step in zip(forward[1:], prob._steps[1:]):
+                assert abs(h**3 * hp - step.x0) <= mp.mpf(10) ** (5 - traj.dps), t
+                assert abs(4 / h**4 - step.t_start) <= mp.mpf(10) ** (5 - traj.dps) * step.t_start, t
+                assert abs(traj.eval_h(t) - h) <= traj.err_bound(t), t
+            grid = [t for t, _, _ in rows[20:]]
+            assert abs(grid[-1] - grid[-2] - (129 - rows[19][0]) / 2) <= mp.mpf(10) ** (5 - traj.dps) * 129
 
     def test_far_t0_reaches_the_switch(self):
         # at t0 = 1e300 a step does not move t0 + s: the march in elapsed
@@ -267,6 +308,76 @@ class TestIntegrateH:
             assert abs(pts[-1][0] - mp.mpf(10) ** 6) < mp.mpf("1e-20")
         for _, h, _ in pts:
             assert h > 0
+
+
+class TestRoute:
+    """integrate_h's one route decision, which g_problem_for_data reads
+    through it: the data's own g problem from t0 when h1 > 0 and the
+    horizon passes the direct span, the direct march to the switch
+    otherwise.  Each g problem is solved once."""
+
+    CFG = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls, solve = [], numerics.solve_g
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "solve_g", counted)
+        return calls
+
+    def test_own_problem_from_t0(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        traj = integrate_h(InitialData(3.5, 2, 0.5), 3.5 + 1.2e6, self.CFG)
+        prob, t_base = g_problem_for_data(InitialData(3.5, 2, 0.5), self.CFG)
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert (traj.n_steps, traj.switch_time, t_base) == (0, 3.5, 3.5)
+        assert [s.t_start for s in traj.g_problem._steps] == [s.t_start for s in prob._steps]
+        assert traj.eval_h(3.5) == prob.anchor ** numerics._QUARTER
+
+    @pytest.mark.parametrize("h1,t_max", [(-1, 1e3), (0, 1e3), (1, 128)])
+    def test_direct_route(self, monkeypatch, h1, t_max):
+        # h1 <= 0 solves the switch problem once; a horizon within the span
+        # solves none
+        calls = self._count_solves(monkeypatch)
+        traj = integrate_h(InitialData(0, 1, h1), t_max, self.CFG)
+        assert traj.n_steps > 0
+        assert len(calls) == (traj.g_problem is not None) == (h1 <= 0)
+
+    def test_refused_own_problem_takes_the_switch(self, monkeypatch):
+        # (1.5, 3)'s own problem is refused at rel 1e-10: the trajectory and
+        # g_problem_for_data each try it once and then solve the switch
+        # problem, the same one
+        cfg = SolverConfig()
+        calls = self._count_solves(monkeypatch)
+        traj = integrate_h(InitialData(0, 1.5, 3), 1e6, cfg)
+        prob, t_base = g_problem_for_data(InitialData(0, 1.5, 3), cfg)
+        assert len(calls) == 4 and calls[0] == calls[2] and calls[1] == calls[3]
+        assert traj.n_steps > 0 and t_base == traj.switch_time > 128
+        assert prob.anchor == traj.g_problem.anchor
+
+    def test_stalled_own_problem_takes_the_switch(self):
+        # for h0 = 1e-70 the own g march starts at z0 = 4e280, where no step
+        # moves z at the working precision: refused at its first step, not
+        # after the 100,000-step budget, and the direct route resolves
+        cfg = SolverConfig()
+        with pytest.raises(IntegrationError, match="no longer moves t"):
+            solve_g(4e280, 1e-210, cfg)
+        traj = integrate_h(InitialData(0, 1e-70, 1), 1e3, cfg)
+        assert traj.n_steps > 0 and traj.switch_time > 128
+
+    @pytest.mark.parametrize("h1", [1, -1])
+    def test_far_t0_problem(self, h1):
+        # at t0 = 1e300 the horizon t0 + 2^18 rounds to t0: g_problem_for_data
+        # marches to a few units of t0's last place instead, and its base
+        # is t0 + tau_sw, which rounds to t0
+        prob, t_base = g_problem_for_data(InitialData(1e300, 1, h1))
+        near, t_near = g_problem_for_data(InitialData(0, 1, h1))
+        assert t_base == 1e300 and (t_near == 0) == (h1 > 0)
+        assert prob.anchor == near.anchor
 
 
 class TestSolveG:
@@ -327,10 +438,10 @@ class TestSolveG:
 class TestComputeG:
     def test_anchor_is_zero(self, problem):
         assert compute_G(problem.anchor, problem) == 0
-        # D1's switch problem at rel 1e-18 has no Taylor pieces: there
+        # (1, -1)'s switch problem at rel 1e-18 has no Taylor pieces: there
         # I(4/x) = J - T(x) for every x, and J = T(S) at S = h0^4
         cfg = SolverConfig(rel_tol=1e-18, abs_tol=1e-20)
-        switched = integrate_h(DATA, 1e3, cfg).g_problem
+        switched = integrate_h(SWITCHED, 1e3, cfg).g_problem
         assert not switched._steps
         assert switched.split == switched.anchor
         assert compute_G(switched.anchor, switched) == 0
@@ -1013,9 +1124,11 @@ class TestStepSequences:
     CFG = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
 
     @pytest.mark.parametrize(
-        "h0,h1,steps,g_steps", [(1, 1, 19, 0), (2, 0.5, 15, 1)]
+        "h0,h1,steps,g_steps", [(1, -1, 23, 0), (2, -0.5, 16, 1), (1, 1, 0, 21), (2, 0.5, 0, 14)]
     )
     def test_integrate_h(self, h0, h1, steps, g_steps):
+        # h1 <= 0: direct steps, then the switch problem's g steps; D1 and
+        # D2: no direct step, their own problem's g steps (test_solve_g)
         traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.CFG)
         assert (traj.n_steps, traj.n_rejected) == (steps, 0)
         assert traj.stats["g_steps"] == g_steps
@@ -1036,8 +1149,14 @@ class TestStepSequences:
 
     # SHA-256 of the _mpf_ tuples (t_start, length, err_cum) of the steps:
     # step sizes and the summed estimates cannot move silently.  The h
-    # digest covers the 19 + 15 direct steps of D1 and D2, the g digest
-    # D2's one g step and the 35 of the (0.5, 2) g problem.  Both were
+    # digest covers the 23 + 16 direct steps of (1, -1) and (2, -0.5), the
+    # g digest (2, -0.5)'s one switch g step and the 21, 14 and 35 of the
+    # D1, D2 and (0.5, 2) problems, which D1's and D2's trajectories carry.
+    # Both were re-pointed to these steps when D1 and D2 became the
+    # reduction from t0, with digests recorded from the revision before,
+    # where the same steps were D1's and D2's direct phase and own
+    # problems.  Before that they covered the 19 + 15 direct steps of D1
+    # and D2, and D2's one switch g step with (0.5, 2)'s 35.  Both were
     # re-recorded when the step control moved from mpf roots and sums to
     # doubles in the log2 domain: every step length moved in its last
     # double bits (the guess is 0.8 2^v for a double v, an exact dyadic),
@@ -1050,22 +1169,22 @@ class TestStepSequences:
     # by at most 4e-15, with the same counts (TestGKernelScale checks the
     # two rules against each other); D2's one g step, at the first step's
     # rho = 2^mag(z0), did not move
-    H_STEP_DIGEST = "f57b1d5eeeb3da69a8b1e77d7bdb0c46338b73ef80c8b1b0c142e1afabd92f39"
-    G_STEP_DIGEST = "e2211accd8c78e2b9f0643acf71f43037630a72f8ecdae5c013908bff13b3564"
+    H_STEP_DIGEST = "de3c3cc9b0f444a155e44dc0b202e68d53fea74f561cf02d8c0bacbdf4fcf966"
+    G_STEP_DIGEST = "e9b2200d70ff9b69efc2ea7d3d8f0c4546d1cd00c3d7ec6f50766bb0812aeefd"
 
     @pytest.fixture(scope="class")
     def digest_steps(self):
         h_steps, g_steps = [], []
-        for h0, h1 in ((1, 1), (2, 0.5)):
+        for h0, h1 in ((1, -1), (2, -0.5), (1, 1), (2, 0.5)):
             traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.CFG)
-            assert traj.n_rejected == 0
+            assert traj.n_rejected == traj.g_problem.n_rejected == 0
             h_steps.append(traj._steps)
             g_steps.append(traj.g_problem._steps)
         prob, _ = g_problem_for_data(InitialData(0, 0.5, 2), self.CFG)
         assert prob.n_rejected == 0
         g_steps.append(prob._steps)
-        assert [len(s) for s in h_steps] == [19, 15]
-        assert [len(s) for s in g_steps] == [0, 1, 35]
+        assert [len(s) for s in h_steps] == [23, 16, 0, 0]
+        assert [len(s) for s in g_steps] == [0, 1, 21, 14, 35]
         return sum(h_steps, []), sum(g_steps, [])
 
     @staticmethod
@@ -1122,9 +1241,10 @@ class TestDeferredBracket:
     double the candidate end and some bisect.  invert_G reads G and g
     through the raw cores and the oracle through compute_G and eval_g, so
     the same roots also show that the cores give the wrappers' bits on the
-    inversions that trajectories send: past the switch of D1 (no Taylor
-    piece), of D2 (one piece) and of (1000, -0.7), where Newton stops on
-    an iterate that no longer moves."""
+    inversions that trajectories send: past the switch of (1, -1) (no
+    Taylor piece), of (2, -0.5) (one piece) and of (1000, -0.7), where
+    Newton stops on an iterate that no longer moves, and from t0 on D1's
+    and D2's own problems."""
 
     CFG = SolverConfig(rel_tol=1e-22, abs_tol=1e-24)
     XS = (1e-3, 0.1, 1, 3, 50, 1e3, 4e4, 1e6, 5e6)
@@ -1142,8 +1262,9 @@ class TestDeferredBracket:
 
     @staticmethod
     def _switch_inversions(data, t_max, cfg):
-        """(problem, xs): a trajectory's switch problem and the arguments
-        4 (t - t_sw) of its CSV samples past the switch."""
+        """(problem, xs): a trajectory's g problem and the arguments
+        4 (t - t_sw) of its CSV samples past the switch: the g march's
+        points up to S, then the grid that the CSV inverts."""
         traj = integrate_h(data, t_max, cfg)
         with mp.workdps(traj.dps):
             t_sw = traj.switch_time
@@ -1151,18 +1272,22 @@ class TestDeferredBracket:
         return traj.g_problem, xs
 
     def test_switch_problem_roots_equal_the_eager_bracket(self):
-        # D1's switch problem has no Taylor piece and D2's one; x = 2.2
-        # lands below D2's split S, where G is dense output; and the 21
-        # CSV offsets to 1.2e6 land above it.  x = 0 is h0^4 itself, by
+        # (1, -1)'s switch problem has no Taylor piece and (2, -0.5)'s one;
+        # D1 and D2 are the reduction from t0 on their own problems, of 21
+        # and 14 pieces.  x = 2.2 lands below the split S of a problem with
+        # pieces, where G is dense output, as do the offsets of the g
+        # march's points after the first (the switch) and S itself; the 21
+        # grid offsets to 1.2e6 land above it.  x = 0 is h0^4 itself, by
         # invert_G's entry check before any Newton step (the oracle's
         # Newton starts from max(h0^4 - J, h0^4) and may stop a unit away),
         # so x = 1e-20 stands for the inversions next to it.  A slope read
         # as 1 - 3/y - T'(y) in place of g's alpha series moves only the
-        # step before the last, and so the root rarely: of these, only one
-        # of (0.5, 2)'s offsets
-        for (h0, h1), pieces in (((1, 1), 0), ((2, 0.5), 1), ((0.5, 2), 0)):
+        # step before the last, and so the root rarely: before D1 and D2
+        # took the reduction from t0, one CSV offset past (0.5, 2)'s switch
+        cases = (((1, -1), 0, 21), ((2, -0.5), 1, 1 + 21), ((1, 1), 21, 21 + 21), ((2, 0.5), 14, 14 + 21))
+        for (h0, h1), pieces, n_xs in cases:
             prob, xs = self._switch_inversions(InitialData(0, h0, h1), 1.2e6, self.CFG)
-            assert len(prob._steps) == pieces and len(xs) == 21
+            assert (len(prob._steps), len(xs)) == (pieces, n_xs)
             assert invert_G(0, prob) == prob.anchor
             for x in [1e-20, 2.2] + xs:
                 ref, _ = newton_oracle.invert_G(x, prob)
@@ -1263,8 +1388,10 @@ class TestMpfControl:
     """The marcher with the step control of taylor_oracle patched in: mpf
     scaled coefficients, the mpf root of step_guess, the mpf estimate of
     tail_estimate, compared and summed in mpf; the log2 helpers pass mpfs
-    through.  On D1 and D2 (rel 1e-22, to 1.2e6) and the (0.5, 2) g
-    problem, the shipped control on doubles takes the same steps and
+    through.  On the trajectories of (1, -1), (2, -0.5), D1 and D2 (rel
+    1e-22, to 1.2e6: direct steps and switch problems, and D1's and D2's
+    own problems) and the (0.5, 2) g problem, the shipped control on
+    doubles takes the same steps and
     rejections, its step ends agree to 1e-15 relative, and c to 20
     digits."""
 
@@ -1286,9 +1413,9 @@ class TestMpfControl:
         monkeypatch.setattr(numerics, "_exp2", lambda est: est._mpf_)
 
     def _runs(self):
-        """(steps, rejected, c) of D1 and D2 and of the (0.5, 2) g problem."""
+        """(steps, rejected, c) of four trajectories and of the (0.5, 2) g problem."""
         out = []
-        for h0, h1 in ((1, 1), (2, 0.5)):
+        for h0, h1 in ((1, -1), (2, -0.5), (1, 1), (2, 0.5)):
             traj = integrate_h(InitialData(0, h0, h1), 1.2e6, self.CFG)
             with mp.workdps(self.CFG.effective_dps):
                 c = compute_c(traj.g_problem) + 4 * traj.switch_time
@@ -1381,8 +1508,10 @@ class TestMarcher:
     """The one step loop behind integrate_h and solve_g: its failures and
     the step lookup of the dense reads."""
 
+    # the direct march of an h1 <= 0 trajectory: D1's would refuse twice,
+    # by its own problem and by the switch route (TestOwnProblem)
     RUNS = {
-        "integrate_h": lambda: integrate_h(DATA, 1e6),
+        "integrate_h": lambda: integrate_h(SWITCHED, 1e6),
         "solve_g": lambda: solve_g(4, 1),
     }
 
@@ -1409,7 +1538,7 @@ class TestMarcher:
         at = {}
         for t0 in (0, 100):
             with pytest.raises(IntegrationError) as err:
-                integrate_h(InitialData(t0, 1, 1), t0 + 900)
+                integrate_h(InitialData(t0, 1, -1), t0 + 900)
             at[t0] = float(re.search(r" at ([-+.e\d]+)", str(err.value)).group(1))
         assert at[0] > 0 if failure == "budget" else at[0] == 0
         assert at[100] == pytest.approx(100 + at[0], rel=1e-15)
@@ -1427,7 +1556,8 @@ class TestMarcher:
             assert _step_at(steps, keys, sign * before) is first
             assert _step_at(steps, keys, sign * past) is last
 
-    def test_trajectory_lookup(self, traj):
+    def test_trajectory_lookup(self):
+        traj = integrate_h(SWITCHED, 1e6)
         assert traj.n_steps > 2
         self._assert_lookup(traj._steps, traj._keys, 1, traj.stats["dps"])
 
@@ -1508,18 +1638,21 @@ class TestWorkingPrecision:
 
     def test_reads_at_either_precision_are_equal(self):
         # D1's c problem has Taylor pieces: G and g read dense output below
-        # the split and the series beyond it
+        # the split and the series beyond it.  D1's trajectory inverts G
+        # from t0; (1, -1)'s reads a direct step at t = 50
         prob, _ = g_problem_for_data(DATA, self.CFG)
         model = AsymptoticModel.build(-0.7, 3, dps=prob.dps)
         values = []
         for dps in (15, prob.dps):
             traj = integrate_h(DATA, 1.2e6, self.CFG)  # a fresh h^4 memo
+            switched = integrate_h(SWITCHED, 1.2e6, self.CFG)
             with mp.workdps(dps):
                 prec = mp.prec
                 values.append([
                     compute_G(2, prob), compute_G(1e4, prob),
                     prob.eval_g(1), prob.eval_g(mp.ldexp(prob.z_c, -1)),
                     traj.eval_h(50), traj.eval_h(1e5), eval_A_n(model, 1e5),
+                    switched.eval_h(50), switched.eval_h(1e5),
                 ])
                 assert (mp.prec, mp.dps) == (prec, dps)
         assert values[0] == values[1]

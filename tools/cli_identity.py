@@ -42,13 +42,20 @@ from bench_pairs import export, git, tmp_is_usable  # noqa: E402
 # the collapse region, where the g kernel's rho sits furthest below z;
 # then verify to t = 1e12 at rel 1e-46, whose expansion reads run at about
 # 170 bits, and a rel 1e-60 g problem whose first step is 0.06 z0 long;
-# then a D2 trajectory to t = 139, whose one sample past the switch
-# (y = h^4 ~ 602.43 < S ~ 602.91) inverts G through dense output; then
-# a trajectory from t0 = 1e25, whose direct steps are far shorter than
-# the spacing of the doubles near t0 and must march in elapsed time; last,
+# then a D2 trajectory to t = 139, just short of its own problem's split
+# (t_S ~ 139.12), whose grid samples invert G through dense output; then
+# a trajectory from t0 = 1e25, whose steps are far shorter than the
+# spacing of the doubles near t0 and must run in elapsed time; last,
 # the `constant` paths no other command runs: its CSV table with and
 # without the fit, the refused --digits 0 and --fit-order 0, and the fit
-# at t_max = 1e3, whose fit times disagree
+# at t_max = 1e3, whose fit times disagree; last, a D1 trajectory to
+# t = 129, past the direct span but short of its own problem's split
+# (t_S ~ 150), whose samples stop at t_max, and verify for (3, 1), whose
+# g0 = 27 sets the |ds/dG| of the bound only near t0; then h0 = 1e-70,
+# whose own g march from z0 = 4e280 does not move z (its trajectory takes
+# the direct route, as a short one does), and verify on a grid to t = 50,
+# whose trajectory ends before its switch and whose c comes from a g
+# problem of its own
 COMMANDS = (
     [["series", "--family", f, "--order", "30", "--format", "json"]
      for f in ("alpha", "beta", "p", "q", "lambert")]
@@ -140,6 +147,10 @@ COMMANDS = (
         "constant --digits 0",
         "constant --fit --fit-order 0",
         "constant --fit --t-max 1e3",
+        "integrate --t-max 129 --rel-tol 1e-22 --abs-tol 1e-24 --format csv",
+        "verify --h0 3 --h1 1 --format csv",
+        "integrate --h0 1e-70 --t-max 1e3 --format csv",
+        "verify --t-grid 10,50 --n-max 1",
     )]
     + [["constant", "--h0", repr(h0), "--h1", repr(h1)] for h0, h1 in (
         (1, 1), (2, 0.5), (0.5, 2), (0.8, 1), (1.2, 1.5),
