@@ -671,9 +671,9 @@ class Trajectory:
         read forward, with no inversion: s = 4/z_s, h = s^(1/4),
         h' = g_s s^(-3/4) and t = t_sw + G(s)/4, with G from the running
         integral I that the step holds at z_s (at z_c, dense output, and g
-        there the series).  The points stop before
-        t_end; the grid's offsets from the last of them start at t_end and
-        halve until they reach 1, at most 60 of them.
+        there the series).  The points stop before t_end; the grid's
+        offsets from the last of them start at t_end and halve until they
+        reach 1, at most 60 of them.
         """
         with _workdps(self.dps):
             out = [(self.t_start + s.t_start, s.x0, s.y0) for s in self._steps]
